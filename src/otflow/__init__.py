@@ -17,7 +17,7 @@ from .fields import (Condition, FieldRegistry, GuidanceScales, UnknownDatasetErr
                      empirical_marginal_velocity, evaluate,
                      gaussian_marginal_velocity, make_velocity)
 from .metrics import (AssignmentPlan, BoundReport, VerifySetup, l2_distance,
-                      make_enhanced, reference_integrate, schedule_integral,
+                      reference_integrate, schedule_integral,
                       verify_convergence_bound, verify_discretization_bound,
                       verify_edit_control_bound, w2_dirac_to_gaussian,
                       w2_dirac_to_points, w2_empirical_exact, w2_gaussian)
@@ -25,7 +25,7 @@ from .presets import PRESETS, get_preset, preset_names
 from .runner import (RunArtifacts, SweepOutcome, derive_seed, gen_data,
                      run_experiment, run_sweep, run_verify)
 from .svgplot import render_metric_chart, render_point_cloud, render_trajectories
-from .transport import (GuidanceSample, TransportConfig, adaptive_weight, clip_norm,
-                        cosine_schedule, enhance_velocity, transport_direction)
+from .transport import (TransportConfig, adaptive_weight, clip_norm, cosine_schedule,
+                        enhance_velocity, make_enhanced, transport_direction)
 
 __version__ = "0.1.0"

@@ -171,20 +171,6 @@ def _merge(entries, preset_name, overrides):
     return resolved, lines
 
 
-def _parse_scalar(text):
-    low = text.lower()
-    if low in ("true", "false"):
-        return low == "true"
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
-
-
 def _parse_vector(text):
     return np.array([float(p) for p in text.split(",") if p.strip() != ""], dtype=float)
 

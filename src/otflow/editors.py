@@ -6,13 +6,17 @@ knobs reduces each loop bit-exactly to the plain pipeline it extends.
 
 transport_guided_inversion_edit  invert the source to noise with the pooled
     (unconditional) field, then denoise under the target condition with a
-    reference-pulling controller and a transport term toward the encoded
-    target state.
+    reference-pulling controller plus the transport correction anchored on
+    the encoded target state (on the reverse step it moves the state away
+    from that anchor).
 transport_enhanced_flowedit      evolve a coupled edit trajectory directly
     from the source: per step, noise the source, form the coupled target
     state, step along the conditional velocity difference plus a transport
-    term; optionally hand the tail of the schedule to plain denoising of the
-    coupled state.
+    term that contracts the state toward the source latent; optionally hand
+    the tail of the schedule to plain denoising of the coupled state.
+
+Both editors get the correction from transport.enhance_velocity and record a
+step's transport_norm and weight as 0 whenever its weight is zero.
 
 baseline_flowedit is the unmodified difference-velocity pipeline, kept as a
 separate loop so equivalence tests compare two implementations rather than
@@ -25,9 +29,9 @@ import numpy as np
 
 from .core import (NumericalAbort, TrajectoryRecorder, euler_step,
                    forward_noising, rf_invert)
-from .fields import Condition, conditional_linear_velocity, make_velocity
+from .fields import Condition, cfg_blend, conditional_linear_velocity, make_velocity
 from .metrics import l2_distance
-from .transport import adaptive_weight, clip_norm, enhance_velocity, transport_direction
+from .transport import enhance_velocity
 
 
 @dataclass(frozen=True)
@@ -134,11 +138,7 @@ def controller_guided_velocity(v_tar, v_ref, eta):
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must be in [0, 1], got {eta}")
-    if eta == 0.0:
-        return v_tar
-    if eta == 1.0:
-        return v_ref
-    return v_tar + eta * (v_ref - v_tar)
+    return cfg_blend(v_tar, v_ref, eta)
 
 
 def _check_finite(z, t, what):
@@ -148,7 +148,10 @@ def _check_finite(z, t, what):
 
 def transport_guided_inversion_edit(cfg, registry, codec, x0, x_target=None):
     """Invert a source input to noise, then denoise with controller guidance
-    and transport pull toward the encoded target.
+    and the transport correction anchored on the encoded target.
+
+    The correction is added in the forward-velocity convention, so on each
+    reverse step it moves the state along z - z_target, away from the anchor.
 
     x_target defaults to x0: anchoring transport on the source preserves its
     content while the condition steers semantics.  The returned trajectory
@@ -174,12 +177,12 @@ def transport_guided_inversion_edit(cfg, registry, codec, x0, x_target=None):
         v_ref = conditional_linear_velocity(z0, z, t, registry.t_floor)
         eta_eff = cfg.eta if t_lo <= t <= t_hi else 0.0
         v_rf = controller_guided_velocity(v_tar, v_ref, eta_eff)
-        v_enh, sample = enhance_velocity(v_rf, z, z_target, t, cfg.transport)
+        v_enh, weight, raw_norm = enhance_velocity(v_rf, z, z_target, t, cfg.transport)
         _check_finite(v_enh, t, "velocity")
         dt = float(pts[k + 1] - pts[k])
         z = euler_step(z, v_enh, dt)
-        work += sample.weight * min(sample.raw_norm, cfg.transport.clip_tau) * abs(dt)
-        rec.step(pts[k + 1], z, v_enh, sample.raw_norm, sample.weight)
+        work += weight * min(raw_norm, cfg.transport.clip_tau) * abs(dt)
+        rec.step(pts[k + 1], z, v_enh, raw_norm, weight)
 
     output = codec.decode(z)
     summary = EditSummary(
@@ -205,7 +208,8 @@ def transport_enhanced_flowedit(cfg, registry, codec, x0):
     velocity difference over draws, add the weighted clipped transport
     direction, and take the signed reverse step.  The transport direction
     equals (z - z_src) / max(1 - t, delta) by the coupling identity, so it is
-    common to all draws.  Indices above n_max leave the state untouched; at
+    common to all draws, and the reverse step contracts the state toward
+    z_src.  Indices above n_max leave the state untouched; at
     the first index <= n_min the state is converted once to a physical
     coupled state and the remaining steps run plain denoising under cond_tar.
     """
@@ -246,17 +250,11 @@ def transport_enhanced_flowedit(cfg, registry, codec, x0):
             z_t_tar = z + z_t_src - z_src
             acc += tar_field(z_t_tar, t) - src_field(z_t_src, t)
         v_fe = acc / cfg.n_avg
-        d_ot = transport_direction(z_src, z, t, cfg.transport.delta)
-        raw_norm = float(np.linalg.norm(d_ot))
-        gamma = adaptive_weight(t, cfg.transport)
-        if gamma == 0.0:
-            v_enh = v_fe
-        else:
-            v_enh = v_fe + gamma * clip_norm(d_ot, cfg.transport.clip_tau)
+        v_enh, weight, raw_norm = enhance_velocity(v_fe, z_src, z, t, cfg.transport)
         _check_finite(v_enh, t, "velocity")
         z = euler_step(z, v_enh, dt)
-        work += gamma * min(raw_norm, cfg.transport.clip_tau) * abs(dt)
-        rec.step(pts[j + 1], z, v_enh, raw_norm, gamma)
+        work += weight * min(raw_norm, cfg.transport.clip_tau) * abs(dt)
+        rec.step(pts[j + 1], z, v_enh, raw_norm, weight)
 
     output = codec.decode(z)
     summary = EditSummary(

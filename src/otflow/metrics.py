@@ -21,7 +21,7 @@ from scipy.spatial.distance import cdist
 
 from .core import integrate, make_time_grid
 from .fields import make_velocity
-from .transport import adaptive_weight, clip_norm
+from .transport import make_enhanced
 
 _QUAD_PANELS = 10_000
 _EMPIRICAL_CAP = 2048
@@ -183,8 +183,9 @@ class VerifySetup:
     """Shared scaffolding for the convergence / edit-control verifiers.
 
     Runs start from n_runs seeded standard-normal noise states, denoise over
-    grid with the condition's oracle field, and apply transport toward
-    z_target; transport.beta0 acts as a template overridden per arm.
+    grid with the condition's oracle field, and add the transport correction
+    anchored on z_target, which on the reverse steps moves the states away
+    from it; transport.beta0 acts as a template overridden per arm.
     """
 
     registry: object
@@ -199,21 +200,6 @@ class VerifySetup:
     def noise_bank(self, dim):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(self.seed)))
         return rng.standard_normal((self.n_runs, dim))
-
-
-def make_enhanced(field, z_target, cfg):
-    """Batch-broadcasting form of enhance_velocity around a bound field."""
-    zt = np.asarray(z_target, dtype=float)
-
-    def enhanced(z, t):
-        v = field(z, t)
-        w = adaptive_weight(t, cfg)
-        if w == 0.0:
-            return v
-        d = (zt - z) / max(1.0 - t, cfg.delta)
-        return v + w * clip_norm(d, cfg.clip_tau)
-
-    return enhanced
 
 
 def _fit_loglog_slope(x, y):

@@ -25,11 +25,11 @@ from .core import integrate
 from .editors import (FlowEditConfig, InversionEditConfig, RngSeed,
                       transport_enhanced_flowedit, transport_guided_inversion_edit)
 from .fields import make_velocity
-from .metrics import (VerifySetup, make_enhanced, verify_convergence_bound,
-                      verify_discretization_bound, verify_edit_control_bound,
-                      w2_dirac_to_gaussian, w2_dirac_to_points, w2_empirical_exact,
-                      w2_gaussian)
+from .metrics import (VerifySetup, verify_convergence_bound, verify_discretization_bound,
+                      verify_edit_control_bound, w2_dirac_to_gaussian, w2_dirac_to_points,
+                      w2_empirical_exact, w2_gaussian)
 from .svgplot import render_metric_chart, render_point_cloud, render_trajectories
+from .transport import make_enhanced
 
 _METRIC_COLUMNS = ("reconstruction_l2", "displacement_l2", "transport_work", "w2_to_target")
 

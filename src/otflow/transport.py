@@ -1,6 +1,6 @@
-"""Transport guidance: pull a trajectory along the displacement toward a target.
+"""Transport correction: a weighted, clipped straight-line term added to a velocity.
 
-The guidance direction at time t is the straight-line transport rate
+The direction at time t is the straight-line transport rate
 
     d(z, t) = (z_target - z) / max(T - t, delta),        T = 1,
 
@@ -8,10 +8,12 @@ norm-clipped at clip_tau, and weighted by a cosine-annealed schedule
 
     S(s) = 0.5 * (1 + cos(min(s / phi, 1) * pi)),        s in [0, 1],
 
-so the per-step correction is weight(t) * clip(d).  The schedule argument is
-the elapsed denoising fraction (1 - t) or the remaining fraction (t),
-selected by TransportConfig.orientation; a hard [t_lo, t_hi] window gates the
-weight to zero outside.  S decays from 1 at s = 0 to 0 at s >= phi with
+so the correction is weight(t) * clip(d), added to the velocity in the
+forward (t increasing) convention.  A reverse step (t decreasing) therefore
+moves the state along z - z_target, away from z_target.  The schedule
+argument is the elapsed denoising fraction (1 - t) or the remaining fraction
+(t), selected by TransportConfig.orientation; a hard [t_lo, t_hi] window gates
+the weight to zero outside.  S decays from 1 at s = 0 to 0 at s >= phi with
 maximum slope pi / (2 * phi).
 """
 
@@ -53,22 +55,6 @@ class TransportConfig:
             raise ValueError(f"window must satisfy 0 <= t_lo <= t_hi <= 1, got {self.window}")
 
 
-@dataclass(frozen=True)
-class GuidanceSample:
-    """Diagnostics for one guidance evaluation.
-
-    direction is the clipped transport direction actually applied; raw_norm is
-    the pre-clip norm.  When active is False the weight is zero and the base
-    velocity passed through untouched.
-    """
-
-    t: float
-    direction: np.ndarray
-    raw_norm: float
-    weight: float
-    active: bool
-
-
 def cosine_schedule(s, phi):
     """Annealing factor S(s) = 0.5 * (1 + cos(min(s/phi, 1) * pi)).
 
@@ -84,10 +70,13 @@ def cosine_schedule(s, phi):
 
 
 def transport_direction(z, z_target, t, delta):
-    """Straight-line transport rate (z_target - z) / max(1 - t, delta)."""
+    """Straight-line transport rate (z_target - z) / max(1 - t, delta).
+
+    z is a state (d,) or a batch (B, d); z_target broadcasts against it.
+    """
     z = np.asarray(z, dtype=float)
     z_target = np.asarray(z_target, dtype=float)
-    if z.shape != z_target.shape:
+    if z.shape[-1:] != z_target.shape[-1:]:
         raise ValueError(f"state shape {z.shape} != target shape {z_target.shape}")
     if not (np.isfinite(delta) and delta > 0.0):
         raise ValueError(f"delta must be positive, got {delta}")
@@ -121,19 +110,22 @@ def clip_norm(v, tau):
 def enhance_velocity(v_base, z, z_target, t, cfg):
     """Add the weighted, clipped transport correction to a base velocity.
 
-    Returns (enhanced velocity, GuidanceSample).  Whenever the weight is zero
-    (beta0 = 0, t outside the window, schedule annealed away) or the state
-    already coincides with the target, v_base is returned bit-exactly.
+    z is a state (d,) or a batch (B, d) with v_base of the same shape.
+    Returns (velocity, weight, raw_norm): weight is the schedule weight at t,
+    shared by every row, and raw_norm the per-row pre-clip norm of the
+    direction, the same reduction clip_norm compares with clip_tau.  When the
+    weight is zero (beta0 = 0, t outside the window, schedule annealed away)
+    the result is (v_base, 0.0, 0.0) with v_base untouched.
     """
-    v_base = np.asarray(v_base, dtype=float)
     w = adaptive_weight(t, cfg)
     if w == 0.0:
-        zero = np.zeros_like(v_base)
-        return v_base, GuidanceSample(t=float(t), direction=zero, raw_norm=0.0, weight=0.0, active=False)
+        return v_base, 0.0, 0.0
     d = transport_direction(z, z_target, t, cfg.delta)
-    raw_norm = float(np.linalg.norm(d))
-    if raw_norm == 0.0:
-        return v_base, GuidanceSample(t=float(t), direction=d, raw_norm=0.0, weight=0.0, active=False)
-    clipped = clip_norm(d, cfg.clip_tau)
-    sample = GuidanceSample(t=float(t), direction=clipped, raw_norm=raw_norm, weight=w, active=True)
-    return v_base + w * clipped, sample
+    return v_base + w * clip_norm(d, cfg.clip_tau), w, np.linalg.norm(d, axis=-1)
+
+
+def make_enhanced(field, z_target, cfg):
+    """Wrap a velocity field(z, t) with the transport correction anchored on z_target."""
+    def enhanced(z, t):
+        return enhance_velocity(field(z, t), z, z_target, t, cfg)[0]
+    return enhanced

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from otflow import (
-    GuidanceSample,
     TransportConfig,
     adaptive_weight,
     clip_norm,
@@ -80,6 +79,8 @@ def test_transport_direction_validation():
     with pytest.raises(ValueError):
         transport_direction(np.zeros(2), np.zeros(3), 0.5, 0.01)
     with pytest.raises(ValueError):
+        transport_direction(np.zeros((4, 2)), np.zeros(3), 0.5, 0.01)
+    with pytest.raises(ValueError):
         transport_direction(np.zeros(2), np.zeros(2), 0.5, 0.0)
 
 
@@ -144,19 +145,18 @@ def test_transport_config_validation():
 def test_enhance_velocity_zero_weight_is_bit_exact():
     v = np.array([0.123456789, -9.87654321])
     cfg = TransportConfig(beta0=0.0)
-    out, sample = enhance_velocity(v, np.zeros(2), np.ones(2), 0.5, cfg)
+    out, weight, raw_norm = enhance_velocity(v, np.zeros(2), np.ones(2), 0.5, cfg)
     assert np.array_equal(out, v)
-    assert isinstance(sample, GuidanceSample)
-    assert not sample.active and sample.weight == 0.0 and sample.raw_norm == 0.0
+    assert weight == 0.0 and raw_norm == 0.0
 
 
 def test_enhance_velocity_at_target_is_bit_exact():
     v = np.array([1.0, 2.0])
     z = np.array([0.5, -0.5])
     cfg = TransportConfig(beta0=0.7, phi=1.0)
-    out, sample = enhance_velocity(v, z, z.copy(), 0.5, cfg)
+    out, weight, raw_norm = enhance_velocity(v, z, z.copy(), 0.5, cfg)
     assert np.array_equal(out, v)
-    assert not sample.active and sample.raw_norm == 0.0
+    assert raw_norm == 0.0
 
 
 def test_enhance_velocity_active_arithmetic():
@@ -166,14 +166,12 @@ def test_enhance_velocity_active_arithmetic():
     cfg = TransportConfig(beta0=0.5, phi=1.0, delta=0.01, clip_tau=100.0,
                           orientation="elapsed")
     t = 0.5
-    out, sample = enhance_velocity(v, z, z_target, t, cfg)
+    out, weight, raw_norm = enhance_velocity(v, z, z_target, t, cfg)
     w = adaptive_weight(t, cfg)
     d = transport_direction(z, z_target, t, cfg.delta)
-    assert np.array_equal(out, v + w * d)
-    assert sample.active
-    assert sample.weight == w
-    assert abs(sample.raw_norm - np.linalg.norm(d)) <= 1e-12
-    assert np.array_equal(sample.direction, d)  # below clip threshold
+    assert np.array_equal(out, v + w * d)  # below clip threshold
+    assert weight == w
+    assert abs(raw_norm - np.linalg.norm(d)) <= 1e-12
 
 
 def test_enhance_velocity_clipping_applies():
@@ -181,7 +179,26 @@ def test_enhance_velocity_clipping_applies():
     z = np.zeros(2)
     z_target = np.array([100.0, 0.0])
     cfg = TransportConfig(beta0=1.0, phi=1.0, delta=0.01, clip_tau=2.0)
-    out, sample = enhance_velocity(v, z, z_target, 1.0, cfg)
-    assert abs(np.linalg.norm(sample.direction) - 2.0) <= 1e-12
-    assert sample.raw_norm > 2.0
-    assert np.allclose(out, sample.weight * sample.direction, atol=1e-15)
+    out, weight, raw_norm = enhance_velocity(v, z, z_target, 1.0, cfg)
+    assert abs(np.linalg.norm((out - v) / weight) - 2.0) <= 1e-12
+    assert raw_norm > 2.0
+
+
+@pytest.mark.parametrize("dim", (2, 16, 64))
+def test_enhance_velocity_rows_do_not_depend_on_batch(dim):
+    rng = np.random.Generator(np.random.PCG64(dim))
+    v = rng.standard_normal((257, dim))
+    z = 3.0 * rng.standard_normal((257, dim))
+    z_target = rng.standard_normal(dim)
+    t, delta = 0.4, 0.01
+    d = transport_direction(z, z_target, t, delta)
+    norms = np.linalg.norm(d, axis=-1)  # the reduction clip_norm clips with
+    # clip about half the rows so both clip branches are compared
+    cfg = TransportConfig(beta0=0.8, phi=1.0, delta=delta, clip_tau=float(np.median(norms)))
+    out, weight, raw_norm = enhance_velocity(v, z, z_target, t, cfg)
+    assert weight == adaptive_weight(t, cfg)
+    assert np.array_equal(raw_norm, norms)
+    for i in range(257):
+        row_out, row_weight, row_norm = enhance_velocity(v[i], z[i], z_target, t, cfg)
+        assert np.array_equal(out[i], row_out)
+        assert row_weight == weight and row_norm == raw_norm[i]
