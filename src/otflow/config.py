@@ -416,14 +416,17 @@ def load_config_text(text, source="<string>", preset=None, overrides=None, base_
     return _build_config(resolved, lines, axis_lines, base_dir)
 
 
-def _build_config(resolved, lines, axis_lines, base_dir):
+def _build_config(resolved, lines, axis_lines, base_dir, registry=None):
+    """Build the runtime objects; a given registry stands in for the
+    [dataset.*] sections, which the caller guarantees it was built from."""
     res = _Resolved(resolved, lines)
 
     algorithm = res.get("experiment.algorithm", "str", default="")
     if algorithm not in _ALGORITHMS:
         res._fail("experiment.algorithm",
                   f"algorithm must be one of {', '.join(_ALGORITHMS)}, got {algorithm!r}")
-    registry = _build_registry(res, base_dir)
+    if registry is None:
+        registry = _build_registry(res, base_dir)
     if not registry.names():
         raise ConfigError("at least one [dataset.<name>] section is required")
     n_steps = res.get("grid.n_steps", "int")
@@ -485,13 +488,18 @@ def _build_config(resolved, lines, axis_lines, base_dir):
 
 def derive_config(cfg, overrides):
     """Rebuild a config with path -> value overrides applied to its resolved
-    map; sweep axes are dropped since the result describes a single cell."""
+    map; sweep axes are dropped since the result describes a single cell.
+
+    The registry is immutable, so unless an override touches a [dataset.*]
+    key the result shares cfg's registry instead of re-reading its data."""
     resolved = dict(cfg.resolved)
     for path, value in overrides.items():
         if not _known_path(path):
             raise ConfigError(f"override of unknown key {path!r}")
         resolved[path] = str(value)
-    return _build_config(resolved, {}, [], cfg.base_dir)
+    touches_data = any(path.startswith("dataset.") for path in overrides)
+    return _build_config(resolved, {}, [], cfg.base_dir,
+                         registry=None if touches_data else cfg.registry)
 
 
 def load_config(path, preset=None, overrides=None):

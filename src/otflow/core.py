@@ -97,10 +97,14 @@ def euler_step(z, v, signed_step):
 
 
 def forward_noising(z0, t, eps):
-    """Interpolate toward noise: (1 - t) * z0 + t * eps."""
+    """Interpolate toward noise: (1 - t) * z0 + t * eps.
+
+    z0 and eps broadcast, so one (d,) state can be noised against a (k, d)
+    block of draws; their last dimensions must agree.
+    """
     z0 = np.asarray(z0, dtype=float)
     eps = np.asarray(eps, dtype=float)
-    if z0.shape != eps.shape:
+    if z0.shape[-1:] != eps.shape[-1:]:
         raise ValueError(f"z0 shape {z0.shape} != eps shape {eps.shape}")
     if not (0.0 <= t <= 1.0):
         raise ValueError(f"t must lie in [0, 1], got {t}")

@@ -204,14 +204,15 @@ def transport_enhanced_flowedit(cfg, registry, codec, x0):
     """Run the coupled-trajectory editor with transport guidance.
 
     Per active step: draw n_avg noise samples, noise the source to t, form
-    the coupled target state z + z_t_src - z_src, average the conditional
-    velocity difference over draws, add the weighted clipped transport
-    direction, and take the signed reverse step.  The transport direction
-    equals (z - z_src) / max(1 - t, delta) by the coupling identity, so it is
-    common to all draws, and the reverse step contracts the state toward
-    z_src.  Indices above n_max leave the state untouched; at
-    the first index <= n_min the state is converted once to a physical
-    coupled state and the remaining steps run plain denoising under cond_tar.
+    the coupled target states z_t_src + (z - z_src), average the conditional
+    velocity difference over the draws (one batched call per branch), add
+    the weighted clipped transport direction, and take the signed reverse
+    step.  The transport direction equals (z - z_src) / max(1 - t, delta) by
+    the coupling identity, so it is common to all draws, and the reverse step
+    contracts the state toward z_src.  Indices above n_max leave the state
+    untouched; at the first index <= n_min the state is converted once to a
+    physical coupled state and the remaining steps run plain denoising under
+    cond_tar.
     """
     x0 = np.asarray(x0, dtype=float)
     z_src = codec.encode(x0)
@@ -244,12 +245,9 @@ def transport_enhanced_flowedit(cfg, registry, codec, x0):
             continue
 
         draws = rng.standard_normal((cfg.n_avg, dim))
-        acc = np.zeros(dim)
-        for eps in draws:
-            z_t_src = forward_noising(z_src, t, eps)
-            z_t_tar = z + z_t_src - z_src
-            acc += tar_field(z_t_tar, t) - src_field(z_t_src, t)
-        v_fe = acc / cfg.n_avg
+        z_t_src = forward_noising(z_src, t, draws)
+        z_t_tar = z_t_src + (z - z_src)
+        v_fe = (tar_field(z_t_tar, t) - src_field(z_t_src, t)).sum(axis=0) / cfg.n_avg
         v_enh, weight, raw_norm = enhance_velocity(v_fe, z_src, z, t, cfg.transport)
         _check_finite(v_enh, t, "velocity")
         z = euler_step(z, v_enh, dt)
@@ -302,12 +300,9 @@ def baseline_flowedit(cfg, registry, codec, x0):
             continue
 
         draws = rng.standard_normal((cfg.n_avg, dim))
-        acc = np.zeros(dim)
-        for eps in draws:
-            z_t_src = forward_noising(z_src, t, eps)
-            z_t_tar = z + z_t_src - z_src
-            acc += tar_field(z_t_tar, t) - src_field(z_t_src, t)
-        v_fe = acc / cfg.n_avg
+        z_t_src = forward_noising(z_src, t, draws)
+        z_t_tar = z_t_src + (z - z_src)
+        v_fe = (tar_field(z_t_tar, t) - src_field(z_t_src, t)).sum(axis=0) / cfg.n_avg
         _check_finite(v_fe, t, "velocity")
         z = euler_step(z, v_fe, dt)
         rec.step(pts[j + 1], z, v_fe)

@@ -2,12 +2,20 @@
 
 Every field returns the marginal velocity of the straight-line noising path,
 
-    v(z, t) = E[eps - x0 | z_t = z],
+    v(z, t) = E[eps - x0 | z_t = z] = (z - E[x0 | z_t = z]) / t,
 
 in the forward convention (pointing toward noise).  For an empirical dataset
-{x_i} the posterior over points is a softmax of -||z - (1-t) x_i||^2 / (2 t^2)
-and each point contributes (z - (1-t) x_i) / t - x_i.  For a Gaussian
-N(mu, Sigma) the conditional expectation is linear in z:
+{x_i} the posterior over points is a softmax of -||z - (1-t) x_i||^2 / (2 t^2).
+The point kernel works on the centred rows y_i = x_i - c, c = mean(x): with
+a = 1 - t the logits (a / t^2) ((z - a c) . y_i - a ||y_i||^2 / 2) differ from
+the exact ones by a per-row constant, and v = (z - c - sum_i w_i y_i) / t.
+Centring keeps the expansion free of the ||z||^2 cancellation at large ||z||,
+and no (batch, n, d) tensor is formed.  Both contractions use np.einsum rather
+than BLAS matmul: BLAS picks its reduction order from the operand shapes, so a
+row's result would depend on the batch it is evaluated in, while einsum's
+per-row result does not.
+
+For a Gaussian N(mu, Sigma) the conditional expectation is linear in z:
 
     v = (t I - (1-t) Sigma) C^{-1} (z - (1-t) mu) - mu,   C = (1-t)^2 Sigma + t^2 I.
 
@@ -81,33 +89,55 @@ def _clamp_t(t, t_floor):
     return min(max(float(t), t_floor), 1.0)
 
 
+class _PointSet:
+    """A point dataset prepared once for the centred kernel: the raw points,
+    their centre c, the centred rows y = x - c and the squared norms ||y_i||^2.
+    len() is the number of atoms."""
+
+    __slots__ = ("points", "centre", "centred", "sq_norms")
+
+    def __init__(self, points):
+        self.points = points
+        self.centre = points.mean(axis=0)
+        self.centred = points - self.centre
+        self.sq_norms = np.einsum("nd,nd->n", self.centred, self.centred)
+
+    def __len__(self):
+        return self.points.shape[0]
+
+
+def _point_logits(pset, u, a, t):
+    # -||z - a x_i||^2 / (2 t^2) + ||u||^2 / (2 t^2) with u = z - a c.
+    return (a / (t * t)) * (np.einsum("bd,nd->bn", u, pset.centred) - (0.5 * a) * pset.sq_norms)
+
+
 def empirical_marginal_velocity(points, z, t, t_floor=1e-4):
     """Marginal velocity of the uniform empirical distribution over points.
 
     Args:
-        points: dataset array of shape (n, d).
+        points: dataset array of shape (n, d), or a registry's prepared set.
         z: query state, shape (d,) or (batch, d).
         t: time in [0, 1], clamped below at t_floor.
         t_floor: positive clamp keeping the t^2 posterior variance nonzero.
     """
-    points = np.asarray(points, dtype=float)
+    pset = points
+    if not isinstance(pset, _PointSet):
+        points = np.asarray(points, dtype=float)
+        if points.ndim != 2 or points.shape[0] == 0:
+            raise ValueError("points must be a non-empty (n, d) array")
+        pset = _PointSet(points)
     z = np.asarray(z, dtype=float)
-    if points.ndim != 2 or points.shape[0] == 0:
-        raise ValueError("points must be a non-empty (n, d) array")
-    if z.shape[-1] != points.shape[1]:
-        raise ValueError(f"state dim {z.shape[-1]} != dataset dim {points.shape[1]}")
+    if z.shape[-1] != pset.centred.shape[1]:
+        raise ValueError(f"state dim {z.shape[-1]} != dataset dim {pset.centred.shape[1]}")
     t = _clamp_t(t, t_floor)
     single = z.ndim == 1
     zb = z[None, :] if single else z
-    diffs = zb[:, None, :] - (1.0 - t) * points[None, :, :]  # (b, n, d)
-    sq = np.einsum("bnd,bnd->bn", diffs, diffs)
-    logits = -sq / (2.0 * t * t)
+    logits = _point_logits(pset, zb - (1.0 - t) * pset.centre, 1.0 - t, t)
     logits -= logits.max(axis=1, keepdims=True)  # max-shift for stability
     w = np.exp(logits)
     w[w < _WEIGHT_FLOOR] = 0.0
     w /= w.sum(axis=1, keepdims=True)
-    per_point = diffs / t - points[None, :, :]  # eps_i - x_i given z_t = z
-    v = np.einsum("bn,bnd->bd", w, per_point)
+    v = (zb - pset.centre - np.einsum("bn,nd->bd", w, pset.centred)) / t
     return v[0] if single else v
 
 
@@ -184,8 +214,10 @@ class UnknownDatasetError(KeyError):
 class FieldRegistry:
     """Named datasets (point sets and Gaussians) backing oracle fields.
 
-    Register everything up front; entries are treated as immutable afterwards
-    (Gaussian eigendecompositions are cached at registration).
+    Register everything up front; entries are treated as immutable afterwards.
+    Everything a field evaluation needs is computed at registration (point
+    sets and the pooled null set are prepared for the centred kernel, Gaussian
+    eigendecompositions cached), so threads can share one registry.
     """
 
     def __init__(self, t_floor=1e-4):
@@ -193,6 +225,7 @@ class FieldRegistry:
             raise ValueError(f"t_floor must be positive, got {t_floor}")
         self.t_floor = float(t_floor)
         self._points = {}
+        self._pooled = None
         self._gaussians = {}
         self._order = []
 
@@ -203,8 +236,9 @@ class FieldRegistry:
         if not np.all(np.isfinite(points)):
             raise ValueError(f"dataset {name!r}: points contain non-finite entries")
         self._check_new(name, points.shape[1])
-        self._points[name] = points
+        self._points[name] = _PointSet(points)
         self._order.append(name)
+        self._pooled = _PointSet(np.concatenate([p.points for p in self._points.values()]))
         return self
 
     def add_gaussian(self, name, mean, cov):
@@ -232,7 +266,7 @@ class FieldRegistry:
     def dim(self):
         first = self._order[0]
         if first in self._points:
-            return self._points[first].shape[1]
+            return self._points[first].points.shape[1]
         return self._gaussians[first][0].shape[0]
 
     def names(self):
@@ -251,7 +285,7 @@ class FieldRegistry:
     def points(self, name):
         if name not in self._points:
             raise UnknownDatasetError(name)
-        return self._points[name]
+        return self._points[name].points
 
     def gaussian(self, name):
         if name not in self._gaussians:
@@ -271,8 +305,7 @@ class FieldRegistry:
         if not self._order:
             raise ValueError("registry has no datasets; cannot evaluate the null condition")
         if not self._gaussians:
-            pooled = np.concatenate([self._points[n] for n in self._order], axis=0)
-            return empirical_marginal_velocity(pooled, z, t, self.t_floor)
+            return empirical_marginal_velocity(self._pooled, z, t, self.t_floor)
         if not self._points and len(self._gaussians) == 1:
             return self._entry_velocity(self._order[0], z, t)
         return self._mixture_velocity(z, t)
@@ -287,29 +320,38 @@ class FieldRegistry:
         single = z.ndim == 1
         zb = z[None, :] if single else z
         d = zb.shape[1]
-        log_dens = []
-        comp_v = []
+        gauss_dens, gauss_v, point_dens, point_sets = [], [], [], []
         for name in self._order:
             if name in self._points:
-                pts = self._points[name]
-                diffs = zb[:, None, :] - a * pts[None, :, :]
-                sq = np.einsum("bnd,bnd->bn", diffs, diffs)
-                log_dens.append(-sq / (2.0 * t * t) - d * np.log(t))
-                comp_v.append(diffs / t - pts[None, :, :])
+                pset = self._points[name]
+                u = zb - a * pset.centre
+                base = np.einsum("bd,bd->b", u, u) / (2.0 * t * t) + d * np.log(t)
+                point_dens.append(_point_logits(pset, u, a, t) - base[:, None])
+                point_sets.append(pset)
             else:
                 mean, eigvals, eigvecs, _ = self._gaussians[name]
                 c_eig = a * a * eigvals + t * t
                 y = (zb - a * mean) @ eigvecs
                 quad = np.einsum("bd,bd->b", y * (1.0 / c_eig), y)
                 logdet = np.log(c_eig).sum()
-                log_dens.append((-0.5 * quad - 0.5 * logdet)[:, None])
-                comp_v.append(_gaussian_velocity_eig(mean, eigvals, eigvecs, zb, t)[:, None, :])
-        log_r = np.concatenate(log_dens, axis=1)
+                gauss_dens.append((-0.5 * quad - 0.5 * logdet)[:, None])
+                gauss_v.append(_gaussian_velocity_eig(mean, eigvals, eigvecs, zb, t)[:, None, :])
+        # Gaussian columns first, then each point set's atoms.  Only reached
+        # with at least one Gaussian (see _null_velocity).
+        log_r = np.concatenate(gauss_dens + point_dens, axis=1)
         log_r -= log_r.max(axis=1, keepdims=True)
         r = np.exp(log_r)
         r[r < _WEIGHT_FLOOR] = 0.0
         r /= r.sum(axis=1, keepdims=True)
-        v = np.einsum("bn,bnd->bd", r, np.concatenate(comp_v, axis=1))
+        col = len(gauss_v)
+        v = np.einsum("bn,bnd->bd", r[:, :col], np.concatenate(gauss_v, axis=1))
+        for pset in point_sets:
+            # sum_i r_i ((z - a x_i)/t - x_i) = (R z - R c - sum_i r_i y_i) / t
+            r_pts = r[:, col:col + len(pset)]
+            col += len(pset)
+            big_r = r_pts.sum(axis=1, keepdims=True)
+            y_sum = np.einsum("bn,nd->bd", r_pts, pset.centred)
+            v = v + (big_r * zb - big_r * pset.centre - y_sum) / t
         return v[0] if single else v
 
 

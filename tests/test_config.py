@@ -257,6 +257,18 @@ def test_derive_config_overrides_and_drops_axes():
         derive_config(cfg, {"nope.k": 1})
 
 
+def test_derive_config_reuses_registry_unless_data_changes():
+    # A sweep cell over a transport knob shares the parent's (immutable)
+    # registry; an axis over a dataset key must rebuild it from the new data.
+    cfg = _load(_BASE + ["[sweep]", "axis = transport.beta0: 0, 1"])
+    cell = derive_config(cfg, {"transport.beta0": 0.25, "scales.w": 2.0})
+    assert cell.registry is cfg.registry
+    moved = derive_config(cfg, {"dataset.d.points": "5,5; 6,6"})
+    assert moved.registry is not cfg.registry
+    assert np.array_equal(moved.registry.points("d"), np.array([[5.0, 5.0], [6.0, 6.0]]))
+    assert np.array_equal(cfg.registry.points("d"), np.array([[0.0, 0.0], [1.0, 1.0]]))
+
+
 def test_codec_broadcast_scalar_to_dim():
     cfg = _load(_BASE + ["[codec]", "scale = 2", "offset = 0.5, -0.5"])
     assert np.array_equal(cfg.codec.scale, np.array([2.0, 2.0]))

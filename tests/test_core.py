@@ -90,6 +90,14 @@ def test_forward_noising_endpoints():
     assert np.allclose(mid, 0.75 * z0 + 0.25 * eps, atol=1e-15)
     with pytest.raises(ValueError):
         forward_noising(z0, 1.5, eps)
+    # A (d,) state broadcasts against a (k, d) block of draws, row by row.
+    block = np.array([[0.5, 3.0], [-1.0, 0.25], [2.0, 2.0]])
+    noised = forward_noising(z0, 0.25, block)
+    assert noised.shape == (3, 2)
+    for row, eps_row in zip(noised, block):
+        assert np.array_equal(row, forward_noising(z0, 0.25, eps_row))
+    with pytest.raises(ValueError):
+        forward_noising(z0, 0.25, np.zeros((3, 3)))
 
 
 def test_integrate_exponential_oracle():

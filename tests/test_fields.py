@@ -70,13 +70,45 @@ def test_empirical_posterior_weights_normalize():
     assert np.allclose(got, (z - x) / 0.4, atol=1e-12)
 
 
-def test_empirical_batch_matches_loop():
-    points = _rng(7).standard_normal((5, 3))
-    zs = _rng(8).standard_normal((6, 3))
+@pytest.mark.parametrize("n", [12, 1024])
+@pytest.mark.parametrize("d", [2, 16, 64])
+def test_empirical_batch_matches_loop(d, n):
+    # A row's velocity must not depend on the batch it is evaluated in, both
+    # for the bare kernel and through a guided registry evaluation (entry
+    # field blended with the pooled null field).
+    b = 257
+    points = _rng(7, d, n).standard_normal((n, d))
+    other = 1.0 + _rng(9, d, n).standard_normal((n, d))
+    zs = 0.7 * _rng(8, d, n).standard_normal((b, d))
+    reg = FieldRegistry()
+    reg.add_points("a", points)
+    reg.add_points("b", other)
+    cond, scales = Condition.dataset("a"), GuidanceScales(w=2.5)
     batch = empirical_marginal_velocity(points, zs, 0.3)
-    for i in range(6):
-        single = empirical_marginal_velocity(points, zs[i], 0.3)
-        assert np.array_equal(batch[i], single)
+    batch_reg = evaluate(reg, zs, 0.3, cond, scales)
+    for i in range(b):
+        assert np.array_equal(batch[i], empirical_marginal_velocity(points, zs[i], 0.3))
+        assert np.array_equal(batch_reg[i], evaluate(reg, zs[i], 0.3, cond, scales))
+
+
+@pytest.mark.parametrize("offset, z_scale, t", [
+    (0.0, 1e3, 1e-4), (1e3, 0.0, 1e-4), (1e3, 0.0, 0.3), (0.0, 1e3, 0.5),
+])
+def test_empirical_large_state_and_t_floor(offset, z_scale, t):
+    # ||z|| ~ 1e3, either far from a unit cloud or near a cloud centred at
+    # ||c|| ~ 1e3 (a non-degenerate posterior), and t at the registry's
+    # t_floor.  The centred kernel must agree with the per-atom reference.
+    d = 4
+    rng = _rng(40, d)
+    points = offset / np.sqrt(d) + rng.standard_normal((24, d))
+    for seed in range(4):
+        x = points[seed]
+        eps = _rng(41, seed).standard_normal(d)
+        z = (1 - t) * x + t * eps + z_scale * eps / np.linalg.norm(eps)
+        assert 5e2 <= np.linalg.norm(z) <= 2e3
+        got = empirical_marginal_velocity(points, z, t)
+        want = _softmax_field_reference(points, z, t)
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
 def test_empirical_validation():
@@ -84,6 +116,11 @@ def test_empirical_validation():
         empirical_marginal_velocity(np.zeros((0, 2)), np.zeros(2), 0.5)
     with pytest.raises(ValueError):
         empirical_marginal_velocity(np.zeros((3, 2)), np.zeros(3), 0.5)
+    # The registry's prepared sets keep the state-dimension check.
+    reg = FieldRegistry().add_points("a", np.zeros((3, 2)))
+    for cond in (Condition.null(), Condition.dataset("a")):
+        with pytest.raises(ValueError, match="state dim"):
+            evaluate(reg, np.zeros(3), 0.5, cond, GuidanceScales())
 
 
 def test_gaussian_identity_covariance_closed_form():
