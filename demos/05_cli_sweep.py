@@ -52,9 +52,8 @@ main(["run", str(cfg), "--out-dir", str(work / "run"), "--seed", "0"])
 
 # A sweep executes the cartesian product of every axis line, replicated with
 # per-cell derived seeds, and writes one CSV row per cell run.
-print("\n$ otflow sweep demo.cfg --workers 4 --seed 0")
-main(["sweep", str(cfg), "--workers", "4", "--out-dir", str(work / "sweep"),
-      "--seed", "0"])
+print("\n$ otflow sweep demo.cfg --seed 0")
+main(["sweep", str(cfg), "--out-dir", str(work / "sweep"), "--seed", "0"])
 
 results = work / "sweep" / "demo_results.csv"
 print("\nfirst rows of the sweep table:")

@@ -7,8 +7,9 @@ Subcommands:
   gen-data <config>    materialize configured datasets as CSV files
   plot <in> <out.svg>  render a trajectory CSV, results CSV, or point cloud
 
-Shared flags: --seed, --workers, --out-dir, --preset, --set key=value
-(repeatable, applied last).  OTFLOW_WORKERS sets the default worker count.
+Shared flags: --seed, --out-dir, --preset, --set key=value (repeatable,
+applied last).  --workers is accepted for compatibility and ignored: sweeps
+run their cells serially.
 
 Exit codes: 0 success, 2 config error, 3 numerical abort during a run,
 4 sweep finished with failed cells, 5 verification failure.
@@ -16,6 +17,7 @@ Exit codes: 0 success, 2 config error, 3 numerical abort during a run,
 
 import argparse
 import csv
+import io
 import os
 import sys
 
@@ -23,7 +25,7 @@ import numpy as np
 
 from .config import ConfigError, load_config
 from .core import NumericalAbort
-from .runner import atomic_write_text, run_experiment, run_sweep, gen_data
+from .runner import _numeric_rows, atomic_write_text, run_experiment, run_sweep, gen_data
 from .svgplot import render_metric_chart, render_point_cloud, render_trajectories
 
 EXIT_OK = 0
@@ -36,7 +38,7 @@ EXIT_VERIFY = 5
 def _add_common(parser):
     parser.add_argument("--seed", type=int, default=None, help="override [experiment] seed")
     parser.add_argument("--workers", type=int, default=None,
-                        help="parallel workers (default: OTFLOW_WORKERS or 1)")
+                        help="accepted for compatibility; sweeps run serially")
     parser.add_argument("--out-dir", default=None, help="override [experiment] output_dir")
     parser.add_argument("--preset", default=None, help="apply a named preset")
     parser.add_argument("--set", dest="overrides", action="append", default=[],
@@ -74,13 +76,6 @@ def _build_parser():
     return parser
 
 
-def _workers(args):
-    if args.workers is not None:
-        return args.workers
-    env = os.environ.get("OTFLOW_WORKERS")
-    return int(env) if env else 1
-
-
 def _load(args):
     return load_config(args.config, preset=args.preset, overrides=args.overrides)
 
@@ -98,7 +93,7 @@ def _cmd_run(args):
 
 def _cmd_sweep(args):
     cfg = _load(args)
-    outcome = run_sweep(cfg, out_dir=args.out_dir, workers=_workers(args), seed=args.seed)
+    outcome = run_sweep(cfg, out_dir=args.out_dir, seed=args.seed)
     print(f"wrote {outcome.results_path} ({outcome.n_rows} rows, {outcome.n_failed} failed)")
     return EXIT_PARTIAL if outcome.n_failed else EXIT_OK
 
@@ -141,7 +136,8 @@ def _cmd_plot(args):
     if not os.path.exists(args.input):
         raise ConfigError(f"input not found: {args.input}")
     with open(args.input, encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
+        text = fh.read()
+    rows = list(csv.reader(io.StringIO(text)))
     if not rows:
         atomic_write_text(args.output, render_trajectories([]))
         print(f"wrote {args.output}")
@@ -171,15 +167,7 @@ def _cmd_plot(args):
         for key in (x_key, args.y):
             if key not in header:
                 raise ConfigError(f"column {key!r} not in {args.input} header")
-        points = []
-        for record in csv.DictReader(open(args.input, encoding="utf-8", newline="")):
-            if record.get("error"):
-                continue
-            try:
-                points.append((float(record[x_key]), float(record[args.y])))
-            except (TypeError, ValueError):
-                continue
-        svg = render_metric_chart(points, x_key, args.y)
+        svg = render_metric_chart(_numeric_rows(text, x_key, args.y), x_key, args.y)
     atomic_write_text(args.output, svg)
     print(f"wrote {args.output}")
     return EXIT_OK

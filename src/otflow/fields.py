@@ -217,7 +217,8 @@ class FieldRegistry:
     Register everything up front; entries are treated as immutable afterwards.
     Everything a field evaluation needs is computed at registration (point
     sets and the pooled null set are prepared for the centred kernel, Gaussian
-    eigendecompositions cached), so threads can share one registry.
+    eigendecompositions cached), so evaluations never mutate it and sweep
+    cells that keep the datasets can share one registry.
     """
 
     def __init__(self, t_floor=1e-4):

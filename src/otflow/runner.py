@@ -3,19 +3,21 @@
 All files go through an atomic temp+rename write, floats are formatted with
 shortest round-trip repr, and every random draw is keyed off explicit integer
 seeds, so identical configs produce byte-identical outputs regardless of
-timing or worker count.
+timing.
 
 Seed discipline: the editor noise stream uses the experiment seed directly;
 auxiliary draws use fixed offsets (seed, 1) for input sampling and (seed, 2)
 for verification states; sweep cell c replicate r derives its seed from
-(base seed, c, r).  Parallel and serial sweeps therefore agree bit-exactly.
+(base seed, c, r), so a cell's row does not depend on the cells run before it.
+Sweeps run their cells one after another in the calling thread: each cell is
+a chain of single-row numpy calls that holds the GIL, so threads only add
+overhead.
 """
 
 import csv
 import io
 import itertools
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,6 +153,15 @@ def _resolve_x0(cfg, seed):
     return _draw_from_dataset(cfg.registry, cfg.inputs["sample_source"], rng)
 
 
+def _edit_metrics(result, cfg, condition):
+    return {
+        "reconstruction_l2": result.summary.reconstruction_l2,
+        "displacement_l2": result.summary.displacement_l2,
+        "transport_work": result.summary.transport_work,
+        "w2_to_target": _w2_to_condition(result.output, cfg.registry, condition),
+    }
+
+
 def _run_invert_edit(cfg, seed):
     edit_cfg = InversionEditConfig(
         eta=cfg.editor["eta"],
@@ -163,13 +174,7 @@ def _run_invert_edit(cfg, seed):
     x0 = _resolve_x0(cfg, seed)
     result = transport_guided_inversion_edit(edit_cfg, cfg.registry, cfg.codec, x0,
                                              cfg.inputs["x_target"])
-    metrics = {
-        "reconstruction_l2": result.summary.reconstruction_l2,
-        "displacement_l2": result.summary.displacement_l2,
-        "transport_work": result.summary.transport_work,
-        "w2_to_target": _w2_to_condition(result.output, cfg.registry, cfg.editor["condition"]),
-    }
-    return metrics, result
+    return _edit_metrics(result, cfg, cfg.editor["condition"]), result
 
 
 def _run_flowedit(cfg, seed):
@@ -186,13 +191,7 @@ def _run_flowedit(cfg, seed):
     )
     x0 = _resolve_x0(cfg, seed)
     result = transport_enhanced_flowedit(edit_cfg, cfg.registry, cfg.codec, x0)
-    metrics = {
-        "reconstruction_l2": result.summary.reconstruction_l2,
-        "displacement_l2": result.summary.displacement_l2,
-        "transport_work": result.summary.transport_work,
-        "w2_to_target": _w2_to_condition(result.output, cfg.registry, cfg.editor["cond_tar"]),
-    }
-    return metrics, result
+    return _edit_metrics(result, cfg, cfg.editor["cond_tar"]), result
 
 
 def _run_generate(cfg, seed):
@@ -211,7 +210,12 @@ def _run_generate(cfg, seed):
         "transport_work": None,
         "w2_to_target": _cloud_w2_to_condition(cloud, cfg.registry, cfg.editor["condition"]),
     }
-    return metrics, (traj, cloud)
+    return metrics, cloud
+
+
+# Each runner returns (metrics, result): the edit result, or the sample cloud.
+_RUNNERS = {"invert_edit": _run_invert_edit, "flowedit": _run_flowedit,
+            "generate": _run_generate}
 
 
 def run_verify(cfg, seed):
@@ -297,19 +301,19 @@ def run_experiment(cfg, out_dir=None, seed=None):
             files.append(atomic_write_text(f"{base}_{rep.bound_kind}_measured.csv",
                                            _measured_csv(rep)))
         metrics = None
-    elif cfg.algorithm == "generate":
-        metrics, (traj, cloud) = _run_generate(cfg, seed)
-        files.append(atomic_write_text(f"{base}_samples.csv", points_csv(cloud)))
-        if cfg.plot and cloud.shape[1] == 2:
-            files.append(atomic_write_text(f"{base}_samples.svg", render_point_cloud([cloud])))
     else:
-        runner = _run_invert_edit if cfg.algorithm == "invert_edit" else _run_flowedit
-        metrics, result = runner(cfg, seed)
-        files.append(atomic_write_text(f"{base}_trajectory.csv",
-                                       trajectory_csv(result.trajectory)))
-        if cfg.plot and result.trajectory.dim == 2:
-            files.append(atomic_write_text(f"{base}_trajectory.svg",
-                                           render_trajectories([result.trajectory.states])))
+        metrics, result = _RUNNERS[cfg.algorithm](cfg, seed)
+        if cfg.algorithm == "generate":
+            files.append(atomic_write_text(f"{base}_samples.csv", points_csv(result)))
+            if cfg.plot and result.shape[1] == 2:
+                files.append(atomic_write_text(f"{base}_samples.svg",
+                                               render_point_cloud([result])))
+        else:
+            files.append(atomic_write_text(f"{base}_trajectory.csv",
+                                           trajectory_csv(result.trajectory)))
+            if cfg.plot and result.trajectory.dim == 2:
+                files.append(atomic_write_text(f"{base}_trajectory.svg",
+                                               render_trajectories([result.trajectory.states])))
 
     files.append(atomic_write_text(f"{base}_report.txt",
                                    _report_lines(cfg, seed, metrics, reports)))
@@ -318,16 +322,13 @@ def run_experiment(cfg, out_dir=None, seed=None):
 
 def _sweep_cell(cfg, overrides, seed):
     cell_cfg = derive_config(cfg, overrides)
-    if cell_cfg.algorithm == "invert_edit":
-        return _run_invert_edit(cell_cfg, seed)[0]
-    if cell_cfg.algorithm == "flowedit":
-        return _run_flowedit(cell_cfg, seed)[0]
-    if cell_cfg.algorithm == "generate":
-        return _run_generate(cell_cfg, seed)[0]
-    raise ConfigError(f"sweeps do not support algorithm {cell_cfg.algorithm!r}")
+    runner = _RUNNERS.get(cell_cfg.algorithm)
+    if runner is None:
+        raise ConfigError(f"sweeps do not support algorithm {cell_cfg.algorithm!r}")
+    return runner(cell_cfg, seed)[0]
 
 
-def run_sweep(cfg, out_dir=None, workers=1, seed=None):
+def run_sweep(cfg, out_dir=None, seed=None):
     """Run the Cartesian sweep and write one results CSV.
 
     Row order is the product order of the axes as configured, then replicate.
@@ -342,39 +343,23 @@ def run_sweep(cfg, out_dir=None, workers=1, seed=None):
     paths = [path for path, _ in cfg.sweep_axes]
     cells = list(itertools.product(*[vals for _, vals in cfg.sweep_axes]))
 
-    tasks = []
-    for cell_index, combo in enumerate(cells):
-        for rep in range(cfg.replicates):
-            tasks.append((cell_index, combo, rep, derive_seed(base_seed, cell_index, rep)))
-
-    def work(task):
-        _, combo, rep, cell_seed = task
-        try:
-            metrics = _sweep_cell(cfg, dict(zip(paths, combo)), cell_seed)
-            return metrics, ""
-        except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
-            message = f"{type(exc).__name__}: {exc}".replace("\n", " ")
-            return None, message
-
-    workers = max(1, int(workers))
-    if workers == 1:
-        outcomes = [work(t) for t in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(work, tasks))
-
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(list(paths) + ["replicate", "seed"] + list(_METRIC_COLUMNS) + ["error"])
     n_failed = 0
-    for (cell_index, combo, rep, cell_seed), (metrics, error) in zip(tasks, outcomes):
-        row = list(combo) + [str(rep), str(cell_seed)]
-        if metrics is None:
-            n_failed += 1
-            row += ["" for _ in _METRIC_COLUMNS] + [error]
-        else:
-            row += [_fmt(metrics[k]) for k in _METRIC_COLUMNS] + [""]
-        writer.writerow(row)
+    for cell_index, combo in enumerate(cells):
+        for rep in range(cfg.replicates):
+            cell_seed = derive_seed(base_seed, cell_index, rep)
+            row = list(combo) + [str(rep), str(cell_seed)]
+            try:
+                metrics = _sweep_cell(cfg, dict(zip(paths, combo)), cell_seed)
+            except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
+                n_failed += 1
+                message = f"{type(exc).__name__}: {exc}".replace("\n", " ")
+                row += ["" for _ in _METRIC_COLUMNS] + [message]
+            else:
+                row += [_fmt(metrics[k]) for k in _METRIC_COLUMNS] + [""]
+            writer.writerow(row)
 
     results_path = atomic_write_text(os.path.join(out_dir, f"{cfg.name}_results.csv"),
                                      buf.getvalue())
@@ -383,7 +368,8 @@ def run_sweep(cfg, out_dir=None, workers=1, seed=None):
         if rows:
             atomic_write_text(os.path.join(out_dir, f"{cfg.name}_results.svg"),
                               render_metric_chart(rows, paths[0], "w2_to_target"))
-    return SweepOutcome(results_path=results_path, n_rows=len(tasks), n_failed=n_failed)
+    return SweepOutcome(results_path=results_path, n_rows=len(cells) * cfg.replicates,
+                        n_failed=n_failed)
 
 
 def _numeric_rows(csv_text, x_key, y_key):

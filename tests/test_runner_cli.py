@@ -1,18 +1,19 @@
 """Experiment runner artifacts and the command-line surface.
 
 Determinism contract under test: identical configs must produce byte-identical
-files, serial and parallel sweeps must agree exactly, and every exit code in
+files, sweeps must not depend on the --workers flag, and every exit code in
 the CLI contract must be reachable.
 """
 
 import csv
 import io
 import os
+import threading
 
 import numpy as np
 import pytest
 
-from otflow import ConfigError, load_config_text
+from otflow import ConfigError, load_config_text, runner
 from otflow.cli import (EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_PARTIAL,
                         EXIT_VERIFY, main)
 from otflow.runner import (atomic_write_text, derive_seed, gen_data, points_csv,
@@ -220,7 +221,7 @@ def test_run_experiment_verify_artifacts(tmp_path):
 
 def test_run_sweep_rows_and_determinism(tmp_path):
     cfg = _cfg(_SWEEP_CFG)
-    out = run_sweep(cfg, out_dir=str(tmp_path / "s1"), workers=1, seed=0)
+    out = run_sweep(cfg, out_dir=str(tmp_path / "s1"), seed=0)
     assert out.n_rows == 44 and out.n_failed == 0
     rows = list(csv.reader(open(out.results_path)))
     assert rows[0] == ["transport.beta0", "replicate", "seed", "reconstruction_l2",
@@ -230,23 +231,42 @@ def test_run_sweep_rows_and_determinism(tmp_path):
     assert [r[0] for r in rows[1:6]] == ["0", "0", "0", "0", "0.1"]
     assert [r[1] for r in rows[1:6]] == ["0", "1", "2", "3", "0"]
 
-    again = run_sweep(cfg, out_dir=str(tmp_path / "s2"), workers=1, seed=0)
+    again = run_sweep(cfg, out_dir=str(tmp_path / "s2"), seed=0)
     assert open(out.results_path, "rb").read() == open(again.results_path, "rb").read()
-    parallel = run_sweep(cfg, out_dir=str(tmp_path / "s4"), workers=4, seed=0)
-    assert open(out.results_path, "rb").read() == open(parallel.results_path, "rb").read()
 
 
 def test_run_sweep_isolates_failed_cells(tmp_path):
     text = _SWEEP_CFG.replace(
         "axis = transport.beta0: 0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0",
         "axis = transport.beta0: 0, -1").replace("replicates = 4", "replicates = 2")
-    out = run_sweep(_cfg(text), out_dir=str(tmp_path), workers=1, seed=0)
+    out = run_sweep(_cfg(text), out_dir=str(tmp_path), seed=0)
     assert out.n_rows == 4 and out.n_failed == 2
     rows = list(csv.reader(open(out.results_path)))
     good = [r for r in rows[1:] if r[0] == "0"]
     bad = [r for r in rows[1:] if r[0] == "-1"]
     assert all(r[-1] == "" and r[3] != "" for r in good)
     assert all(r[-1] != "" and r[3] == "" for r in bad)
+
+
+def test_run_sweep_generate_cells(tmp_path):
+    text = (_GEN_CFG.replace("count = 64", "count = 16\nx_target = 1.0, 0.0")
+            + "[sweep]\naxis = transport.beta0: 0, 0.5\nreplicates = 2\n")
+    out = run_sweep(_cfg(text), out_dir=str(tmp_path), seed=0)
+    assert out.n_rows == 4 and out.n_failed == 0
+    records = list(csv.DictReader(open(out.results_path)))
+    assert [r["transport.beta0"] for r in records] == ["0", "0", "0.5", "0.5"]
+    assert all(np.isfinite(float(r["w2_to_target"])) and r["error"] == "" for r in records)
+
+
+def test_sweep_rejects_algorithm_outside_runner_table(tmp_path, capsys):
+    text = _VERIFY_PASS_CFG + "[sweep]\naxis = transport.beta0: 0, 0.1\nreplicates = 2\n"
+    cfg_path = _write(tmp_path, "vs.cfg", text)
+    assert main(["sweep", cfg_path, "--out-dir", str(tmp_path)]) == EXIT_PARTIAL
+    capsys.readouterr()
+    records = list(csv.DictReader(open(tmp_path / "vp_results.csv")))
+    assert len(records) == 4
+    assert all(r["error"].startswith("ConfigError: sweeps do not support algorithm 'verify'")
+               and r["w2_to_target"] == "" for r in records)
 
 
 def test_run_sweep_without_axes_rejected(tmp_path):
@@ -321,6 +341,24 @@ def test_cli_sweep_workers_env(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     assert (open(tmp_path / "env" / "sw_results.csv", "rb").read()
             == open(tmp_path / "one" / "sw_results.csv", "rb").read())
+
+
+def test_cli_sweep_runs_cells_in_calling_thread(tmp_path, capsys, monkeypatch):
+    # --workers and OTFLOW_WORKERS are ignored; a malformed value must not crash
+    cfg_path = _write(tmp_path, "sw.cfg", _SWEEP_CFG)
+    threads = []
+    cell = runner._sweep_cell
+
+    def recording_cell(*args):
+        threads.append(threading.get_ident())
+        return cell(*args)
+
+    monkeypatch.setattr(runner, "_sweep_cell", recording_cell)
+    monkeypatch.setenv("OTFLOW_WORKERS", "two")
+    for flags in ([], ["--workers", "4"]):
+        assert main(["sweep", cfg_path, *flags, "--out-dir", str(tmp_path / "out")]) == EXIT_OK
+    capsys.readouterr()
+    assert len(threads) == 2 * 44 and set(threads) == {threading.get_ident()}
 
 
 def test_cli_verify_exit_codes(tmp_path, capsys):
