@@ -41,31 +41,32 @@ axis = transport.beta0: 0, 0.25, 0.5, 0.75, 1.0
 replicates = 3
 """
 
-work = pathlib.Path(tempfile.mkdtemp(prefix="otflow_demo_"))
-cfg = work / "demo.cfg"
-cfg.write_text(CFG)
+with tempfile.TemporaryDirectory(prefix="otflow_demo_") as tmp:
+    work = pathlib.Path(tmp)
+    cfg = work / "demo.cfg"
+    cfg.write_text(CFG)
 
-print(f"workspace: {work}\n")
+    print(f"workspace: {work}\n")
 
-print("$ otflow run demo.cfg --seed 0")
-main(["run", str(cfg), "--out-dir", str(work / "run"), "--seed", "0"])
+    print("$ otflow run demo.cfg --seed 0")
+    main(["run", str(cfg), "--out-dir", str(work / "run"), "--seed", "0"])
 
-# A sweep executes the cartesian product of every axis line, replicated with
-# per-cell derived seeds, and writes one CSV row per cell run.
-print("\n$ otflow sweep demo.cfg --seed 0")
-main(["sweep", str(cfg), "--out-dir", str(work / "sweep"), "--seed", "0"])
+    # A sweep executes the cartesian product of every axis line, replicated with
+    # per-cell derived seeds, and writes one CSV row per cell run.
+    print("\n$ otflow sweep demo.cfg --seed 0")
+    main(["sweep", str(cfg), "--out-dir", str(work / "sweep"), "--seed", "0"])
 
-results = work / "sweep" / "demo_results.csv"
-print("\nfirst rows of the sweep table:")
-for line in results.read_text().splitlines()[:5]:
-    print("   ", line)
+    results = work / "sweep" / "demo_results.csv"
+    print("\nfirst rows of the sweep table:")
+    for line in results.read_text().splitlines()[:5]:
+        print("   ", line)
 
-# The plot command picks a renderer from the CSV header: trajectories,
-# point clouds, or metric-vs-parameter charts.
-svg = work / "sweep.svg"
-print(f"\n$ otflow plot {results.name} sweep.svg")
-main(["plot", str(results), str(svg)])
-print(f"chart written to {svg} ({svg.stat().st_size} bytes)")
+    # The plot command picks a renderer from the CSV header: trajectories,
+    # point clouds, or metric-vs-parameter charts.
+    svg = work / "sweep.svg"
+    print(f"\n$ otflow plot {results.name} sweep.svg")
+    main(["plot", str(results), str(svg)])
+    print(f"chart written to {svg} ({svg.stat().st_size} bytes)")
 
-print("\nOverrides stack as preset < file < --set, for example:")
-print("  otflow run demo.cfg --set transport.beta0=0.4 --set scales.w_tar=7.0")
+    print("\nOverrides stack as preset < file < --set, for example:")
+    print("  otflow run demo.cfg --set transport.beta0=0.4 --set scales.w_tar=7.0")

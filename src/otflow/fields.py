@@ -10,14 +10,17 @@ The point kernel works on the centred rows y_i = x_i - c, c = mean(x): with
 a = 1 - t the logits (a / t^2) ((z - a c) . y_i - a ||y_i||^2 / 2) differ from
 the exact ones by a per-row constant, and v = (z - c - sum_i w_i y_i) / t.
 Centring keeps the expansion free of the ||z||^2 cancellation at large ||z||,
-and no (batch, n, d) tensor is formed.  Both contractions use np.einsum rather
-than BLAS matmul: BLAS picks its reduction order from the operand shapes, so a
-row's result would depend on the batch it is evaluated in, while einsum's
-per-row result does not.
+and no (batch, n, d) tensor is formed.
 
 For a Gaussian N(mu, Sigma) the conditional expectation is linear in z:
 
     v = (t I - (1-t) Sigma) C^{-1} (z - (1-t) mu) - mu,   C = (1-t)^2 Sigma + t^2 I.
+
+One kernel evaluates all Gaussians, stacked as Sigma = Q diag(lam) Q^T: it
+projects y = Q^T (z - (1-t) mu) once per component for both the log density of
+z_t and the velocity.  Both kernels contract with np.einsum, not BLAS matmul,
+whose reduction order follows the operand shapes: with einsum a row's result
+depends neither on its batch nor on the Gaussians stacked beside it.
 
 Conditions select which field an evaluation uses: the null condition pools
 every registered dataset, a dataset condition blends that entry's field with
@@ -130,26 +133,44 @@ def empirical_marginal_velocity(points, z, t, t_floor=1e-4):
     if z.shape[-1] != pset.centred.shape[1]:
         raise ValueError(f"state dim {z.shape[-1]} != dataset dim {pset.centred.shape[1]}")
     t = _clamp_t(t, t_floor)
-    single = z.ndim == 1
-    zb = z[None, :] if single else z
+    zb = z.reshape(-1, z.shape[-1])
     logits = _point_logits(pset, zb - (1.0 - t) * pset.centre, 1.0 - t, t)
     logits -= logits.max(axis=1, keepdims=True)  # max-shift for stability
     w = np.exp(logits)
     w[w < _WEIGHT_FLOOR] = 0.0
     w /= w.sum(axis=1, keepdims=True)
     v = (zb - pset.centre - np.einsum("bn,nd->bd", w, pset.centred)) / t
-    return v[0] if single else v
+    return v.reshape(z.shape)
 
 
-def _gaussian_velocity_eig(mean, eigvals, eigvecs, z, t):
-    # v = Q diag((t - a lam) / (a^2 lam + t^2)) Q^T (z - a mu) - mu,  a = 1 - t
+def _gaussian_velocity_eig(means, eigvals, eigvecs, zb, t):
+    # m stacked components ((m, d) means and eigenvalues, (m, d, d) eigenvectors)
+    # at (b, d) states zb.  With a = 1 - t, c = a^2 lam + t^2, y = Q^T (z - a mu):
+    #   log densities (b, m):  -(y . y / c + sum log c) / 2 + const
+    #   velocities (b, m, d):  Q diag((t - a lam) / c) y - mu
     a = 1.0 - t
-    gain = (t - a * eigvals) / (a * a * eigvals + t * t)
-    single = z.ndim == 1
-    zb = z[None, :] if single else z
-    y = (zb - a * mean) @ eigvecs
-    v = (y * gain) @ eigvecs.T - mean
-    return v[0] if single else v
+    c_eig = a * a * eigvals + t * t
+    y = np.einsum("bmk,mkj->bmj", zb[:, None, :] - a * means, eigvecs)
+    quad = np.einsum("bmj,bmj->bm", y * (1.0 / c_eig), y)
+    log_dens = -0.5 * quad - 0.5 * np.log(c_eig).sum(axis=1)
+    v = np.einsum("mij,bmj->bmi", eigvecs, y * ((t - a * eigvals) / c_eig)) - means
+    return log_dens, v
+
+
+def _gaussian_stack(mean, cov, where=""):
+    # Validate (mean, cov); return cov and N(mean, cov) as a one-component
+    # stack: (1, d) mean, (1, d) clipped eigenvalues, (1, d, d) eigenvectors.
+    mean = np.asarray(mean, dtype=float)
+    cov = np.asarray(cov, dtype=float)
+    d = mean.shape[0]
+    if cov.shape != (d, d):
+        raise ValueError(f"{where}cov must be ({d}, {d}), got {cov.shape}")
+    if not np.allclose(cov, cov.T, atol=1e-10):
+        raise ValueError(f"{where}cov must be symmetric")
+    eigvals, eigvecs = np.linalg.eigh(cov)
+    if eigvals.min() < -1e-8:
+        raise ValueError(f"{where}cov is not positive semidefinite (min eigenvalue {eigvals.min()})")
+    return cov, (mean[None], np.clip(eigvals, 0.0, None)[None], eigvecs[None])
 
 
 def gaussian_marginal_velocity(mean, cov, z, t, t_floor=1e-4):
@@ -158,22 +179,12 @@ def gaussian_marginal_velocity(mean, cov, z, t, t_floor=1e-4):
     cov must be symmetric positive semidefinite; eigenvalues are clamped at
     zero, so a degenerate covariance degrades gracefully to the point field.
     """
-    mean = np.asarray(mean, dtype=float)
-    cov = np.asarray(cov, dtype=float)
+    cov, one = _gaussian_stack(mean, cov)
     z = np.asarray(z, dtype=float)
-    d = mean.shape[0]
-    if cov.shape != (d, d):
-        raise ValueError(f"cov must be ({d}, {d}), got {cov.shape}")
-    if not np.allclose(cov, cov.T, atol=1e-10):
-        raise ValueError("cov must be symmetric")
-    if z.shape[-1] != d:
-        raise ValueError(f"state dim {z.shape[-1]} != gaussian dim {d}")
-    t = _clamp_t(t, t_floor)
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    if eigvals.min() < -1e-8:
-        raise ValueError(f"cov is not positive semidefinite (min eigenvalue {eigvals.min()})")
-    eigvals = np.clip(eigvals, 0.0, None)
-    return _gaussian_velocity_eig(mean, eigvals, eigvecs, z, t)
+    if z.shape[-1] != cov.shape[0]:
+        raise ValueError(f"state dim {z.shape[-1]} != gaussian dim {cov.shape[0]}")
+    _, v = _gaussian_velocity_eig(*one, z.reshape(-1, z.shape[-1]), _clamp_t(t, t_floor))
+    return v[:, 0].reshape(z.shape)
 
 
 def conditional_linear_velocity(z_ref, z, t, t_floor=1e-4):
@@ -216,9 +227,11 @@ class FieldRegistry:
 
     Register everything up front; entries are treated as immutable afterwards.
     Everything a field evaluation needs is computed at registration (point
-    sets and the pooled null set are prepared for the centred kernel, Gaussian
-    eigendecompositions cached), so evaluations never mutate it and sweep
-    cells that keep the datasets can share one registry.
+    sets and the pooled null set are prepared for the centred kernel, Gaussians
+    stacked for the einsum Gaussian kernel), so evaluations never mutate it and
+    sweep cells that keep the datasets can share one registry.  That kernel's
+    rows depend on neither the batch nor the other Gaussians, so an entry
+    evaluated alone equals its column of the null mixture bit for bit.
     """
 
     def __init__(self, t_floor=1e-4):
@@ -227,7 +240,9 @@ class FieldRegistry:
         self.t_floor = float(t_floor)
         self._points = {}
         self._pooled = None
+        # name -> (one-component stack, cov, index into the stacked arrays)
         self._gaussians = {}
+        self._stacked = None
         self._order = []
 
     def add_points(self, name, points):
@@ -243,18 +258,10 @@ class FieldRegistry:
         return self
 
     def add_gaussian(self, name, mean, cov):
-        mean = np.asarray(mean, dtype=float)
-        cov = np.asarray(cov, dtype=float)
-        d = mean.shape[0]
-        if cov.shape != (d, d):
-            raise ValueError(f"dataset {name!r}: cov must be ({d}, {d})")
-        if not np.allclose(cov, cov.T, atol=1e-10):
-            raise ValueError(f"dataset {name!r}: cov must be symmetric")
-        eigvals, eigvecs = np.linalg.eigh(cov)
-        if eigvals.min() < -1e-8:
-            raise ValueError(f"dataset {name!r}: cov is not positive semidefinite")
-        self._check_new(name, d)
-        self._gaussians[name] = (mean, np.clip(eigvals, 0.0, None), eigvecs, cov)
+        cov, one = _gaussian_stack(mean, cov, f"dataset {name!r}: ")
+        self._check_new(name, cov.shape[0])
+        self._gaussians[name] = (one, cov, len(self._gaussians))
+        self._stacked = [np.concatenate(c) for c in zip(*(g[0] for g in self._gaussians.values()))]
         self._order.append(name)
         return self
 
@@ -268,7 +275,7 @@ class FieldRegistry:
         first = self._order[0]
         if first in self._points:
             return self._points[first].points.shape[1]
-        return self._gaussians[first][0].shape[0]
+        return self._gaussians[first][1].shape[0]
 
     def names(self):
         return list(self._order)
@@ -291,15 +298,17 @@ class FieldRegistry:
     def gaussian(self, name):
         if name not in self._gaussians:
             raise UnknownDatasetError(name)
-        mean, _, _, cov = self._gaussians[name]
-        return mean, cov
+        one, cov, _ = self._gaussians[name]
+        return one[0][0], cov
 
     def _entry_velocity(self, name, z, t):
         if name in self._points:
             return empirical_marginal_velocity(self._points[name], z, t, self.t_floor)
         if name in self._gaussians:
-            mean, eigvals, eigvecs, _ = self._gaussians[name]
-            return _gaussian_velocity_eig(mean, eigvals, eigvecs, z, _clamp_t(t, self.t_floor))
+            z = np.asarray(z, dtype=float)
+            _, v = _gaussian_velocity_eig(*self._gaussians[name][0], z.reshape(-1, z.shape[-1]),
+                                          _clamp_t(t, self.t_floor))
+            return v[:, 0].reshape(z.shape)
         raise UnknownDatasetError(name)
 
     def _null_velocity(self, z, t):
@@ -307,61 +316,49 @@ class FieldRegistry:
             raise ValueError("registry has no datasets; cannot evaluate the null condition")
         if not self._gaussians:
             return empirical_marginal_velocity(self._pooled, z, t, self.t_floor)
-        if not self._points and len(self._gaussians) == 1:
-            return self._entry_velocity(self._order[0], z, t)
-        return self._mixture_velocity(z, t)
+        return self._mixture_velocity(z, t)[0]
 
     def _mixture_velocity(self, z, t):
         # Uniform pooling at atom level: each point and each whole Gaussian is
         # one mixture component.  Responsibilities need the full log densities
         # (including log-determinants) because component variances differ.
+        # Returns the pooled velocity and the Gaussians' (b, m, d) velocities.
         t = _clamp_t(t, self.t_floor)
         a = 1.0 - t
         z = np.asarray(z, dtype=float)
-        single = z.ndim == 1
-        zb = z[None, :] if single else z
-        d = zb.shape[1]
-        gauss_dens, gauss_v, point_dens, point_sets = [], [], [], []
-        for name in self._order:
-            if name in self._points:
-                pset = self._points[name]
-                u = zb - a * pset.centre
-                base = np.einsum("bd,bd->b", u, u) / (2.0 * t * t) + d * np.log(t)
-                point_dens.append(_point_logits(pset, u, a, t) - base[:, None])
-                point_sets.append(pset)
-            else:
-                mean, eigvals, eigvecs, _ = self._gaussians[name]
-                c_eig = a * a * eigvals + t * t
-                y = (zb - a * mean) @ eigvecs
-                quad = np.einsum("bd,bd->b", y * (1.0 / c_eig), y)
-                logdet = np.log(c_eig).sum()
-                gauss_dens.append((-0.5 * quad - 0.5 * logdet)[:, None])
-                gauss_v.append(_gaussian_velocity_eig(mean, eigvals, eigvecs, zb, t)[:, None, :])
-        # Gaussian columns first, then each point set's atoms.  Only reached
-        # with at least one Gaussian (see _null_velocity).
-        log_r = np.concatenate(gauss_dens + point_dens, axis=1)
+        zb = z.reshape(-1, z.shape[-1])
+        # Gaussian columns first, then each point set's atoms in registration
+        # order.  Only reached with at least one Gaussian (see _null_velocity).
+        gauss_dens, gauss_v = _gaussian_velocity_eig(*self._stacked, zb, t)
+        log_r = [gauss_dens]
+        for pset in self._points.values():
+            u = zb - a * pset.centre
+            base = np.einsum("bd,bd->b", u, u) / (2.0 * t * t) + zb.shape[1] * np.log(t)
+            log_r.append(_point_logits(pset, u, a, t) - base[:, None])
+        log_r = np.concatenate(log_r, axis=1)
         log_r -= log_r.max(axis=1, keepdims=True)
         r = np.exp(log_r)
         r[r < _WEIGHT_FLOOR] = 0.0
         r /= r.sum(axis=1, keepdims=True)
-        col = len(gauss_v)
-        v = np.einsum("bn,bnd->bd", r[:, :col], np.concatenate(gauss_v, axis=1))
-        for pset in point_sets:
+        col = len(self._gaussians)
+        v = np.einsum("bn,bnd->bd", r[:, :col], gauss_v)
+        for pset in self._points.values():
             # sum_i r_i ((z - a x_i)/t - x_i) = (R z - R c - sum_i r_i y_i) / t
             r_pts = r[:, col:col + len(pset)]
             col += len(pset)
             big_r = r_pts.sum(axis=1, keepdims=True)
             y_sum = np.einsum("bn,nd->bd", r_pts, pset.centred)
             v = v + (big_r * zb - big_r * pset.centre - y_sum) / t
-        return v[0] if single else v
+        return v.reshape(z.shape), gauss_v
 
 
 def evaluate(registry, z, t, condition, scales):
     """Dispatch a velocity evaluation through a condition.
 
     null: pooled field over every registered dataset.  dataset(name): that
-    entry's field blended with the null field at scales.w.  reference(state):
-    the straight-line pull toward the carried state.
+    entry's field blended with the null field at scales.w; a Gaussian entry's
+    field is then read from the null mixture's own kernel call.
+    reference(state): the straight-line pull toward the carried state.
     """
     if condition.kind == "reference":
         return conditional_linear_velocity(condition.state, z, t, registry.t_floor)
@@ -369,11 +366,14 @@ def evaluate(registry, z, t, condition, scales):
         return registry._null_velocity(z, t)
     if not registry.has(condition.name):
         raise UnknownDatasetError(condition.name)
+    if scales.w != 1.0 and condition.name in registry._gaussians:
+        v_null, gauss_v = registry._mixture_velocity(z, t)
+        k = registry._gaussians[condition.name][2]
+        return cfg_blend(v_null, gauss_v[:, k].reshape(v_null.shape), scales.w)
     v_cond = registry._entry_velocity(condition.name, z, t)
     if scales.w == 1.0:
         return v_cond
-    v_null = registry._null_velocity(z, t)
-    return cfg_blend(v_null, v_cond, scales.w)
+    return cfg_blend(registry._null_velocity(z, t), v_cond, scales.w)
 
 
 def make_velocity(registry, condition, scales):

@@ -16,8 +16,6 @@ each can serve as the other's oracle in tests.
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.spatial.distance import cdist
 
 from .core import integrate, make_time_grid
 from .fields import make_velocity
@@ -104,6 +102,8 @@ def w2_empirical_exact(a, b):
         raise ValueError(f"cloud size must be in [1, {_EMPIRICAL_CAP}], got {n}")
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise ValueError("clouds contain non-finite entries")
+    from scipy.optimize import linear_sum_assignment
+    from scipy.spatial.distance import cdist
     cost = cdist(a, b, "sqeuclidean")
     rows, cols = linear_sum_assignment(cost)
     order = np.argsort(rows)

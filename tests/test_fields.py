@@ -10,6 +10,7 @@ implementations never share intermediate code paths in these comparisons.
 import numpy as np
 import pytest
 
+from otflow import fields
 from otflow import (
     Condition,
     FieldRegistry,
@@ -185,6 +186,54 @@ def test_gaussian_agrees_with_large_sample_empirical(d, t, tol):
         ve = empirical_marginal_velocity(samples, z, t)
         rel = np.linalg.norm(ve - vg) / (np.linalg.norm(vg) + 1.0)
         assert rel <= tol
+
+
+def _two_gaussian_registry(d, with_points):
+    # Two Gaussians with full covariances, optionally a 12-point set
+    # registered between them.
+    rng = _rng(50, d, int(with_points))
+    reg = FieldRegistry()
+    for name, shift in (("g1", -0.5), ("g2", 0.5)):
+        A = rng.standard_normal((d, d)) / np.sqrt(d)
+        reg.add_gaussian(name, shift + 0.3 * rng.standard_normal(d), A @ A.T + 0.2 * np.eye(d))
+        if with_points and name == "g1":
+            reg.add_points("p", 0.5 * rng.standard_normal((12, d)))
+    return reg
+
+
+@pytest.mark.parametrize("with_points", [False, True])
+@pytest.mark.parametrize("d", [2, 8, 64])
+def test_gaussian_and_mixture_rows_do_not_depend_on_batch(d, with_points):
+    # Each row of a batched evaluation equals its single-row call bit for
+    # bit: the entry Gaussian, the null mixture and the guided blend.
+    b, t = 257, 0.4
+    reg = _two_gaussian_registry(d, with_points)
+    zs = 0.8 * _rng(51, d).standard_normal((b, d))
+    for cond in (Condition.null(), Condition.dataset("g2")):
+        for w in (1.0, 2.0):
+            batch = evaluate(reg, zs, t, cond, GuidanceScales(w=w))
+            for i in range(b):
+                assert np.array_equal(batch[i], evaluate(reg, zs[i], t, cond, GuidanceScales(w=w)))
+
+
+@pytest.mark.parametrize("with_points", [False, True])
+@pytest.mark.parametrize("d", [2, 8, 64])
+def test_guided_gaussian_entry_shares_the_null_kernel_call(d, with_points, monkeypatch):
+    # At w != 1 a Gaussian entry's field is read from the null mixture's one
+    # kernel call, and equals evaluating the two branches apart.
+    t = 0.4
+    reg = _two_gaussian_registry(d, with_points)
+    zs = 0.8 * _rng(52, d).standard_normal((5, d))
+    kernel, calls = fields._gaussian_velocity_eig, []
+    monkeypatch.setattr(fields, "_gaussian_velocity_eig",
+                        lambda *args: calls.append(1) or kernel(*args))
+    for name in ("g1", "g2"):
+        for z in (zs, zs[0]):
+            calls.clear()
+            got = evaluate(reg, z, t, Condition.dataset(name), GuidanceScales(w=2.0))
+            assert len(calls) == 1
+            want = cfg_blend(reg._null_velocity(z, t), reg._entry_velocity(name, z, t), 2.0)
+            assert got.shape == z.shape and np.array_equal(got, want)
 
 
 def test_conditional_linear_lands_exactly():

@@ -7,10 +7,14 @@ closed-form solutions before it is trusted as the oracle elsewhere.
 """
 
 import itertools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import otflow
 from otflow import (
     Condition,
     FieldRegistry,
@@ -34,6 +38,17 @@ from otflow.metrics import AssignmentPlan, VerifySetup
 
 def _rng(*key):
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(list(key))))
+
+
+def test_import_does_not_load_scipy():
+    # scipy.optimize takes longer to import than a small run takes; only
+    # w2_empirical_exact uses scipy, and it imports it when called.
+    src = os.path.dirname(os.path.dirname(otflow.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, otflow; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 def test_l2_distance_basic():
