@@ -19,12 +19,16 @@ import numpy as np
 class NumericalAbort(RuntimeError):
     """A trajectory produced a non-finite state or velocity.
 
-    Carries the integration time at which the run was aborted.
+    Carries where the run was aborted, each None where unknown: the
+    integration time t, the index of the step on its grid, and the term that
+    went non-finite, "velocity" or "state" (the Euler-stepped state).
     """
 
-    def __init__(self, message, t=None):
+    def __init__(self, message, t=None, step=None, term=None):
         super().__init__(message)
         self.t = t
+        self.step = step
+        self.term = term
 
 
 def _as_state(x, name="state"):
@@ -92,7 +96,7 @@ def euler_step(z, v, signed_step):
         raise ValueError(f"signed_step must be finite and nonzero, got {signed_step}")
     out = z + signed_step * v
     if not np.all(np.isfinite(out)):
-        raise NumericalAbort("euler_step produced a non-finite state")
+        raise NumericalAbort("euler_step produced a non-finite state", term="state")
     return out
 
 
@@ -152,7 +156,9 @@ class Trajectory:
 
     Record k holds the state at times[k] and the velocity applied to step from
     times[k] to times[k+1]; the final record carries zero velocity.  The
-    transport_norms/weights columns are zero for plain (unguided) runs.
+    transport_norms/weights columns are zero for plain (unguided) runs.  For a
+    batch of B states they hold one value per record, or one per record and
+    row, (n, B), when each row has its own transport weight.
     """
 
     times: np.ndarray
@@ -168,8 +174,8 @@ class Trajectory:
             if getattr(self, name).shape[0] != n:
                 raise ValueError(f"{name} must have one row per grid point")
         for name in ("transport_norms", "weights"):
-            if getattr(self, name).shape != (n,):
-                raise ValueError(f"{name} must have shape ({n},)")
+            if getattr(self, name).shape not in ((n,), self.states.shape[:-1]):
+                raise ValueError(f"{name} must have shape ({n},) or {self.states.shape[:-1]}")
 
     @property
     def final_state(self):
@@ -227,7 +233,7 @@ def integrate(velocity, z0, grid):
         t = float(pts[k])
         v = np.asarray(velocity(z, t), dtype=float)
         if not np.all(np.isfinite(v)):
-            raise NumericalAbort(f"velocity non-finite at t={t}", t=t)
+            raise NumericalAbort(f"velocity non-finite at t={t}", t=t, step=k, term="velocity")
         z = euler_step(z, v, float(pts[k + 1] - pts[k]))
         rec.step(pts[k + 1], z, v)
     return rec.build()

@@ -8,7 +8,8 @@ transport_guided_inversion_edit  invert the source to noise with the pooled
     (unconditional) field, then denoise under the target condition with a
     reference-pulling controller plus the transport correction anchored on
     the encoded target state (on the reverse step it moves the state away
-    from that anchor).
+    from that anchor).  It takes one (d,) source or a (B, d) batch with a
+    (B,) transport strength, so a sweep over beta0 is one call.
 transport_enhanced_flowedit      evolve a coupled edit trajectory directly
     from the source: per step, noise the source, form the coupled target
     state, step along the conditional velocity difference plus a transport
@@ -27,8 +28,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (NumericalAbort, TrajectoryRecorder, euler_step,
-                   forward_noising, rf_invert)
+from .core import (NumericalAbort, Trajectory, TrajectoryRecorder, euler_step,
+                   forward_noising)
 from .fields import Condition, cfg_blend, conditional_linear_velocity, make_velocity
 from .metrics import l2_distance
 from .transport import enhance_velocity
@@ -63,9 +64,14 @@ class EditSummary:
 
 @dataclass(frozen=True)
 class EditResult:
+    """What an editor returns.  A batched inversion edit holds (B, d) outputs
+    and two per-row tuples: summary, None for a row that failed, and aborts,
+    the row's NumericalAbort or None."""
+
     output: np.ndarray
     trajectory: object
     summary: EditSummary
+    aborts: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -146,52 +152,125 @@ def _check_finite(z, t, what):
         raise NumericalAbort(f"{what} non-finite at t={t}", t=t)
 
 
-def transport_guided_inversion_edit(cfg, registry, codec, x0, x_target=None):
-    """Invert a source input to noise, then denoise with controller guidance
-    and the transport correction anchored on the encoded target.
+class _LiveRows:
+    """The rows of a batched edit still being integrated; idx maps them to
+    batch rows.  step() Euler-steps them, and a row whose velocity or new
+    state is non-finite leaves with its NumericalAbort in aborts (a
+    single-state edit raises it)."""
+
+    def __init__(self, n_rows, single):
+        self.idx = np.arange(n_rows)
+        self.aborts = [None] * n_rows
+        self.single = single
+
+    def step(self, z, v, dt, t, k):
+        z_next = z + dt * v
+        bad_v = ~np.isfinite(v).all(axis=1)
+        bad = bad_v | ~np.isfinite(z_next).all(axis=1)
+        if not bad.any():
+            return z_next
+        for i in np.flatnonzero(bad):
+            if bad_v[i]:
+                abort = NumericalAbort(f"velocity non-finite at t={t}", t=t, step=k,
+                                       term="velocity")
+            else:
+                abort = NumericalAbort("euler_step produced a non-finite state", t=t, step=k,
+                                       term="state")
+            if self.single:
+                raise abort
+            self.aborts[self.idx[i]] = abort
+        self.idx = self.idx[~bad]
+        return z_next[~bad]
+
+
+def transport_guided_inversion_edit(cfg, registry, codec, x0, x_target=None, beta0=None):
+    """Invert source inputs to noise, then denoise with controller guidance
+    and the transport correction anchored on the encoded targets.
 
     The correction is added in the forward-velocity convention, so on each
     reverse step it moves the state along z - z_target, away from the anchor.
 
-    x_target defaults to x0: anchoring transport on the source preserves its
-    content while the condition steers semantics.  The returned trajectory
-    covers the reverse (editing) phase; the forward inversion feeds it.
+    x0 is one source (d,) or a batch (B, d).  x_target, (d,) or (B, d),
+    defaults to x0: anchoring transport on the source preserves its content
+    while the condition steers semantics.  beta0 is a (B,) per-row transport
+    strength, by default cfg.transport.beta0 for every row; schedule, window
+    and clipping are shared, so row i's weight is beta0[i] * S(s).
+
+    Every kernel the loop calls is batch-invariant, so each row's output,
+    trajectory and summary equal its own single-state call bit for bit.
+    Velocity and state are checked per row at every step of both phases:
+    a single state raises NumericalAbort; in a batch the row leaves, its
+    abort goes to aborts, its output is NaN, its summary None and its
+    recorded states NaN after the failing step.
+
+    The returned trajectory covers the reverse (editing) phase; the forward
+    inversion feeds it.  For a batch its states and velocities are
+    (n + 1, B, d), its transport_norms and weights (n + 1, B), and summary
+    is a tuple with one EditSummary per row.
     """
     x0 = np.asarray(x0, dtype=float)
-    x_target = x0 if x_target is None else np.asarray(x_target, dtype=float)
-    z0 = codec.encode(x0)
-    z_target = codec.encode(x_target)
+    single = x0.ndim == 1
+    xb = np.atleast_2d(x0)
+    n_rows, dim = xb.shape
+    z0 = codec.encode(xb)
+    if not np.all(np.isfinite(z0)):
+        raise ValueError("state contains non-finite entries")
+    z_target = z0 if x_target is None else codec.encode(np.broadcast_to(x_target, xb.shape))
+    beta0 = np.full(n_rows, float(cfg.transport.beta0)) if beta0 is None \
+        else np.asarray(beta0, dtype=float)
+    if beta0.shape != (n_rows,) or not np.all(np.isfinite(beta0) & (beta0 >= 0.0)):
+        raise ValueError(f"beta0 must be {n_rows} finite values >= 0")
+    rows = _LiveRows(n_rows, single)
 
     null_field = make_velocity(registry, Condition.null(), cfg.scales)
-    zT = rf_invert(null_field, z0, cfg.grid.reversed()).final_state
+    inv = cfg.grid.points[::-1]
+    n = cfg.grid.n_steps
+    z = z0
+    for k in range(n):
+        t = float(inv[k])
+        z = rows.step(z, null_field(z, t), float(inv[k + 1] - inv[k]), t, k)
 
     target_field = make_velocity(registry, cfg.condition_target, cfg.scales)
     t_hi, t_lo = cfg.eta_window
     pts = cfg.grid.points
-    rec = TrajectoryRecorder(zT, cfg.grid)
-    z = zT
-    work = 0.0
-    for k in range(cfg.grid.n_steps):
+    states = np.full((n + 1, n_rows, dim), np.nan)
+    velocities = np.zeros((n + 1, n_rows, dim))
+    norms = np.zeros((n + 1, n_rows))
+    weights = np.zeros((n + 1, n_rows))
+    work = np.zeros(n_rows)
+    states[0, rows.idx] = z
+    for k in range(n):
         t = float(pts[k])
+        dt = float(pts[k + 1] - pts[k])
+        live = rows.idx
         v_tar = target_field(z, t)
-        v_ref = conditional_linear_velocity(z0, z, t, registry.t_floor)
+        v_ref = conditional_linear_velocity(z0[live], z, t, registry.t_floor)
         eta_eff = cfg.eta if t_lo <= t <= t_hi else 0.0
         v_rf = controller_guided_velocity(v_tar, v_ref, eta_eff)
-        v_enh, weight, raw_norm = enhance_velocity(v_rf, z, z_target, t, cfg.transport)
-        _check_finite(v_enh, t, "velocity")
-        dt = float(pts[k + 1] - pts[k])
-        z = euler_step(z, v_enh, dt)
-        work += weight * min(raw_norm, cfg.transport.clip_tau) * abs(dt)
-        rec.step(pts[k + 1], z, v_enh, raw_norm, weight)
+        v_enh, weight, raw_norm = enhance_velocity(v_rf, z, z_target[live], t, cfg.transport,
+                                                   beta0[live])
+        velocities[k, live] = v_enh
+        norms[k, live] = raw_norm
+        weights[k, live] = weight
+        work[live] += weight * np.minimum(raw_norm, cfg.transport.clip_tau) * abs(dt)
+        z = rows.step(z, v_enh, dt, t, k)
+        states[k + 1, rows.idx] = z
 
-    output = codec.decode(z)
-    summary = EditSummary(
-        reconstruction_l2=l2_distance(output, x0),
-        displacement_l2=l2_distance(z, z0),
-        transport_work=float(work),
-    )
-    return EditResult(output=output, trajectory=rec.build(meta={"algorithm": "invert_edit"}),
-                      summary=summary)
+    output = np.full((n_rows, dim), np.nan)
+    output[rows.idx] = codec.decode(z)
+    summary = tuple(None if abort is not None else EditSummary(
+        reconstruction_l2=l2_distance(output[i], xb[i]),
+        displacement_l2=l2_distance(states[n, i], z0[i]),
+        transport_work=float(work[i]),
+    ) for i, abort in enumerate(rows.aborts))
+    meta = {"algorithm": "invert_edit"}
+    if single:
+        trajectory = Trajectory(pts.copy(), states[:, 0], velocities[:, 0], norms[:, 0],
+                                weights[:, 0], meta)
+        return EditResult(output=output[0], trajectory=trajectory, summary=summary[0])
+    trajectory = Trajectory(pts.copy(), states, velocities, norms, weights, meta)
+    return EditResult(output=output, trajectory=trajectory, summary=summary,
+                      aborts=tuple(rows.aborts))
 
 
 def _branch_fields(cfg, registry):

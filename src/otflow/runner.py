@@ -9,9 +9,13 @@ Seed discipline: the editor noise stream uses the experiment seed directly;
 auxiliary draws use fixed offsets (seed, 1) for input sampling and (seed, 2)
 for verification states; sweep cell c replicate r derives its seed from
 (base seed, c, r), so a cell's row does not depend on the cells run before it.
-Sweeps run their cells one after another in the calling thread: each cell is
-a chain of single-row numpy calls that holds the GIL, so threads only add
-overhead.
+Sweeps run in the calling thread.  Each cell's config is derived and
+validated, and its x0 resolved, in turn; then every group of invert_edit
+rows whose overrides differ only in transport.beta0 runs as one (B, d)
+editor call with a (B,) beta0.  The editor's kernels are batch-invariant, so
+a row equals the single-state run of its cell bit for bit, and a row that
+goes non-finite fails alone.  flowedit and generate cells run one editor
+call each.
 """
 
 import csv
@@ -153,16 +157,16 @@ def _resolve_x0(cfg, seed):
     return _draw_from_dataset(cfg.registry, cfg.inputs["sample_source"], rng)
 
 
-def _edit_metrics(result, cfg, condition):
+def _edit_metrics(summary, output, cfg, condition):
     return {
-        "reconstruction_l2": result.summary.reconstruction_l2,
-        "displacement_l2": result.summary.displacement_l2,
-        "transport_work": result.summary.transport_work,
-        "w2_to_target": _w2_to_condition(result.output, cfg.registry, condition),
+        "reconstruction_l2": summary.reconstruction_l2,
+        "displacement_l2": summary.displacement_l2,
+        "transport_work": summary.transport_work,
+        "w2_to_target": _w2_to_condition(output, cfg.registry, condition),
     }
 
 
-def _run_invert_edit(cfg, seed):
+def _inversion_edit(cfg, x0, beta0=None):
     edit_cfg = InversionEditConfig(
         eta=cfg.editor["eta"],
         transport=cfg.transport,
@@ -171,10 +175,22 @@ def _run_invert_edit(cfg, seed):
         scales=cfg.scales,
         eta_window=cfg.editor["eta_window"],
     )
-    x0 = _resolve_x0(cfg, seed)
-    result = transport_guided_inversion_edit(edit_cfg, cfg.registry, cfg.codec, x0,
-                                             cfg.inputs["x_target"])
-    return _edit_metrics(result, cfg, cfg.editor["condition"]), result
+    return transport_guided_inversion_edit(edit_cfg, cfg.registry, cfg.codec, x0,
+                                           cfg.inputs["x_target"], beta0)
+
+
+def _run_invert_edit(cfg, seed):
+    result = _inversion_edit(cfg, _resolve_x0(cfg, seed))
+    return _edit_metrics(result.summary, result.output, cfg, cfg.editor["condition"]), result
+
+
+def _run_invert_rows(cfg, x0s, beta0s):
+    """One batched edit for sweep rows whose configs differ from cfg only in
+    transport.beta0: each row's metrics, or the NumericalAbort it hit."""
+    result = _inversion_edit(cfg, np.array(x0s), np.array(beta0s))
+    return [abort if abort is not None
+            else _edit_metrics(summary, output, cfg, cfg.editor["condition"])
+            for output, summary, abort in zip(result.output, result.summary, result.aborts)]
 
 
 def _run_flowedit(cfg, seed):
@@ -191,7 +207,7 @@ def _run_flowedit(cfg, seed):
     )
     x0 = _resolve_x0(cfg, seed)
     result = transport_enhanced_flowedit(edit_cfg, cfg.registry, cfg.codec, x0)
-    return _edit_metrics(result, cfg, cfg.editor["cond_tar"]), result
+    return _edit_metrics(result.summary, result.output, cfg, cfg.editor["cond_tar"]), result
 
 
 def _run_generate(cfg, seed):
@@ -321,7 +337,12 @@ def run_experiment(cfg, out_dir=None, seed=None):
 
 
 def _sweep_cell(cfg, overrides, seed):
+    """Derive one cell's config and run it: flowedit and generate cells return
+    their metrics, an invert_edit cell returns (config, x0) for its group's
+    batched edit."""
     cell_cfg = derive_config(cfg, overrides)
+    if cell_cfg.algorithm == "invert_edit":
+        return cell_cfg, _resolve_x0(cell_cfg, seed)
     runner = _RUNNERS.get(cell_cfg.algorithm)
     if runner is None:
         raise ConfigError(f"sweeps do not support algorithm {cell_cfg.algorithm!r}")
@@ -332,8 +353,10 @@ def run_sweep(cfg, out_dir=None, seed=None):
     """Run the Cartesian sweep and write one results CSV.
 
     Row order is the product order of the axes as configured, then replicate.
-    Failed cells keep their row with an error message; the caller decides the
-    exit status from n_failed.
+    Every cell is derived and validated in turn; invert_edit rows whose
+    overrides differ only in transport.beta0 then run as one batched editor
+    call.  Failed cells keep their row with an error message; the caller
+    decides the exit status from n_failed.
     """
     if not cfg.sweep_axes:
         raise ConfigError("sweep needs at least one axis = line in [sweep]")
@@ -343,23 +366,45 @@ def run_sweep(cfg, out_dir=None, seed=None):
     paths = [path for path, _ in cfg.sweep_axes]
     cells = list(itertools.product(*[vals for _, vals in cfg.sweep_axes]))
 
+    # groups: overrides other than transport.beta0 -> (first row's config,
+    # [(row, x0, beta0)]) for the invert_edit rows, run once all are derived.
+    heads, outcomes, groups = [], [], {}
+    for cell_index, combo in enumerate(cells):
+        overrides = dict(zip(paths, combo))
+        for rep in range(cfg.replicates):
+            cell_seed = derive_seed(base_seed, cell_index, rep)
+            heads.append(list(combo) + [str(rep), str(cell_seed)])
+            try:
+                outcome = _sweep_cell(cfg, overrides, cell_seed)
+            except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
+                outcome = exc
+            if isinstance(outcome, tuple):
+                cell_cfg, x0 = outcome
+                key = tuple(item for item in overrides.items() if item[0] != "transport.beta0")
+                groups.setdefault(key, (cell_cfg, []))[1].append(
+                    (len(outcomes), x0, cell_cfg.transport.beta0))
+                outcome = None
+            outcomes.append(outcome)
+    for group_cfg, members in groups.values():
+        rows, x0s, beta0s = zip(*members)
+        try:
+            results = _run_invert_rows(group_cfg, x0s, beta0s)
+        except Exception as exc:  # noqa: BLE001 - the group's rows fail, not the sweep
+            results = [exc] * len(rows)
+        for row, outcome in zip(rows, results):
+            outcomes[row] = outcome
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(list(paths) + ["replicate", "seed"] + list(_METRIC_COLUMNS) + ["error"])
     n_failed = 0
-    for cell_index, combo in enumerate(cells):
-        for rep in range(cfg.replicates):
-            cell_seed = derive_seed(base_seed, cell_index, rep)
-            row = list(combo) + [str(rep), str(cell_seed)]
-            try:
-                metrics = _sweep_cell(cfg, dict(zip(paths, combo)), cell_seed)
-            except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
-                n_failed += 1
-                message = f"{type(exc).__name__}: {exc}".replace("\n", " ")
-                row += ["" for _ in _METRIC_COLUMNS] + [message]
-            else:
-                row += [_fmt(metrics[k]) for k in _METRIC_COLUMNS] + [""]
-            writer.writerow(row)
+    for head, outcome in zip(heads, outcomes):
+        if isinstance(outcome, Exception):
+            n_failed += 1
+            message = f"{type(outcome).__name__}: {outcome}".replace("\n", " ")
+            writer.writerow(head + ["" for _ in _METRIC_COLUMNS] + [message])
+        else:
+            writer.writerow(head + [_fmt(outcome[k]) for k in _METRIC_COLUMNS] + [""])
 
     results_path = atomic_write_text(os.path.join(out_dir, f"{cfg.name}_results.csv"),
                                      buf.getvalue())

@@ -83,17 +83,19 @@ def transport_direction(z, z_target, t, delta):
     return (z_target - z) / max(1.0 - t, delta)
 
 
-def adaptive_weight(t, cfg):
+def adaptive_weight(t, cfg, beta0=None):
     """Schedule weight at time t: beta0 * S(arg, phi), zero outside the window.
 
     The schedule argument is 1 - t for the 'elapsed' orientation (strong early
-    in denoising) and t for 'remaining' (strong near the data end).
+    in denoising) and t for 'remaining' (strong near the data end).  beta0
+    defaults to cfg.beta0; a (B,) array of per-row strengths gives (B,)
+    weights under the one schedule and window of cfg.
     """
     t_hi, t_lo = cfg.window
     if not (t_lo <= t <= t_hi):
         return 0.0
     s = (1.0 - t) if cfg.orientation == "elapsed" else t
-    return cfg.beta0 * cosine_schedule(s, cfg.phi)
+    return (cfg.beta0 if beta0 is None else beta0) * cosine_schedule(s, cfg.phi)
 
 
 def clip_norm(v, tau):
@@ -107,7 +109,7 @@ def clip_norm(v, tau):
     return np.where(n > tau, v * (tau / np.maximum(n, 1e-300)), v)
 
 
-def enhance_velocity(v_base, z, z_target, t, cfg):
+def enhance_velocity(v_base, z, z_target, t, cfg, beta0=None):
     """Add the weighted, clipped transport correction to a base velocity.
 
     z is a state (d,) or a batch (B, d) with v_base of the same shape.
@@ -116,12 +118,24 @@ def enhance_velocity(v_base, z, z_target, t, cfg):
     direction, the same reduction clip_norm compares with clip_tau.  When the
     weight is zero (beta0 = 0, t outside the window, schedule annealed away)
     the result is (v_base, 0.0, 0.0) with v_base untouched.
+
+    beta0, a (B,) array of per-row strengths for a (B, d) batch, replaces
+    cfg.beta0: row i gets weight beta0[i] * S(s), and on a step where S(s)
+    is nonzero weight and raw_norm come back as (B,) arrays.  A row whose
+    weight is zero keeps its v_base row untouched, with weight and raw_norm 0.
     """
-    w = adaptive_weight(t, cfg)
+    # One scalar weight per step; with per-row strengths it is S(s) alone.
+    w = adaptive_weight(t, cfg, None if beta0 is None else 1.0)
     if w == 0.0:
         return v_base, 0.0, 0.0
     d = transport_direction(z, z_target, t, cfg.delta)
-    return v_base + w * clip_norm(d, cfg.clip_tau), w, np.linalg.norm(d, axis=-1)
+    raw_norm = np.linalg.norm(d, axis=-1)
+    if beta0 is None:
+        return v_base + w * clip_norm(d, cfg.clip_tau), w, raw_norm
+    w = w * np.asarray(beta0, dtype=float)
+    on = w != 0.0
+    v = np.where(on[:, None], v_base + w[:, None] * clip_norm(d, cfg.clip_tau), v_base)
+    return v, w, np.where(on, raw_norm, 0.0)
 
 
 def make_enhanced(field, z_target, cfg):

@@ -6,6 +6,8 @@ baselines are kept as independent loops rather than parameterizations of the
 guided code.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from otflow import (
     GuidanceScales,
     InversionEditConfig,
     LatentCodec,
+    NumericalAbort,
     RngSeed,
     TransportConfig,
     baseline_flowedit,
@@ -320,3 +323,111 @@ def test_flowedit_records_skip_steps_without_motion():
     for i in range(5):
         assert np.array_equal(res.trajectory.states[i], res.trajectory.states[0])
     assert not np.array_equal(res.trajectory.states[5], res.trajectory.states[0])
+
+
+def _mixed_registry(dim):
+    # Two Gaussians and a point set, so the Gaussian, point and mixture
+    # kernels all run on the batch.
+    rng = _rng(61, dim)
+    reg = FieldRegistry()
+    mean_a = np.zeros(dim)
+    mean_a[0] = -1.5
+    mean_b = np.zeros(dim)
+    mean_b[:2] = (1.5, 0.5)
+    reg.add_gaussian("a", mean_a, np.full((dim, dim), 0.05) + 0.2 * np.eye(dim))
+    reg.add_gaussian("b", mean_b, 0.25 * np.eye(dim))
+    reg.add_points("p", rng.standard_normal((16, dim)) * 0.4 + 1.0)
+    return reg, rng
+
+
+@pytest.mark.parametrize("dim", (2, 8))
+def test_inversion_batch_rows_equal_single_calls(dim):
+    # Every kernel of the editor loop is batch-invariant, so each row of a
+    # (257, d) call with per-row beta0 must equal its own single-state call
+    # bit for bit, and a beta0 = 0 row the editor run with beta0 = 0.
+    reg, rng = _mixed_registry(dim)
+    codec = LatentCodec(np.full(dim, 1.5), np.full(dim, 0.1))
+    grid = make_time_grid(16, 1.0, 0.0)
+    cfg = InversionEditConfig(eta=0.5, eta_window=(1.0, 0.4), grid=grid,
+                              transport=_transport(0.3, phi=0.6),
+                              condition_target=Condition.dataset("b"),
+                              scales=GuidanceScales(w=3.0))
+    x0 = rng.standard_normal((257, dim)) + 0.5
+    beta0 = np.where(np.arange(257) % 5 == 0, 0.0, rng.uniform(0.0, 1.0, 257))
+    batch = transport_guided_inversion_edit(cfg, reg, codec, x0, beta0=beta0)
+    assert batch.output.shape == (257, dim) and batch.aborts == (None,) * 257
+    assert batch.trajectory.weights.shape == (17, 257)
+    off = replace(cfg, transport=_transport(0.0, phi=0.6))
+    for i in range(257):
+        row_cfg = replace(cfg, transport=_transport(float(beta0[i]), phi=0.6))
+        single = transport_guided_inversion_edit(row_cfg, reg, codec, x0[i])
+        assert np.array_equal(batch.output[i], single.output)
+        for column in ("states", "velocities", "transport_norms", "weights"):
+            assert np.array_equal(getattr(batch.trajectory, column)[:, i],
+                                  getattr(single.trajectory, column)), column
+        assert batch.summary[i] == single.summary
+        if beta0[i] == 0.0:
+            assert batch.summary[i].transport_work == 0.0
+            plain = transport_guided_inversion_edit(off, reg, codec, x0[i])
+            assert np.array_equal(batch.output[i], plain.output)
+            assert batch.summary[i] == plain.summary
+    assert np.array_equal(batch.trajectory.times, grid.points)
+
+
+def _overflowing_inversion(beta0):
+    # The invert_sweep shape: at beta0 = 1e300 the first reverse step throws
+    # the state to ~1e298 and the second step's target velocity overflows.
+    reg = FieldRegistry()
+    reg.add_gaussian("a", np.array([-1.5, 0.0]), 0.25 * np.eye(2))
+    reg.add_gaussian("b", np.array([1.5, 0.5]), 0.25 * np.eye(2))
+    cfg = InversionEditConfig(eta=0.5, eta_window=(1.0, 0.75), grid=make_time_grid(28, 1.0, 0.0),
+                              transport=_transport(beta0),
+                              condition_target=Condition.dataset("b"),
+                              scales=GuidanceScales(w=7.5))
+    return cfg, reg, LatentCodec.identity(2)
+
+
+def test_inversion_numerical_abort_names_step_and_term():
+    cfg, reg, codec = _overflowing_inversion(1e300)
+    x0 = np.array([-1.3, 0.1])
+    with np.errstate(all="ignore"), pytest.raises(NumericalAbort) as err:
+        transport_guided_inversion_edit(cfg, reg, codec, x0)
+    assert str(err.value) == "velocity non-finite at t=0.9642857142857143"
+    assert (err.value.step, err.value.term, err.value.t) == (1, "velocity", 0.9642857142857143)
+
+    # In a batch only the overflowing row leaves; its neighbours finish as
+    # their own single calls do.
+    x0s = np.array([x0, x0, [-1.0, 0.3]])
+    with np.errstate(all="ignore"):
+        batch = transport_guided_inversion_edit(cfg, reg, codec, x0s,
+                                                beta0=np.array([0.2, 1e300, 0.0]))
+    abort = batch.aborts[1]
+    assert str(abort) == str(err.value) and (abort.step, abort.term) == (1, "velocity")
+    assert batch.summary[1] is None and np.all(np.isnan(batch.output[1]))
+    assert not np.any(np.isfinite(batch.trajectory.states[2:, 1]))
+    for i, beta0 in ((0, 0.2), (2, 0.0)):
+        single = transport_guided_inversion_edit(
+            replace(cfg, transport=_transport(beta0)), reg, codec, x0s[i])
+        assert batch.aborts[i] is None and batch.summary[i] == single.summary
+        assert np.array_equal(batch.output[i], single.output)
+
+
+def test_live_rows_drop_non_finite_state_rows():
+    # A finite velocity whose Euler step overflows is a "state" abort; both
+    # kinds of row leave the batch and the others step on.
+    from otflow.editors import _LiveRows
+
+    z = np.array([[1.0, 2.0], [3.0, 4.0], [1.5e308, 6.0]])
+    v = np.array([[1.0, 1.0], [1.0, np.inf], [1.5e308, 1.0]])
+    rows = _LiveRows(3, single=False)
+    with np.errstate(over="ignore"):
+        kept = rows.step(z, v, 0.5, 0.25, 3)
+    assert np.array_equal(kept, z[:1] + 0.5 * v[:1]) and list(rows.idx) == [0]
+    velocity, state = rows.aborts[1], rows.aborts[2]
+    assert (str(velocity), velocity.step, velocity.term) == ("velocity non-finite at t=0.25", 3,
+                                                              "velocity")
+    assert (str(state), state.step, state.term, state.t) == (
+        "euler_step produced a non-finite state", 3, "state", 0.25)
+    with np.errstate(over="ignore"), pytest.raises(NumericalAbort) as err:
+        _LiveRows(1, single=True).step(z[2:], v[2:], 0.5, 0.25, 3)
+    assert err.value.term == "state"

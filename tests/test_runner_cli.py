@@ -13,7 +13,7 @@ import threading
 import numpy as np
 import pytest
 
-from otflow import ConfigError, load_config_text, runner
+from otflow import ConfigError, derive_config, load_config_text, runner
 from otflow.cli import (EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_PARTIAL,
                         EXIT_VERIFY, main)
 from otflow.runner import (atomic_write_text, derive_seed, gen_data, points_csv,
@@ -67,6 +67,34 @@ w_tar = 5.5
 [sweep]
 axis = transport.beta0: 0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0
 replicates = 4
+"""
+
+# The invert_sweep benchmark's shape, with a beta0 that overflows.
+_INVERT_SWEEP_CFG = """\
+[experiment]
+algorithm = invert_edit
+name = isw
+[grid]
+n_steps = 28
+[dataset.a]
+mean = -1.5, 0.0
+cov = 0.25, 0; 0, 0.25
+[dataset.b]
+mean = 1.5, 0.5
+cov = 0.25, 0; 0, 0.25
+[inputs]
+sample_source = a
+[editor]
+eta = 0.5
+eta_stop = 0.25
+condition = b
+[transport]
+clip_tau = 1.0
+[scales]
+w = 7.5
+[sweep]
+axis = transport.beta0: 0, 0.5, 1e300
+replicates = 2
 """
 
 _VERIFY_PASS_CFG = """\
@@ -246,6 +274,50 @@ def test_run_sweep_isolates_failed_cells(tmp_path):
     bad = [r for r in rows[1:] if r[0] == "-1"]
     assert all(r[-1] == "" and r[3] != "" for r in good)
     assert all(r[-1] != "" and r[3] == "" for r in bad)
+
+
+def test_invert_sweep_isolates_overflowing_rows(tmp_path, capsys):
+    # The invert_edit rows run as one batched edit; the 1e300 rows overflow
+    # and fail alone, with the text `otflow run` aborts with on that cell.
+    cfg_path = _write(tmp_path, "isw.cfg", _INVERT_SWEEP_CFG)
+    with np.errstate(all="ignore"):
+        out = run_sweep(_cfg(_INVERT_SWEEP_CFG), out_dir=str(tmp_path / "mixed"), seed=3)
+    assert out.n_rows == 6 and out.n_failed == 2
+    lines = open(out.results_path, encoding="utf-8").read().splitlines()
+    for record in csv.DictReader(lines[5:], fieldnames=lines[0].split(",")):
+        with np.errstate(all="ignore"):
+            code = main(["run", cfg_path, "--set", "transport.beta0=1e300",
+                         "--seed", record["seed"], "--out-dir", str(tmp_path / "run")])
+        assert code == EXIT_NUMERIC
+        message = capsys.readouterr().err.strip().removeprefix("numerical abort: ")
+        assert message == "velocity non-finite at t=0.9642857142857143"
+        assert record["error"] == f"NumericalAbort: {message}"
+        assert record["reconstruction_l2"] == ""
+
+    clean = _INVERT_SWEEP_CFG.replace("0, 0.5, 1e300", "0, 0.5")
+    out = run_sweep(_cfg(clean), out_dir=str(tmp_path / "clean"), seed=3)
+    assert out.n_failed == 0
+    assert open(out.results_path, encoding="utf-8").read().splitlines() == lines[:5]
+
+
+@pytest.mark.parametrize("text", [_SWEEP_CFG, _INVERT_SWEEP_CFG.replace("1e300", "0.25")],
+                         ids=["flowedit", "invert_edit"])
+def test_sweep_rows_equal_run_reports(tmp_path, text):
+    # run and sweep share one editor path: each row's metric strings equal
+    # the report of run_experiment on that cell and seed, exactly.
+    cfg = _cfg(text)
+    out = run_sweep(cfg, out_dir=str(tmp_path), seed=7)
+    (axis, _), = cfg.sweep_axes
+    records = list(csv.DictReader(open(out.results_path, encoding="utf-8")))
+    assert len(records) == out.n_rows
+    for record in records:
+        run_experiment(derive_config(cfg, {axis: record[axis]}), out_dir=str(tmp_path / "run"),
+                       seed=int(record["seed"]))
+        report = open(tmp_path / "run" / f"{cfg.name}_report.txt", encoding="utf-8").read()
+        result = report.split("[result]\n")[1].split("\n\n")[0]
+        want = dict(line.partition(" = ")[::2] for line in result.splitlines())
+        assert record["error"] == ""
+        assert {key: record[key] for key in want} == want
 
 
 def test_run_sweep_generate_cells(tmp_path):

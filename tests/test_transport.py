@@ -202,3 +202,29 @@ def test_enhance_velocity_rows_do_not_depend_on_batch(dim):
         row_out, row_weight, row_norm = enhance_velocity(v[i], z[i], z_target, t, cfg)
         assert np.array_equal(out[i], row_out)
         assert row_weight == weight and row_norm == raw_norm[i]
+
+
+def test_enhance_velocity_per_row_beta0_equals_scalar_calls():
+    # Row i of a per-row-strength call must equal the scalar call with
+    # cfg.beta0 = beta0[i]; zero-strength rows keep v_base (even -0.0) and
+    # report weight and raw_norm 0, like a zero-weight scalar call.
+    rng = np.random.Generator(np.random.PCG64(5))
+    v = rng.standard_normal((64, 3))
+    v[::4, 0] = -0.0
+    z = 3.0 * rng.standard_normal((64, 3))
+    z_target = rng.standard_normal(3)
+    beta0 = np.where(np.arange(64) % 4 == 0, 0.0, rng.uniform(0.1, 2.0, 64))
+    cfg = TransportConfig(beta0=0.5, phi=1.0, delta=0.01, clip_tau=4.0)
+    t = 0.4
+    out, weight, raw_norm = enhance_velocity(v, z, z_target, t, cfg, beta0=beta0)
+    assert np.array_equal(weight, adaptive_weight(t, cfg, beta0))
+    for i in range(64):
+        row_cfg = TransportConfig(beta0=float(beta0[i]), phi=1.0, delta=0.01, clip_tau=4.0)
+        row_out, row_weight, row_norm = enhance_velocity(v[i], z[i], z_target, t, row_cfg)
+        assert np.array_equal(out[i], row_out)
+        assert np.array_equal(np.signbit(out[i]), np.signbit(row_out))
+        assert weight[i] == row_weight and raw_norm[i] == row_norm
+    # outside the window every row is inactive and v_base comes back as is
+    gated = TransportConfig(beta0=0.5, phi=1.0, window=(0.3, 0.0))
+    out, weight, raw_norm = enhance_velocity(v, z, z_target, t, gated, beta0=beta0)
+    assert out is v and weight == 0.0 and raw_norm == 0.0
