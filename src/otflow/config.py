@@ -36,6 +36,7 @@ import numpy as np
 
 from .core import LatentCodec, make_time_grid
 from .fields import Condition, FieldRegistry, GuidanceScales
+from .metrics import check_probe_step
 from .presets import get_preset
 from .transport import TransportConfig
 
@@ -362,6 +363,13 @@ def _build_verify(res, registry):
     beta0_list = res.get("verify.beta0_list", "floats")
     edit_list = res.get("verify.edit_beta0_list", "floats")
     steps = res.get("verify.step_counts", "ints")
+    if not steps or min(steps) < 1:
+        res._fail("verify.step_counts", f"step counts must be positive integers, got {steps}")
+    probe_t = res.get("verify.probe_t", "float")
+    try:
+        check_probe_step(probe_t, steps)
+    except ValueError as exc:
+        res._fail("verify.probe_t", str(exc))
     return {
         "kind": kind,
         "beta0_list": beta0_list,
@@ -369,7 +377,7 @@ def _build_verify(res, registry):
         "step_counts": steps,
         "phi": res.get("verify.phi", "float"),
         "n_runs": res.get("verify.n_runs", "int"),
-        "probe_t": res.get("verify.probe_t", "float"),
+        "probe_t": probe_t,
         "condition": _condition(res, "verify.condition", registry),
     }
 

@@ -147,9 +147,9 @@ def controller_guided_velocity(v_tar, v_ref, eta):
     return cfg_blend(v_tar, v_ref, eta)
 
 
-def _check_finite(z, t, what):
-    if not np.all(np.isfinite(z)):
-        raise NumericalAbort(f"{what} non-finite at t={t}", t=t)
+def _check_finite(v, t, step):
+    if not np.all(np.isfinite(v)):
+        raise NumericalAbort(f"velocity non-finite at t={t}", t=t, step=step, term="velocity")
 
 
 class _LiveRows:
@@ -318,7 +318,7 @@ def transport_enhanced_flowedit(cfg, registry, codec, x0):
                 z = z + forward_noising(z_src, t, eps) - z_src
                 switched = True
             v = tar_field(z, t)
-            _check_finite(v, t, "velocity")
+            _check_finite(v, t, j)
             z = euler_step(z, v, dt)
             rec.step(pts[j + 1], z, v)
             continue
@@ -328,7 +328,7 @@ def transport_enhanced_flowedit(cfg, registry, codec, x0):
         z_t_tar = z_t_src + (z - z_src)
         v_fe = (tar_field(z_t_tar, t) - src_field(z_t_src, t)).sum(axis=0) / cfg.n_avg
         v_enh, weight, raw_norm = enhance_velocity(v_fe, z_src, z, t, cfg.transport)
-        _check_finite(v_enh, t, "velocity")
+        _check_finite(v_enh, t, j)
         z = euler_step(z, v_enh, dt)
         work += weight * min(raw_norm, cfg.transport.clip_tau) * abs(dt)
         rec.step(pts[j + 1], z, v_enh, raw_norm, weight)
@@ -373,7 +373,7 @@ def baseline_flowedit(cfg, registry, codec, x0):
                 z = z + forward_noising(z_src, t, eps) - z_src
                 switched = True
             v = tar_field(z, t)
-            _check_finite(v, t, "velocity")
+            _check_finite(v, t, j)
             z = euler_step(z, v, dt)
             rec.step(pts[j + 1], z, v)
             continue
@@ -382,7 +382,7 @@ def baseline_flowedit(cfg, registry, codec, x0):
         z_t_src = forward_noising(z_src, t, draws)
         z_t_tar = z_t_src + (z - z_src)
         v_fe = (tar_field(z_t_tar, t) - src_field(z_t_src, t)).sum(axis=0) / cfg.n_avg
-        _check_finite(v_fe, t, "velocity")
+        _check_finite(v_fe, t, j)
         z = euler_step(z, v_fe, dt)
         rec.step(pts[j + 1], z, v_fe)
 

@@ -8,12 +8,19 @@ asserting absolute error values:
   edit control    mean squared displacement between guided and unguided runs
                   bounded by c * beta0^2 * integral(S^2) + eps_schedule
 
+Each trajectory the checks need is integrated once.  The discretization
+check makes one RK4 reference pass that stops at probe_t for the probe state
+and continues from there to the end of the span.  Convergence and edit
+control share one VerifySetup, which integrates each distinct arm (one
+transport strength and schedule over the noise bank) once and hands its
+final states to both.
+
 Wasserstein-2 comes in two dual forms kept deliberately separate: the closed
 Gaussian (Bures) expression and an exact-assignment empirical distance, so
 each can serve as the other's oracle in tests.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -40,7 +47,9 @@ def _as_cov(cov):
         cov = cov.reshape(1, 1)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
         raise ValueError(f"covariance must be square, got shape {cov.shape}")
-    if not np.allclose(cov, cov.T, atol=1e-10):
+    # The exact compare settles the common case without allclose's cost; a
+    # NaN entry fails both.
+    if not (np.array_equal(cov, cov.T) or np.allclose(cov, cov.T, atol=1e-10)):
         raise ValueError("covariance must be symmetric")
     return cov
 
@@ -186,6 +195,13 @@ class VerifySetup:
     grid with the condition's oracle field, and add the transport correction
     anchored on z_target, which on the reverse steps moves the states away
     from it; transport.beta0 acts as a template overridden per arm.
+
+    An arm is one Euler run of the whole noise bank under one transport
+    config.  The setup integrates each distinct arm once and keeps a copy of
+    its final states, so verifiers run on the same setup share their arms.
+    Every zero-strength arm is the same run, the unguided one, whatever its
+    schedule.  The memo belongs to this instance: a copy made with
+    dataclasses.replace starts empty.
     """
 
     registry: object
@@ -196,6 +212,10 @@ class VerifySetup:
     z_target: np.ndarray
     n_runs: int = 64
     seed: int = 0
+    _arms: dict = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_arms", {})
 
     def noise_bank(self, dim):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(self.seed)))
@@ -207,6 +227,21 @@ def _fit_loglog_slope(x, y):
     return float(coeffs[0])
 
 
+def check_probe_step(probe_t, step_counts, t_span=(1.0, 0.0)):
+    """Raise ValueError unless the coarsest probe step lies inside t_span.
+
+    verify_discretization_bound steps from probe_t toward t_span[1] by up to
+    |t1 - t0| / min(step_counts); a step that left the span would run on the
+    field's clamped times and fit nothing.
+    """
+    t0, t1 = float(t_span[0]), float(t_span[1])
+    end = probe_t + (t1 - t0) / min(step_counts)
+    lo, hi = min(t0, t1), max(t0, t1)
+    if not (lo <= probe_t <= hi and lo <= end <= hi):
+        raise ValueError(f"probe step from t={probe_t} to t={end} leaves the time span "
+                         f"[{lo}, {hi}]")
+
+
 def verify_discretization_bound(field, transport_cfg, z_init, z_target, step_counts,
                                 t_span=(1.0, 0.0), probe_t=0.6):
     """Check Euler error orders for the transport-guided ODE.
@@ -214,16 +249,25 @@ def verify_discretization_bound(field, transport_cfg, z_init, z_target, step_cou
     Local one-step error against an RK4 reference should scale like dt^2
     (slope within [1.8, 2.2]); global end-state error like dt (slope within
     [0.8, 1.2]).  The probe step starts from the reference trajectory state at
-    probe_t, away from the schedule and clipping kinks.
+    probe_t, away from the schedule and clipping kinks, and must stay inside
+    t_span (check_probe_step).  One RK4 pass of 20 * max(step_counts) steps
+    gives both references: its first steps end at probe_t, the rest continue
+    from there to t1.
     """
     step_counts = sorted(int(n) for n in step_counts)
-    if len(step_counts) < 3:
-        raise ValueError("need at least three step counts to fit a slope")
+    if len(step_counts) < 3 or step_counts[0] < 1:
+        raise ValueError("need at least three positive step counts to fit a slope")
+    check_probe_step(probe_t, step_counts, t_span)
     enhanced = make_enhanced(field, z_target, transport_cfg)
     t0, t1 = t_span
     n_fine = 20 * max(step_counts)
-    ref_final = reference_integrate(enhanced, z_init, t0, t1, n_fine)
-    probe_state = reference_integrate(enhanced, z_init, t0, probe_t, n_fine)
+    # At least one step whenever probe_t != t0, so the probe state is never
+    # z_init at the wrong time; the check above leaves the tail >= 20 steps.
+    n_probe = max(round(n_fine * abs(probe_t - t0) / abs(t1 - t0)), int(probe_t != t0))
+    probe_state = np.asarray(z_init, dtype=float)
+    if n_probe:
+        probe_state = reference_integrate(enhanced, probe_state, t0, probe_t, n_probe)
+    ref_final = reference_integrate(enhanced, probe_state, probe_t, t1, n_fine - n_probe)
 
     measured = []
     local_errs, global_errs, dts = [], [], []
@@ -260,12 +304,23 @@ def verify_discretization_bound(field, transport_cfg, z_init, z_target, step_cou
     )
 
 
-def _run_outputs(setup, beta0):
-    cfg = replace(setup.transport, beta0=float(beta0))
-    field = make_velocity(setup.registry, setup.condition, setup.scales)
-    enhanced = make_enhanced(field, setup.z_target, cfg)
-    bank = setup.noise_bank(setup.z_target.shape[0])
-    return integrate(enhanced, bank, setup.grid).final_state
+def _run_outputs(setup, beta0, transport=None):
+    """Final states of setup's noise bank under transport (default: the
+    setup's template) at strength beta0, integrated on the first request
+    and read-only, since every later caller gets the same array."""
+    cfg = replace(setup.transport if transport is None else transport, beta0=float(beta0))
+    # A zero weight leaves the base velocity untouched, so phi and the rest
+    # of the schedule cannot change a zero-strength arm.
+    key = None if cfg.beta0 == 0.0 else cfg
+    if key not in setup._arms:
+        velocity = make_velocity(setup.registry, setup.condition, setup.scales)
+        enhanced = make_enhanced(velocity, setup.z_target, cfg)
+        bank = setup.noise_bank(setup.z_target.shape[0])
+        # A copy: final_state is a view that would keep the whole trajectory.
+        final = integrate(enhanced, bank, setup.grid).final_state.copy()
+        final.flags.writeable = False
+        setup._arms[key] = final
+    return setup._arms[key]
 
 
 def verify_convergence_bound(setup, beta0_list):
@@ -308,17 +363,25 @@ def verify_edit_control_bound(setup, beta0_list, phi):
     must scale like beta0^2 (log-log slope within [1.5, 2.5]), vanish exactly
     at beta0 = 0, and sit below c * beta0^2 * integral(S^2) + eps for the
     fitted nonnegative constants.
+
+    The arms come from setup's memo, so those that verify_convergence_bound
+    already ran on the same setup (the beta0 = 0 arm, and any other when phi
+    equals the template's) are not integrated again.  The beta0 = 0 entry
+    therefore compares the shared unguided arm with itself, and the
+    zero_displacement check no longer repeats a run; run-to-run determinism
+    is pinned by acceptance criterion 10 and the benchmark's byte-identity
+    gate.
     """
     beta0_list = [float(b) for b in beta0_list]
     positives = [b for b in beta0_list if b > 0.0]
     if len(positives) < 3:
         raise ValueError("need at least three positive beta0 values to fit a slope")
-    setup = replace(setup, transport=replace(setup.transport, phi=float(phi)))
-    base_out = _run_outputs(setup, 0.0)
-    integral = schedule_integral(phi, setup.transport.orientation)
+    transport = replace(setup.transport, phi=float(phi))
+    base_out = _run_outputs(setup, 0.0, transport)
+    integral = schedule_integral(phi, transport.orientation)
     disp = {}
     for b in beta0_list:
-        outs = _run_outputs(setup, b)
+        outs = _run_outputs(setup, b, transport)
         disp[b] = float(np.mean(np.sum((outs - base_out) ** 2, axis=1)))
     slope = _fit_loglog_slope(positives, [disp[b] for b in positives])
     # Tightest nonnegative constants: eps from the baseline arm, c from the

@@ -234,6 +234,24 @@ def test_gaussian_dataset_and_verify_lists():
     assert cfg.verify["condition"].name == "g"
 
 
+@pytest.mark.parametrize("line, path", [
+    ("probe_t = 1.5", "verify.probe_t"),
+    ("probe_t = 0.0", "verify.probe_t"),
+    ("probe_t = -0.2", "verify.probe_t"),
+    ("step_counts = 0, 10, 20", "verify.step_counts"),
+])
+def test_verify_probe_step_must_stay_in_span(line, path):
+    # The coarsest probe step (dt = 1 / min(step_counts)) runs from probe_t
+    # toward t = 0 and must stay inside [0, 1].
+    base = ["[experiment]", "algorithm = verify", "[dataset.g]", "mean = 0, 0",
+            "cov = 1, 0; 0, 1", "[verify]", "condition = g"]
+    with pytest.raises(ConfigError, match=path) as err:
+        _load(base + [line])
+    assert err.value.line == len(base) + 1
+    assert _load(base + ["probe_t = 1.0"]).verify["probe_t"] == 1.0
+    assert _load(base + ["probe_t = 0.1"]).verify["probe_t"] == 0.1
+
+
 def test_serialize_round_trip_including_axes():
     cfg = _load(_BASE + ["[sweep]",
                          "axis = transport.beta0: 0, 0.25, 0.5",

@@ -431,3 +431,19 @@ def test_live_rows_drop_non_finite_state_rows():
     with np.errstate(over="ignore"), pytest.raises(NumericalAbort) as err:
         _LiveRows(1, single=True).step(z[2:], v[2:], 0.5, 0.25, 3)
     assert err.value.term == "state"
+
+
+def test_flowedit_numerical_abort_names_step_and_term():
+    # With beta0 = 1e308 the transport term overflows once the state has
+    # left the source: grid index 5, the second active step under n_max = 24.
+    reg = FieldRegistry()
+    reg.add_gaussian("src", np.array([-2.0, 0.0]), 0.16 * np.eye(2))
+    reg.add_gaussian("tar", np.array([2.0, 0.0]), 0.16 * np.eye(2))
+    cfg = FlowEditConfig(transport=_transport(1e308, phi=1.0, clip_tau=10.0),
+                         grid=make_time_grid(28, 1.0, 0.0), cond_src=Condition.dataset("src"),
+                         cond_tar=Condition.dataset("tar"),
+                         scales=GuidanceScales(w_src=1.5, w_tar=5.5), seed=7, n_max=24)
+    with np.errstate(all="ignore"), pytest.raises(NumericalAbort) as err:
+        transport_enhanced_flowedit(cfg, reg, LatentCodec.identity(2), np.array([-2.3, 0.2]))
+    assert str(err.value) == "velocity non-finite at t=0.8214285714285714"
+    assert (err.value.step, err.value.term, err.value.t) == (5, "velocity", 0.8214285714285714)

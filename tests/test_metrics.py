@@ -10,6 +10,7 @@ import itertools
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from otflow import (
     GuidanceScales,
     TransportConfig,
     gaussian_marginal_velocity,
+    integrate,
     make_time_grid,
     l2_distance,
     reference_integrate,
@@ -33,7 +35,8 @@ from otflow import (
     verify_discretization_bound,
     verify_edit_control_bound,
 )
-from otflow.metrics import AssignmentPlan, VerifySetup
+from otflow.metrics import AssignmentPlan, VerifySetup, _as_cov
+from otflow.transport import make_enhanced
 
 
 def _rng(*key):
@@ -258,6 +261,102 @@ def test_verify_discretization_bound_needs_three_counts():
     field = lambda z, t: z
     with pytest.raises(ValueError):
         verify_discretization_bound(field, transport, z_init, z_target, [10, 20])
+
+
+@pytest.mark.parametrize("probe_t", [1.5, 0.0, -0.2, 0.05, float("nan")])
+def test_verify_discretization_bound_rejects_probe_step_outside_span(probe_t):
+    # The coarsest probe step (dt = 0.1) from probe_t must stay in [0, 1];
+    # outside it the field clamps t and the check would pass on nothing.
+    setup, z_init, z_target, reg, transport = _shared_setup()
+    field = lambda z, t: z
+    with pytest.raises(ValueError, match="probe step"):
+        verify_discretization_bound(field, transport, z_init, z_target, [10, 20, 40],
+                                    probe_t=probe_t)
+
+
+def _two_pass_discretization(field, transport, z_init, z_target, step_counts, probe_t):
+    # The reference as two separate RK4 passes from z_init, each of
+    # 20 * max(step_counts) steps: one to t = 0, one to probe_t.
+    enhanced = make_enhanced(field, z_target, transport)
+    n_fine = 20 * max(step_counts)
+    ref_final = reference_integrate(enhanced, z_init, 1.0, 0.0, n_fine)
+    probe_state = reference_integrate(enhanced, z_init, 1.0, probe_t, n_fine)
+    measured = []
+    for n in step_counts:
+        dt = 1.0 / n
+        traj_end = integrate(enhanced, z_init, make_time_grid(n, 1.0, 0.0)).final_state
+        euler_sub = probe_state - dt * enhanced(probe_state, probe_t)
+        ref_sub = reference_integrate(enhanced, probe_state, probe_t, probe_t - dt, 50)
+        measured.append(("local", dt, l2_distance(euler_sub, ref_sub)))
+        measured.append(("global", dt, l2_distance(traj_end, ref_final)))
+    return measured
+
+
+@pytest.mark.parametrize("probe_t", [0.6, 1.0])
+def test_verify_discretization_bound_integrates_the_reference_once(probe_t):
+    # One RK4 pass through probe_t serves both references: 4 * n_fine field
+    # calls, plus the Euler runs and, per step count, the probe step and its
+    # 50-step reference.  The result matches two separate passes.
+    setup, z_init, z_target, reg, transport = _shared_setup(beta0_template=0.2)
+    mu = np.array([1.0, -0.5])
+    cov = np.array([[0.8, 0.2], [0.2, 0.5]])
+    calls = []
+
+    def field(z, t):
+        calls.append(t)
+        return gaussian_marginal_velocity(mu, cov, z, t)
+
+    counts = [5, 10, 20]
+    report = verify_discretization_bound(field, transport, z_init, z_target, counts,
+                                         probe_t=probe_t)
+    n_fine = 20 * max(counts)
+    assert len(calls) == 4 * n_fine + sum(counts) + len(counts) * (1 + 4 * 50)
+    expected = _two_pass_discretization(field, transport, z_init, z_target, counts, probe_t)
+    assert [m[:2] for m in report.measured] == [m[:2] for m in expected]
+    for (_, _, got), (_, _, want) in zip(report.measured, expected):
+        assert abs(got - want) <= 1e-10 * abs(want)
+
+
+def test_verify_arms_run_once_per_setup(monkeypatch):
+    # Convergence and edit control on one setup integrate each distinct
+    # (beta0, schedule) arm once: every beta0 = 0 arm is the unguided run,
+    # and edit control at the template's phi reuses convergence's arms.  The
+    # memo holds only (n_runs, d) arrays that own their data, and a report
+    # at another phi equals that of a fresh setup, bit for bit.
+    from otflow import metrics
+
+    rows = []
+    real = metrics.integrate
+
+    def counting(velocity, z0, grid):
+        rows.append(np.shape(z0)[0])
+        return real(velocity, z0, grid)
+
+    monkeypatch.setattr(metrics, "integrate", counting)
+    setup, *_ = _shared_setup(n_runs=16)
+    verify_convergence_bound(setup, [0.0, 0.1, 0.2, 0.4])
+    verify_edit_control_bound(setup, [0.0, 0.1, 0.2, 0.4, 0.8], 0.3)
+    assert rows == [16] * 5
+    edit_phi = verify_edit_control_bound(setup, [0.0, 0.1, 0.2, 0.4], 0.6)
+    assert rows == [16] * 8
+    for arm in setup._arms.values():
+        assert arm.shape == (16, 2) and arm.base is None and not arm.flags.writeable
+
+    fresh = replace(setup)
+    assert fresh._arms == {}
+    assert edit_phi == verify_edit_control_bound(fresh, [0.0, 0.1, 0.2, 0.4], 0.6)
+
+
+def test_covariance_symmetry_check():
+    # Exact symmetry, or agreement to allclose's tolerance; NaN never passes.
+    cov = np.array([[0.8, 0.2], [0.2, 0.5]])
+    nudged = cov + np.array([[0.0, 1e-12], [0.0, 0.0]])
+    assert np.array_equal(_as_cov(nudged), nudged)
+    with pytest.raises(ValueError, match="symmetric"):
+        _as_cov(cov + np.array([[0.0, 1e-3], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match="symmetric"):
+        _as_cov(np.full((2, 2), np.nan))
+    assert np.array_equal(_as_cov(np.full((2, 2), np.inf)), np.full((2, 2), np.inf))
 
 
 def test_verify_convergence_bound_passes_and_validates():

@@ -233,6 +233,38 @@ def test_run_verify_kind_dispatch():
     assert all(r.passed for r in all_three)
 
 
+def test_run_verify_integrates_each_arm_once(monkeypatch):
+    # The default lists hold five distinct arms (beta0 0, 0.1, 0.2, 0.4, 0.8
+    # at the template's phi): each is one n_runs-row integration, and the
+    # reports equal those of a fresh VerifySetup per verifier, bit for bit.
+    from dataclasses import replace
+
+    from otflow import metrics
+
+    cfg = _cfg(_VERIFY_PASS_CFG + "n_runs = 16\n")
+    setups, batches = [], []
+    real_setup, real_integrate = runner.VerifySetup, metrics.integrate
+
+    def recording_setup(**kw):
+        setups.append(real_setup(**kw))
+        return setups[-1]
+
+    def counting_integrate(velocity, z0, grid):
+        if np.ndim(z0) == 2:
+            batches.append(z0.shape[0])
+        return real_integrate(velocity, z0, grid)
+
+    monkeypatch.setattr(runner, "VerifySetup", recording_setup)
+    monkeypatch.setattr(metrics, "integrate", counting_integrate)
+    _, conv, edit = run_verify(cfg, seed=0)
+    assert batches == [16] * 5 and len(setups) == 1
+    vsec = cfg.verify
+    assert conv.measured == metrics.verify_convergence_bound(
+        replace(setups[0]), vsec["beta0_list"]).measured
+    assert edit.measured == metrics.verify_edit_control_bound(
+        replace(setups[0]), vsec["edit_beta0_list"], vsec["phi"]).measured
+
+
 def test_run_experiment_verify_artifacts(tmp_path):
     cfg = _cfg(_VERIFY_PASS_CFG)
     art = run_experiment(cfg, out_dir=str(tmp_path), seed=0)
