@@ -257,20 +257,23 @@ def _build_registry(res, base_dir):
     for name in names:
         prefix = f"dataset.{name}"
         have = {k for k in _DATASET_KEYS if res.has(f"{prefix}.{k}")}
-        if have == {"points"}:
-            registry.add_points(name, res.get(f"{prefix}.points", "matrix"))
-        elif have == {"csv"}:
-            path = res.get(f"{prefix}.csv", "str")
-            if not os.path.isabs(path):
-                path = os.path.join(base_dir, path)
-            if not os.path.exists(path):
-                res._fail(f"{prefix}.csv", f"file not found: {path}")
-            registry.add_points(name, np.loadtxt(path, delimiter=",", ndmin=2))
-        elif have == {"mean", "cov"}:
-            registry.add_gaussian(name, res.get(f"{prefix}.mean", "vector"),
-                                  res.get(f"{prefix}.cov", "matrix"))
-        else:
-            res._fail(prefix, "give exactly one of: points, csv, or mean+cov")
+        try:
+            if have == {"points"}:
+                registry.add_points(name, res.get(f"{prefix}.points", "matrix"))
+            elif have == {"csv"}:
+                path = res.get(f"{prefix}.csv", "str")
+                if not os.path.isabs(path):
+                    path = os.path.join(base_dir, path)
+                if not os.path.exists(path):
+                    res._fail(f"{prefix}.csv", f"file not found: {path}")
+                registry.add_points(name, np.loadtxt(path, delimiter=",", ndmin=2))
+            elif have == {"mean", "cov"}:
+                registry.add_gaussian(name, res.get(f"{prefix}.mean", "vector"),
+                                      res.get(f"{prefix}.cov", "matrix"))
+            else:
+                res._fail(prefix, "give exactly one of: points, csv, or mean+cov")
+        except ValueError as exc:
+            res._fail(prefix, str(exc))
     return registry
 
 
@@ -339,10 +342,12 @@ def _build_editor(res, algorithm, registry, n_steps):
 def _build_inputs(res, algorithm, registry):
     inputs = {"x0": None, "x_target": None, "sample_source": None,
               "count": res.get("inputs.count", "int")}
-    if res.has("inputs.x0"):
-        inputs["x0"] = res.get("inputs.x0", "vector")
-    if res.has("inputs.x_target"):
-        inputs["x_target"] = res.get("inputs.x_target", "vector")
+    for key in ("x0", "x_target"):
+        if res.has(f"inputs.{key}"):
+            vec = res.get(f"inputs.{key}", "vector")
+            if not np.all(np.isfinite(vec)):
+                res._fail(f"inputs.{key}", f"entries must be finite, got {vec.tolist()}")
+            inputs[key] = vec
     if res.has("inputs.sample_source"):
         name = res.get("inputs.sample_source", "str")
         if not registry.has(name):
@@ -362,6 +367,9 @@ def _build_verify(res, registry):
         res._fail("verify.kind", f"unknown verification kind {kind!r}")
     beta0_list = res.get("verify.beta0_list", "floats")
     edit_list = res.get("verify.edit_beta0_list", "floats")
+    for path, values in (("verify.beta0_list", beta0_list), ("verify.edit_beta0_list", edit_list)):
+        if not all(0.0 <= b < np.inf for b in values):
+            res._fail(path, f"beta0 entries must be finite and >= 0, got {values}")
     steps = res.get("verify.step_counts", "ints")
     if not steps or min(steps) < 1:
         res._fail("verify.step_counts", f"step counts must be positive integers, got {steps}")

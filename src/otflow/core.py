@@ -9,6 +9,11 @@ and velocities follow the forward process, dz/dt = eps - x0.  Denoising
 therefore integrates with a negative signed step (z_{t-dt} = z_t - dt * v)
 and inversion with a positive one; both fall out of z + (t_next - t_now) * v
 along a monotone time grid, so a single integrator serves both directions.
+
+One step kernel, one record layout: every Euler loop in the package steps
+and checks its state through _euler_update (via euler_step, or _LiveRows for
+a batch whose failing rows drop out), aborting with the step's t, grid index
+and term, and writes its Trajectory into the (n + 1, ...) arrays of _records.
 """
 
 from dataclasses import dataclass, field
@@ -82,11 +87,30 @@ def make_time_grid(n_steps, t_start, t_end):
     return TimeGrid(int(n_steps), float(t_start), float(t_end), points)
 
 
-def euler_step(z, v, signed_step):
+def _euler_update(z, v, signed_step):
+    """z + signed_step * v, and per-row masks over the last axis: velocity
+    non-finite, and velocity or new state non-finite."""
+    z_next = z + signed_step * v
+    axis = -1 if np.ndim(v) else None
+    bad_v = ~np.isfinite(v).all(axis=axis)
+    return z_next, bad_v, bad_v | ~np.isfinite(z_next).all(axis=axis)
+
+
+def _abort(bad_v, t, step):
+    """The NumericalAbort of a failed step; the velocity term is reported
+    before the state term."""
+    if bad_v:
+        return NumericalAbort(f"velocity non-finite at t={t}", t=t, step=step, term="velocity")
+    return NumericalAbort("euler_step produced a non-finite state", t=t, step=step, term="state")
+
+
+def euler_step(z, v, signed_step, t=None, step=None):
     """One explicit Euler step: z + signed_step * v.
 
     The step sign carries the integration direction; grids hand the integrator
     t_next - t_now, so denoising (t decreasing) subtracts dt * v automatically.
+    A non-finite velocity or new state raises NumericalAbort located at the
+    given time t and grid index step.
     """
     z = np.asarray(z, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -94,10 +118,34 @@ def euler_step(z, v, signed_step):
         raise ValueError(f"state shape {z.shape} != velocity shape {v.shape}")
     if not np.isfinite(signed_step) or signed_step == 0.0:
         raise ValueError(f"signed_step must be finite and nonzero, got {signed_step}")
-    out = z + signed_step * v
-    if not np.all(np.isfinite(out)):
-        raise NumericalAbort("euler_step produced a non-finite state", term="state")
-    return out
+    z_next, bad_v, bad = _euler_update(z, v, signed_step)
+    if bad.any():
+        raise _abort(bad_v.any(), t, step)
+    return z_next
+
+
+class _LiveRows:
+    """The rows of a batched loop still being integrated; idx maps them to
+    batch rows.  step() Euler-steps them, and a row whose velocity or new
+    state is non-finite leaves with its NumericalAbort in aborts (a
+    single-state loop raises it)."""
+
+    def __init__(self, n_rows, single):
+        self.idx = np.arange(n_rows)
+        self.aborts = [None] * n_rows
+        self.single = single
+
+    def step(self, z, v, dt, t, k):
+        z_next, bad_v, bad = _euler_update(z, v, dt)
+        if not bad.any():
+            return z_next
+        for i in np.flatnonzero(bad):
+            abort = _abort(bad_v[i], t, k)
+            if self.single:
+                raise abort
+            self.aborts[self.idx[i]] = abort
+        self.idx = self.idx[~bad]
+        return z_next[~bad]
 
 
 def forward_noising(z0, t, eps):
@@ -186,33 +234,12 @@ class Trajectory:
         return self.states.shape[-1]
 
 
-class TrajectoryRecorder:
-    """Accumulates per-step records and builds a Trajectory."""
-
-    def __init__(self, z0, grid):
-        self.times = [float(grid.points[0])]
-        self.states = [np.array(z0, dtype=float)]
-        self.velocities = []
-        self.transport_norms = []
-        self.weights = []
-
-    def step(self, t_next, z_next, v, transport_norm=0.0, weight=0.0):
-        self.times.append(float(t_next))
-        self.states.append(np.array(z_next, dtype=float))
-        self.velocities.append(np.array(v, dtype=float))
-        self.transport_norms.append(float(transport_norm))
-        self.weights.append(float(weight))
-
-    def build(self, meta=None):
-        zero_v = np.zeros_like(self.states[-1])
-        return Trajectory(
-            times=np.array(self.times),
-            states=np.stack(self.states),
-            velocities=np.stack(self.velocities + [zero_v]),
-            transport_norms=np.array(self.transport_norms + [0.0]),
-            weights=np.array(self.weights + [0.0]),
-            meta=meta or {},
-        )
+def _records(n_steps, shape, row_shape=()):
+    """Trajectory columns for n_steps + 1 records: states NaN until written,
+    velocities and the row_shape norms and weights 0 (as the last record)."""
+    states = np.full((n_steps + 1,) + shape, np.nan)
+    norms = np.zeros((n_steps + 1,) + row_shape)
+    return states, np.zeros_like(states), norms, np.zeros_like(norms)
 
 
 def integrate(velocity, z0, grid):
@@ -227,16 +254,16 @@ def integrate(velocity, z0, grid):
         Trajectory with n_steps + 1 records.
     """
     z = _as_state(z0)
-    rec = TrajectoryRecorder(z, grid)
     pts = grid.points
+    states, velocities, norms, weights = _records(grid.n_steps, z.shape)
+    states[0] = z
     for k in range(grid.n_steps):
         t = float(pts[k])
         v = np.asarray(velocity(z, t), dtype=float)
-        if not np.all(np.isfinite(v)):
-            raise NumericalAbort(f"velocity non-finite at t={t}", t=t, step=k, term="velocity")
-        z = euler_step(z, v, float(pts[k + 1] - pts[k]))
-        rec.step(pts[k + 1], z, v)
-    return rec.build()
+        z = euler_step(z, v, float(pts[k + 1] - pts[k]), t, k)
+        velocities[k] = v
+        states[k + 1] = z
+    return Trajectory(pts.copy(), states, velocities, norms, weights)
 
 
 def rf_invert(velocity, z0, grid):

@@ -17,7 +17,11 @@ transport_enhanced_flowedit      evolve a coupled edit trajectory directly
     the tail of the schedule to plain denoising of the coupled state.
 
 Both editors get the correction from transport.enhance_velocity and record a
-step's transport_norm and weight as 0 whenever its weight is zero.
+step's transport_norm and weight as 0 whenever its weight is zero.  Every
+loop here steps through core's one Euler kernel (euler_step for one state,
+core._LiveRows for the inversion editor's rows), so a non-finite velocity or
+state aborts with the step's t, grid index and term, and writes its
+trajectory into arrays preallocated by core._records.
 
 baseline_flowedit is the unmodified difference-velocity pipeline, kept as a
 separate loop so equivalence tests compare two implementations rather than
@@ -28,8 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (NumericalAbort, Trajectory, TrajectoryRecorder, euler_step,
-                   forward_noising)
+from .core import Trajectory, _LiveRows, _records, euler_step, forward_noising
 from .fields import Condition, cfg_blend, conditional_linear_velocity, make_velocity
 from .metrics import l2_distance
 from .transport import enhance_velocity
@@ -147,42 +150,6 @@ def controller_guided_velocity(v_tar, v_ref, eta):
     return cfg_blend(v_tar, v_ref, eta)
 
 
-def _check_finite(v, t, step):
-    if not np.all(np.isfinite(v)):
-        raise NumericalAbort(f"velocity non-finite at t={t}", t=t, step=step, term="velocity")
-
-
-class _LiveRows:
-    """The rows of a batched edit still being integrated; idx maps them to
-    batch rows.  step() Euler-steps them, and a row whose velocity or new
-    state is non-finite leaves with its NumericalAbort in aborts (a
-    single-state edit raises it)."""
-
-    def __init__(self, n_rows, single):
-        self.idx = np.arange(n_rows)
-        self.aborts = [None] * n_rows
-        self.single = single
-
-    def step(self, z, v, dt, t, k):
-        z_next = z + dt * v
-        bad_v = ~np.isfinite(v).all(axis=1)
-        bad = bad_v | ~np.isfinite(z_next).all(axis=1)
-        if not bad.any():
-            return z_next
-        for i in np.flatnonzero(bad):
-            if bad_v[i]:
-                abort = NumericalAbort(f"velocity non-finite at t={t}", t=t, step=k,
-                                       term="velocity")
-            else:
-                abort = NumericalAbort("euler_step produced a non-finite state", t=t, step=k,
-                                       term="state")
-            if self.single:
-                raise abort
-            self.aborts[self.idx[i]] = abort
-        self.idx = self.idx[~bad]
-        return z_next[~bad]
-
-
 def transport_guided_inversion_edit(cfg, registry, codec, x0, x_target=None, beta0=None):
     """Invert source inputs to noise, then denoise with controller guidance
     and the transport correction anchored on the encoded targets.
@@ -233,10 +200,7 @@ def transport_guided_inversion_edit(cfg, registry, codec, x0, x_target=None, bet
     target_field = make_velocity(registry, cfg.condition_target, cfg.scales)
     t_hi, t_lo = cfg.eta_window
     pts = cfg.grid.points
-    states = np.full((n + 1, n_rows, dim), np.nan)
-    velocities = np.zeros((n + 1, n_rows, dim))
-    norms = np.zeros((n + 1, n_rows))
-    weights = np.zeros((n + 1, n_rows))
+    states, velocities, norms, weights = _records(n, (n_rows, dim), (n_rows,))
     work = np.zeros(n_rows)
     states[0, rows.idx] = z
     for k in range(n):
@@ -300,17 +264,18 @@ def transport_enhanced_flowedit(cfg, registry, codec, x0):
     rng = cfg.seed.generator()
     n = cfg.grid.n_steps
     pts = cfg.grid.points
-    rec = TrajectoryRecorder(z, cfg.grid)
+    dim = z_src.shape[0]
+    states, velocities, norms, weights = _records(n, z_src.shape)
+    states[0] = z
     work = 0.0
     switched = False
-    dim = z_src.shape[0]
 
     for j in range(n):
         t = float(pts[j])
         dt = float(pts[j + 1] - pts[j])
         k = n - j
         if k > cfg.n_max:
-            rec.step(pts[j + 1], z, np.zeros(dim))
+            states[j + 1] = z
             continue
         if k <= cfg.n_min:
             if not switched:
@@ -318,20 +283,17 @@ def transport_enhanced_flowedit(cfg, registry, codec, x0):
                 z = z + forward_noising(z_src, t, eps) - z_src
                 switched = True
             v = tar_field(z, t)
-            _check_finite(v, t, j)
-            z = euler_step(z, v, dt)
-            rec.step(pts[j + 1], z, v)
-            continue
-
-        draws = rng.standard_normal((cfg.n_avg, dim))
-        z_t_src = forward_noising(z_src, t, draws)
-        z_t_tar = z_t_src + (z - z_src)
-        v_fe = (tar_field(z_t_tar, t) - src_field(z_t_src, t)).sum(axis=0) / cfg.n_avg
-        v_enh, weight, raw_norm = enhance_velocity(v_fe, z_src, z, t, cfg.transport)
-        _check_finite(v_enh, t, j)
-        z = euler_step(z, v_enh, dt)
+            weight = raw_norm = 0.0
+        else:
+            draws = rng.standard_normal((cfg.n_avg, dim))
+            z_t_src = forward_noising(z_src, t, draws)
+            z_t_tar = z_t_src + (z - z_src)
+            v_fe = (tar_field(z_t_tar, t) - src_field(z_t_src, t)).sum(axis=0) / cfg.n_avg
+            v, weight, raw_norm = enhance_velocity(v_fe, z_src, z, t, cfg.transport)
+        z = euler_step(z, v, dt, t, j)
         work += weight * min(raw_norm, cfg.transport.clip_tau) * abs(dt)
-        rec.step(pts[j + 1], z, v_enh, raw_norm, weight)
+        velocities[j], norms[j], weights[j] = v, raw_norm, weight
+        states[j + 1] = z
 
     output = codec.decode(z)
     summary = EditSummary(
@@ -340,7 +302,8 @@ def transport_enhanced_flowedit(cfg, registry, codec, x0):
         transport_work=float(work),
     )
     meta = {"algorithm": "flowedit", "seed": cfg.seed.seed}
-    return EditResult(output=output, trajectory=rec.build(meta=meta), summary=summary)
+    trajectory = Trajectory(pts.copy(), states, velocities, norms, weights, meta)
+    return EditResult(output=output, trajectory=trajectory, summary=summary)
 
 
 def baseline_flowedit(cfg, registry, codec, x0):
@@ -356,16 +319,17 @@ def baseline_flowedit(cfg, registry, codec, x0):
     rng = cfg.seed.generator()
     n = cfg.grid.n_steps
     pts = cfg.grid.points
-    rec = TrajectoryRecorder(z, cfg.grid)
-    switched = False
     dim = z_src.shape[0]
+    states, velocities, norms, weights = _records(n, z_src.shape)
+    states[0] = z
+    switched = False
 
     for j in range(n):
         t = float(pts[j])
         dt = float(pts[j + 1] - pts[j])
         k = n - j
         if k > cfg.n_max:
-            rec.step(pts[j + 1], z, np.zeros(dim))
+            states[j + 1] = z
             continue
         if k <= cfg.n_min:
             if not switched:
@@ -373,18 +337,14 @@ def baseline_flowedit(cfg, registry, codec, x0):
                 z = z + forward_noising(z_src, t, eps) - z_src
                 switched = True
             v = tar_field(z, t)
-            _check_finite(v, t, j)
-            z = euler_step(z, v, dt)
-            rec.step(pts[j + 1], z, v)
-            continue
-
-        draws = rng.standard_normal((cfg.n_avg, dim))
-        z_t_src = forward_noising(z_src, t, draws)
-        z_t_tar = z_t_src + (z - z_src)
-        v_fe = (tar_field(z_t_tar, t) - src_field(z_t_src, t)).sum(axis=0) / cfg.n_avg
-        _check_finite(v_fe, t, j)
-        z = euler_step(z, v_fe, dt)
-        rec.step(pts[j + 1], z, v_fe)
+        else:
+            draws = rng.standard_normal((cfg.n_avg, dim))
+            z_t_src = forward_noising(z_src, t, draws)
+            z_t_tar = z_t_src + (z - z_src)
+            v = (tar_field(z_t_tar, t) - src_field(z_t_src, t)).sum(axis=0) / cfg.n_avg
+        z = euler_step(z, v, dt, t, j)
+        velocities[j] = v
+        states[j + 1] = z
 
     output = codec.decode(z)
     summary = EditSummary(
@@ -393,4 +353,5 @@ def baseline_flowedit(cfg, registry, codec, x0):
         transport_work=0.0,
     )
     meta = {"algorithm": "flowedit_baseline", "seed": cfg.seed.seed}
-    return EditResult(output=output, trajectory=rec.build(meta=meta), summary=summary)
+    trajectory = Trajectory(pts.copy(), states, velocities, norms, weights, meta)
+    return EditResult(output=output, trajectory=trajectory, summary=summary)

@@ -162,6 +162,9 @@ def _gaussian_stack(mean, cov, where=""):
     # stack: (1, d) mean, (1, d) clipped eigenvalues, (1, d, d) eigenvectors.
     mean = np.asarray(mean, dtype=float)
     cov = np.asarray(cov, dtype=float)
+    for label, arr in (("mean", mean), ("cov", cov)):
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{where}{label} contains non-finite entries")
     d = mean.shape[0]
     if cov.shape != (d, d):
         raise ValueError(f"{where}cov must be ({d}, {d}), got {cov.shape}")

@@ -1,5 +1,7 @@
 """Config parsing, preset expansion, validation, and serialization."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,9 @@ _BASE = [
     "[editor]",
     "condition = d",
 ]
+
+# A Gaussian dataset waiting for its cov line.
+_GAUSSIAN = ["[experiment]", "algorithm = generate", "[dataset.d]", "mean = 0, 0"]
 
 
 def _load(lines, **kw):
@@ -123,10 +128,28 @@ def test_empty_config_rejected():
     (["[experiment]", "algorithm = generate", "[dataset.d]", "mean = 0, 0"],
      "exactly one of"),
     (_BASE[:4] + ["cov = 1,0; 0,1"] + _BASE[4:], "exactly one of"),
+    (_BASE[:3] + ["points = nan,0; 1,1"] + _BASE[4:], "dataset.d: .*non-finite"),
+    (_GAUSSIAN + ["cov = 1, 2; 0, 1"], "dataset.d: .*symmetric"),
+    (_GAUSSIAN + ["cov = 1, 0; 0, -1"], "dataset.d: .*positive semidefinite"),
+    (_GAUSSIAN[:3] + ["mean = nan, 0", "cov = 1, 0; 0, 1"], "dataset.d: .*mean .*non-finite"),
+    (_BASE[:5] + ["x0 = nan, 0"] + _BASE[6:], "inputs.x0: .*finite"),
+    (_BASE[:6] + ["x_target = inf, 0"] + _BASE[6:], "inputs.x_target: .*finite"),
+    (_BASE + ["[verify]", "beta0_list = 0, nan, 0.2, 0.4"], "verify.beta0_list: .*finite"),
+    (_BASE + ["[verify]", "edit_beta0_list = 0, -0.1, 0.2"], "verify.edit_beta0_list: .*>= 0"),
 ])
 def test_validation_errors(mutation, match):
     with pytest.raises(ConfigError, match=match):
         _load(mutation)
+
+
+def test_invalid_dataset_exits_with_config_code(tmp_path, monkeypatch):
+    from otflow.cli import EXIT_CONFIG, main
+
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "bad.cfg"
+    path.write_text("\n".join(_GAUSSIAN + ["cov = 1, 2; 0, 1", ""]))
+    assert main(["run", str(path)]) == EXIT_CONFIG
+    assert os.listdir(tmp_path) == ["bad.cfg"]
 
 
 def test_flowedit_editor_validation():

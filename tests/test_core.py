@@ -19,7 +19,6 @@ from otflow import (
     make_time_grid,
     rf_invert,
 )
-from otflow.core import TrajectoryRecorder
 
 
 def test_grid_points_and_dt():
@@ -138,6 +137,27 @@ def test_integrate_aborts_on_non_finite_velocity():
     assert err.value.t is not None and err.value.t < 0.6
 
 
+def test_integrate_state_abort_names_t_step_and_term():
+    # A finite velocity that overflows the state at grid index 3 (t = 0.25
+    # on a 4-step reverse grid) aborts there, located like a velocity abort.
+    grid = make_time_grid(4, 1.0, 0.0)
+
+    def overflowing(z, t):
+        return np.full_like(z, -1e308) if t < 0.3 else np.zeros_like(z)
+
+    with np.errstate(over="ignore"), pytest.raises(NumericalAbort) as err:
+        integrate(overflowing, np.array([1.7e308]), grid)
+    assert str(err.value) == "euler_step produced a non-finite state"
+    assert (err.value.t, err.value.step, err.value.term) == (0.25, 3, "state")
+
+
+def test_euler_step_reports_velocity_before_state():
+    with pytest.raises(NumericalAbort) as err:
+        euler_step(np.array([1.0, 2.0]), np.array([0.0, np.nan]), 0.5, t=0.5, step=2)
+    assert str(err.value) == "velocity non-finite at t=0.5"
+    assert (err.value.t, err.value.step, err.value.term) == (0.5, 2, "velocity")
+
+
 def test_trajectory_records_step_consistency():
     # Record k must hold the state at times[k] and the velocity applied from
     # it: replaying euler_step bit for bit reproduces the recorded states.
@@ -158,16 +178,6 @@ def test_trajectory_shape_validation():
         Trajectory(times=np.zeros(3), states=np.zeros((2, 1)),
                    velocities=np.zeros((3, 1)), transport_norms=np.zeros(3),
                    weights=np.zeros(3))
-
-
-def test_recorder_meta_passthrough():
-    grid = make_time_grid(2, 1.0, 0.0)
-    rec = TrajectoryRecorder(np.zeros(1), grid)
-    rec.step(0.5, np.ones(1), np.ones(1), transport_norm=2.0, weight=0.1)
-    rec.step(0.0, np.ones(1), np.zeros(1))
-    traj = rec.build(meta={"algorithm": "x"})
-    assert traj.meta == {"algorithm": "x"}
-    assert traj.transport_norms[0] == 2.0 and traj.weights[0] == 0.1
 
 
 def test_codec_round_trip():

@@ -325,6 +325,60 @@ def test_flowedit_records_skip_steps_without_motion():
     assert not np.array_equal(res.trajectory.states[5], res.trajectory.states[0])
 
 
+def test_editor_trajectories_carry_meta():
+    # Each editor labels its trajectory (the flowedit pair with its seed).
+    # flowedit at beta0 > 0 records the transport norm and weight of its
+    # active steps and 0 on skipped, plain-denoising and final records.
+    reg = _two_cluster_registry()
+    codec = LatentCodec.identity(2)
+    grid = make_time_grid(24, 1.0, 0.0)
+    x0 = np.array([-1.2, 0.0])
+    cfg = FlowEditConfig(transport=_transport(0.5, phi=1.0, orientation="remaining"),
+                         grid=grid, cond_src=Condition.dataset("a"),
+                         cond_tar=Condition.dataset("b"),
+                         scales=GuidanceScales(w_src=1.5, w_tar=5.5), seed=9,
+                         n_avg=3, n_max=20, n_min=2)
+    traj = transport_enhanced_flowedit(cfg, reg, codec, x0).trajectory
+    assert traj.meta == {"algorithm": "flowedit", "seed": 9}
+    # Active grid indices j have n_min < 24 - j <= n_max, so j = 4..21; at
+    # j = 4 the state still equals the source and the direction is 0.
+    idle = np.r_[0:4, 22:25]
+    for column in (traj.transport_norms, traj.weights):
+        assert np.all(column[5:22] > 0.0) and not column[idle].any()
+    assert traj.transport_norms[-1] == 0.0 and traj.weights[-1] == 0.0
+    assert baseline_flowedit(cfg, reg, codec, x0).trajectory.meta == {
+        "algorithm": "flowedit_baseline", "seed": 9}
+    inv = InversionEditConfig(eta=0.3, transport=_transport(0.1), grid=grid,
+                              condition_target=Condition.dataset("b"),
+                              scales=GuidanceScales(w=2.0))
+    traj = transport_guided_inversion_edit(inv, reg, codec, x0).trajectory
+    assert traj.meta == {"algorithm": "invert_edit"}
+
+
+@pytest.mark.parametrize("editor", [transport_enhanced_flowedit, baseline_flowedit])
+def test_flowedit_state_abort_names_t_step_and_term(monkeypatch, editor):
+    # Finite branch velocities whose first active step (grid index 4 under
+    # n_max = 24) carries the state past the float range: a located "state"
+    # abort, in the guided editor and in the baseline alike.
+    from otflow import editors
+
+    def src(z, t):
+        return np.zeros_like(z)
+
+    def tar(z, t):
+        return np.full_like(z, 1e308)
+
+    monkeypatch.setattr(editors, "_branch_fields", lambda cfg, registry: (src, tar))
+    grid = make_time_grid(28, 1.0, 0.0)
+    cfg = FlowEditConfig(transport=_transport(0.0), grid=grid, cond_src=Condition.dataset("a"),
+                         cond_tar=Condition.dataset("b"), scales=GuidanceScales(), seed=7,
+                         n_max=24)
+    with np.errstate(over="ignore"), pytest.raises(NumericalAbort) as err:
+        editor(cfg, _two_cluster_registry(), LatentCodec.identity(2), np.array([-1.79e308, 0.0]))
+    assert str(err.value) == "euler_step produced a non-finite state"
+    assert (err.value.t, err.value.step, err.value.term) == (float(grid.points[4]), 4, "state")
+
+
 def _mixed_registry(dim):
     # Two Gaussians and a point set, so the Gaussian, point and mixture
     # kernels all run on the batch.
@@ -415,7 +469,7 @@ def test_inversion_numerical_abort_names_step_and_term():
 def test_live_rows_drop_non_finite_state_rows():
     # A finite velocity whose Euler step overflows is a "state" abort; both
     # kinds of row leave the batch and the others step on.
-    from otflow.editors import _LiveRows
+    from otflow.core import _LiveRows
 
     z = np.array([[1.0, 2.0], [3.0, 4.0], [1.5e308, 6.0]])
     v = np.array([[1.0, 1.0], [1.0, np.inf], [1.5e308, 1.0]])
