@@ -9,24 +9,30 @@ Resolution order, later wins: preset defaults, then file keys, then --set
 overrides.  The preset comes from [experiment] preset unless the caller
 passes one explicitly.  After resolution every value is a string; typed
 parsing and invariant checks happen in one place when the runtime objects are
-built, so error messages can always point at a config path.
+built, so error messages can always point at a config path; that includes
+values the run reads that its runtime would reject.  _KEYS alone declares
+each key's kind and default.
 
-Sections:
-  [experiment]  name, algorithm (invert_edit|flowedit|generate|verify),
-                seed, output_dir, preset, plot
+Keys:
+  [experiment]  name, algorithm, seed, output_dir, preset, plot
   [grid]        n_steps, t_start, t_end
-  [codec]       scale, offset (scalar or d-vector; identity when omitted)
-  [dataset.X]   points = x,y; x,y; ...  |  csv = path  |  mean = ... + cov = ...
-  [inputs]      x0, x_target, sample_source (dataset to draw x0 from), count
+  [codec]       scale, offset
+  [inputs]      x0, x_target, sample_source, count
   [transport]   beta0, phi, delta, clip_tau, orientation, window_hi, window_lo
-  [editor]      eta, eta_start, eta_stop, condition            (invert_edit)
-                n_avg, n_max, n_min, source_condition,
-                target_condition                               (flowedit)
-                condition                                      (generate)
+  [editor]      eta, eta_start, eta_stop, condition, n_avg, n_max, n_min,
+                source_condition, target_condition
   [scales]      w, w_src, w_tar
-  [sweep]       axis = path: v1, v2, ... (repeatable), replicates
-  [verify]      kind, beta0_list, edit_beta0_list, step_counts, phi,
-                n_runs, probe_t, condition
+  [sweep]       axis, replicates
+  [verify]      kind, beta0_list, edit_beta0_list, step_counts, phi, n_runs,
+                probe_t, condition
+  [dataset.X]   points, csv, mean, cov
+
+algorithm is invert_edit|flowedit|generate|verify; codec scale and offset
+are a scalar or a d-vector (identity when omitted); sample_source names the
+dataset x0 is drawn from.  invert_edit reads the editor keys eta through
+condition, flowedit n_avg through target_condition, generate condition.
+`axis = path: v1, v2, ...` may repeat.  A dataset gives exactly one of
+`points = x,y; x,y; ...`, `csv = path`, or mean and cov.
 """
 
 import os
@@ -35,64 +41,79 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import LatentCodec, make_time_grid
+from .editors import check_eta
 from .fields import Condition, FieldRegistry, GuidanceScales
-from .metrics import check_probe_step
+from .metrics import (check_convergence_arms, check_edit_control_arms, check_probe_step,
+                      check_run_count, check_step_counts)
 from .presets import get_preset
-from .transport import TransportConfig
+from .transport import TransportConfig, check_phi
 
 _ALGORITHMS = ("invert_edit", "flowedit", "generate", "verify")
 _SWEEP_CAP = 100_000
 
-_SCHEMA = {
-    "experiment": {"name", "algorithm", "seed", "output_dir", "preset", "plot"},
-    "grid": {"n_steps", "t_start", "t_end"},
-    "codec": {"scale", "offset"},
-    "inputs": {"x0", "x_target", "sample_source", "count"},
-    "transport": {"beta0", "phi", "delta", "clip_tau", "orientation",
-                  "window_hi", "window_lo"},
-    "editor": {"eta", "eta_start", "eta_stop", "condition", "n_avg", "n_max",
-               "n_min", "source_condition", "target_condition"},
-    "scales": {"w", "w_src", "w_tar"},
-    "sweep": {"axis", "replicates"},
-    "verify": {"kind", "beta0_list", "edit_beta0_list", "step_counts", "phi",
-               "n_runs", "probe_t", "condition"},
+# Each key outside [dataset.*], declared once: path -> (kind in _PARSERS,
+# default).  A None default makes a key required where a run reads it; the
+# "" algorithm fails the algorithm check by name; _parse_axes reads sweep.axis.
+_KEYS = {
+    "experiment.name": ("str", "experiment"),
+    "experiment.algorithm": ("str", ""),
+    "experiment.seed": ("int", "0"),
+    "experiment.output_dir": ("str", "out"),
+    "experiment.preset": ("str", None),
+    "experiment.plot": ("bool", "false"),
+    "grid.n_steps": ("int", "28"),
+    "grid.t_start": ("float", "1.0"),
+    "grid.t_end": ("float", "0.0"),
+    "codec.scale": ("vector", None),
+    "codec.offset": ("vector", None),
+    "inputs.x0": ("vector", None),
+    "inputs.x_target": ("vector", None),
+    "inputs.sample_source": ("str", None),
+    "inputs.count": ("int", "256"),
+    "transport.beta0": ("float", "0.0"),
+    "transport.phi": ("float", "0.3"),
+    "transport.delta": ("float", "0.01"),
+    "transport.clip_tau": ("float", "10.0"),
+    "transport.orientation": ("str", "elapsed"),
+    "transport.window_hi": ("float", "1.0"),
+    "transport.window_lo": ("float", "0.0"),
+    "editor.eta": ("float", "0.0"),
+    "editor.eta_start": ("float", "0.0"),
+    "editor.eta_stop": ("float", "1.0"),
+    "editor.condition": ("str", "null"),
+    "editor.n_avg": ("int", "1"),
+    "editor.n_max": ("int", None),
+    "editor.n_min": ("int", "0"),
+    "editor.source_condition": ("str", None),
+    "editor.target_condition": ("str", None),
+    "scales.w": ("float", "1.0"),
+    "scales.w_src": ("float", "1.0"),
+    "scales.w_tar": ("float", "1.0"),
+    "sweep.axis": ("str", None),
+    "sweep.replicates": ("int", "1"),
+    "verify.kind": ("str", "all"),
+    "verify.beta0_list": ("floats", "0, 0.1, 0.2, 0.4"),
+    "verify.edit_beta0_list": ("floats", "0, 0.1, 0.2, 0.4, 0.8"),
+    "verify.step_counts": ("ints", "10, 20, 40, 80"),
+    "verify.phi": ("float", "0.3"),
+    "verify.n_runs": ("int", "64"),
+    "verify.probe_t": ("float", "0.6"),
+    "verify.condition": ("str", "null"),
 }
-_DATASET_KEYS = {"points", "csv", "mean", "cov"}
+# [dataset.<name>] key -> kind; these keys have no default.
+_DATASET_KINDS = {"points": "matrix", "csv": "str", "mean": "vector", "cov": "matrix"}
+_SECTIONS = {path.rpartition(".")[0] for path in _KEYS}
 
-_DEFAULTS = {
-    "experiment.name": "experiment",
-    "experiment.seed": "0",
-    "experiment.output_dir": "out",
-    "experiment.plot": "false",
-    "grid.n_steps": "28",
-    "grid.t_start": "1.0",
-    "grid.t_end": "0.0",
-    "transport.beta0": "0.0",
-    "transport.phi": "0.3",
-    "transport.delta": "0.01",
-    "transport.clip_tau": "10.0",
-    "transport.orientation": "elapsed",
-    "transport.window_hi": "1.0",
-    "transport.window_lo": "0.0",
-    "editor.eta": "0.0",
-    "editor.eta_start": "0.0",
-    "editor.eta_stop": "1.0",
-    "editor.condition": "null",
-    "editor.n_avg": "1",
-    "editor.n_min": "0",
-    "scales.w": "1.0",
-    "scales.w_src": "1.0",
-    "scales.w_tar": "1.0",
-    "inputs.count": "256",
-    "sweep.replicates": "1",
-    "verify.kind": "all",
-    "verify.beta0_list": "0, 0.1, 0.2, 0.4",
-    "verify.edit_beta0_list": "0, 0.1, 0.2, 0.4, 0.8",
-    "verify.step_counts": "10, 20, 40, 80",
-    "verify.phi": "0.3",
-    "verify.n_runs": "64",
-    "verify.probe_t": "0.6",
-    "verify.condition": "null",
+# Editor or verifier -> the keys it reads whose values its runtime checks,
+# each with the function that check is.
+_RUN_RULES = {
+    "invert_edit": (("editor.eta", check_eta),),
+    "discretization": (("verify.step_counts", check_step_counts),),
+    "convergence": (("verify.n_runs", check_run_count),
+                    ("verify.beta0_list", check_convergence_arms)),
+    "edit_control": (("verify.n_runs", check_run_count),
+                     ("verify.edit_beta0_list", check_edit_control_arms),
+                     ("verify.phi", check_phi)),
 }
 
 
@@ -106,10 +127,10 @@ class ConfigError(Exception):
 
 
 def _known_path(path):
+    if path in _KEYS:
+        return True
     section, _, key = path.rpartition(".")
-    if section.startswith("dataset."):
-        return key in _DATASET_KEYS
-    return section in _SCHEMA and key in _SCHEMA[section]
+    return section.startswith("dataset.") and key in _DATASET_KINDS
 
 
 def _parse_lines(text, source):
@@ -124,7 +145,7 @@ def _parse_lines(text, source):
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
             base = section.split(".", 1)[0]
-            if not section or (base != "dataset" and section not in _SCHEMA):
+            if not section or (base != "dataset" and section not in _SECTIONS):
                 raise ConfigError(f"unknown section [{section}] in {source}", lineno)
             if base == "dataset" and ("." not in section or not section.split(".", 1)[1]):
                 raise ConfigError("dataset sections need a name: [dataset.<name>]", lineno)
@@ -181,6 +202,18 @@ def _parse_matrix(text):
     return np.array([[float(p) for p in r.split(",")] for r in rows], dtype=float)
 
 
+def _parse_bool(text):
+    if text.lower() not in ("true", "false"):
+        raise ValueError("expected true/false")
+    return text.lower() == "true"
+
+
+_PARSERS = {"str": str, "int": int, "float": float, "bool": _parse_bool,
+            "vector": _parse_vector, "matrix": _parse_matrix,
+            "floats": lambda text: [float(p) for p in text.split(",") if p.strip() != ""],
+            "ints": lambda text: [int(p) for p in text.split(",") if p.strip() != ""]}
+
+
 class _Resolved:
     """Typed accessors over the merged path->string map."""
 
@@ -194,37 +227,19 @@ class _Resolved:
     def has(self, path):
         return path in self.map
 
-    def raw(self, path, default=None):
-        return self.map.get(path, default)
-
-    def get(self, path, kind, default=None):
+    def get(self, path, default=None):
+        """The value at path, parsed as its declared kind; default, when
+        given, stands in for the declared default."""
+        kind, declared = _KEYS.get(path) or (_DATASET_KINDS[path.rpartition(".")[2]], None)
         text = self.map.get(path)
         if text is None:
-            text = _DEFAULTS.get(path) if default is None else default
+            text = declared if default is None else default
             if text is None:
                 self._fail(path, "required key missing")
         try:
-            if kind == "str":
-                return text
-            if kind == "int":
-                return int(text)
-            if kind == "float":
-                return float(text)
-            if kind == "bool":
-                if text.lower() not in ("true", "false"):
-                    raise ValueError("expected true/false")
-                return text.lower() == "true"
-            if kind == "vector":
-                return _parse_vector(text)
-            if kind == "matrix":
-                return _parse_matrix(text)
-            if kind == "floats":
-                return [float(p) for p in text.split(",") if p.strip() != ""]
-            if kind == "ints":
-                return [int(p) for p in text.split(",") if p.strip() != ""]
+            return _PARSERS[kind](text)
         except ValueError as exc:
             self._fail(path, f"cannot parse {text!r} as {kind} ({exc})")
-        raise AssertionError(f"unknown kind {kind}")
 
 
 @dataclass
@@ -256,30 +271,35 @@ def _build_registry(res, base_dir):
     registry = FieldRegistry()
     for name in names:
         prefix = f"dataset.{name}"
-        have = {k for k in _DATASET_KEYS if res.has(f"{prefix}.{k}")}
+        have = {k for k in _DATASET_KINDS if res.has(f"{prefix}.{k}")}
+        lines = {k: res.lines.get(f"{prefix}.{k}") for k in have}
         try:
             if have == {"points"}:
-                registry.add_points(name, res.get(f"{prefix}.points", "matrix"))
+                registry.add_points(name, res.get(f"{prefix}.points"))
             elif have == {"csv"}:
-                path = res.get(f"{prefix}.csv", "str")
+                path = res.get(f"{prefix}.csv")
                 if not os.path.isabs(path):
                     path = os.path.join(base_dir, path)
                 if not os.path.exists(path):
                     res._fail(f"{prefix}.csv", f"file not found: {path}")
                 registry.add_points(name, np.loadtxt(path, delimiter=",", ndmin=2))
             elif have == {"mean", "cov"}:
-                registry.add_gaussian(name, res.get(f"{prefix}.mean", "vector"),
-                                      res.get(f"{prefix}.cov", "matrix"))
+                registry.add_gaussian(name, res.get(f"{prefix}.mean"), res.get(f"{prefix}.cov"))
             else:
-                res._fail(prefix, "give exactly one of: points, csv, or mean+cov")
+                first = min((n for n in lines.values() if n is not None), default=None)
+                raise ConfigError(f"{prefix}: give exactly one of: points, csv, or mean+cov", first)
         except ValueError as exc:
-            res._fail(prefix, str(exc))
+            # The registry's messages open with the dataset's name, then name
+            # the mean when it is at fault; a Gaussian's other faults are the cov's.
+            message = str(exc).removeprefix(f"dataset {name!r}").removeprefix(":").strip()
+            key = "mean" if message.startswith("mean") else "cov" if "cov" in have else min(have)
+            raise ConfigError(f"{prefix}: {message}", lines[key])
     return registry
 
 
 def _build_codec(res, dim):
     def broadcast(path):
-        vec = res.get(path, "vector")
+        vec = res.get(path)
         if vec.shape[0] == 1:
             vec = np.full(dim, vec[0])
         if vec.shape[0] != dim:
@@ -295,7 +315,7 @@ def _build_codec(res, dim):
 
 
 def _condition(res, path, registry):
-    name = res.get(path, "str")
+    name = res.get(path)
     if name == "null":
         return Condition.null()
     if not registry.has(name):
@@ -306,13 +326,12 @@ def _condition(res, path, registry):
 def _build_transport(res):
     try:
         return TransportConfig(
-            beta0=res.get("transport.beta0", "float"),
-            phi=res.get("transport.phi", "float"),
-            delta=res.get("transport.delta", "float"),
-            clip_tau=res.get("transport.clip_tau", "float"),
-            orientation=res.get("transport.orientation", "str"),
-            window=(res.get("transport.window_hi", "float"),
-                    res.get("transport.window_lo", "float")),
+            beta0=res.get("transport.beta0"),
+            phi=res.get("transport.phi"),
+            delta=res.get("transport.delta"),
+            clip_tau=res.get("transport.clip_tau"),
+            orientation=res.get("transport.orientation"),
+            window=(res.get("transport.window_hi"), res.get("transport.window_lo")),
         )
     except ValueError as exc:
         res._fail("transport", str(exc))
@@ -321,17 +340,17 @@ def _build_transport(res):
 def _build_editor(res, algorithm, registry, n_steps):
     ed = {}
     if algorithm == "invert_edit":
-        ed["eta"] = res.get("editor.eta", "float")
-        start = res.get("editor.eta_start", "float")
-        stop = res.get("editor.eta_stop", "float")
+        ed["eta"] = res.get("editor.eta")
+        start = res.get("editor.eta_start")
+        stop = res.get("editor.eta_stop")
         if not 0.0 <= start <= stop <= 1.0:
             res._fail("editor.eta_start", f"need 0 <= eta_start <= eta_stop <= 1, got {start}, {stop}")
         ed["eta_window"] = (1.0 - start, 1.0 - stop)
         ed["condition"] = _condition(res, "editor.condition", registry)
     elif algorithm == "flowedit":
-        ed["n_avg"] = res.get("editor.n_avg", "int")
-        ed["n_max"] = res.get("editor.n_max", "int", default=str(n_steps))
-        ed["n_min"] = res.get("editor.n_min", "int")
+        ed["n_avg"] = res.get("editor.n_avg")
+        ed["n_max"] = res.get("editor.n_max", default=str(n_steps))
+        ed["n_min"] = res.get("editor.n_min")
         ed["cond_src"] = _condition(res, "editor.source_condition", registry)
         ed["cond_tar"] = _condition(res, "editor.target_condition", registry)
     elif algorithm == "generate":
@@ -341,15 +360,15 @@ def _build_editor(res, algorithm, registry, n_steps):
 
 def _build_inputs(res, algorithm, registry):
     inputs = {"x0": None, "x_target": None, "sample_source": None,
-              "count": res.get("inputs.count", "int")}
+              "count": res.get("inputs.count")}
     for key in ("x0", "x_target"):
         if res.has(f"inputs.{key}"):
-            vec = res.get(f"inputs.{key}", "vector")
+            vec = res.get(f"inputs.{key}")
             if not np.all(np.isfinite(vec)):
                 res._fail(f"inputs.{key}", f"entries must be finite, got {vec.tolist()}")
             inputs[key] = vec
     if res.has("inputs.sample_source"):
-        name = res.get("inputs.sample_source", "str")
+        name = res.get("inputs.sample_source")
         if not registry.has(name):
             res._fail("inputs.sample_source", f"dataset {name!r} is not registered")
         inputs["sample_source"] = name
@@ -362,18 +381,18 @@ def _build_inputs(res, algorithm, registry):
 
 
 def _build_verify(res, registry):
-    kind = res.get("verify.kind", "str")
+    kind = res.get("verify.kind")
     if kind not in ("discretization", "convergence", "edit_control", "all"):
         res._fail("verify.kind", f"unknown verification kind {kind!r}")
-    beta0_list = res.get("verify.beta0_list", "floats")
-    edit_list = res.get("verify.edit_beta0_list", "floats")
+    beta0_list = res.get("verify.beta0_list")
+    edit_list = res.get("verify.edit_beta0_list")
     for path, values in (("verify.beta0_list", beta0_list), ("verify.edit_beta0_list", edit_list)):
         if not all(0.0 <= b < np.inf for b in values):
             res._fail(path, f"beta0 entries must be finite and >= 0, got {values}")
-    steps = res.get("verify.step_counts", "ints")
+    steps = res.get("verify.step_counts")
     if not steps or min(steps) < 1:
         res._fail("verify.step_counts", f"step counts must be positive integers, got {steps}")
-    probe_t = res.get("verify.probe_t", "float")
+    probe_t = res.get("verify.probe_t")
     try:
         check_probe_step(probe_t, steps)
     except ValueError as exc:
@@ -383,11 +402,24 @@ def _build_verify(res, registry):
         "beta0_list": beta0_list,
         "edit_beta0_list": edit_list,
         "step_counts": steps,
-        "phi": res.get("verify.phi", "float"),
-        "n_runs": res.get("verify.n_runs", "int"),
+        "phi": res.get("verify.phi"),
+        "n_runs": res.get("verify.n_runs"),
         "probe_t": probe_t,
         "condition": _condition(res, "verify.condition", registry),
     }
+
+
+def _check_run_values(res, algorithm, verify_kind):
+    """Fail, with its key and line, on any value the run reads that its
+    runtime's rule rejects; a verify run is the verifiers its kind selects."""
+    runs = [algorithm] + [v for v in ("discretization", "convergence", "edit_control")
+                          if algorithm == "verify" and verify_kind in (v, "all")]
+    for run in runs:
+        for path, rule in _RUN_RULES.get(run, ()):
+            try:
+                rule(res.get(path))
+            except ValueError as exc:
+                res._fail(path, str(exc))
 
 
 def _parse_axes(axis_lines):
@@ -437,7 +469,7 @@ def _build_config(resolved, lines, axis_lines, base_dir, registry=None):
     [dataset.*] sections, which the caller guarantees it was built from."""
     res = _Resolved(resolved, lines)
 
-    algorithm = res.get("experiment.algorithm", "str", default="")
+    algorithm = res.get("experiment.algorithm")
     if algorithm not in _ALGORITHMS:
         res._fail("experiment.algorithm",
                   f"algorithm must be one of {', '.join(_ALGORITHMS)}, got {algorithm!r}")
@@ -445,31 +477,30 @@ def _build_config(resolved, lines, axis_lines, base_dir, registry=None):
         registry = _build_registry(res, base_dir)
     if not registry.names():
         raise ConfigError("at least one [dataset.<name>] section is required")
-    n_steps = res.get("grid.n_steps", "int")
+    n_steps = res.get("grid.n_steps")
     try:
-        grid = make_time_grid(n_steps, res.get("grid.t_start", "float"),
-                              res.get("grid.t_end", "float"))
+        grid = make_time_grid(n_steps, res.get("grid.t_start"), res.get("grid.t_end"))
     except ValueError as exc:
         res._fail("grid.n_steps", str(exc))
     if algorithm in ("invert_edit", "flowedit", "generate") and grid.direction != "reverse":
         res._fail("grid.t_start", f"{algorithm} needs a reverse grid (t_start > t_end)")
     transport = _build_transport(res)
     try:
-        scales = GuidanceScales(w=res.get("scales.w", "float"),
-                                w_src=res.get("scales.w_src", "float"),
-                                w_tar=res.get("scales.w_tar", "float"))
+        scales = GuidanceScales(w=res.get("scales.w"),
+                                w_src=res.get("scales.w_src"),
+                                w_tar=res.get("scales.w_tar"))
     except ValueError as exc:
         res._fail("scales.w", str(exc))
-    seed = res.get("experiment.seed", "int")
+    seed = res.get("experiment.seed")
     if seed < 0:
         res._fail("experiment.seed", "seed must be nonnegative")
 
     cfg = ExperimentConfig(
-        name=res.get("experiment.name", "str"),
+        name=res.get("experiment.name"),
         algorithm=algorithm,
         seed=seed,
-        output_dir=res.get("experiment.output_dir", "str"),
-        plot=res.get("experiment.plot", "bool"),
+        output_dir=res.get("experiment.output_dir"),
+        plot=res.get("experiment.plot"),
         registry=registry,
         codec=_build_codec(res, registry.dim()),
         grid=grid,
@@ -479,7 +510,7 @@ def _build_config(resolved, lines, axis_lines, base_dir, registry=None):
         inputs=_build_inputs(res, algorithm, registry),
         verify=_build_verify(res, registry),
         sweep_axes=_parse_axes(axis_lines),
-        replicates=res.get("sweep.replicates", "int"),
+        replicates=res.get("sweep.replicates"),
         resolved=dict(resolved),
         base_dir=base_dir,
     )
@@ -499,6 +530,8 @@ def _build_config(resolved, lines, axis_lines, base_dir, registry=None):
                       f"need 0 <= n_min <= n_max <= n_steps, got {n_min}, {n_max}, {n_steps}")
         if cfg.editor["n_avg"] < 1:
             res._fail("editor.n_avg", "n_avg must be >= 1")
+    # Last, so a config that fails an earlier check keeps that error.
+    _check_run_values(res, algorithm, cfg.verify["kind"])
     return cfg
 
 

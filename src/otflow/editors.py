@@ -94,8 +94,7 @@ class InversionEditConfig:
     eta_window: tuple = (1.0, 0.0)
 
     def __post_init__(self):
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"eta must be in [0, 1], got {self.eta}")
+        check_eta(self.eta)
         hi, lo = self.eta_window
         if not 0.0 <= lo <= hi <= 1.0:
             raise ValueError(f"eta_window must satisfy 0 <= t_lo <= t_hi <= 1, got {self.eta_window}")
@@ -139,14 +138,19 @@ class FlowEditConfig:
                 f"n_max={self.n_max} n_steps={self.grid.n_steps}")
 
 
+def check_eta(eta):
+    """Raise ValueError unless the controller strength eta lies in [0, 1]."""
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError(f"eta must be in [0, 1], got {eta}")
+
+
 def controller_guided_velocity(v_tar, v_ref, eta):
     """Blend the target-conditional velocity toward the reference field.
 
     Returns v_tar + eta * (v_ref - v_tar); the endpoints pass the inputs
     through untouched so guidance-off runs stay bit-identical.
     """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must be in [0, 1], got {eta}")
+    check_eta(eta)
     return cfg_blend(v_tar, v_ref, eta)
 
 

@@ -215,6 +215,7 @@ class VerifySetup:
     _arms: dict = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        check_run_count(self.n_runs)
         object.__setattr__(self, "_arms", {})
 
     def noise_bank(self, dim):
@@ -225,6 +226,30 @@ class VerifySetup:
 def _fit_loglog_slope(x, y):
     coeffs = np.polyfit(np.log(np.asarray(x, dtype=float)), np.log(np.asarray(y, dtype=float)), 1)
     return float(coeffs[0])
+
+
+def check_run_count(n_runs):
+    """Raise ValueError unless n_runs, a VerifySetup's bank size, is >= 1."""
+    if not (isinstance(n_runs, (int, np.integer)) and n_runs >= 1):
+        raise ValueError(f"n_runs must be a positive integer, got {n_runs!r}")
+
+
+def check_step_counts(step_counts):
+    """Raise ValueError unless step_counts holds three or more positive counts."""
+    if len(step_counts) < 3 or min(step_counts) < 1:
+        raise ValueError("need at least three positive step counts to fit a slope")
+
+
+def check_convergence_arms(beta0_list):
+    """Raise ValueError unless beta0_list holds the baseline arm, beta0 = 0."""
+    if 0.0 not in beta0_list:
+        raise ValueError("beta0_list must include 0 (the baseline arm)")
+
+
+def check_edit_control_arms(beta0_list):
+    """Raise ValueError unless beta0_list holds three or more positive values."""
+    if sum(b > 0.0 for b in beta0_list) < 3:
+        raise ValueError("need at least three positive beta0 values to fit a slope")
 
 
 def check_probe_step(probe_t, step_counts, t_span=(1.0, 0.0)):
@@ -255,8 +280,7 @@ def verify_discretization_bound(field, transport_cfg, z_init, z_target, step_cou
     from there to t1.
     """
     step_counts = sorted(int(n) for n in step_counts)
-    if len(step_counts) < 3 or step_counts[0] < 1:
-        raise ValueError("need at least three positive step counts to fit a slope")
+    check_step_counts(step_counts)
     check_probe_step(probe_t, step_counts, t_span)
     enhanced = make_enhanced(field, z_target, transport_cfg)
     t0, t1 = t_span
@@ -330,8 +354,7 @@ def verify_convergence_bound(setup, beta0_list):
     error within 10% and the fitted curvature is nonnegative.
     """
     beta0_list = [float(b) for b in beta0_list]
-    if 0.0 not in beta0_list:
-        raise ValueError("beta0_list must include 0 (the baseline arm)")
+    check_convergence_arms(beta0_list)
     mses = []
     for b in beta0_list:
         outs = _run_outputs(setup, b)
@@ -373,9 +396,8 @@ def verify_edit_control_bound(setup, beta0_list, phi):
     gate.
     """
     beta0_list = [float(b) for b in beta0_list]
+    check_edit_control_arms(beta0_list)
     positives = [b for b in beta0_list if b > 0.0]
-    if len(positives) < 3:
-        raise ValueError("need at least three positive beta0 values to fit a slope")
     transport = replace(setup.transport, phi=float(phi))
     base_out = _run_outputs(setup, 0.0, transport)
     integral = schedule_integral(phi, transport.orientation)

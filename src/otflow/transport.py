@@ -42,8 +42,7 @@ class TransportConfig:
     def __post_init__(self):
         if not (np.isfinite(self.beta0) and self.beta0 >= 0.0):
             raise ValueError(f"beta0 must be finite and >= 0, got {self.beta0}")
-        if not (0.0 < self.phi <= 1.0):
-            raise ValueError(f"phi must lie in (0, 1], got {self.phi}")
+        check_phi(self.phi)
         if not (np.isfinite(self.delta) and self.delta > 0.0):
             raise ValueError(f"delta must be positive, got {self.delta}")
         if not (np.isfinite(self.clip_tau) and self.clip_tau > 0.0):
@@ -55,6 +54,12 @@ class TransportConfig:
             raise ValueError(f"window must satisfy 0 <= t_lo <= t_hi <= 1, got {self.window}")
 
 
+def check_phi(phi):
+    """Raise ValueError unless the anneal width phi lies in (0, 1]."""
+    if not (0.0 < phi <= 1.0):
+        raise ValueError(f"phi must lie in (0, 1], got {phi}")
+
+
 def cosine_schedule(s, phi):
     """Annealing factor S(s) = 0.5 * (1 + cos(min(s/phi, 1) * pi)).
 
@@ -64,8 +69,7 @@ def cosine_schedule(s, phi):
     """
     if not (0.0 <= s <= 1.0):
         raise ValueError(f"schedule argument must lie in [0, 1], got {s}")
-    if not (0.0 < phi <= 1.0):
-        raise ValueError(f"phi must lie in (0, 1], got {phi}")
+    check_phi(phi)
     return 0.5 * (1.0 + math.cos(min(s / phi, 1.0) * math.pi))
 
 

@@ -22,6 +22,9 @@ _BASE = [
 # A Gaussian dataset waiting for its cov line.
 _GAUSSIAN = ["[experiment]", "algorithm = generate", "[dataset.d]", "mean = 0, 0"]
 
+# A verify run waiting for its [verify] keys.
+_VERIFY = ["[experiment]", "algorithm = verify", "[dataset.d]", "points = 0,0; 1,1", "[verify]"]
+
 
 def _load(lines, **kw):
     return load_config_text("\n".join(lines), **kw)
@@ -136,10 +139,89 @@ def test_empty_config_rejected():
     (_BASE[:6] + ["x_target = inf, 0"] + _BASE[6:], "inputs.x_target: .*finite"),
     (_BASE + ["[verify]", "beta0_list = 0, nan, 0.2, 0.4"], "verify.beta0_list: .*finite"),
     (_BASE + ["[verify]", "edit_beta0_list = 0, -0.1, 0.2"], "verify.edit_beta0_list: .*>= 0"),
+    (_BASE + ["eta = 1.5"], r"editor.eta: eta must be in \[0, 1\], got 1.5"),
+    (_BASE + ["eta = nan"], r"editor.eta: eta must be in \[0, 1\], got nan"),
+    (_VERIFY + ["phi = 0"], r"verify.phi: phi must lie in \(0, 1\]"),
+    (_VERIFY + ["phi = 1.5"], r"verify.phi: phi must lie in \(0, 1\]"),
+    (_VERIFY + ["n_runs = 0"], "verify.n_runs: n_runs must be a positive integer"),
+    (_VERIFY + ["n_runs = -3"], "verify.n_runs: n_runs must be a positive integer"),
+    (_VERIFY + ["kind = convergence", "beta0_list = 0.1, 0.2, 0.4"],
+     "verify.beta0_list: .*must include 0"),
+    (_VERIFY + ["kind = edit_control", "edit_beta0_list = 0, 0.1, 0.2"],
+     "verify.edit_beta0_list: .*three positive"),
+    (_VERIFY + ["kind = discretization", "step_counts = 10, 20"],
+     "verify.step_counts: .*three positive"),
 ])
 def test_validation_errors(mutation, match):
     with pytest.raises(ConfigError, match=match):
         _load(mutation)
+
+
+def test_run_values_are_checked_only_where_read():
+    # A value the runtime would reject fails at load only in a run that reads
+    # it, with its line when it came from the file.
+    with pytest.raises(ConfigError) as ei:
+        _load(_BASE + ["eta = 1.5"])
+    assert ei.value.line == len(_BASE) + 1
+    with pytest.raises(ConfigError, match="^editor.eta: ") as ei:
+        _load(_BASE, overrides=["editor.eta=1.5"])
+    assert ei.value.line is None
+    loads = [
+        _GAUSSIAN + ["cov = 1, 0; 0, 1", "[editor]", "eta = 1.5"],
+        _BASE + ["[verify]", "n_runs = 0", "phi = 0", "beta0_list = 0.1", "step_counts = 10"],
+        _VERIFY + ["kind = discretization", "n_runs = 0", "phi = 0", "beta0_list = 0.1",
+                   "edit_beta0_list = 0"],
+        _VERIFY + ["kind = convergence", "phi = 0", "step_counts = 10, 20",
+                   "edit_beta0_list = 0, 0.1"],
+        _VERIFY + ["kind = edit_control", "beta0_list = 0.1", "step_counts = 10, 20"],
+    ]
+    for lines in loads:
+        _load(lines)
+
+
+def test_dataset_errors_carry_key_line(tmp_path):
+    # The line is that of the key holding the rejected value, or the
+    # dataset's first key when the keys do not make a dataset.
+    (tmp_path / "bad.csv").write_text("nan,0\n1,1\n", encoding="utf-8")
+    cases = [
+        (_BASE[:3] + ["points = nan,0; 1,1"] + _BASE[4:], 4, "points contain non-finite"),
+        (_GAUSSIAN + ["cov = 1, 2; 0, 1"], 5, "cov must be symmetric"),
+        (_GAUSSIAN + ["cov = 1, 0; 0, -1"], 5, "cov is not positive semidefinite"),
+        (_GAUSSIAN[:3] + ["cov = 1, 0; 0, 1", "mean = nan, 0"], 5, "mean contains non-finite"),
+        (_GAUSSIAN[:3] + ["csv = bad.csv"], 4, "points contain non-finite"),
+        (_GAUSSIAN, 4, "give exactly one of"),
+        (_BASE[:4] + ["cov = 1,0; 0,1"] + _BASE[4:], 4, "give exactly one of"),
+    ]
+    for lines, line, text in cases:
+        with pytest.raises(ConfigError) as ei:
+            _load(lines, base_dir=str(tmp_path))
+        assert ei.value.line == line
+        assert str(ei.value).startswith(f"line {line}: dataset.d: {text}")
+        assert "dataset 'd'" not in str(ei.value)
+
+
+def test_every_preset_key_is_declared():
+    # _merge copies preset paths without checking them, so a mistyped key
+    # would be ignored and then break a reload of serialize_config output.
+    from otflow.config import _KEYS
+
+    for name in preset_names():
+        assert set(get_preset(name)) <= set(_KEYS), name
+
+
+def test_docstring_key_list_matches_table():
+    from otflow import config
+
+    block = config.__doc__.split("Keys:\n")[1].split("\n\n")[0]
+    listed, section = [], None
+    for line in block.splitlines():
+        head, _, keys = line.strip().rpartition("]")
+        section = head.lstrip("[") or section
+        listed += [f"{section}.{k.strip()}" for k in keys.split(",") if k.strip()]
+    dataset = [p for p in listed if p.startswith("dataset.")]
+    assert sorted(set(listed) - set(dataset)) == sorted(config._KEYS)
+    assert len(listed) == len(config._KEYS) + len(dataset)
+    assert sorted(p.rpartition(".")[2] for p in dataset) == sorted(config._DATASET_KINDS)
 
 
 def test_invalid_dataset_exits_with_config_code(tmp_path, monkeypatch):

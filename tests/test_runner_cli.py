@@ -13,7 +13,8 @@ import threading
 import numpy as np
 import pytest
 
-from otflow import ConfigError, derive_config, load_config_text, runner
+from otflow import (ConfigError, derive_config, load_config_text, runner, w2_dirac_to_points,
+                    w2_empirical_exact)
 from otflow.cli import (EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_PARTIAL,
                         EXIT_VERIFY, main)
 from otflow.runner import (atomic_write_text, derive_seed, gen_data, points_csv,
@@ -139,6 +140,25 @@ cov = 0.16, 0; 0, 0.16
 condition = a
 [inputs]
 count = 64
+"""
+
+
+# Two point-set datasets, x0 drawn from the first: flowedit_points' shape.
+_POINTS_CFG = """\
+[experiment]
+algorithm = flowedit
+name = pts
+[grid]
+n_steps = 8
+[dataset.a]
+points = -2, 0; -1.5, 0.5; -1, -0.5
+[dataset.b]
+points = 1, 0; 1.5, 0.5; 2, -0.5; 2.5, 0
+[inputs]
+sample_source = a
+[editor]
+source_condition = a
+target_condition = b
 """
 
 
@@ -352,6 +372,45 @@ def test_sweep_rows_equal_run_reports(tmp_path, text):
         assert {key: record[key] for key in want} == want
 
 
+def test_sweep_cell_with_rejected_eta_fails_alone(tmp_path):
+    text = _INVERT_SWEEP_CFG.replace("axis = transport.beta0: 0, 0.5, 1e300",
+                                     "axis = editor.eta: 0.5, 1.5")
+    out = run_sweep(_cfg(text), out_dir=str(tmp_path), seed=3)
+    assert out.n_rows == 4 and out.n_failed == 2
+    for record in csv.DictReader(open(out.results_path, encoding="utf-8")):
+        if record["editor.eta"] == "1.5":
+            assert record["error"] == "ConfigError: editor.eta: eta must be in [0, 1], got 1.5"
+        else:
+            assert record["error"] == "" and record["w2_to_target"] != ""
+
+
+def test_points_sample_source_and_w2_to_target():
+    # x0 is the atom at rng.integers(n) of the (seed, 1) stream, and
+    # w2_to_target of a point-set target is the Dirac-to-atoms W2.
+    cfg = _cfg(_POINTS_CFG)
+    pts_a, pts_b = cfg.registry.points("a"), cfg.registry.points("b")
+    for seed in (0, 11):
+        metrics, result = runner._RUNNERS["flowedit"](cfg, seed)
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 1])))
+        assert np.array_equal(result.trajectory.states[0], pts_a[rng.integers(len(pts_a))])
+        assert metrics["w2_to_target"] == w2_dirac_to_points(result.output, pts_b)
+
+
+def test_generate_on_points_w2_against_replicated_atoms(tmp_path):
+    text = ("[experiment]\nalgorithm = generate\nname = g\n"
+            "[dataset.p]\npoints = -1, 0; 1, 0.5; 0, 2\n"
+            "[editor]\ncondition = p\n[inputs]\ncount = 12\n")
+    art = run_experiment(_cfg(text), out_dir=str(tmp_path / "even"), seed=0)
+    cloud = np.loadtxt(tmp_path / "even" / "g_samples.csv", delimiter=",")
+    atoms = np.repeat(_cfg(text).registry.points("p"), 4, axis=0)
+    assert art.metrics["w2_to_target"] == w2_empirical_exact(cloud, atoms)[0]
+    # 10 samples do not split evenly over 3 atoms: no exact W2, an empty value.
+    art = run_experiment(_cfg(text.replace("count = 12", "count = 10")),
+                         out_dir=str(tmp_path / "odd"), seed=0)
+    assert art.metrics["w2_to_target"] is None
+    assert "w2_to_target = \n" in open(tmp_path / "odd" / "g_report.txt").read()
+
+
 def test_run_sweep_generate_cells(tmp_path):
     text = (_GEN_CFG.replace("count = 64", "count = 16\nx_target = 1.0, 0.0")
             + "[sweep]\naxis = transport.beta0: 0, 0.5\nreplicates = 2\n")
@@ -475,6 +534,19 @@ def test_cli_verify_exit_codes(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_cli_verify_rejects_run_values_at_load(tmp_path, capsys):
+    path = _write(tmp_path, "vn.cfg", _VERIFY_PASS_CFG + "n_runs = 0\n")
+    assert main(["verify", path, "--out-dir", str(tmp_path / "vn")]) == EXIT_CONFIG
+    line = _VERIFY_PASS_CFG.count("\n") + 1
+    assert capsys.readouterr().err == (
+        f"config error: line {line}: verify.n_runs: n_runs must be a positive integer, got 0\n")
+    ok_path = _write(tmp_path, "vp.cfg", _VERIFY_PASS_CFG)
+    assert main(["verify", ok_path, "--set", "verify.phi=0",
+                 "--out-dir", str(tmp_path / "vn")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: verify.phi: phi must lie in (0, 1], got 0.0\n"
+    assert not os.path.exists(tmp_path / "vn")
+
+
 def test_cli_verify_forces_algorithm(tmp_path, capsys):
     # a config whose algorithm is not verify still verifies under the
     # verify subcommand
@@ -526,6 +598,20 @@ def test_cli_plot_all_input_kinds(tmp_path, capsys):
                  "--x", "transport.beta0", "--y", "w2_to_target"]) == EXIT_OK
     assert open(svg3).read().startswith("<svg")
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("text, command, stem", [
+    (_EDIT_CFG, "run", "edit_trajectory"),
+    (_GEN_CFG, "run", "gen_samples"),
+    (_INVERT_SWEEP_CFG.replace("1e300", "0.25"), "sweep", "isw_results"),
+], ids=["trajectory", "samples", "results"])
+def test_runner_svg_equals_cli_plot_of_its_csv(tmp_path, capsys, text, command, stem):
+    cfg_path = _write(tmp_path, "p.cfg", text + "[experiment]\nplot = true\n")
+    out = tmp_path / "out"
+    assert main([command, cfg_path, "--out-dir", str(out)]) == EXIT_OK
+    assert main(["plot", str(out / f"{stem}.csv"), str(tmp_path / "cli.svg")]) == EXIT_OK
+    capsys.readouterr()
+    assert (out / f"{stem}.svg").read_bytes() == (tmp_path / "cli.svg").read_bytes()
 
 
 def test_cli_plot_projection_errors(tmp_path, capsys):
