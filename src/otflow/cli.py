@@ -76,13 +76,16 @@ def _build_parser():
     return parser
 
 
-def _load(args):
-    return load_config(args.config, preset=args.preset, overrides=args.overrides)
+def _load(args, *overrides):
+    # --seed is the last experiment.seed override, so config checks its range.
+    seed = [] if args.seed is None else [f"experiment.seed={args.seed}"]
+    return load_config(args.config, preset=args.preset,
+                       overrides=list(args.overrides) + list(overrides) + seed)
 
 
 def _cmd_run(args):
     cfg = _load(args)
-    artifacts = run_experiment(cfg, out_dir=args.out_dir, seed=args.seed)
+    artifacts = run_experiment(cfg, out_dir=args.out_dir)
     for path in artifacts.files:
         print(f"wrote {path}")
     for key, value in artifacts.metrics.items():
@@ -93,15 +96,14 @@ def _cmd_run(args):
 
 def _cmd_sweep(args):
     cfg = _load(args)
-    outcome = run_sweep(cfg, out_dir=args.out_dir, seed=args.seed)
+    outcome = run_sweep(cfg, out_dir=args.out_dir)
     print(f"wrote {outcome.results_path} ({outcome.n_rows} rows, {outcome.n_failed} failed)")
     return EXIT_PARTIAL if outcome.n_failed else EXIT_OK
 
 
 def _cmd_verify(args):
-    overrides = list(args.overrides) + ["experiment.algorithm=verify"]
-    cfg = load_config(args.config, preset=args.preset, overrides=overrides)
-    artifacts = run_experiment(cfg, out_dir=args.out_dir, seed=args.seed)
+    cfg = _load(args, "experiment.algorithm=verify")
+    artifacts = run_experiment(cfg, out_dir=args.out_dir)
     failed = [r for r in artifacts.reports if not r.passed]
     for rep in artifacts.reports:
         status = "pass" if rep.passed else "FAIL"
@@ -113,7 +115,7 @@ def _cmd_verify(args):
 
 def _cmd_gen_data(args):
     cfg = _load(args)
-    for path in gen_data(cfg, out_dir=args.out_dir, seed=args.seed):
+    for path in gen_data(cfg, out_dir=args.out_dir):
         print(f"wrote {path}")
     return EXIT_OK
 

@@ -36,12 +36,13 @@ condition, flowedit n_avg through target_condition, generate condition.
 """
 
 import os
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import LatentCodec, make_time_grid
-from .editors import check_eta
+from .editors import RngSeed, check_eta
 from .fields import Condition, FieldRegistry, GuidanceScales
 from .metrics import (check_convergence_arms, check_edit_control_arms, check_probe_step,
                       check_run_count, check_step_counts)
@@ -190,6 +191,7 @@ def _merge(entries, preset_name, overrides):
         if not _known_path(path):
             raise ConfigError(f"--set: unknown key {path!r}")
         resolved[path] = value.strip()
+        lines.pop(path, None)  # the file's line no longer holds the value
     return resolved, lines
 
 
@@ -223,6 +225,20 @@ class _Resolved:
 
     def _fail(self, path, message):
         raise ConfigError(f"{path}: {message}", self.lines.get(path))
+
+    def build(self, section, make, *args, **kwargs):
+        """make(*args, **kwargs); a ValueError it raises fails under the first
+        key of section that its message names, by the key or by the key's stem
+        before '_' (window for window_hi), else under the section."""
+        try:
+            return make(*args, **kwargs)
+        except ValueError as exc:
+            message = str(exc)
+        for word in re.findall(r"\w+", message):
+            for path in _KEYS:
+                if path == f"{section}.{word}" or path.startswith(f"{section}.{word}_"):
+                    self._fail(path, message)
+        self._fail(section, message)
 
     def has(self, path):
         return path in self.map
@@ -308,10 +324,7 @@ def _build_codec(res, dim):
 
     scale = broadcast("codec.scale") if res.has("codec.scale") else np.ones(dim)
     offset = broadcast("codec.offset") if res.has("codec.offset") else np.zeros(dim)
-    try:
-        return LatentCodec(scale=scale, offset=offset)
-    except ValueError as exc:
-        res._fail("codec.scale", str(exc))
+    return res.build("codec", LatentCodec, scale=scale, offset=offset)
 
 
 def _condition(res, path, registry):
@@ -324,17 +337,15 @@ def _condition(res, path, registry):
 
 
 def _build_transport(res):
-    try:
-        return TransportConfig(
-            beta0=res.get("transport.beta0"),
-            phi=res.get("transport.phi"),
-            delta=res.get("transport.delta"),
-            clip_tau=res.get("transport.clip_tau"),
-            orientation=res.get("transport.orientation"),
-            window=(res.get("transport.window_hi"), res.get("transport.window_lo")),
-        )
-    except ValueError as exc:
-        res._fail("transport", str(exc))
+    return res.build(
+        "transport", TransportConfig,
+        beta0=res.get("transport.beta0"),
+        phi=res.get("transport.phi"),
+        delta=res.get("transport.delta"),
+        clip_tau=res.get("transport.clip_tau"),
+        orientation=res.get("transport.orientation"),
+        window=(res.get("transport.window_hi"), res.get("transport.window_lo")),
+    )
 
 
 def _build_editor(res, algorithm, registry, n_steps):
@@ -478,22 +489,15 @@ def _build_config(resolved, lines, axis_lines, base_dir, registry=None):
     if not registry.names():
         raise ConfigError("at least one [dataset.<name>] section is required")
     n_steps = res.get("grid.n_steps")
-    try:
-        grid = make_time_grid(n_steps, res.get("grid.t_start"), res.get("grid.t_end"))
-    except ValueError as exc:
-        res._fail("grid.n_steps", str(exc))
+    grid = res.build("grid", make_time_grid, n_steps, res.get("grid.t_start"),
+                     res.get("grid.t_end"))
     if algorithm in ("invert_edit", "flowedit", "generate") and grid.direction != "reverse":
         res._fail("grid.t_start", f"{algorithm} needs a reverse grid (t_start > t_end)")
     transport = _build_transport(res)
-    try:
-        scales = GuidanceScales(w=res.get("scales.w"),
-                                w_src=res.get("scales.w_src"),
-                                w_tar=res.get("scales.w_tar"))
-    except ValueError as exc:
-        res._fail("scales.w", str(exc))
+    scales = res.build("scales", GuidanceScales, w=res.get("scales.w"),
+                       w_src=res.get("scales.w_src"), w_tar=res.get("scales.w_tar"))
     seed = res.get("experiment.seed")
-    if seed < 0:
-        res._fail("experiment.seed", "seed must be nonnegative")
+    res.build("experiment", RngSeed, seed)
 
     cfg = ExperimentConfig(
         name=res.get("experiment.name"),

@@ -47,7 +47,7 @@ class RngSeed:
 
     def __post_init__(self):
         if not isinstance(self.seed, (int, np.integer)) or not 0 <= int(self.seed) < 2 ** 64:
-            raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
+            raise ValueError(f"seed must be a nonnegative integer below 2**64, got {self.seed!r}")
         object.__setattr__(self, "seed", int(self.seed))
 
     def generator(self):

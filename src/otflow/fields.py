@@ -23,9 +23,8 @@ whose reduction order follows the operand shapes: with einsum a row's result
 depends neither on its batch nor on the Gaussians stacked beside it.
 
 Conditions select which field an evaluation uses: the null condition pools
-every registered dataset, a dataset condition blends that entry's field with
-the null field at classifier-free guidance weight w, and a reference condition
-is the straight-line pull toward a fixed state.
+every registered dataset, and a dataset condition blends that entry's field
+with the null field at classifier-free guidance weight w.
 """
 
 from dataclasses import dataclass
@@ -56,22 +55,17 @@ class Condition:
     """What a velocity evaluation is conditioned on.
 
     kind 'null' pools all registered datasets; 'dataset' names one registry
-    entry; 'reference' carries a fixed latent state to pull toward.
+    entry.
     """
 
     kind: str
     name: str = None
-    state: np.ndarray = None
 
     def __post_init__(self):
-        if self.kind not in ("null", "dataset", "reference"):
+        if self.kind not in ("null", "dataset"):
             raise ValueError(f"unknown condition kind {self.kind!r}")
         if self.kind == "dataset" and not self.name:
             raise ValueError("dataset condition requires a name")
-        if self.kind == "reference":
-            if self.state is None:
-                raise ValueError("reference condition requires a state")
-            object.__setattr__(self, "state", np.asarray(self.state, dtype=float))
 
     @classmethod
     def null(cls):
@@ -80,10 +74,6 @@ class Condition:
     @classmethod
     def dataset(cls, name):
         return cls(kind="dataset", name=name)
-
-    @classmethod
-    def reference(cls, state):
-        return cls(kind="reference", state=state)
 
 
 def _clamp_t(t, t_floor):
@@ -176,6 +166,12 @@ def _gaussian_stack(mean, cov, where=""):
     return cov, (mean[None], np.clip(eigvals, 0.0, None)[None], eigvecs[None])
 
 
+def _one_gaussian_velocity(one, z, t):
+    # The velocity of a one-component stack at z, shaped like z.
+    _, v = _gaussian_velocity_eig(*one, z.reshape(-1, z.shape[-1]), t)
+    return v[:, 0].reshape(z.shape)
+
+
 def gaussian_marginal_velocity(mean, cov, z, t, t_floor=1e-4):
     """Marginal velocity for data drawn from N(mean, cov).
 
@@ -186,8 +182,7 @@ def gaussian_marginal_velocity(mean, cov, z, t, t_floor=1e-4):
     z = np.asarray(z, dtype=float)
     if z.shape[-1] != cov.shape[0]:
         raise ValueError(f"state dim {z.shape[-1]} != gaussian dim {cov.shape[0]}")
-    _, v = _gaussian_velocity_eig(*one, z.reshape(-1, z.shape[-1]), _clamp_t(t, t_floor))
-    return v[:, 0].reshape(z.shape)
+    return _one_gaussian_velocity(one, z, _clamp_t(t, t_floor))
 
 
 def conditional_linear_velocity(z_ref, z, t, t_floor=1e-4):
@@ -308,10 +303,8 @@ class FieldRegistry:
         if name in self._points:
             return empirical_marginal_velocity(self._points[name], z, t, self.t_floor)
         if name in self._gaussians:
-            z = np.asarray(z, dtype=float)
-            _, v = _gaussian_velocity_eig(*self._gaussians[name][0], z.reshape(-1, z.shape[-1]),
+            return _one_gaussian_velocity(self._gaussians[name][0], np.asarray(z, dtype=float),
                                           _clamp_t(t, self.t_floor))
-            return v[:, 0].reshape(z.shape)
         raise UnknownDatasetError(name)
 
     def _null_velocity(self, z, t):
@@ -360,15 +353,11 @@ def evaluate(registry, z, t, condition, scales):
 
     null: pooled field over every registered dataset.  dataset(name): that
     entry's field blended with the null field at scales.w; a Gaussian entry's
-    field is then read from the null mixture's own kernel call.
-    reference(state): the straight-line pull toward the carried state.
+    field is then read from the null mixture's own kernel call.  A name the
+    registry does not hold raises UnknownDatasetError.
     """
-    if condition.kind == "reference":
-        return conditional_linear_velocity(condition.state, z, t, registry.t_floor)
     if condition.kind == "null":
         return registry._null_velocity(z, t)
-    if not registry.has(condition.name):
-        raise UnknownDatasetError(condition.name)
     if scales.w != 1.0 and condition.name in registry._gaussians:
         v_null, gauss_v = registry._mixture_velocity(z, t)
         k = registry._gaussians[condition.name][2]

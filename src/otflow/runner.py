@@ -83,29 +83,30 @@ def derive_seed(base_seed, cell_index, replicate):
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
+def _csv_text(rows):
+    """rows as CSV text, every line ended by a bare newline."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
 def trajectory_csv(traj):
     """t, z_0..z_{d-1}, v_0..v_{d-1}, transport_norm, weight; one row per grid point."""
     d = traj.dim
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["t"] + [f"z_{i}" for i in range(d)] + [f"v_{i}" for i in range(d)]
-                    + ["transport_norm", "weight"])
+    rows = [["t"] + [f"z_{i}" for i in range(d)] + [f"v_{i}" for i in range(d)]
+            + ["transport_norm", "weight"]]
     for k in range(traj.times.shape[0]):
         row = [_fmt(traj.times[k])]
         row += [_fmt(v) for v in traj.states[k]]
         row += [_fmt(v) for v in traj.velocities[k]]
         row += [_fmt(traj.transport_norms[k]), _fmt(traj.weights[k])]
-        writer.writerow(row)
-    return buf.getvalue()
+        rows.append(row)
+    return _csv_text(rows)
 
 
 def points_csv(points):
     """Headerless point rows, loadable back as a dataset csv."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    for row in np.asarray(points, dtype=float):
-        writer.writerow([_fmt(v) for v in row])
-    return buf.getvalue()
+    return _csv_text([_fmt(v) for v in row] for row in np.asarray(points, dtype=float))
 
 
 def _draw_from_dataset(registry, name, rng):
@@ -289,12 +290,9 @@ def _report_lines(cfg, seed, metrics=None, reports=None):
 
 
 def _measured_csv(report):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["series", "control", "observed"])
-    for series, control, observed in report.measured:
-        writer.writerow([series, _fmt(control), _fmt(observed)])
-    return buf.getvalue()
+    return _csv_text([["series", "control", "observed"]]
+                     + [[series, _fmt(control), _fmt(observed)]
+                        for series, control, observed in report.measured])
 
 
 def run_experiment(cfg, out_dir=None, seed=None):
@@ -394,22 +392,20 @@ def run_sweep(cfg, out_dir=None, seed=None):
         for row, outcome in zip(rows, results):
             outcomes[row] = outcome
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(list(paths) + ["replicate", "seed"] + list(_METRIC_COLUMNS) + ["error"])
+    table = [list(paths) + ["replicate", "seed"] + list(_METRIC_COLUMNS) + ["error"]]
     n_failed = 0
     for head, outcome in zip(heads, outcomes):
         if isinstance(outcome, Exception):
             n_failed += 1
             message = f"{type(outcome).__name__}: {outcome}".replace("\n", " ")
-            writer.writerow(head + ["" for _ in _METRIC_COLUMNS] + [message])
+            table.append(head + ["" for _ in _METRIC_COLUMNS] + [message])
         else:
-            writer.writerow(head + [_fmt(outcome[k]) for k in _METRIC_COLUMNS] + [""])
+            table.append(head + [_fmt(outcome[k]) for k in _METRIC_COLUMNS] + [""])
+    text = _csv_text(table)
 
-    results_path = atomic_write_text(os.path.join(out_dir, f"{cfg.name}_results.csv"),
-                                     buf.getvalue())
+    results_path = atomic_write_text(os.path.join(out_dir, f"{cfg.name}_results.csv"), text)
     if cfg.plot and len(paths) == 1:
-        rows = _numeric_rows(buf.getvalue(), paths[0], "w2_to_target")
+        rows = _numeric_rows(text, paths[0], "w2_to_target")
         if rows:
             atomic_write_text(os.path.join(out_dir, f"{cfg.name}_results.svg"),
                               render_metric_chart(rows, paths[0], "w2_to_target"))

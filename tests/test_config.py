@@ -179,6 +179,33 @@ def test_run_values_are_checked_only_where_read():
         _load(lines)
 
 
+def test_set_override_drops_the_file_line():
+    # Once --set replaces a file value, the file's line holds a different one.
+    with pytest.raises(ConfigError) as ei:
+        _load(_BASE + ["eta = 0.5"], overrides=["editor.eta=nan"])
+    assert ei.value.line is None
+    assert str(ei.value).startswith("editor.eta: ")
+
+
+def test_constructor_errors_carry_key_line():
+    # A runtime constructor's error is reported under the key its message
+    # names, with that key's line; window names window_hi, its first key.
+    n = len(_BASE)
+    cases = [
+        (["[transport]", "phi = 0"], n + 2, "transport.phi: phi must lie in (0, 1]"),
+        (["[scales]", "w_tar = inf"], n + 2, "scales.w_tar: guidance scale w_tar must be finite"),
+        (["[codec]", "offset = nan"], n + 2, "codec.offset: offset contains non-finite"),
+        (["[grid]", "t_end = 2"], n + 2, "grid.t_end: t_end must lie in [0, 1], got 2.0"),
+        (["[transport]", "window_lo = 0.5", "window_hi = 0.2"], n + 3,
+         "transport.window_hi: window must satisfy"),
+    ]
+    for extra, line, text in cases:
+        with pytest.raises(ConfigError) as ei:
+            _load(_BASE + extra)
+        assert ei.value.line == line
+        assert str(ei.value).startswith(f"line {line}: {text}")
+
+
 def test_dataset_errors_carry_key_line(tmp_path):
     # The line is that of the key holding the rejected value, or the
     # dataset's first key when the keys do not make a dataset.

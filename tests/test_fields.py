@@ -270,14 +270,20 @@ def test_cfg_blend_endpoints_and_extrapolation():
 def test_condition_constructors_and_validation():
     assert Condition.null().kind == "null"
     assert Condition.dataset("x").name == "x"
-    ref = Condition.reference(np.array([1.0, 2.0]))
-    assert np.array_equal(ref.state, np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
         Condition(kind="bogus")
     with pytest.raises(ValueError):
         Condition(kind="dataset")
     with pytest.raises(ValueError):
         Condition(kind="reference")
+
+
+def test_condition_is_a_hashable_value():
+    # A condition is its (kind, name): equal pairs compare and hash equal.
+    assert Condition.dataset("x") == Condition(kind="dataset", name="x")
+    assert Condition.dataset("x") != Condition.dataset("y")
+    assert Condition.null() != Condition.dataset("x")
+    assert len({Condition.null(), Condition.null(), Condition.dataset("x")}) == 2
 
 
 def test_registry_registration_rules():
@@ -375,15 +381,6 @@ def test_evaluate_dataset_condition_with_guidance():
     assert np.allclose(got, v_null + 3.0 * (v_a - v_null), atol=1e-12)
     with pytest.raises(UnknownDatasetError):
         evaluate(reg, z, t, Condition.dataset("zzz"), GuidanceScales())
-
-
-def test_evaluate_reference_condition():
-    reg = FieldRegistry(t_floor=1e-3)
-    reg.add_points("a", np.zeros((1, 2)))
-    state = np.array([2.0, 2.0])
-    z = np.array([1.0, 0.0])
-    got = evaluate(reg, z, 0.5, Condition.reference(state), GuidanceScales())
-    assert np.allclose(got, (z - state) / 0.5, atol=1e-15)
 
 
 def test_null_on_empty_registry_fails():

@@ -473,6 +473,22 @@ def test_cli_config_error_exit(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_cli_seed_out_of_range_is_a_config_error(tmp_path, capsys):
+    # --seed and experiment.seed share RngSeed's range, 0 <= seed < 2**64.
+    cfg_path = _write(tmp_path, "edit.cfg", _EDIT_CFG)
+    big_path = _write(tmp_path, "big.cfg", _EDIT_CFG.replace("name = edit\n",
+                                                            f"name = edit\nseed = {2 ** 64}\n"))
+    cases = [(["--seed", "-1"], cfg_path, "", -1),
+             (["--seed", str(2 ** 64)], cfg_path, "", 2 ** 64),
+             ([], big_path, "line 4: ", 2 ** 64)]
+    for flags, path, line, seed in cases:
+        assert main(["run", path, *flags, "--out-dir", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: {line}experiment.seed: seed must be a nonnegative integer "
+            f"below 2**64, got {seed}\n")
+    assert not os.path.exists(tmp_path / "out")
+
+
 def test_cli_numerical_abort_exit(tmp_path, capsys):
     text = ("[experiment]\nalgorithm = generate\nname = boom\n"
             "[dataset.p]\npoints = 1e200, 0; -1e200, 0\n"
