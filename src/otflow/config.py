@@ -22,7 +22,7 @@ Keys:
   [editor]      eta, eta_start, eta_stop, condition, n_avg, n_max, n_min,
                 source_condition, target_condition
   [scales]      w, w_src, w_tar
-  [sweep]       axis, replicates
+  [sweep]       replicates
   [verify]      kind, beta0_list, edit_beta0_list, step_counts, phi, n_runs,
                 probe_t, condition
   [dataset.X]   points, csv, mean, cov
@@ -30,11 +30,15 @@ Keys:
 algorithm is invert_edit|flowedit|generate|verify; codec scale and offset
 are a scalar or a d-vector (identity when omitted); sample_source names the
 dataset x0 is drawn from.  invert_edit reads the editor keys eta through
-condition, flowedit n_avg through target_condition, generate condition.
-`axis = path: v1, v2, ...` may repeat.  A dataset gives exactly one of
+condition, flowedit n_avg through target_condition (cfg.editor holds their
+InversionEditConfig or FlowEditConfig arguments), generate condition.  Every
+run reads experiment.seed; sweep rows derive their seeds from it.
+`axis = path: v1, v2, ...` may repeat, over any key but _UNSWEPT, for up to
+_SWEEP_CAP rows (cells x replicates).  A dataset gives exactly one of
 `points = x,y; x,y; ...`, `csv = path`, or mean and cov.
 """
 
+import math
 import os
 import re
 from dataclasses import dataclass, field
@@ -42,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import LatentCodec, make_time_grid
-from .editors import RngSeed, check_eta
+from .editors import FlowEditConfig, InversionEditConfig, RngSeed
 from .fields import Condition, FieldRegistry, GuidanceScales
 from .metrics import (check_convergence_arms, check_edit_control_arms, check_probe_step,
                       check_run_count, check_step_counts)
@@ -54,7 +58,8 @@ _SWEEP_CAP = 100_000
 
 # Each key outside [dataset.*], declared once: path -> (kind in _PARSERS,
 # default).  A None default makes a key required where a run reads it; the
-# "" algorithm fails the algorithm check by name; _parse_axes reads sweep.axis.
+# "" algorithm fails the algorithm check by name.  [sweep] axis lines are not
+# keys: _parse_lines hands them to _parse_axes.
 _KEYS = {
     "experiment.name": ("str", "experiment"),
     "experiment.algorithm": ("str", ""),
@@ -90,7 +95,6 @@ _KEYS = {
     "scales.w": ("float", "1.0"),
     "scales.w_src": ("float", "1.0"),
     "scales.w_tar": ("float", "1.0"),
-    "sweep.axis": ("str", None),
     "sweep.replicates": ("int", "1"),
     "verify.kind": ("str", "all"),
     "verify.beta0_list": ("floats", "0, 0.1, 0.2, 0.4"),
@@ -105,10 +109,14 @@ _KEYS = {
 _DATASET_KINDS = {"points": "matrix", "csv": "str", "mean": "vector", "cov": "matrix"}
 _SECTIONS = {path.rpartition(".")[0] for path in _KEYS}
 
-# Editor or verifier -> the keys it reads whose values its runtime checks,
-# each with the function that check is.
+# Keys every sweep row reads from the base config (its seed via derive_seed).
+_UNSWEPT = ("experiment.name", "experiment.seed", "experiment.output_dir",
+            "experiment.plot", "experiment.preset", "sweep.replicates")
+# The editor config each editing algorithm builds from cfg.editor.
+_EDIT_CONFIGS = {"invert_edit": InversionEditConfig, "flowedit": FlowEditConfig}
+# Verifier -> the keys it reads whose values its runtime checks, each with
+# the function that check is.
 _RUN_RULES = {
-    "invert_edit": (("editor.eta", check_eta),),
     "discretization": (("verify.step_counts", check_step_counts),),
     "convergence": (("verify.n_runs", check_run_count),
                     ("verify.beta0_list", check_convergence_arms)),
@@ -357,7 +365,7 @@ def _build_editor(res, algorithm, registry, n_steps):
         if not 0.0 <= start <= stop <= 1.0:
             res._fail("editor.eta_start", f"need 0 <= eta_start <= eta_stop <= 1, got {start}, {stop}")
         ed["eta_window"] = (1.0 - start, 1.0 - stop)
-        ed["condition"] = _condition(res, "editor.condition", registry)
+        ed["condition_target"] = _condition(res, "editor.condition", registry)
     elif algorithm == "flowedit":
         ed["n_avg"] = res.get("editor.n_avg")
         ed["n_max"] = res.get("editor.n_max", default=str(n_steps))
@@ -420,17 +428,21 @@ def _build_verify(res, registry):
     }
 
 
-def _check_run_values(res, algorithm, verify_kind):
+def _check_run_values(res, cfg):
     """Fail, with its key and line, on any value the run reads that its
-    runtime's rule rejects; a verify run is the verifiers its kind selects."""
-    runs = [algorithm] + [v for v in ("discretization", "convergence", "edit_control")
-                          if algorithm == "verify" and verify_kind in (v, "all")]
-    for run in runs:
-        for path, rule in _RUN_RULES.get(run, ()):
-            try:
-                rule(res.get(path))
-            except ValueError as exc:
-                res._fail(path, str(exc))
+    runtime's rule rejects: an editing run builds its editor config, a
+    verify run checks the verifiers its kind selects."""
+    if cfg.algorithm in _EDIT_CONFIGS:
+        seed = {"seed": cfg.seed} if cfg.algorithm == "flowedit" else {}
+        res.build("editor", _EDIT_CONFIGS[cfg.algorithm], transport=cfg.transport,
+                  grid=cfg.grid, scales=cfg.scales, **seed, **cfg.editor)
+    for run, rules in _RUN_RULES.items():
+        if cfg.algorithm == "verify" and cfg.verify["kind"] in (run, "all"):
+            for path, rule in rules:
+                try:
+                    rule(res.get(path))
+                except ValueError as exc:
+                    res._fail(path, str(exc))
 
 
 def _parse_axes(axis_lines):
@@ -443,6 +455,8 @@ def _parse_axes(axis_lines):
         path = path.strip()
         if not _known_path(path):
             raise ConfigError(f"axis over unknown key {path!r}", lineno)
+        if path in _UNSWEPT:
+            raise ConfigError(f"axis over {path}: sweep rows read it from the base config", lineno)
         if path in seen:
             raise ConfigError(f"duplicate axis {path}", lineno)
         seen.add(path)
@@ -450,11 +464,6 @@ def _parse_axes(axis_lines):
         if not vals:
             raise ConfigError(f"axis {path} has no values", lineno)
         axes.append((path, vals))
-    total = 1
-    for _, vals in axes:
-        total *= len(vals)
-    if total > _SWEEP_CAP:
-        raise ConfigError(f"sweep grid has {total} cells, cap is {_SWEEP_CAP}")
     return axes
 
 
@@ -520,6 +529,10 @@ def _build_config(resolved, lines, axis_lines, base_dir, registry=None):
     )
     if cfg.replicates < 1:
         res._fail("sweep.replicates", "replicates must be >= 1")
+    cells = math.prod(len(vals) for _, vals in cfg.sweep_axes)
+    if cfg.sweep_axes and cells * cfg.replicates > _SWEEP_CAP:
+        raise ConfigError(f"sweep has {cells} cells x {cfg.replicates} replicates, "
+                          f"cap is {_SWEEP_CAP} rows")
 
     # Cross-checks that need several sections at once.
     dim = registry.dim()
@@ -527,15 +540,8 @@ def _build_config(resolved, lines, axis_lines, base_dir, registry=None):
         vec = cfg.inputs[key]
         if vec is not None and vec.shape[0] != dim:
             res._fail(f"inputs.{key}", f"expected {dim} entries, got {vec.shape[0]}")
-    if algorithm == "flowedit":
-        n_min, n_max = cfg.editor["n_min"], cfg.editor["n_max"]
-        if not 0 <= n_min <= n_max <= n_steps:
-            res._fail("editor.n_min",
-                      f"need 0 <= n_min <= n_max <= n_steps, got {n_min}, {n_max}, {n_steps}")
-        if cfg.editor["n_avg"] < 1:
-            res._fail("editor.n_avg", "n_avg must be >= 1")
     # Last, so a config that fails an earlier check keeps that error.
-    _check_run_values(res, algorithm, cfg.verify["kind"])
+    _check_run_values(res, cfg)
     return cfg
 
 

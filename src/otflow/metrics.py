@@ -252,58 +252,54 @@ def check_edit_control_arms(beta0_list):
         raise ValueError("need at least three positive beta0 values to fit a slope")
 
 
-def check_probe_step(probe_t, step_counts, t_span=(1.0, 0.0)):
-    """Raise ValueError unless the coarsest probe step lies inside t_span.
+def check_probe_step(probe_t, step_counts):
+    """Raise ValueError unless the coarsest probe step lies inside [0, 1].
 
-    verify_discretization_bound steps from probe_t toward t_span[1] by up to
-    |t1 - t0| / min(step_counts); a step that left the span would run on the
+    verify_discretization_bound steps from probe_t toward t = 0 by up to
+    1 / min(step_counts); a step that left the span would run on the
     field's clamped times and fit nothing.
     """
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    end = probe_t + (t1 - t0) / min(step_counts)
-    lo, hi = min(t0, t1), max(t0, t1)
-    if not (lo <= probe_t <= hi and lo <= end <= hi):
+    end = probe_t - 1.0 / min(step_counts)
+    if not 0.0 <= end <= probe_t <= 1.0:
         raise ValueError(f"probe step from t={probe_t} to t={end} leaves the time span "
-                         f"[{lo}, {hi}]")
+                         "[0.0, 1.0]")
 
 
 def verify_discretization_bound(field, transport_cfg, z_init, z_target, step_counts,
-                                t_span=(1.0, 0.0), probe_t=0.6):
+                                probe_t=0.6):
     """Check Euler error orders for the transport-guided ODE.
 
     Local one-step error against an RK4 reference should scale like dt^2
     (slope within [1.8, 2.2]); global end-state error like dt (slope within
     [0.8, 1.2]).  The probe step starts from the reference trajectory state at
     probe_t, away from the schedule and clipping kinks, and must stay inside
-    t_span (check_probe_step).  One RK4 pass of 20 * max(step_counts) steps
-    gives both references: its first steps end at probe_t, the rest continue
-    from there to t1.
+    [0, 1] (check_probe_step).  Both run from t = 1 to t = 0.  One RK4 pass
+    of 20 * max(step_counts) steps gives both references: its first steps
+    end at probe_t, the rest continue from there to t = 0.
     """
     step_counts = sorted(int(n) for n in step_counts)
     check_step_counts(step_counts)
-    check_probe_step(probe_t, step_counts, t_span)
+    check_probe_step(probe_t, step_counts)
     enhanced = make_enhanced(field, z_target, transport_cfg)
-    t0, t1 = t_span
     n_fine = 20 * max(step_counts)
-    # At least one step whenever probe_t != t0, so the probe state is never
+    # At least one step whenever probe_t != 1, so the probe state is never
     # z_init at the wrong time; the check above leaves the tail >= 20 steps.
-    n_probe = max(round(n_fine * abs(probe_t - t0) / abs(t1 - t0)), int(probe_t != t0))
+    n_probe = max(round(n_fine * (1.0 - probe_t)), int(probe_t != 1.0))
     probe_state = np.asarray(z_init, dtype=float)
     if n_probe:
-        probe_state = reference_integrate(enhanced, probe_state, t0, probe_t, n_probe)
-    ref_final = reference_integrate(enhanced, probe_state, probe_t, t1, n_fine - n_probe)
+        probe_state = reference_integrate(enhanced, probe_state, 1.0, probe_t, n_probe)
+    ref_final = reference_integrate(enhanced, probe_state, probe_t, 0.0, n_fine - n_probe)
 
     measured = []
     local_errs, global_errs, dts = [], [], []
     for n in step_counts:
-        dt = abs(t1 - t0) / n
-        grid = make_time_grid(n, t0, t1)
+        dt = 1.0 / n
+        grid = make_time_grid(n, 1.0, 0.0)
         traj = integrate(enhanced, np.asarray(z_init, dtype=float), grid)
         g_err = l2_distance(traj.final_state, ref_final)
         # One Euler step from the reference state vs a fine reference substep.
-        signed = -dt if t1 < t0 else dt
-        euler_sub = probe_state + signed * np.asarray(enhanced(probe_state, probe_t))
-        ref_sub = reference_integrate(enhanced, probe_state, probe_t, probe_t + signed, 50)
+        euler_sub = probe_state - dt * np.asarray(enhanced(probe_state, probe_t))
+        ref_sub = reference_integrate(enhanced, probe_state, probe_t, probe_t - dt, 50)
         l_err = l2_distance(euler_sub, ref_sub)
         dts.append(dt)
         local_errs.append(l_err)

@@ -5,10 +5,11 @@ shortest round-trip repr, and every random draw is keyed off explicit integer
 seeds, so identical configs produce byte-identical outputs regardless of
 timing.
 
-Seed discipline: the editor noise stream uses the experiment seed directly;
-auxiliary draws use fixed offsets (seed, 1) for input sampling and (seed, 2)
-for verification states; sweep cell c replicate r derives its seed from
-(base seed, c, r), so a cell's row does not depend on the cells run before it.
+Seed discipline: the config is a run's only input, and every run reads
+experiment.seed.  The editor noise stream uses it directly; auxiliary draws
+use fixed offsets (seed, 1) for input sampling and (seed, 2) for verification
+states; sweep cell c replicate r derives its seed from (experiment.seed, c,
+r), so a cell's row does not depend on the cells run before it.
 Sweeps run in the calling thread.  Each cell's config is derived and
 validated, and its x0 resolved, in turn; then every group of invert_edit
 rows whose overrides differ only in transport.beta0 runs as one (B, d)
@@ -31,9 +32,9 @@ from .core import integrate
 from .editors import (FlowEditConfig, InversionEditConfig, RngSeed,
                       transport_enhanced_flowedit, transport_guided_inversion_edit)
 from .fields import make_velocity
-from .metrics import (VerifySetup, verify_convergence_bound, verify_discretization_bound,
-                      verify_edit_control_bound, w2_dirac_to_gaussian, w2_dirac_to_points,
-                      w2_empirical_exact, w2_gaussian)
+from .metrics import (_EMPIRICAL_CAP, VerifySetup, verify_convergence_bound,
+                      verify_discretization_bound, verify_edit_control_bound,
+                      w2_dirac_to_gaussian, w2_dirac_to_points, w2_empirical_exact, w2_gaussian)
 from .svgplot import render_metric_chart, render_point_cloud, render_trajectories
 from .transport import make_enhanced
 
@@ -59,8 +60,6 @@ def _fmt(x):
         return ""
     if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
     return str(float(x))
 
 
@@ -144,7 +143,7 @@ def _cloud_w2_to_condition(cloud, registry, condition):
         emp_cov = centered.T @ centered / cloud.shape[0]
         return w2_gaussian(emp_mean, emp_cov, mean, cov)
     pts = registry.points(condition.name)
-    if cloud.shape[0] % len(pts) == 0 and cloud.shape[0] <= 2048:
+    if cloud.shape[0] % len(pts) == 0 and cloud.shape[0] <= _EMPIRICAL_CAP:
         # Equal-size exact assignment against the atom-replicated dataset.
         reps = np.repeat(pts, cloud.shape[0] // len(pts), axis=0)
         return w2_empirical_exact(cloud, reps)[0]
@@ -168,21 +167,15 @@ def _edit_metrics(summary, output, cfg, condition):
 
 
 def _inversion_edit(cfg, x0, beta0=None):
-    edit_cfg = InversionEditConfig(
-        eta=cfg.editor["eta"],
-        transport=cfg.transport,
-        grid=cfg.grid,
-        condition_target=cfg.editor["condition"],
-        scales=cfg.scales,
-        eta_window=cfg.editor["eta_window"],
-    )
+    edit_cfg = InversionEditConfig(transport=cfg.transport, grid=cfg.grid, scales=cfg.scales,
+                                   **cfg.editor)
     return transport_guided_inversion_edit(edit_cfg, cfg.registry, cfg.codec, x0,
                                            cfg.inputs["x_target"], beta0)
 
 
 def _run_invert_edit(cfg, seed):
     result = _inversion_edit(cfg, _resolve_x0(cfg, seed))
-    return _edit_metrics(result.summary, result.output, cfg, cfg.editor["condition"]), result
+    return _edit_metrics(result.summary, result.output, cfg, cfg.editor["condition_target"]), result
 
 
 def _run_invert_rows(cfg, x0s, beta0s):
@@ -190,22 +183,13 @@ def _run_invert_rows(cfg, x0s, beta0s):
     transport.beta0: each row's metrics, or the NumericalAbort it hit."""
     result = _inversion_edit(cfg, np.array(x0s), np.array(beta0s))
     return [abort if abort is not None
-            else _edit_metrics(summary, output, cfg, cfg.editor["condition"])
+            else _edit_metrics(summary, output, cfg, cfg.editor["condition_target"])
             for output, summary, abort in zip(result.output, result.summary, result.aborts)]
 
 
 def _run_flowedit(cfg, seed):
-    edit_cfg = FlowEditConfig(
-        transport=cfg.transport,
-        grid=cfg.grid,
-        cond_src=cfg.editor["cond_src"],
-        cond_tar=cfg.editor["cond_tar"],
-        scales=cfg.scales,
-        seed=RngSeed(seed),
-        n_avg=cfg.editor["n_avg"],
-        n_max=cfg.editor["n_max"],
-        n_min=cfg.editor["n_min"],
-    )
+    edit_cfg = FlowEditConfig(transport=cfg.transport, grid=cfg.grid, scales=cfg.scales,
+                              seed=RngSeed(seed), **cfg.editor)
     x0 = _resolve_x0(cfg, seed)
     result = transport_enhanced_flowedit(edit_cfg, cfg.registry, cfg.codec, x0)
     return _edit_metrics(result.summary, result.output, cfg, cfg.editor["cond_tar"]), result
@@ -235,10 +219,10 @@ _RUNNERS = {"invert_edit": _run_invert_edit, "flowedit": _run_flowedit,
             "generate": _run_generate}
 
 
-def run_verify(cfg, seed):
+def run_verify(cfg):
     """Run the configured bound verifications and return BoundReports."""
     vsection = cfg.verify
-    rng = _rng(seed, 2)
+    rng = _rng(cfg.seed, 2)
     dim = cfg.registry.dim()
     z_target = _draw_target_state(cfg.registry, vsection["condition"], rng)
     reports = []
@@ -259,7 +243,7 @@ def run_verify(cfg, seed):
             transport=cfg.transport,
             z_target=z_target,
             n_runs=vsection["n_runs"],
-            seed=seed,
+            seed=cfg.seed,
         )
         if "convergence" in kinds:
             reports.append(verify_convergence_bound(setup, vsection["beta0_list"]))
@@ -268,8 +252,8 @@ def run_verify(cfg, seed):
     return reports
 
 
-def _report_lines(cfg, seed, metrics=None, reports=None):
-    lines = ["[run]", f"name = {cfg.name}", f"algorithm = {cfg.algorithm}", f"seed = {seed}", ""]
+def _report_lines(cfg, metrics=None, reports=None):
+    lines = ["[run]", f"name = {cfg.name}", f"algorithm = {cfg.algorithm}", f"seed = {cfg.seed}", ""]
     if metrics is not None:
         lines.append("[result]")
         for key in _METRIC_COLUMNS:
@@ -295,7 +279,7 @@ def _measured_csv(report):
                         for series, control, observed in report.measured])
 
 
-def run_experiment(cfg, out_dir=None, seed=None):
+def run_experiment(cfg, out_dir=None):
     """Execute one configured run and write its artifacts.
 
     Editing runs write a trajectory CSV and a report; generate writes the
@@ -303,20 +287,19 @@ def run_experiment(cfg, out_dir=None, seed=None):
     for 2-D data when experiment.plot is true.
     """
     out_dir = out_dir or cfg.output_dir
-    seed = cfg.seed if seed is None else seed
     os.makedirs(out_dir, exist_ok=True)
     base = os.path.join(out_dir, cfg.name)
     files = []
     reports = []
 
     if cfg.algorithm == "verify":
-        reports = run_verify(cfg, seed)
+        reports = run_verify(cfg)
         for rep in reports:
             files.append(atomic_write_text(f"{base}_{rep.bound_kind}_measured.csv",
                                            _measured_csv(rep)))
         metrics = None
     else:
-        metrics, result = _RUNNERS[cfg.algorithm](cfg, seed)
+        metrics, result = _RUNNERS[cfg.algorithm](cfg, cfg.seed)
         if cfg.algorithm == "generate":
             files.append(atomic_write_text(f"{base}_samples.csv", points_csv(result)))
             if cfg.plot and result.shape[1] == 2:
@@ -330,7 +313,7 @@ def run_experiment(cfg, out_dir=None, seed=None):
                                                render_trajectories([result.trajectory.states])))
 
     files.append(atomic_write_text(f"{base}_report.txt",
-                                   _report_lines(cfg, seed, metrics, reports)))
+                                   _report_lines(cfg, metrics, reports)))
     return RunArtifacts(files=files, metrics=metrics or {}, reports=reports)
 
 
@@ -347,7 +330,7 @@ def _sweep_cell(cfg, overrides, seed):
     return runner(cell_cfg, seed)[0]
 
 
-def run_sweep(cfg, out_dir=None, seed=None):
+def run_sweep(cfg, out_dir=None):
     """Run the Cartesian sweep and write one results CSV.
 
     Row order is the product order of the axes as configured, then replicate.
@@ -359,7 +342,6 @@ def run_sweep(cfg, out_dir=None, seed=None):
     if not cfg.sweep_axes:
         raise ConfigError("sweep needs at least one axis = line in [sweep]")
     out_dir = out_dir or cfg.output_dir
-    base_seed = cfg.seed if seed is None else seed
     os.makedirs(out_dir, exist_ok=True)
     paths = [path for path, _ in cfg.sweep_axes]
     cells = list(itertools.product(*[vals for _, vals in cfg.sweep_axes]))
@@ -370,7 +352,7 @@ def run_sweep(cfg, out_dir=None, seed=None):
     for cell_index, combo in enumerate(cells):
         overrides = dict(zip(paths, combo))
         for rep in range(cfg.replicates):
-            cell_seed = derive_seed(base_seed, cell_index, rep)
+            cell_seed = derive_seed(cfg.seed, cell_index, rep)
             heads.append(list(combo) + [str(rep), str(cell_seed)])
             try:
                 outcome = _sweep_cell(cfg, overrides, cell_seed)
@@ -426,20 +408,19 @@ def _numeric_rows(csv_text, x_key, y_key):
     return rows
 
 
-def gen_data(cfg, out_dir=None, seed=None):
+def gen_data(cfg, out_dir=None):
     """Materialize every configured dataset as a headerless CSV.
 
     Point sets are written verbatim; Gaussian specs are sampled with
     inputs.count points using a per-dataset seed offset.
     """
     out_dir = out_dir or cfg.output_dir
-    seed = cfg.seed if seed is None else seed
     os.makedirs(out_dir, exist_ok=True)
     files = []
     for index, name in enumerate(cfg.registry.names()):
         if cfg.registry.kind(name) == "gaussian":
             mean, cov = cfg.registry.gaussian(name)
-            rng = _rng(seed, 3, index)
+            rng = _rng(cfg.seed, 3, index)
             pts = rng.multivariate_normal(mean, cov, size=cfg.inputs["count"])
         else:
             pts = cfg.registry.points(name)

@@ -282,6 +282,27 @@ def test_flowedit_editor_validation():
         _load(base[:-1] + ["target_condition = zzz"])
 
 
+def test_flowedit_errors_carry_key_line():
+    # FlowEditConfig's own rule and wording, under the key it names.
+    base = [
+        "[experiment]", "algorithm = flowedit",
+        "[dataset.a]", "points = 0,0; 1,1",
+        "[inputs]", "x0 = 0.5, 0.5",
+        "[editor]", "source_condition = a", "target_condition = a",
+    ]
+    n = len(base)
+    cases = [
+        (["n_max = 5", "n_min = 10"], n + 2,
+         "editor.n_min: need 0 <= n_min <= n_max <= n_steps, got n_min=10 n_max=5 n_steps=28"),
+        (["n_avg = 0"], n + 1, "editor.n_avg: n_avg must be a positive integer, got 0"),
+    ]
+    for extra, line, text in cases:
+        with pytest.raises(ConfigError) as ei:
+            _load(base + extra)
+        assert ei.value.line == line
+        assert str(ei.value) == f"line {line}: {text}"
+
+
 def test_generate_needs_no_inputs():
     cfg = _load(["[experiment]", "algorithm = generate",
                  "[dataset.d]", "points = 0,0; 1,1"])
@@ -309,6 +330,11 @@ def test_sweep_axes_parse():
     ("axis = bogus.k: 1", "unknown key"),
     ("axis = transport.beta0", "axis needs"),
     ("axis = transport.beta0:", "no values"),
+    # Every row takes these keys from the base config: such an axis would
+    # only relabel rows.
+    *[(f"axis = {path}: 1, 2", f"axis over {path}: sweep rows read it from the base config")
+      for path in ("experiment.seed", "experiment.name", "experiment.output_dir",
+                   "experiment.plot", "experiment.preset", "sweep.replicates")],
 ])
 def test_sweep_axis_errors(axis_line, match):
     with pytest.raises(ConfigError, match=match) as ei:
@@ -331,6 +357,30 @@ def test_sweep_cell_cap():
         _load(_BASE + ["[sweep]",
                        f"axis = transport.beta0: {big}",
                        f"axis = scales.w: {mid}"])
+
+
+def test_sweep_row_cap_counts_replicates():
+    # 1000 cells under the cap, but 10**9 rows once replicated; load only.
+    axis = ", ".join(str(i) for i in range(1000))
+    with pytest.raises(ConfigError, match="cap"):
+        _load(_BASE + ["[sweep]", f"axis = transport.beta0: {axis}", "replicates = 1000000"])
+    assert _load(_BASE + ["[sweep]", f"axis = transport.beta0: {axis}",
+                          "replicates = 100"]).replicates == 100
+
+
+def test_sweep_axis_over_algorithm_and_dataset_keys_loads():
+    cfg = _load(_BASE + ["[sweep]", "axis = experiment.algorithm: invert_edit, generate",
+                         "axis = dataset.d.csv: a.csv, b.csv"])
+    assert [path for path, _ in cfg.sweep_axes] == ["experiment.algorithm", "dataset.d.csv"]
+
+
+def test_sweep_axis_is_not_a_set_key():
+    from otflow.config import _KEYS
+
+    assert "sweep.axis" not in _KEYS
+    with pytest.raises(ConfigError, match="unknown key 'sweep.axis'"):
+        _load(_BASE + ["[sweep]", "axis = transport.beta0: 0, 1"],
+              overrides=["sweep.axis=scales.w: 1, 2"])
 
 
 def test_csv_dataset_resolves_relative_to_config(tmp_path):
@@ -395,6 +445,14 @@ def test_serialize_round_trip_including_axes():
     assert cfg2.sweep_axes == cfg.sweep_axes
     assert cfg2.replicates == 2
     assert cfg2.transport.beta0 == cfg.transport.beta0
+
+
+def test_serialize_round_trip_after_set_overrides():
+    cfg = _load(_BASE + ["[sweep]", "axis = transport.beta0: 0, 0.5", "replicates = 2"],
+                overrides=["experiment.seed=9", "scales.w=2.5", "editor.eta=0.25"])
+    cfg2 = load_config_text(serialize_config(cfg))
+    assert cfg2.resolved == cfg.resolved
+    assert cfg2.sweep_axes == cfg.sweep_axes
 
 
 def test_derive_config_overrides_and_drops_axes():

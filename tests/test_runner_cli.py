@@ -172,7 +172,7 @@ def test_trajectory_csv_structure():
     cfg = _cfg(_EDIT_CFG)
     res = transport_guided_inversion_edit(
         InversionEditConfig(eta=0.5, transport=cfg.transport, grid=cfg.grid,
-                            condition_target=cfg.editor["condition"], scales=cfg.scales),
+                            condition_target=cfg.editor["condition_target"], scales=cfg.scales),
         cfg.registry, cfg.codec, cfg.inputs["x0"])
     text = trajectory_csv(res.trajectory)
     rows = list(csv.reader(io.StringIO(text)))
@@ -204,8 +204,8 @@ def test_atomic_write_leaves_no_temp(tmp_path):
 
 
 def test_run_experiment_invert_edit_artifacts(tmp_path):
-    cfg = _cfg(_EDIT_CFG)
-    art = run_experiment(cfg, out_dir=str(tmp_path), seed=3)
+    cfg = _cfg(_EDIT_CFG, overrides=["experiment.seed=3"])
+    art = run_experiment(cfg, out_dir=str(tmp_path))
     names = sorted(os.path.basename(p) for p in art.files)
     assert names == ["edit_report.txt", "edit_trajectory.csv"]
     report = open(os.path.join(tmp_path, "edit_report.txt")).read()
@@ -219,15 +219,15 @@ def test_run_experiment_invert_edit_artifacts(tmp_path):
 
 def test_run_experiment_is_byte_deterministic(tmp_path):
     cfg = _cfg(_EDIT_CFG)
-    a1 = run_experiment(cfg, out_dir=str(tmp_path / "r1"), seed=0)
-    a2 = run_experiment(cfg, out_dir=str(tmp_path / "r2"), seed=0)
+    a1 = run_experiment(cfg, out_dir=str(tmp_path / "r1"))
+    a2 = run_experiment(cfg, out_dir=str(tmp_path / "r2"))
     for p1, p2 in zip(sorted(a1.files), sorted(a2.files)):
         assert open(p1, "rb").read() == open(p2, "rb").read()
 
 
 def test_run_experiment_generate(tmp_path):
     cfg = _cfg(_GEN_CFG)
-    art = run_experiment(cfg, out_dir=str(tmp_path), seed=0)
+    art = run_experiment(cfg, out_dir=str(tmp_path))
     cloud = np.loadtxt(os.path.join(tmp_path, "gen_samples.csv"), delimiter=",")
     assert cloud.shape == (64, 2)
     # samples concentrate near the dataset mean
@@ -238,16 +238,16 @@ def test_run_experiment_generate(tmp_path):
 def test_generate_with_transport_needs_target(tmp_path):
     cfg = _cfg(_GEN_CFG + "[transport]\nbeta0 = 0.5\n")
     with pytest.raises(ConfigError, match="x_target"):
-        run_experiment(cfg, out_dir=str(tmp_path), seed=0)
+        run_experiment(cfg, out_dir=str(tmp_path))
     ok = _cfg(_GEN_CFG + "[transport]\nbeta0 = 0.5\n[inputs]\nx_target = -1.5, 0.0\n")
-    art = run_experiment(ok, out_dir=str(tmp_path), seed=0)
+    art = run_experiment(ok, out_dir=str(tmp_path))
     assert art.metrics["w2_to_target"] is not None
 
 
 def test_run_verify_kind_dispatch():
-    one = run_verify(_cfg(_VERIFY_PASS_CFG + "kind = convergence\n"), seed=0)
+    one = run_verify(_cfg(_VERIFY_PASS_CFG + "kind = convergence\n"))
     assert [r.bound_kind for r in one] == ["convergence"]
-    all_three = run_verify(_cfg(_VERIFY_PASS_CFG), seed=0)
+    all_three = run_verify(_cfg(_VERIFY_PASS_CFG))
     assert [r.bound_kind for r in all_three] == ["discretization", "convergence",
                                                  "edit_control"]
     assert all(r.passed for r in all_three)
@@ -276,7 +276,7 @@ def test_run_verify_integrates_each_arm_once(monkeypatch):
 
     monkeypatch.setattr(runner, "VerifySetup", recording_setup)
     monkeypatch.setattr(metrics, "integrate", counting_integrate)
-    _, conv, edit = run_verify(cfg, seed=0)
+    _, conv, edit = run_verify(cfg)
     assert batches == [16] * 5 and len(setups) == 1
     vsec = cfg.verify
     assert conv.measured == metrics.verify_convergence_bound(
@@ -287,7 +287,7 @@ def test_run_verify_integrates_each_arm_once(monkeypatch):
 
 def test_run_experiment_verify_artifacts(tmp_path):
     cfg = _cfg(_VERIFY_PASS_CFG)
-    art = run_experiment(cfg, out_dir=str(tmp_path), seed=0)
+    art = run_experiment(cfg, out_dir=str(tmp_path))
     names = sorted(os.path.basename(p) for p in art.files)
     assert names == ["vp_convergence_measured.csv", "vp_discretization_measured.csv",
                      "vp_edit_control_measured.csv", "vp_report.txt"]
@@ -301,7 +301,7 @@ def test_run_experiment_verify_artifacts(tmp_path):
 
 def test_run_sweep_rows_and_determinism(tmp_path):
     cfg = _cfg(_SWEEP_CFG)
-    out = run_sweep(cfg, out_dir=str(tmp_path / "s1"), seed=0)
+    out = run_sweep(cfg, out_dir=str(tmp_path / "s1"))
     assert out.n_rows == 44 and out.n_failed == 0
     rows = list(csv.reader(open(out.results_path)))
     assert rows[0] == ["transport.beta0", "replicate", "seed", "reconstruction_l2",
@@ -311,7 +311,7 @@ def test_run_sweep_rows_and_determinism(tmp_path):
     assert [r[0] for r in rows[1:6]] == ["0", "0", "0", "0", "0.1"]
     assert [r[1] for r in rows[1:6]] == ["0", "1", "2", "3", "0"]
 
-    again = run_sweep(cfg, out_dir=str(tmp_path / "s2"), seed=0)
+    again = run_sweep(cfg, out_dir=str(tmp_path / "s2"))
     assert open(out.results_path, "rb").read() == open(again.results_path, "rb").read()
 
 
@@ -319,7 +319,7 @@ def test_run_sweep_isolates_failed_cells(tmp_path):
     text = _SWEEP_CFG.replace(
         "axis = transport.beta0: 0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0",
         "axis = transport.beta0: 0, -1").replace("replicates = 4", "replicates = 2")
-    out = run_sweep(_cfg(text), out_dir=str(tmp_path), seed=0)
+    out = run_sweep(_cfg(text), out_dir=str(tmp_path))
     assert out.n_rows == 4 and out.n_failed == 2
     rows = list(csv.reader(open(out.results_path)))
     good = [r for r in rows[1:] if r[0] == "0"]
@@ -333,7 +333,8 @@ def test_invert_sweep_isolates_overflowing_rows(tmp_path, capsys):
     # and fail alone, with the text `otflow run` aborts with on that cell.
     cfg_path = _write(tmp_path, "isw.cfg", _INVERT_SWEEP_CFG)
     with np.errstate(all="ignore"):
-        out = run_sweep(_cfg(_INVERT_SWEEP_CFG), out_dir=str(tmp_path / "mixed"), seed=3)
+        out = run_sweep(_cfg(_INVERT_SWEEP_CFG, overrides=["experiment.seed=3"]),
+                        out_dir=str(tmp_path / "mixed"))
     assert out.n_rows == 6 and out.n_failed == 2
     lines = open(out.results_path, encoding="utf-8").read().splitlines()
     for record in csv.DictReader(lines[5:], fieldnames=lines[0].split(",")):
@@ -347,7 +348,7 @@ def test_invert_sweep_isolates_overflowing_rows(tmp_path, capsys):
         assert record["reconstruction_l2"] == ""
 
     clean = _INVERT_SWEEP_CFG.replace("0, 0.5, 1e300", "0, 0.5")
-    out = run_sweep(_cfg(clean), out_dir=str(tmp_path / "clean"), seed=3)
+    out = run_sweep(_cfg(clean, overrides=["experiment.seed=3"]), out_dir=str(tmp_path / "clean"))
     assert out.n_failed == 0
     assert open(out.results_path, encoding="utf-8").read().splitlines() == lines[:5]
 
@@ -357,14 +358,14 @@ def test_invert_sweep_isolates_overflowing_rows(tmp_path, capsys):
 def test_sweep_rows_equal_run_reports(tmp_path, text):
     # run and sweep share one editor path: each row's metric strings equal
     # the report of run_experiment on that cell and seed, exactly.
-    cfg = _cfg(text)
-    out = run_sweep(cfg, out_dir=str(tmp_path), seed=7)
+    cfg = _cfg(text, overrides=["experiment.seed=7"])
+    out = run_sweep(cfg, out_dir=str(tmp_path))
     (axis, _), = cfg.sweep_axes
     records = list(csv.DictReader(open(out.results_path, encoding="utf-8")))
     assert len(records) == out.n_rows
     for record in records:
-        run_experiment(derive_config(cfg, {axis: record[axis]}), out_dir=str(tmp_path / "run"),
-                       seed=int(record["seed"]))
+        run_experiment(derive_config(cfg, {axis: record[axis], "experiment.seed": record["seed"]}),
+                       out_dir=str(tmp_path / "run"))
         report = open(tmp_path / "run" / f"{cfg.name}_report.txt", encoding="utf-8").read()
         result = report.split("[result]\n")[1].split("\n\n")[0]
         want = dict(line.partition(" = ")[::2] for line in result.splitlines())
@@ -375,7 +376,7 @@ def test_sweep_rows_equal_run_reports(tmp_path, text):
 def test_sweep_cell_with_rejected_eta_fails_alone(tmp_path):
     text = _INVERT_SWEEP_CFG.replace("axis = transport.beta0: 0, 0.5, 1e300",
                                      "axis = editor.eta: 0.5, 1.5")
-    out = run_sweep(_cfg(text), out_dir=str(tmp_path), seed=3)
+    out = run_sweep(_cfg(text, overrides=["experiment.seed=3"]), out_dir=str(tmp_path))
     assert out.n_rows == 4 and out.n_failed == 2
     for record in csv.DictReader(open(out.results_path, encoding="utf-8")):
         if record["editor.eta"] == "1.5":
@@ -400,13 +401,13 @@ def test_generate_on_points_w2_against_replicated_atoms(tmp_path):
     text = ("[experiment]\nalgorithm = generate\nname = g\n"
             "[dataset.p]\npoints = -1, 0; 1, 0.5; 0, 2\n"
             "[editor]\ncondition = p\n[inputs]\ncount = 12\n")
-    art = run_experiment(_cfg(text), out_dir=str(tmp_path / "even"), seed=0)
+    art = run_experiment(_cfg(text), out_dir=str(tmp_path / "even"))
     cloud = np.loadtxt(tmp_path / "even" / "g_samples.csv", delimiter=",")
     atoms = np.repeat(_cfg(text).registry.points("p"), 4, axis=0)
     assert art.metrics["w2_to_target"] == w2_empirical_exact(cloud, atoms)[0]
     # 10 samples do not split evenly over 3 atoms: no exact W2, an empty value.
     art = run_experiment(_cfg(text.replace("count = 12", "count = 10")),
-                         out_dir=str(tmp_path / "odd"), seed=0)
+                         out_dir=str(tmp_path / "odd"))
     assert art.metrics["w2_to_target"] is None
     assert "w2_to_target = \n" in open(tmp_path / "odd" / "g_report.txt").read()
 
@@ -414,7 +415,7 @@ def test_generate_on_points_w2_against_replicated_atoms(tmp_path):
 def test_run_sweep_generate_cells(tmp_path):
     text = (_GEN_CFG.replace("count = 64", "count = 16\nx_target = 1.0, 0.0")
             + "[sweep]\naxis = transport.beta0: 0, 0.5\nreplicates = 2\n")
-    out = run_sweep(_cfg(text), out_dir=str(tmp_path), seed=0)
+    out = run_sweep(_cfg(text), out_dir=str(tmp_path))
     assert out.n_rows == 4 and out.n_failed == 0
     records = list(csv.DictReader(open(out.results_path)))
     assert [r["transport.beta0"] for r in records] == ["0", "0", "0.5", "0.5"]
@@ -432,6 +433,61 @@ def test_sweep_rejects_algorithm_outside_runner_table(tmp_path, capsys):
                and r["w2_to_target"] == "" for r in records)
 
 
+def test_public_runners_read_the_seed_from_the_config():
+    import inspect
+
+    for fn, params in ((run_experiment, ["cfg", "out_dir"]), (run_sweep, ["cfg", "out_dir"]),
+                       (gen_data, ["cfg", "out_dir"]), (run_verify, ["cfg"])):
+        assert list(inspect.signature(fn).parameters) == params
+
+
+def test_run_verify_null_condition_draws_target_from_a_random_dataset(monkeypatch):
+    # Under verify.condition = null, z_target is a draw from the dataset at
+    # names[rng.integers(2)] of the (seed, 2) stream.
+    text = (_VERIFY_PASS_CFG.replace("condition = data", "condition = null")
+            .replace("[dataset.data]", "[dataset.other]\nmean = -2.0, 1.0\n"
+                     "cov = 0.3, 0; 0, 0.3\n[dataset.data]")
+            + "kind = convergence\nn_runs = 8\n")
+    targets = []
+    real_setup = runner.VerifySetup
+
+    def recording_setup(**kw):
+        targets.append(kw["z_target"])
+        return real_setup(**kw)
+
+    monkeypatch.setattr(runner, "VerifySetup", recording_setup)
+    drawn = set()
+    for seed in (0, 4):  # these seeds pick different datasets
+        cfg = _cfg(text, overrides=[f"experiment.seed={seed}"])
+        run_verify(cfg)
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 2])))
+        name = cfg.registry.names()[rng.integers(2)]
+        mean, cov = cfg.registry.gaussian(name)
+        assert np.array_equal(targets[-1], rng.multivariate_normal(mean, cov))
+        drawn.add(name)
+    assert drawn == {"data", "other"}
+
+
+def test_null_condition_reports_empty_w2_to_target(tmp_path):
+    for name, text in (("edit", _EDIT_CFG), ("gen", _GEN_CFG)):
+        art = run_experiment(_cfg(text, overrides=["editor.condition=null"]),
+                             out_dir=str(tmp_path))
+        assert art.metrics["w2_to_target"] is None
+        assert "w2_to_target = \n" in open(tmp_path / f"{name}_report.txt").read()
+
+
+def test_sweep_row_with_unparsable_value_fails_alone(tmp_path):
+    text = _INVERT_SWEEP_CFG.replace("0, 0.5, 1e300", "0, abc")
+    out = run_sweep(_cfg(text), out_dir=str(tmp_path))
+    assert out.n_rows == 4 and out.n_failed == 2
+    for record in csv.DictReader(open(out.results_path, encoding="utf-8")):
+        if record["transport.beta0"] == "abc":
+            assert record["error"] == ("ConfigError: transport.beta0: cannot parse 'abc' as "
+                                       "float (could not convert string to float: 'abc')")
+        else:
+            assert record["error"] == "" and record["w2_to_target"] != ""
+
+
 def test_run_sweep_without_axes_rejected(tmp_path):
     with pytest.raises(ConfigError, match="axis"):
         run_sweep(_cfg(_EDIT_CFG), out_dir=str(tmp_path))
@@ -439,14 +495,14 @@ def test_run_sweep_without_axes_rejected(tmp_path):
 
 def test_gen_data_files(tmp_path):
     text = _GEN_CFG + "[dataset.p]\npoints = 1,2; 3,4\n"
-    files = gen_data(_cfg(text), out_dir=str(tmp_path), seed=0)
+    files = gen_data(_cfg(text), out_dir=str(tmp_path))
     names = sorted(os.path.basename(p) for p in files)
     assert names == ["a.csv", "p.csv"]
     assert np.array_equal(np.loadtxt(tmp_path / "p.csv", delimiter=","),
                           np.array([[1.0, 2.0], [3.0, 4.0]]))
     sampled = np.loadtxt(tmp_path / "a.csv", delimiter=",")
     assert sampled.shape == (64, 2)
-    again = gen_data(_cfg(text), out_dir=str(tmp_path / "again"), seed=0)
+    again = gen_data(_cfg(text), out_dir=str(tmp_path / "again"))
     assert open(files[0], "rb").read() == open(again[0], "rb").read()
 
 
@@ -509,6 +565,14 @@ def test_cli_sweep_exits(tmp_path, capsys):
     bad_path = _write(tmp_path, "bad.cfg", partial)
     assert main(["sweep", bad_path, "--out-dir", str(tmp_path / "bad")]) == EXIT_PARTIAL
     capsys.readouterr()
+
+
+def test_cli_sweep_rejects_axis_as_set_key(tmp_path, capsys):
+    cfg_path = _write(tmp_path, "sw.cfg", _SWEEP_CFG)
+    assert main(["sweep", cfg_path, "--set", "sweep.axis=scales.w: 1, 2",
+                 "--out-dir", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: --set: unknown key 'sweep.axis'\n"
+    assert not os.path.exists(tmp_path / "out")
 
 
 def test_cli_sweep_workers_env(tmp_path, capsys, monkeypatch):
