@@ -8,25 +8,20 @@ Subcommands:
   plot <in> <out.svg>  render a trajectory CSV, results CSV, or point cloud
 
 Shared flags: --seed, --out-dir, --preset, --set key=value (repeatable,
-applied last).  --workers is accepted for compatibility and ignored: sweeps
-run their cells serially.
+applied last).  sweep ignores its --workers, kept for compatibility.  plot
+draws with runner.render_csv, as the runner draws its SVGs.
 
 Exit codes: 0 success, 2 config error, 3 numerical abort during a run,
 4 sweep finished with failed cells, 5 verification failure.
 """
 
 import argparse
-import csv
-import io
 import os
 import sys
 
-import numpy as np
-
 from .config import ConfigError, load_config
 from .core import NumericalAbort
-from .runner import _numeric_rows, atomic_write_text, run_experiment, run_sweep, gen_data
-from .svgplot import render_metric_chart, render_point_cloud, render_trajectories
+from .runner import atomic_write_text, gen_data, render_csv, run_experiment, run_sweep
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -35,36 +30,28 @@ EXIT_PARTIAL = 4
 EXIT_VERIFY = 5
 
 
-def _add_common(parser):
+def _config_command(sub, name, help_text):
+    """Add subcommand name, which reads a config file and takes the shared flags."""
+    parser = sub.add_parser(name, help=help_text)
+    parser.add_argument("config")
     parser.add_argument("--seed", type=int, default=None, help="override [experiment] seed")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="accepted for compatibility; sweeps run serially")
     parser.add_argument("--out-dir", default=None, help="override [experiment] output_dir")
     parser.add_argument("--preset", default=None, help="apply a named preset")
     parser.add_argument("--set", dest="overrides", action="append", default=[],
                         metavar="KEY=VALUE", help="override one config key (repeatable)")
+    return parser
 
 
 def _build_parser():
     parser = argparse.ArgumentParser(prog="otflow",
                                      description="rectified-flow transport-guided editing harness")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_run = sub.add_parser("run", help="execute one experiment")
-    p_run.add_argument("config")
-    _add_common(p_run)
-
-    p_sweep = sub.add_parser("sweep", help="run the configured parameter sweep")
-    p_sweep.add_argument("config")
-    _add_common(p_sweep)
-
-    p_verify = sub.add_parser("verify", help="run the bound verification suite")
-    p_verify.add_argument("config")
-    _add_common(p_verify)
-
-    p_gen = sub.add_parser("gen-data", help="write configured datasets to CSV")
-    p_gen.add_argument("config")
-    _add_common(p_gen)
+    _config_command(sub, "run", "execute one experiment")
+    p_sweep = _config_command(sub, "sweep", "run the configured parameter sweep")
+    p_sweep.add_argument("--workers", type=int, default=None,
+                         help="accepted for compatibility; sweeps run serially")
+    _config_command(sub, "verify", "run the bound verification suite")
+    _config_command(sub, "gen-data", "write configured datasets to CSV")
 
     p_plot = sub.add_parser("plot", help="render a CSV artifact to SVG")
     p_plot.add_argument("input")
@@ -120,56 +107,11 @@ def _cmd_gen_data(args):
     return EXIT_OK
 
 
-def _parse_projection(text, dim):
-    if text is None:
-        if dim == 2:
-            return 0, 1
-        raise ConfigError(f"data has {dim} coordinates; pass --project I,J")
-    try:
-        i, j = (int(p) for p in text.split(","))
-    except ValueError:
-        raise ConfigError(f"--project expects two integers like 0,1, got {text!r}") from None
-    if not (0 <= i < dim and 0 <= j < dim and i != j):
-        raise ConfigError(f"--project {i},{j} out of range for {dim} coordinates")
-    return i, j
-
-
 def _cmd_plot(args):
     if not os.path.exists(args.input):
         raise ConfigError(f"input not found: {args.input}")
     with open(args.input, encoding="utf-8", newline="") as fh:
-        text = fh.read()
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows:
-        atomic_write_text(args.output, render_trajectories([]))
-        print(f"wrote {args.output}")
-        return EXIT_OK
-    header = rows[0]
-
-    def is_number(text):
-        try:
-            float(text)
-            return True
-        except ValueError:
-            return False
-
-    if header and header[0] == "t":
-        z_cols = [i for i, name in enumerate(header) if name.startswith("z_")]
-        dim = len(z_cols)
-        i, j = _parse_projection(args.project, dim)
-        states = np.array([[float(r[z_cols[i]]), float(r[z_cols[j]])] for r in rows[1:]])
-        svg = render_trajectories([states] if states.size else [],
-                                  x_label=f"z_{i}", y_label=f"z_{j}")
-    elif header and all(is_number(c) for c in header):
-        cloud = np.array([[float(v) for v in r] for r in rows], dtype=float)
-        i, j = _parse_projection(args.project, cloud.shape[1])
-        svg = render_point_cloud([cloud[:, (i, j)]], x_label=f"z_{i}", y_label=f"z_{j}")
-    else:
-        x_key = args.x or header[0]
-        for key in (x_key, args.y):
-            if key not in header:
-                raise ConfigError(f"column {key!r} not in {args.input} header")
-        svg = render_metric_chart(_numeric_rows(text, x_key, args.y), x_key, args.y)
+        svg = render_csv(fh.read(), args.input, args.project, args.x, args.y)
     atomic_write_text(args.output, svg)
     print(f"wrote {args.output}")
     return EXIT_OK

@@ -34,7 +34,8 @@ condition, flowedit n_avg through target_condition (cfg.editor holds their
 InversionEditConfig or FlowEditConfig arguments), generate condition.  Every
 run reads experiment.seed; sweep rows derive their seeds from it.
 `axis = path: v1, v2, ...` may repeat, over any key but _UNSWEPT, for up to
-_SWEEP_CAP rows (cells x replicates).  A dataset gives exactly one of
+_SWEEP_CAP rows (cells x replicates); values split on commas, so `inputs.x0:
+0.5, 1.0` is two cells of a 1-vector.  A dataset gives exactly one of
 `points = x,y; x,y; ...`, `csv = path`, or mean and cov.
 """
 

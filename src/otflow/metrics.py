@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import integrate, make_time_grid
+from .core import euler_step, integrate, make_time_grid
 from .fields import make_velocity
 from .transport import make_enhanced
 
@@ -157,14 +157,12 @@ def reference_integrate(velocity, z0, t0, t1, n_fine):
     return z
 
 
-def schedule_integral(phi, orientation="elapsed"):
+def schedule_integral(phi):
     """integral_0^1 S(s, phi)^2 ds by composite midpoint rule (1e4 panels).
 
-    Both orientations are a change of variables s -> 1 - s away from each
-    other, so the value is orientation-independent; closed form (3/8) * phi.
+    The two orientations are a change of variables s -> 1 - s apart, so the
+    value is the same for both; closed form (3/8) * phi.
     """
-    if orientation not in ("elapsed", "remaining"):
-        raise ValueError(f"unknown orientation {orientation!r}")
     s = (np.arange(_QUAD_PANELS) + 0.5) / _QUAD_PANELS
     ratio = np.minimum(s / phi, 1.0)
     vals = (0.5 * (1.0 + np.cos(ratio * np.pi))) ** 2
@@ -298,7 +296,7 @@ def verify_discretization_bound(field, transport_cfg, z_init, z_target, step_cou
         traj = integrate(enhanced, np.asarray(z_init, dtype=float), grid)
         g_err = l2_distance(traj.final_state, ref_final)
         # One Euler step from the reference state vs a fine reference substep.
-        euler_sub = probe_state - dt * np.asarray(enhanced(probe_state, probe_t))
+        euler_sub = euler_step(probe_state, enhanced(probe_state, probe_t), -dt, probe_t, 0)
         ref_sub = reference_integrate(enhanced, probe_state, probe_t, probe_t - dt, 50)
         l_err = l2_distance(euler_sub, ref_sub)
         dts.append(dt)
@@ -396,7 +394,7 @@ def verify_edit_control_bound(setup, beta0_list, phi):
     positives = [b for b in beta0_list if b > 0.0]
     transport = replace(setup.transport, phi=float(phi))
     base_out = _run_outputs(setup, 0.0, transport)
-    integral = schedule_integral(phi, transport.orientation)
+    integral = schedule_integral(phi)
     disp = {}
     for b in beta0_list:
         outs = _run_outputs(setup, b, transport)

@@ -17,6 +17,9 @@ editor call with a (B,) beta0.  The editor's kernels are batch-invariant, so
 a row equals the single-state run of its cell bit for bit, and a row that
 goes non-finite fails alone.  flowedit and generate cells run one editor
 call each.
+
+Every SVG is render_csv of the CSV written beside it, the function that
+`otflow plot` draws with, so plotting a run's CSV gives its SVG's bytes.
 """
 
 import csv
@@ -301,16 +304,12 @@ def run_experiment(cfg, out_dir=None):
     else:
         metrics, result = _RUNNERS[cfg.algorithm](cfg, cfg.seed)
         if cfg.algorithm == "generate":
-            files.append(atomic_write_text(f"{base}_samples.csv", points_csv(result)))
-            if cfg.plot and result.shape[1] == 2:
-                files.append(atomic_write_text(f"{base}_samples.svg",
-                                               render_point_cloud([result])))
+            stem, text, dim = "samples", points_csv(result), result.shape[1]
         else:
-            files.append(atomic_write_text(f"{base}_trajectory.csv",
-                                           trajectory_csv(result.trajectory)))
-            if cfg.plot and result.trajectory.dim == 2:
-                files.append(atomic_write_text(f"{base}_trajectory.svg",
-                                               render_trajectories([result.trajectory.states])))
+            stem, text, dim = "trajectory", trajectory_csv(result.trajectory), result.trajectory.dim
+        files.append(atomic_write_text(f"{base}_{stem}.csv", text))
+        if cfg.plot and dim == 2:
+            files.append(atomic_write_text(f"{base}_{stem}.svg", render_csv(text, files[-1])))
 
     files.append(atomic_write_text(f"{base}_report.txt",
                                    _report_lines(cfg, metrics, reports)))
@@ -386,26 +385,78 @@ def run_sweep(cfg, out_dir=None):
     text = _csv_text(table)
 
     results_path = atomic_write_text(os.path.join(out_dir, f"{cfg.name}_results.csv"), text)
-    if cfg.plot and len(paths) == 1:
-        rows = _numeric_rows(text, paths[0], "w2_to_target")
-        if rows:
-            atomic_write_text(os.path.join(out_dir, f"{cfg.name}_results.svg"),
-                              render_metric_chart(rows, paths[0], "w2_to_target"))
+    if (cfg.plot and len(paths) == 1
+            and _numeric_rows(table[0], table[1:], paths[0], "w2_to_target")):
+        atomic_write_text(os.path.join(out_dir, f"{cfg.name}_results.svg"),
+                          render_csv(text, results_path))
     return SweepOutcome(results_path=results_path, n_rows=len(cells) * cfg.replicates,
                         n_failed=n_failed)
 
 
-def _numeric_rows(csv_text, x_key, y_key):
-    reader = csv.DictReader(io.StringIO(csv_text))
-    rows = []
-    for record in reader:
+def _numeric_rows(header, rows, x_key, y_key):
+    """(x, y) of each row without an error whose x and y are numbers.  run_sweep
+    passes the table its CSV holds, so it sees the chart render_csv draws."""
+    points = []
+    for values in rows:
+        record = dict(zip(header, values))
         if record.get("error"):
             continue
         try:
-            rows.append((float(record[x_key]), float(record[y_key])))
-        except (ValueError, KeyError, TypeError):
+            points.append((float(record[x_key]), float(record[y_key])))
+        except (ValueError, KeyError):
             continue
-    return rows
+    return points
+
+
+def _is_number(text):
+    try:
+        float(text)
+        return True
+    except ValueError:
+        return False
+
+
+def _parse_projection(text, dim):
+    if text is None:
+        if dim == 2:
+            return 0, 1
+        raise ConfigError(f"data has {dim} coordinates; pass --project I,J")
+    try:
+        i, j = (int(p) for p in text.split(","))
+    except ValueError:
+        raise ConfigError(f"--project expects two integers like 0,1, got {text!r}") from None
+    if not (0 <= i < dim and 0 <= j < dim and i != j):
+        raise ConfigError(f"--project {i},{j} out of range for {dim} coordinates")
+    return i, j
+
+
+def render_csv(text, source, project=None, x=None, y="w2_to_target"):
+    """The SVG of one CSV artifact, chosen by its contents.
+
+    A header starting with t gives the trajectory of the z pair project
+    ("I,J"; 0,1 by default for 2-D data), headerless numeric rows a point
+    cloud projected the same way, and any other table a chart of y over x
+    (its first column by default) without its error rows.  Errors name source.
+    """
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader, None)
+    if header is None:
+        return render_trajectories([])
+    if header and header[0] == "t":
+        z_cols = [i for i, name in enumerate(header) if name.startswith("z_")]
+        i, j = _parse_projection(project, len(z_cols))
+        states = np.array([[float(r[z_cols[i]]), float(r[z_cols[j]])] for r in reader])
+        return render_trajectories([states] if states.size else [],
+                                   x_label=f"z_{i}", y_label=f"z_{j}")
+    if header and all(_is_number(c) for c in header):
+        cloud = np.array([[float(v) for v in r] for r in [header, *reader]], dtype=float)
+        i, j = _parse_projection(project, cloud.shape[1])
+        return render_point_cloud([cloud[:, (i, j)]], x_label=f"z_{i}", y_label=f"z_{j}")
+    x_key = x or header[0]
+    for key in (x_key, y):
+        if key not in header:
+            raise ConfigError(f"column {key!r} not in {source} header")
+    return render_metric_chart(_numeric_rows(header, reader, x_key, y), x_key, y)
 
 
 def gen_data(cfg, out_dir=None):

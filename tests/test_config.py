@@ -502,3 +502,19 @@ def test_unknown_preset():
         get_preset("nope")
     with pytest.raises(ConfigError, match="unknown preset"):
         _load(_BASE, preset="nope")
+
+
+def test_unparsable_bool_exits_with_config_code(tmp_path, capsys):
+    from otflow.cli import EXIT_CONFIG, main
+
+    path = tmp_path / "p.cfg"
+    path.write_text("\n".join(_BASE[:1] + ["plot = maybe"] + _BASE[1:] + [""]))
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == ("config error: line 2: experiment.plot: cannot parse "
+                                       "'maybe' as bool (expected true/false)\n")
+    assert not os.path.exists(tmp_path / "out")
+
+
+def test_config_without_datasets_rejected():
+    with pytest.raises(ConfigError, match=r"^at least one \[dataset.<name>\] section"):
+        _load(["[experiment]", "algorithm = generate", "[inputs]", "count = 4"])

@@ -6,6 +6,8 @@ closed form for dz/dt = z (Euler gives (1 + 1/n)^n, whose relative error is
 noising scale sqrt((1-t)^2 + t^2) returns to 1 at t = 1.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -230,3 +232,18 @@ def test_direction_guards():
         rf_invert(field, np.zeros(2), fwd.reversed())
     with pytest.raises(ValueError):
         denoise(field, np.zeros(2), fwd)
+
+
+def test_codec_accepts_scalar_scale_and_offset():
+    codec = LatentCodec(2.0, -1.0)
+    assert codec.dim == 1
+    assert np.array_equal(codec.scale, [2.0]) and np.array_equal(codec.offset, [-1.0])
+    assert np.array_equal(codec.encode(np.array([3.0])), [2.0])
+    assert np.array_equal(codec.decode(np.array([2.0])), [3.0])
+
+
+@pytest.mark.parametrize("column", ["transport_norms", "weights"])
+def test_trajectory_rejects_misshaped_column(column):
+    traj = integrate(lambda z, t: -z, np.zeros(2), make_time_grid(3, 1.0, 0.0))
+    with pytest.raises(ValueError, match=rf"^{column} must have shape \(4,\) or \(4,\)$"):
+        replace(traj, **{column: np.zeros(3)})

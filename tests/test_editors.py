@@ -501,3 +501,18 @@ def test_flowedit_numerical_abort_names_step_and_term():
         transport_enhanced_flowedit(cfg, reg, LatentCodec.identity(2), np.array([-2.3, 0.2]))
     assert str(err.value) == "velocity non-finite at t=0.8214285714285714"
     assert (err.value.step, err.value.term, err.value.t) == (5, "velocity", 0.8214285714285714)
+
+
+@pytest.mark.parametrize("x0, beta0, match", [
+    (np.array([np.nan, 0.1]), None, "^state contains non-finite entries$"),
+    (np.array([[-1.3, 0.1], [-1.2, 0.0]]), np.array([0.1]), "^beta0 must be 2 finite values >= 0$"),
+    (np.array([[-1.3, 0.1], [-1.2, 0.0]]), np.array([0.1, -0.1]),
+     "^beta0 must be 2 finite values >= 0$"),
+], ids=["non-finite-source", "beta0-length", "negative-beta0"])
+def test_inversion_edit_rejects_bad_inputs(x0, beta0, match):
+    cfg = InversionEditConfig(eta=0.0, transport=_transport(0.1), grid=make_time_grid(8, 1.0, 0.0),
+                              condition_target=Condition.dataset("b"),
+                              scales=GuidanceScales(w=2.0))
+    with pytest.raises(ValueError, match=match):
+        transport_guided_inversion_edit(cfg, _gaussian_pair_registry(), LatentCodec.identity(2),
+                                        x0, beta0=beta0)

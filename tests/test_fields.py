@@ -403,3 +403,26 @@ def test_registry_t_floor_validation():
         FieldRegistry(t_floor=0.0)
     with pytest.raises(ValueError):
         GuidanceScales(w=np.nan)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: gaussian_marginal_velocity(np.zeros(2), np.eye(2), np.zeros(2), np.nan),
+     r"^t must be finite, got nan$"),
+    (lambda: gaussian_marginal_velocity(np.zeros(2), np.eye(2), np.zeros(3), 0.5),
+     r"^state dim 3 != gaussian dim 2$"),
+    (lambda: conditional_linear_velocity(np.zeros(2), np.zeros(3), 0.5),
+     r"^state dim 3 != reference dim 2$"),
+    (lambda: FieldRegistry().add_points("a", np.zeros((0, 2))),
+     r"^dataset 'a': points must be a non-empty \(n, d\) array$"),
+], ids=["non-finite-t", "gaussian-dim", "reference-dim", "empty-points"])
+def test_field_input_validation(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+def test_registry_gaussian_of_unknown_name():
+    reg = FieldRegistry()
+    reg.add_points("a", np.array([[1.0, 1.0]]))
+    for name in ("a", "nope"):
+        with pytest.raises(UnknownDatasetError):
+            reg.gaussian(name)

@@ -197,13 +197,6 @@ def test_schedule_integral_closed_form(phi):
     assert abs(schedule_integral(phi) - 0.375 * phi) <= 1e-8
 
 
-def test_schedule_integral_orientation_independent():
-    for phi in (0.2, 0.6):
-        assert schedule_integral(phi, "elapsed") == schedule_integral(phi, "remaining")
-    with pytest.raises(ValueError):
-        schedule_integral(0.5, "sideways")
-
-
 def test_euler_local_error_halves_quadratically():
     # Pinned probe on a curved oracle field: the one-step error factor under
     # dt halving must sit near 4 (second-order local truncation).
@@ -386,3 +379,40 @@ def test_noise_bank_is_deterministic():
     assert np.array_equal(setup.noise_bank(2), setup.noise_bank(2))
     other = VerifySetup(**{**setup.__dict__, "seed": 1})
     assert not np.array_equal(setup.noise_bank(2), other.noise_bank(2))
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: l2_distance(np.zeros(2), np.zeros(3)), r"^shape mismatch \(2,\) vs \(3,\)$"),
+    (lambda: w2_gaussian(np.zeros(2), np.zeros((2, 3)), np.zeros(2), np.eye(2)),
+     r"^covariance must be square, got shape \(2, 3\)$"),
+    (lambda: w2_gaussian(np.zeros(2), np.eye(2), np.zeros(2), [[1.0, 2.0], [2.0, 1.0]]),
+     r"^matrix is not positive semidefinite \(min eigenvalue -1"),
+    (lambda: w2_gaussian(np.zeros(3), np.eye(2), np.zeros(3), np.eye(2)),
+     r"^mean/covariance dimensions disagree$"),
+], ids=["l2-shapes", "non-square-cov", "non-psd-cov", "mean-cov-dims"])
+def test_distance_input_validation(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+def test_verify_discretization_probe_abort_names_its_step():
+    # The probe is one Euler step through core's kernel: a non-finite probe
+    # velocity aborts at probe_t, step 0 of the probe's one-step grid.  The
+    # first probe call follows the 4 * n_fine reference calls and the
+    # 5-step Euler run.
+    _, z_init, z_target, _, transport = _shared_setup(beta0_template=0.2)
+    mu = np.array([1.0, -0.5])
+    cov = np.array([[0.8, 0.2], [0.2, 0.5]])
+    counts = [5, 10, 20]
+    probe_call = 4 * 20 * max(counts) + counts[0]
+    calls = []
+
+    def field(z, t):
+        calls.append(t)
+        v = gaussian_marginal_velocity(mu, cov, z, t)
+        return np.full_like(v, np.nan) if len(calls) == probe_call + 1 else v
+
+    with pytest.raises(otflow.NumericalAbort) as err:
+        verify_discretization_bound(field, transport, z_init, z_target, counts, probe_t=0.6)
+    assert calls[probe_call] == 0.6 and len(calls) == probe_call + 1
+    assert (err.value.t, err.value.step, err.value.term) == (0.6, 0, "velocity")

@@ -19,6 +19,7 @@ from otflow.cli import (EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_PARTIAL,
                         EXIT_VERIFY, main)
 from otflow.runner import (atomic_write_text, derive_seed, gen_data, points_csv,
                            run_experiment, run_sweep, run_verify, trajectory_csv)
+from otflow.svgplot import render_metric_chart, render_trajectories
 
 _EDIT_CFG = """\
 [experiment]
@@ -704,3 +705,81 @@ def test_cli_plot_projection_errors(tmp_path, capsys):
     assert main(["plot", path, out, "--project", "0,2"]) == EXIT_OK
     assert main(["plot", str(tmp_path / "nope.csv"), out]) == EXIT_CONFIG
     capsys.readouterr()
+
+
+def test_invert_group_whose_editor_call_raises_fails_only_its_rows(tmp_path, monkeypatch):
+    # Two batched groups, one per editor.eta; the eta = 0.5 call raises, so
+    # its rows carry that text and the other group's rows are untouched.
+    text = _INVERT_SWEEP_CFG.replace("axis = transport.beta0: 0, 0.5, 1e300",
+                                     "axis = editor.eta: 0.25, 0.5\n"
+                                     "axis = transport.beta0: 0, 0.5")
+    clean = run_sweep(_cfg(text), out_dir=str(tmp_path / "clean"))
+    edit = runner.transport_guided_inversion_edit
+    calls = []
+
+    def failing_edit(edit_cfg, *args):
+        calls.append(edit_cfg.eta)
+        if edit_cfg.eta == 0.5:
+            raise RuntimeError("editor failed")
+        return edit(edit_cfg, *args)
+
+    monkeypatch.setattr(runner, "transport_guided_inversion_edit", failing_edit)
+    out = run_sweep(_cfg(text), out_dir=str(tmp_path / "forced"))
+    assert calls == [0.25, 0.5]
+    assert out.n_rows == 8 and out.n_failed == 4
+    forced = list(csv.DictReader(open(out.results_path, encoding="utf-8")))
+    good = list(csv.DictReader(open(clean.results_path, encoding="utf-8")))
+    for row, want in zip(forced, good):
+        if row["editor.eta"] == "0.5":
+            assert row["error"] == "RuntimeError: editor failed"
+            assert all(row[k] == "" for k in ("reconstruction_l2", "w2_to_target"))
+        else:
+            assert row == want
+
+
+def test_plotted_sweep_chart_skips_error_rows(tmp_path):
+    text = _SWEEP_CFG.replace(
+        "axis = transport.beta0: 0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0",
+        "axis = transport.beta0: 0, -1, 0.5").replace("replicates = 4", "replicates = 2")
+    out = run_sweep(_cfg(text + "[experiment]\nplot = true\n"), out_dir=str(tmp_path))
+    assert out.n_failed == 2
+    rows = list(csv.DictReader(open(out.results_path, encoding="utf-8")))
+    points = [(float(r["transport.beta0"]), float(r["w2_to_target"]))
+              for r in rows if not r["error"]]
+    assert len(points) == 4
+    assert (tmp_path / "sw_results.svg").read_text(encoding="utf-8") == render_metric_chart(
+        points, "transport.beta0", "w2_to_target")
+
+
+@pytest.mark.parametrize("command", ["run", "verify", "gen-data"])
+def test_cli_workers_is_a_sweep_flag(tmp_path, capsys, command):
+    cfg_path = _write(tmp_path, "edit.cfg", _EDIT_CFG)
+    with pytest.raises(SystemExit) as err:
+        main([command, cfg_path, "--workers", "2", "--out-dir", str(tmp_path / "out")])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out")
+
+
+_RESULTS_WITH_GAPS = ("x,w2_to_target,error\n"
+                      "1,2.5,\n2,,\n3,4.0,ValueError: boom\n4,1.5,\n")
+
+
+@pytest.mark.parametrize("text, flags, code, svg", [
+    ("", [], EXIT_OK, render_trajectories([])),
+    (_RESULTS_WITH_GAPS, [], EXIT_OK,
+     render_metric_chart([(1.0, 2.5), (4.0, 1.5)], "x", "w2_to_target")),
+    (_RESULTS_WITH_GAPS, ["--y", "nope"], EXIT_CONFIG, None),
+], ids=["empty", "gaps", "missing-column"])
+def test_cli_plot_edge_inputs(tmp_path, capsys, text, flags, code, svg):
+    # An empty file gives empty axes; a results chart skips error rows and
+    # blank values; a missing column names itself and the file.
+    path = _write(tmp_path, "in.csv", text)
+    out = tmp_path / "o.svg"
+    assert main(["plot", path, str(out), *flags]) == code
+    captured = capsys.readouterr()
+    if svg is None:
+        assert captured.err == f"config error: column 'nope' not in {path} header\n"
+        assert not out.exists()
+    else:
+        assert out.read_text(encoding="utf-8") == svg
