@@ -52,7 +52,7 @@ from .fields import Condition, FieldRegistry, GuidanceScales
 from .metrics import (check_convergence_arms, check_edit_control_arms, check_probe_step,
                       check_run_count, check_step_counts)
 from .presets import get_preset
-from .transport import TransportConfig, check_phi
+from .transport import TransportConfig, check_beta0, check_phi
 
 _ALGORITHMS = ("invert_edit", "flowedit", "generate", "verify")
 _SWEEP_CAP = 100_000
@@ -560,6 +560,16 @@ def derive_config(cfg, overrides):
     touches_data = any(path.startswith("dataset.") for path in overrides)
     return _build_config(resolved, {}, [], cfg.base_dir,
                          registry=None if touches_data else cfg.registry)
+
+
+def cell_beta0(text):
+    """A sweep cell's transport.beta0 text, parsed as its declared kind and
+    checked by check_beta0, the rule TransportConfig applies; a bad value
+    fails with the ConfigError text derive_config gives it."""
+    res = _Resolved({"transport.beta0": text}, {})
+    beta0 = res.get("transport.beta0")
+    res.build("transport", check_beta0, beta0)
+    return beta0
 
 
 def load_config(path, preset=None, overrides=None):

@@ -224,12 +224,14 @@ class FieldRegistry:
     """Named datasets (point sets and Gaussians) backing oracle fields.
 
     Register everything up front; entries are treated as immutable afterwards.
-    Everything a field evaluation needs is computed at registration (point
-    sets and the pooled null set are prepared for the centred kernel, Gaussians
-    stacked for the einsum Gaussian kernel), so evaluations never mutate it and
-    sweep cells that keep the datasets can share one registry.  That kernel's
-    rows depend on neither the batch nor the other Gaussians, so an entry
-    evaluated alone equals its column of the null mixture bit for bit.
+    Everything a field evaluation or a draw needs is computed at registration
+    (point sets and the pooled null set are prepared for the centred kernel,
+    Gaussians stacked for the einsum Gaussian kernel, and each Gaussian's
+    sampling factor taken from one SVD of its cov), so evaluations and draws
+    never mutate it and sweep cells that keep the datasets can share one
+    registry.  That kernel's rows depend on neither the batch nor the other
+    Gaussians, so an entry evaluated alone equals its column of the null
+    mixture bit for bit.
     """
 
     def __init__(self, t_floor=1e-4):
@@ -238,7 +240,8 @@ class FieldRegistry:
         self.t_floor = float(t_floor)
         self._points = {}
         self._pooled = None
-        # name -> (one-component stack, cov, index into the stacked arrays)
+        # name -> (one-component stack, cov, index into the stacked arrays,
+        # sampling factor (u sqrt(s))^T of cov = u diag(s) u^T)
         self._gaussians = {}
         self._stacked = None
         self._order = []
@@ -258,7 +261,8 @@ class FieldRegistry:
     def add_gaussian(self, name, mean, cov):
         cov, one = _gaussian_stack(mean, cov, f"dataset {name!r}: ")
         self._check_new(name, cov.shape[0])
-        self._gaussians[name] = (one, cov, len(self._gaussians))
+        u, s, _ = np.linalg.svd(cov)
+        self._gaussians[name] = (one, cov, len(self._gaussians), (u * np.sqrt(s)).T)
         self._stacked = [np.concatenate(c) for c in zip(*(g[0] for g in self._gaussians.values()))]
         self._order.append(name)
         return self
@@ -296,8 +300,18 @@ class FieldRegistry:
     def gaussian(self, name):
         if name not in self._gaussians:
             raise UnknownDatasetError(name)
-        one, cov, _ = self._gaussians[name]
+        one, cov = self._gaussians[name][:2]
         return one[0][0], cov
+
+    def sample_gaussian(self, name, rng, size=None):
+        """Draws from Gaussian name: one (d,) state when size is None, else a
+        (size, d) array.  Equal bit for bit to rng.multivariate_normal(mean,
+        cov, size) with numpy's default SVD method, whose factor is the one
+        kept at registration, so no draw refactorizes cov."""
+        mean, cov = self.gaussian(name)
+        shape = cov.shape[:1] if size is None else (size, cov.shape[0])
+        z = rng.standard_normal(shape).reshape(-1, cov.shape[0])
+        return (mean + z @ self._gaussians[name][3]).reshape(shape)
 
     def _entry_velocity(self, name, z, t):
         if name in self._points:

@@ -10,13 +10,16 @@ experiment.seed.  The editor noise stream uses it directly; auxiliary draws
 use fixed offsets (seed, 1) for input sampling and (seed, 2) for verification
 states; sweep cell c replicate r derives its seed from (experiment.seed, c,
 r), so a cell's row does not depend on the cells run before it.
-Sweeps run in the calling thread.  Each cell's config is derived and
-validated, and its x0 resolved, in turn; then every group of invert_edit
-rows whose overrides differ only in transport.beta0 runs as one (B, d)
+Sweeps run in the calling thread, from a plan: the cells whose overrides
+differ only in transport.beta0 form a group whose config is derived once,
+each distinct beta0 value is parsed and checked once, and a cell whose beta0
+or group fails is derived alone, so its error is the one derive_config gives
+that cell.  Then every row resolves its x0 (a Gaussian draw uses the factor
+the registry keeps) and each group's invert_edit rows run as one (B, d)
 editor call with a (B,) beta0.  The editor's kernels are batch-invariant, so
 a row equals the single-state run of its cell bit for bit, and a row that
 goes non-finite fails alone.  flowedit and generate cells run one editor
-call each.
+call each, with their group's config and their own beta0.
 
 Every SVG is render_csv of the CSV written beside it, the function that
 `otflow plot` draws with, so plotting a run's CSV gives its SVG's bytes.
@@ -26,11 +29,11 @@ import csv
 import io
 import itertools
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import ConfigError, derive_config
+from .config import ConfigError, cell_beta0, derive_config
 from .core import integrate
 from .editors import (FlowEditConfig, InversionEditConfig, RngSeed,
                       transport_enhanced_flowedit, transport_guided_inversion_edit)
@@ -42,6 +45,7 @@ from .svgplot import render_metric_chart, render_point_cloud, render_trajectorie
 from .transport import make_enhanced
 
 _METRIC_COLUMNS = ("reconstruction_l2", "displacement_l2", "transport_work", "w2_to_target")
+_BETA0 = "transport.beta0"
 
 
 @dataclass
@@ -113,8 +117,7 @@ def points_csv(points):
 
 def _draw_from_dataset(registry, name, rng):
     if registry.kind(name) == "gaussian":
-        mean, cov = registry.gaussian(name)
-        return rng.multivariate_normal(mean, cov)
+        return registry.sample_gaussian(name, rng)
     pts = registry.points(name)
     return np.array(pts[rng.integers(len(pts))])
 
@@ -316,13 +319,53 @@ def run_experiment(cfg, out_dir=None):
     return RunArtifacts(files=files, metrics=metrics or {}, reports=reports)
 
 
-def _sweep_cell(cfg, overrides, seed):
-    """Derive one cell's config and run it: flowedit and generate cells return
-    their metrics, an invert_edit cell returns (config, x0) for its group's
-    batched edit."""
-    cell_cfg = derive_config(cfg, overrides)
+def _attempt(fn, *args):
+    """fn(*args), or the exception it raised: one sweep cell's failure is
+    that cell's row, not the sweep's."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
+        return exc
+
+
+def _plan_cells(cfg, paths, cells):
+    """Yield (group key, config) for each cell in order, the config being
+    the exception derive_config(cfg, overrides) raises on that cell when it
+    fails.  Yielding lets a cell's config go once its rows have run.
+
+    Cells whose overrides differ only in transport.beta0 form a group keyed
+    by the other overrides, derived once; each distinct beta0 value is parsed
+    and checked once, by config.cell_beta0, and the cell's config is its
+    group's with that beta0.  A cell whose beta0 or group fails is derived
+    alone, so it fails with derive_config's own error, in derive_config's
+    order of checks (a grid.* error before a bad beta0 before an editor.*
+    error).
+    """
+    groups, beta0s = {}, {}
+    for combo in cells:
+        overrides = dict(zip(paths, combo))
+        key = tuple(item for item in overrides.items() if item[0] != _BETA0)
+        if key not in groups:
+            groups[key] = _attempt(derive_config, cfg, dict(key))
+        group = groups[key]
+        text = overrides.get(_BETA0)
+        if text is not None and text not in beta0s:
+            beta0s[text] = _attempt(cell_beta0, text)
+        beta0 = None if text is None else beta0s[text]
+        if isinstance(group, Exception) or isinstance(beta0, Exception):
+            yield key, _attempt(derive_config, cfg, overrides)
+        elif beta0 is None:
+            yield key, group
+        else:
+            yield key, replace(group, transport=replace(group.transport, beta0=beta0),
+                               resolved={**group.resolved, _BETA0: text})
+
+
+def _sweep_cell(cell_cfg, seed):
+    """Run one row of a planned cell: flowedit and generate rows return their
+    metrics, an invert_edit row its x0 for its group's batched edit."""
     if cell_cfg.algorithm == "invert_edit":
-        return cell_cfg, _resolve_x0(cell_cfg, seed)
+        return _resolve_x0(cell_cfg, seed)
     runner = _RUNNERS.get(cell_cfg.algorithm)
     if runner is None:
         raise ConfigError(f"sweeps do not support algorithm {cell_cfg.algorithm!r}")
@@ -333,10 +376,9 @@ def run_sweep(cfg, out_dir=None):
     """Run the Cartesian sweep and write one results CSV.
 
     Row order is the product order of the axes as configured, then replicate.
-    Every cell is derived and validated in turn; invert_edit rows whose
-    overrides differ only in transport.beta0 then run as one batched editor
-    call.  Failed cells keep their row with an error message; the caller
-    decides the exit status from n_failed.
+    Rows run cell by cell from the plan of _plan_cells, and the invert_edit
+    rows of a group as one batched editor call.  Failed cells keep their row
+    with an error message; the caller decides the exit status from n_failed.
     """
     if not cfg.sweep_axes:
         raise ConfigError("sweep needs at least one axis = line in [sweep]")
@@ -345,26 +387,24 @@ def run_sweep(cfg, out_dir=None):
     paths = [path for path, _ in cfg.sweep_axes]
     cells = list(itertools.product(*[vals for _, vals in cfg.sweep_axes]))
 
-    # groups: overrides other than transport.beta0 -> (first row's config,
-    # [(row, x0, beta0)]) for the invert_edit rows, run once all are derived.
-    heads, outcomes, groups = [], [], {}
-    for cell_index, combo in enumerate(cells):
-        overrides = dict(zip(paths, combo))
+    # batches: group key -> (first row's config, [(row, x0, beta0)]) for the
+    # invert_edit rows, run once every row has its x0.
+    heads, outcomes, batches = [], [], {}
+    plan = _plan_cells(cfg, paths, cells)
+    for cell_index, (combo, (key, cell_cfg)) in enumerate(zip(cells, plan)):
         for rep in range(cfg.replicates):
             cell_seed = derive_seed(cfg.seed, cell_index, rep)
             heads.append(list(combo) + [str(rep), str(cell_seed)])
-            try:
-                outcome = _sweep_cell(cfg, overrides, cell_seed)
-            except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
-                outcome = exc
-            if isinstance(outcome, tuple):
-                cell_cfg, x0 = outcome
-                key = tuple(item for item in overrides.items() if item[0] != "transport.beta0")
-                groups.setdefault(key, (cell_cfg, []))[1].append(
-                    (len(outcomes), x0, cell_cfg.transport.beta0))
+            if isinstance(cell_cfg, Exception):
+                outcomes.append(cell_cfg)
+                continue
+            outcome = _attempt(_sweep_cell, cell_cfg, cell_seed)
+            if cell_cfg.algorithm == "invert_edit" and not isinstance(outcome, Exception):
+                batches.setdefault(key, (cell_cfg, []))[1].append(
+                    (len(outcomes), outcome, cell_cfg.transport.beta0))
                 outcome = None
             outcomes.append(outcome)
-    for group_cfg, members in groups.values():
+    for group_cfg, members in batches.values():
         rows, x0s, beta0s = zip(*members)
         try:
             results = _run_invert_rows(group_cfg, x0s, beta0s)
@@ -442,14 +482,24 @@ def render_csv(text, source, project=None, x=None, y="w2_to_target"):
     header = next(reader, None)
     if header is None:
         return render_trajectories([])
-    if header and header[0] == "t":
+    if not header:
+        raise ConfigError(f"{source}: first line is blank")
+    if header[0] == "t":
         z_cols = [i for i, name in enumerate(header) if name.startswith("z_")]
         i, j = _parse_projection(project, len(z_cols))
-        states = np.array([[float(r[z_cols[i]]), float(r[z_cols[j]])] for r in reader])
+        try:
+            states = np.array([[float(r[z_cols[i]]), float(r[z_cols[j]])] for r in reader])
+        except (IndexError, ValueError):
+            raise ConfigError(f"{source}: trajectory row {reader.line_num} lacks a "
+                              f"number in z_{i} or z_{j}") from None
         return render_trajectories([states] if states.size else [],
                                    x_label=f"z_{i}", y_label=f"z_{j}")
-    if header and all(_is_number(c) for c in header):
-        cloud = np.array([[float(v) for v in r] for r in [header, *reader]], dtype=float)
+    if all(_is_number(c) for c in header):
+        try:
+            cloud = np.array([[float(v) for v in r] for r in [header, *reader]], dtype=float)
+        except ValueError:
+            raise ConfigError(f"{source}: point rows must each hold {len(header)} numbers, "
+                              "as the first does") from None
         i, j = _parse_projection(project, cloud.shape[1])
         return render_point_cloud([cloud[:, (i, j)]], x_label=f"z_{i}", y_label=f"z_{j}")
     x_key = x or header[0]
@@ -470,9 +520,8 @@ def gen_data(cfg, out_dir=None):
     files = []
     for index, name in enumerate(cfg.registry.names()):
         if cfg.registry.kind(name) == "gaussian":
-            mean, cov = cfg.registry.gaussian(name)
-            rng = _rng(cfg.seed, 3, index)
-            pts = rng.multivariate_normal(mean, cov, size=cfg.inputs["count"])
+            pts = cfg.registry.sample_gaussian(name, _rng(cfg.seed, 3, index),
+                                               size=cfg.inputs["count"])
         else:
             pts = cfg.registry.points(name)
         files.append(atomic_write_text(os.path.join(out_dir, f"{name}.csv"), points_csv(pts)))

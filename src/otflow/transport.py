@@ -40,8 +40,7 @@ class TransportConfig:
     window: tuple = (1.0, 0.0)
 
     def __post_init__(self):
-        if not (np.isfinite(self.beta0) and self.beta0 >= 0.0):
-            raise ValueError(f"beta0 must be finite and >= 0, got {self.beta0}")
+        check_beta0(self.beta0)
         check_phi(self.phi)
         if not (np.isfinite(self.delta) and self.delta > 0.0):
             raise ValueError(f"delta must be positive, got {self.delta}")
@@ -52,6 +51,12 @@ class TransportConfig:
         t_hi, t_lo = self.window
         if not (0.0 <= t_lo <= t_hi <= 1.0):
             raise ValueError(f"window must satisfy 0 <= t_lo <= t_hi <= 1, got {self.window}")
+
+
+def check_beta0(beta0):
+    """Raise ValueError unless the transport strength beta0 is finite and >= 0."""
+    if not (np.isfinite(beta0) and beta0 >= 0.0):
+        raise ValueError(f"beta0 must be finite and >= 0, got {beta0}")
 
 
 def check_phi(phi):

@@ -188,6 +188,26 @@ def test_gaussian_agrees_with_large_sample_empirical(d, t, tol):
         assert rel <= tol
 
 
+@pytest.mark.parametrize("size", [None, 37])
+@pytest.mark.parametrize("d", [1, 2, 8, 16])
+def test_sample_gaussian_equals_multivariate_normal(d, size):
+    # The factor kept at registration reproduces numpy's SVD-method draw bit
+    # for bit, for a full-rank and a rank-deficient cov; sampled x0 and the
+    # gen-data CSVs rely on it, so a numpy release that changes its method
+    # fails here.
+    rng = _rng(60, d)
+    full = rng.standard_normal((d, d))
+    low = rng.standard_normal((d, max(1, d // 3)))
+    reg = FieldRegistry()
+    reg.add_gaussian("full", rng.standard_normal(d), full @ full.T / d + 0.1 * np.eye(d))
+    reg.add_gaussian("low_rank", rng.standard_normal(d), low @ low.T)
+    for name in reg.names():
+        mean, cov = reg.gaussian(name)
+        for seed in range(300):
+            want = _rng(seed).multivariate_normal(mean, cov, size)
+            assert np.array_equal(reg.sample_gaussian(name, _rng(seed), size), want)
+
+
 def _two_gaussian_registry(d, with_points):
     # Two Gaussians with full covariances, optionally a 12-point set
     # registered between them.
@@ -426,3 +446,5 @@ def test_registry_gaussian_of_unknown_name():
     for name in ("a", "nope"):
         with pytest.raises(UnknownDatasetError):
             reg.gaussian(name)
+        with pytest.raises(UnknownDatasetError):
+            reg.sample_gaussian(name, _rng(0))

@@ -386,6 +386,66 @@ def test_sweep_cell_with_rejected_eta_fails_alone(tmp_path):
             assert record["error"] == "" and record["w2_to_target"] != ""
 
 
+_BETA0_ERROR = "ConfigError: transport.beta0: beta0 must be finite and >= 0, got {}"
+
+
+@pytest.mark.parametrize("axes, errors", [
+    ("axis = transport.beta0: -1, nan, abc, 0.5, inf\naxis = editor.eta: 0.5, 2",
+     [_BETA0_ERROR.format("-1.0")] * 2 + [_BETA0_ERROR.format("nan")] * 2
+     + ["ConfigError: transport.beta0: cannot parse 'abc' as float "
+        "(could not convert string to float: 'abc')"] * 2
+     + ["", "ConfigError: editor.eta: eta must be in [0, 1], got 2.0"]
+     + [_BETA0_ERROR.format("inf")] * 2),
+    ("axis = transport.beta0: -1, 0.5\naxis = grid.n_steps: 0, 8",
+     ["ConfigError: grid.n_steps: n_steps must be a positive integer, got 0",
+      _BETA0_ERROR.format("-1.0"),
+      "ConfigError: grid.n_steps: n_steps must be a positive integer, got 0", ""]),
+], ids=["beta0-before-editor", "grid-before-beta0"])
+def test_sweep_cell_errors_follow_derive_config_order(tmp_path, axes, errors):
+    # Cells are derived once per group, yet a failing cell reports the error
+    # derive_config gives it alone: a bad beta0 wins over an editor.* error
+    # and loses to a grid.* error.  A good cell equals its single run.
+    text = _INVERT_SWEEP_CFG.replace("axis = transport.beta0: 0, 0.5, 1e300", axes)
+    cfg = _cfg(text.replace("replicates = 2", "replicates = 1"), overrides=["experiment.seed=3"])
+    out = run_sweep(cfg, out_dir=str(tmp_path / "sweep"))
+    records = list(csv.DictReader(open(out.results_path, encoding="utf-8")))
+    assert [r["error"] for r in records] == errors
+    assert out.n_failed == sum(1 for e in errors if e)
+    metrics = ("reconstruction_l2", "displacement_l2", "transport_work", "w2_to_target")
+    for record in records:
+        overrides = {path: record[path] for path, _ in cfg.sweep_axes}
+        if record["error"]:
+            with pytest.raises(ConfigError) as err:
+                derive_config(cfg, overrides)
+            assert record["error"] == f"ConfigError: {err.value}"
+            assert all(record[k] == "" for k in metrics)
+        else:
+            cell_cfg = derive_config(cfg, {**overrides, "experiment.seed": record["seed"]})
+            art = run_experiment(cell_cfg, out_dir=str(tmp_path / "run"))
+            assert all(record[k] == runner._fmt(art.metrics[k]) for k in metrics)
+
+
+@pytest.mark.parametrize("text", [
+    _INVERT_SWEEP_CFG.replace("0.5, 1e300", "0.25, 0.5")
+    .replace("replicates = 2", "replicates = 4"),
+    _GEN_CFG.replace("count = 64", "count = 8\nx_target = 1.0, 0.0")
+    + "[sweep]\naxis = transport.beta0: 0, 0.25, 0.5\nreplicates = 4\n",
+], ids=["invert_edit", "generate"])
+def test_beta0_sweep_derives_its_config_once(tmp_path, monkeypatch, text):
+    # 3 beta0 values x 4 replicates share one group: one derive_config call.
+    calls = []
+    derive = runner.derive_config
+
+    def counting_derive(cfg, overrides):
+        calls.append(overrides)
+        return derive(cfg, overrides)
+
+    monkeypatch.setattr(runner, "derive_config", counting_derive)
+    out = run_sweep(_cfg(text), out_dir=str(tmp_path))
+    assert out.n_rows == 12 and out.n_failed == 0
+    assert calls == [{}]
+
+
 def test_points_sample_source_and_w2_to_target():
     # x0 is the atom at rng.integers(n) of the (seed, 1) stream, and
     # w2_to_target of a point-set target is the Dirac-to-atoms W2.
@@ -759,6 +819,19 @@ def test_cli_workers_is_a_sweep_flag(tmp_path, capsys, command):
     assert err.value.code == 2
     assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "out")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("\n1,2\n", "first line is blank"),
+    ("1,2\n3\n", "point rows must each hold 2 numbers, as the first does"),
+    ("t,z_0,z_1\n0,1,2\n1,3\n", "trajectory row 3 lacks a number in z_0 or z_1"),
+], ids=["blank-first-line", "ragged-points", "short-trajectory-row"])
+def test_cli_plot_malformed_csv_is_a_config_error(tmp_path, capsys, text, message):
+    path = _write(tmp_path, "in.csv", text)
+    out = tmp_path / "o.svg"
+    assert main(["plot", path, str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {path}: {message}\n"
+    assert not out.exists()
 
 
 _RESULTS_WITH_GAPS = ("x,w2_to_target,error\n"
