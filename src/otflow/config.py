@@ -33,10 +33,11 @@ dataset x0 is drawn from.  invert_edit reads the editor keys eta through
 condition, flowedit n_avg through target_condition (cfg.editor holds their
 InversionEditConfig or FlowEditConfig arguments), generate condition.  Every
 run reads experiment.seed; sweep rows derive their seeds from it.
-`axis = path: v1, v2, ...` may repeat, over any key but _UNSWEPT, for up to
-_SWEEP_CAP rows (cells x replicates); values split on commas, so `inputs.x0:
-0.5, 1.0` is two cells of a 1-vector.  A dataset gives exactly one of
-`points = x,y; x,y; ...`, `csv = path`, or mean and cov.
+`axis = path: v1, v2, ...` may repeat, over any key but _UNSWEPT and the
+matrix, floats and ints keys, for up to _SWEEP_CAP rows (cells x replicates);
+values split on commas, so `inputs.x0: 0.5, 1.0` is two cells of a 1-vector.
+A dataset gives exactly one of `points = x,y; x,y; ...`, `csv = path`, or
+mean and cov.
 """
 
 import math
@@ -136,11 +137,13 @@ class ConfigError(Exception):
         self.line = line
 
 
-def _known_path(path):
-    if path in _KEYS:
-        return True
+def _spec(path):
+    """(kind, default) of path, None for an unknown path; [dataset.*] keys
+    have no default."""
     section, _, key = path.rpartition(".")
-    return section.startswith("dataset.") and key in _DATASET_KINDS
+    if section.startswith("dataset.") and key in _DATASET_KINDS:
+        return _DATASET_KINDS[key], None
+    return _KEYS.get(path)
 
 
 def _parse_lines(text, source):
@@ -171,7 +174,7 @@ def _parse_lines(text, source):
         if section == "sweep" and key == "axis":
             axes.append((value, lineno))
             continue
-        if not _known_path(path):
+        if _spec(path) is None:
             raise ConfigError(f"unknown key {key!r} in section [{section}]", lineno)
         if path in entries:
             raise ConfigError(f"duplicate key {path}", lineno)
@@ -197,7 +200,7 @@ def _merge(entries, preset_name, overrides):
         path = path.strip()
         if path == "experiment.preset":
             raise ConfigError("select presets with --preset, not --set")
-        if not _known_path(path):
+        if _spec(path) is None:
             raise ConfigError(f"--set: unknown key {path!r}")
         resolved[path] = value.strip()
         lines.pop(path, None)  # the file's line no longer holds the value
@@ -255,7 +258,7 @@ class _Resolved:
     def get(self, path, default=None):
         """The value at path, parsed as its declared kind; default, when
         given, stands in for the declared default."""
-        kind, declared = _KEYS.get(path) or (_DATASET_KINDS[path.rpartition(".")[2]], None)
+        kind, declared = _spec(path)
         text = self.map.get(path)
         if text is None:
             text = declared if default is None else default
@@ -454,12 +457,16 @@ def _parse_axes(axis_lines):
             raise ConfigError(f"axis needs 'path: v1, v2, ...', got {value!r}", lineno)
         path, _, values = value.partition(":")
         path = path.strip()
-        if not _known_path(path):
+        spec = _spec(path)
+        if spec is None:
             raise ConfigError(f"axis over unknown key {path!r}", lineno)
         if path in _UNSWEPT:
             raise ConfigError(f"axis over {path}: sweep rows read it from the base config", lineno)
         if path in seen:
             raise ConfigError(f"duplicate axis {path}", lineno)
+        if spec[0] in ("matrix", "floats", "ints"):
+            raise ConfigError(f"axis over {path}: its {spec[0]} values hold commas, which "
+                              "separate axis values", lineno)
         seen.add(path)
         vals = [v.strip() for v in values.split(",") if v.strip() != ""]
         if not vals:
@@ -554,7 +561,7 @@ def derive_config(cfg, overrides):
     key the result shares cfg's registry instead of re-reading its data."""
     resolved = dict(cfg.resolved)
     for path, value in overrides.items():
-        if not _known_path(path):
+        if _spec(path) is None:
             raise ConfigError(f"override of unknown key {path!r}")
         resolved[path] = str(value)
     touches_data = any(path.startswith("dataset.") for path in overrides)

@@ -11,8 +11,8 @@ and inversion with a positive one; both fall out of z + (t_next - t_now) * v
 along a monotone time grid, so a single integrator serves both directions.
 
 One step kernel, one record layout: every Euler loop in the package steps
-and checks its state through _euler_update (via euler_step, or _LiveRows for
-a batch whose failing rows drop out), aborting with the step's t, grid index
+and checks its state through _euler_update (euler_step, or _step_rows for a
+batch whose failed rows stay NaN), aborting with the step's t, grid index
 and term, and writes its Trajectory into the (n + 1, ...) arrays of _records.
 """
 
@@ -34,6 +34,13 @@ class NumericalAbort(RuntimeError):
         self.t = t
         self.step = step
         self.term = term
+
+
+def make_rng(*key):
+    """The package's one generator family, PCG64 under SeedSequence(key):
+    equal keys give identical streams across runs and platforms, and
+    make_rng(s) draws as SeedSequence(s) does."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(list(key))))
 
 
 def _as_state(x, name="state"):
@@ -124,28 +131,18 @@ def euler_step(z, v, signed_step, t=None, step=None):
     return z_next
 
 
-class _LiveRows:
-    """The rows of a batched loop still being integrated; idx maps them to
-    batch rows.  step() Euler-steps them, and a row whose velocity or new
-    state is non-finite leaves with its NumericalAbort in aborts (a
-    single-state loop raises it)."""
-
-    def __init__(self, n_rows, single):
-        self.idx = np.arange(n_rows)
-        self.aborts = [None] * n_rows
-        self.single = single
-
-    def step(self, z, v, dt, t, k):
-        z_next, bad_v, bad = _euler_update(z, v, dt)
-        if not bad.any():
-            return z_next
-        for i in np.flatnonzero(bad):
-            abort = _abort(bad_v[i], t, k)
-            if self.single:
-                raise abort
-            self.aborts[self.idx[i]] = abort
-        self.idx = self.idx[~bad]
-        return z_next[~bad]
+def _step_rows(z, v, dt, t, k, aborts, single):
+    """Euler-step a (B, d) batch of independent rows.  A row whose velocity
+    or new state is non-finite stays in the batch as NaN, and its first
+    NumericalAbort goes to aborts[row] (a single-state loop raises it)."""
+    z_next, bad_v, bad = _euler_update(z, v, dt)
+    for i in np.flatnonzero(bad):
+        if aborts[i] is None:
+            aborts[i] = _abort(bad_v[i], t, k)
+            if single:
+                raise aborts[i]
+    z_next[bad] = np.nan
+    return z_next
 
 
 def forward_noising(z0, t, eps):

@@ -19,9 +19,9 @@ transport_enhanced_flowedit      evolve a coupled edit trajectory directly
 Both editors get the correction from transport.enhance_velocity and record a
 step's transport_norm and weight as 0 whenever its weight is zero.  Every
 loop here steps through core's one Euler kernel (euler_step for one state,
-core._LiveRows for the inversion editor's rows), so a non-finite velocity or
-state aborts with the step's t, grid index and term, and writes its
-trajectory into arrays preallocated by core._records.
+core._step_rows for the inversion editor's rows, a failed one staying NaN),
+so a non-finite velocity or state aborts with the step's t, grid index and
+term, and writes its trajectory into arrays preallocated by core._records.
 
 baseline_flowedit is the unmodified difference-velocity pipeline, kept as a
 separate loop so equivalence tests compare two implementations rather than
@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Trajectory, _LiveRows, _records, euler_step, forward_noising
+from .core import Trajectory, _records, _step_rows, euler_step, forward_noising, make_rng
 from .fields import Condition, cfg_blend, conditional_linear_velocity, make_velocity
 from .metrics import l2_distance
 from .transport import enhance_velocity
@@ -40,8 +40,8 @@ from .transport import enhance_velocity
 
 @dataclass(frozen=True)
 class RngSeed:
-    """A 64-bit seed pinned to one generator family (PCG64 under SeedSequence),
-    so equal seeds give identical noise streams across runs and platforms."""
+    """A 64-bit seed for core.make_rng, the one generator family, so equal
+    seeds give identical noise streams across runs and platforms."""
 
     seed: int
 
@@ -51,7 +51,7 @@ class RngSeed:
         object.__setattr__(self, "seed", int(self.seed))
 
     def generator(self):
-        return np.random.Generator(np.random.PCG64(np.random.SeedSequence(self.seed)))
+        return make_rng(self.seed)
 
 
 @dataclass(frozen=True)
@@ -67,9 +67,9 @@ class EditSummary:
 
 @dataclass(frozen=True)
 class EditResult:
-    """What an editor returns.  A batched inversion edit holds (B, d) outputs
-    and two per-row tuples: summary, None for a row that failed, and aborts,
-    the row's NumericalAbort or None."""
+    """What an editor returns.  A batched inversion edit holds (B, d) outputs,
+    NaN for a failed row, and two per-row tuples: summary, None for a failed
+    row, and aborts, the row's NumericalAbort or None."""
 
     output: np.ndarray
     trajectory: object
@@ -170,9 +170,9 @@ def transport_guided_inversion_edit(cfg, registry, codec, x0, x_target=None, bet
     Every kernel the loop calls is batch-invariant, so each row's output,
     trajectory and summary equal its own single-state call bit for bit.
     Velocity and state are checked per row at every step of both phases:
-    a single state raises NumericalAbort; in a batch the row leaves, its
+    a single state raises NumericalAbort; in a batch the row stays, its
     abort goes to aborts, its output is NaN, its summary None and its
-    recorded states NaN after the failing step.
+    recorded states and velocities NaN after the failing step.
 
     The returned trajectory covers the reverse (editing) phase; the forward
     inversion feeds it.  For a batch its states and velocities are
@@ -191,7 +191,7 @@ def transport_guided_inversion_edit(cfg, registry, codec, x0, x_target=None, bet
         else np.asarray(beta0, dtype=float)
     if beta0.shape != (n_rows,) or not np.all(np.isfinite(beta0) & (beta0 >= 0.0)):
         raise ValueError(f"beta0 must be {n_rows} finite values >= 0")
-    rows = _LiveRows(n_rows, single)
+    aborts = [None] * n_rows
 
     null_field = make_velocity(registry, Condition.null(), cfg.scales)
     inv = cfg.grid.points[::-1]
@@ -199,38 +199,33 @@ def transport_guided_inversion_edit(cfg, registry, codec, x0, x_target=None, bet
     z = z0
     for k in range(n):
         t = float(inv[k])
-        z = rows.step(z, null_field(z, t), float(inv[k + 1] - inv[k]), t, k)
+        z = _step_rows(z, null_field(z, t), float(inv[k + 1] - inv[k]), t, k, aborts, single)
 
     target_field = make_velocity(registry, cfg.condition_target, cfg.scales)
     t_hi, t_lo = cfg.eta_window
     pts = cfg.grid.points
     states, velocities, norms, weights = _records(n, (n_rows, dim), (n_rows,))
     work = np.zeros(n_rows)
-    states[0, rows.idx] = z
+    states[0] = z
     for k in range(n):
         t = float(pts[k])
         dt = float(pts[k + 1] - pts[k])
-        live = rows.idx
         v_tar = target_field(z, t)
-        v_ref = conditional_linear_velocity(z0[live], z, t, registry.t_floor)
+        v_ref = conditional_linear_velocity(z0, z, t, registry.t_floor)
         eta_eff = cfg.eta if t_lo <= t <= t_hi else 0.0
         v_rf = controller_guided_velocity(v_tar, v_ref, eta_eff)
-        v_enh, weight, raw_norm = enhance_velocity(v_rf, z, z_target[live], t, cfg.transport,
-                                                   beta0[live])
-        velocities[k, live] = v_enh
-        norms[k, live] = raw_norm
-        weights[k, live] = weight
-        work[live] += weight * np.minimum(raw_norm, cfg.transport.clip_tau) * abs(dt)
-        z = rows.step(z, v_enh, dt, t, k)
-        states[k + 1, rows.idx] = z
+        v_enh, weight, raw_norm = enhance_velocity(v_rf, z, z_target, t, cfg.transport, beta0)
+        velocities[k], norms[k], weights[k] = v_enh, raw_norm, weight
+        work += weight * np.minimum(raw_norm, cfg.transport.clip_tau) * abs(dt)
+        z = _step_rows(z, v_enh, dt, t, k, aborts, single)
+        states[k + 1] = z
 
-    output = np.full((n_rows, dim), np.nan)
-    output[rows.idx] = codec.decode(z)
+    output = codec.decode(z)
     summary = tuple(None if abort is not None else EditSummary(
         reconstruction_l2=l2_distance(output[i], xb[i]),
         displacement_l2=l2_distance(states[n, i], z0[i]),
         transport_work=float(work[i]),
-    ) for i, abort in enumerate(rows.aborts))
+    ) for i, abort in enumerate(aborts))
     meta = {"algorithm": "invert_edit"}
     if single:
         trajectory = Trajectory(pts.copy(), states[:, 0], velocities[:, 0], norms[:, 0],
@@ -238,7 +233,7 @@ def transport_guided_inversion_edit(cfg, registry, codec, x0, x_target=None, bet
         return EditResult(output=output[0], trajectory=trajectory, summary=summary[0])
     trajectory = Trajectory(pts.copy(), states, velocities, norms, weights, meta)
     return EditResult(output=output, trajectory=trajectory, summary=summary,
-                      aborts=tuple(rows.aborts))
+                      aborts=tuple(aborts))
 
 
 def _branch_fields(cfg, registry):

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import euler_step, integrate, make_time_grid
+from .core import euler_step, integrate, make_rng, make_time_grid
 from .fields import make_velocity
 from .transport import make_enhanced
 
@@ -217,8 +217,7 @@ class VerifySetup:
         object.__setattr__(self, "_arms", {})
 
     def noise_bank(self, dim):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(self.seed)))
-        return rng.standard_normal((self.n_runs, dim))
+        return make_rng(self.seed).standard_normal((self.n_runs, dim))
 
 
 def _fit_loglog_slope(x, y):
@@ -322,6 +321,15 @@ def verify_discretization_bound(field, transport_cfg, z_init, z_target, step_cou
     )
 
 
+def guided_final_states(registry, condition, scales, grid, transport, z_target, noise):
+    """Final states of noise denoised over grid by condition's field plus the
+    transport correction anchored on z_target (None only at beta0 = 0)."""
+    velocity = make_velocity(registry, condition, scales)
+    enhanced = make_enhanced(velocity, z_target, transport)
+    # A copy: final_state is a view that would keep the whole trajectory.
+    return integrate(enhanced, noise, grid).final_state.copy()
+
+
 def _run_outputs(setup, beta0, transport=None):
     """Final states of setup's noise bank under transport (default: the
     setup's template) at strength beta0, integrated on the first request
@@ -331,11 +339,8 @@ def _run_outputs(setup, beta0, transport=None):
     # of the schedule cannot change a zero-strength arm.
     key = None if cfg.beta0 == 0.0 else cfg
     if key not in setup._arms:
-        velocity = make_velocity(setup.registry, setup.condition, setup.scales)
-        enhanced = make_enhanced(velocity, setup.z_target, cfg)
-        bank = setup.noise_bank(setup.z_target.shape[0])
-        # A copy: final_state is a view that would keep the whole trajectory.
-        final = integrate(enhanced, bank, setup.grid).final_state.copy()
+        final = guided_final_states(setup.registry, setup.condition, setup.scales, setup.grid,
+                                    cfg, setup.z_target, setup.noise_bank(setup.z_target.shape[0]))
         final.flags.writeable = False
         setup._arms[key] = final
     return setup._arms[key]

@@ -34,15 +34,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import ConfigError, cell_beta0, derive_config
-from .core import integrate
+from .core import make_rng
 from .editors import (FlowEditConfig, InversionEditConfig, RngSeed,
                       transport_enhanced_flowedit, transport_guided_inversion_edit)
 from .fields import make_velocity
-from .metrics import (_EMPIRICAL_CAP, VerifySetup, verify_convergence_bound,
-                      verify_discretization_bound, verify_edit_control_bound,
-                      w2_dirac_to_gaussian, w2_dirac_to_points, w2_empirical_exact, w2_gaussian)
+from .metrics import (_EMPIRICAL_CAP, VerifySetup, guided_final_states, verify_convergence_bound,
+                      verify_discretization_bound, verify_edit_control_bound, w2_dirac_to_gaussian,
+                      w2_dirac_to_points, w2_empirical_exact, w2_gaussian)
 from .svgplot import render_metric_chart, render_point_cloud, render_trajectories
-from .transport import make_enhanced
 
 _METRIC_COLUMNS = ("reconstruction_l2", "displacement_l2", "transport_work", "w2_to_target")
 _BETA0 = "transport.beta0"
@@ -77,10 +76,6 @@ def atomic_write_text(path, text):
         fh.write(text)
     os.replace(tmp, path)
     return path
-
-
-def _rng(*key):
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(list(key))))
 
 
 def derive_seed(base_seed, cell_index, replicate):
@@ -159,8 +154,7 @@ def _cloud_w2_to_condition(cloud, registry, condition):
 def _resolve_x0(cfg, seed):
     if cfg.inputs["x0"] is not None:
         return cfg.inputs["x0"]
-    rng = _rng(seed, 1)
-    return _draw_from_dataset(cfg.registry, cfg.inputs["sample_source"], rng)
+    return _draw_from_dataset(cfg.registry, cfg.inputs["sample_source"], make_rng(seed, 1))
 
 
 def _edit_metrics(summary, output, cfg, condition):
@@ -202,15 +196,16 @@ def _run_flowedit(cfg, seed):
 
 
 def _run_generate(cfg, seed):
-    rng = _rng(seed)
-    noise = rng.standard_normal((cfg.inputs["count"], cfg.registry.dim()))
-    field = make_velocity(cfg.registry, cfg.editor["condition"], cfg.scales)
-    if cfg.transport.beta0 > 0.0:
-        if cfg.inputs["x_target"] is None:
-            raise ConfigError("generate with transport.beta0 > 0 needs inputs.x_target")
-        field = make_enhanced(field, cfg.codec.encode(cfg.inputs["x_target"]), cfg.transport)
-    traj = integrate(field, noise, cfg.grid)
-    cloud = cfg.codec.decode(traj.final_state)
+    x_target = cfg.inputs["x_target"]
+    # Checked here, not at load: the sweep plan gives a cell its beta0 past
+    # the load checks, so a load check would miss a beta0 cell.
+    if cfg.transport.beta0 > 0.0 and x_target is None:
+        raise ConfigError("generate with transport.beta0 > 0 needs inputs.x_target")
+    noise = make_rng(seed).standard_normal((cfg.inputs["count"], cfg.registry.dim()))
+    anchor = None if x_target is None else cfg.codec.encode(x_target)
+    final = guided_final_states(cfg.registry, cfg.editor["condition"], cfg.scales, cfg.grid,
+                                cfg.transport, anchor, noise)
+    cloud = cfg.codec.decode(final)
     metrics = {
         "reconstruction_l2": None,
         "displacement_l2": None,
@@ -228,7 +223,7 @@ _RUNNERS = {"invert_edit": _run_invert_edit, "flowedit": _run_flowedit,
 def run_verify(cfg):
     """Run the configured bound verifications and return BoundReports."""
     vsection = cfg.verify
-    rng = _rng(cfg.seed, 2)
+    rng = make_rng(cfg.seed, 2)
     dim = cfg.registry.dim()
     z_target = _draw_target_state(cfg.registry, vsection["condition"], rng)
     reports = []
@@ -520,7 +515,7 @@ def gen_data(cfg, out_dir=None):
     files = []
     for index, name in enumerate(cfg.registry.names()):
         if cfg.registry.kind(name) == "gaussian":
-            pts = cfg.registry.sample_gaussian(name, _rng(cfg.seed, 3, index),
+            pts = cfg.registry.sample_gaussian(name, make_rng(cfg.seed, 3, index),
                                                size=cfg.inputs["count"])
         else:
             pts = cfg.registry.points(name)

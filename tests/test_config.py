@@ -335,6 +335,14 @@ def test_sweep_axes_parse():
     *[(f"axis = {path}: 1, 2", f"axis over {path}: sweep rows read it from the base config")
       for path in ("experiment.seed", "experiment.name", "experiment.output_dir",
                    "experiment.plot", "experiment.preset", "sweep.replicates")],
+    # Commas split axis values, so no cell could hold a whole matrix or list.
+    *[(f"axis = {path}: {values}", f"axis over {path}: its {kind} values hold commas, "
+       "which separate axis values")
+      for path, values, kind in (("dataset.d.points", "0,0; 1,1", "matrix"),
+                                 ("dataset.g.cov", "1, 0; 0, 1", "matrix"),
+                                 ("verify.step_counts", "10, 20, 40", "ints"),
+                                 ("verify.beta0_list", "0, 0.1", "floats"),
+                                 ("verify.edit_beta0_list", "0.5", "floats"))],
 ])
 def test_sweep_axis_errors(axis_line, match):
     with pytest.raises(ConfigError, match=match) as ei:
@@ -372,6 +380,13 @@ def test_sweep_axis_over_algorithm_and_dataset_keys_loads():
     cfg = _load(_BASE + ["[sweep]", "axis = experiment.algorithm: invert_edit, generate",
                          "axis = dataset.d.csv: a.csv, b.csv"])
     assert [path for path, _ in cfg.sweep_axes] == ["experiment.algorithm", "dataset.d.csv"]
+
+
+def test_sweep_axis_over_vector_key_loads():
+    cfg = _load(_BASE + ["[sweep]", "axis = codec.scale: 1, 2", "axis = inputs.x0: 0.5, 1.0",
+                         "axis = dataset.d.mean: 0, 1"])
+    assert cfg.sweep_axes == [("codec.scale", ["1", "2"]), ("inputs.x0", ["0.5", "1.0"]),
+                              ("dataset.d.mean", ["0", "1"])]
 
 
 def test_sweep_axis_is_not_a_set_key():

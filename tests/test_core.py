@@ -182,6 +182,16 @@ def test_trajectory_shape_validation():
                    weights=np.zeros(3))
 
 
+def test_make_rng_of_one_key_draws_as_the_bare_seed():
+    # make_rng(s) seeds SeedSequence([s]); RngSeed and VerifySetup streams
+    # are defined as those of SeedSequence(s), so the two must agree.
+    from otflow.core import make_rng
+
+    for seed in (0, 7, 2 ** 32 + 1, 2 ** 63 + 5, 2 ** 64 - 1):
+        bare = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+        assert np.array_equal(make_rng(seed).standard_normal(16), bare.standard_normal(16))
+
+
 def test_codec_round_trip():
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(3)))
     scale = rng.uniform(0.5, 2.0, size=4)

@@ -466,25 +466,70 @@ def test_inversion_numerical_abort_names_step_and_term():
         assert np.array_equal(batch.output[i], single.output)
 
 
-def test_live_rows_drop_non_finite_state_rows():
+def test_step_rows_keep_non_finite_rows_as_nan():
     # A finite velocity whose Euler step overflows is a "state" abort; both
-    # kinds of row leave the batch and the others step on.
-    from otflow.core import _LiveRows
+    # kinds of row stay in the batch as NaN and the others step on.
+    from otflow.core import _step_rows
 
     z = np.array([[1.0, 2.0], [3.0, 4.0], [1.5e308, 6.0]])
     v = np.array([[1.0, 1.0], [1.0, np.inf], [1.5e308, 1.0]])
-    rows = _LiveRows(3, single=False)
+    aborts = [None] * 3
     with np.errstate(over="ignore"):
-        kept = rows.step(z, v, 0.5, 0.25, 3)
-    assert np.array_equal(kept, z[:1] + 0.5 * v[:1]) and list(rows.idx) == [0]
-    velocity, state = rows.aborts[1], rows.aborts[2]
+        stepped = _step_rows(z, v, 0.5, 0.25, 3, aborts, single=False)
+    assert stepped.shape == z.shape and np.array_equal(stepped[0], z[0] + 0.5 * v[0])
+    assert np.all(np.isnan(stepped[1:]))
+    velocity, state = aborts[1], aborts[2]
     assert (str(velocity), velocity.step, velocity.term) == ("velocity non-finite at t=0.25", 3,
                                                               "velocity")
     assert (str(state), state.step, state.term, state.t) == (
         "euler_step produced a non-finite state", 3, "state", 0.25)
+    # At the next step the NaN rows are not reported again; a new failure is.
+    later = _step_rows(stepped, np.array([[np.nan, 0.0], [0.0, 0.0], [0.0, 0.0]]), 0.5, 0.5, 4,
+                       aborts, single=False)
+    assert np.all(np.isnan(later)) and aborts[1] is velocity and aborts[2] is state
+    assert (aborts[0].step, aborts[0].term, aborts[0].t) == (4, "velocity", 0.5)
     with np.errstate(over="ignore"), pytest.raises(NumericalAbort) as err:
-        _LiveRows(1, single=True).step(z[2:], v[2:], 0.5, 0.25, 3)
+        _step_rows(z[2:], v[2:], 0.5, 0.25, 3, [None], single=True)
     assert err.value.term == "state"
+
+
+def test_inversion_batch_with_failing_rows_equals_single_calls():
+    # 64 rows with per-row beta0: row 5 fails in the inversion phase (a
+    # source of norm 1e200), row 40 in the edit phase (beta0 = 1e300).  The
+    # failed rows stay in the batch as NaN; every other row equals its own
+    # single-state call bit for bit, and each failed row's abort equals the
+    # one its single call raises.
+    cfg, reg, codec = _overflowing_inversion(0.0)
+    rng = _rng(62)
+    x0 = rng.standard_normal((64, 2)) * 0.5 + np.array([-1.5, 0.0])
+    x0[5] = [1e200, 0.0]
+    beta0 = rng.uniform(0.0, 1.0, 64)
+    beta0[::7] = 0.0
+    beta0[40] = 1e300
+    with np.errstate(all="ignore"):
+        batch = transport_guided_inversion_edit(cfg, reg, codec, x0, beta0=beta0)
+    traj = batch.trajectory
+    for i in range(64):
+        row_cfg = replace(cfg, transport=_transport(float(beta0[i])))
+        if i in (5, 40):
+            with np.errstate(all="ignore"), pytest.raises(NumericalAbort) as err:
+                transport_guided_inversion_edit(row_cfg, reg, codec, x0[i])
+            abort = batch.aborts[i]
+            assert (str(abort), abort.t, abort.step, abort.term) == (
+                str(err.value), err.value.t, err.value.step, err.value.term)
+            assert batch.summary[i] is None and np.all(np.isnan(batch.output[i]))
+            # Edit-phase states are finite up to the failing step, NaN after;
+            # an inversion-phase failure leaves them all NaN.
+            first_nan = 0 if i == 5 else abort.step + 1
+            assert np.all(np.isfinite(traj.states[:first_nan, i]))
+            assert np.all(np.isnan(traj.states[first_nan:, i]))
+            continue
+        single = transport_guided_inversion_edit(row_cfg, reg, codec, x0[i])
+        assert batch.aborts[i] is None and batch.summary[i] == single.summary
+        assert np.array_equal(batch.output[i], single.output)
+        for column in ("states", "velocities", "transport_norms", "weights"):
+            assert np.array_equal(getattr(traj, column)[:, i],
+                                  getattr(single.trajectory, column)), column
 
 
 def test_flowedit_numerical_abort_names_step_and_term():

@@ -245,6 +245,31 @@ def test_generate_with_transport_needs_target(tmp_path):
     assert art.metrics["w2_to_target"] is not None
 
 
+@pytest.mark.parametrize("x_target", ["", "x_target = 1.0, 0.0\n"], ids=["no-anchor", "anchor"])
+def test_generate_at_zero_beta0_is_plain_denoising(tmp_path, x_target):
+    # The guided sampler adds nothing at beta0 = 0: the cloud is the plain
+    # integration of the condition's field over the seeded noise, bit for bit.
+    from otflow import integrate, make_velocity
+    from otflow.core import make_rng
+
+    cfg = _cfg(_GEN_CFG + "[inputs]\n" + x_target)
+    run_experiment(cfg, out_dir=str(tmp_path))
+    noise = make_rng(cfg.seed).standard_normal((64, 2))
+    field = make_velocity(cfg.registry, cfg.editor["condition"], cfg.scales)
+    plain = cfg.codec.decode(integrate(field, noise, cfg.grid).final_state)
+    assert open(tmp_path / "gen_samples.csv").read() == points_csv(plain)
+
+
+def test_generate_sweep_beta0_cell_without_anchor_fails_alone(tmp_path):
+    # The sweep plan sets beta0 past the load checks; the run-time check
+    # fails exactly the beta0 > 0 rows.
+    text = _GEN_CFG + "[sweep]\naxis = transport.beta0: 0, 0.5\nreplicates = 2\n"
+    out = run_sweep(_cfg(text), out_dir=str(tmp_path))
+    records = list(csv.DictReader(open(out.results_path)))
+    assert out.n_failed == 2 and [r["error"] for r in records] == ["", ""] + [
+        "ConfigError: generate with transport.beta0 > 0 needs inputs.x_target"] * 2
+
+
 def test_run_verify_kind_dispatch():
     one = run_verify(_cfg(_VERIFY_PASS_CFG + "kind = convergence\n"))
     assert [r.bound_kind for r in one] == ["convergence"]
