@@ -128,6 +128,10 @@ _RUN_RULES = {
 }
 
 
+# Shared with runner._run_generate, which applies the rule to sweep cells.
+_GENERATE_NEEDS_TARGET = "generate with transport.beta0 > 0 needs inputs.x_target"
+
+
 class ConfigError(Exception):
     """Raised for parse errors, unknown keys, and invariant violations."""
 
@@ -435,7 +439,11 @@ def _build_verify(res, registry):
 def _check_run_values(res, cfg):
     """Fail, with its key and line, on any value the run reads that its
     runtime's rule rejects: an editing run builds its editor config, a
-    verify run checks the verifiers its kind selects."""
+    generate run with transport needs its anchor, a verify run checks the
+    verifiers its kind selects."""
+    if (cfg.algorithm == "generate" and cfg.transport.beta0 > 0.0
+            and cfg.inputs["x_target"] is None):
+        res._fail("transport.beta0", _GENERATE_NEEDS_TARGET)
     if cfg.algorithm in _EDIT_CONFIGS:
         seed = {"seed": cfg.seed} if cfg.algorithm == "flowedit" else {}
         res.build("editor", _EDIT_CONFIGS[cfg.algorithm], transport=cfg.transport,

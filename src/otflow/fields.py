@@ -18,9 +18,18 @@ For a Gaussian N(mu, Sigma) the conditional expectation is linear in z:
 
 One kernel evaluates all Gaussians, stacked as Sigma = Q diag(lam) Q^T: it
 projects y = Q^T (z - (1-t) mu) once per component for both the log density of
-z_t and the velocity.  Both kernels contract with np.einsum, not BLAS matmul,
-whose reduction order follows the operand shapes: with einsum a row's result
-depends neither on its batch nor on the Gaussians stacked beside it.
+z_t and the velocity.
+
+A row's result depends neither on its batch nor on the Gaussians stacked
+beside it.  A plain (b, d) @ (d, n) matmul would not give that: BLAS picks
+its reduction order from the operand shapes.  The point kernel's three
+contractions over a set's rows are stacked matmuls over a singleton row axis,
+(b, 1, d) @ (d, n), which numpy runs as one BLAS call per stack item, each of
+the same fixed shape whatever b is.  The Gaussian kernel contracts with
+np.einsum, which is batch-invariant too; moving it to stacked matmuls would
+change every Gaussian-only result in the last bits.  The row-invariance tests
+in tests/test_fields.py, at the point kernel's workload size among others,
+fail should a numpy ever fold the stack into one GEMM.
 
 Conditions select which field an evaluation uses: the null condition pools
 every registered dataset, and a dataset condition blends that entry's field
@@ -101,7 +110,7 @@ class _PointSet:
 
 def _point_logits(pset, u, a, t):
     # -||z - a x_i||^2 / (2 t^2) + ||u||^2 / (2 t^2) with u = z - a c.
-    return (a / (t * t)) * (np.einsum("bd,nd->bn", u, pset.centred) - (0.5 * a) * pset.sq_norms)
+    return (a / (t * t)) * ((u[:, None, :] @ pset.centred.T)[:, 0, :] - (0.5 * a) * pset.sq_norms)
 
 
 def empirical_marginal_velocity(points, z, t, t_floor=1e-4):
@@ -129,7 +138,7 @@ def empirical_marginal_velocity(points, z, t, t_floor=1e-4):
     w = np.exp(logits)
     w[w < _WEIGHT_FLOOR] = 0.0
     w /= w.sum(axis=1, keepdims=True)
-    v = (zb - pset.centre - np.einsum("bn,nd->bd", w, pset.centred)) / t
+    v = (zb - pset.centre - (w[:, None, :] @ pset.centred)[:, 0, :]) / t
     return v.reshape(z.shape)
 
 
@@ -229,9 +238,10 @@ class FieldRegistry:
     Gaussians stacked for the einsum Gaussian kernel, and each Gaussian's
     sampling factor taken from one SVD of its cov), so evaluations and draws
     never mutate it and sweep cells that keep the datasets can share one
-    registry.  That kernel's rows depend on neither the batch nor the other
-    Gaussians, so an entry evaluated alone equals its column of the null
-    mixture bit for bit.
+    registry.  The kernels' rows depend on neither the batch nor the other
+    Gaussians (the point contractions are per-row stacked matmuls, the
+    Gaussian ones einsum; see the module docstring), so an entry evaluated
+    alone equals its column of the null mixture bit for bit.
     """
 
     def __init__(self, t_floor=1e-4):
@@ -357,7 +367,7 @@ class FieldRegistry:
             r_pts = r[:, col:col + len(pset)]
             col += len(pset)
             big_r = r_pts.sum(axis=1, keepdims=True)
-            y_sum = np.einsum("bn,nd->bd", r_pts, pset.centred)
+            y_sum = (r_pts[:, None, :] @ pset.centred)[:, 0, :]
             v = v + (big_r * zb - big_r * pset.centre - y_sum) / t
         return v.reshape(z.shape), gauss_v
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import ConfigError, cell_beta0, derive_config
+from .config import _GENERATE_NEEDS_TARGET, ConfigError, cell_beta0, derive_config
 from .core import make_rng
 from .editors import (FlowEditConfig, InversionEditConfig, RngSeed,
                       transport_enhanced_flowedit, transport_guided_inversion_edit)
@@ -197,10 +197,10 @@ def _run_flowedit(cfg, seed):
 
 def _run_generate(cfg, seed):
     x_target = cfg.inputs["x_target"]
-    # Checked here, not at load: the sweep plan gives a cell its beta0 past
-    # the load checks, so a load check would miss a beta0 cell.
+    # Checked at load too; here for the sweep cells, which the sweep plan
+    # gives their beta0 past the load checks.
     if cfg.transport.beta0 > 0.0 and x_target is None:
-        raise ConfigError("generate with transport.beta0 > 0 needs inputs.x_target")
+        raise ConfigError(_GENERATE_NEEDS_TARGET)
     noise = make_rng(seed).standard_normal((cfg.inputs["count"], cfg.registry.dim()))
     anchor = None if x_target is None else cfg.codec.encode(x_target)
     final = guided_final_states(cfg.registry, cfg.editor["condition"], cfg.scales, cfg.grid,

@@ -179,6 +179,22 @@ def test_run_values_are_checked_only_where_read():
         _load(lines)
 
 
+def test_generate_transport_without_target_fails_at_load():
+    # The run-time rule of a generate run, applied at load under
+    # transport.beta0 with its line; a sweep over beta0 still loads, and its
+    # beta0 > 0 cells fail alone at run time (tests/test_runner_cli.py).
+    lines = _GAUSSIAN + ["cov = 1, 0; 0, 1", "[transport]", "beta0 = 0.5"]
+    message = "transport.beta0: generate with transport.beta0 > 0 needs inputs.x_target"
+    with pytest.raises(ConfigError) as ei:
+        _load(lines)
+    assert ei.value.line == len(lines) and str(ei.value) == f"line {len(lines)}: {message}"
+    with pytest.raises(ConfigError) as ei:
+        _load(lines[:5], overrides=["transport.beta0=0.5"])
+    assert ei.value.line is None and str(ei.value) == message
+    _load(lines + ["[inputs]", "x_target = 1, 0"])
+    _load(lines[:5] + ["[sweep]", "axis = transport.beta0: 0, 0.5"])
+
+
 def test_set_override_drops_the_file_line():
     # Once --set replaces a file value, the file's line holds a different one.
     with pytest.raises(ConfigError) as ei:

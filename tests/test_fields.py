@@ -112,6 +112,94 @@ def test_empirical_large_state_and_t_floor(offset, z_scale, t):
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
+def _pooled_reference(z, t, point_sets=(), gaussians=()):
+    # Float64 softmax over every atom at one state z, in log space so that no
+    # density underflows at d = 16: a point x is N(a x, t^2 I) at z_t, a
+    # Gaussian (mean, cov) is N(a mean, a^2 cov + t^2 I), with a = 1 - t.
+    a, d = 1.0 - t, z.shape[0]
+    logs, vels = [], []
+    for points in point_sets:
+        diff = z - a * points
+        logs.append(-np.einsum("nd,nd->n", diff, diff) / (2 * t * t) - d * np.log(t))
+        vels.append(diff / t - points)
+    for mean, cov in gaussians:
+        C = a * a * cov + t * t * np.eye(d)
+        delta = z - a * mean
+        sol = np.linalg.solve(C, delta)
+        logs.append([-0.5 * delta @ sol - 0.5 * np.linalg.slogdet(C)[1]])
+        vels.append([(t * np.eye(d) - a * cov) @ sol - mean])
+    logs = np.concatenate(logs)
+    w = np.exp(logs - logs.max())
+    return (w / w.sum()) @ np.concatenate(vels)
+
+
+def _assert_relative(got, want, tol=1e-12):
+    err = np.linalg.norm(got - want, axis=1)
+    assert np.all(err <= tol * np.linalg.norm(want, axis=1)), err.max()
+
+
+def _workload_sets(d=16, n=1024):
+    # Two 1024-point sets in 16-D, flowedit_points' shape, and 257 states
+    # noised from their atoms at t so that posteriors spread over atoms.
+    t = 0.4
+    a = _rng(60, 1).standard_normal((n, d))
+    b = 1.0 + _rng(60, 2).standard_normal((n, d))
+    pooled = np.concatenate([a, b])
+    rows = _rng(61).integers(0, 2 * n, 257)
+    zs = (1 - t) * pooled[rows] + t * _rng(62).standard_normal((257, d))
+    return a, b, zs, t
+
+
+# The point contractions are stacked per-row matmuls: these tests fail if a
+# row's result ever depends on the batch it is evaluated in, at the point
+# kernel's real size (n = 1024 per set, n = 2048 pooled, d = 16).
+@pytest.mark.parametrize("b", [1, 4, 257])
+def test_empirical_rows_do_not_depend_on_batch_at_workload_size(b):
+    a, other, zs, t = _workload_sets()
+    pooled = np.concatenate([a, other])
+    zs = zs[:b]
+    batch = empirical_marginal_velocity(pooled, zs, t)
+    for i in range(b):
+        assert np.array_equal(batch[i], empirical_marginal_velocity(pooled, zs[i], t))
+    _assert_relative(batch, np.array([_pooled_reference(z, t, [pooled]) for z in zs]))
+
+
+@pytest.mark.parametrize("b", [1, 4, 257])
+def test_guided_point_rows_do_not_depend_on_batch_at_workload_size(b):
+    # Dataset a at w = 5.5: its 1024-point field blended with the null field,
+    # which pools both sets (n = 2048).
+    a, other, zs, t = _workload_sets()
+    zs = zs[:b]
+    reg = FieldRegistry().add_points("a", a).add_points("b", other)
+    cond, scales = Condition.dataset("a"), GuidanceScales(w=5.5)
+    batch = evaluate(reg, zs, t, cond, scales)
+    for i in range(b):
+        assert np.array_equal(batch[i], evaluate(reg, zs[i], t, cond, scales))
+    pooled = np.concatenate([a, other])
+    v_null = np.array([_pooled_reference(z, t, [pooled]) for z in zs])
+    v_a = np.array([_pooled_reference(z, t, [a]) for z in zs])
+    _assert_relative(batch, v_null + 5.5 * (v_a - v_null))
+
+
+@pytest.mark.parametrize("b", [1, 4, 257])
+def test_mixture_point_rows_do_not_depend_on_batch_at_workload_size(b):
+    # A 1024-point set beside a Gaussian: the null field is the mixture
+    # kernel, whose point atoms are summed by the y_sum contraction.  Half
+    # the states are noised from the points, half from the Gaussian.
+    a, _, zs, t = _workload_sets()
+    d = a.shape[1]
+    rng = _rng(63)
+    m = rng.standard_normal((d, d)) / 4
+    mean, cov = 0.5 + 0.3 * rng.standard_normal(d), m @ m.T + 0.2 * np.eye(d)
+    reg = FieldRegistry().add_points("p", a).add_gaussian("g", mean, cov)
+    zs = np.concatenate([zs[:128], (1 - t) * reg.sample_gaussian("g", rng, 129)
+                         + t * rng.standard_normal((129, d))])[:b]
+    batch = evaluate(reg, zs, t, Condition.null(), GuidanceScales())
+    for i in range(b):
+        assert np.array_equal(batch[i], evaluate(reg, zs[i], t, Condition.null(), GuidanceScales()))
+    _assert_relative(batch, np.array([_pooled_reference(z, t, [a], [(mean, cov)]) for z in zs]))
+
+
 def test_empirical_validation():
     with pytest.raises(ValueError):
         empirical_marginal_velocity(np.zeros((0, 2)), np.zeros(2), 0.5)

@@ -9,6 +9,7 @@ import csv
 import io
 import os
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -237,7 +238,10 @@ def test_run_experiment_generate(tmp_path):
 
 
 def test_generate_with_transport_needs_target(tmp_path):
-    cfg = _cfg(_GEN_CFG + "[transport]\nbeta0 = 0.5\n")
+    # Load rejects such a config (tests/test_config.py); the run-time check
+    # still guards one given its beta0 past the load checks, as a sweep cell is.
+    plain = _cfg(_GEN_CFG)
+    cfg = replace(plain, transport=replace(plain.transport, beta0=0.5))
     with pytest.raises(ConfigError, match="x_target"):
         run_experiment(cfg, out_dir=str(tmp_path))
     ok = _cfg(_GEN_CFG + "[transport]\nbeta0 = 0.5\n[inputs]\nx_target = -1.5, 0.0\n")
