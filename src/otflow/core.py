@@ -13,7 +13,10 @@ along a monotone time grid, so a single integrator serves both directions.
 One step kernel, one record layout: every Euler loop in the package steps
 and checks its state through _euler_update (euler_step, or _step_rows for a
 batch whose failed rows stay NaN), aborting with the step's t, grid index
-and term, and writes its Trajectory into the (n + 1, ...) arrays of _records.
+and term.  integrate writes its Trajectory into the (n + 1, ...) arrays of
+_records; integrate_final runs the same loop (_euler_steps) and keeps only
+the last state, for callers that read nothing else (the verify arms, the
+discretization check's Euler runs, generate).
 """
 
 from dataclasses import dataclass, field
@@ -239,6 +242,17 @@ def _records(n_steps, shape, row_shape=()):
     return states, np.zeros_like(states), norms, np.zeros_like(norms)
 
 
+def _euler_steps(velocity, z, grid):
+    """The one Euler loop of integrate and integrate_final: yields each step's
+    grid index k, the velocity applied at grid.points[k] and the new state."""
+    pts = grid.points
+    for k in range(grid.n_steps):
+        t = float(pts[k])
+        v = np.asarray(velocity(z, t), dtype=float)
+        z = euler_step(z, v, float(pts[k + 1] - pts[k]), t, k)
+        yield k, v, z
+
+
 def integrate(velocity, z0, grid):
     """Explicit Euler integration of dz/dt = velocity(z, t) along a grid.
 
@@ -251,16 +265,22 @@ def integrate(velocity, z0, grid):
         Trajectory with n_steps + 1 records.
     """
     z = _as_state(z0)
-    pts = grid.points
     states, velocities, norms, weights = _records(grid.n_steps, z.shape)
     states[0] = z
-    for k in range(grid.n_steps):
-        t = float(pts[k])
-        v = np.asarray(velocity(z, t), dtype=float)
-        z = euler_step(z, v, float(pts[k + 1] - pts[k]), t, k)
+    for k, v, z in _euler_steps(velocity, z, grid):
         velocities[k] = v
         states[k + 1] = z
-    return Trajectory(pts.copy(), states, velocities, norms, weights)
+    return Trajectory(grid.points.copy(), states, velocities, norms, weights)
+
+
+def integrate_final(velocity, z0, grid):
+    """The state after the last step of integrate(velocity, z0, grid), bit
+    for bit, with nothing recorded; a non-finite step raises the same
+    NumericalAbort."""
+    z = _as_state(z0)
+    for _, _, z in _euler_steps(velocity, z, grid):
+        pass
+    return z
 
 
 def rf_invert(velocity, z0, grid):

@@ -22,13 +22,13 @@ z_t and the velocity.
 
 A row's result depends neither on its batch nor on the Gaussians stacked
 beside it.  A plain (b, d) @ (d, n) matmul would not give that: BLAS picks
-its reduction order from the operand shapes.  The point kernel's three
-contractions over a set's rows are stacked matmuls over a singleton row axis,
-(b, 1, d) @ (d, n), which numpy runs as one BLAS call per stack item, each of
-the same fixed shape whatever b is.  The Gaussian kernel contracts with
-np.einsum, which is batch-invariant too; moving it to stacked matmuls would
-change every Gaussian-only result in the last bits.  The row-invariance tests
-in tests/test_fields.py, at the point kernel's workload size among others,
+its reduction order from the operand shapes.  Every kernel contraction is
+instead a stacked matmul over a singleton axis, which numpy runs as one BLAS
+call per stack item, each of the same fixed shape whatever b is: the point
+kernel's three contractions over a set's rows are (b, 1, d) @ (d, n), and
+the Gaussian kernel's two projections are (b, m, 1, d) @ (m, d, d) and
+(m, d, d) @ (b, m, d, 1), one (d, d) product per row and component.  The
+row-invariance tests in tests/test_fields.py, at every workload's shapes,
 fail should a numpy ever fold the stack into one GEMM.
 
 Conditions select which field an evaluation uses: the null condition pools
@@ -36,6 +36,7 @@ every registered dataset, and a dataset condition blends that entry's field
 with the null field at classifier-free guidance weight w.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,7 +87,7 @@ class Condition:
 
 
 def _clamp_t(t, t_floor):
-    if not np.isfinite(t):
+    if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
     return min(max(float(t), t_floor), 1.0)
 
@@ -149,10 +150,10 @@ def _gaussian_velocity_eig(means, eigvals, eigvecs, zb, t):
     #   velocities (b, m, d):  Q diag((t - a lam) / c) y - mu
     a = 1.0 - t
     c_eig = a * a * eigvals + t * t
-    y = np.einsum("bmk,mkj->bmj", zb[:, None, :] - a * means, eigvecs)
+    y = ((zb[:, None, :] - a * means)[:, :, None, :] @ eigvecs)[:, :, 0, :]
     quad = np.einsum("bmj,bmj->bm", y * (1.0 / c_eig), y)
     log_dens = -0.5 * quad - 0.5 * np.log(c_eig).sum(axis=1)
-    v = np.einsum("mij,bmj->bmi", eigvecs, y * ((t - a * eigvals) / c_eig)) - means
+    v = (eigvecs @ (y * ((t - a * eigvals) / c_eig))[..., None])[..., 0] - means
     return log_dens, v
 
 
@@ -212,7 +213,7 @@ def cfg_blend(v_uncond, v_cond, w):
 
     w = 0 and w = 1 return the inputs untouched; w > 1 extrapolates.
     """
-    if not np.isfinite(w):
+    if not math.isfinite(w):
         raise ValueError(f"guidance weight must be finite, got {w}")
     v_uncond = np.asarray(v_uncond, dtype=float)
     v_cond = np.asarray(v_cond, dtype=float)
@@ -235,13 +236,13 @@ class FieldRegistry:
     Register everything up front; entries are treated as immutable afterwards.
     Everything a field evaluation or a draw needs is computed at registration
     (point sets and the pooled null set are prepared for the centred kernel,
-    Gaussians stacked for the einsum Gaussian kernel, and each Gaussian's
+    Gaussians stacked for the one Gaussian kernel, and each Gaussian's
     sampling factor taken from one SVD of its cov), so evaluations and draws
     never mutate it and sweep cells that keep the datasets can share one
     registry.  The kernels' rows depend on neither the batch nor the other
-    Gaussians (the point contractions are per-row stacked matmuls, the
-    Gaussian ones einsum; see the module docstring), so an entry evaluated
-    alone equals its column of the null mixture bit for bit.
+    Gaussians (point and Gaussian contractions alike are per-row stacked
+    matmuls; see the module docstring), so an entry evaluated alone equals
+    its column of the null mixture bit for bit.
     """
 
     def __init__(self, t_floor=1e-4):
@@ -349,13 +350,14 @@ class FieldRegistry:
         zb = z.reshape(-1, z.shape[-1])
         # Gaussian columns first, then each point set's atoms in registration
         # order.  Only reached with at least one Gaussian (see _null_velocity).
-        gauss_dens, gauss_v = _gaussian_velocity_eig(*self._stacked, zb, t)
-        log_r = [gauss_dens]
-        for pset in self._points.values():
-            u = zb - a * pset.centre
-            base = np.einsum("bd,bd->b", u, u) / (2.0 * t * t) + zb.shape[1] * np.log(t)
-            log_r.append(_point_logits(pset, u, a, t) - base[:, None])
-        log_r = np.concatenate(log_r, axis=1)
+        log_r, gauss_v = _gaussian_velocity_eig(*self._stacked, zb, t)
+        if self._points:
+            parts = [log_r]
+            for pset in self._points.values():
+                u = zb - a * pset.centre
+                base = np.einsum("bd,bd->b", u, u) / (2.0 * t * t) + zb.shape[1] * np.log(t)
+                parts.append(_point_logits(pset, u, a, t) - base[:, None])
+            log_r = np.concatenate(parts, axis=1)
         log_r -= log_r.max(axis=1, keepdims=True)
         r = np.exp(log_r)
         r[r < _WEIGHT_FLOOR] = 0.0

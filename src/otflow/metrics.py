@@ -8,12 +8,13 @@ asserting absolute error values:
   edit control    mean squared displacement between guided and unguided runs
                   bounded by c * beta0^2 * integral(S^2) + eps_schedule
 
-Each trajectory the checks need is integrated once.  The discretization
-check makes one RK4 reference pass that stops at probe_t for the probe state
-and continues from there to the end of the span.  Convergence and edit
-control share one VerifySetup, which integrates each distinct arm (one
-transport strength and schedule over the noise bank) once and hands its
-final states to both.
+Each trajectory the checks need is integrated once, and an Euler run keeps
+only its final state (core.integrate_final): the checks read nothing else.
+The discretization check makes one RK4 reference pass that stops at probe_t
+for the probe state and continues from there to the end of the span.
+Convergence and edit control share one VerifySetup, which integrates each
+distinct arm (one transport strength and schedule over the noise bank) once
+and hands its final states to both.
 
 Wasserstein-2 comes in two dual forms kept deliberately separate: the closed
 Gaussian (Bures) expression and an exact-assignment empirical distance, so
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import euler_step, integrate, make_rng, make_time_grid
+from .core import euler_step, integrate_final, make_rng, make_time_grid
 from .fields import make_velocity
 from .transport import make_enhanced
 
@@ -195,8 +196,8 @@ class VerifySetup:
     from it; transport.beta0 acts as a template overridden per arm.
 
     An arm is one Euler run of the whole noise bank under one transport
-    config.  The setup integrates each distinct arm once and keeps a copy of
-    its final states, so verifiers run on the same setup share their arms.
+    config.  The setup integrates each distinct arm once and keeps its final
+    states, so verifiers run on the same setup share their arms.
     Every zero-strength arm is the same run, the unguided one, whatever its
     schedule.  The memo belongs to this instance: a copy made with
     dataclasses.replace starts empty.
@@ -287,15 +288,17 @@ def verify_discretization_bound(field, transport_cfg, z_init, z_target, step_cou
         probe_state = reference_integrate(enhanced, probe_state, 1.0, probe_t, n_probe)
     ref_final = reference_integrate(enhanced, probe_state, probe_t, 0.0, n_fine - n_probe)
 
+    # The probe velocity is the same for every step count.
+    probe_v = enhanced(probe_state, probe_t)
     measured = []
     local_errs, global_errs, dts = [], [], []
     for n in step_counts:
         dt = 1.0 / n
         grid = make_time_grid(n, 1.0, 0.0)
-        traj = integrate(enhanced, np.asarray(z_init, dtype=float), grid)
-        g_err = l2_distance(traj.final_state, ref_final)
+        final = integrate_final(enhanced, np.asarray(z_init, dtype=float), grid)
+        g_err = l2_distance(final, ref_final)
         # One Euler step from the reference state vs a fine reference substep.
-        euler_sub = euler_step(probe_state, enhanced(probe_state, probe_t), -dt, probe_t, 0)
+        euler_sub = euler_step(probe_state, probe_v, -dt, probe_t, 0)
         ref_sub = reference_integrate(enhanced, probe_state, probe_t, probe_t - dt, 50)
         l_err = l2_distance(euler_sub, ref_sub)
         dts.append(dt)
@@ -326,8 +329,7 @@ def guided_final_states(registry, condition, scales, grid, transport, z_target, 
     transport correction anchored on z_target (None only at beta0 = 0)."""
     velocity = make_velocity(registry, condition, scales)
     enhanced = make_enhanced(velocity, z_target, transport)
-    # A copy: final_state is a view that would keep the whole trajectory.
-    return integrate(enhanced, noise, grid).final_state.copy()
+    return integrate_final(enhanced, noise, grid)
 
 
 def _run_outputs(setup, beta0, transport=None):

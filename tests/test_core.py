@@ -21,6 +21,7 @@ from otflow import (
     make_time_grid,
     rf_invert,
 )
+from otflow.core import integrate_final
 
 
 def test_grid_points_and_dt():
@@ -151,6 +152,42 @@ def test_integrate_state_abort_names_t_step_and_term():
         integrate(overflowing, np.array([1.7e308]), grid)
     assert str(err.value) == "euler_step produced a non-finite state"
     assert (err.value.t, err.value.step, err.value.term) == (0.25, 3, "state")
+
+
+def _curved_field(z, t):
+    # Nonlinear in z and t, so every step rounds differently.
+    return np.sin(3.0 * z) * (0.5 + t) - 0.7 * z * z + np.cos(t)
+
+
+@pytest.mark.parametrize("t_start, t_end", [(0.0, 1.0), (1.0, 0.0), (0.85, 0.2)])
+@pytest.mark.parametrize("shape", [(3,), (17, 3)])
+def test_integrate_final_equals_the_recorded_final_state(shape, t_start, t_end):
+    grid = make_time_grid(28, t_start, t_end)
+    z0 = np.random.default_rng(40).standard_normal(shape)
+    got = integrate_final(_curved_field, z0, grid)
+    want = integrate(_curved_field, z0, grid).final_state
+    assert got.shape == shape and np.array_equal(got, want)
+    assert got.base is None  # owns its data, as the verify arms' memo needs
+
+
+@pytest.mark.parametrize("shape", [(1,), (4, 1)])
+def test_integrate_final_aborts_where_integrate_does(shape):
+    grid = make_time_grid(4, 1.0, 0.0)
+
+    def bad(z, t):
+        return np.full_like(z, np.nan) if t < 0.6 else z
+
+    def overflowing(z, t):
+        return np.full_like(z, -1e308) if t < 0.3 else np.zeros_like(z)
+
+    for field, z0, term in ((bad, np.ones(shape), "velocity"),
+                            (overflowing, np.full(shape, 1.7e308), "state")):
+        aborts = []
+        for run in (integrate, integrate_final):
+            with np.errstate(over="ignore"), pytest.raises(NumericalAbort) as err:
+                run(field, z0, grid)
+            aborts.append((str(err.value), err.value.t, err.value.step, err.value.term))
+        assert aborts[0] == aborts[1] and aborts[0][3] == term
 
 
 def test_euler_step_reports_velocity_before_state():

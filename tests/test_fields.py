@@ -344,6 +344,59 @@ def test_guided_gaussian_entry_shares_the_null_kernel_call(d, with_points, monke
             assert got.shape == z.shape and np.array_equal(got, want)
 
 
+def _workload_gaussians(setting):
+    # Two Gaussians at a benchmark workload's shape, with its guidance weight:
+    # invert_sweep's well separated 2-D pair of variance 0.25 at w = 7.5, or
+    # verify_bounds' 8-D pair with one full covariance at w = 2.  Means are
+    # jittered as the workloads jitter theirs.  1024 states, half noised
+    # from each Gaussian, at each of a few times.
+    if setting == "invert_sweep":
+        d, w = 2, 7.5
+        means = np.array([[-1.5, 0.0], [1.5, 0.5]])
+        cov = 0.25 * np.eye(d)
+    else:
+        d, w = 8, 2.0
+        means = np.zeros((2, d))
+        means[0, 0], means[1, :2] = -1.5, (1.5, 0.5)
+        cov = np.full((d, d), 0.05) + 0.25 * np.eye(d)
+    means = means + 0.05 * _rng(70, d).standard_normal((2, d))
+    reg = FieldRegistry().add_gaussian("a", means[0], cov).add_gaussian("b", means[1], cov)
+    rng = _rng(71, d)
+    x = np.concatenate([reg.sample_gaussian("a", rng, 512), reg.sample_gaussian("b", rng, 512)])
+    eps = rng.standard_normal((1024, d))
+    states = {t: (1 - t) * x + t * eps for t in (0.9, 0.4, 0.05)}
+    return reg, [("gaussian", (m, cov)) for m in means], w, states
+
+
+# Each benchmark workload's Gaussian setting at its batch sizes: invert_sweep
+# evaluates one row or its 400-row sweep group, verify_bounds one row (the
+# RK4 reference) or its 1024-row bank.
+@pytest.mark.parametrize("setting, b", [("invert_sweep", 1), ("invert_sweep", 400),
+                                        ("verify_bounds", 1), ("verify_bounds", 1024)])
+def test_gaussian_rows_do_not_depend_on_batch_at_workload_shapes(setting, b):
+    reg, entries, w, states = _workload_gaussians(setting)
+    scales = GuidanceScales(w=w)
+    for t, zs in states.items():
+        zs = zs[:b]
+        v_null = np.array([_mixture_reference(entries, z, t) for z in zs])
+        v_b = np.array([_mixture_reference(entries[1:], z, t) for z in zs])
+        for cond, want in ((Condition.null(), v_null),
+                           (Condition.dataset("b"), v_null + w * (v_b - v_null))):
+            batch = evaluate(reg, zs, t, cond, scales)
+            for i in range(b):
+                assert np.array_equal(batch[i], evaluate(reg, zs[i], t, cond, scales))
+            _assert_relative(batch, want)
+
+
+@pytest.mark.parametrize("setting", ["invert_sweep", "verify_bounds"])
+def test_gaussian_entry_equals_its_null_column_at_workload_shapes(setting):
+    reg, _, _, states = _workload_gaussians(setting)
+    for t, zs in states.items():
+        gauss_v = reg._mixture_velocity(zs, t)[1]
+        for k, name in enumerate(("a", "b")):
+            assert np.array_equal(reg._entry_velocity(name, zs, t), gauss_v[:, k])
+
+
 def test_conditional_linear_lands_exactly():
     z_ref = np.array([0.8, -1.3])
     z_start = np.array([3.0, 2.0])

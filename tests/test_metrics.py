@@ -288,8 +288,9 @@ def _two_pass_discretization(field, transport, z_init, z_target, step_counts, pr
 @pytest.mark.parametrize("probe_t", [0.6, 1.0])
 def test_verify_discretization_bound_integrates_the_reference_once(probe_t):
     # One RK4 pass through probe_t serves both references: 4 * n_fine field
-    # calls, plus the Euler runs and, per step count, the probe step and its
-    # 50-step reference.  The result matches two separate passes.
+    # calls, plus the Euler runs, one probe velocity shared by every step
+    # count and, per step count, the probe step's 50-step reference.  The
+    # result matches two separate passes.
     setup, z_init, z_target, reg, transport = _shared_setup(beta0_template=0.2)
     mu = np.array([1.0, -0.5])
     cov = np.array([[0.8, 0.2], [0.2, 0.5]])
@@ -303,7 +304,7 @@ def test_verify_discretization_bound_integrates_the_reference_once(probe_t):
     report = verify_discretization_bound(field, transport, z_init, z_target, counts,
                                          probe_t=probe_t)
     n_fine = 20 * max(counts)
-    assert len(calls) == 4 * n_fine + sum(counts) + len(counts) * (1 + 4 * 50)
+    assert len(calls) == 4 * n_fine + sum(counts) + 1 + len(counts) * 4 * 50
     expected = _two_pass_discretization(field, transport, z_init, z_target, counts, probe_t)
     assert [m[:2] for m in report.measured] == [m[:2] for m in expected]
     for (_, _, got), (_, _, want) in zip(report.measured, expected):
@@ -319,13 +320,13 @@ def test_verify_arms_run_once_per_setup(monkeypatch):
     from otflow import metrics
 
     rows = []
-    real = metrics.integrate
+    real = metrics.integrate_final
 
     def counting(velocity, z0, grid):
         rows.append(np.shape(z0)[0])
         return real(velocity, z0, grid)
 
-    monkeypatch.setattr(metrics, "integrate", counting)
+    monkeypatch.setattr(metrics, "integrate_final", counting)
     setup, *_ = _shared_setup(n_runs=16)
     verify_convergence_bound(setup, [0.0, 0.1, 0.2, 0.4])
     verify_edit_control_bound(setup, [0.0, 0.1, 0.2, 0.4, 0.8], 0.3)
@@ -398,13 +399,13 @@ def test_distance_input_validation(call, match):
 def test_verify_discretization_probe_abort_names_its_step():
     # The probe is one Euler step through core's kernel: a non-finite probe
     # velocity aborts at probe_t, step 0 of the probe's one-step grid.  The
-    # first probe call follows the 4 * n_fine reference calls and the
-    # 5-step Euler run.
+    # one probe call follows the 4 * n_fine reference calls; the step that
+    # uses it follows the 5-step Euler run.
     _, z_init, z_target, _, transport = _shared_setup(beta0_template=0.2)
     mu = np.array([1.0, -0.5])
     cov = np.array([[0.8, 0.2], [0.2, 0.5]])
     counts = [5, 10, 20]
-    probe_call = 4 * 20 * max(counts) + counts[0]
+    probe_call = 4 * 20 * max(counts)
     calls = []
 
     def field(z, t):
@@ -414,5 +415,5 @@ def test_verify_discretization_probe_abort_names_its_step():
 
     with pytest.raises(otflow.NumericalAbort) as err:
         verify_discretization_bound(field, transport, z_init, z_target, counts, probe_t=0.6)
-    assert calls[probe_call] == 0.6 and len(calls) == probe_call + 1
+    assert calls[probe_call] == 0.6 and len(calls) == probe_call + 1 + counts[0]
     assert (err.value.t, err.value.step, err.value.term) == (0.6, 0, "velocity")

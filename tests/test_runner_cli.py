@@ -293,7 +293,7 @@ def test_run_verify_integrates_each_arm_once(monkeypatch):
 
     cfg = _cfg(_VERIFY_PASS_CFG + "n_runs = 16\n")
     setups, batches = [], []
-    real_setup, real_integrate = runner.VerifySetup, metrics.integrate
+    real_setup, real_integrate = runner.VerifySetup, metrics.integrate_final
 
     def recording_setup(**kw):
         setups.append(real_setup(**kw))
@@ -305,7 +305,7 @@ def test_run_verify_integrates_each_arm_once(monkeypatch):
         return real_integrate(velocity, z0, grid)
 
     monkeypatch.setattr(runner, "VerifySetup", recording_setup)
-    monkeypatch.setattr(metrics, "integrate", counting_integrate)
+    monkeypatch.setattr(metrics, "integrate_final", counting_integrate)
     _, conv, edit = run_verify(cfg)
     assert batches == [16] * 5 and len(setups) == 1
     vsec = cfg.verify
