@@ -11,8 +11,9 @@ Shared flags: --seed, --out-dir, --preset, --set key=value (repeatable,
 applied last).  sweep ignores its --workers, kept for compatibility.  plot
 draws with runner.render_csv, as the runner draws its SVGs.
 
-Exit codes: 0 success, 2 config error, 3 numerical abort during a run,
-4 sweep finished with failed cells, 5 verification failure.
+Exit codes: 0 success, 2 config error, 3 numerical abort during a run
+(printed with the abort's step, t and term), 4 sweep finished with failed
+cells, 5 verification failure.
 """
 
 import argparse
@@ -134,7 +135,7 @@ def main(argv=None):
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalAbort as exc:
-        print(f"numerical abort: {exc}", file=sys.stderr)
+        print(f"numerical abort: {exc} (step={exc.step}, t={exc.t}, term={exc.term})", file=sys.stderr)
         return EXIT_NUMERIC
 
 

@@ -20,16 +20,22 @@ One kernel evaluates all Gaussians, stacked as Sigma = Q diag(lam) Q^T: it
 projects y = Q^T (z - (1-t) mu) once per component for both the log density of
 z_t and the velocity.
 
-A row's result depends neither on its batch nor on the Gaussians stacked
-beside it.  A plain (b, d) @ (d, n) matmul would not give that: BLAS picks
-its reduction order from the operand shapes.  Every kernel contraction is
-instead a stacked matmul over a singleton axis, which numpy runs as one BLAS
-call per stack item, each of the same fixed shape whatever b is: the point
-kernel's three contractions over a set's rows are (b, 1, d) @ (d, n), and
-the Gaussian kernel's two projections are (b, m, 1, d) @ (m, d, d) and
+A row's result depends neither on its batch nor on the rows or Gaussians
+evaluated beside it.  A plain (b, d) @ (d, n) matmul would not give that:
+BLAS picks its reduction order from the operand shapes.  Every kernel
+contraction is instead a stacked matmul, which numpy runs as one BLAS call
+per stack item, each of the same fixed shape whatever b is.  The point
+kernel pads its rows with zero rows to whole blocks of _ROWS and contracts
+each block against a set: the logits as one (_ROWS, d + 1) @ (d + 1, n)
+product of [u, -a/2] with the basis, the centred rows over their squared
+norms, and the weighted sums as (_ROWS, n) @ (n, d).  A row's result then
+depends neither on its position in its block nor on what stands beside it
+there: padding, live rows, or the NaN rows of failed trajectories.  The
+Gaussian kernel's two projections are (b, m, 1, d) @ (m, d, d) and
 (m, d, d) @ (b, m, d, 1), one (d, d) product per row and component.  The
-row-invariance tests in tests/test_fields.py, at every workload's shapes,
-fail should a numpy ever fold the stack into one GEMM.
+row-invariance tests in tests/test_fields.py, at every workload's shapes
+and at each block position beside random, NaN, inf and huge rows, fail
+should a numpy ever fold the stack into one GEMM.
 
 Conditions select which field an evaluation uses: the null condition pools
 every registered dataset, and a dataset condition blends that entry's field
@@ -43,6 +49,8 @@ import numpy as np
 
 # Posterior weights smaller than this are flushed to zero before renormalizing.
 _WEIGHT_FLOOR = 1e-300
+# Rows per block in the point kernel's contractions (see the module docstring).
+_ROWS = 4
 
 
 @dataclass(frozen=True)
@@ -94,24 +102,43 @@ def _clamp_t(t, t_floor):
 
 class _PointSet:
     """A point dataset prepared once for the centred kernel: the raw points,
-    their centre c, the centred rows y = x - c and the squared norms ||y_i||^2.
-    len() is the number of atoms."""
+    their centre c, and the basis, a (d + 1, n) array whose first d rows are
+    the centred rows y = x - c transposed and whose last row holds their
+    squared norms ||y_i||^2.  centred is the (n, d) view of the basis's first
+    d rows that the weighted sums read.  len() is the number of atoms."""
 
-    __slots__ = ("points", "centre", "centred", "sq_norms")
+    __slots__ = ("points", "centre", "basis", "centred")
 
     def __init__(self, points):
         self.points = points
         self.centre = points.mean(axis=0)
-        self.centred = points - self.centre
-        self.sq_norms = np.einsum("nd,nd->n", self.centred, self.centred)
+        centred = points - self.centre
+        self.basis = np.vstack([centred.T, np.einsum("nd,nd->n", centred, centred)])
+        self.centred = self.basis[:-1].T
 
     def __len__(self):
         return self.points.shape[0]
 
 
+def _row_blocks(x, width):
+    # The (b, m) rows x, zero-padded to whole blocks of _ROWS rows and on the
+    # right to width columns, as a (k, _ROWS, width) stack.
+    b, m = x.shape
+    out = np.zeros((-(-b // _ROWS) * _ROWS, width))
+    out[:b, :m] = x
+    return out.reshape(-1, _ROWS, width)
+
+
 def _point_logits(pset, u, a, t):
-    # -||z - a x_i||^2 / (2 t^2) + ||u||^2 / (2 t^2) with u = z - a c.
-    return (a / (t * t)) * ((u[:, None, :] @ pset.centred.T)[:, 0, :] - (0.5 * a) * pset.sq_norms)
+    # -||z - a x_i||^2 / (2 t^2) + ||u||^2 / (2 t^2) with u = z - a c: one
+    # product [u, -a/2] @ basis per row block, scaled by a / t^2 after it.
+    # Returns (k * _ROWS, n) rows, those past u's b rows being padding.
+    d = u.shape[1]
+    aug = _row_blocks(u, d + 1)
+    aug[:, :, d] = -0.5 * a
+    logits = (aug @ pset.basis).reshape(-1, len(pset))
+    logits *= a / (t * t)
+    return logits
 
 
 def empirical_marginal_velocity(points, z, t, t_floor=1e-4):
@@ -136,10 +163,11 @@ def empirical_marginal_velocity(points, z, t, t_floor=1e-4):
     zb = z.reshape(-1, z.shape[-1])
     logits = _point_logits(pset, zb - (1.0 - t) * pset.centre, 1.0 - t, t)
     logits -= logits.max(axis=1, keepdims=True)  # max-shift for stability
-    w = np.exp(logits)
+    w = np.exp(logits, out=logits)
     w[w < _WEIGHT_FLOOR] = 0.0
     w /= w.sum(axis=1, keepdims=True)
-    v = (zb - pset.centre - (w[:, None, :] @ pset.centred)[:, 0, :]) / t
+    y_sum = (w.reshape(-1, _ROWS, len(pset)) @ pset.centred).reshape(-1, zb.shape[1])
+    v = (zb - pset.centre - y_sum[:len(zb)]) / t
     return v.reshape(z.shape)
 
 
@@ -240,9 +268,10 @@ class FieldRegistry:
     sampling factor taken from one SVD of its cov), so evaluations and draws
     never mutate it and sweep cells that keep the datasets can share one
     registry.  The kernels' rows depend on neither the batch nor the other
-    Gaussians (point and Gaussian contractions alike are per-row stacked
-    matmuls; see the module docstring), so an entry evaluated alone equals
-    its column of the null mixture bit for bit.
+    Gaussians (point contractions run on fixed-shape, zero-padded blocks of
+    _ROWS rows, Gaussian contractions as per-row stacked matmuls; see the
+    module docstring), so an entry evaluated alone equals its column of the
+    null mixture bit for bit.
     """
 
     def __init__(self, t_floor=1e-4):
@@ -348,6 +377,7 @@ class FieldRegistry:
         a = 1.0 - t
         z = np.asarray(z, dtype=float)
         zb = z.reshape(-1, z.shape[-1])
+        b, d = zb.shape
         # Gaussian columns first, then each point set's atoms in registration
         # order.  Only reached with at least one Gaussian (see _null_velocity).
         log_r, gauss_v = _gaussian_velocity_eig(*self._stacked, zb, t)
@@ -355,8 +385,8 @@ class FieldRegistry:
             parts = [log_r]
             for pset in self._points.values():
                 u = zb - a * pset.centre
-                base = np.einsum("bd,bd->b", u, u) / (2.0 * t * t) + zb.shape[1] * np.log(t)
-                parts.append(_point_logits(pset, u, a, t) - base[:, None])
+                base = np.einsum("bd,bd->b", u, u) / (2.0 * t * t) + d * np.log(t)
+                parts.append(_point_logits(pset, u, a, t)[:b] - base[:, None])
             log_r = np.concatenate(parts, axis=1)
         log_r -= log_r.max(axis=1, keepdims=True)
         r = np.exp(log_r)
@@ -369,7 +399,7 @@ class FieldRegistry:
             r_pts = r[:, col:col + len(pset)]
             col += len(pset)
             big_r = r_pts.sum(axis=1, keepdims=True)
-            y_sum = (r_pts[:, None, :] @ pset.centred)[:, 0, :]
+            y_sum = (_row_blocks(r_pts, len(pset)) @ pset.centred).reshape(-1, d)[:b]
             v = v + (big_r * zb - big_r * pset.centre - y_sum) / t
         return v.reshape(z.shape), gauss_v
 

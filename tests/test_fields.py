@@ -200,6 +200,75 @@ def test_mixture_point_rows_do_not_depend_on_batch_at_workload_size(b):
     _assert_relative(batch, np.array([_pooled_reference(z, t, [a], [(mean, cov)]) for z in zs]))
 
 
+def _point_paths(a, other):
+    # Every path through the point kernel's row blocks, as (zs, t) -> v:
+    # the bare kernel, the pooled null, dataset a at w = 5.5, and the null
+    # mixture of a beside a Gaussian.
+    d = a.shape[1]
+    m = _rng(64).standard_normal((d, d)) / 4
+    reg = FieldRegistry().add_points("a", a).add_points("b", other)
+    mix = (FieldRegistry().add_points("p", a)
+           .add_gaussian("g", np.full(d, 0.5), m @ m.T + 0.2 * np.eye(d)))
+    null, guided = GuidanceScales(), GuidanceScales(w=5.5)
+    return {
+        "empirical": lambda zs, t: empirical_marginal_velocity(a, zs, t),
+        "null": lambda zs, t: evaluate(reg, zs, t, Condition.null(), null),
+        "guided": lambda zs, t: evaluate(reg, zs, t, Condition.dataset("a"), guided),
+        "mixture": lambda zs, t: evaluate(mix, zs, t, Condition.null(), null),
+    }
+
+
+# Rows are contracted in zero-padded blocks of fields._ROWS: a row's result
+# must not depend on its position in the block, nor on the rows beside it,
+# be they live, failed (NaN, as core._step_rows leaves them) or overflowing.
+@pytest.mark.parametrize("path", ["empirical", "null", "guided", "mixture"])
+@pytest.mark.parametrize("neighbours", ["random", "nan", "inf", "huge"])
+def test_point_rows_do_not_depend_on_block_position_or_neighbours(path, neighbours):
+    a, other, zs, t = _workload_sets()
+    field = _point_paths(a, other)[path]
+    d, b = a.shape[1], fields._ROWS
+    fill = {
+        "random": zs[10:10 + b],
+        "nan": np.full((b, d), np.nan),
+        "inf": np.where(np.arange(d) % 2, np.inf, -np.inf) * np.ones((b, 1)),
+        "huge": 1e150 * zs[10:10 + b],
+    }[neighbours]
+    with np.errstate(all="ignore"):
+        for row in zs[:3]:
+            alone = field(row, t)
+            for pos in range(b):
+                batch = fill.copy()
+                batch[pos] = row
+                assert np.array_equal(field(batch, t)[pos], alone)
+
+
+@pytest.mark.parametrize("offset, z_scale, t", [
+    (0.0, 1e3, 1e-4), (1e3, 0.0, 1e-4), (1e3, 0.0, 0.3), (0.0, 1e3, 0.5),
+])
+def test_registry_point_paths_large_state_and_t_floor(offset, z_scale, t):
+    # The settings of test_empirical_large_state_and_t_floor, through a
+    # two-set registry: the augmented product folds ||y||^2 into the GEMM,
+    # and the pooled null and the guided dataset field must still match the
+    # per-atom reference.
+    d = 4
+    rng = _rng(40, d)
+    points = offset / np.sqrt(d) + rng.standard_normal((24, d))
+    other = offset / np.sqrt(d) + 1.0 + _rng(42, d).standard_normal((24, d))
+    zs = []
+    for seed in range(4):
+        eps = _rng(41, seed).standard_normal(d)
+        zs.append((1 - t) * points[seed] + t * eps + z_scale * eps / np.linalg.norm(eps))
+    zs = np.array(zs)
+    assert np.all((5e2 <= np.linalg.norm(zs, axis=1)) & (np.linalg.norm(zs, axis=1) <= 2e3))
+    reg = FieldRegistry().add_points("a", points).add_points("b", other)
+    pooled = np.concatenate([points, other])
+    v_null = np.array([_pooled_reference(z, t, [pooled]) for z in zs])
+    v_a = np.array([_pooled_reference(z, t, [points]) for z in zs])
+    _assert_relative(evaluate(reg, zs, t, Condition.null(), GuidanceScales()), v_null, 1e-10)
+    _assert_relative(evaluate(reg, zs, t, Condition.dataset("a"), GuidanceScales(w=5.5)),
+                     v_null + 5.5 * (v_a - v_null), 1e-10)
+
+
 def test_empirical_validation():
     with pytest.raises(ValueError):
         empirical_marginal_velocity(np.zeros((0, 2)), np.zeros(2), 0.5)

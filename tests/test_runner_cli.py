@@ -372,8 +372,9 @@ def test_invert_sweep_isolates_overflowing_rows(tmp_path, capsys):
             code = main(["run", cfg_path, "--set", "transport.beta0=1e300",
                          "--seed", record["seed"], "--out-dir", str(tmp_path / "run")])
         assert code == EXIT_NUMERIC
-        message = capsys.readouterr().err.strip().removeprefix("numerical abort: ")
-        assert message == "velocity non-finite at t=0.9642857142857143"
+        message = "velocity non-finite at t=0.9642857142857143"
+        assert capsys.readouterr().err == (
+            f"numerical abort: {message} (step=1, t=0.9642857142857143, term=velocity)\n")
         assert record["error"] == f"NumericalAbort: {message}"
         assert record["reconstruction_l2"] == ""
 
