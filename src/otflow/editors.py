@@ -14,14 +14,17 @@ transport_enhanced_flowedit      evolve a coupled edit trajectory directly
     from the source: per step, noise the source, form the coupled target
     state, step along the conditional velocity difference plus a transport
     term that contracts the state toward the source latent; optionally hand
-    the tail of the schedule to plain denoising of the coupled state.
+    the tail of the schedule to plain denoising of the coupled state.  It
+    takes one (d,) source or a (B, d) batch with a (B,) transport strength
+    and B noise seeds, so a sweep group is one call.
 
 Both editors get the correction from transport.enhance_velocity and record a
-step's transport_norm and weight as 0 whenever its weight is zero.  Every
-loop here steps through core's one Euler kernel (euler_step for one state,
-core._step_rows for the inversion editor's rows, a failed one staying NaN),
-so a non-finite velocity or state aborts with the step's t, grid index and
-term, and writes its trajectory into arrays preallocated by core._records.
+step's transport_norm and weight as 0 whenever its weight is zero.  Both run
+one loop over (B, d) rows, a single state being the B = 1 case, and step
+through core's one Euler kernel (core._step_rows, a failed row staying NaN;
+euler_step in baseline_flowedit), so a non-finite velocity or state aborts
+with the step's t, grid index and term, and writes its trajectory into
+arrays preallocated by core._records.
 
 baseline_flowedit is the unmodified difference-velocity pipeline, kept as a
 separate loop so equivalence tests compare two implementations rather than
@@ -67,9 +70,9 @@ class EditSummary:
 
 @dataclass(frozen=True)
 class EditResult:
-    """What an editor returns.  A batched inversion edit holds (B, d) outputs,
-    NaN for a failed row, and two per-row tuples: summary, None for a failed
-    row, and aborts, the row's NumericalAbort or None."""
+    """What an editor returns.  A batched edit holds (B, d) outputs, NaN for
+    a failed row, and two per-row tuples: summary, None for a failed row,
+    and aborts, the row's NumericalAbort or None."""
 
     output: np.ndarray
     trajectory: object
@@ -154,6 +157,34 @@ def controller_guided_velocity(v_tar, v_ref, eta):
     return cfg_blend(v_tar, v_ref, eta)
 
 
+def _row_beta0(beta0, transport, n_rows):
+    # The (n_rows,) per-row transport strengths, transport.beta0 by default.
+    beta0 = np.full(n_rows, float(transport.beta0)) if beta0 is None \
+        else np.asarray(beta0, dtype=float)
+    if beta0.shape != (n_rows,) or not np.all(np.isfinite(beta0) & (beta0 >= 0.0)):
+        raise ValueError(f"beta0 must be {n_rows} finite values >= 0")
+    return beta0
+
+
+def _edit_result(codec, xb, z0, pts, records, work, aborts, single, meta):
+    # Decode the last recorded states and summarise each row against its
+    # source xb and encoded start z0: a failed row gets None.  A single state
+    # returns its row alone, a batch the (B, d) output and per-row tuples.
+    states = records[0]
+    output = codec.decode(states[-1])
+    summary = tuple(None if abort is not None else EditSummary(
+        reconstruction_l2=l2_distance(output[i], xb[i]),
+        displacement_l2=l2_distance(states[-1, i], z0[i]),
+        transport_work=float(work[i]),
+    ) for i, abort in enumerate(aborts))
+    if single:
+        trajectory = Trajectory(pts.copy(), *(column[:, 0] for column in records), meta)
+        return EditResult(output=output[0], trajectory=trajectory, summary=summary[0])
+    trajectory = Trajectory(pts.copy(), *records, meta)
+    return EditResult(output=output, trajectory=trajectory, summary=summary,
+                      aborts=tuple(aborts))
+
+
 def transport_guided_inversion_edit(cfg, registry, codec, x0, x_target=None, beta0=None):
     """Invert source inputs to noise, then denoise with controller guidance
     and the transport correction anchored on the encoded targets.
@@ -187,10 +218,7 @@ def transport_guided_inversion_edit(cfg, registry, codec, x0, x_target=None, bet
     if not np.all(np.isfinite(z0)):
         raise ValueError("state contains non-finite entries")
     z_target = z0 if x_target is None else codec.encode(np.broadcast_to(x_target, xb.shape))
-    beta0 = np.full(n_rows, float(cfg.transport.beta0)) if beta0 is None \
-        else np.asarray(beta0, dtype=float)
-    if beta0.shape != (n_rows,) or not np.all(np.isfinite(beta0) & (beta0 >= 0.0)):
-        raise ValueError(f"beta0 must be {n_rows} finite values >= 0")
+    beta0 = _row_beta0(beta0, cfg.transport, n_rows)
     aborts = [None] * n_rows
 
     null_field = make_velocity(registry, Condition.null(), cfg.scales)
@@ -220,20 +248,8 @@ def transport_guided_inversion_edit(cfg, registry, codec, x0, x_target=None, bet
         z = _step_rows(z, v_enh, dt, t, k, aborts, single)
         states[k + 1] = z
 
-    output = codec.decode(z)
-    summary = tuple(None if abort is not None else EditSummary(
-        reconstruction_l2=l2_distance(output[i], xb[i]),
-        displacement_l2=l2_distance(states[n, i], z0[i]),
-        transport_work=float(work[i]),
-    ) for i, abort in enumerate(aborts))
-    meta = {"algorithm": "invert_edit"}
-    if single:
-        trajectory = Trajectory(pts.copy(), states[:, 0], velocities[:, 0], norms[:, 0],
-                                weights[:, 0], meta)
-        return EditResult(output=output[0], trajectory=trajectory, summary=summary[0])
-    trajectory = Trajectory(pts.copy(), states, velocities, norms, weights, meta)
-    return EditResult(output=output, trajectory=trajectory, summary=summary,
-                      aborts=tuple(aborts))
+    return _edit_result(codec, xb, z0, pts, (states, velocities, norms, weights), work, aborts,
+                        single, {"algorithm": "invert_edit"})
 
 
 def _branch_fields(cfg, registry):
@@ -242,7 +258,7 @@ def _branch_fields(cfg, registry):
     return src_field, tar_field
 
 
-def transport_enhanced_flowedit(cfg, registry, codec, x0):
+def transport_enhanced_flowedit(cfg, registry, codec, x0, beta0=None, seeds=None):
     """Run the coupled-trajectory editor with transport guidance.
 
     Per active step: draw n_avg noise samples, noise the source to t, form
@@ -255,18 +271,36 @@ def transport_enhanced_flowedit(cfg, registry, codec, x0):
     untouched; at the first index <= n_min the state is converted once to a
     physical coupled state and the remaining steps run plain denoising under
     cond_tar.
+
+    x0 is one source (d,) or a batch (B, d).  beta0 is a (B,) per-row
+    transport strength, by default cfg.transport.beta0 for every row, and
+    seeds B per-row integer seeds, by default cfg.seed for every row.  Each
+    step draws every row's (n_avg, d) block from that row's own generator,
+    in row order, and makes one field call per branch on all B * n_avg
+    coupled states.  The kernels are batch-invariant, so each row's output,
+    trajectory and summary equal its own single-state call bit for bit.  A
+    single state raises NumericalAbort at its failing step; in a batch the
+    row stays as NaN, its abort goes to aborts and its summary is None, as
+    in transport_guided_inversion_edit, whose record shapes a batch shares.
     """
     x0 = np.asarray(x0, dtype=float)
-    z_src = codec.encode(x0)
+    single = x0.ndim == 1
+    xb = np.atleast_2d(x0)
+    n_rows, dim = xb.shape
+    beta0 = _row_beta0(beta0, cfg.transport, n_rows)
+    seeds = [cfg.seed] * n_rows if seeds is None else [RngSeed(s) for s in seeds]
+    if len(seeds) != n_rows:
+        raise ValueError(f"seeds must hold {n_rows} seeds, got {len(seeds)}")
+    rngs = [s.generator() for s in seeds]
+    aborts = [None] * n_rows
+    z_src = codec.encode(xb)
     z = z_src
     src_field, tar_field = _branch_fields(cfg, registry)
-    rng = cfg.seed.generator()
     n = cfg.grid.n_steps
     pts = cfg.grid.points
-    dim = z_src.shape[0]
-    states, velocities, norms, weights = _records(n, z_src.shape)
+    states, velocities, norms, weights = _records(n, (n_rows, dim), (n_rows,))
     states[0] = z
-    work = 0.0
+    work = np.zeros(n_rows)
     switched = False
 
     for j in range(n):
@@ -278,31 +312,27 @@ def transport_enhanced_flowedit(cfg, registry, codec, x0):
             continue
         if k <= cfg.n_min:
             if not switched:
-                eps = rng.standard_normal(dim)
+                eps = np.stack([rng.standard_normal(dim) for rng in rngs])
                 z = z + forward_noising(z_src, t, eps) - z_src
                 switched = True
             v = tar_field(z, t)
             weight = raw_norm = 0.0
         else:
-            draws = rng.standard_normal((cfg.n_avg, dim))
-            z_t_src = forward_noising(z_src, t, draws)
-            z_t_tar = z_t_src + (z - z_src)
-            v_fe = (tar_field(z_t_tar, t) - src_field(z_t_src, t)).sum(axis=0) / cfg.n_avg
-            v, weight, raw_norm = enhance_velocity(v_fe, z_src, z, t, cfg.transport)
-        z = euler_step(z, v, dt, t, j)
-        work += weight * min(raw_norm, cfg.transport.clip_tau) * abs(dt)
+            draws = np.stack([rng.standard_normal((cfg.n_avg, dim)) for rng in rngs])
+            z_t_src = forward_noising(z_src[:, None], t, draws)
+            z_t_tar = z_t_src + (z - z_src)[:, None]
+            v_fe = tar_field(z_t_tar.reshape(-1, dim), t) - src_field(z_t_src.reshape(-1, dim), t)
+            v_fe = v_fe.reshape(draws.shape).sum(axis=1) / cfg.n_avg
+            v, weight, raw_norm = enhance_velocity(v_fe, z_src, z, t, cfg.transport, beta0)
+        work += weight * np.minimum(raw_norm, cfg.transport.clip_tau) * abs(dt)
         velocities[j], norms[j], weights[j] = v, raw_norm, weight
+        z = _step_rows(z, v, dt, t, j, aborts, single)
         states[j + 1] = z
 
-    output = codec.decode(z)
-    summary = EditSummary(
-        reconstruction_l2=l2_distance(output, x0),
-        displacement_l2=l2_distance(z, z_src),
-        transport_work=float(work),
-    )
-    meta = {"algorithm": "flowedit", "seed": cfg.seed.seed}
-    trajectory = Trajectory(pts.copy(), states, velocities, norms, weights, meta)
-    return EditResult(output=output, trajectory=trajectory, summary=summary)
+    meta = {"algorithm": "flowedit", "seed": seeds[0].seed} if single \
+        else {"algorithm": "flowedit", "seeds": tuple(s.seed for s in seeds)}
+    return _edit_result(codec, xb, z_src, pts, (states, velocities, norms, weights), work,
+                        aborts, single, meta)
 
 
 def baseline_flowedit(cfg, registry, codec, x0):

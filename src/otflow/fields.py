@@ -161,13 +161,17 @@ def empirical_marginal_velocity(points, z, t, t_floor=1e-4):
         raise ValueError(f"state dim {z.shape[-1]} != dataset dim {pset.centred.shape[1]}")
     t = _clamp_t(t, t_floor)
     zb = z.reshape(-1, z.shape[-1])
+    b = zb.shape[0]
     logits = _point_logits(pset, zb - (1.0 - t) * pset.centre, 1.0 - t, t)
-    logits -= logits.max(axis=1, keepdims=True)  # max-shift for stability
-    w = np.exp(logits, out=logits)
+    # The softmax runs on the b live rows; the padding rows weigh nothing.
+    w = logits[:b]
+    w -= w.max(axis=1, keepdims=True)  # max-shift for stability
+    np.exp(w, out=w)
     w[w < _WEIGHT_FLOOR] = 0.0
     w /= w.sum(axis=1, keepdims=True)
-    y_sum = (w.reshape(-1, _ROWS, len(pset)) @ pset.centred).reshape(-1, zb.shape[1])
-    v = (zb - pset.centre - y_sum[:len(zb)]) / t
+    logits[b:] = 0.0
+    y_sum = (logits.reshape(-1, _ROWS, len(pset)) @ pset.centred).reshape(-1, zb.shape[1])
+    v = (zb - pset.centre - y_sum[:b]) / t
     return v.reshape(z.shape)
 
 

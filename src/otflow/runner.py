@@ -15,11 +15,12 @@ differ only in transport.beta0 form a group whose config is derived once,
 each distinct beta0 value is parsed and checked once, and a cell whose beta0
 or group fails is derived alone, so its error is the one derive_config gives
 that cell.  Then every row resolves its x0 (a Gaussian draw uses the factor
-the registry keeps) and each group's invert_edit rows run as one (B, d)
-editor call with a (B,) beta0.  The editor's kernels are batch-invariant, so
-a row equals the single-state run of its cell bit for bit, and a row that
-goes non-finite fails alone.  flowedit and generate cells run one editor
-call each, with their group's config and their own beta0.
+the registry keeps), and each group's invert_edit or flowedit rows run as
+one (B, d) editor call with a (B,) beta0 and, for flowedit's noise draws,
+the rows' B seeds.  The editors' kernels are batch-invariant, so a row
+equals the single-state run of its cell bit for bit, and a row that goes
+non-finite fails alone.  generate cells run one call each, with their
+group's config and their own beta0.
 
 Every SVG is render_csv of the CSV written beside it, the function that
 `otflow plot` draws with, so plotting a run's CSV gives its SVG's bytes.
@@ -178,21 +179,32 @@ def _run_invert_edit(cfg, seed):
     return _edit_metrics(result.summary, result.output, cfg, cfg.editor["condition_target"]), result
 
 
-def _run_invert_rows(cfg, x0s, beta0s):
-    """One batched edit for sweep rows whose configs differ from cfg only in
-    transport.beta0: each row's metrics, or the NumericalAbort it hit."""
-    result = _inversion_edit(cfg, np.array(x0s), np.array(beta0s))
-    return [abort if abort is not None
-            else _edit_metrics(summary, output, cfg, cfg.editor["condition_target"])
+def _row_metrics(result, cfg, condition):
+    # Each row of a batched edit: its metrics, or the NumericalAbort it hit.
+    return [abort if abort is not None else _edit_metrics(summary, output, cfg, condition)
             for output, summary, abort in zip(result.output, result.summary, result.aborts)]
 
 
-def _run_flowedit(cfg, seed):
+def _run_invert_rows(cfg, x0s, beta0s, seeds):
+    # The inversion draws nothing, so the rows' seeds go only into their x0.
+    result = _inversion_edit(cfg, np.array(x0s), np.array(beta0s))
+    return _row_metrics(result, cfg, cfg.editor["condition_target"])
+
+
+def _flowedit(cfg, seed, x0, beta0=None, seeds=None):
     edit_cfg = FlowEditConfig(transport=cfg.transport, grid=cfg.grid, scales=cfg.scales,
                               seed=RngSeed(seed), **cfg.editor)
-    x0 = _resolve_x0(cfg, seed)
-    result = transport_enhanced_flowedit(edit_cfg, cfg.registry, cfg.codec, x0)
+    return transport_enhanced_flowedit(edit_cfg, cfg.registry, cfg.codec, x0, beta0, seeds)
+
+
+def _run_flowedit(cfg, seed):
+    result = _flowedit(cfg, seed, _resolve_x0(cfg, seed))
     return _edit_metrics(result.summary, result.output, cfg, cfg.editor["cond_tar"]), result
+
+
+def _run_flowedit_rows(cfg, x0s, beta0s, seeds):
+    result = _flowedit(cfg, cfg.seed, np.array(x0s), np.array(beta0s), seeds)
+    return _row_metrics(result, cfg, cfg.editor["cond_tar"])
 
 
 def _run_generate(cfg, seed):
@@ -218,6 +230,10 @@ def _run_generate(cfg, seed):
 # Each runner returns (metrics, result): the edit result, or the sample cloud.
 _RUNNERS = {"invert_edit": _run_invert_edit, "flowedit": _run_flowedit,
             "generate": _run_generate}
+# The editors a sweep runs once per group: (group config, x0s, beta0s, seeds)
+# -> each row's metrics, or the NumericalAbort it hit.  Every row of a group
+# has the group's config but for transport.beta0.
+_ROW_RUNNERS = {"invert_edit": _run_invert_rows, "flowedit": _run_flowedit_rows}
 
 
 def run_verify(cfg):
@@ -357,9 +373,9 @@ def _plan_cells(cfg, paths, cells):
 
 
 def _sweep_cell(cell_cfg, seed):
-    """Run one row of a planned cell: flowedit and generate rows return their
-    metrics, an invert_edit row its x0 for its group's batched edit."""
-    if cell_cfg.algorithm == "invert_edit":
+    """Run one row of a planned cell: a generate row returns its metrics, an
+    invert_edit or flowedit row its x0 for its group's batched edit."""
+    if cell_cfg.algorithm in _ROW_RUNNERS:
         return _resolve_x0(cell_cfg, seed)
     runner = _RUNNERS.get(cell_cfg.algorithm)
     if runner is None:
@@ -372,8 +388,9 @@ def run_sweep(cfg, out_dir=None):
 
     Row order is the product order of the axes as configured, then replicate.
     Rows run cell by cell from the plan of _plan_cells, and the invert_edit
-    rows of a group as one batched editor call.  Failed cells keep their row
-    with an error message; the caller decides the exit status from n_failed.
+    or flowedit rows of a group as one batched editor call, each row with
+    its own beta0 and seed.  Failed cells keep their row with an error
+    message; the caller decides the exit status from n_failed.
     """
     if not cfg.sweep_axes:
         raise ConfigError("sweep needs at least one axis = line in [sweep]")
@@ -382,8 +399,8 @@ def run_sweep(cfg, out_dir=None):
     paths = [path for path, _ in cfg.sweep_axes]
     cells = list(itertools.product(*[vals for _, vals in cfg.sweep_axes]))
 
-    # batches: group key -> (first row's config, [(row, x0, beta0)]) for the
-    # invert_edit rows, run once every row has its x0.
+    # batches: group key -> (first row's config, [(row, x0, beta0, seed)])
+    # for the _ROW_RUNNERS rows, run once every row has its x0.
     heads, outcomes, batches = [], [], {}
     plan = _plan_cells(cfg, paths, cells)
     for cell_index, (combo, (key, cell_cfg)) in enumerate(zip(cells, plan)):
@@ -394,15 +411,15 @@ def run_sweep(cfg, out_dir=None):
                 outcomes.append(cell_cfg)
                 continue
             outcome = _attempt(_sweep_cell, cell_cfg, cell_seed)
-            if cell_cfg.algorithm == "invert_edit" and not isinstance(outcome, Exception):
+            if cell_cfg.algorithm in _ROW_RUNNERS and not isinstance(outcome, Exception):
                 batches.setdefault(key, (cell_cfg, []))[1].append(
-                    (len(outcomes), outcome, cell_cfg.transport.beta0))
+                    (len(outcomes), outcome, cell_cfg.transport.beta0, cell_seed))
                 outcome = None
             outcomes.append(outcome)
     for group_cfg, members in batches.values():
-        rows, x0s, beta0s = zip(*members)
+        rows, x0s, beta0s, seeds = zip(*members)
         try:
-            results = _run_invert_rows(group_cfg, x0s, beta0s)
+            results = _ROW_RUNNERS[group_cfg.algorithm](group_cfg, x0s, beta0s, seeds)
         except Exception as exc:  # noqa: BLE001 - the group's rows fail, not the sweep
             results = [exc] * len(rows)
         for row, outcome in zip(rows, results):

@@ -548,6 +548,103 @@ def test_flowedit_numerical_abort_names_step_and_term():
     assert (err.value.step, err.value.term, err.value.t) == (5, "velocity", 0.8214285714285714)
 
 
+def _flowedit_points_setting():
+    # flowedit_points' shape: two 1024-point sets in d = 16, n_avg = 4, the
+    # workload's transport and guidance weights, sources drawn from set a.
+    rng = _rng(63)
+    a = -1.0 + 0.5 * rng.standard_normal((1024, 16))
+    b = 1.0 + 0.5 * rng.standard_normal((1024, 16))
+    reg = FieldRegistry().add_points("a", a).add_points("b", b)
+    cfg = FlowEditConfig(transport=_transport(0.0, phi=1.0, orientation="remaining"),
+                         grid=make_time_grid(28, 1.0, 0.0), cond_src=Condition.dataset("a"),
+                         cond_tar=Condition.dataset("b"),
+                         scales=GuidanceScales(w_src=1.5, w_tar=5.5), seed=0, n_avg=4, n_max=24)
+    return cfg, reg, a[rng.integers(0, 1024, 16)]
+
+
+_TRAJECTORY_COLUMNS = ("states", "velocities", "transport_norms", "weights")
+
+
+def test_flowedit_batch_rows_equal_single_calls():
+    # A B = 16 batch with per-row beta0 and seeds: every kernel of the loop
+    # is batch-invariant, so each row equals its own single-state call bit
+    # for bit, and a beta0 = 0 row equals baseline_flowedit on its seed.
+    cfg, reg, x0 = _flowedit_points_setting()
+    codec = LatentCodec(np.full(16, 1.5), np.full(16, 0.1))
+    beta0 = np.tile([0.0, 0.3, 0.6, 0.9], 4)
+    seeds = [1000 + i for i in range(16)]
+    batch = transport_enhanced_flowedit(cfg, reg, codec, x0, beta0=beta0, seeds=seeds)
+    assert batch.output.shape == (16, 16) and batch.aborts == (None,) * 16
+    assert batch.trajectory.weights.shape == (29, 16)
+    assert batch.trajectory.meta == {"algorithm": "flowedit", "seeds": tuple(seeds)}
+    for i in range(16):
+        row_cfg = replace(cfg, transport=_transport(float(beta0[i]), phi=1.0,
+                                                    orientation="remaining"), seed=seeds[i])
+        single = transport_enhanced_flowedit(row_cfg, reg, codec, x0[i])
+        assert np.array_equal(batch.output[i], single.output)
+        assert batch.summary[i] == single.summary
+        for column in _TRAJECTORY_COLUMNS:
+            assert np.array_equal(getattr(batch.trajectory, column)[:, i],
+                                  getattr(single.trajectory, column)), column
+        if beta0[i] == 0.0:
+            plain = baseline_flowedit(row_cfg, reg, codec, x0[i])
+            assert np.array_equal(batch.output[i], plain.output)
+            assert batch.summary[i] == plain.summary
+            assert np.array_equal(batch.trajectory.states[:, i], plain.trajectory.states)
+        else:
+            assert batch.summary[i].transport_work > 0.0
+
+
+def test_flowedit_batch_with_a_failing_row_equals_single_calls():
+    # Row 2's beta0 = 1e300 throws its state to ~1e297, and a later step's
+    # velocity overflows.  It stays in the batch as NaN with its single
+    # call's abort; its neighbours, whose field calls share its blocks,
+    # equal their own single-state calls bit for bit, through the last
+    # n_min = 3 steps of plain denoising too.
+    reg = _mixed_registry(2)[0]
+    cfg = FlowEditConfig(transport=_transport(0.0, phi=1.0, orientation="remaining"),
+                         grid=make_time_grid(28, 1.0, 0.0), cond_src=Condition.dataset("a"),
+                         cond_tar=Condition.dataset("b"),
+                         scales=GuidanceScales(w_src=1.5, w_tar=5.5), seed=0, n_avg=3, n_max=24,
+                         n_min=3)
+    codec = LatentCodec.identity(2)
+    x0 = np.array([[-1.6, 0.1], [-1.4, -0.2], [-1.5, 0.0], [-1.2, 0.3], [-1.8, 0.2]])
+    beta0 = np.array([0.3, 0.0, 1e300, 0.9, 0.6])
+    seeds = [11, 12, 13, 14, 15]
+    with np.errstate(all="ignore"):
+        batch = transport_enhanced_flowedit(cfg, reg, codec, x0, beta0=beta0, seeds=seeds)
+    traj = batch.trajectory
+    for i in range(5):
+        row_cfg = replace(cfg, transport=_transport(float(beta0[i]), phi=1.0,
+                                                    orientation="remaining"), seed=seeds[i])
+        if i == 2:
+            with np.errstate(all="ignore"), pytest.raises(NumericalAbort) as err:
+                transport_enhanced_flowedit(row_cfg, reg, codec, x0[i])
+            abort = batch.aborts[i]
+            assert (str(abort), abort.t, abort.step, abort.term) == (
+                str(err.value), err.value.t, err.value.step, err.value.term)
+            assert abort.term == "velocity" and abort.t == float(cfg.grid.points[abort.step])
+            assert batch.summary[i] is None and np.all(np.isnan(batch.output[i]))
+            assert np.all(np.isfinite(traj.states[:abort.step + 1, i]))
+            assert np.all(np.isnan(traj.states[abort.step + 1:, i]))
+            continue
+        single = transport_enhanced_flowedit(row_cfg, reg, codec, x0[i])
+        assert batch.aborts[i] is None and batch.summary[i] == single.summary
+        assert np.array_equal(batch.output[i], single.output)
+        for column in _TRAJECTORY_COLUMNS:
+            assert np.array_equal(getattr(traj, column)[:, i],
+                                  getattr(single.trajectory, column)), column
+
+
+def test_flowedit_rejects_bad_batch_inputs():
+    cfg, reg, x0 = _flowedit_points_setting()
+    codec = LatentCodec.identity(16)
+    with pytest.raises(ValueError, match="^beta0 must be 2 finite values >= 0$"):
+        transport_enhanced_flowedit(cfg, reg, codec, x0[:2], beta0=np.array([0.1, -0.1]))
+    with pytest.raises(ValueError, match="^seeds must hold 2 seeds, got 3$"):
+        transport_enhanced_flowedit(cfg, reg, codec, x0[:2], seeds=[1, 2, 3])
+
+
 @pytest.mark.parametrize("x0, beta0, match", [
     (np.array([np.nan, 0.1]), None, "^state contains non-finite entries$"),
     (np.array([[-1.3, 0.1], [-1.2, 0.0]]), np.array([0.1]), "^beta0 must be 2 finite values >= 0$"),

@@ -384,6 +384,57 @@ def test_invert_sweep_isolates_overflowing_rows(tmp_path, capsys):
     assert open(out.results_path, encoding="utf-8").read().splitlines() == lines[:5]
 
 
+def test_flowedit_sweep_isolates_overflowing_rows(tmp_path, capsys):
+    # The flowedit rows run as one batched edit; the 1e300 rows overflow and
+    # fail alone, with the text `otflow run` aborts with on that cell.
+    text = _SWEEP_CFG.replace("0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0",
+                              "0, 0.5, 1e300").replace("replicates = 4", "replicates = 2")
+    cfg_path = _write(tmp_path, "fsw.cfg", text)
+    with np.errstate(all="ignore"):
+        out = run_sweep(_cfg(text, overrides=["experiment.seed=3"]),
+                        out_dir=str(tmp_path / "mixed"))
+    assert out.n_rows == 6 and out.n_failed == 2
+    lines = open(out.results_path, encoding="utf-8").read().splitlines()
+    for record in csv.DictReader(lines[5:], fieldnames=lines[0].split(",")):
+        with np.errstate(all="ignore"):
+            code = main(["run", cfg_path, "--set", "transport.beta0=1e300",
+                         "--seed", record["seed"], "--out-dir", str(tmp_path / "run")])
+        assert code == EXIT_NUMERIC
+        message = "velocity non-finite at t=0.7857142857142857"
+        assert capsys.readouterr().err == (
+            f"numerical abort: {message} (step=6, t=0.7857142857142857, term=velocity)\n")
+        assert record["error"] == f"NumericalAbort: {message}"
+        assert record["reconstruction_l2"] == ""
+
+    clean = text.replace("0, 0.5, 1e300", "0, 0.5")
+    out = run_sweep(_cfg(clean, overrides=["experiment.seed=3"]), out_dir=str(tmp_path / "clean"))
+    assert out.n_failed == 0
+    assert open(out.results_path, encoding="utf-8").read().splitlines() == lines[:5]
+
+
+def test_flowedit_sweep_runs_one_editor_call_per_group(tmp_path, monkeypatch):
+    # Two groups (editor.n_max 20 and 24) of 2 beta0 values x 4 replicates:
+    # two batched editor calls of 8 rows, each row with its own beta0 and seed.
+    text = _SWEEP_CFG.replace("axis = transport.beta0: 0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, "
+                              "0.8, 0.9, 1.0",
+                              "axis = editor.n_max: 20, 24\naxis = transport.beta0: 0, 0.5")
+    edit = runner.transport_enhanced_flowedit
+    calls = []
+
+    def counting_edit(edit_cfg, registry, codec, x0, beta0=None, seeds=None):
+        calls.append((edit_cfg.n_max, x0.shape, tuple(beta0), tuple(seeds)))
+        return edit(edit_cfg, registry, codec, x0, beta0, seeds)
+
+    monkeypatch.setattr(runner, "transport_enhanced_flowedit", counting_edit)
+    out = run_sweep(_cfg(text), out_dir=str(tmp_path))
+    assert out.n_rows == 16 and out.n_failed == 0
+    records = list(csv.DictReader(open(out.results_path, encoding="utf-8")))
+    assert [call[:2] for call in calls] == [(20, (8, 2)), (24, (8, 2))]
+    for (_, _, beta0, seeds), group in zip(calls, (records[:8], records[8:])):
+        assert beta0 == tuple(float(r["transport.beta0"]) for r in group)
+        assert seeds == tuple(int(r["seed"]) for r in group)
+
+
 @pytest.mark.parametrize("text", [_SWEEP_CFG, _INVERT_SWEEP_CFG.replace("1e300", "0.25")],
                          ids=["flowedit", "invert_edit"])
 def test_sweep_rows_equal_run_reports(tmp_path, text):
