@@ -39,7 +39,21 @@ should a numpy ever fold the stack into one GEMM.
 
 Conditions select which field an evaluation uses: the null condition pools
 every registered dataset, and a dataset condition blends that entry's field
-with the null field at classifier-free guidance weight w.
+with the null field at classifier-free guidance weight w.  At w != 1 both
+branches come from one call: the null field is a mixture with one component
+per registered entry, and the entry's field is its own component's velocity.
+A Gaussian is weighed by its log density from the one Gaussian kernel call.
+A point set makes one softmax pass over its atoms, giving its max logit m,
+the sum s of exp(logit - m) and its field, and is weighed by
+exp(m + offset - top) s: its logits are exact up to the per-row constant
+||z - a c_s||^2 / (2 t^2), and the offset
+a (c_s - c_0) . (2 z - a (c_0 + c_s)) / (2 t^2) moves them to the first
+set's without the ||z||^2 cancellation.  The offset is an elementwise product
+summed along each row, as a (b, d) @ (d,) GEMV's reduction order would be
+BLAS's pick for b.  The null condition alone, on a registry of point sets
+only, makes one pass over their pooled atoms, prepared at registration: it is
+empirical_marginal_velocity on the concatenated sets bit for bit, which the
+per-set mixture matches only to rounding (about 1e-13 relative).
 """
 
 import math
@@ -141,6 +155,25 @@ def _point_logits(pset, u, a, t):
     return logits
 
 
+def _point_pass(pset, zb, t):
+    # One softmax pass of the (b, d) states zb over a prepared set at clamped
+    # t: per row the max logit m and the sum s of exp(logit - m), each (b, 1),
+    # and the set's own field (zb - c - sum_i w_i y_i) / t with w = exp / s.
+    b = zb.shape[0]
+    logits = _point_logits(pset, zb - (1.0 - t) * pset.centre, 1.0 - t, t)
+    # The softmax runs on the b live rows; the padding rows weigh nothing.
+    w = logits[:b]
+    m = w.max(axis=1, keepdims=True)  # max-shift for stability
+    w -= m
+    np.exp(w, out=w)
+    w[w < _WEIGHT_FLOOR] = 0.0
+    s = w.sum(axis=1, keepdims=True)
+    w /= s
+    logits[b:] = 0.0
+    y_sum = (logits.reshape(-1, _ROWS, len(pset)) @ pset.centred).reshape(-1, zb.shape[1])
+    return m, s, (zb - pset.centre - y_sum[:b]) / t
+
+
 def empirical_marginal_velocity(points, z, t, t_floor=1e-4):
     """Marginal velocity of the uniform empirical distribution over points.
 
@@ -159,34 +192,24 @@ def empirical_marginal_velocity(points, z, t, t_floor=1e-4):
     z = np.asarray(z, dtype=float)
     if z.shape[-1] != pset.centred.shape[1]:
         raise ValueError(f"state dim {z.shape[-1]} != dataset dim {pset.centred.shape[1]}")
-    t = _clamp_t(t, t_floor)
-    zb = z.reshape(-1, z.shape[-1])
-    b = zb.shape[0]
-    logits = _point_logits(pset, zb - (1.0 - t) * pset.centre, 1.0 - t, t)
-    # The softmax runs on the b live rows; the padding rows weigh nothing.
-    w = logits[:b]
-    w -= w.max(axis=1, keepdims=True)  # max-shift for stability
-    np.exp(w, out=w)
-    w[w < _WEIGHT_FLOOR] = 0.0
-    w /= w.sum(axis=1, keepdims=True)
-    logits[b:] = 0.0
-    y_sum = (logits.reshape(-1, _ROWS, len(pset)) @ pset.centred).reshape(-1, zb.shape[1])
-    v = (zb - pset.centre - y_sum[:b]) / t
+    v = _point_pass(pset, z.reshape(-1, z.shape[-1]), _clamp_t(t, t_floor))[2]
     return v.reshape(z.shape)
 
 
-def _gaussian_velocity_eig(means, eigvals, eigvecs, zb, t):
+def _gaussian_velocity_eig(means, eigvals, eigvecs, zb, t, densities=True):
     # m stacked components ((m, d) means and eigenvalues, (m, d, d) eigenvectors)
     # at (b, d) states zb.  With a = 1 - t, c = a^2 lam + t^2, y = Q^T (z - a mu):
     #   log densities (b, m):  -(y . y / c + sum log c) / 2 + const
     #   velocities (b, m, d):  Q diag((t - a lam) / c) y - mu
+    # With densities false the log densities are skipped and returned as None.
     a = 1.0 - t
     c_eig = a * a * eigvals + t * t
     y = ((zb[:, None, :] - a * means)[:, :, None, :] @ eigvecs)[:, :, 0, :]
-    quad = np.einsum("bmj,bmj->bm", y * (1.0 / c_eig), y)
-    log_dens = -0.5 * quad - 0.5 * np.log(c_eig).sum(axis=1)
     v = (eigvecs @ (y * ((t - a * eigvals) / c_eig))[..., None])[..., 0] - means
-    return log_dens, v
+    if not densities:
+        return None, v
+    quad = np.einsum("bmj,bmj->bm", y * (1.0 / c_eig), y)
+    return -0.5 * quad - 0.5 * np.log(c_eig).sum(axis=1), v
 
 
 def _gaussian_stack(mean, cov, where=""):
@@ -209,8 +232,9 @@ def _gaussian_stack(mean, cov, where=""):
 
 
 def _one_gaussian_velocity(one, z, t):
-    # The velocity of a one-component stack at z, shaped like z.
-    _, v = _gaussian_velocity_eig(*one, z.reshape(-1, z.shape[-1]), t)
+    # The velocity of a one-component stack at z, shaped like z; the log
+    # density, which only a mixture weighs, is not computed.
+    _, v = _gaussian_velocity_eig(*one, z.reshape(-1, z.shape[-1]), t, False)
     return v[:, 0].reshape(z.shape)
 
 
@@ -267,15 +291,18 @@ class FieldRegistry:
 
     Register everything up front; entries are treated as immutable afterwards.
     Everything a field evaluation or a draw needs is computed at registration
-    (point sets and the pooled null set are prepared for the centred kernel,
-    Gaussians stacked for the one Gaussian kernel, and each Gaussian's
-    sampling factor taken from one SVD of its cov), so evaluations and draws
-    never mutate it and sweep cells that keep the datasets can share one
-    registry.  The kernels' rows depend on neither the batch nor the other
-    Gaussians (point contractions run on fixed-shape, zero-padded blocks of
-    _ROWS rows, Gaussian contractions as per-row stacked matmuls; see the
-    module docstring), so an entry evaluated alone equals its column of the
-    null mixture bit for bit.
+    (each point set is prepared for the centred kernel, and so is the pooled
+    set of all their atoms, which only the null condition of a registry
+    without Gaussians reads; Gaussians are stacked for the one Gaussian
+    kernel, and each Gaussian's sampling factor taken from one SVD of its
+    cov), so evaluations and draws never mutate it and sweep cells that keep
+    the datasets can share one registry.  A guided evaluation makes one pass
+    per point set and one Gaussian kernel call, and combines them into the
+    null mixture (see the module docstring).  The kernels' rows depend on
+    neither the batch nor the other entries (point contractions run on
+    fixed-shape, zero-padded blocks of _ROWS rows, Gaussian contractions as
+    per-row stacked matmuls, the cross-set offsets row by row), so an entry
+    evaluated alone equals its column of the null mixture bit for bit.
     """
 
     def __init__(self, t_floor=1e-4):
@@ -369,63 +396,79 @@ class FieldRegistry:
         if not self._order:
             raise ValueError("registry has no datasets; cannot evaluate the null condition")
         if not self._gaussians:
+            # One pass over the pooled atoms: the pooled kernel bit for bit,
+            # where the per-set mixture agrees with it only to rounding.
             return empirical_marginal_velocity(self._pooled, z, t, self.t_floor)
         return self._mixture_velocity(z, t)[0]
 
+    def _column(self, name):
+        # The entry's column in _mixture_velocity's entry velocities.
+        if name in self._gaussians:
+            return self._gaussians[name][2]
+        if name in self._points:
+            return len(self._gaussians) + list(self._points).index(name)
+        raise UnknownDatasetError(name)
+
     def _mixture_velocity(self, z, t):
-        # Uniform pooling at atom level: each point and each whole Gaussian is
-        # one mixture component.  Responsibilities need the full log densities
-        # (including log-determinants) because component variances differ.
-        # Returns the pooled velocity and the Gaussians' (b, m, d) velocities.
+        # The null field as a mixture with one component per registered
+        # entry, beside each entry's own field: one Gaussian kernel call and
+        # one _point_pass per point set (see the module docstring).  A point
+        # set's offset moves its logits to the first set's; beside Gaussians,
+        # subtracting ||z - a c_0||^2 / (2 t^2) + d log t then makes them full
+        # log densities, as the Gaussians' are (with the log-determinant, as
+        # component variances differ).  Returns the null velocity, shaped
+        # like z, and the (b, m + k, d) entry velocities: the m Gaussians',
+        # then the k point sets' in registration order.
         t = _clamp_t(t, self.t_floor)
         a = 1.0 - t
         z = np.asarray(z, dtype=float)
         zb = z.reshape(-1, z.shape[-1])
-        b, d = zb.shape
-        # Gaussian columns first, then each point set's atoms in registration
-        # order.  Only reached with at least one Gaussian (see _null_velocity).
-        log_r, gauss_v = _gaussian_velocity_eig(*self._stacked, zb, t)
+        logs, vels, sums = [], [], []
+        if self._gaussians:
+            log_r, gauss_v = _gaussian_velocity_eig(*self._stacked, zb, t)
+            logs.append(log_r)
+            vels.append(gauss_v)
         if self._points:
-            parts = [log_r]
+            c_0 = next(iter(self._points.values())).centre
+            frame = 0.0
+            if self._gaussians:
+                u = zb - a * c_0
+                frame = (np.einsum("bd,bd->b", u, u) / (2.0 * t * t) + zb.shape[1] * np.log(t))[:, None]
             for pset in self._points.values():
-                u = zb - a * pset.centre
-                base = np.einsum("bd,bd->b", u, u) / (2.0 * t * t) + d * np.log(t)
-                parts.append(_point_logits(pset, u, a, t)[:b] - base[:, None])
-            log_r = np.concatenate(parts, axis=1)
+                m, s, v = _point_pass(pset, zb, t)
+                offset = ((2.0 * zb - a * (c_0 + pset.centre)) * (a * (pset.centre - c_0))).sum(
+                    axis=1, keepdims=True) / (2.0 * t * t)
+                logs.append(m + offset - frame)
+                sums.append(s)
+                vels.append(v[:, None])
+        log_r = logs[0] if len(logs) == 1 else np.concatenate(logs, axis=1)
+        vels = vels[0] if len(vels) == 1 else np.concatenate(vels, axis=1)
         log_r -= log_r.max(axis=1, keepdims=True)
         r = np.exp(log_r)
+        if sums:
+            r[:, len(self._gaussians):] *= np.concatenate(sums, axis=1)
         r[r < _WEIGHT_FLOOR] = 0.0
         r /= r.sum(axis=1, keepdims=True)
-        col = len(self._gaussians)
-        v = np.einsum("bn,bnd->bd", r[:, :col], gauss_v)
-        for pset in self._points.values():
-            # sum_i r_i ((z - a x_i)/t - x_i) = (R z - R c - sum_i r_i y_i) / t
-            r_pts = r[:, col:col + len(pset)]
-            col += len(pset)
-            big_r = r_pts.sum(axis=1, keepdims=True)
-            y_sum = (_row_blocks(r_pts, len(pset)) @ pset.centred).reshape(-1, d)[:b]
-            v = v + (big_r * zb - big_r * pset.centre - y_sum) / t
-        return v.reshape(z.shape), gauss_v
+        return np.einsum("bn,bnd->bd", r, vels).reshape(z.shape), vels
 
 
 def evaluate(registry, z, t, condition, scales):
     """Dispatch a velocity evaluation through a condition.
 
     null: pooled field over every registered dataset.  dataset(name): that
-    entry's field blended with the null field at scales.w; a Gaussian entry's
-    field is then read from the null mixture's own kernel call.  A name the
+    entry's field blended with the null field at scales.w.  At w != 1 the
+    entry's field, Gaussian or point set, is read from the null mixture's own
+    call, which makes one pass per point set and combines the sets through
+    their row-wise log offsets (see the module docstring).  A name the
     registry does not hold raises UnknownDatasetError.
     """
     if condition.kind == "null":
         return registry._null_velocity(z, t)
-    if scales.w != 1.0 and condition.name in registry._gaussians:
-        v_null, gauss_v = registry._mixture_velocity(z, t)
-        k = registry._gaussians[condition.name][2]
-        return cfg_blend(v_null, gauss_v[:, k].reshape(v_null.shape), scales.w)
-    v_cond = registry._entry_velocity(condition.name, z, t)
     if scales.w == 1.0:
-        return v_cond
-    return cfg_blend(registry._null_velocity(z, t), v_cond, scales.w)
+        return registry._entry_velocity(condition.name, z, t)
+    k = registry._column(condition.name)
+    v_null, entry_v = registry._mixture_velocity(z, t)
+    return cfg_blend(v_null, entry_v[:, k].reshape(v_null.shape), scales.w)
 
 
 def make_velocity(registry, condition, scales):

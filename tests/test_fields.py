@@ -269,6 +269,110 @@ def test_registry_point_paths_large_state_and_t_floor(offset, z_scale, t):
                      v_null + 5.5 * (v_a - v_null), 1e-10)
 
 
+def _three_sets(d=16, n=1024):
+    # Three 1024-point sets in 16-D (_workload_sets' two and a narrower third
+    # at the origin), and 257 states noised from their atoms at t.
+    a, other, _, t = _workload_sets(d, n)
+    third = 0.5 * _rng(60, 3).standard_normal((n, d))
+    pooled = np.concatenate([a, other, third])
+    rows = _rng(65).integers(0, 3 * n, 257)
+    zs = (1 - t) * pooled[rows] + t * _rng(66).standard_normal((257, d))
+    reg = FieldRegistry().add_points("a", a).add_points("b", other).add_points("c", third)
+    return reg, (a, other, third), zs, t
+
+
+def _combined_paths(reg):
+    # The two fields built from one pass per point set: the combined null
+    # branch of a guided evaluation, and set b at w = 5.5.
+    return {
+        "combined": lambda zs, t: reg._mixture_velocity(zs, t)[0],
+        "guided": lambda zs, t: evaluate(reg, zs, t, Condition.dataset("b"), GuidanceScales(w=5.5)),
+    }
+
+
+@pytest.mark.parametrize("b", [1, 4, 257])
+def test_three_set_rows_do_not_depend_on_batch_at_workload_size(b):
+    reg, sets, zs, t = _three_sets()
+    zs = zs[:b]
+    v_null = np.array([_pooled_reference(z, t, sets) for z in zs])
+    v_b = np.array([_pooled_reference(z, t, sets[1:2]) for z in zs])
+    wants = {"combined": v_null, "guided": v_null + 5.5 * (v_b - v_null)}
+    for path, field in _combined_paths(reg).items():
+        batch = field(zs, t)
+        for i in range(b):
+            assert np.array_equal(batch[i], field(zs[i], t))
+        _assert_relative(batch, wants[path])
+
+
+@pytest.mark.parametrize("path", ["combined", "guided"])
+@pytest.mark.parametrize("neighbours", ["random", "nan", "inf", "huge"])
+def test_three_set_rows_do_not_depend_on_block_position_or_neighbours(path, neighbours):
+    reg, _, zs, t = _three_sets()
+    field = _combined_paths(reg)[path]
+    d, b = zs.shape[1], fields._ROWS
+    fill = {
+        "random": zs[10:10 + b],
+        "nan": np.full((b, d), np.nan),
+        "inf": np.where(np.arange(d) % 2, np.inf, -np.inf) * np.ones((b, 1)),
+        "huge": 1e150 * zs[10:10 + b],
+    }[neighbours]
+    with np.errstate(all="ignore"):
+        for row in zs[:3]:
+            alone = field(row, t)
+            for pos in range(b):
+                batch = fill.copy()
+                batch[pos] = row
+                assert np.array_equal(field(batch, t)[pos], alone)
+
+
+@pytest.mark.parametrize("w", [2.5, 5.5])
+def test_guided_point_entry_shares_one_pass_per_set(w, monkeypatch):
+    # At w != 1 a point-set condition reads its entry field and the combined
+    # null field from one logits pass per registered set, and equals the two
+    # branches evaluated apart; the pooled null kernel agrees to rounding.
+    a, other, zs, t = _workload_sets()
+    reg = FieldRegistry().add_points("a", a).add_points("b", other)
+    zs = zs[:5]
+    logits, calls = fields._point_logits, []
+    monkeypatch.setattr(fields, "_point_logits", lambda *args: calls.append(1) or logits(*args))
+    for name in ("a", "b"):
+        for z in (zs, zs[0]):
+            calls.clear()
+            got = evaluate(reg, z, t, Condition.dataset(name), GuidanceScales(w=w))
+            assert len(calls) == 2
+            v_cond = reg._entry_velocity(name, z, t)
+            want = cfg_blend(reg._mixture_velocity(z, t)[0], v_cond, w)
+            assert got.shape == z.shape and np.array_equal(got, want)
+            pooled = cfg_blend(reg._null_velocity(z, t), v_cond, w).reshape(-1, z.shape[-1])
+            _assert_relative(got.reshape(-1, z.shape[-1]), pooled, 1e-13)
+
+
+@pytest.mark.parametrize("t", [1e-4, 0.3])
+def test_point_sets_far_apart_large_state_and_t_floor(t):
+    # Two sets whose centres lie 1e3 apart and states at ||z|| ~ 1e3: noised
+    # from atoms of the far set, or from atoms of the near set moved 1e3 away
+    # in a random direction.  The cross-set offset is large, and the combined
+    # null, the pooled null and the guided field must match the reference.
+    d = 4
+    shift = 1e3 / np.sqrt(d)
+    points = shift + _rng(43, d).standard_normal((24, d))
+    other = _rng(44, d).standard_normal((24, d))
+    zs = []
+    for seed in range(4):
+        eps = _rng(45, seed).standard_normal(d)
+        x = (points if seed % 2 == 0 else other + 1e3 * eps / np.linalg.norm(eps))[seed]
+        zs.append((1 - t) * x + t * eps)
+    zs = np.array(zs)
+    assert np.all((5e2 <= np.linalg.norm(zs, axis=1)) & (np.linalg.norm(zs, axis=1) <= 2e3))
+    reg = FieldRegistry().add_points("a", points).add_points("b", other)
+    v_null = np.array([_pooled_reference(z, t, [points, other]) for z in zs])
+    v_a = np.array([_pooled_reference(z, t, [points]) for z in zs])
+    _assert_relative(reg._mixture_velocity(zs, t)[0], v_null, 1e-10)
+    _assert_relative(evaluate(reg, zs, t, Condition.null(), GuidanceScales()), v_null, 1e-10)
+    _assert_relative(evaluate(reg, zs, t, Condition.dataset("a"), GuidanceScales(w=5.5)),
+                     v_null + 5.5 * (v_a - v_null), 1e-10)
+
+
 def test_empirical_validation():
     with pytest.raises(ValueError):
         empirical_marginal_velocity(np.zeros((0, 2)), np.zeros(2), 0.5)
