@@ -37,7 +37,10 @@ run reads experiment.seed; sweep rows derive their seeds from it.
 matrix, floats and ints keys, for up to _SWEEP_CAP rows (cells x replicates);
 values split on commas, so `inputs.x0: 0.5, 1.0` is two cells of a 1-vector.
 A dataset gives exactly one of `points = x,y; x,y; ...`, `csv = path`, or
-mean and cov.
+mean and cov.  A dataset name holds only letters, digits, _ and - wherever
+a dataset path comes in (a section header, --set, a sweep axis, a
+derive_config override), so it is one path component, and gen-data writes
+its <name>.csv inside its output directory.
 """
 
 import math
@@ -109,6 +112,8 @@ _KEYS = {
 }
 # [dataset.<name>] key -> kind; these keys have no default.
 _DATASET_KINDS = {"points": "matrix", "csv": "str", "mean": "vector", "cov": "matrix"}
+# A dataset name: one path component, which gen-data also uses as a file stem.
+_DATASET_NAME = re.compile(r"[\w-]+")
 _SECTIONS = {path.rpartition(".")[0] for path in _KEYS}
 
 # Keys every sweep row reads from the base config (its seed via derive_seed).
@@ -128,7 +133,7 @@ _RUN_RULES = {
 }
 
 
-# Shared with runner._run_generate, which applies the rule to sweep cells.
+# Shared with runner._generate, which applies the rule to sweep rows.
 _GENERATE_NEEDS_TARGET = "generate with transport.beta0 > 0 needs inputs.x_target"
 
 
@@ -143,9 +148,11 @@ class ConfigError(Exception):
 
 def _spec(path):
     """(kind, default) of path, None for an unknown path; [dataset.*] keys
-    have no default."""
+    have no default, and a dataset path whose name is not a _DATASET_NAME is
+    unknown."""
     section, _, key = path.rpartition(".")
-    if section.startswith("dataset.") and key in _DATASET_KINDS:
+    base, _, name = section.partition(".")
+    if base == "dataset" and key in _DATASET_KINDS and _DATASET_NAME.fullmatch(name):
         return _DATASET_KINDS[key], None
     return _KEYS.get(path)
 
@@ -164,8 +171,9 @@ def _parse_lines(text, source):
             base = section.split(".", 1)[0]
             if not section or (base != "dataset" and section not in _SECTIONS):
                 raise ConfigError(f"unknown section [{section}] in {source}", lineno)
-            if base == "dataset" and ("." not in section or not section.split(".", 1)[1]):
-                raise ConfigError("dataset sections need a name: [dataset.<name>]", lineno)
+            if base == "dataset" and not _DATASET_NAME.fullmatch(section.partition(".")[2]):
+                raise ConfigError("dataset sections need a name of letters, digits, '_' and "
+                                  f"'-': [dataset.<name>], got [{section}]", lineno)
             continue
         if "=" not in line:
             raise ConfigError(f"expected 'key = value' in {source}, got {line!r}", lineno)

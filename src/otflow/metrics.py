@@ -141,7 +141,9 @@ def reference_integrate(velocity, z0, t0, t1, n_fine):
     """Classical fixed-step RK4 from t0 to t1; the test-side reference oracle.
 
     Use at least 10x the production step count so the reference error is
-    negligible next to the Euler error under test.
+    negligible next to the Euler error under test.  The fields freeze below
+    their t_floor, so a run that ends at t = 0 is only first order in the
+    step; one that stops short of the floor keeps fourth order.
     """
     if not isinstance(n_fine, (int, np.integer)) or n_fine < 1:
         raise ValueError(f"n_fine must be a positive integer, got {n_fine!r}")

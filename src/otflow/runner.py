@@ -14,13 +14,15 @@ Sweeps run in the calling thread, from a plan: the cells whose overrides
 differ only in transport.beta0 form a group whose config is derived once,
 each distinct beta0 value is parsed and checked once, and a cell whose beta0
 or group fails is derived alone, so its error is the one derive_config gives
-that cell.  Then every row resolves its x0 (a Gaussian draw uses the factor
-the registry keeps), and each group's invert_edit or flowedit rows run as
-one (B, d) editor call with a (B,) beta0 and, for flowedit's noise draws,
-the rows' B seeds.  The editors' kernels are batch-invariant, so a row
-equals the single-state run of its cell bit for bit, and a row that goes
-non-finite fails alone.  generate cells run one call each, with their
-group's config and their own beta0.
+that cell (if it derives, it is a group of its own).  Every row runs on its
+group's config with its own beta0 and seed.  `otflow run` and a sweep group
+reach an editor through one dispatch, _edit: a group's invert_edit or
+flowedit rows resolve their x0s (a Gaussian draw uses the factor the
+registry keeps) and run as one (B, d) editor call with a (B,) beta0 and, for
+flowedit's noise draws, the rows' B seeds.  The editors' kernels are
+batch-invariant, so a row equals the single-state run of its cell bit for
+bit, and a row that goes non-finite fails alone.  generate rows run one call
+each.
 
 Every SVG is render_csv of the CSV written beside it, the function that
 `otflow plot` draws with, so plotting a run's CSV gives its SVG's bytes.
@@ -158,7 +160,25 @@ def _resolve_x0(cfg, seed):
     return _draw_from_dataset(cfg.registry, cfg.inputs["sample_source"], make_rng(seed, 1))
 
 
-def _edit_metrics(summary, output, cfg, condition):
+# The cfg.editor key of each editing algorithm's target condition.
+_TARGET_KEYS = {"invert_edit": "condition_target", "flowedit": "cond_tar"}
+
+
+def _edit(cfg, x0, beta0=None, seeds=None):
+    """cfg.algorithm's editor, configured from cfg.editor, on one (d,) source
+    or a (B, d) batch with a (B,) beta0 and, for flowedit's noise draws, B
+    seeds; both default to the config's own."""
+    knobs = dict(transport=cfg.transport, grid=cfg.grid, scales=cfg.scales, **cfg.editor)
+    if cfg.algorithm == "invert_edit":
+        # The inversion draws nothing, so a row's seed goes only into its x0.
+        return transport_guided_inversion_edit(InversionEditConfig(**knobs), cfg.registry,
+                                               cfg.codec, x0, cfg.inputs["x_target"], beta0)
+    return transport_enhanced_flowedit(FlowEditConfig(seed=RngSeed(cfg.seed), **knobs),
+                                       cfg.registry, cfg.codec, x0, beta0, seeds)
+
+
+def _edit_metrics(summary, output, cfg):
+    condition = cfg.editor[_TARGET_KEYS[cfg.algorithm]]
     return {
         "reconstruction_l2": summary.reconstruction_l2,
         "displacement_l2": summary.displacement_l2,
@@ -167,56 +187,18 @@ def _edit_metrics(summary, output, cfg, condition):
     }
 
 
-def _inversion_edit(cfg, x0, beta0=None):
-    edit_cfg = InversionEditConfig(transport=cfg.transport, grid=cfg.grid, scales=cfg.scales,
-                                   **cfg.editor)
-    return transport_guided_inversion_edit(edit_cfg, cfg.registry, cfg.codec, x0,
-                                           cfg.inputs["x_target"], beta0)
-
-
-def _run_invert_edit(cfg, seed):
-    result = _inversion_edit(cfg, _resolve_x0(cfg, seed))
-    return _edit_metrics(result.summary, result.output, cfg, cfg.editor["condition_target"]), result
-
-
-def _row_metrics(result, cfg, condition):
-    # Each row of a batched edit: its metrics, or the NumericalAbort it hit.
-    return [abort if abort is not None else _edit_metrics(summary, output, cfg, condition)
-            for output, summary, abort in zip(result.output, result.summary, result.aborts)]
-
-
-def _run_invert_rows(cfg, x0s, beta0s, seeds):
-    # The inversion draws nothing, so the rows' seeds go only into their x0.
-    result = _inversion_edit(cfg, np.array(x0s), np.array(beta0s))
-    return _row_metrics(result, cfg, cfg.editor["condition_target"])
-
-
-def _flowedit(cfg, seed, x0, beta0=None, seeds=None):
-    edit_cfg = FlowEditConfig(transport=cfg.transport, grid=cfg.grid, scales=cfg.scales,
-                              seed=RngSeed(seed), **cfg.editor)
-    return transport_enhanced_flowedit(edit_cfg, cfg.registry, cfg.codec, x0, beta0, seeds)
-
-
-def _run_flowedit(cfg, seed):
-    result = _flowedit(cfg, seed, _resolve_x0(cfg, seed))
-    return _edit_metrics(result.summary, result.output, cfg, cfg.editor["cond_tar"]), result
-
-
-def _run_flowedit_rows(cfg, x0s, beta0s, seeds):
-    result = _flowedit(cfg, cfg.seed, np.array(x0s), np.array(beta0s), seeds)
-    return _row_metrics(result, cfg, cfg.editor["cond_tar"])
-
-
-def _run_generate(cfg, seed):
+def _generate(cfg, seed, beta0):
+    """(metrics, sample cloud) of inputs.count samples from the seed's noise,
+    guided by the transport term at strength beta0."""
     x_target = cfg.inputs["x_target"]
-    # Checked at load too; here for the sweep cells, which the sweep plan
-    # gives their beta0 past the load checks.
-    if cfg.transport.beta0 > 0.0 and x_target is None:
+    # Checked at load too; here for the sweep rows, whose beta0 the sweep
+    # plan gives past the load checks.
+    if beta0 > 0.0 and x_target is None:
         raise ConfigError(_GENERATE_NEEDS_TARGET)
     noise = make_rng(seed).standard_normal((cfg.inputs["count"], cfg.registry.dim()))
     anchor = None if x_target is None else cfg.codec.encode(x_target)
     final = guided_final_states(cfg.registry, cfg.editor["condition"], cfg.scales, cfg.grid,
-                                cfg.transport, anchor, noise)
+                                replace(cfg.transport, beta0=beta0), anchor, noise)
     cloud = cfg.codec.decode(final)
     metrics = {
         "reconstruction_l2": None,
@@ -227,13 +209,19 @@ def _run_generate(cfg, seed):
     return metrics, cloud
 
 
-# Each runner returns (metrics, result): the edit result, or the sample cloud.
-_RUNNERS = {"invert_edit": _run_invert_edit, "flowedit": _run_flowedit,
-            "generate": _run_generate}
-# The editors a sweep runs once per group: (group config, x0s, beta0s, seeds)
-# -> each row's metrics, or the NumericalAbort it hit.  Every row of a group
-# has the group's config but for transport.beta0.
-_ROW_RUNNERS = {"invert_edit": _run_invert_rows, "flowedit": _run_flowedit_rows}
+def _run_rows(cfg, seeds, beta0s):
+    """Each row's metrics, or the exception that row hit, for the rows of one
+    sweep group: invert_edit or flowedit rows as one batched edit, generate
+    rows one call each."""
+    if cfg.algorithm in _TARGET_KEYS:
+        x0s = np.array([_resolve_x0(cfg, seed) for seed in seeds])
+        result = _edit(cfg, x0s, np.array(beta0s), seeds)
+        return [abort if abort is not None else _edit_metrics(summary, output, cfg)
+                for output, summary, abort in zip(result.output, result.summary, result.aborts)]
+    if cfg.algorithm == "generate":
+        outcomes = [_attempt(_generate, cfg, seed, beta0) for seed, beta0 in zip(seeds, beta0s)]
+        return [o if isinstance(o, Exception) else o[0] for o in outcomes]
+    raise ConfigError(f"sweeps do not support algorithm {cfg.algorithm!r}")
 
 
 def run_verify(cfg):
@@ -316,10 +304,12 @@ def run_experiment(cfg, out_dir=None):
                                            _measured_csv(rep)))
         metrics = None
     else:
-        metrics, result = _RUNNERS[cfg.algorithm](cfg, cfg.seed)
         if cfg.algorithm == "generate":
-            stem, text, dim = "samples", points_csv(result), result.shape[1]
+            metrics, cloud = _generate(cfg, cfg.seed, cfg.transport.beta0)
+            stem, text, dim = "samples", points_csv(cloud), cloud.shape[1]
         else:
+            result = _edit(cfg, _resolve_x0(cfg, cfg.seed))
+            metrics = _edit_metrics(result.summary, result.output, cfg)
             stem, text, dim = "trajectory", trajectory_csv(result.trajectory), result.trajectory.dim
         files.append(atomic_write_text(f"{base}_{stem}.csv", text))
         if cfg.plot and dim == 2:
@@ -340,17 +330,19 @@ def _attempt(fn, *args):
 
 
 def _plan_cells(cfg, paths, cells):
-    """Yield (group key, config) for each cell in order, the config being
-    the exception derive_config(cfg, overrides) raises on that cell when it
-    fails.  Yielding lets a cell's config go once its rows have run.
+    """Yield (group key, group config, beta0) for each cell in order, the
+    config being the exception derive_config(cfg, overrides) raises on that
+    cell when it fails.
 
     Cells whose overrides differ only in transport.beta0 form a group keyed
     by the other overrides, derived once; each distinct beta0 value is parsed
-    and checked once, by config.cell_beta0, and the cell's config is its
-    group's with that beta0.  A cell whose beta0 or group fails is derived
-    alone, so it fails with derive_config's own error, in derive_config's
-    order of checks (a grid.* error before a bad beta0 before an editor.*
-    error).
+    and checked once, by config.cell_beta0, and a cell without a beta0 axis
+    takes its group's.  A cell whose beta0 or group fails is derived alone,
+    so it fails with derive_config's own error, in derive_config's order of
+    checks (a grid.* error before a bad beta0 before an editor.* error).  If
+    it derives alone, it is a group of its own, keyed by all its overrides,
+    with its own config's beta0 (a generate group at a base beta0 > 0 without
+    a target fails, while its beta0 = 0 cell runs).
     """
     groups, beta0s = {}, {}
     for combo in cells:
@@ -364,32 +356,20 @@ def _plan_cells(cfg, paths, cells):
             beta0s[text] = _attempt(cell_beta0, text)
         beta0 = None if text is None else beta0s[text]
         if isinstance(group, Exception) or isinstance(beta0, Exception):
-            yield key, _attempt(derive_config, cfg, overrides)
-        elif beta0 is None:
-            yield key, group
+            cell = _attempt(derive_config, cfg, overrides)
+            yield (tuple(overrides.items()), cell,
+                   None if isinstance(cell, Exception) else cell.transport.beta0)
         else:
-            yield key, replace(group, transport=replace(group.transport, beta0=beta0),
-                               resolved={**group.resolved, _BETA0: text})
-
-
-def _sweep_cell(cell_cfg, seed):
-    """Run one row of a planned cell: a generate row returns its metrics, an
-    invert_edit or flowedit row its x0 for its group's batched edit."""
-    if cell_cfg.algorithm in _ROW_RUNNERS:
-        return _resolve_x0(cell_cfg, seed)
-    runner = _RUNNERS.get(cell_cfg.algorithm)
-    if runner is None:
-        raise ConfigError(f"sweeps do not support algorithm {cell_cfg.algorithm!r}")
-    return runner(cell_cfg, seed)[0]
+            yield key, group, group.transport.beta0 if beta0 is None else beta0
 
 
 def run_sweep(cfg, out_dir=None):
     """Run the Cartesian sweep and write one results CSV.
 
     Row order is the product order of the axes as configured, then replicate.
-    Rows run cell by cell from the plan of _plan_cells, and the invert_edit
-    or flowedit rows of a group as one batched editor call, each row with
-    its own beta0 and seed.  Failed cells keep their row with an error
+    Each row is filed under its group from the plan of _plan_cells, and each
+    group's rows run on the group's config by one _run_rows call, each row
+    with its own beta0 and seed.  Failed cells keep their row with an error
     message; the caller decides the exit status from n_failed.
     """
     if not cfg.sweep_axes:
@@ -399,29 +379,23 @@ def run_sweep(cfg, out_dir=None):
     paths = [path for path, _ in cfg.sweep_axes]
     cells = list(itertools.product(*[vals for _, vals in cfg.sweep_axes]))
 
-    # batches: group key -> (first row's config, [(row, x0, beta0, seed)])
-    # for the _ROW_RUNNERS rows, run once every row has its x0.
-    heads, outcomes, batches = [], [], {}
+    # groups: group key -> (group config, [(row, seed, beta0)])
+    heads, outcomes, groups = [], [], {}
     plan = _plan_cells(cfg, paths, cells)
-    for cell_index, (combo, (key, cell_cfg)) in enumerate(zip(cells, plan)):
+    for cell_index, (combo, (key, group_cfg, beta0)) in enumerate(zip(cells, plan)):
         for rep in range(cfg.replicates):
             cell_seed = derive_seed(cfg.seed, cell_index, rep)
             heads.append(list(combo) + [str(rep), str(cell_seed)])
-            if isinstance(cell_cfg, Exception):
-                outcomes.append(cell_cfg)
+            if isinstance(group_cfg, Exception):
+                outcomes.append(group_cfg)
                 continue
-            outcome = _attempt(_sweep_cell, cell_cfg, cell_seed)
-            if cell_cfg.algorithm in _ROW_RUNNERS and not isinstance(outcome, Exception):
-                batches.setdefault(key, (cell_cfg, []))[1].append(
-                    (len(outcomes), outcome, cell_cfg.transport.beta0, cell_seed))
-                outcome = None
-            outcomes.append(outcome)
-    for group_cfg, members in batches.values():
-        rows, x0s, beta0s, seeds = zip(*members)
-        try:
-            results = _ROW_RUNNERS[group_cfg.algorithm](group_cfg, x0s, beta0s, seeds)
-        except Exception as exc:  # noqa: BLE001 - the group's rows fail, not the sweep
-            results = [exc] * len(rows)
+            groups.setdefault(key, (group_cfg, []))[1].append((len(outcomes), cell_seed, beta0))
+            outcomes.append(None)
+    for group_cfg, members in groups.values():
+        rows, seeds, beta0s = zip(*members)
+        results = _attempt(_run_rows, group_cfg, seeds, beta0s)
+        if isinstance(results, Exception):
+            results = [results] * len(rows)
         for row, outcome in zip(rows, results):
             outcomes[row] = outcome
 

@@ -100,6 +100,11 @@ def test_set_unknown_key_rejected():
     (["[experiment]", "algorithm"], 2, "key = value"),
     (["[dataset]"], 1, "dataset sections need a name"),
     (["[dataset.]"], 1, "dataset sections need a name"),
+    # A dotted name would split one dataset's keys over two names, and a
+    # path-like one would make gen-data write outside its output directory.
+    (["[dataset.a.b]"], 1, "letters, digits, '_' and '-'"),
+    (["[dataset.d]", "points = 0,0", "[dataset.d.e]"], 3, "dataset sections need a name"),
+    (["[dataset./abs/dir/name]"], 1, "dataset sections need a name"),
 ])
 def test_parse_errors_carry_line_numbers(lines, err_line, match):
     with pytest.raises(ConfigError, match=match) as ei:
@@ -241,6 +246,20 @@ def test_dataset_errors_carry_key_line(tmp_path):
         assert ei.value.line == line
         assert str(ei.value).startswith(f"line {line}: dataset.d: {text}")
         assert "dataset 'd'" not in str(ei.value)
+
+
+def test_dataset_name_rule_covers_set_axes_and_derive_config():
+    with pytest.raises(ConfigError) as ei:
+        _load(_BASE, overrides=["dataset.d.e.points=0,0; 1,1"])
+    assert str(ei.value) == "--set: unknown key 'dataset.d.e.points'"
+    with pytest.raises(ConfigError) as ei:
+        _load(_BASE + ["[sweep]", "axis = dataset.d.e.csv: a.csv, b.csv"])
+    assert str(ei.value) == "line 10: axis over unknown key 'dataset.d.e.csv'"
+    with pytest.raises(ConfigError) as ei:
+        derive_config(_load(_BASE), {"dataset.d/e.points": "0,0; 1,1"})
+    assert str(ei.value) == "override of unknown key 'dataset.d/e.points'"
+    cfg = _load(_BASE, overrides=["dataset.set_2-b.points=2,2; 3,3"])
+    assert cfg.registry.names() == ["d", "set_2-b"]
 
 
 def test_every_preset_key_is_declared():

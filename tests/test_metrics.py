@@ -183,6 +183,47 @@ def test_reference_integrate_fourth_order():
     assert 12.0 < ratio < 20.0
 
 
+def _gaussian_flow(mean, cov, z, s, t):
+    # The exact flow of N(mean, cov)'s marginal velocity from time s to t.
+    # With a = 1 - t, cov = Q diag(lam) Q^T and c(t) = a^2 lam + t^2, the
+    # field gives dy/dt = ((t - a lam) / c) y for y = Q^T (z - a mean), that
+    # is d log sqrt(c) / dt, so each coordinate of y scales by sqrt(c(t)/c(s)).
+    lam, q = np.linalg.eigh(cov)
+    c = lambda u: (1.0 - u) ** 2 * lam + u * u  # noqa: E731
+    y = q.T @ (z - (1.0 - s) * mean)
+    return (1.0 - t) * mean + q @ (np.sqrt(c(t) / c(s)) * y)
+
+
+def test_reference_integrate_order_on_the_gaussian_flow():
+    """RK4 on an 8-D Gaussian's own field against its closed-form flow.
+
+    To t = 0.01 the field is smooth and the error falls by about 2^4 per
+    halved step (1.6e-10 at 100 steps to 3.6e-14 at 800).  To t = 0 the
+    field is frozen at t_floor below it, so the last step's stage at t = 0
+    reads v(z, t_floor): an error of order h, falling about 4x per 4x steps.
+    """
+    rng = _rng(0)
+    dim = 8
+    spread = rng.standard_normal((dim, dim))
+    cov = spread @ spread.T / dim + 0.1 * np.eye(dim)
+    mean = rng.standard_normal(dim)
+    z1 = rng.standard_normal(dim)
+
+    def field(z, t):
+        return gaussian_marginal_velocity(mean, cov, z, t)
+
+    def errors(t_end, counts):
+        want = _gaussian_flow(mean, cov, z1, 1.0, t_end)
+        return [np.linalg.norm(reference_integrate(field, z1, 1.0, t_end, n) - want)
+                / np.linalg.norm(want) for n in counts]
+
+    smooth = errors(0.01, (100, 200, 400, 800))
+    assert smooth[-1] < 1e-12
+    assert all(coarse / fine >= 12.0 for coarse, fine in zip(smooth, smooth[1:]))
+    frozen = errors(0.0, (100, 400, 1600))
+    assert all(3.0 <= coarse / fine <= 5.0 for coarse, fine in zip(frozen, frozen[1:]))
+
+
 def test_reference_integrate_validation():
     with pytest.raises(ValueError):
         reference_integrate(lambda z, t: z, np.zeros(1), 0.0, 1.0, 0)

@@ -18,6 +18,7 @@ from otflow import (ConfigError, derive_config, load_config_text, runner, w2_dir
                     w2_empirical_exact)
 from otflow.cli import (EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_PARTIAL,
                         EXIT_VERIFY, main)
+from otflow.config import _GENERATE_NEEDS_TARGET
 from otflow.runner import (atomic_write_text, derive_seed, gen_data, points_csv,
                            run_experiment, run_sweep, run_verify, trajectory_csv)
 from otflow.svgplot import render_metric_chart, render_trajectories
@@ -435,11 +436,15 @@ def test_flowedit_sweep_runs_one_editor_call_per_group(tmp_path, monkeypatch):
         assert seeds == tuple(int(r["seed"]) for r in group)
 
 
-@pytest.mark.parametrize("text", [_SWEEP_CFG, _INVERT_SWEEP_CFG.replace("1e300", "0.25")],
-                         ids=["flowedit", "invert_edit"])
+@pytest.mark.parametrize("text", [
+    _SWEEP_CFG,
+    _INVERT_SWEEP_CFG.replace("1e300", "0.25"),
+    _GEN_CFG.replace("count = 64", "count = 16\nx_target = 1.0, 0.0")
+    + "[sweep]\naxis = transport.beta0: 0, 0.5\nreplicates = 2\n",
+], ids=["flowedit", "invert_edit", "generate"])
 def test_sweep_rows_equal_run_reports(tmp_path, text):
-    # run and sweep share one editor path: each row's metric strings equal
-    # the report of run_experiment on that cell and seed, exactly.
+    # run and sweep share one path per algorithm: each row's metric strings
+    # equal the report of run_experiment on that cell and seed, exactly.
     cfg = _cfg(text, overrides=["experiment.seed=7"])
     out = run_sweep(cfg, out_dir=str(tmp_path))
     (axis, _), = cfg.sweep_axes
@@ -506,6 +511,29 @@ def test_sweep_cell_errors_follow_derive_config_order(tmp_path, axes, errors):
             assert all(record[k] == runner._fmt(art.metrics[k]) for k in metrics)
 
 
+def test_sweep_cell_runs_alone_when_its_group_fails(tmp_path):
+    # The generate group, derived at the base beta0 0.5 without a target,
+    # fails; its beta0 = 0 cell derives alone and equals its single run.
+    text = (_SWEEP_CFG.replace("phi = 1.0", "beta0 = 0.5\nphi = 1.0")
+            .replace("n_max = 24", "n_max = 24\ncondition = b")
+            .replace(_SWEEP_CFG.split("[sweep]\n")[1],
+                     "axis = experiment.algorithm: flowedit, generate\n"
+                     "axis = transport.beta0: 0, 0.5\nreplicates = 2\n"))
+    cfg = _cfg(text, overrides=["experiment.seed=3"])
+    out = run_sweep(cfg, out_dir=str(tmp_path / "sweep"))
+    records = list(csv.DictReader(open(out.results_path, encoding="utf-8")))
+    assert out.n_rows == 8 and out.n_failed == 2
+    for record in records:
+        overrides = {path: record[path] for path, _ in cfg.sweep_axes}
+        if overrides == {"experiment.algorithm": "generate", "transport.beta0": "0.5"}:
+            assert record["error"] == "ConfigError: transport.beta0: " + _GENERATE_NEEDS_TARGET
+            continue
+        art = run_experiment(derive_config(cfg, {**overrides, "experiment.seed": record["seed"]}),
+                             out_dir=str(tmp_path / "run"))
+        assert record["error"] == "" and record["w2_to_target"] != ""
+        assert all(record[k] == runner._fmt(v) for k, v in art.metrics.items())
+
+
 @pytest.mark.parametrize("text", [
     _INVERT_SWEEP_CFG.replace("0.5, 1e300", "0.25, 0.5")
     .replace("replicates = 2", "replicates = 4"),
@@ -533,7 +561,9 @@ def test_points_sample_source_and_w2_to_target():
     cfg = _cfg(_POINTS_CFG)
     pts_a, pts_b = cfg.registry.points("a"), cfg.registry.points("b")
     for seed in (0, 11):
-        metrics, result = runner._RUNNERS["flowedit"](cfg, seed)
+        seeded = replace(cfg, seed=seed)
+        result = runner._edit(seeded, runner._resolve_x0(seeded, seed))
+        metrics = runner._edit_metrics(result.summary, result.output, seeded)
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 1])))
         assert np.array_equal(result.trajectory.states[0], pts_a[rng.integers(len(pts_a))])
         assert metrics["w2_to_target"] == w2_dirac_to_points(result.output, pts_b)
@@ -731,19 +761,21 @@ def test_cli_sweep_workers_env(tmp_path, capsys, monkeypatch):
 def test_cli_sweep_runs_cells_in_calling_thread(tmp_path, capsys, monkeypatch):
     # --workers and OTFLOW_WORKERS are ignored; a malformed value must not crash
     cfg_path = _write(tmp_path, "sw.cfg", _SWEEP_CFG)
-    threads = []
-    cell = runner._sweep_cell
+    calls = []
+    run_rows = runner._run_rows
 
-    def recording_cell(*args):
-        threads.append(threading.get_ident())
-        return cell(*args)
+    def recording_rows(cfg, seeds, beta0s):
+        calls.append((threading.get_ident(), tuple(seeds)))
+        return run_rows(cfg, seeds, beta0s)
 
-    monkeypatch.setattr(runner, "_sweep_cell", recording_cell)
+    monkeypatch.setattr(runner, "_run_rows", recording_rows)
     monkeypatch.setenv("OTFLOW_WORKERS", "two")
     for flags in ([], ["--workers", "4"]):
         assert main(["sweep", cfg_path, *flags, "--out-dir", str(tmp_path / "out")]) == EXIT_OK
     capsys.readouterr()
-    assert len(threads) == 2 * 44 and set(threads) == {threading.get_ident()}
+    assert {thread for thread, _ in calls} == {threading.get_ident()}
+    row_seeds = [derive_seed(0, cell, rep) for cell in range(11) for rep in range(4)]
+    assert [seed for _, seeds in calls for seed in seeds] == 2 * row_seeds
 
 
 def test_cli_verify_exit_codes(tmp_path, capsys):
