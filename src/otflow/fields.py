@@ -37,11 +37,13 @@ row-invariance tests in tests/test_fields.py, at every workload's shapes
 and at each block position beside random, NaN, inf and huge rows, fail
 should a numpy ever fold the stack into one GEMM.
 
-Conditions select which field an evaluation uses: the null condition pools
-every registered dataset, and a dataset condition blends that entry's field
-with the null field at classifier-free guidance weight w.  At w != 1 both
-branches come from one call: the null field is a mixture with one component
-per registered entry, and the entry's field is its own component's velocity.
+Conditions select which field an evaluation uses, resolved once when
+make_velocity binds them (evaluate binds and calls once): the null
+condition pools every registered dataset, and a dataset condition blends
+that entry's field with the null field at classifier-free guidance weight
+w.  At w != 1 both branches come from one call: the null field is a
+mixture with one component per registered entry, and the entry's field is
+its own component's velocity.
 A Gaussian is weighed by its log density from the one Gaussian kernel call.
 A point set makes one softmax pass over its atoms, giving its max logit m,
 the sum s of exp(logit - m) and its field, and is weighed by
@@ -196,20 +198,31 @@ def empirical_marginal_velocity(points, z, t, t_floor=1e-4):
     return v.reshape(z.shape)
 
 
-def _gaussian_velocity_eig(means, eigvals, eigvecs, zb, t, densities=True):
-    # m stacked components ((m, d) means and eigenvalues, (m, d, d) eigenvectors)
-    # at (b, d) states zb.  With a = 1 - t, c = a^2 lam + t^2, y = Q^T (z - a mu):
+def _gaussian_terms(stack, t):
+    # The time-only terms of a Gaussian stack (means, eigenvalues,
+    # eigenvectors) at clamped t, with a = 1 - t and c = a^2 lam + t^2:
+    # a mu, the gains (t - a lam) / c, 1 / c and (1/2) sum log c.
+    means, eigvals = stack[0], stack[1]
+    a = 1.0 - t
+    c_eig = a * a * eigvals + t * t
+    return a * means, (t - a * eigvals) / c_eig, 1.0 / c_eig, 0.5 * np.add.reduce(np.log(c_eig), axis=1)
+
+
+def _gaussian_velocity_eig(stack, terms, zb, densities=True):
+    # m stacked components ((m, d) means and eigenvalues, (m, d, d)
+    # eigenvectors) at (b, d) states zb, given their _gaussian_terms at t.
+    # With y = Q^T (z - a mu):
     #   log densities (b, m):  -(y . y / c + sum log c) / 2 + const
     #   velocities (b, m, d):  Q diag((t - a lam) / c) y - mu
     # With densities false the log densities are skipped and returned as None.
-    a = 1.0 - t
-    c_eig = a * a * eigvals + t * t
-    y = ((zb[:, None, :] - a * means)[:, :, None, :] @ eigvecs)[:, :, 0, :]
-    v = (eigvecs @ (y * ((t - a * eigvals) / c_eig))[..., None])[..., 0] - means
+    means, eigvecs = stack[0], stack[2]
+    a_mu, gains, inv_c, half_log_c = terms
+    y = ((zb[:, None, :] - a_mu)[:, :, None, :] @ eigvecs)[:, :, 0, :]
+    v = (eigvecs @ (y * gains)[..., None])[..., 0] - means
     if not densities:
         return None, v
-    quad = np.einsum("bmj,bmj->bm", y * (1.0 / c_eig), y)
-    return -0.5 * quad - 0.5 * np.log(c_eig).sum(axis=1), v
+    quad = np.einsum("bmj,bmj->bm", y * inv_c, y)
+    return -0.5 * quad - half_log_c, v
 
 
 def _gaussian_stack(mean, cov, where=""):
@@ -231,10 +244,11 @@ def _gaussian_stack(mean, cov, where=""):
     return cov, (mean[None], np.clip(eigvals, 0.0, None)[None], eigvecs[None])
 
 
-def _one_gaussian_velocity(one, z, t):
-    # The velocity of a one-component stack at z, shaped like z; the log
-    # density, which only a mixture weighs, is not computed.
-    _, v = _gaussian_velocity_eig(*one, z.reshape(-1, z.shape[-1]), t, False)
+def _one_gaussian_velocity(one, z, terms):
+    # The velocity of a one-component stack at z, shaped like z, given the
+    # stack's _gaussian_terms; the log density, which only a mixture weighs,
+    # is not computed.
+    _, v = _gaussian_velocity_eig(one, terms, z.reshape(-1, z.shape[-1]), False)
     return v[:, 0].reshape(z.shape)
 
 
@@ -248,7 +262,7 @@ def gaussian_marginal_velocity(mean, cov, z, t, t_floor=1e-4):
     z = np.asarray(z, dtype=float)
     if z.shape[-1] != cov.shape[0]:
         raise ValueError(f"state dim {z.shape[-1]} != gaussian dim {cov.shape[0]}")
-    return _one_gaussian_velocity(one, z, _clamp_t(t, t_floor))
+    return _one_gaussian_velocity(one, z, _gaussian_terms(one, _clamp_t(t, t_floor)))
 
 
 def conditional_linear_velocity(z_ref, z, t, t_floor=1e-4):
@@ -385,24 +399,14 @@ class FieldRegistry:
         return (mean + z @ self._gaussians[name][3]).reshape(shape)
 
     def _entry_velocity(self, name, z, t):
-        if name in self._points:
-            return empirical_marginal_velocity(self._points[name], z, t, self.t_floor)
-        if name in self._gaussians:
-            return _one_gaussian_velocity(self._gaussians[name][0], np.asarray(z, dtype=float),
-                                          _clamp_t(t, self.t_floor))
-        raise UnknownDatasetError(name)
+        # The entry's own field, as a dataset condition at w = 1 evaluates it.
+        return make_velocity(self, Condition.dataset(name), GuidanceScales())(z, t)
 
     def _null_velocity(self, z, t):
-        if not self._order:
-            raise ValueError("registry has no datasets; cannot evaluate the null condition")
-        if not self._gaussians:
-            # One pass over the pooled atoms: the pooled kernel bit for bit,
-            # where the per-set mixture agrees with it only to rounding.
-            return empirical_marginal_velocity(self._pooled, z, t, self.t_floor)
-        return self._mixture_velocity(z, t)[0]
+        return make_velocity(self, Condition.null(), GuidanceScales())(z, t)
 
     def _column(self, name):
-        # The entry's column in _mixture_velocity's entry velocities.
+        # The entry's column in _mixture's entry velocities.
         if name in self._gaussians:
             return self._gaussians[name][2]
         if name in self._points:
@@ -410,50 +414,59 @@ class FieldRegistry:
         raise UnknownDatasetError(name)
 
     def _mixture_velocity(self, z, t):
-        # The null field as a mixture with one component per registered
-        # entry, beside each entry's own field: one Gaussian kernel call and
-        # one _point_pass per point set (see the module docstring).  A point
-        # set's offset moves its logits to the first set's; beside Gaussians,
-        # subtracting ||z - a c_0||^2 / (2 t^2) + d log t then makes them full
-        # log densities, as the Gaussians' are (with the log-determinant, as
-        # component variances differ).  Returns the null velocity, shaped
-        # like z, and the (b, m + k, d) entry velocities: the m Gaussians',
-        # then the k point sets' in registration order.
+        # _mixture at state(s) z and time t: the null velocity, shaped like z,
+        # and the entry velocities.
         t = _clamp_t(t, self.t_floor)
-        a = 1.0 - t
         z = np.asarray(z, dtype=float)
-        zb = z.reshape(-1, z.shape[-1])
-        logs, vels, sums = [], [], []
-        if self._gaussians:
-            log_r, gauss_v = _gaussian_velocity_eig(*self._stacked, zb, t)
-            logs.append(log_r)
-            vels.append(gauss_v)
+        terms = _gaussian_terms(self._stacked, t) if self._gaussians else None
+        v, vels = self._mixture(z.reshape(-1, z.shape[-1]), t, terms)
+        return v.reshape(z.shape), vels
+
+    def _mixture(self, zb, t, terms):
+        # The null field as a mixture with one component per registered
+        # entry, beside each entry's own field, at (b, d) states zb and
+        # clamped t, given the Gaussian stack's _gaussian_terms (None without
+        # Gaussians): one Gaussian kernel call and one _point_pass per point
+        # set (see the module docstring).  A point set's offset moves its
+        # logits to the first set's; beside Gaussians, subtracting
+        # ||z - a c_0||^2 / (2 t^2) + d log t then makes them full log
+        # densities, as the Gaussians' are (with the log-determinant, as
+        # component variances differ).  Returns the (b, d) null velocity and
+        # the (b, m + k, d) entry velocities: the m Gaussians', then the k
+        # point sets' in registration order.
+        m = len(self._gaussians)
+        if m:
+            log_r, vels = _gaussian_velocity_eig(self._stacked, terms, zb)
         if self._points:
+            a = 1.0 - t
             c_0 = next(iter(self._points.values())).centre
-            frame = 0.0
-            if self._gaussians:
+            logs, all_v, sums, frame = [], [], [], 0.0
+            if m:
                 u = zb - a * c_0
                 frame = (np.einsum("bd,bd->b", u, u) / (2.0 * t * t) + zb.shape[1] * np.log(t))[:, None]
+                logs.append(log_r)
+                all_v.append(vels)
             for pset in self._points.values():
-                m, s, v = _point_pass(pset, zb, t)
+                top, s, v = _point_pass(pset, zb, t)
                 offset = ((2.0 * zb - a * (c_0 + pset.centre)) * (a * (pset.centre - c_0))).sum(
                     axis=1, keepdims=True) / (2.0 * t * t)
-                logs.append(m + offset - frame)
+                logs.append(top + offset - frame)
                 sums.append(s)
-                vels.append(v[:, None])
-        log_r = logs[0] if len(logs) == 1 else np.concatenate(logs, axis=1)
-        vels = vels[0] if len(vels) == 1 else np.concatenate(vels, axis=1)
-        log_r -= log_r.max(axis=1, keepdims=True)
+                all_v.append(v[:, None])
+            log_r = logs[0] if len(logs) == 1 else np.concatenate(logs, axis=1)
+            vels = all_v[0] if len(all_v) == 1 else np.concatenate(all_v, axis=1)
+        log_r -= np.maximum.reduce(log_r, axis=1, keepdims=True)
         r = np.exp(log_r)
-        if sums:
-            r[:, len(self._gaussians):] *= np.concatenate(sums, axis=1)
+        if self._points:
+            r[:, m:] *= np.concatenate(sums, axis=1)
         r[r < _WEIGHT_FLOOR] = 0.0
-        r /= r.sum(axis=1, keepdims=True)
-        return np.einsum("bn,bnd->bd", r, vels).reshape(z.shape), vels
+        r /= np.add.reduce(r, axis=1, keepdims=True)
+        return np.einsum("bn,bnd->bd", r, vels), vels
 
 
 def evaluate(registry, z, t, condition, scales):
-    """Dispatch a velocity evaluation through a condition.
+    """Dispatch a velocity evaluation through a condition: binds with
+    make_velocity and calls once.
 
     null: pooled field over every registered dataset.  dataset(name): that
     entry's field blended with the null field at scales.w.  At w != 1 the
@@ -462,19 +475,54 @@ def evaluate(registry, z, t, condition, scales):
     their row-wise log offsets (see the module docstring).  A name the
     registry does not hold raises UnknownDatasetError.
     """
-    if condition.kind == "null":
-        return registry._null_velocity(z, t)
-    if scales.w == 1.0:
-        return registry._entry_velocity(condition.name, z, t)
-    k = registry._column(condition.name)
-    v_null, entry_v = registry._mixture_velocity(z, t)
-    return cfg_blend(v_null, entry_v[:, k].reshape(v_null.shape), scales.w)
+    return make_velocity(registry, condition, scales)(z, t)
 
 
 def make_velocity(registry, condition, scales):
-    """Bind (registry, condition, scales) into a (z, t) -> v callable."""
+    """Bind (registry, condition, scales) into a (z, t) -> v callable, the
+    one evaluation path (evaluate binds and calls once).
+
+    Binding resolves the condition once: null, or a dataset's column in the
+    null mixture and the weight w it is blended at (see evaluate).  A name
+    the registry does not hold raises UnknownDatasetError here, and the null
+    condition of an empty registry a ValueError.  Binding relies on the
+    registry's rule that every dataset is registered before any field is
+    used.  The callable keeps, as one tuple, the Gaussian stack's time-only
+    terms (_gaussian_terms) for the last clamped t it saw: calls at a
+    repeated time, as RK4's stages make, skip them and make the same kernel
+    call with the same terms.
+    """
+    t_floor, w = registry.t_floor, scales.w
+    column = None
+    if condition.kind == "dataset":
+        column = registry._column(condition.name)
+    elif not registry._order:
+        raise ValueError("registry has no datasets; cannot evaluate the null condition")
+    entry = column is not None and w == 1.0
+    if column is None and not registry._gaussians:
+        # One pass over the pooled atoms: the pooled kernel bit for bit,
+        # where the per-set mixture agrees with it only to rounding.
+        pset = registry._pooled
+    else:
+        pset = registry._points.get(condition.name) if entry else None
+    if pset is not None:
+        return lambda z, t: empirical_marginal_velocity(pset, z, t, t_floor)
+    stack = registry._gaussians[condition.name][0] if entry else registry._stacked
+    blend = column is not None and w != 0.0
+    memo = (None, None)
 
     def velocity(z, t):
-        return evaluate(registry, z, t, condition, scales)
+        nonlocal memo
+        t = _clamp_t(t, t_floor)
+        last = memo
+        if stack is not None and last[0] != t:
+            last = memo = (t, _gaussian_terms(stack, t))
+        z = np.asarray(z, dtype=float)
+        if entry:
+            return _one_gaussian_velocity(stack, z, last[1])
+        v, vels = registry._mixture(z.reshape(-1, z.shape[-1]), t, last[1])
+        if blend:
+            v = v + w * (vels[:, column] - v)
+        return v.reshape(z.shape)
 
     return velocity

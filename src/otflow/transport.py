@@ -75,6 +75,11 @@ def cosine_schedule(s, phi):
     if not (0.0 <= s <= 1.0):
         raise ValueError(f"schedule argument must lie in [0, 1], got {s}")
     check_phi(phi)
+    return _cosine(s, phi)
+
+
+def _cosine(s, phi):
+    # cosine_schedule without its checks.
     return 0.5 * (1.0 + math.cos(min(s / phi, 1.0) * math.pi))
 
 
@@ -98,13 +103,16 @@ def adaptive_weight(t, cfg, beta0=None):
     The schedule argument is 1 - t for the 'elapsed' orientation (strong early
     in denoising) and t for 'remaining' (strong near the data end).  beta0
     defaults to cfg.beta0; a (B,) array of per-row strengths gives (B,)
-    weights under the one schedule and window of cfg.
+    weights under the one schedule and window of cfg.  TransportConfig
+    checked phi and the window when it was built, and inside a window in
+    [0, 1] the argument lies in [0, 1], so S runs without cosine_schedule's
+    checks.
     """
     t_hi, t_lo = cfg.window
     if not (t_lo <= t <= t_hi):
         return 0.0
     s = (1.0 - t) if cfg.orientation == "elapsed" else t
-    return (cfg.beta0 if beta0 is None else beta0) * cosine_schedule(s, cfg.phi)
+    return (cfg.beta0 if beta0 is None else beta0) * _cosine(s, cfg.phi)
 
 
 def clip_norm(v, tau):
@@ -112,9 +120,14 @@ def clip_norm(v, tau):
     if not (np.isfinite(tau) and tau > 0.0):
         raise ValueError(f"tau must be positive, got {tau}")
     v = np.asarray(v, dtype=float)
-    n = np.linalg.norm(v, axis=-1, keepdims=v.ndim > 1)
+    return _clip(v, np.linalg.norm(v, axis=-1), tau)
+
+
+def _clip(v, n, tau):
+    # clip_norm given v's row norms n, without its checks.
     if v.ndim == 1:
         return v if n <= tau else v * (tau / n)
+    n = n[..., None]
     return np.where(n > tau, v * (tau / np.maximum(n, 1e-300)), v)
 
 
@@ -139,16 +152,23 @@ def enhance_velocity(v_base, z, z_target, t, cfg, beta0=None):
         return v_base, 0.0, 0.0
     d = transport_direction(z, z_target, t, cfg.delta)
     raw_norm = np.linalg.norm(d, axis=-1)
+    clipped = _clip(d, raw_norm, cfg.clip_tau)
     if beta0 is None:
-        return v_base + w * clip_norm(d, cfg.clip_tau), w, raw_norm
+        return v_base + w * clipped, w, raw_norm
     w = w * np.asarray(beta0, dtype=float)
     on = w != 0.0
-    v = np.where(on[:, None], v_base + w[:, None] * clip_norm(d, cfg.clip_tau), v_base)
+    v = np.where(on[:, None], v_base + w[:, None] * clipped, v_base)
     return v, w, np.where(on, raw_norm, 0.0)
 
 
 def make_enhanced(field, z_target, cfg):
-    """Wrap a velocity field(z, t) with the transport correction anchored on z_target."""
+    """Wrap a velocity field(z, t) with the transport correction anchored on
+    z_target: enhanced(z, t) is enhance_velocity(field(z, t), z, z_target,
+    t, cfg)[0].  At cfg.beta0 = 0 every weight is zero and that is field(z,
+    t) itself, so field is returned unwrapped."""
+    if cfg.beta0 == 0.0:
+        return field
+
     def enhanced(z, t):
         return enhance_velocity(field(z, t), z, z_target, t, cfg)[0]
     return enhanced

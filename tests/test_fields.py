@@ -732,6 +732,49 @@ def test_make_velocity_binds_arguments():
                           evaluate(reg, z, 0.5, Condition.dataset("a"), GuidanceScales()))
 
 
+def _binding_registries(d=4):
+    # A Gaussian-only, a points-only and a mixed registry in d dimensions,
+    # each with two entries, and 257 states around them.
+    rng = _rng(80, d)
+    covs = [A @ A.T + 0.2 * np.eye(d) for A in rng.standard_normal((2, d, d)) / np.sqrt(d)]
+    clouds = [shift + 0.5 * rng.standard_normal((12, d)) for shift in (-0.5, 0.5)]
+    regs = {
+        "gaussian": FieldRegistry().add_gaussian("a", -0.5 * np.ones(d), covs[0])
+                                   .add_gaussian("b", 0.5 * np.ones(d), covs[1]),
+        "points": FieldRegistry().add_points("a", clouds[0]).add_points("b", clouds[1]),
+        "mixed": FieldRegistry().add_gaussian("a", -0.5 * np.ones(d), covs[0])
+                                .add_points("b", clouds[1]),
+    }
+    return regs, 0.8 * rng.standard_normal((257, d))
+
+
+@pytest.mark.parametrize("b", [1, 4, 257])
+@pytest.mark.parametrize("kind", ["gaussian", "points", "mixed"])
+def test_bound_field_equals_evaluate_across_its_time_memo(kind, b):
+    # One binding called along a time sequence that hits its memo (a
+    # repeated t; two times below t_floor, which clamp to the same t) and
+    # misses it equals evaluate, which binds afresh per call, bit for bit,
+    # and each of its rows equals its own single-row call.
+    regs, zs = _binding_registries()
+    reg, zs = regs[kind], zs[:b]
+    times = [0.3, 0.3, 1.0, 1e-6, 1e-5, 0.3, 1.0, 1.0]
+    conditions = [(Condition.null(), 1.0), (Condition.dataset("a"), 1.0),
+                  (Condition.dataset("b"), 1.0), (Condition.dataset("a"), 2.5),
+                  (Condition.dataset("b"), 0.0)]
+    for cond, w in conditions:
+        scales = GuidanceScales(w=w)
+        field, row_field = make_velocity(reg, cond, scales), make_velocity(reg, cond, scales)
+        for t in times:
+            got = field(zs, t)
+            assert got.shape == zs.shape
+            assert np.array_equal(got, evaluate(reg, zs, t, cond, scales))
+            for i in range(b):
+                assert np.array_equal(got[i], row_field(zs[i], t))
+    for w in (1.0, 2.5):
+        with pytest.raises(UnknownDatasetError):
+            evaluate(reg, zs, 0.3, Condition.dataset("nope"), GuidanceScales(w=w))
+
+
 def test_registry_t_floor_validation():
     with pytest.raises(ValueError):
         FieldRegistry(t_floor=0.0)

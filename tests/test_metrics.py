@@ -458,3 +458,92 @@ def test_verify_discretization_probe_abort_names_its_step():
         verify_discretization_bound(field, transport, z_init, z_target, counts, probe_t=0.6)
     assert calls[probe_call] == 0.6 and len(calls) == probe_call + 1 + counts[0]
     assert (err.value.t, err.value.step, err.value.term) == (0.6, 0, "velocity")
+
+
+# With counts 10-80 (n_fine = 1600, probe_t = 0.6) the check makes its field
+# calls in this order: 4 * 640 for the reference to probe_t, 4 * 960 for the
+# rest of it to t = 0, the probe, then per count its Euler run and a 50-step
+# local reference: 4 * 20 * max + sum(counts) + 1 + 4 * 50 * len(counts).
+_COUNTS = [10, 20, 40, 80]
+
+
+@pytest.mark.parametrize("poisoned, first, step", [
+    (100, 1, 24),                 # the reference from t = 1 to probe_t
+    (5000, 2561, 609),            # the reference from probe_t to t = 0
+    (6500, 6412, 22),             # the local reference after the 10-step run
+], ids=["head", "tail", "local"])
+def test_verify_discretization_reference_abort_names_its_step(poisoned, first, step):
+    # A non-finite velocity inside an RK4 reference aborts that reference at
+    # its own step (counted from the reference's first call), at the time
+    # of the poisoned stage, with term "velocity".  The step's later stages
+    # still run; no other call follows.
+    _, z_init, z_target, _, transport = _shared_setup(beta0_template=0.2)
+    mu = np.array([1.0, -0.5])
+    cov = np.array([[0.8, 0.2], [0.2, 0.5]])
+    calls = []
+
+    def field(z, t):
+        calls.append(t)
+        v = gaussian_marginal_velocity(mu, cov, z, t)
+        return np.full_like(v, np.nan) if len(calls) == poisoned else v
+
+    with pytest.raises(otflow.NumericalAbort) as err:
+        verify_discretization_bound(field, transport, z_init, z_target, _COUNTS, probe_t=0.6)
+    assert (err.value.t, err.value.step, err.value.term) == (calls[poisoned - 1], step, "velocity")
+    assert (poisoned - first) // 4 == step
+    assert len(calls) == first + 4 * step + 3
+
+
+def test_reference_integrate_abort_names_step_time_and_term():
+    # The first non-finite stage of the failed step is reported as the
+    # velocity term at its stage time; finite stages whose combination
+    # overflows report the state term at the step's start time.
+    calls = []
+
+    def poisoned(z, t):
+        calls.append(t)
+        return np.full(2, np.nan) if len(calls) == 7 else z
+
+    with pytest.raises(otflow.NumericalAbort) as err:
+        reference_integrate(poisoned, np.ones(2), 0.0, 1.0, 10)
+    assert (err.value.t, err.value.step, err.value.term) == (calls[6], 1, "velocity")
+    assert calls[6] == 0.1 + 0.5 * 0.1 and len(calls) == 8
+
+    def huge(z, t):
+        calls.append(t)
+        return np.full(2, 1e308) if len(calls) > 8 else z
+
+    calls.clear()
+    with np.errstate(over="ignore"), pytest.raises(otflow.NumericalAbort) as err:
+        reference_integrate(huge, np.ones(2), 0.0, 1.0, 10)
+    assert (err.value.t, err.value.step, err.value.term) == (0.1 + 0.1, 2, "state")
+    assert len(calls) == 12
+
+
+def test_discretization_check_leaves_numpy_ma_unloaded():
+    # np.median's NaN check imports numpy.ma, about 12 ms of a fresh
+    # `otflow verify`; the check's median of its local error ratios does not.
+    src = os.path.dirname(os.path.dirname(otflow.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, numpy as np, otflow\n"
+            "reg = otflow.FieldRegistry().add_gaussian('a', np.zeros(2), np.eye(2))\n"
+            "field = otflow.make_velocity(reg, otflow.Condition.dataset('a'),"
+            " otflow.GuidanceScales())\n"
+            "rep = otflow.verify_discretization_bound(field, otflow.TransportConfig(beta0=0.2),"
+            " np.ones(2), np.zeros(2), [10, 20, 40])\n"
+            "print(rep.passed, [m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "True []"
+
+
+def test_discretization_lipschitz_scale_is_the_median_ratio():
+    # The median of local error / dt^2 over the counts, equal to np.median's:
+    # the middle value, or the mean of the middle pair.
+    _, z_init, z_target, reg, transport = _shared_setup(beta0_template=0.2)
+    field = otflow.make_velocity(reg, Condition.dataset("data"), GuidanceScales())
+    for counts in ([10, 20, 40], _COUNTS):
+        rep = verify_discretization_bound(field, transport, z_init, z_target, counts)
+        local = np.array([(dt, err) for series, dt, err in rep.measured if series == "local"])
+        want = float(np.median(local[:, 1] / local[:, 0] ** 2))
+        assert rep.fitted_constants["lipschitz_scale"] == want

@@ -16,6 +16,7 @@ from otflow import (
     clip_norm,
     cosine_schedule,
     enhance_velocity,
+    make_enhanced,
     transport_direction,
 )
 
@@ -228,3 +229,49 @@ def test_enhance_velocity_per_row_beta0_equals_scalar_calls():
     gated = TransportConfig(beta0=0.5, phi=1.0, window=(0.3, 0.0))
     out, weight, raw_norm = enhance_velocity(v, z, z_target, t, gated, beta0=beta0)
     assert out is v and weight == 0.0 and raw_norm == 0.0
+
+
+def _field(z, t):
+    # A deterministic stand-in base velocity.
+    return np.sin(3.0 * np.asarray(z)) * (1.0 + t)
+
+
+@pytest.mark.parametrize("batch", [False, True], ids=["state", "batch"])
+def test_make_enhanced_equals_enhance_velocity(batch):
+    # At t = 0.5 the rows' directions have norms 2.5, 5 and 10 against
+    # clip_tau = 5: below, exactly at (a 3-4-5 triangle) and above it.  The
+    # configs give a window whose edges t = 0.9 and 0.5 both weigh, s = phi
+    # at t = 0.4 (weight exactly 0), and zero strength, for which the field
+    # itself comes back.
+    z_target = np.array([0.5, -1.0])
+    z = z_target - np.array([[0.75, 1.0], [1.5, 2.0], [3.0, 4.0]])
+    norms = np.linalg.norm(transport_direction(z, z_target, 0.5, 0.01), axis=-1)
+    assert norms.tolist() == [2.5, 5.0, 10.0]
+    configs = [TransportConfig(beta0=0.6, phi=0.6, clip_tau=5.0, window=(0.9, 0.5)),
+               TransportConfig(beta0=0.6, phi=0.6, clip_tau=5.0),
+               TransportConfig(beta0=0.0, phi=0.6, clip_tau=5.0)]
+    assert adaptive_weight(0.5, configs[0]) > 0.0 and adaptive_weight(0.9, configs[0]) > 0.0
+    assert adaptive_weight(0.4, configs[1]) == 0.0
+    for cfg in configs:
+        enhanced = make_enhanced(_field, z_target, cfg)
+        assert (enhanced is _field) == (cfg.beta0 == 0.0)
+        for t in (0.9, 0.5, 0.4, 0.95, 0.2):
+            for zs in ([z] if batch else z):
+                want = enhance_velocity(_field(zs, t), zs, z_target, t, cfg)[0]
+                got = enhanced(zs, t)
+                assert got.shape == zs.shape and np.array_equal(got, want)
+
+
+def test_clip_norm_row_equals_its_batch_row():
+    # clip_norm of a (d,) row equals that row of the (1, d) call: random
+    # rows above and below tau, and (3, 4, 0, ...) exactly at tau = 5.
+    rng = np.random.Generator(np.random.PCG64(11))
+    for d in (2, 3, 8, 16, 64):
+        rows = rng.standard_normal((400, d)) * rng.uniform(0.5, 4.0, (400, 1))
+        tau = float(np.median(np.linalg.norm(rows, axis=-1)))
+        for v in rows:
+            assert np.array_equal(clip_norm(v, tau), clip_norm(v[None], tau)[0])
+        edge = np.zeros(d)
+        edge[:2] = (3.0, 4.0)
+        assert np.array_equal(clip_norm(edge, 5.0), edge)
+        assert np.array_equal(clip_norm(edge[None], 5.0)[0], edge)
