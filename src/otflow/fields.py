@@ -38,12 +38,15 @@ and at each block position beside random, NaN, inf and huge rows, fail
 should a numpy ever fold the stack into one GEMM.
 
 Conditions select which field an evaluation uses, resolved once when
-make_velocity binds them (evaluate binds and calls once): the null
-condition pools every registered dataset, and a dataset condition blends
-that entry's field with the null field at classifier-free guidance weight
-w.  At w != 1 both branches come from one call: the null field is a
-mixture with one component per registered entry, and the entry's field is
-its own component's velocity.
+make_velocity binds them (evaluate binds and calls once), and a binding takes
+one of two paths.  The null condition of a registry of point sets only makes
+one pass over their pooled atoms, prepared at registration: it is
+empirical_marginal_velocity on the concatenated sets bit for bit, which the
+per-set mixture matches only to rounding (about 1e-13 relative).  Every other
+condition calls the null mixture, which has one component per registered
+entry and gives the null field and each entry's own field, its column, from
+one call.  A dataset condition blends its column with the null field at
+classifier-free guidance weight w, and at w = 1 is the column untouched.
 A Gaussian is weighed by its log density from the one Gaussian kernel call.
 A point set makes one softmax pass over its atoms, giving its max logit m,
 the sum s of exp(logit - m) and its field, and is weighed by
@@ -52,10 +55,7 @@ exp(m + offset - top) s: its logits are exact up to the per-row constant
 a (c_s - c_0) . (2 z - a (c_0 + c_s)) / (2 t^2) moves them to the first
 set's without the ||z||^2 cancellation.  The offset is an elementwise product
 summed along each row, as a (b, d) @ (d,) GEMV's reduction order would be
-BLAS's pick for b.  The null condition alone, on a registry of point sets
-only, makes one pass over their pooled atoms, prepared at registration: it is
-empirical_marginal_velocity on the concatenated sets bit for bit, which the
-per-set mixture matches only to rounding (about 1e-13 relative).
+BLAS's pick for b.
 """
 
 import math
@@ -208,19 +208,16 @@ def _gaussian_terms(stack, t):
     return a * means, (t - a * eigvals) / c_eig, 1.0 / c_eig, 0.5 * np.add.reduce(np.log(c_eig), axis=1)
 
 
-def _gaussian_velocity_eig(stack, terms, zb, densities=True):
+def _gaussian_velocity_eig(stack, terms, zb):
     # m stacked components ((m, d) means and eigenvalues, (m, d, d)
     # eigenvectors) at (b, d) states zb, given their _gaussian_terms at t.
     # With y = Q^T (z - a mu):
     #   log densities (b, m):  -(y . y / c + sum log c) / 2 + const
     #   velocities (b, m, d):  Q diag((t - a lam) / c) y - mu
-    # With densities false the log densities are skipped and returned as None.
     means, eigvecs = stack[0], stack[2]
     a_mu, gains, inv_c, half_log_c = terms
     y = ((zb[:, None, :] - a_mu)[:, :, None, :] @ eigvecs)[:, :, 0, :]
     v = (eigvecs @ (y * gains)[..., None])[..., 0] - means
-    if not densities:
-        return None, v
     quad = np.einsum("bmj,bmj->bm", y * inv_c, y)
     return -0.5 * quad - half_log_c, v
 
@@ -244,14 +241,6 @@ def _gaussian_stack(mean, cov, where=""):
     return cov, (mean[None], np.clip(eigvals, 0.0, None)[None], eigvecs[None])
 
 
-def _one_gaussian_velocity(one, z, terms):
-    # The velocity of a one-component stack at z, shaped like z, given the
-    # stack's _gaussian_terms; the log density, which only a mixture weighs,
-    # is not computed.
-    _, v = _gaussian_velocity_eig(one, terms, z.reshape(-1, z.shape[-1]), False)
-    return v[:, 0].reshape(z.shape)
-
-
 def gaussian_marginal_velocity(mean, cov, z, t, t_floor=1e-4):
     """Marginal velocity for data drawn from N(mean, cov).
 
@@ -262,7 +251,9 @@ def gaussian_marginal_velocity(mean, cov, z, t, t_floor=1e-4):
     z = np.asarray(z, dtype=float)
     if z.shape[-1] != cov.shape[0]:
         raise ValueError(f"state dim {z.shape[-1]} != gaussian dim {cov.shape[0]}")
-    return _one_gaussian_velocity(one, z, _gaussian_terms(one, _clamp_t(t, t_floor)))
+    terms = _gaussian_terms(one, _clamp_t(t, t_floor))
+    _, v = _gaussian_velocity_eig(one, terms, z.reshape(-1, z.shape[-1]))
+    return v[:, 0].reshape(z.shape)
 
 
 def conditional_linear_velocity(z_ref, z, t, t_floor=1e-4):
@@ -310,13 +301,14 @@ class FieldRegistry:
     without Gaussians reads; Gaussians are stacked for the one Gaussian
     kernel, and each Gaussian's sampling factor taken from one SVD of its
     cov), so evaluations and draws never mutate it and sweep cells that keep
-    the datasets can share one registry.  A guided evaluation makes one pass
-    per point set and one Gaussian kernel call, and combines them into the
-    null mixture (see the module docstring).  The kernels' rows depend on
-    neither the batch nor the other entries (point contractions run on
-    fixed-shape, zero-padded blocks of _ROWS rows, Gaussian contractions as
-    per-row stacked matmuls, the cross-set offsets row by row), so an entry
-    evaluated alone equals its column of the null mixture bit for bit.
+    the datasets can share one registry.  Every field but that pooled null
+    makes one pass per point set and one Gaussian kernel call, and combines
+    them into the null mixture (see the module docstring).  The kernels' rows
+    depend on neither the batch nor the other entries (point contractions run
+    on fixed-shape, zero-padded blocks of _ROWS rows, Gaussian contractions as
+    per-row stacked matmuls, the cross-set offsets row by row), so an entry's
+    column of the null mixture equals gaussian_marginal_velocity or
+    empirical_marginal_velocity on the entry's own data bit for bit.
     """
 
     def __init__(self, t_floor=1e-4):
@@ -398,13 +390,6 @@ class FieldRegistry:
         z = rng.standard_normal(shape).reshape(-1, cov.shape[0])
         return (mean + z @ self._gaussians[name][3]).reshape(shape)
 
-    def _entry_velocity(self, name, z, t):
-        # The entry's own field, as a dataset condition at w = 1 evaluates it.
-        return make_velocity(self, Condition.dataset(name), GuidanceScales())(z, t)
-
-    def _null_velocity(self, z, t):
-        return make_velocity(self, Condition.null(), GuidanceScales())(z, t)
-
     def _column(self, name):
         # The entry's column in _mixture's entry velocities.
         if name in self._gaussians:
@@ -412,15 +397,6 @@ class FieldRegistry:
         if name in self._points:
             return len(self._gaussians) + list(self._points).index(name)
         raise UnknownDatasetError(name)
-
-    def _mixture_velocity(self, z, t):
-        # _mixture at state(s) z and time t: the null velocity, shaped like z,
-        # and the entry velocities.
-        t = _clamp_t(t, self.t_floor)
-        z = np.asarray(z, dtype=float)
-        terms = _gaussian_terms(self._stacked, t) if self._gaussians else None
-        v, vels = self._mixture(z.reshape(-1, z.shape[-1]), t, terms)
-        return v.reshape(z.shape), vels
 
     def _mixture(self, zb, t, terms):
         # The null field as a mixture with one component per registered
@@ -468,12 +444,11 @@ def evaluate(registry, z, t, condition, scales):
     """Dispatch a velocity evaluation through a condition: binds with
     make_velocity and calls once.
 
-    null: pooled field over every registered dataset.  dataset(name): that
-    entry's field blended with the null field at scales.w.  At w != 1 the
-    entry's field, Gaussian or point set, is read from the null mixture's own
-    call, which makes one pass per point set and combines the sets through
-    their row-wise log offsets (see the module docstring).  A name the
-    registry does not hold raises UnknownDatasetError.
+    null: the field of every registered dataset together.  dataset(name):
+    that entry's column of the null mixture blended with the null field at
+    scales.w, the column itself at w = 1.  A name the registry does not hold
+    raises UnknownDatasetError, and a state whose last axis is not the
+    registry's dimension a ValueError.
     """
     return make_velocity(registry, condition, scales)(z, t)
 
@@ -482,15 +457,18 @@ def make_velocity(registry, condition, scales):
     """Bind (registry, condition, scales) into a (z, t) -> v callable, the
     one evaluation path (evaluate binds and calls once).
 
-    Binding resolves the condition once: null, or a dataset's column in the
-    null mixture and the weight w it is blended at (see evaluate).  A name
-    the registry does not hold raises UnknownDatasetError here, and the null
-    condition of an empty registry a ValueError.  Binding relies on the
-    registry's rule that every dataset is registered before any field is
-    used.  The callable keeps, as one tuple, the Gaussian stack's time-only
-    terms (_gaussian_terms) for the last clamped t it saw: calls at a
-    repeated time, as RK4's stages make, skip them and make the same kernel
-    call with the same terms.
+    Binding resolves the condition once to one of two paths.  The null
+    condition of a registry that holds only point sets makes one pass over
+    their pooled atoms.  Every other condition calls the null mixture
+    (FieldRegistry._mixture): the null condition returns its null field, and
+    a dataset condition the entry's column at w = 1, the null field at w = 0,
+    and v + w (column - v) otherwise.  A name the registry does not hold
+    raises UnknownDatasetError here, and the null condition of an empty
+    registry a ValueError.  Binding relies on the registry's rule that every
+    dataset is registered before any field is used.  The callable keeps, as
+    one tuple, the Gaussian stack's time-only terms (_gaussian_terms) for the
+    last clamped t it saw: calls at a repeated time, as RK4's stages make,
+    skip them and make the same kernel call with the same terms.
     """
     t_floor, w = registry.t_floor, scales.w
     column = None
@@ -498,16 +476,12 @@ def make_velocity(registry, condition, scales):
         column = registry._column(condition.name)
     elif not registry._order:
         raise ValueError("registry has no datasets; cannot evaluate the null condition")
-    entry = column is not None and w == 1.0
     if column is None and not registry._gaussians:
         # One pass over the pooled atoms: the pooled kernel bit for bit,
         # where the per-set mixture agrees with it only to rounding.
-        pset = registry._pooled
-    else:
-        pset = registry._points.get(condition.name) if entry else None
-    if pset is not None:
-        return lambda z, t: empirical_marginal_velocity(pset, z, t, t_floor)
-    stack = registry._gaussians[condition.name][0] if entry else registry._stacked
+        pooled = registry._pooled
+        return lambda z, t: empirical_marginal_velocity(pooled, z, t, t_floor)
+    stack, dim = registry._stacked, registry.dim()
     blend = column is not None and w != 0.0
     memo = (None, None)
 
@@ -518,11 +492,11 @@ def make_velocity(registry, condition, scales):
         if stack is not None and last[0] != t:
             last = memo = (t, _gaussian_terms(stack, t))
         z = np.asarray(z, dtype=float)
-        if entry:
-            return _one_gaussian_velocity(stack, z, last[1])
-        v, vels = registry._mixture(z.reshape(-1, z.shape[-1]), t, last[1])
+        if z.shape[-1] != dim:
+            raise ValueError(f"state dim {z.shape[-1]} != registry dim {dim}")
+        v, vels = registry._mixture(z.reshape(-1, dim), t, last[1])
         if blend:
-            v = v + w * (vels[:, column] - v)
+            v = vels[:, column] if w == 1.0 else v + w * (vels[:, column] - v)
         return v.reshape(z.shape)
 
     return velocity

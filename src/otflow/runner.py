@@ -192,9 +192,9 @@ def _generate(cfg, seed, beta0):
     guided by the transport term at strength beta0."""
     x_target = cfg.inputs["x_target"]
     # Checked at load too; here for the sweep rows, whose beta0 the sweep
-    # plan gives past the load checks.
+    # plan gives past the load checks, with the text derive_config gives.
     if beta0 > 0.0 and x_target is None:
-        raise ConfigError(_GENERATE_NEEDS_TARGET)
+        raise ConfigError(f"transport.beta0: {_GENERATE_NEEDS_TARGET}")
     noise = make_rng(seed).standard_normal((cfg.inputs["count"], cfg.registry.dim()))
     anchor = None if x_target is None else cfg.codec.encode(x_target)
     final = guided_final_states(cfg.registry, cfg.editor["condition"], cfg.scales, cfg.grid,

@@ -138,6 +138,25 @@ def _assert_relative(got, want, tol=1e-12):
     assert np.all(err <= tol * np.linalg.norm(want, axis=1)), err.max()
 
 
+def _mixture(reg, z, t):
+    # The registry's null mixture at state(s) z and time t, as make_velocity
+    # calls it: the null velocity, shaped like z, and the (b, m + k, d) entry
+    # velocities, Gaussians then point sets.
+    t = fields._clamp_t(t, reg.t_floor)
+    z = np.asarray(z, dtype=float)
+    terms = fields._gaussian_terms(reg._stacked, t) if reg._gaussians else None
+    v, vels = reg._mixture(z.reshape(-1, z.shape[-1]), t, terms)
+    return v.reshape(z.shape), vels
+
+
+def _entry_field(reg, name, z, t):
+    # Entry name's field from the public kernel that needs no registry, run
+    # on the entry's own data.
+    if reg.kind(name) == "gaussian":
+        return gaussian_marginal_velocity(*reg.gaussian(name), z, t)
+    return empirical_marginal_velocity(reg.points(name), z, t)
+
+
 def _workload_sets(d=16, n=1024):
     # Two 1024-point sets in 16-D, flowedit_points' shape, and 257 states
     # noised from their atoms at t so that posteriors spread over atoms.
@@ -285,7 +304,7 @@ def _combined_paths(reg):
     # The two fields built from one pass per point set: the combined null
     # branch of a guided evaluation, and set b at w = 5.5.
     return {
-        "combined": lambda zs, t: reg._mixture_velocity(zs, t)[0],
+        "combined": lambda zs, t: _mixture(reg, zs, t)[0],
         "guided": lambda zs, t: evaluate(reg, zs, t, Condition.dataset("b"), GuidanceScales(w=5.5)),
     }
 
@@ -340,10 +359,11 @@ def test_guided_point_entry_shares_one_pass_per_set(w, monkeypatch):
             calls.clear()
             got = evaluate(reg, z, t, Condition.dataset(name), GuidanceScales(w=w))
             assert len(calls) == 2
-            v_cond = reg._entry_velocity(name, z, t)
-            want = cfg_blend(reg._mixture_velocity(z, t)[0], v_cond, w)
+            v_cond = _entry_field(reg, name, z, t)
+            want = cfg_blend(_mixture(reg, z, t)[0], v_cond, w)
             assert got.shape == z.shape and np.array_equal(got, want)
-            pooled = cfg_blend(reg._null_velocity(z, t), v_cond, w).reshape(-1, z.shape[-1])
+            v_null = evaluate(reg, z, t, Condition.null(), GuidanceScales())
+            pooled = cfg_blend(v_null, v_cond, w).reshape(-1, z.shape[-1])
             _assert_relative(got.reshape(-1, z.shape[-1]), pooled, 1e-13)
 
 
@@ -367,7 +387,7 @@ def test_point_sets_far_apart_large_state_and_t_floor(t):
     reg = FieldRegistry().add_points("a", points).add_points("b", other)
     v_null = np.array([_pooled_reference(z, t, [points, other]) for z in zs])
     v_a = np.array([_pooled_reference(z, t, [points]) for z in zs])
-    _assert_relative(reg._mixture_velocity(zs, t)[0], v_null, 1e-10)
+    _assert_relative(_mixture(reg, zs, t)[0], v_null, 1e-10)
     _assert_relative(evaluate(reg, zs, t, Condition.null(), GuidanceScales()), v_null, 1e-10)
     _assert_relative(evaluate(reg, zs, t, Condition.dataset("a"), GuidanceScales(w=5.5)),
                      v_null + 5.5 * (v_a - v_null), 1e-10)
@@ -383,6 +403,19 @@ def test_empirical_validation():
     for cond in (Condition.null(), Condition.dataset("a")):
         with pytest.raises(ValueError, match="state dim"):
             evaluate(reg, np.zeros(3), 0.5, cond, GuidanceScales())
+
+
+@pytest.mark.parametrize("w", [1.0, 2.5])
+@pytest.mark.parametrize("kind", ["gaussian", "points", "mixed"])
+def test_bound_fields_reject_a_wrong_state_dim(kind, w):
+    # Every binding names a state of the wrong dimension, single or batched,
+    # before any kernel runs.
+    regs, _ = _binding_registries(d=4)
+    for cond in (Condition.null(), Condition.dataset("a"), Condition.dataset("b")):
+        field = make_velocity(regs[kind], cond, GuidanceScales(w=w))
+        for shape in ((3,), (5,), (7, 3), (7, 5)):
+            with pytest.raises(ValueError, match=r"^state dim "):
+                field(np.zeros(shape), 0.5)
 
 
 def test_gaussian_identity_covariance_closed_form():
@@ -486,7 +519,7 @@ def _two_gaussian_registry(d, with_points):
 @pytest.mark.parametrize("d", [2, 8, 64])
 def test_gaussian_and_mixture_rows_do_not_depend_on_batch(d, with_points):
     # Each row of a batched evaluation equals its single-row call bit for
-    # bit: the entry Gaussian, the null mixture and the guided blend.
+    # bit: the entry's column at w = 1, the null mixture and the guided blend.
     b, t = 257, 0.4
     reg = _two_gaussian_registry(d, with_points)
     zs = 0.8 * _rng(51, d).standard_normal((b, d))
@@ -513,7 +546,8 @@ def test_guided_gaussian_entry_shares_the_null_kernel_call(d, with_points, monke
             calls.clear()
             got = evaluate(reg, z, t, Condition.dataset(name), GuidanceScales(w=2.0))
             assert len(calls) == 1
-            want = cfg_blend(reg._null_velocity(z, t), reg._entry_velocity(name, z, t), 2.0)
+            v_null = evaluate(reg, z, t, Condition.null(), GuidanceScales())
+            want = cfg_blend(v_null, _entry_field(reg, name, z, t), 2.0)
             assert got.shape == z.shape and np.array_equal(got, want)
 
 
@@ -561,13 +595,40 @@ def test_gaussian_rows_do_not_depend_on_batch_at_workload_shapes(setting, b):
             _assert_relative(batch, want)
 
 
-@pytest.mark.parametrize("setting", ["invert_sweep", "verify_bounds"])
+def _column_setting(setting):
+    # A registry at a benchmark workload's shape and its states by time:
+    # invert_sweep's or verify_bounds' two Gaussians, flowedit_points' two
+    # 1024-point sets in 16-D, or those two sets registered after a Gaussian,
+    # with half the states noised from the Gaussian.
+    if setting in ("invert_sweep", "verify_bounds"):
+        reg, _, _, states = _workload_gaussians(setting)
+        return reg, states
+    a, other, zs, t = _workload_sets()
+    if setting == "points":
+        return FieldRegistry().add_points("a", a).add_points("b", other), {t: zs}
+    d, rng = a.shape[1], _rng(67)
+    m = rng.standard_normal((d, d)) / 4
+    reg = (FieldRegistry().add_gaussian("g", 0.5 + 0.3 * rng.standard_normal(d),
+                                        m @ m.T + 0.2 * np.eye(d))
+           .add_points("a", a).add_points("b", other))
+    noised = (1 - t) * reg.sample_gaussian("g", rng, 128) + t * rng.standard_normal((128, d))
+    return reg, {t: np.concatenate([zs[:129], noised])}
+
+
+@pytest.mark.parametrize("setting", ["invert_sweep", "verify_bounds", "points", "mixed"])
 def test_gaussian_entry_equals_its_null_column_at_workload_shapes(setting):
-    reg, _, _, states = _workload_gaussians(setting)
+    # Each entry's column of the null mixture, and a dataset condition at
+    # w = 1, equal the public kernel on that entry's own data bit for bit, at
+    # b = 1, 4, 257 and at the whole state bank.
+    reg, states = _column_setting(setting)
     for t, zs in states.items():
-        gauss_v = reg._mixture_velocity(zs, t)[1]
-        for k, name in enumerate(("a", "b")):
-            assert np.array_equal(reg._entry_velocity(name, zs, t), gauss_v[:, k])
+        for b in sorted({1, 4, 257, len(zs)}):
+            vels = _mixture(reg, zs[:b], t)[1]
+            for name in reg.names():
+                want = _entry_field(reg, name, zs[:b], t)
+                assert np.array_equal(vels[:, reg._column(name)], want)
+                got = evaluate(reg, zs[:b], t, Condition.dataset(name), GuidanceScales())
+                assert np.array_equal(got, want)
 
 
 def test_conditional_linear_lands_exactly():

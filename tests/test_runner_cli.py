@@ -272,7 +272,22 @@ def test_generate_sweep_beta0_cell_without_anchor_fails_alone(tmp_path):
     out = run_sweep(_cfg(text), out_dir=str(tmp_path))
     records = list(csv.DictReader(open(out.results_path)))
     assert out.n_failed == 2 and [r["error"] for r in records] == ["", ""] + [
-        "ConfigError: generate with transport.beta0 > 0 needs inputs.x_target"] * 2
+        "ConfigError: transport.beta0: generate with transport.beta0 > 0 needs inputs.x_target"] * 2
+
+
+def test_generate_sweep_cell_without_anchor_errs_alike_at_either_base_beta0(tmp_path):
+    # At base beta0 0 the generate group derives and its beta0 = 0.5 rows fail
+    # at run time; at base beta0 0.5 the group fails to derive and the cell
+    # derives alone.  Both report the text derive_config gives the cell.
+    axes = "axis = experiment.algorithm: invert_edit, generate\naxis = transport.beta0: 0, 0.5\n"
+    errors = []
+    for base in ("0", "0.5"):
+        text = _EDIT_CFG.replace("beta0 = 0.1", f"beta0 = {base}") + "[sweep]\n" + axes
+        out = run_sweep(_cfg(text), out_dir=str(tmp_path / base))
+        records = csv.DictReader(open(out.results_path, encoding="utf-8"))
+        errors.append([r["error"] for r in records])
+    failed = "ConfigError: transport.beta0: " + _GENERATE_NEEDS_TARGET
+    assert errors[0] == errors[1] == ["", "", "", failed]
 
 
 def test_run_verify_kind_dispatch():

@@ -1,0 +1,39 @@
+"""Checks on the package source itself, read as syntax trees."""
+
+import ast
+import collections
+import pathlib
+
+import otflow
+
+_SRC = pathlib.Path(otflow.__file__).parent
+
+
+def _references(node):
+    # Names and attribute names read anywhere under node; a docstring or
+    # comment that mentions a name does not count.
+    refs = collections.Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            refs[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            refs[sub.attr] += 1
+    return refs
+
+
+def test_every_private_function_has_a_caller_in_the_package():
+    # A private function or method that only tests call is dead code kept
+    # alive by its tests: each must be referenced in the package outside its
+    # own body.
+    refs, defs = collections.Counter(), []
+    for path in sorted(_SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        refs += _references(tree)
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and node.name.startswith("_")
+                    and not (node.name.startswith("__") and node.name.endswith("__"))):
+                defs.append((f"{path.name}:{node.lineno} {node.name}",
+                             node.name, _references(node)[node.name]))
+    assert defs
+    assert [where for where, name, own in defs if refs[name] == own] == []
