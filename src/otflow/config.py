@@ -46,6 +46,7 @@ its <name>.csv inside its output directory.
 import math
 import os
 import re
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -322,7 +323,11 @@ def _build_registry(res, base_dir):
                     path = os.path.join(base_dir, path)
                 if not os.path.exists(path):
                     res._fail(f"{prefix}.csv", f"file not found: {path}")
-                registry.add_points(name, np.loadtxt(path, delimiter=",", ndmin=2))
+                with warnings.catch_warnings():
+                    # A file without data rows fails below as an empty dataset.
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                    points = np.loadtxt(path, delimiter=",", ndmin=2)
+                registry.add_points(name, points)
             elif have == {"mean", "cov"}:
                 registry.add_gaussian(name, res.get(f"{prefix}.mean"), res.get(f"{prefix}.cov"))
             else:

@@ -8,9 +8,15 @@ in the forward convention (pointing toward noise).  For an empirical dataset
 {x_i} the posterior over points is a softmax of -||z - (1-t) x_i||^2 / (2 t^2).
 The point kernel works on the centred rows y_i = x_i - c, c = mean(x): with
 a = 1 - t the logits (a / t^2) ((z - a c) . y_i - a ||y_i||^2 / 2) differ from
-the exact ones by a per-row constant, and v = (z - c - sum_i w_i y_i) / t.
-Centring keeps the expansion free of the ||z||^2 cancellation at large ||z||,
-and no (batch, n, d) tensor is formed.
+the exact ones by a per-row constant.  With m the row's max logit, its
+weights are e_i = exp(logit_i - m) and s = sum_i e_i, and the field is
+v = (z - c - sum_i e_i y_i / s) / t: the (batch, d) weighted sum is divided
+by s, not the (batch, n) weights.  The shifted logits are clamped at
+_LOG_FLOOR = -700 before exp, whose underflowing inputs (below about -708)
+take a path several times slower; exp(-700) is still under _WEIGHT_FLOOR, so
+the flush zeroes the same weights and e, m and s stay bit for bit those of a
+plain exp.  Centring keeps the expansion free of the ||z||^2 cancellation at
+large ||z||, and no (batch, n, d) tensor is formed.
 
 For a Gaussian N(mu, Sigma) the conditional expectation is linear in z:
 
@@ -27,8 +33,9 @@ contraction is instead a stacked matmul, which numpy runs as one BLAS call
 per stack item, each of the same fixed shape whatever b is.  The point
 kernel pads its rows with zero rows to whole blocks of _ROWS and contracts
 each block against a set: the logits as one (_ROWS, d + 1) @ (d + 1, n)
-product of [u, -a/2] with the basis, the centred rows over their squared
-norms, and the weighted sums as (_ROWS, n) @ (n, d).  A row's result then
+product of (a / t^2) [u, -a/2], scaled on that small left side, with the
+basis, the centred rows over their squared norms, and the weighted sums as
+(_ROWS, n) @ (n, d).  A row's result then
 depends neither on its position in its block nor on what stands beside it
 there: padding, live rows, or the NaN rows of failed trajectories.  The
 Gaussian kernel's two projections are (b, m, 1, d) @ (m, d, d) and
@@ -65,6 +72,9 @@ import numpy as np
 
 # Posterior weights smaller than this are flushed to zero before renormalizing.
 _WEIGHT_FLOOR = 1e-300
+# The point kernel clamps its max-shifted logits here before exp (see
+# _point_pass); exp(-700) ~ 9.9e-305 is below _WEIGHT_FLOOR.
+_LOG_FLOOR = -700.0
 # Rows per block in the point kernel's contractions (see the module docstring).
 _ROWS = 4
 
@@ -147,33 +157,36 @@ def _row_blocks(x, width):
 
 def _point_logits(pset, u, a, t):
     # -||z - a x_i||^2 / (2 t^2) + ||u||^2 / (2 t^2) with u = z - a c: one
-    # product [u, -a/2] @ basis per row block, scaled by a / t^2 after it.
+    # product (a / t^2) [u, -a/2] @ basis per row block, the scale applied to
+    # the (_ROWS, d + 1) left operand rather than to the (_ROWS, n) logits.
     # Returns (k * _ROWS, n) rows, those past u's b rows being padding.
     d = u.shape[1]
     aug = _row_blocks(u, d + 1)
     aug[:, :, d] = -0.5 * a
-    logits = (aug @ pset.basis).reshape(-1, len(pset))
-    logits *= a / (t * t)
-    return logits
+    aug *= a / (t * t)
+    return (aug @ pset.basis).reshape(-1, len(pset))
 
 
 def _point_pass(pset, zb, t):
     # One softmax pass of the (b, d) states zb over a prepared set at clamped
-    # t: per row the max logit m and the sum s of exp(logit - m), each (b, 1),
-    # and the set's own field (zb - c - sum_i w_i y_i) / t with w = exp / s.
+    # t: per row the max logit m and the sum s of e_i = exp(logit_i - m), each
+    # (b, 1), and the set's own field (zb - c - sum_i e_i y_i / s) / t.
     b = zb.shape[0]
     logits = _point_logits(pset, zb - (1.0 - t) * pset.centre, 1.0 - t, t)
     # The softmax runs on the b live rows; the padding rows weigh nothing.
     w = logits[:b]
     m = w.max(axis=1, keepdims=True)  # max-shift for stability
     w -= m
+    # exp takes a slow path on results that underflow (inputs below about
+    # -708); exp(_LOG_FLOOR) is a normal double under _WEIGHT_FLOOR, so the
+    # flush zeroes the same entries, and np.maximum keeps NaN rows NaN.
+    np.maximum(w, _LOG_FLOOR, out=w)
     np.exp(w, out=w)
     w[w < _WEIGHT_FLOOR] = 0.0
     s = w.sum(axis=1, keepdims=True)
-    w /= s
     logits[b:] = 0.0
     y_sum = (logits.reshape(-1, _ROWS, len(pset)) @ pset.centred).reshape(-1, zb.shape[1])
-    return m, s, (zb - pset.centre - y_sum[:b]) / t
+    return m, s, (zb - pset.centre - y_sum[:b] / s) / t
 
 
 def empirical_marginal_velocity(points, z, t, t_floor=1e-4):

@@ -1,6 +1,7 @@
 """Config parsing, preset expansion, validation, and serialization."""
 
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -448,6 +449,18 @@ def test_csv_dataset_resolves_relative_to_config(tmp_path):
     with pytest.raises(ConfigError, match="file not found"):
         _load(["[experiment]", "algorithm = generate",
                "[dataset.c]", "csv = missing.csv"], base_dir=str(tmp_path))
+
+
+@pytest.mark.parametrize("text", ["", "# no rows\n"])
+def test_csv_dataset_without_rows_fails_with_its_config_error_alone(tmp_path, text):
+    # No numpy warning comes before the error, which keeps the key's line.
+    (tmp_path / "empty.csv").write_text(text, encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError) as ei:
+            _load(_GAUSSIAN[:3] + ["csv = empty.csv"], base_dir=str(tmp_path))
+    assert ei.value.line == 4
+    assert str(ei.value) == "line 4: dataset.d: points must be a non-empty (n, d) array"
 
 
 def test_load_config_missing_file():

@@ -112,6 +112,89 @@ def test_empirical_large_state_and_t_floor(offset, z_scale, t):
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
+# Shifted logits -a^2 |o|^2 / 2 of atoms t o away from a base atom: above
+# fields._LOG_FLOOR, between it and exp's underflow to zero (about -745), and
+# below that.
+_LADDER = (-0.5, -10.0, -100.0, -650.0, -715.0, -730.0, -760.0, -900.0, -1e4, -1e6)
+
+
+def _ladder_set(t, d=16):
+    # A base atom, atoms at the _LADDER's shifted logits from it along the
+    # first axis and a cloud of 64 atoms, all at offsets scaled by t so that
+    # the centred logits keep their precision at small t.
+    rng = _rng(42, d)
+    base = rng.standard_normal(d)
+    ladder = np.zeros((len(_LADDER), d))
+    ladder[:, 0] = np.sqrt(-2.0 * np.array(_LADDER)) / (1.0 - t)
+    return base, base + t * np.concatenate([np.zeros((1, d)), ladder, 3.0 * rng.standard_normal((64, d))])
+
+
+@pytest.mark.parametrize("t", [1e-4, 0.02, 0.1, 0.5])
+@pytest.mark.parametrize("b", [1, 4, 5, 64])
+def test_point_pass_clamp_keeps_the_softmax_bit_for_bit(b, t):
+    # The clamp at _LOG_FLOOR before exp must leave m and s those of a plain
+    # exp softmax over the same logits, flushed at _WEIGHT_FLOOR, with row 1
+    # (when there is one) a NaN row beside the live ones.
+    base, points = _ladder_set(t)
+    pset = fields._PointSet(points)
+    a = 1.0 - t
+    zs = a * base + 0.02 * t * _rng(43, b).standard_normal((b, points.shape[1]))
+    zs[1:2] = np.nan
+    live = ~np.isnan(zs[:, 0])
+    with np.errstate(invalid="ignore"):
+        m, s, v = fields._point_pass(pset, zs, t)
+        logits = fields._point_logits(pset, zs - a * pset.centre, a, t)[:b]
+        m_ref = logits.max(axis=1, keepdims=True)
+        e = np.exp(logits - m_ref)
+        e[e < fields._WEIGHT_FLOOR] = 0.0
+    assert np.array_equal(m, m_ref, equal_nan=True)
+    assert np.array_equal(s, e.sum(axis=1, keepdims=True), equal_nan=True)
+    shifted = (logits - m_ref)[live]
+    assert np.all(np.any(shifted > fields._LOG_FLOOR, axis=1))
+    assert np.all(np.any((shifted < fields._LOG_FLOOR) & (shifted > -745.0), axis=1))
+    assert np.all(np.any(shifted < -745.0, axis=1))
+    assert np.all(np.isnan(v[~live]))
+    for z, got in zip(zs[live], v[live]):
+        want = _softmax_field_reference(points, z, t)
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def test_point_pass_keeps_exp_off_its_underflow_path(monkeypatch):
+    # Rows far from the set at t_floor (t = 0 is clamped there), one of them
+    # NaN: nearly every shifted logit lies far below exp's underflow, and no
+    # exp input may fall below _LOG_FLOOR.
+    points = _rng(44).standard_normal((256, 16))
+    zs = 5.0 + _rng(45).standard_normal((9, 16))
+    zs[3] = np.nan
+    seen, exp = [], np.exp
+
+    def recording_exp(x, *args, **kwargs):
+        seen.append(np.nanmin(x))
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", recording_exp)
+    with np.errstate(invalid="ignore"):
+        v = empirical_marginal_velocity(points, zs, 0.0)
+    assert seen and min(seen) >= fields._LOG_FLOOR
+    assert np.all(np.isfinite(np.delete(v, 3, axis=0))) and np.all(np.isnan(v[3]))
+
+
+def test_large_point_set_at_t_floor():
+    # 16,384 atoms in d = 16 and 64 rows noised from atoms x_k at t = 1e-4:
+    # each posterior is the one atom, so s is exactly 1 and v = (z - x_k) / t.
+    n, d, t = 16384, 16, 1e-4
+    points = _rng(46).standard_normal((n, d))
+    k = _rng(47).integers(0, n, 64)
+    zs = (1 - t) * points[k] + t * _rng(48).standard_normal((64, d))
+    pset = fields._PointSet(points)
+    m, s, v = fields._point_pass(pset, zs, t)
+    assert np.all(np.isfinite(m)) and np.all(np.isfinite(v))
+    assert np.all(s == 1.0)
+    _assert_relative(v, (zs - points[k]) / t)
+    for i in range(64):
+        assert np.array_equal(v[i], empirical_marginal_velocity(pset, zs[i], t))
+
+
 def _pooled_reference(z, t, point_sets=(), gaussians=()):
     # Float64 softmax over every atom at one state z, in log space so that no
     # density underflows at d = 16: a point x is N(a x, t^2 I) at z_t, a
