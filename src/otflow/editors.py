@@ -18,13 +18,13 @@ transport_enhanced_flowedit      evolve a coupled edit trajectory directly
     takes one (d,) source or a (B, d) batch with a (B,) transport strength
     and B noise seeds, so a sweep group is one call.
 
-Both editors get the correction from transport.enhance_velocity and record a
-step's transport_norm and weight as 0 whenever its weight is zero.  Both run
-one loop over (B, d) rows, a single state being the B = 1 case, and step
-through core's one Euler kernel (core._step_rows, a failed row staying NaN;
-euler_step in baseline_flowedit), so a non-finite velocity or state aborts
-with the step's t, grid index and term, and writes its trajectory into
-arrays preallocated by core._records.
+Both editors hand a per-step velocity, with its transport weight and norm
+from transport.enhance_velocity (0 whenever the weight is zero), to one
+reverse loop over (B, d) rows, a single state being the B = 1 case.  It
+records into arrays preallocated by core._records, sums transport work and
+steps through core's one Euler kernel (core._step_rows, a failed row staying
+NaN; euler_step in baseline_flowedit), so a non-finite velocity or state
+aborts with the step's t, grid index and term.
 
 baseline_flowedit is the unmodified difference-velocity pipeline, kept as a
 separate loop so equivalence tests compare two implementations rather than
@@ -135,6 +135,9 @@ class FlowEditConfig:
             object.__setattr__(self, "n_max", self.grid.n_steps)
         if not (isinstance(self.n_avg, (int, np.integer)) and self.n_avg >= 1):
             raise ValueError(f"n_avg must be a positive integer, got {self.n_avg!r}")
+        for name in ("n_max", "n_min"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not 0 <= self.n_min <= self.n_max <= self.grid.n_steps:
             raise ValueError(
                 f"need 0 <= n_min <= n_max <= n_steps, got n_min={self.n_min} "
@@ -157,32 +160,54 @@ def controller_guided_velocity(v_tar, v_ref, eta):
     return cfg_blend(v_tar, v_ref, eta)
 
 
-def _row_beta0(beta0, transport, n_rows):
-    # The (n_rows,) per-row transport strengths, transport.beta0 by default.
+def _source_rows(codec, x0, beta0, transport):
+    # Both editors' batch: (single, xb, z0, beta0, aborts), whether x0 is one
+    # (d,) state, its (B, d) rows, their encoded states (finite), the (B,)
+    # transport strengths (transport.beta0 by default) and empty aborts.
+    x0 = np.asarray(x0, dtype=float)
+    xb = np.atleast_2d(x0)
+    z0 = codec.encode(xb)
+    if not np.all(np.isfinite(z0)):
+        raise ValueError("state contains non-finite entries")
+    n_rows = len(xb)
     beta0 = np.full(n_rows, float(transport.beta0)) if beta0 is None \
         else np.asarray(beta0, dtype=float)
     if beta0.shape != (n_rows,) or not np.all(np.isfinite(beta0) & (beta0 >= 0.0)):
         raise ValueError(f"beta0 must be {n_rows} finite values >= 0")
-    return beta0
+    return x0.ndim == 1, xb, z0, beta0, [None] * n_rows
 
 
-def _edit_result(codec, xb, z0, pts, records, work, aborts, single, meta):
-    # Decode the last recorded states and summarise each row against its
-    # source xb and encoded start z0: a failed row gets None.  A single state
-    # returns its row alone, a batch the (B, d) output and per-row tuples.
-    states = records[0]
-    output = codec.decode(states[-1])
+def _edit_loop(cfg, codec, source, z, step, meta):
+    # Both editors' reverse loop over cfg.grid from the (B, d) state z:
+    # step(k, t, z) gives the state to step from, its velocity v and the
+    # transport weight and raw_norm; a row's work sums weight * min(raw_norm,
+    # clip_tau) * |dt|.  Each row is summarised against its source, a failed
+    # row getting None; a single state returns its row alone.
+    single, xb, z0, _, aborts = source
+    pts = cfg.grid.points
+    states, velocities, norms, weights = records = _records(cfg.grid.n_steps, z.shape, z.shape[:1])
+    work = np.zeros(len(z))
+    states[0] = z
+    for k in range(cfg.grid.n_steps):
+        t = float(pts[k])
+        dt = float(pts[k + 1] - pts[k])
+        z, v, weight, raw_norm = step(k, t, z)
+        velocities[k], norms[k], weights[k] = v, raw_norm, weight
+        work += weight * np.minimum(raw_norm, cfg.transport.clip_tau) * abs(dt)
+        z = _step_rows(z, v, dt, t, k, aborts, single)
+        states[k + 1] = z
+
+    output = codec.decode(z)
     summary = tuple(None if abort is not None else EditSummary(
         reconstruction_l2=l2_distance(output[i], xb[i]),
-        displacement_l2=l2_distance(states[-1, i], z0[i]),
+        displacement_l2=l2_distance(z[i], z0[i]),
         transport_work=float(work[i]),
     ) for i, abort in enumerate(aborts))
     if single:
         trajectory = Trajectory(pts.copy(), *(column[:, 0] for column in records), meta)
         return EditResult(output=output[0], trajectory=trajectory, summary=summary[0])
-    trajectory = Trajectory(pts.copy(), *records, meta)
-    return EditResult(output=output, trajectory=trajectory, summary=summary,
-                      aborts=tuple(aborts))
+    return EditResult(output=output, trajectory=Trajectory(pts.copy(), *records, meta),
+                      summary=summary, aborts=tuple(aborts))
 
 
 def transport_guided_inversion_edit(cfg, registry, codec, x0, x_target=None, beta0=None):
@@ -210,46 +235,28 @@ def transport_guided_inversion_edit(cfg, registry, codec, x0, x_target=None, bet
     (n + 1, B, d), its transport_norms and weights (n + 1, B), and summary
     is a tuple with one EditSummary per row.
     """
-    x0 = np.asarray(x0, dtype=float)
-    single = x0.ndim == 1
-    xb = np.atleast_2d(x0)
-    n_rows, dim = xb.shape
-    z0 = codec.encode(xb)
-    if not np.all(np.isfinite(z0)):
-        raise ValueError("state contains non-finite entries")
+    source = _source_rows(codec, x0, beta0, cfg.transport)
+    single, xb, z0, beta0, aborts = source
     z_target = z0 if x_target is None else codec.encode(np.broadcast_to(x_target, xb.shape))
-    beta0 = _row_beta0(beta0, cfg.transport, n_rows)
-    aborts = [None] * n_rows
 
     null_field = make_velocity(registry, Condition.null(), cfg.scales)
     inv = cfg.grid.points[::-1]
-    n = cfg.grid.n_steps
     z = z0
-    for k in range(n):
+    for k in range(cfg.grid.n_steps):
         t = float(inv[k])
         z = _step_rows(z, null_field(z, t), float(inv[k + 1] - inv[k]), t, k, aborts, single)
 
     target_field = make_velocity(registry, cfg.condition_target, cfg.scales)
     t_hi, t_lo = cfg.eta_window
-    pts = cfg.grid.points
-    states, velocities, norms, weights = _records(n, (n_rows, dim), (n_rows,))
-    work = np.zeros(n_rows)
-    states[0] = z
-    for k in range(n):
-        t = float(pts[k])
-        dt = float(pts[k + 1] - pts[k])
+
+    def step(k, t, z):
         v_tar = target_field(z, t)
         v_ref = conditional_linear_velocity(z0, z, t, registry.t_floor)
         eta_eff = cfg.eta if t_lo <= t <= t_hi else 0.0
         v_rf = controller_guided_velocity(v_tar, v_ref, eta_eff)
-        v_enh, weight, raw_norm = enhance_velocity(v_rf, z, z_target, t, cfg.transport, beta0)
-        velocities[k], norms[k], weights[k] = v_enh, raw_norm, weight
-        work += weight * np.minimum(raw_norm, cfg.transport.clip_tau) * abs(dt)
-        z = _step_rows(z, v_enh, dt, t, k, aborts, single)
-        states[k + 1] = z
+        return (z, *enhance_velocity(v_rf, z, z_target, t, cfg.transport, beta0))
 
-    return _edit_result(codec, xb, z0, pts, (states, velocities, norms, weights), work, aborts,
-                        single, {"algorithm": "invert_edit"})
+    return _edit_loop(cfg, codec, source, z, step, {"algorithm": "invert_edit"})
 
 
 def _branch_fields(cfg, registry):
@@ -267,10 +274,10 @@ def transport_enhanced_flowedit(cfg, registry, codec, x0, beta0=None, seeds=None
     the weighted clipped transport direction, and take the signed reverse
     step.  The transport direction equals (z - z_src) / max(1 - t, delta) by
     the coupling identity, so it is common to all draws, and the reverse step
-    contracts the state toward z_src.  Indices above n_max leave the state
-    untouched; at the first index <= n_min the state is converted once to a
-    physical coupled state and the remaining steps run plain denoising under
-    cond_tar.
+    contracts the state toward z_src.  Indices above n_max step with zero
+    velocity (state untouched); at index n_min the state is converted once to
+    a physical coupled state, and the steps from there on run plain
+    denoising under cond_tar.
 
     x0 is one source (d,) or a batch (B, d).  beta0 is a (B,) per-row
     transport strength, by default cfg.transport.beta0 for every row, and
@@ -283,56 +290,35 @@ def transport_enhanced_flowedit(cfg, registry, codec, x0, beta0=None, seeds=None
     row stays as NaN, its abort goes to aborts and its summary is None, as
     in transport_guided_inversion_edit, whose record shapes a batch shares.
     """
-    x0 = np.asarray(x0, dtype=float)
-    single = x0.ndim == 1
-    xb = np.atleast_2d(x0)
+    source = _source_rows(codec, x0, beta0, cfg.transport)
+    single, xb, z_src, beta0, _ = source
     n_rows, dim = xb.shape
-    beta0 = _row_beta0(beta0, cfg.transport, n_rows)
     seeds = [cfg.seed] * n_rows if seeds is None else [RngSeed(s) for s in seeds]
     if len(seeds) != n_rows:
         raise ValueError(f"seeds must hold {n_rows} seeds, got {len(seeds)}")
     rngs = [s.generator() for s in seeds]
-    aborts = [None] * n_rows
-    z_src = codec.encode(xb)
-    z = z_src
     src_field, tar_field = _branch_fields(cfg, registry)
     n = cfg.grid.n_steps
-    pts = cfg.grid.points
-    states, velocities, norms, weights = _records(n, (n_rows, dim), (n_rows,))
-    states[0] = z
-    work = np.zeros(n_rows)
-    switched = False
 
-    for j in range(n):
-        t = float(pts[j])
-        dt = float(pts[j + 1] - pts[j])
+    def step(j, t, z):
         k = n - j
         if k > cfg.n_max:
-            states[j + 1] = z
-            continue
+            return z, np.zeros_like(z), 0.0, 0.0
+        if k == cfg.n_min:
+            eps = np.stack([rng.standard_normal(dim) for rng in rngs])
+            z = z + forward_noising(z_src, t, eps) - z_src
         if k <= cfg.n_min:
-            if not switched:
-                eps = np.stack([rng.standard_normal(dim) for rng in rngs])
-                z = z + forward_noising(z_src, t, eps) - z_src
-                switched = True
-            v = tar_field(z, t)
-            weight = raw_norm = 0.0
-        else:
-            draws = np.stack([rng.standard_normal((cfg.n_avg, dim)) for rng in rngs])
-            z_t_src = forward_noising(z_src[:, None], t, draws)
-            z_t_tar = z_t_src + (z - z_src)[:, None]
-            v_fe = tar_field(z_t_tar.reshape(-1, dim), t) - src_field(z_t_src.reshape(-1, dim), t)
-            v_fe = v_fe.reshape(draws.shape).sum(axis=1) / cfg.n_avg
-            v, weight, raw_norm = enhance_velocity(v_fe, z_src, z, t, cfg.transport, beta0)
-        work += weight * np.minimum(raw_norm, cfg.transport.clip_tau) * abs(dt)
-        velocities[j], norms[j], weights[j] = v, raw_norm, weight
-        z = _step_rows(z, v, dt, t, j, aborts, single)
-        states[j + 1] = z
+            return z, tar_field(z, t), 0.0, 0.0
+        draws = np.stack([rng.standard_normal((cfg.n_avg, dim)) for rng in rngs])
+        z_t_src = forward_noising(z_src[:, None], t, draws)
+        z_t_tar = z_t_src + (z - z_src)[:, None]
+        v_fe = tar_field(z_t_tar.reshape(-1, dim), t) - src_field(z_t_src.reshape(-1, dim), t)
+        v_fe = v_fe.reshape(draws.shape).sum(axis=1) / cfg.n_avg
+        return (z, *enhance_velocity(v_fe, z_src, z, t, cfg.transport, beta0))
 
     meta = {"algorithm": "flowedit", "seed": seeds[0].seed} if single \
         else {"algorithm": "flowedit", "seeds": tuple(s.seed for s in seeds)}
-    return _edit_result(codec, xb, z_src, pts, (states, velocities, norms, weights), work,
-                        aborts, single, meta)
+    return _edit_loop(cfg, codec, source, z_src, step, meta)
 
 
 def baseline_flowedit(cfg, registry, codec, x0):

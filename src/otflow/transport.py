@@ -120,7 +120,20 @@ def clip_norm(v, tau):
     if not (np.isfinite(tau) and tau > 0.0):
         raise ValueError(f"tau must be positive, got {tau}")
     v = np.asarray(v, dtype=float)
-    return _clip(v, np.linalg.norm(v, axis=-1), tau)
+    return _clip(v, _row_norms(v), tau)
+
+
+def _row_norms(v):
+    # Euclidean norms over the last axis.  np.linalg.norm overflows to inf on
+    # finite rows with entries above about 1e154; those rows alone are
+    # recomputed as m * norm(v / m), m = max|v|.
+    n = np.linalg.norm(v, axis=-1)
+    if not np.isinf(n).any():
+        return n
+    m = np.abs(v).max(axis=-1, keepdims=True)
+    with np.errstate(all="ignore"):
+        scaled = m[..., 0] * np.linalg.norm(v / m, axis=-1)
+    return np.where(np.isinf(n) & np.isfinite(m[..., 0]), scaled, n)
 
 
 def _clip(v, n, tau):
@@ -151,7 +164,7 @@ def enhance_velocity(v_base, z, z_target, t, cfg, beta0=None):
     if w == 0.0:
         return v_base, 0.0, 0.0
     d = transport_direction(z, z_target, t, cfg.delta)
-    raw_norm = np.linalg.norm(d, axis=-1)
+    raw_norm = _row_norms(d)
     clipped = _clip(d, raw_norm, cfg.clip_tau)
     if beta0 is None:
         return v_base + w * clipped, w, raw_norm

@@ -108,6 +108,10 @@ def test_flowedit_config_validation_and_defaults():
         FlowEditConfig(seed=0, n_min=5, n_max=3, **ok)
     with pytest.raises(ValueError):
         FlowEditConfig(seed=0, n_max=11, **ok)
+    with pytest.raises(ValueError, match="^n_min must be an integer, got 2.5$"):
+        FlowEditConfig(seed=0, n_min=2.5, **ok)
+    with pytest.raises(ValueError, match="^n_max must be an integer, got 6.0$"):
+        FlowEditConfig(seed=0, n_max=6.0, **ok)
     fwd = dict(ok)
     fwd["grid"] = make_time_grid(10, 0.0, 1.0)
     with pytest.raises(ValueError):
@@ -135,14 +139,21 @@ def test_inversion_edit_zero_knobs_equals_plain_pipeline():
     assert res.summary.transport_work == 0.0
 
 
-def test_flowedit_zero_beta_equals_baseline():
+@pytest.mark.parametrize("n_max, n_min", [(24, 4), (28, 0), (28, 28), (24, 24), (1, 1)],
+                         ids=["switch-late", "no-switch", "switch-at-0", "switch-first-active",
+                              "one-active-step"])
+def test_flowedit_zero_beta_equals_baseline(n_max, n_min):
+    # At beta0 = 0 the guided editor equals the independent baseline loop
+    # bit for bit, wherever the switch to plain denoising falls on the
+    # 28-step grid: at grid index 0, at the first active index, never, or
+    # on the one active step.
     reg = _two_cluster_registry()
     codec = LatentCodec.identity(2)
     grid = make_time_grid(28, 1.0, 0.0)
     scales = GuidanceScales(w_src=1.5, w_tar=5.5)
     common = dict(grid=grid, cond_src=Condition.dataset("a"),
                   cond_tar=Condition.dataset("b"), scales=scales, seed=11,
-                  n_avg=2, n_max=24, n_min=4)
+                  n_avg=2, n_max=n_max, n_min=n_min)
     x0 = np.array([-1.4, -0.1])
     guided = transport_enhanced_flowedit(
         FlowEditConfig(transport=_transport(0.0), **common), reg, codec, x0)
@@ -643,6 +654,13 @@ def test_flowedit_rejects_bad_batch_inputs():
         transport_enhanced_flowedit(cfg, reg, codec, x0[:2], beta0=np.array([0.1, -0.1]))
     with pytest.raises(ValueError, match="^seeds must hold 2 seeds, got 3$"):
         transport_enhanced_flowedit(cfg, reg, codec, x0[:2], seeds=[1, 2, 3])
+    # A non-finite source is rejected up front, as the inversion editor does.
+    with pytest.raises(ValueError, match="^state contains non-finite entries$"):
+        transport_enhanced_flowedit(cfg, reg, codec, np.full(16, np.nan))
+    batch = x0[:3].copy()
+    batch[1, 5] = np.inf
+    with pytest.raises(ValueError, match="^state contains non-finite entries$"):
+        transport_enhanced_flowedit(cfg, reg, codec, batch)
 
 
 @pytest.mark.parametrize("x0, beta0, match", [

@@ -275,3 +275,43 @@ def test_clip_norm_row_equals_its_batch_row():
         edge[:2] = (3.0, 4.0)
         assert np.array_equal(clip_norm(edge, 5.0), edge)
         assert np.array_equal(clip_norm(edge[None], 5.0)[0], edge)
+
+
+def test_clip_norm_survives_norm_overflow():
+    # np.linalg.norm overflows to inf on (3e200, 4e200); the clip still
+    # scales the row to norm tau, and in a batch every row equals its own
+    # single-row call bit for bit.
+    with np.errstate(over="ignore"):
+        out = clip_norm(np.array([3e200, 4e200]), 1.0)
+    np.testing.assert_allclose(out, [0.6, 0.8], rtol=1e-15)
+    rows = np.array([[3.0, 4.0], [3e200, 4e200], [0.3, 0.4], [-1e200, 2e200]])
+    with np.errstate(over="ignore"):
+        batch = clip_norm(rows, 1.0)
+        for i, row in enumerate(rows):
+            assert np.array_equal(batch[i], clip_norm(row, 1.0))
+    np.testing.assert_allclose(np.linalg.norm(batch[[0, 1, 3]], axis=-1), 1.0, rtol=1e-15)
+    assert np.array_equal(batch[2], rows[2])
+
+
+def test_enhance_velocity_clips_an_overflowing_direction():
+    # At z = (2e200, -1e200) the direction's norm overflows np.linalg.norm;
+    # the correction is still weight * clip_tau along the direction, with a
+    # finite raw_norm, and in a batch the other rows equal their own calls.
+    cfg = TransportConfig(beta0=0.5, phi=1.0, delta=0.01, clip_tau=4.0)
+    t = 0.3
+    v_base = np.array([0.25, -0.5])
+    z = np.array([2e200, -1e200])
+    with np.errstate(over="ignore"):
+        out, weight, raw_norm = enhance_velocity(v_base, z, np.zeros(2), t, cfg)
+    assert weight > 0.0
+    np.testing.assert_allclose(raw_norm, math.sqrt(5.0) * 1e200 / 0.7, rtol=1e-15)
+    np.testing.assert_allclose(out, v_base + weight * 4.0 * np.array([-2.0, 1.0]) / math.sqrt(5.0),
+                               rtol=1e-15)
+    zs = np.array([[1.0, 2.0], z, [-3.0, 0.5]])
+    vs = np.array([[0.1, 0.2], v_base, [-0.3, 0.0]])
+    with np.errstate(over="ignore"):
+        out_b, weight_b, norm_b = enhance_velocity(vs, zs, np.zeros(2), t, cfg)
+        for i in range(3):
+            row_out, row_weight, row_norm = enhance_velocity(vs[i], zs[i], np.zeros(2), t, cfg)
+            assert np.array_equal(out_b[i], row_out)
+            assert weight_b == row_weight and norm_b[i] == row_norm
