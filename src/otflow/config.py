@@ -113,7 +113,8 @@ _KEYS = {
 }
 # [dataset.<name>] key -> kind; these keys have no default.
 _DATASET_KINDS = {"points": "matrix", "csv": "str", "mean": "vector", "cov": "matrix"}
-# A dataset name: one path component, which gen-data also uses as a file stem.
+# A dataset name or experiment.name: one path component, which gen-data, run
+# and sweep use as a file stem under --out-dir.
 _DATASET_NAME = re.compile(r"[\w-]+")
 _SECTIONS = {path.rpartition(".")[0] for path in _KEYS}
 
@@ -537,8 +538,12 @@ def _build_config(resolved, lines, axis_lines, base_dir, registry=None):
     seed = res.get("experiment.seed")
     res.build("experiment", RngSeed, seed)
 
+    name = res.get("experiment.name")
+    if not _DATASET_NAME.fullmatch(name):
+        res._fail("experiment.name", "name must be letters, digits, '_' and '-', "
+                  f"since it is a file stem, got {name!r}")
     cfg = ExperimentConfig(
-        name=res.get("experiment.name"),
+        name=name,
         algorithm=algorithm,
         seed=seed,
         output_dir=res.get("experiment.output_dir"),

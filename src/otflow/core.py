@@ -46,6 +46,22 @@ def make_rng(*key):
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(list(key))))
 
 
+def _overflow_safe(norm, v):
+    """norm(v, 1.0), a function of each row of v (its last axis) that can
+    overflow to inf on a row whose entries are all finite; those rows alone
+    are recomputed as m * norm(v / m, m), m = max|v| over the row, with no
+    overflow warning for them."""
+    with np.errstate(over="ignore"):
+        n = norm(v, 1.0)
+    if not np.isinf(n).any():
+        return n
+    m = np.abs(v).max(axis=-1, keepdims=True)
+    with np.errstate(all="ignore"):
+        scaled = m[..., 0] * norm(v / m, m[..., 0])
+    # A row with a non-finite entry rescales to NaN and keeps its inf.
+    return np.where(np.isinf(n) & ~np.isnan(scaled), scaled, n)
+
+
 def _as_state(x, name="state"):
     arr = np.asarray(x, dtype=float)
     if arr.ndim == 0:

@@ -37,7 +37,7 @@ import numpy as np
 
 from .core import Trajectory, _records, _step_rows, euler_step, forward_noising, make_rng
 from .fields import Condition, cfg_blend, conditional_linear_velocity, make_velocity
-from .metrics import l2_distance
+from .metrics import _row_l2, l2_distance
 from .transport import enhance_velocity
 
 
@@ -181,8 +181,8 @@ def _edit_loop(cfg, codec, source, z, step, meta):
     # Both editors' reverse loop over cfg.grid from the (B, d) state z:
     # step(k, t, z) gives the state to step from, its velocity v and the
     # transport weight and raw_norm; a row's work sums weight * min(raw_norm,
-    # clip_tau) * |dt|.  Each row is summarised against its source, a failed
-    # row getting None; a single state returns its row alone.
+    # clip_tau) * |dt|.  All rows are summarised against their sources at
+    # once, a failed row getting None; a single state returns its row alone.
     single, xb, z0, _, aborts = source
     pts = cfg.grid.points
     states, velocities, norms, weights = records = _records(cfg.grid.n_steps, z.shape, z.shape[:1])
@@ -198,11 +198,9 @@ def _edit_loop(cfg, codec, source, z, step, meta):
         states[k + 1] = z
 
     output = codec.decode(z)
-    summary = tuple(None if abort is not None else EditSummary(
-        reconstruction_l2=l2_distance(output[i], xb[i]),
-        displacement_l2=l2_distance(z[i], z0[i]),
-        transport_work=float(work[i]),
-    ) for i, abort in enumerate(aborts))
+    rows = zip(aborts, _row_l2(output - xb).tolist(), _row_l2(z - z0).tolist(), work.tolist())
+    summary = tuple(None if abort is not None else EditSummary(*values)
+                    for abort, *values in rows)
     if single:
         trajectory = Trajectory(pts.copy(), *(column[:, 0] for column in records), meta)
         return EditResult(output=output[0], trajectory=trajectory, summary=summary[0])

@@ -403,6 +403,16 @@ class FieldRegistry:
         z = rng.standard_normal(shape).reshape(-1, cov.shape[0])
         return (mean + z @ self._gaussians[name][3]).reshape(shape)
 
+    def draw_rows(self, name, rngs):
+        """One (d,) row per generator: an atom at rng.integers(n), or a Gaussian
+        row equal to sample_gaussian(name, rng) bit for bit."""
+        if name in self._points:
+            pts = self._points[name].points
+            return pts[[rng.integers(len(pts)) for rng in rngs]]
+        mean, cov = self.gaussian(name)
+        z = np.array([rng.standard_normal(cov.shape[0]) for rng in rngs])
+        return mean + (z[:, None] @ self._gaussians[name][3])[:, 0]
+
     def _column(self, name):
         # The entry's column in _mixture's entry velocities.
         if name in self._gaussians:

@@ -23,14 +23,16 @@ and hands its final states to both.
 
 Wasserstein-2 comes in two dual forms kept deliberately separate: the closed
 Gaussian (Bures) expression and an exact-assignment empirical distance, so
-each can serve as the other's oracle in tests.
+each can serve as the other's oracle in tests.  _row_l2 and w2_dirac_to_gaussian
+take (B, d) rows, each its single-state call bit for bit, never inf if finite.
 """
 
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import NumericalAbort, euler_step, integrate_final, make_rng, make_time_grid
+from .core import (NumericalAbort, _overflow_safe, euler_step, integrate_final, make_rng,
+                   make_time_grid)
 from .fields import make_velocity
 from .transport import make_enhanced
 
@@ -38,13 +40,19 @@ _QUAD_PANELS = 10_000
 _EMPIRICAL_CAP = 2048
 
 
+def _row_l2(u):
+    # Each row's norm as one (1, d) @ (d, 1) dot product, equal to
+    # np.linalg.norm of the row alone bit for bit (a norm over axis=-1 is not).
+    return _overflow_safe(lambda w, _: np.sqrt((w[..., None, :] @ w[..., :, None])[..., 0, 0]), u)
+
+
 def l2_distance(a, b):
-    """Euclidean distance between two states."""
+    """Euclidean distance between two states, over all their entries."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    return float(np.linalg.norm(a - b))
+    return float(_row_l2((a - b).ravel(order="K")))
 
 
 def _as_cov(cov):
@@ -135,11 +143,12 @@ def w2_dirac_to_points(p, points):
 
 
 def w2_dirac_to_gaussian(p, mean, cov):
-    """W2 between a point mass at p and N(mean, cov)."""
-    p = np.asarray(p, dtype=float)
-    mean = np.asarray(mean, dtype=float)
-    cov = _as_cov(cov)
-    return float(np.sqrt(np.sum((p - mean) ** 2) + np.trace(cov)))
+    """W2 between a point mass at p and N(mean, cov), a float, or a (B,) array
+    for (B, d) rows; an overflowing finite row is rescaled with the trace."""
+    trace = np.trace(_as_cov(cov))
+    diff = np.asarray(p, dtype=float) - np.asarray(mean, dtype=float)
+    w2 = _overflow_safe(lambda u, m: np.sqrt(np.sum(u ** 2, axis=-1) + trace / (m * m)), diff)
+    return float(w2) if w2.ndim == 0 else w2
 
 
 def reference_integrate(velocity, z0, t0, t1, n_fine):

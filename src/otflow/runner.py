@@ -17,12 +17,14 @@ or group fails is derived alone, so its error is the one derive_config gives
 that cell (if it derives, it is a group of its own).  Every row runs on its
 group's config with its own beta0 and seed.  `otflow run` and a sweep group
 reach an editor through one dispatch, _edit: a group's invert_edit or
-flowedit rows resolve their x0s (a Gaussian draw uses the factor the
-registry keeps) and run as one (B, d) editor call with a (B,) beta0 and, for
-flowedit's noise draws, the rows' B seeds.  The editors' kernels are
-batch-invariant, so a row equals the single-state run of its cell bit for
-bit, and a row that goes non-finite fails alone.  generate rows run one call
-each.
+flowedit rows draw their x0s in one pass (FieldRegistry.draw_rows, each row
+from its own make_rng(seed, 1)) and run as one (B, d) editor call with a
+(B,) beta0 and, for flowedit's noise draws, the rows' B seeds.  The editors'
+kernels are batch-invariant, and _group_metrics turns the group's outputs
+and summaries into its metric rows with a Gaussian target's W2 as one call
+over all rows, so a row equals the single-state run of its cell bit for bit
+(`otflow run` is a group of one), and a row that goes non-finite fails
+alone.  generate rows run one call each.
 
 Every SVG is render_csv of the CSV written beside it, the function that
 `otflow plot` draws with, so plotting a run's CSV gives its SVG's bytes.
@@ -113,29 +115,6 @@ def points_csv(points):
     return _csv_text([_fmt(v) for v in row] for row in np.asarray(points, dtype=float))
 
 
-def _draw_from_dataset(registry, name, rng):
-    if registry.kind(name) == "gaussian":
-        return registry.sample_gaussian(name, rng)
-    pts = registry.points(name)
-    return np.array(pts[rng.integers(len(pts))])
-
-
-def _draw_target_state(registry, condition, rng):
-    if condition.kind == "dataset":
-        return _draw_from_dataset(registry, condition.name, rng)
-    names = registry.names()
-    return _draw_from_dataset(registry, names[rng.integers(len(names))], rng)
-
-
-def _w2_to_condition(output, registry, condition):
-    if condition is None or condition.kind != "dataset":
-        return None
-    if registry.kind(condition.name) == "gaussian":
-        mean, cov = registry.gaussian(condition.name)
-        return w2_dirac_to_gaussian(output, mean, cov)
-    return w2_dirac_to_points(output, registry.points(condition.name))
-
-
 def _cloud_w2_to_condition(cloud, registry, condition):
     if condition.kind != "dataset":
         return None
@@ -154,10 +133,12 @@ def _cloud_w2_to_condition(cloud, registry, condition):
     return None
 
 
-def _resolve_x0(cfg, seed):
+def _x0_rows(cfg, seeds):
+    """The (B, d) sources of the rows with these seeds: inputs.x0 in every
+    row, else each row's draw from inputs.sample_source by make_rng(seed, 1)."""
     if cfg.inputs["x0"] is not None:
-        return cfg.inputs["x0"]
-    return _draw_from_dataset(cfg.registry, cfg.inputs["sample_source"], make_rng(seed, 1))
+        return np.tile(cfg.inputs["x0"], (len(seeds), 1))
+    return cfg.registry.draw_rows(cfg.inputs["sample_source"], [make_rng(s, 1) for s in seeds])
 
 
 # The cfg.editor key of each editing algorithm's target condition.
@@ -177,14 +158,18 @@ def _edit(cfg, x0, beta0=None, seeds=None):
                                        cfg.registry, cfg.codec, x0, beta0, seeds)
 
 
-def _edit_metrics(summary, output, cfg):
+def _group_metrics(cfg, outputs, summaries, aborts):
+    """Each row's metric dict, or its abort.  A point-set target's W2 runs
+    per row: a (B, n, d) difference would be B times the set."""
     condition = cfg.editor[_TARGET_KEYS[cfg.algorithm]]
-    return {
-        "reconstruction_l2": summary.reconstruction_l2,
-        "displacement_l2": summary.displacement_l2,
-        "transport_work": summary.transport_work,
-        "w2_to_target": _w2_to_condition(output, cfg.registry, condition),
-    }
+    if condition.kind != "dataset":
+        w2 = [None] * len(outputs)
+    elif cfg.registry.kind(condition.name) == "gaussian":
+        w2 = w2_dirac_to_gaussian(outputs, *cfg.registry.gaussian(condition.name)).tolist()
+    else:
+        w2 = [w2_dirac_to_points(row, cfg.registry.points(condition.name)) for row in outputs]
+    return [abort if abort is not None else {**vars(summary), "w2_to_target": w2_row}
+            for summary, abort, w2_row in zip(summaries, aborts, w2)]
 
 
 def _generate(cfg, seed, beta0):
@@ -214,10 +199,8 @@ def _run_rows(cfg, seeds, beta0s):
     sweep group: invert_edit or flowedit rows as one batched edit, generate
     rows one call each."""
     if cfg.algorithm in _TARGET_KEYS:
-        x0s = np.array([_resolve_x0(cfg, seed) for seed in seeds])
-        result = _edit(cfg, x0s, np.array(beta0s), seeds)
-        return [abort if abort is not None else _edit_metrics(summary, output, cfg)
-                for output, summary, abort in zip(result.output, result.summary, result.aborts)]
+        result = _edit(cfg, _x0_rows(cfg, seeds), np.array(beta0s), seeds)
+        return _group_metrics(cfg, result.output, result.summary, result.aborts)
     if cfg.algorithm == "generate":
         outcomes = [_attempt(_generate, cfg, seed, beta0) for seed, beta0 in zip(seeds, beta0s)]
         return [o if isinstance(o, Exception) else o[0] for o in outcomes]
@@ -229,7 +212,9 @@ def run_verify(cfg):
     vsection = cfg.verify
     rng = make_rng(cfg.seed, 2)
     dim = cfg.registry.dim()
-    z_target = _draw_target_state(cfg.registry, vsection["condition"], rng)
+    names, condition = cfg.registry.names(), vsection["condition"]
+    name = condition.name if condition.kind == "dataset" else names[rng.integers(len(names))]
+    z_target = cfg.registry.draw_rows(name, [rng])[0]
     reports = []
     kinds = ("discretization", "convergence", "edit_control") if vsection["kind"] == "all" \
         else (vsection["kind"],)
@@ -308,8 +293,8 @@ def run_experiment(cfg, out_dir=None):
             metrics, cloud = _generate(cfg, cfg.seed, cfg.transport.beta0)
             stem, text, dim = "samples", points_csv(cloud), cloud.shape[1]
         else:
-            result = _edit(cfg, _resolve_x0(cfg, cfg.seed))
-            metrics = _edit_metrics(result.summary, result.output, cfg)
+            result = _edit(cfg, _x0_rows(cfg, [cfg.seed])[0])
+            metrics, = _group_metrics(cfg, result.output[None], (result.summary,), (None,))
             stem, text, dim = "trajectory", trajectory_csv(result.trajectory), result.trajectory.dim
         files.append(atomic_write_text(f"{base}_{stem}.csv", text))
         if cfg.plot and dim == 2:

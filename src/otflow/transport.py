@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _overflow_safe
+
 _ORIENTATIONS = ("elapsed", "remaining")
 
 
@@ -125,21 +127,25 @@ def clip_norm(v, tau):
 
 def _row_norms(v):
     # Euclidean norms over the last axis.  np.linalg.norm overflows to inf on
-    # finite rows with entries above about 1e154; those rows alone are
-    # recomputed as m * norm(v / m), m = max|v|.
-    n = np.linalg.norm(v, axis=-1)
-    if not np.isinf(n).any():
-        return n
-    m = np.abs(v).max(axis=-1, keepdims=True)
-    with np.errstate(all="ignore"):
-        scaled = m[..., 0] * np.linalg.norm(v / m, axis=-1)
-    return np.where(np.isinf(n) & np.isfinite(m[..., 0]), scaled, n)
+    # finite rows with entries above about 1e154; core._overflow_safe
+    # recomputes those rows alone as m * norm(v / m), m = max|v|.
+    return _overflow_safe(lambda u, _: np.linalg.norm(u, axis=-1), v)
 
 
 def _clip(v, n, tau):
-    # clip_norm given v's row norms n, without its checks.
+    # clip_norm given v's row norms n, without its checks.  A finite row whose
+    # norm is inf even rescaled is clipped as u = v / max|v|, its direction at
+    # a finite norm, times tau / ||u||, not zeroed by tau / inf; a row with a
+    # non-finite entry is left to tau / inf as before.
     if v.ndim == 1:
+        if n == np.inf:
+            return _clip(v[None], np.array([n]), tau)[0]
         return v if n <= tau else v * (tau / n)
+    over = (n == np.inf) & np.isfinite(v).all(axis=-1)
+    if over.any():
+        u = v[over] / np.abs(v[over]).max(axis=-1, keepdims=True)
+        v, n = v.copy(), n.copy()
+        v[over], n[over] = u * (tau / np.linalg.norm(u, axis=-1, keepdims=True)), tau
     n = n[..., None]
     return np.where(n > tau, v * (tau / np.maximum(n, 1e-300)), v)
 

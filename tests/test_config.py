@@ -263,6 +263,18 @@ def test_dataset_name_rule_covers_set_axes_and_derive_config():
     assert cfg.registry.names() == ["d", "set_2-b"]
 
 
+@pytest.mark.parametrize("name", ["../escaped", "a/b"])
+def test_experiment_name_must_be_one_path_component(name):
+    # run and sweep write <out-dir>/<name>_*, so a name with '/' or '..'
+    # would write outside --out-dir; it fails at load with its key and line.
+    with pytest.raises(ConfigError) as ei:
+        _load(_BASE[:1] + [f"name = {name}"] + _BASE[1:])
+    assert ei.value.line == 2
+    assert str(ei.value) == ("line 2: experiment.name: name must be letters, digits, '_' and "
+                             f"'-', since it is a file stem, got {name!r}")
+    assert _load(_BASE[:1] + ["name = run_2-b"] + _BASE[1:]).name == "run_2-b"
+
+
 def test_every_preset_key_is_declared():
     # _merge copies preset paths without checking them, so a mistyped key
     # would be ignored and then break a reload of serialize_config output.

@@ -35,7 +35,7 @@ from otflow import (
     verify_discretization_bound,
     verify_edit_control_bound,
 )
-from otflow.metrics import AssignmentPlan, VerifySetup, _as_cov
+from otflow.metrics import AssignmentPlan, VerifySetup, _as_cov, _row_l2
 from otflow.transport import make_enhanced
 
 
@@ -99,6 +99,61 @@ def test_w2_gaussian_zero_cov_matches_dirac_form():
     cov = np.array([[0.7, 0.1], [0.1, 0.3]])
     via_gaussian = w2_gaussian(p, np.zeros((2, 2)), mean, cov)
     assert abs(via_gaussian - w2_dirac_to_gaussian(p, mean, cov)) <= 1e-9
+
+
+@pytest.mark.parametrize("d", [2, 16, 64])
+def test_row_l2_equals_each_rows_linalg_norm(d):
+    # One dot product per row: each norm equals np.linalg.norm of its row
+    # alone bit for bit, at row magnitudes over 300 decades, and l2_distance
+    # of one state is the same number.
+    rng = _rng(5, d)
+    rows = rng.standard_normal((2000, d)) * 10.0 ** rng.uniform(-150, 150, (2000, 1))
+    norms = _row_l2(rows)
+    assert norms.shape == (2000,)
+    assert np.array_equal(norms, [np.linalg.norm(row) for row in rows])
+    assert all(l2_distance(row, np.zeros(d)) == norms[i] for i, row in enumerate(rows[:200]))
+
+
+def test_l2_distance_of_two_arrays_is_one_distance_over_all_entries():
+    rng = _rng(7, 5)
+    a, b = rng.standard_normal((6, 5)), rng.standard_normal((6, 5))
+    dist = l2_distance(a, b)
+    assert isinstance(dist, float) and dist == np.linalg.norm(a - b)
+    assert l2_distance(np.asfortranarray(a), b) == np.linalg.norm(np.asfortranarray(a) - b)
+
+
+@pytest.mark.parametrize("d", [2, 16])
+def test_w2_dirac_to_gaussian_rows_equal_single_calls(d):
+    rng = _rng(6, d)
+    a = rng.standard_normal((d, d))
+    cov, mean = a @ a.T + 0.1 * np.eye(d), rng.standard_normal(d)
+    rows = rng.standard_normal((300, d)) * 10.0 ** rng.uniform(-3, 3, (300, 1))
+    w2 = w2_dirac_to_gaussian(rows, mean, cov)
+    assert w2.shape == (300,)
+    assert np.array_equal(w2, [w2_dirac_to_gaussian(row, mean, cov) for row in rows])
+
+
+def test_distances_survive_overflow_on_finite_rows():
+    # The squared norm of (1e200, 1e200) overflows; the rows are rescaled by
+    # their largest entry, quietly, and the rows around them keep their own
+    # values.
+    big = np.array([1e200, 1e200])
+    dist = l2_distance(big, np.zeros(2))
+    w2 = w2_dirac_to_gaussian(big, np.zeros(2), np.eye(2))
+    assert dist == w2 == np.sqrt(2.0) * 1e200
+    rows = np.array([[3.0, 4.0], [1e200, 1e200], [-2e300, 1e300], [0.5, -0.25]])
+    norms = _row_l2(rows)
+    w2s = w2_dirac_to_gaussian(rows, np.zeros(2), np.eye(2))
+    for i, row in enumerate(rows):
+        assert norms[i] == l2_distance(row, np.zeros(2))
+        assert w2s[i] == w2_dirac_to_gaussian(row, np.zeros(2), np.eye(2))
+    assert np.all(np.isfinite(norms)) and np.all(np.isfinite(w2s))
+    np.testing.assert_allclose(norms[2], np.sqrt(5.0) * 1e300, rtol=1e-15)
+    assert norms[0] == 5.0 and w2s[0] == np.sqrt(27.0)
+    # A row past the largest double, or with a non-finite entry, stays inf.
+    with np.errstate(over="ignore", invalid="ignore"):
+        far = _row_l2(np.array([[1.5e308, 1.5e308], [np.inf, 1.0]]))
+    assert far.tolist() == [np.inf] * 2
 
 
 def test_w2_dirac_to_points_hand_value():

@@ -14,11 +14,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from otflow import (ConfigError, derive_config, load_config_text, runner, w2_dirac_to_points,
-                    w2_empirical_exact)
+from otflow import (ConfigError, NumericalAbort, derive_config, load_config_text, runner,
+                    w2_dirac_to_points, w2_empirical_exact)
 from otflow.cli import (EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_PARTIAL,
                         EXIT_VERIFY, main)
 from otflow.config import _GENERATE_NEEDS_TARGET
+from otflow.core import make_rng
 from otflow.runner import (atomic_write_text, derive_seed, gen_data, points_csv,
                            run_experiment, run_sweep, run_verify, trajectory_csv)
 from otflow.svgplot import render_metric_chart, render_trajectories
@@ -577,11 +578,76 @@ def test_points_sample_source_and_w2_to_target():
     pts_a, pts_b = cfg.registry.points("a"), cfg.registry.points("b")
     for seed in (0, 11):
         seeded = replace(cfg, seed=seed)
-        result = runner._edit(seeded, runner._resolve_x0(seeded, seed))
-        metrics = runner._edit_metrics(result.summary, result.output, seeded)
+        result = runner._edit(seeded, runner._x0_rows(seeded, [seed])[0])
+        metrics, = runner._group_metrics(seeded, result.output[None], (result.summary,), (None,))
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 1])))
         assert np.array_equal(result.trajectory.states[0], pts_a[rng.integers(len(pts_a))])
         assert metrics["w2_to_target"] == w2_dirac_to_points(result.output, pts_b)
+
+
+def _gaussian_source_cfg(d):
+    # invert_edit with x0 drawn from a d-dimensional Gaussian of full cov.
+    a = np.random.default_rng(d).standard_normal((d, d))
+    cov = a @ a.T / d + 0.5 * np.eye(d)
+
+    def vec(values):
+        return ", ".join(repr(float(v)) for v in values)
+    return (f"[experiment]\nalgorithm = invert_edit\nname = g{d}\n[dataset.a]\n"
+            f"mean = {vec(np.linspace(-1.0, 1.0, d))}\ncov = {'; '.join(vec(r) for r in cov)}\n"
+            "[inputs]\nsample_source = a\n[editor]\ncondition = a\n")
+
+
+@pytest.mark.parametrize("text", [_INVERT_SWEEP_CFG, _gaussian_source_cfg(16), _POINTS_CFG],
+                         ids=["gaussian-2", "gaussian-16", "points"])
+def test_x0_rows_equal_per_row_draws(text):
+    # A group's sources come in one pass, each row from its own
+    # make_rng(seed, 1) stream: row i equals the one-row draw for seed i.
+    cfg = _cfg(text)
+    name = cfg.inputs["sample_source"]
+    seeds = [derive_seed(5, i, 0) for i in range(40)]
+    rows = runner._x0_rows(cfg, seeds)
+    assert rows.shape == (40, cfg.registry.dim())
+    for seed, row in zip(seeds, rows):
+        rng = make_rng(seed, 1)
+        if cfg.registry.kind(name) == "gaussian":
+            want = cfg.registry.sample_gaussian(name, rng)
+        else:
+            pts = cfg.registry.points(name)
+            want = pts[rng.integers(len(pts))]
+        assert np.array_equal(row, want)
+
+
+def test_group_with_a_failing_row_keeps_its_abort_alone(tmp_path):
+    # One batched invert_edit group: the 1e300 row keeps its NumericalAbort,
+    # and every other row's metric dict equals `otflow run` on its cell.
+    cfg = _cfg(_INVERT_SWEEP_CFG)
+    beta0s = [0.0, 0.5, 1e300, 0.25]
+    seeds = [derive_seed(3, i, 0) for i in range(4)]
+    with np.errstate(all="ignore"):
+        rows = runner._run_rows(cfg, seeds, beta0s)
+    assert isinstance(rows[2], NumericalAbort)
+    assert str(rows[2]) == "velocity non-finite at t=0.9642857142857143"
+    for seed, beta0, row in zip(seeds, beta0s, rows):
+        if beta0 != 1e300:
+            cell = derive_config(cfg, {"transport.beta0": repr(beta0), "experiment.seed": str(seed)})
+            assert run_experiment(cell, out_dir=str(tmp_path)).metrics == row
+
+
+def test_sweep_rows_with_huge_finite_states_report_finite_metrics(tmp_path):
+    # beta0 up to 1e250 under clip_tau = 1e300 drives the states to about
+    # 1e249: finite, but their squared norms overflow.  No row may report
+    # inf without an error.
+    text = _INVERT_SWEEP_CFG.replace("n_steps = 28", "n_steps = 16").replace(
+        "clip_tau = 1.0", "clip_tau = 1e300\nwindow_hi = 0.07\norientation = remaining").replace(
+        "axis = transport.beta0: 0, 0.5, 1e300\nreplicates = 2",
+        "axis = transport.beta0: 0, 1e100, 1e170, 1e250")
+    out = run_sweep(_cfg(text), out_dir=str(tmp_path))
+    records = list(csv.DictReader(open(out.results_path, encoding="utf-8")))
+    assert out.n_failed == 0 and len(records) == 4
+    for record in records:
+        values = [float(record[key]) for key in runner._METRIC_COLUMNS]
+        assert record["error"] == "" and np.all(np.isfinite(values)), record
+    assert float(records[3]["w2_to_target"]) > 1e248
 
 
 def test_generate_on_points_w2_against_replicated_atoms(tmp_path):

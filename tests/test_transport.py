@@ -293,6 +293,32 @@ def test_clip_norm_survives_norm_overflow():
     assert np.array_equal(batch[2], rows[2])
 
 
+def test_clip_norm_keeps_a_row_whose_norm_passes_the_largest_double():
+    # (1.5e308, 1.5e308) has a norm above the largest double even rescaled;
+    # it is clipped as v / max|v|, so it ends at norm tau in v's direction,
+    # and in a batch every row equals its own single-row call bit for bit.
+    out = clip_norm(np.array([1.5e308, 1.5e308]), 1.0)
+    np.testing.assert_allclose(out, [np.sqrt(0.5)] * 2, rtol=1e-15)
+    rows = np.array([[3.0, 4.0], [1.5e308, -1.5e308], [0.3, 0.4], [3e200, 4e200]])
+    batch = clip_norm(rows, 2.0)
+    for i, row in enumerate(rows):
+        assert np.array_equal(batch[i], clip_norm(row, 2.0))
+    np.testing.assert_allclose(np.linalg.norm(batch[[0, 1, 3]], axis=-1), 2.0, rtol=1e-15)
+    np.testing.assert_allclose(batch[1], [np.sqrt(2.0), -np.sqrt(2.0)], rtol=1e-15)
+    assert np.array_equal(batch[2], rows[2])
+
+
+def test_clip_norm_leaves_a_row_with_an_inf_entry_non_finite():
+    # Only finite rows are rescued: (inf, 1) keeps tau / inf, giving (nan, 0),
+    # alone and beside a finite row.
+    with np.errstate(invalid="ignore"):
+        out = clip_norm(np.array([np.inf, 1.0]), 1.0)
+        batch = clip_norm(np.array([[np.inf, 1.0], [3.0, 4.0]]), 1.0)
+    assert np.isnan(out[0]) and out[1] == 0.0
+    assert np.isnan(batch[0, 0]) and batch[0, 1] == 0.0
+    np.testing.assert_allclose(batch[1], [0.6, 0.8], rtol=1e-15)
+
+
 def test_enhance_velocity_clips_an_overflowing_direction():
     # At z = (2e200, -1e200) the direction's norm overflows np.linalg.norm;
     # the correction is still weight * clip_tau along the direction, with a
