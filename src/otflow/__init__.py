@@ -14,8 +14,8 @@ from .editors import (EditResult, EditSummary, FlowEditConfig, InversionEditConf
                       transport_enhanced_flowedit, transport_guided_inversion_edit)
 from .fields import (Condition, FieldRegistry, GuidanceScales, UnknownDatasetError,
                      cfg_blend, conditional_linear_velocity,
-                     empirical_marginal_velocity, evaluate,
-                     gaussian_marginal_velocity, make_velocity)
+                     empirical_marginal_velocity, gaussian_marginal_velocity,
+                     make_velocity)
 from .metrics import (AssignmentPlan, BoundReport, VerifySetup, l2_distance,
                       reference_integrate, schedule_integral,
                       verify_convergence_bound, verify_discretization_bound,

@@ -10,8 +10,9 @@ overrides.  The preset comes from [experiment] preset unless the caller
 passes one explicitly.  After resolution every value is a string; typed
 parsing and invariant checks happen in one place when the runtime objects are
 built, so error messages can always point at a config path; that includes
-values the run reads that its runtime would reject.  _KEYS alone declares
-each key's kind and default.
+values the run reads that its runtime would reject, and every given key,
+read or not, parses as its kind.  _KEYS alone declares each key's kind and
+default.
 
 Keys:
   [experiment]  name, algorithm, seed, output_dir, preset, plot
@@ -248,6 +249,12 @@ class _Resolved:
     def __init__(self, resolved, lines):
         self.map = resolved
         self.lines = lines
+        # Every given key parses as its kind, whether or not the algorithm
+        # reads it, in _KEYS order so the first error is deterministic;
+        # [dataset.*] keys are parsed by _build_registry.
+        for path in _KEYS:
+            if path in resolved:
+                self.get(path)
 
     def _fail(self, path, message):
         raise ConfigError(f"{path}: {message}", self.lines.get(path))

@@ -249,7 +249,7 @@ def transport_guided_inversion_edit(cfg, registry, codec, x0, x_target=None, bet
 
     def step(k, t, z):
         v_tar = target_field(z, t)
-        v_ref = conditional_linear_velocity(z0, z, t, registry.t_floor)
+        v_ref = conditional_linear_velocity(z0, z, t)
         eta_eff = cfg.eta if t_lo <= t <= t_hi else 0.0
         v_rf = controller_guided_velocity(v_tar, v_ref, eta_eff)
         return (z, *enhance_velocity(v_rf, z, z_target, t, cfg.transport, beta0))

@@ -44,16 +44,18 @@ row-invariance tests in tests/test_fields.py, at every workload's shapes
 and at each block position beside random, NaN, inf and huge rows, fail
 should a numpy ever fold the stack into one GEMM.
 
-Conditions select which field an evaluation uses, resolved once when
-make_velocity binds them (evaluate binds and calls once), and a binding takes
-one of two paths.  The null condition of a registry of point sets only makes
-one pass over their pooled atoms, prepared at registration: it is
+Conditions select which field an evaluation uses.  make_velocity, the one
+way to evaluate a registry, resolves them once at binding and returns the
+same closure for every binding, which clamps t at _T_FLOOR and calls one of
+two kernels.  The null condition of a registry of point sets only makes one
+pass over their pooled atoms, prepared at registration: it is
 empirical_marginal_velocity on the concatenated sets bit for bit, which the
 per-set mixture matches only to rounding (about 1e-13 relative).  Every other
 condition calls the null mixture, which has one component per registered
 entry and gives the null field and each entry's own field, its column, from
-one call.  A dataset condition blends its column with the null field at
-classifier-free guidance weight w, and at w = 1 is the column untouched.
+one call.  A dataset condition blends its column with the null field by
+cfg_blend at classifier-free guidance weight w, so at w = 1 it is the column
+untouched.
 A Gaussian is weighed by its log density from the one Gaussian kernel call.
 A point set makes one softmax pass over its atoms, giving its max logit m,
 the sum s of exp(logit - m) and its field, and is weighed by
@@ -77,6 +79,8 @@ _WEIGHT_FLOOR = 1e-300
 _LOG_FLOOR = -700.0
 # Rows per block in the point kernel's contractions (see the module docstring).
 _ROWS = 4
+# Every field clamps t below here, keeping the t^2 posterior variance nonzero.
+_T_FLOOR = 1e-4
 
 
 @dataclass(frozen=True)
@@ -120,10 +124,10 @@ class Condition:
         return cls(kind="dataset", name=name)
 
 
-def _clamp_t(t, t_floor):
+def _clamp_t(t):
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
-    return min(max(float(t), t_floor), 1.0)
+    return min(max(float(t), _T_FLOOR), 1.0)
 
 
 class _PointSet:
@@ -189,25 +193,21 @@ def _point_pass(pset, zb, t):
     return m, s, (zb - pset.centre - y_sum[:b] / s) / t
 
 
-def empirical_marginal_velocity(points, z, t, t_floor=1e-4):
+def empirical_marginal_velocity(points, z, t):
     """Marginal velocity of the uniform empirical distribution over points.
 
     Args:
-        points: dataset array of shape (n, d), or a registry's prepared set.
+        points: dataset array of shape (n, d).
         z: query state, shape (d,) or (batch, d).
-        t: time in [0, 1], clamped below at t_floor.
-        t_floor: positive clamp keeping the t^2 posterior variance nonzero.
+        t: time in [0, 1], clamped below at _T_FLOOR.
     """
-    pset = points
-    if not isinstance(pset, _PointSet):
-        points = np.asarray(points, dtype=float)
-        if points.ndim != 2 or points.shape[0] == 0:
-            raise ValueError("points must be a non-empty (n, d) array")
-        pset = _PointSet(points)
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[0] == 0:
+        raise ValueError("points must be a non-empty (n, d) array")
     z = np.asarray(z, dtype=float)
-    if z.shape[-1] != pset.centred.shape[1]:
-        raise ValueError(f"state dim {z.shape[-1]} != dataset dim {pset.centred.shape[1]}")
-    v = _point_pass(pset, z.reshape(-1, z.shape[-1]), _clamp_t(t, t_floor))[2]
+    if z.shape[-1] != points.shape[1]:
+        raise ValueError(f"state dim {z.shape[-1]} != dataset dim {points.shape[1]}")
+    v = _point_pass(_PointSet(points), z.reshape(-1, z.shape[-1]), _clamp_t(t))[2]
     return v.reshape(z.shape)
 
 
@@ -254,7 +254,7 @@ def _gaussian_stack(mean, cov, where=""):
     return cov, (mean[None], np.clip(eigvals, 0.0, None)[None], eigvecs[None])
 
 
-def gaussian_marginal_velocity(mean, cov, z, t, t_floor=1e-4):
+def gaussian_marginal_velocity(mean, cov, z, t):
     """Marginal velocity for data drawn from N(mean, cov).
 
     cov must be symmetric positive semidefinite; eigenvalues are clamped at
@@ -264,22 +264,22 @@ def gaussian_marginal_velocity(mean, cov, z, t, t_floor=1e-4):
     z = np.asarray(z, dtype=float)
     if z.shape[-1] != cov.shape[0]:
         raise ValueError(f"state dim {z.shape[-1]} != gaussian dim {cov.shape[0]}")
-    terms = _gaussian_terms(one, _clamp_t(t, t_floor))
+    terms = _gaussian_terms(one, _clamp_t(t))
     _, v = _gaussian_velocity_eig(one, terms, z.reshape(-1, z.shape[-1]))
     return v[:, 0].reshape(z.shape)
 
 
-def conditional_linear_velocity(z_ref, z, t, t_floor=1e-4):
+def conditional_linear_velocity(z_ref, z, t):
     """Straight-line velocity of the path through z at time t that lands on z_ref.
 
-    v = (z - z_ref) / max(t, t_floor); denoising this field with exact
+    v = (z - z_ref) / max(t, _T_FLOOR); denoising this field with exact
     integration from any state at t = 1 reaches z_ref at t = 0.
     """
     z_ref = np.asarray(z_ref, dtype=float)
     z = np.asarray(z, dtype=float)
     if z.shape[-1] != z_ref.shape[-1]:
         raise ValueError(f"state dim {z.shape[-1]} != reference dim {z_ref.shape[-1]}")
-    return (z - z_ref) / max(float(t), t_floor)
+    return (z - z_ref) / max(float(t), _T_FLOOR)
 
 
 def cfg_blend(v_uncond, v_cond, w):
@@ -324,10 +324,7 @@ class FieldRegistry:
     empirical_marginal_velocity on the entry's own data bit for bit.
     """
 
-    def __init__(self, t_floor=1e-4):
-        if not (np.isfinite(t_floor) and t_floor > 0.0):
-            raise ValueError(f"t_floor must be positive, got {t_floor}")
-        self.t_floor = float(t_floor)
+    def __init__(self):
         self._points = {}
         self._pooled = None
         # name -> (one-component stack, cov, index into the stacked arrays,
@@ -463,63 +460,50 @@ class FieldRegistry:
         return np.einsum("bn,bnd->bd", r, vels), vels
 
 
-def evaluate(registry, z, t, condition, scales):
-    """Dispatch a velocity evaluation through a condition: binds with
-    make_velocity and calls once.
-
-    null: the field of every registered dataset together.  dataset(name):
-    that entry's column of the null mixture blended with the null field at
-    scales.w, the column itself at w = 1.  A name the registry does not hold
-    raises UnknownDatasetError, and a state whose last axis is not the
-    registry's dimension a ValueError.
-    """
-    return make_velocity(registry, condition, scales)(z, t)
-
-
 def make_velocity(registry, condition, scales):
     """Bind (registry, condition, scales) into a (z, t) -> v callable, the
-    one evaluation path (evaluate binds and calls once).
+    one way to evaluate a registry.
 
-    Binding resolves the condition once to one of two paths.  The null
+    Every binding returns the same closure: it clamps t at _T_FLOOR, keeps
+    the Gaussian stack's time-only terms (_gaussian_terms) for the last
+    clamped t it saw, so calls at a repeated time, as RK4's stages make, skip
+    them and make the same kernel call with the same terms, checks the
+    state's dimension (a ValueError), and calls one kernel.  The null
     condition of a registry that holds only point sets makes one pass over
-    their pooled atoms.  Every other condition calls the null mixture
-    (FieldRegistry._mixture): the null condition returns its null field, and
-    a dataset condition the entry's column at w = 1, the null field at w = 0,
-    and v + w (column - v) otherwise.  A name the registry does not hold
-    raises UnknownDatasetError here, and the null condition of an empty
+    their pooled atoms (_point_pass).  Every other condition calls the null
+    mixture (FieldRegistry._mixture): the null condition returns its null
+    field, and a dataset condition blends the entry's column with it by
+    cfg_blend at scales.w.  A name the registry does not hold raises
+    UnknownDatasetError at binding, and the null condition of an empty
     registry a ValueError.  Binding relies on the registry's rule that every
-    dataset is registered before any field is used.  The callable keeps, as
-    one tuple, the Gaussian stack's time-only terms (_gaussian_terms) for the
-    last clamped t it saw: calls at a repeated time, as RK4's stages make,
-    skip them and make the same kernel call with the same terms.
+    dataset is registered before any field is used.
     """
-    t_floor, w = registry.t_floor, scales.w
     column = None
     if condition.kind == "dataset":
         column = registry._column(condition.name)
     elif not registry._order:
         raise ValueError("registry has no datasets; cannot evaluate the null condition")
-    if column is None and not registry._gaussians:
-        # One pass over the pooled atoms: the pooled kernel bit for bit,
-        # where the per-set mixture agrees with it only to rounding.
-        pooled = registry._pooled
-        return lambda z, t: empirical_marginal_velocity(pooled, z, t, t_floor)
     stack, dim = registry._stacked, registry.dim()
-    blend = column is not None and w != 0.0
+    # One pass over the pooled atoms is the pooled kernel bit for bit, where
+    # the per-set mixture agrees with it only to rounding.
+    pooled = registry._pooled if column is None and stack is None else None
     memo = (None, None)
 
     def velocity(z, t):
         nonlocal memo
-        t = _clamp_t(t, t_floor)
+        t = _clamp_t(t)
         last = memo
         if stack is not None and last[0] != t:
             last = memo = (t, _gaussian_terms(stack, t))
         z = np.asarray(z, dtype=float)
         if z.shape[-1] != dim:
             raise ValueError(f"state dim {z.shape[-1]} != registry dim {dim}")
-        v, vels = registry._mixture(z.reshape(-1, dim), t, last[1])
-        if blend:
-            v = vels[:, column] if w == 1.0 else v + w * (vels[:, column] - v)
+        zb = z.reshape(-1, dim)
+        if pooled is not None:
+            return _point_pass(pooled, zb, t)[2].reshape(z.shape)
+        v, vels = registry._mixture(zb, t, last[1])
+        if column is not None:
+            v = cfg_blend(v, vels[:, column], scales.w)
         return v.reshape(z.shape)
 
     return velocity

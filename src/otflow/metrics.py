@@ -24,7 +24,8 @@ and hands its final states to both.
 Wasserstein-2 comes in two dual forms kept deliberately separate: the closed
 Gaussian (Bures) expression and an exact-assignment empirical distance, so
 each can serve as the other's oracle in tests.  _row_l2 and w2_dirac_to_gaussian
-take (B, d) rows, each its single-state call bit for bit, never inf if finite.
+take (B, d) rows, each its single-state call bit for bit; they and
+w2_dirac_to_points are never inf if finite.
 """
 
 from dataclasses import dataclass, field, replace
@@ -136,10 +137,12 @@ def w2_empirical_exact(a, b):
 
 
 def w2_dirac_to_points(p, points):
-    """W2 between a point mass at p and the uniform measure over points."""
-    p = np.asarray(p, dtype=float)
-    points = np.asarray(points, dtype=float)
-    return float(np.sqrt(np.mean(np.sum((points - p) ** 2, axis=1))))
+    """W2 between a point mass at p and the uniform measure over points; a
+    finite (n, d) difference whose squares overflow is rescaled as one row."""
+    diff = np.asarray(points, dtype=float) - np.asarray(p, dtype=float)
+    d = diff.shape[1]
+    return float(_overflow_safe(
+        lambda u, _: np.sqrt(np.mean(np.sum(u.reshape(-1, d) ** 2, axis=1))), diff.reshape(-1)))
 
 
 def w2_dirac_to_gaussian(p, mean, cov):
@@ -156,7 +159,7 @@ def reference_integrate(velocity, z0, t0, t1, n_fine):
 
     Use at least 10x the production step count so the reference error is
     negligible next to the Euler error under test.  The fields freeze below
-    their t_floor, so a run that ends at t = 0 is only first order in the
+    fields._T_FLOOR, so a run that ends at t = 0 is only first order in the
     step; one that stops short of the floor keeps fourth order.
 
     A step whose new state is non-finite raises NumericalAbort with the

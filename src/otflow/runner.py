@@ -396,8 +396,8 @@ def run_sweep(cfg, out_dir=None):
     text = _csv_text(table)
 
     results_path = atomic_write_text(os.path.join(out_dir, f"{cfg.name}_results.csv"), text)
-    if (cfg.plot and len(paths) == 1
-            and _numeric_rows(table[0], table[1:], paths[0], "w2_to_target")):
+    chart = _numeric_rows(table[0], table[1:], paths[0], "w2_to_target")
+    if cfg.plot and len(paths) == 1 and next(chart, None) is not None:
         atomic_write_text(os.path.join(out_dir, f"{cfg.name}_results.svg"),
                           render_csv(text, results_path))
     return SweepOutcome(results_path=results_path, n_rows=len(cells) * cfg.replicates,
@@ -405,18 +405,18 @@ def run_sweep(cfg, out_dir=None):
 
 
 def _numeric_rows(header, rows, x_key, y_key):
-    """(x, y) of each row without an error whose x and y are numbers.  run_sweep
-    passes the table its CSV holds, so it sees the chart render_csv draws."""
-    points = []
+    """Yield (x, y) of each row without an error whose x and y are numbers.
+    run_sweep passes the table its CSV holds, so it sees the chart render_csv
+    draws, and stops at the first point."""
     for values in rows:
         record = dict(zip(header, values))
         if record.get("error"):
             continue
         try:
-            points.append((float(record[x_key]), float(record[y_key])))
+            point = float(record[x_key]), float(record[y_key])
         except (ValueError, KeyError):
             continue
-    return points
+        yield point
 
 
 def _is_number(text):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from otflow import ConfigError, derive_config, load_config, load_config_text, serialize_config
+from otflow.config import _KEYS
 from otflow.presets import get_preset, preset_names
 
 _BASE = [
@@ -183,6 +184,49 @@ def test_run_values_are_checked_only_where_read():
     ]
     for lines in loads:
         _load(lines)
+
+
+# A minimal config of each algorithm, as section -> key -> value.
+_ALGORITHM_BASES = {
+    "invert_edit": {"experiment": {"algorithm": "invert_edit"},
+                    "dataset.d": {"points": "0,0; 1,1"}, "inputs": {"x0": "0.5, 0.5"},
+                    "editor": {"condition": "d"}},
+    "flowedit": {"experiment": {"algorithm": "flowedit"},
+                 "dataset.d": {"points": "0,0; 1,1"}, "inputs": {"x0": "0.5, 0.5"},
+                 "editor": {"source_condition": "d", "target_condition": "d"}},
+    "generate": {"experiment": {"algorithm": "generate"}, "dataset.d": {"points": "0,0; 1,1"}},
+    "verify": {"experiment": {"algorithm": "verify"}, "dataset.d": {"points": "0,0; 1,1"}},
+}
+
+
+def _render(sections):
+    lines = []
+    for section, keys in sections.items():
+        lines.append(f"[{section}]")
+        lines += [f"{key} = {value}" for key, value in keys.items()]
+    return lines
+
+
+@pytest.mark.parametrize("algorithm", list(_ALGORITHM_BASES))
+def test_every_given_key_parses_whatever_the_algorithm_reads(algorithm):
+    # A key the algorithm never reads must still parse as its kind: "@@"
+    # fails under its key, with its line when the value came from the file.
+    base = _ALGORITHM_BASES[algorithm]
+    _load(_render(base))
+    for path, (kind, _) in _KEYS.items():
+        if kind == "str":
+            continue
+        with pytest.raises(ConfigError) as ei:
+            _load(_render(base), overrides=[f"{path}=@@"])
+        assert ei.value.line is None, path
+        assert str(ei.value).startswith(f"{path}: cannot parse '@@' as {kind}"), path
+        section, _, key = path.rpartition(".")
+        lines = _render({**base, section: {**base.get(section, {}), key: "@@"}})
+        line = lines.index(f"{key} = @@") + 1
+        with pytest.raises(ConfigError) as ei:
+            _load(lines)
+        assert ei.value.line == line, path
+        assert str(ei.value).startswith(f"line {line}: {path}: cannot parse '@@'"), path
 
 
 def test_generate_transport_without_target_fails_at_load():

@@ -543,6 +543,53 @@ def test_inversion_batch_with_failing_rows_equals_single_calls():
                                   getattr(single.trajectory, column)), column
 
 
+def _huge_state_setting(kind):
+    # Two 3-D Gaussians, or a Gaussian beside a 3-atom point set, and both
+    # editors guided toward b at w = 3.
+    reg = FieldRegistry().add_gaussian("a", np.array([-1.5, 0.0, 0.3]), 0.25 * np.eye(3))
+    if kind == "gaussian":
+        reg.add_gaussian("b", np.array([1.5, 0.5, -0.2]), 0.16 * np.eye(3))
+    else:
+        reg.add_points("b", np.array([[1.5, 0.5, -0.2], [1.0, 0.0, 0.0], [2.0, 1.0, 0.5]]))
+    grid = make_time_grid(28, 1.0, 0.0)
+    inversion = InversionEditConfig(eta=0.5, grid=grid, transport=_transport(0.0),
+                                    condition_target=Condition.dataset("b"),
+                                    scales=GuidanceScales(w=3.0))
+    flowedit = FlowEditConfig(transport=_transport(0.0), grid=grid,
+                              cond_src=Condition.dataset("a"), cond_tar=Condition.dataset("b"),
+                              scales=GuidanceScales(w_src=3.0, w_tar=3.0), seed=0)
+    return reg, ((transport_guided_inversion_edit, inversion, 0, 0.0),
+                 (transport_enhanced_flowedit, flowedit, 1, float(grid.points[1])))
+
+
+@pytest.mark.parametrize("norm", [1e160, 1e300])
+@pytest.mark.parametrize("kind", ["gaussian", "mixed"])
+def test_huge_state_keeps_its_velocity_abort(kind, norm):
+    # At |z| ~ 1e160 the Gaussian log densities overflow and the field turns
+    # NaN: a single state raises NumericalAbort on the velocity (invert_edit
+    # in its inversion at step 0, flowedit at step 1), and in a 2-row batch
+    # the huge row keeps that abort while the other equals its single call.
+    reg, editors = _huge_state_setting(kind)
+    codec = LatentCodec.identity(3)
+    huge, ordinary = np.full(3, norm / np.sqrt(3.0)), np.array([-1.3, 0.1, 0.2])
+    for editor, cfg, step, t in editors:
+        with np.errstate(all="ignore"), pytest.raises(NumericalAbort) as err:
+            editor(cfg, reg, codec, huge)
+        assert (err.value.step, err.value.term, err.value.t) == (step, "velocity", t)
+        with np.errstate(all="ignore"):
+            batch = editor(cfg, reg, codec, np.array([huge, ordinary]))
+        abort = batch.aborts[0]
+        assert (str(abort), abort.step, abort.term, abort.t) == (str(err.value), step,
+                                                                  "velocity", t)
+        assert batch.summary[0] is None and np.all(np.isnan(batch.output[0]))
+        single = editor(cfg, reg, codec, ordinary)
+        assert batch.aborts[1] is None and batch.summary[1] == single.summary
+        assert np.array_equal(batch.output[1], single.output)
+        for column in ("states", "velocities", "transport_norms", "weights"):
+            assert np.array_equal(getattr(batch.trajectory, column)[:, 1],
+                                  getattr(single.trajectory, column)), column
+
+
 def test_flowedit_numerical_abort_names_step_and_term():
     # With beta0 = 1e308 the transport term overflows once the state has
     # left the source: grid index 5, the second active step under n_max = 24.

@@ -19,7 +19,6 @@ from otflow import (
     cfg_blend,
     conditional_linear_velocity,
     empirical_marginal_velocity,
-    evaluate,
     gaussian_marginal_velocity,
     make_time_grid,
     make_velocity,
@@ -86,10 +85,10 @@ def test_empirical_batch_matches_loop(d, n):
     reg.add_points("b", other)
     cond, scales = Condition.dataset("a"), GuidanceScales(w=2.5)
     batch = empirical_marginal_velocity(points, zs, 0.3)
-    batch_reg = evaluate(reg, zs, 0.3, cond, scales)
+    batch_reg = make_velocity(reg, cond, scales)(zs, 0.3)
     for i in range(b):
         assert np.array_equal(batch[i], empirical_marginal_velocity(points, zs[i], 0.3))
-        assert np.array_equal(batch_reg[i], evaluate(reg, zs[i], 0.3, cond, scales))
+        assert np.array_equal(batch_reg[i], make_velocity(reg, cond, scales)(zs[i], 0.3))
 
 
 @pytest.mark.parametrize("offset, z_scale, t", [
@@ -192,7 +191,7 @@ def test_large_point_set_at_t_floor():
     assert np.all(s == 1.0)
     _assert_relative(v, (zs - points[k]) / t)
     for i in range(64):
-        assert np.array_equal(v[i], empirical_marginal_velocity(pset, zs[i], t))
+        assert np.array_equal(v[i], empirical_marginal_velocity(points, zs[i], t))
 
 
 def _pooled_reference(z, t, point_sets=(), gaussians=()):
@@ -225,7 +224,7 @@ def _mixture(reg, z, t):
     # The registry's null mixture at state(s) z and time t, as make_velocity
     # calls it: the null velocity, shaped like z, and the (b, m + k, d) entry
     # velocities, Gaussians then point sets.
-    t = fields._clamp_t(t, reg.t_floor)
+    t = fields._clamp_t(t)
     z = np.asarray(z, dtype=float)
     terms = fields._gaussian_terms(reg._stacked, t) if reg._gaussians else None
     v, vels = reg._mixture(z.reshape(-1, z.shape[-1]), t, terms)
@@ -274,9 +273,9 @@ def test_guided_point_rows_do_not_depend_on_batch_at_workload_size(b):
     zs = zs[:b]
     reg = FieldRegistry().add_points("a", a).add_points("b", other)
     cond, scales = Condition.dataset("a"), GuidanceScales(w=5.5)
-    batch = evaluate(reg, zs, t, cond, scales)
+    batch = make_velocity(reg, cond, scales)(zs, t)
     for i in range(b):
-        assert np.array_equal(batch[i], evaluate(reg, zs[i], t, cond, scales))
+        assert np.array_equal(batch[i], make_velocity(reg, cond, scales)(zs[i], t))
     pooled = np.concatenate([a, other])
     v_null = np.array([_pooled_reference(z, t, [pooled]) for z in zs])
     v_a = np.array([_pooled_reference(z, t, [a]) for z in zs])
@@ -296,9 +295,10 @@ def test_mixture_point_rows_do_not_depend_on_batch_at_workload_size(b):
     reg = FieldRegistry().add_points("p", a).add_gaussian("g", mean, cov)
     zs = np.concatenate([zs[:128], (1 - t) * reg.sample_gaussian("g", rng, 129)
                          + t * rng.standard_normal((129, d))])[:b]
-    batch = evaluate(reg, zs, t, Condition.null(), GuidanceScales())
+    batch = make_velocity(reg, Condition.null(), GuidanceScales())(zs, t)
     for i in range(b):
-        assert np.array_equal(batch[i], evaluate(reg, zs[i], t, Condition.null(), GuidanceScales()))
+        assert np.array_equal(batch[i],
+                              make_velocity(reg, Condition.null(), GuidanceScales())(zs[i], t))
     _assert_relative(batch, np.array([_pooled_reference(z, t, [a], [(mean, cov)]) for z in zs]))
 
 
@@ -314,9 +314,9 @@ def _point_paths(a, other):
     null, guided = GuidanceScales(), GuidanceScales(w=5.5)
     return {
         "empirical": lambda zs, t: empirical_marginal_velocity(a, zs, t),
-        "null": lambda zs, t: evaluate(reg, zs, t, Condition.null(), null),
-        "guided": lambda zs, t: evaluate(reg, zs, t, Condition.dataset("a"), guided),
-        "mixture": lambda zs, t: evaluate(mix, zs, t, Condition.null(), null),
+        "null": lambda zs, t: make_velocity(reg, Condition.null(), null)(zs, t),
+        "guided": lambda zs, t: make_velocity(reg, Condition.dataset("a"), guided)(zs, t),
+        "mixture": lambda zs, t: make_velocity(mix, Condition.null(), null)(zs, t),
     }
 
 
@@ -366,8 +366,8 @@ def test_registry_point_paths_large_state_and_t_floor(offset, z_scale, t):
     pooled = np.concatenate([points, other])
     v_null = np.array([_pooled_reference(z, t, [pooled]) for z in zs])
     v_a = np.array([_pooled_reference(z, t, [points]) for z in zs])
-    _assert_relative(evaluate(reg, zs, t, Condition.null(), GuidanceScales()), v_null, 1e-10)
-    _assert_relative(evaluate(reg, zs, t, Condition.dataset("a"), GuidanceScales(w=5.5)),
+    _assert_relative(make_velocity(reg, Condition.null(), GuidanceScales())(zs, t), v_null, 1e-10)
+    _assert_relative(make_velocity(reg, Condition.dataset("a"), GuidanceScales(w=5.5))(zs, t),
                      v_null + 5.5 * (v_a - v_null), 1e-10)
 
 
@@ -388,7 +388,8 @@ def _combined_paths(reg):
     # branch of a guided evaluation, and set b at w = 5.5.
     return {
         "combined": lambda zs, t: _mixture(reg, zs, t)[0],
-        "guided": lambda zs, t: evaluate(reg, zs, t, Condition.dataset("b"), GuidanceScales(w=5.5)),
+        "guided": lambda zs, t: make_velocity(reg, Condition.dataset("b"),
+                                              GuidanceScales(w=5.5))(zs, t),
     }
 
 
@@ -440,12 +441,12 @@ def test_guided_point_entry_shares_one_pass_per_set(w, monkeypatch):
     for name in ("a", "b"):
         for z in (zs, zs[0]):
             calls.clear()
-            got = evaluate(reg, z, t, Condition.dataset(name), GuidanceScales(w=w))
+            got = make_velocity(reg, Condition.dataset(name), GuidanceScales(w=w))(z, t)
             assert len(calls) == 2
             v_cond = _entry_field(reg, name, z, t)
             want = cfg_blend(_mixture(reg, z, t)[0], v_cond, w)
             assert got.shape == z.shape and np.array_equal(got, want)
-            v_null = evaluate(reg, z, t, Condition.null(), GuidanceScales())
+            v_null = make_velocity(reg, Condition.null(), GuidanceScales())(z, t)
             pooled = cfg_blend(v_null, v_cond, w).reshape(-1, z.shape[-1])
             _assert_relative(got.reshape(-1, z.shape[-1]), pooled, 1e-13)
 
@@ -471,8 +472,8 @@ def test_point_sets_far_apart_large_state_and_t_floor(t):
     v_null = np.array([_pooled_reference(z, t, [points, other]) for z in zs])
     v_a = np.array([_pooled_reference(z, t, [points]) for z in zs])
     _assert_relative(_mixture(reg, zs, t)[0], v_null, 1e-10)
-    _assert_relative(evaluate(reg, zs, t, Condition.null(), GuidanceScales()), v_null, 1e-10)
-    _assert_relative(evaluate(reg, zs, t, Condition.dataset("a"), GuidanceScales(w=5.5)),
+    _assert_relative(make_velocity(reg, Condition.null(), GuidanceScales())(zs, t), v_null, 1e-10)
+    _assert_relative(make_velocity(reg, Condition.dataset("a"), GuidanceScales(w=5.5))(zs, t),
                      v_null + 5.5 * (v_a - v_null), 1e-10)
 
 
@@ -485,7 +486,7 @@ def test_empirical_validation():
     reg = FieldRegistry().add_points("a", np.zeros((3, 2)))
     for cond in (Condition.null(), Condition.dataset("a")):
         with pytest.raises(ValueError, match="state dim"):
-            evaluate(reg, np.zeros(3), 0.5, cond, GuidanceScales())
+            make_velocity(reg, cond, GuidanceScales())(np.zeros(3), 0.5)
 
 
 @pytest.mark.parametrize("w", [1.0, 2.5])
@@ -608,9 +609,10 @@ def test_gaussian_and_mixture_rows_do_not_depend_on_batch(d, with_points):
     zs = 0.8 * _rng(51, d).standard_normal((b, d))
     for cond in (Condition.null(), Condition.dataset("g2")):
         for w in (1.0, 2.0):
-            batch = evaluate(reg, zs, t, cond, GuidanceScales(w=w))
+            batch = make_velocity(reg, cond, GuidanceScales(w=w))(zs, t)
             for i in range(b):
-                assert np.array_equal(batch[i], evaluate(reg, zs[i], t, cond, GuidanceScales(w=w)))
+                assert np.array_equal(batch[i],
+                                      make_velocity(reg, cond, GuidanceScales(w=w))(zs[i], t))
 
 
 @pytest.mark.parametrize("with_points", [False, True])
@@ -627,9 +629,9 @@ def test_guided_gaussian_entry_shares_the_null_kernel_call(d, with_points, monke
     for name in ("g1", "g2"):
         for z in (zs, zs[0]):
             calls.clear()
-            got = evaluate(reg, z, t, Condition.dataset(name), GuidanceScales(w=2.0))
+            got = make_velocity(reg, Condition.dataset(name), GuidanceScales(w=2.0))(z, t)
             assert len(calls) == 1
-            v_null = evaluate(reg, z, t, Condition.null(), GuidanceScales())
+            v_null = make_velocity(reg, Condition.null(), GuidanceScales())(z, t)
             want = cfg_blend(v_null, _entry_field(reg, name, z, t), 2.0)
             assert got.shape == z.shape and np.array_equal(got, want)
 
@@ -672,9 +674,9 @@ def test_gaussian_rows_do_not_depend_on_batch_at_workload_shapes(setting, b):
         v_b = np.array([_mixture_reference(entries[1:], z, t) for z in zs])
         for cond, want in ((Condition.null(), v_null),
                            (Condition.dataset("b"), v_null + w * (v_b - v_null))):
-            batch = evaluate(reg, zs, t, cond, scales)
+            batch = make_velocity(reg, cond, scales)(zs, t)
             for i in range(b):
-                assert np.array_equal(batch[i], evaluate(reg, zs[i], t, cond, scales))
+                assert np.array_equal(batch[i], make_velocity(reg, cond, scales)(zs[i], t))
             _assert_relative(batch, want)
 
 
@@ -710,7 +712,7 @@ def test_gaussian_entry_equals_its_null_column_at_workload_shapes(setting):
             for name in reg.names():
                 want = _entry_field(reg, name, zs[:b], t)
                 assert np.array_equal(vels[:, reg._column(name)], want)
-                got = evaluate(reg, zs[:b], t, Condition.dataset(name), GuidanceScales())
+                got = make_velocity(reg, Condition.dataset(name), GuidanceScales())(zs[:b], t)
                 assert np.array_equal(got, want)
 
 
@@ -727,8 +729,8 @@ def test_conditional_linear_lands_exactly():
 def test_conditional_linear_t_floor():
     z_ref = np.zeros(2)
     z = np.ones(2)
-    at_zero = conditional_linear_velocity(z_ref, z, 0.0, t_floor=1e-4)
-    at_floor = conditional_linear_velocity(z_ref, z, 1e-4, t_floor=1e-4)
+    at_zero = conditional_linear_velocity(z_ref, z, 0.0)
+    at_floor = conditional_linear_velocity(z_ref, z, fields._T_FLOOR)
     assert np.array_equal(at_zero, at_floor)
 
 
@@ -789,7 +791,7 @@ def test_null_condition_pools_point_datasets_bit_exactly():
     reg.add_points("a", a)
     reg.add_points("b", b)
     z = np.array([0.2, -0.4])
-    got = evaluate(reg, z, 0.45, Condition.null(), GuidanceScales())
+    got = make_velocity(reg, Condition.null(), GuidanceScales())(z, 0.45)
     want = empirical_marginal_velocity(np.concatenate([a, b]), z, 0.45)
     assert np.array_equal(got, want)
 
@@ -800,7 +802,7 @@ def test_null_condition_single_gaussian_shortcut():
     reg = FieldRegistry()
     reg.add_gaussian("d", mu, cov)
     z = np.array([0.3, 0.3])
-    got = evaluate(reg, z, 0.6, Condition.null(), GuidanceScales())
+    got = make_velocity(reg, Condition.null(), GuidanceScales())(z, 0.6)
     want = gaussian_marginal_velocity(mu, cov, z, 0.6)
     assert np.allclose(got, want, atol=1e-12)
 
@@ -839,7 +841,7 @@ def test_null_condition_mixed_kinds_matches_reference():
     for t in (0.3, 0.6, 0.9):
         for seed in range(3):
             z = _rng(30, seed).standard_normal(2) * 0.7
-            got = evaluate(reg, z, t, Condition.null(), GuidanceScales())
+            got = make_velocity(reg, Condition.null(), GuidanceScales())(z, t)
             want = _mixture_reference([("points", pts), ("gaussian", (mu, cov))], z, t)
             assert np.linalg.norm(got - want) <= 1e-9
 
@@ -850,21 +852,21 @@ def test_evaluate_dataset_condition_with_guidance():
     reg.add_points("b", np.array([[-1.0, 0.0]]))
     z = np.array([0.1, 0.2])
     t = 0.5
-    v_null = evaluate(reg, z, t, Condition.null(), GuidanceScales())
+    v_null = make_velocity(reg, Condition.null(), GuidanceScales())(z, t)
     v_a = empirical_marginal_velocity(np.array([[1.0, 0.0]]), z, t)
     # w = 1 returns the conditional field untouched
-    got1 = evaluate(reg, z, t, Condition.dataset("a"), GuidanceScales(w=1.0))
+    got1 = make_velocity(reg, Condition.dataset("a"), GuidanceScales(w=1.0))(z, t)
     assert np.array_equal(got1, v_a)
-    got = evaluate(reg, z, t, Condition.dataset("a"), GuidanceScales(w=3.0))
+    got = make_velocity(reg, Condition.dataset("a"), GuidanceScales(w=3.0))(z, t)
     assert np.allclose(got, v_null + 3.0 * (v_a - v_null), atol=1e-12)
     with pytest.raises(UnknownDatasetError):
-        evaluate(reg, z, t, Condition.dataset("zzz"), GuidanceScales())
+        make_velocity(reg, Condition.dataset("zzz"), GuidanceScales())(z, t)
 
 
 def test_null_on_empty_registry_fails():
     reg = FieldRegistry()
     with pytest.raises(ValueError):
-        evaluate(reg, np.zeros(2), 0.5, Condition.null(), GuidanceScales())
+        make_velocity(reg, Condition.null(), GuidanceScales())(np.zeros(2), 0.5)
 
 
 def test_make_velocity_binds_arguments():
@@ -873,7 +875,7 @@ def test_make_velocity_binds_arguments():
     vel = make_velocity(reg, Condition.dataset("a"), GuidanceScales())
     z = np.array([0.0, 0.0])
     assert np.array_equal(vel(z, 0.5),
-                          evaluate(reg, z, 0.5, Condition.dataset("a"), GuidanceScales()))
+                          make_velocity(reg, Condition.dataset("a"), GuidanceScales())(z, 0.5))
 
 
 def _binding_registries(d=4):
@@ -897,7 +899,7 @@ def _binding_registries(d=4):
 def test_bound_field_equals_evaluate_across_its_time_memo(kind, b):
     # One binding called along a time sequence that hits its memo (a
     # repeated t; two times below t_floor, which clamp to the same t) and
-    # misses it equals evaluate, which binds afresh per call, bit for bit,
+    # misses it equals a fresh binding per call, bit for bit,
     # and each of its rows equals its own single-row call.
     regs, zs = _binding_registries()
     reg, zs = regs[kind], zs[:b]
@@ -911,17 +913,15 @@ def test_bound_field_equals_evaluate_across_its_time_memo(kind, b):
         for t in times:
             got = field(zs, t)
             assert got.shape == zs.shape
-            assert np.array_equal(got, evaluate(reg, zs, t, cond, scales))
+            assert np.array_equal(got, make_velocity(reg, cond, scales)(zs, t))
             for i in range(b):
                 assert np.array_equal(got[i], row_field(zs[i], t))
     for w in (1.0, 2.5):
         with pytest.raises(UnknownDatasetError):
-            evaluate(reg, zs, 0.3, Condition.dataset("nope"), GuidanceScales(w=w))
+            make_velocity(reg, Condition.dataset("nope"), GuidanceScales(w=w))(zs, 0.3)
 
 
 def test_registry_t_floor_validation():
-    with pytest.raises(ValueError):
-        FieldRegistry(t_floor=0.0)
     with pytest.raises(ValueError):
         GuidanceScales(w=np.nan)
 

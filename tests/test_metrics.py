@@ -162,6 +162,18 @@ def test_w2_dirac_to_points_hand_value():
     assert abs(w2_dirac_to_points(np.zeros(2), pts) - np.sqrt(2.0)) <= 1e-12
 
 
+def test_w2_dirac_to_points_survives_overflow():
+    # The squared distances of (1e200,) * 3 to three atoms overflow; the
+    # differences are rescaled by their largest entry, quietly, to what the
+    # Gaussian form gives at the atoms' zero covariance.
+    p = np.full(3, 1e200)
+    w2 = w2_dirac_to_points(p, np.zeros((3, 3)))
+    assert w2 == w2_dirac_to_gaussian(p, np.zeros(3), np.zeros((3, 3)))
+    np.testing.assert_allclose(w2, np.sqrt(3.0) * 1e200, rtol=1e-15)
+    pts = np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0], [-1.0, 5.0, 2.0]])
+    np.testing.assert_allclose(w2_dirac_to_points(p, pts), np.sqrt(3.0) * 1e200, rtol=1e-15)
+
+
 def test_w2_empirical_matches_exhaustive_search():
     rng = _rng(41)
     a = rng.standard_normal((6, 2))

@@ -429,6 +429,20 @@ def test_flowedit_sweep_isolates_overflowing_rows(tmp_path, capsys):
     assert open(out.results_path, encoding="utf-8").read().splitlines() == lines[:5]
 
 
+def test_points_sweep_reports_finite_w2_of_huge_outputs(tmp_path):
+    # Outputs near (1e200, 1e200) are finite, but their squared distances to
+    # the 3-atom target overflow: each row reports the rescaled W2, quietly,
+    # and no error.
+    text = (_POINTS_CFG.replace("; 2.5, 0", "").replace("sample_source = a", "x0 = 1e200, 1e200")
+            + "[sweep]\naxis = transport.beta0: 0, 0.5\n")
+    out = run_sweep(_cfg(text), out_dir=str(tmp_path))
+    assert out.n_rows == 2 and out.n_failed == 0
+    for record in csv.DictReader(open(out.results_path, encoding="utf-8")):
+        assert record["error"] == ""
+        np.testing.assert_allclose(float(record["w2_to_target"]), np.sqrt(2.0) * 1e200,
+                                   rtol=1e-15)
+
+
 def test_flowedit_sweep_runs_one_editor_call_per_group(tmp_path, monkeypatch):
     # Two groups (editor.n_max 20 and 24) of 2 beta0 values x 4 replicates:
     # two batched editor calls of 8 rows, each row with its own beta0 and seed.
@@ -1003,6 +1017,11 @@ def test_plotted_sweep_chart_skips_error_rows(tmp_path):
     assert len(points) == 4
     assert (tmp_path / "sw_results.svg").read_text(encoding="utf-8") == render_metric_chart(
         points, "transport.beta0", "w2_to_target")
+    # A chart of error rows alone has no point, so no SVG is written.
+    failing = text.replace("0, -1, 0.5", "-1, -2")
+    out = run_sweep(_cfg(failing + "[experiment]\nplot = true\n"), out_dir=str(tmp_path / "none"))
+    assert out.n_failed == 4
+    assert os.listdir(tmp_path / "none") == ["sw_results.csv"]
 
 
 @pytest.mark.parametrize("command", ["run", "verify", "gen-data"])
