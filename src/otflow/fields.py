@@ -37,7 +37,12 @@ product of (a / t^2) [u, -a/2], scaled on that small left side, with the
 basis, the centred rows over their squared norms, and the weighted sums as
 (_ROWS, n) @ (n, d).  A row's result then
 depends neither on its position in its block nor on what stands beside it
-there: padding, live rows, or the NaN rows of failed trajectories.  The
+there: padding, live rows, or the NaN rows of failed trajectories.
+_ROWS is 16.  A 64-row pass, as flowedit_points makes, then takes four BLAS
+calls per contraction instead of the sixteen of 4-row blocks, and gives the
+same bits.  Larger blocks gain little more, and at 64 rows OpenBLAS takes
+another GEMM path for (64, 17) @ (17, 1024), which changes the rounding.
+The price is padding: a call of fewer rows pays for a whole block.  The
 Gaussian kernel's two projections are (b, m, 1, d) @ (m, d, d) and
 (m, d, d) @ (b, m, d, 1), one (d, d) product per row and component.  The
 row-invariance tests in tests/test_fields.py, at every workload's shapes
@@ -77,8 +82,9 @@ _WEIGHT_FLOOR = 1e-300
 # The point kernel clamps its max-shifted logits here before exp (see
 # _point_pass); exp(-700) ~ 9.9e-305 is below _WEIGHT_FLOOR.
 _LOG_FLOOR = -700.0
-# Rows per block in the point kernel's contractions (see the module docstring).
-_ROWS = 4
+# Rows per block in the point kernel's contractions; why 16, see the module
+# docstring.
+_ROWS = 16
 # Every field clamps t below here, keeping the t^2 posterior variance nonzero.
 _T_FLOOR = 1e-4
 
@@ -151,8 +157,8 @@ class _PointSet:
 
 
 def _row_blocks(x, width):
-    # The (b, m) rows x, zero-padded to whole blocks of _ROWS rows and on the
-    # right to width columns, as a (k, _ROWS, width) stack.
+    # The (b, m) rows x, zero-padded to whole blocks of _ROWS (16) rows and
+    # on the right to width columns, as a (k, _ROWS, width) stack.
     b, m = x.shape
     out = np.zeros((-(-b // _ROWS) * _ROWS, width))
     out[:b, :m] = x
@@ -161,8 +167,9 @@ def _row_blocks(x, width):
 
 def _point_logits(pset, u, a, t):
     # -||z - a x_i||^2 / (2 t^2) + ||u||^2 / (2 t^2) with u = z - a c: one
-    # product (a / t^2) [u, -a/2] @ basis per row block, the scale applied to
-    # the (_ROWS, d + 1) left operand rather than to the (_ROWS, n) logits.
+    # product (a / t^2) [u, -a/2] @ basis per row block, one fixed-shape
+    # (16, d + 1) @ (d + 1, n) BLAS call each, the scale applied to the
+    # (_ROWS, d + 1) left operand rather than to the (_ROWS, n) logits.
     # Returns (k * _ROWS, n) rows, those past u's b rows being padding.
     d = u.shape[1]
     aug = _row_blocks(u, d + 1)
@@ -195,6 +202,9 @@ def _point_pass(pset, zb, t):
 
 def empirical_marginal_velocity(points, z, t):
     """Marginal velocity of the uniform empirical distribution over points.
+
+    States are evaluated in zero-padded blocks of _ROWS = 16 rows, so a single
+    state costs one whole block, about what 16 states cost.
 
     Args:
         points: dataset array of shape (n, d).
@@ -282,22 +292,31 @@ def conditional_linear_velocity(z_ref, z, t):
     return (z - z_ref) / max(float(t), _T_FLOOR)
 
 
-def cfg_blend(v_uncond, v_cond, w):
-    """Classifier-free guidance blend v_uncond + w * (v_cond - v_uncond).
-
-    w = 0 and w = 1 return the inputs untouched; w > 1 extrapolates.
-    """
+def _check_weight(w):
     if not math.isfinite(w):
         raise ValueError(f"guidance weight must be finite, got {w}")
-    v_uncond = np.asarray(v_uncond, dtype=float)
-    v_cond = np.asarray(v_cond, dtype=float)
-    if v_uncond.shape != v_cond.shape:
-        raise ValueError("blend inputs must share a shape")
+
+
+def _blend(v_uncond, v_cond, w):
+    # cfg_blend's arithmetic on same-shape float arrays at a checked w.
     if w == 0.0:
         return v_uncond
     if w == 1.0:
         return v_cond
     return v_uncond + w * (v_cond - v_uncond)
+
+
+def cfg_blend(v_uncond, v_cond, w):
+    """Classifier-free guidance blend v_uncond + w * (v_cond - v_uncond).
+
+    w = 0 and w = 1 return the inputs untouched; w > 1 extrapolates.
+    """
+    _check_weight(w)
+    v_uncond = np.asarray(v_uncond, dtype=float)
+    v_cond = np.asarray(v_cond, dtype=float)
+    if v_uncond.shape != v_cond.shape:
+        raise ValueError("blend inputs must share a shape")
+    return _blend(v_uncond, v_cond, w)
 
 
 class UnknownDatasetError(KeyError):
@@ -473,14 +492,16 @@ def make_velocity(registry, condition, scales):
     their pooled atoms (_point_pass).  Every other condition calls the null
     mixture (FieldRegistry._mixture): the null condition returns its null
     field, and a dataset condition blends the entry's column with it by
-    cfg_blend at scales.w.  A name the registry does not hold raises
-    UnknownDatasetError at binding, and the null condition of an empty
-    registry a ValueError.  Binding relies on the registry's rule that every
-    dataset is registered before any field is used.
+    cfg_blend's rule at scales.w, which binding checks once.  A name the
+    registry does not hold raises UnknownDatasetError at binding, and the
+    null condition of an empty registry a ValueError.  Binding relies on the
+    registry's rule that every dataset is registered before any field is
+    used.
     """
-    column = None
+    column = w = None
     if condition.kind == "dataset":
-        column = registry._column(condition.name)
+        column, w = registry._column(condition.name), scales.w
+        _check_weight(w)
     elif not registry._order:
         raise ValueError("registry has no datasets; cannot evaluate the null condition")
     stack, dim = registry._stacked, registry.dim()
@@ -503,7 +524,7 @@ def make_velocity(registry, condition, scales):
             return _point_pass(pooled, zb, t)[2].reshape(z.shape)
         v, vels = registry._mixture(zb, t, last[1])
         if column is not None:
-            v = cfg_blend(v, vels[:, column], scales.w)
+            v = _blend(v, vels[:, column], w)
         return v.reshape(z.shape)
 
     return velocity

@@ -7,6 +7,8 @@ the empirical field built from a large sample of the same Gaussian.  The two
 implementations never share intermediate code paths in these comparisons.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -393,7 +395,11 @@ def _combined_paths(reg):
     }
 
 
-@pytest.mark.parametrize("b", [1, 4, 257])
+# Batch sizes on both sides of the point kernel's block edge, fields._ROWS.
+_BLOCK_EDGE_BATCHES = sorted({1, 4, fields._ROWS - 1, fields._ROWS, fields._ROWS + 1, 64, 257})
+
+
+@pytest.mark.parametrize("b", _BLOCK_EDGE_BATCHES)
 def test_three_set_rows_do_not_depend_on_batch_at_workload_size(b):
     reg, sets, zs, t = _three_sets()
     zs = zs[:b]
@@ -426,6 +432,55 @@ def test_three_set_rows_do_not_depend_on_block_position_or_neighbours(path, neig
                 batch = fill.copy()
                 batch[pos] = row
                 assert np.array_equal(field(batch, t)[pos], alone)
+
+
+@pytest.mark.parametrize("name, w", [("a", 1.5), ("b", 5.5)])
+def test_flowedit_point_rows_do_not_depend_on_batch(name, w):
+    # flowedit_points' own shape: two 1024-point sets in 16-D, a 64-row
+    # batch, and its source and target conditions at w_src and w_tar.
+    a, other, zs, t = _workload_sets()
+    reg = FieldRegistry().add_points("a", a).add_points("b", other)
+    field = make_velocity(reg, Condition.dataset(name), GuidanceScales(w=w))
+    batch = field(zs[:64], t)
+    for i in range(64):
+        assert np.array_equal(batch[i], field(zs[i], t))
+
+
+def _ladder_fields(kind):
+    # A points-only and a Gaussian-plus-points registry, each evaluated at
+    # its null condition and at point set a at w = 5.5.
+    a, other, zs, t = _workload_sets()
+    d = a.shape[1]
+    m = _rng(67).standard_normal((d, d)) / 4
+    reg = FieldRegistry().add_points("a", a)
+    if kind == "points":
+        reg.add_points("b", other)
+    else:
+        reg.add_gaussian("g", np.full(d, 0.5), m @ m.T + 0.2 * np.eye(d))
+    bound = {"null": make_velocity(reg, Condition.null(), GuidanceScales()),
+             "dataset": make_velocity(reg, Condition.dataset("a"), GuidanceScales(w=5.5))}
+    return bound, zs[:fields._ROWS + 1], t
+
+
+# The point part of the magnitude ladder: one row scaled far past any
+# workload's states, at the first and the last position of a block, must
+# leave every other row of its batch bit for bit as evaluated alone, and
+# give what it gives alone, NaN entries included.
+@pytest.mark.parametrize("scale", [1e10, 1e50, 1e100, 1e150, 1e200, 1e250, 1e300])
+@pytest.mark.parametrize("cond", ["null", "dataset"])
+@pytest.mark.parametrize("kind", ["points", "mixed"])
+def test_point_rows_beside_a_huge_row_do_not_depend_on_batch(kind, cond, scale):
+    bound, zs, t = _ladder_fields(kind)
+    field = bound[cond]
+    with np.errstate(all="ignore"):
+        alone = [field(z, t) for z in zs]
+        for pos in (0, fields._ROWS - 1):
+            batch = zs.copy()
+            batch[pos] *= scale
+            got = field(batch, t)
+            assert np.array_equal(got[pos], field(batch[pos], t), equal_nan=True)
+            for i in np.delete(np.arange(len(zs)), pos):
+                assert np.array_equal(got[i], alone[i])
 
 
 @pytest.mark.parametrize("w", [2.5, 5.5])
@@ -876,6 +931,17 @@ def test_make_velocity_binds_arguments():
     z = np.array([0.0, 0.0])
     assert np.array_equal(vel(z, 0.5),
                           make_velocity(reg, Condition.dataset("a"), GuidanceScales())(z, 0.5))
+
+
+def test_make_velocity_checks_the_guidance_weight_at_binding():
+    # A dataset condition checks its weight once, when it binds; the null
+    # condition reads no weight.
+    reg = FieldRegistry().add_points("a", np.array([[1.0, 1.0]]))
+    with pytest.raises(ValueError, match="guidance weight must be finite"):
+        make_velocity(reg, Condition.dataset("a"), SimpleNamespace(w=np.nan))
+    z = np.zeros(2)
+    assert np.array_equal(make_velocity(reg, Condition.null(), SimpleNamespace(w=np.nan))(z, 0.5),
+                          make_velocity(reg, Condition.null(), GuidanceScales())(z, 0.5))
 
 
 def _binding_registries(d=4):
