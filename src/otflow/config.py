@@ -199,12 +199,9 @@ def _parse_lines(text, source):
     return entries, axes
 
 
-def _merge(entries, preset_name, overrides):
-    resolved = {}
+def _merge(entries, preset_map, overrides):
+    resolved = {path: str(value) for path, value in preset_map.items()}
     lines = {}
-    if preset_name is not None:
-        for path, value in get_preset(preset_name).items():
-            resolved[path] = str(value)
     for path, (value, lineno) in entries.items():
         resolved[path] = value
         lines[path] = lineno
@@ -457,6 +454,15 @@ def _build_verify(res, registry):
     }
 
 
+def editor_config(cfg):
+    """The InversionEditConfig or FlowEditConfig of cfg's editing algorithm,
+    built from cfg.editor with cfg's transport, grid and scales, and for
+    flowedit its seed."""
+    seed = {"seed": cfg.seed} if cfg.algorithm == "flowedit" else {}
+    return _EDIT_CONFIGS[cfg.algorithm](transport=cfg.transport, grid=cfg.grid,
+                                        scales=cfg.scales, **seed, **cfg.editor)
+
+
 def _check_run_values(res, cfg):
     """Fail, with its key and line, on any value the run reads that its
     runtime's rule rejects: an editing run builds its editor config, a
@@ -466,9 +472,7 @@ def _check_run_values(res, cfg):
             and cfg.inputs["x_target"] is None):
         res._fail("transport.beta0", _GENERATE_NEEDS_TARGET)
     if cfg.algorithm in _EDIT_CONFIGS:
-        seed = {"seed": cfg.seed} if cfg.algorithm == "flowedit" else {}
-        res.build("editor", _EDIT_CONFIGS[cfg.algorithm], transport=cfg.transport,
-                  grid=cfg.grid, scales=cfg.scales, **seed, **cfg.editor)
+        res.build("editor", editor_config, cfg)
     for run, rules in _RUN_RULES.items():
         if cfg.algorithm == "verify" and cfg.verify["kind"] in (run, "all"):
             for path, rule in rules:
@@ -510,12 +514,13 @@ def load_config_text(text, source="<string>", preset=None, overrides=None, base_
     preset_name = preset
     if preset_name is None and "experiment.preset" in entries:
         preset_name = entries["experiment.preset"][0]
+    preset_map = {}
     if preset_name is not None:
         try:
-            get_preset(preset_name)
+            preset_map = get_preset(preset_name)
         except KeyError as exc:
             raise ConfigError(str(exc.args[0])) from None
-    resolved, lines = _merge(entries, preset_name, overrides)
+    resolved, lines = _merge(entries, preset_map, overrides)
     if preset_name is not None:
         resolved["experiment.preset"] = preset_name
     return _build_config(resolved, lines, axis_lines, base_dir)

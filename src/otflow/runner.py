@@ -38,10 +38,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import _GENERATE_NEEDS_TARGET, ConfigError, cell_beta0, derive_config
+from .config import _GENERATE_NEEDS_TARGET, ConfigError, cell_beta0, derive_config, editor_config
 from .core import make_rng
-from .editors import (FlowEditConfig, InversionEditConfig, RngSeed,
-                      transport_enhanced_flowedit, transport_guided_inversion_edit)
+from .editors import transport_enhanced_flowedit, transport_guided_inversion_edit
 from .fields import make_velocity
 from .metrics import (_EMPIRICAL_CAP, VerifySetup, guided_final_states, verify_convergence_bound,
                       verify_discretization_bound, verify_edit_control_bound, w2_dirac_to_gaussian,
@@ -116,21 +115,44 @@ def points_csv(points):
 
 
 def _cloud_w2_to_condition(cloud, registry, condition):
+    """W2 from a generated cloud to its dataset condition: a Gaussian's by
+    the Bures formula on the cloud's moments, a point set's by exact
+    assignment against its atoms repeated to the cloud's size, None for the
+    null condition or a size the atoms do not divide.  W2 scales by s when
+    both measures are scaled by s, with the same optimal assignment, so a
+    cloud whose squares overflow is measured divided by s, the largest
+    |entry| of cloud and target, and the result multiplied by s."""
     if condition.kind != "dataset":
         return None
     cloud = np.asarray(cloud, dtype=float)
     if registry.kind(condition.name) == "gaussian":
         mean, cov = registry.gaussian(condition.name)
-        emp_mean = cloud.mean(axis=0)
-        centered = cloud - emp_mean
-        emp_cov = centered.T @ centered / cloud.shape[0]
-        return w2_gaussian(emp_mean, emp_cov, mean, cov)
-    pts = registry.points(condition.name)
-    if cloud.shape[0] % len(pts) == 0 and cloud.shape[0] <= _EMPIRICAL_CAP:
-        # Equal-size exact assignment against the atom-replicated dataset.
-        reps = np.repeat(pts, cloud.shape[0] // len(pts), axis=0)
-        return w2_empirical_exact(cloud, reps)[0]
-    return None
+        span = max(np.abs(mean).max(), np.sqrt(np.abs(cov).max()))
+
+        def w2(s):
+            x = cloud / s
+            emp_mean = x.mean(axis=0)
+            centered = x - emp_mean
+            return s * w2_gaussian(emp_mean, centered.T @ centered / len(x), mean / s, cov / s / s)
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = w2(1.0)
+        huge = not np.isfinite(value)
+    else:
+        pts = registry.points(condition.name)
+        if len(cloud) % len(pts) or len(cloud) > _EMPIRICAL_CAP:
+            return None
+        reps = np.repeat(pts, len(cloud) // len(pts), axis=0)
+        span = np.abs(pts).max()
+
+        def w2(s):
+            return s * w2_empirical_exact(cloud / s, reps / s)[0]
+        # An overflowing squared distance would leave the assignment
+        # infeasible or wrong, so the distances are checked before it runs.
+        from scipy.spatial.distance import cdist
+        with np.errstate(over="ignore"):
+            huge = not np.isfinite(cdist(cloud, pts, "sqeuclidean")).all()
+        value = None if huge else w2(1.0)
+    return w2(max(np.abs(cloud).max(), span)) if huge else value
 
 
 def _x0_rows(cfg, seeds):
@@ -149,13 +171,12 @@ def _edit(cfg, x0, beta0=None, seeds=None):
     """cfg.algorithm's editor, configured from cfg.editor, on one (d,) source
     or a (B, d) batch with a (B,) beta0 and, for flowedit's noise draws, B
     seeds; both default to the config's own."""
-    knobs = dict(transport=cfg.transport, grid=cfg.grid, scales=cfg.scales, **cfg.editor)
     if cfg.algorithm == "invert_edit":
         # The inversion draws nothing, so a row's seed goes only into its x0.
-        return transport_guided_inversion_edit(InversionEditConfig(**knobs), cfg.registry,
-                                               cfg.codec, x0, cfg.inputs["x_target"], beta0)
-    return transport_enhanced_flowedit(FlowEditConfig(seed=RngSeed(cfg.seed), **knobs),
-                                       cfg.registry, cfg.codec, x0, beta0, seeds)
+        return transport_guided_inversion_edit(editor_config(cfg), cfg.registry, cfg.codec,
+                                               x0, cfg.inputs["x_target"], beta0)
+    return transport_enhanced_flowedit(editor_config(cfg), cfg.registry, cfg.codec, x0,
+                                       beta0, seeds)
 
 
 def _group_metrics(cfg, outputs, summaries, aborts):

@@ -133,50 +133,43 @@ def _row_norms(v):
 
 
 def _clip(v, n, tau):
-    # clip_norm given v's row norms n, without its checks.  A finite row whose
-    # norm is inf even rescaled is clipped as u = v / max|v|, its direction at
-    # a finite norm, times tau / ||u||, not zeroed by tau / inf; a row with a
-    # non-finite entry is left to tau / inf as before.
-    if v.ndim == 1:
-        if n == np.inf:
-            return _clip(v[None], np.array([n]), tau)[0]
-        return v if n <= tau else v * (tau / n)
-    over = (n == np.inf) & np.isfinite(v).all(axis=-1)
+    # clip_norm given v's row norms n, without its checks; a (d,) state is
+    # clipped as a one-row batch.  A finite row whose norm is inf even
+    # rescaled is clipped as u = v / max|v|, its direction at a finite norm,
+    # times tau / ||u||, not zeroed by tau / inf; a row with a non-finite
+    # entry is left to tau / inf as before.
+    rows, n = v.reshape(-1, v.shape[-1]), np.reshape(n, -1)
+    over = (n == np.inf) & np.isfinite(rows).all(axis=-1)
     if over.any():
-        u = v[over] / np.abs(v[over]).max(axis=-1, keepdims=True)
-        v, n = v.copy(), n.copy()
-        v[over], n[over] = u * (tau / np.linalg.norm(u, axis=-1, keepdims=True)), tau
-    n = n[..., None]
-    return np.where(n > tau, v * (tau / np.maximum(n, 1e-300)), v)
+        u = rows[over] / np.abs(rows[over]).max(axis=-1, keepdims=True)
+        rows, n = rows.copy(), n.copy()
+        rows[over], n[over] = u * (tau / np.linalg.norm(u, axis=-1, keepdims=True)), tau
+    n = n[:, None]
+    return np.where(n > tau, rows * (tau / np.maximum(n, 1e-300)), rows).reshape(v.shape)
 
 
 def enhance_velocity(v_base, z, z_target, t, cfg, beta0=None):
     """Add the weighted, clipped transport correction to a base velocity.
 
-    z is a state (d,) or a batch (B, d) with v_base of the same shape.
-    Returns (velocity, weight, raw_norm): weight is the schedule weight at t,
-    shared by every row, and raw_norm the per-row pre-clip norm of the
-    direction, the same reduction clip_norm compares with clip_tau.  When the
-    weight is zero (beta0 = 0, t outside the window, schedule annealed away)
-    the result is (v_base, 0.0, 0.0) with v_base untouched.
-
-    beta0, a (B,) array of per-row strengths for a (B, d) batch, replaces
-    cfg.beta0: row i gets weight beta0[i] * S(s), and on a step where S(s)
-    is nonzero weight and raw_norm come back as (B,) arrays.  A row whose
-    weight is zero keeps its v_base row untouched, with weight and raw_norm 0.
+    z is a state (d,) or a batch (B, d) with v_base of the same shape.  The
+    weight of a row is S(s) * beta0, the schedule factor at t times the
+    row's strength: beta0 is a (B,) array of per-row strengths for a (B, d)
+    batch, or by default cfg.beta0, one weight shared by every row.
+    Returns (velocity, weight, raw_norm), raw_norm being the per-row
+    pre-clip norm of the direction, the same reduction clip_norm compares
+    with clip_tau.  A row whose weight is zero keeps its v_base row
+    untouched, with raw_norm 0.  When S(s) is zero (t outside the window,
+    schedule annealed away) the result is (v_base, 0.0, 0.0) with v_base
+    itself.
     """
-    # One scalar weight per step; with per-row strengths it is S(s) alone.
-    w = adaptive_weight(t, cfg, None if beta0 is None else 1.0)
-    if w == 0.0:
+    s_factor = adaptive_weight(t, cfg, 1.0)
+    if s_factor == 0.0:
         return v_base, 0.0, 0.0
     d = transport_direction(z, z_target, t, cfg.delta)
     raw_norm = _row_norms(d)
-    clipped = _clip(d, raw_norm, cfg.clip_tau)
-    if beta0 is None:
-        return v_base + w * clipped, w, raw_norm
-    w = w * np.asarray(beta0, dtype=float)
+    w = s_factor * np.asarray(cfg.beta0 if beta0 is None else beta0, dtype=float)
     on = w != 0.0
-    v = np.where(on[:, None], v_base + w[:, None] * clipped, v_base)
+    v = np.where(on[..., None], v_base + w[..., None] * _clip(d, raw_norm, cfg.clip_tau), v_base)
     return v, w, np.where(on, raw_norm, 0.0)
 
 

@@ -447,28 +447,34 @@ def test_flowedit_point_rows_do_not_depend_on_batch(name, w):
 
 
 def _ladder_fields(kind):
-    # A points-only and a Gaussian-plus-points registry, each evaluated at
-    # its null condition and at point set a at w = 5.5.
+    # A points-only, a Gaussian-plus-points and a two-Gaussian registry,
+    # each evaluated at its null condition and at its first entry (point
+    # set a, or Gaussian g) at w = 5.5.
     a, other, zs, t = _workload_sets()
     d = a.shape[1]
     m = _rng(67).standard_normal((d, d)) / 4
-    reg = FieldRegistry().add_points("a", a)
-    if kind == "points":
-        reg.add_points("b", other)
-    else:
+    reg = FieldRegistry()
+    if kind == "gaussians":
         reg.add_gaussian("g", np.full(d, 0.5), m @ m.T + 0.2 * np.eye(d))
+        reg.add_gaussian("h", np.full(d, -1.0), 0.3 * np.eye(d))
+    elif kind == "points":
+        reg.add_points("a", a).add_points("b", other)
+    else:
+        reg.add_points("a", a).add_gaussian("g", np.full(d, 0.5), m @ m.T + 0.2 * np.eye(d))
     bound = {"null": make_velocity(reg, Condition.null(), GuidanceScales()),
-             "dataset": make_velocity(reg, Condition.dataset("a"), GuidanceScales(w=5.5))}
+             "dataset": make_velocity(reg, Condition.dataset(reg.names()[0]),
+                                      GuidanceScales(w=5.5))}
     return bound, zs[:fields._ROWS + 1], t
 
 
-# The point part of the magnitude ladder: one row scaled far past any
+# The magnitude ladder over the field kernels: one row scaled far past any
 # workload's states, at the first and the last position of a block, must
 # leave every other row of its batch bit for bit as evaluated alone, and
-# give what it gives alone, NaN entries included.
+# give what it gives alone, NaN entries included.  Beside a Gaussian the
+# huge row itself turns NaN from 1e200.
 @pytest.mark.parametrize("scale", [1e10, 1e50, 1e100, 1e150, 1e200, 1e250, 1e300])
 @pytest.mark.parametrize("cond", ["null", "dataset"])
-@pytest.mark.parametrize("kind", ["points", "mixed"])
+@pytest.mark.parametrize("kind", ["points", "mixed", "gaussians"])
 def test_point_rows_beside_a_huge_row_do_not_depend_on_batch(kind, cond, scale):
     bound, zs, t = _ladder_fields(kind)
     field = bound[cond]

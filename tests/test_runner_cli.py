@@ -664,6 +664,29 @@ def test_sweep_rows_with_huge_finite_states_report_finite_metrics(tmp_path):
     assert float(records[3]["w2_to_target"]) > 1e248
 
 
+@pytest.mark.parametrize("target, count", [
+    ("mean = -1.5, 0.0\ncov = 0.16, 0; 0, 0.16", 64),
+    ("points = -1, 0; 1, 0.5; 0, 2; 1, 1", 8),
+], ids=["gaussian", "points"])
+def test_generate_w2_on_a_finite_cloud_whose_squares_overflow(tmp_path, capsys, target, count):
+    # codec.scale = 1e200 decodes the samples to about 1e200: finite, but
+    # their squares overflow the moments and the assignment's costs.  The
+    # run exits 0 with a W2 equal, to rounding, to the cloud's root mean
+    # square norm, which the target's O(1) terms cannot move at that scale.
+    text = ("[experiment]\nalgorithm = generate\nname = g\nseed = 3\n"
+            f"[dataset.g]\n{target}\n[codec]\nscale = 1e200, 1e200\n"
+            f"[editor]\ncondition = g\n[inputs]\ncount = {count}\n")
+    cfg_path = _write(tmp_path, "g.cfg", text)
+    assert main(["run", cfg_path, "--out-dir", str(tmp_path / "out")]) == EXIT_OK
+    capsys.readouterr()
+    cloud = np.loadtxt(tmp_path / "out" / "g_samples.csv", delimiter=",")
+    assert cloud.shape == (count, 2) and np.abs(cloud).max() > 1e199
+    report = open(tmp_path / "out" / "g_report.txt").read()
+    w2 = float(report.split("w2_to_target = ")[1].split("\n")[0])
+    rms = np.sqrt(np.mean(np.sum((cloud / 1e200) ** 2, axis=1))) * 1e200
+    assert abs(w2 - rms) <= 1e-12 * rms
+
+
 def test_generate_on_points_w2_against_replicated_atoms(tmp_path):
     text = ("[experiment]\nalgorithm = generate\nname = g\n"
             "[dataset.p]\npoints = -1, 0; 1, 0.5; 0, 2\n"
