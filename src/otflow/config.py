@@ -55,10 +55,10 @@ import numpy as np
 from .core import LatentCodec, make_time_grid
 from .editors import FlowEditConfig, InversionEditConfig, RngSeed
 from .fields import Condition, FieldRegistry, GuidanceScales
-from .metrics import (check_convergence_arms, check_edit_control_arms, check_probe_step,
-                      check_run_count, check_step_counts)
+from .metrics import (check_convergence_arms, check_edit_control_arms, check_edit_control_phi,
+                      check_probe_step, check_run_count, check_step_counts)
 from .presets import get_preset
-from .transport import TransportConfig, check_beta0, check_phi
+from .transport import TransportConfig, check_beta0
 
 _ALGORITHMS = ("invert_edit", "flowedit", "generate", "verify")
 _SWEEP_CAP = 100_000
@@ -132,7 +132,7 @@ _RUN_RULES = {
                     ("verify.beta0_list", check_convergence_arms)),
     "edit_control": (("verify.n_runs", check_run_count),
                      ("verify.edit_beta0_list", check_edit_control_arms),
-                     ("verify.phi", check_phi)),
+                     ("verify.phi", check_edit_control_phi)),
 }
 
 

@@ -100,7 +100,8 @@ def make_time_grid(n_steps, t_start, t_end):
     Args:
         n_steps: number of integration steps (>= 1); the grid has n_steps + 1 points.
         t_start: first grid time, in [0, 1].
-        t_end: last grid time, in [0, 1]; must differ from t_start.
+        t_end: last grid time, in [0, 1]; must differ from t_start by enough
+            that every step is nonzero and finite.
     """
     if not isinstance(n_steps, (int, np.integer)) or n_steps < 1:
         raise ValueError(f"n_steps must be a positive integer, got {n_steps!r}")
@@ -110,6 +111,10 @@ def make_time_grid(n_steps, t_start, t_end):
     if t_start == t_end:
         raise ValueError("t_start and t_end must differ")
     points = np.linspace(float(t_start), float(t_end), n_steps + 1)
+    steps = np.diff(points)
+    if not (np.isfinite(steps).all() and steps.all()):
+        raise ValueError(f"t_start {t_start} and t_end {t_end} give a zero or non-finite "
+                         f"step over {n_steps} steps")
     return TimeGrid(int(n_steps), float(t_start), float(t_end), points)
 
 

@@ -10,13 +10,15 @@ asserting absolute error values:
 
 Each trajectory the checks need is integrated once, and an Euler run keeps
 only its final state (core.integrate_final): the checks read nothing else.
-The discretization check makes one RK4 reference pass that stops at probe_t
-for the probe state and continues from there to the end of the span.  Its
-field calls are all single-state: 4 * 20 * max(counts) for that pass,
-sum(counts) for the Euler runs, 1 for the probe velocity and
-4 * 50 * len(counts) for the local references, which is 7,351 calls at the
-default counts 10, 20, 40, 80.  A reference that goes non-finite raises
-NumericalAbort at its own step (reference_integrate).
+The discretization check's RK4 references are split at the kinks of the
+guided field (transport.kinks), so they stay fourth order down to t = 0.
+One pass from t = 1 through probe_t to t = 0 gives the probe state and the
+end state, and a second at half its steps states the end state's error.
+Its field calls are all single-state: 4 * (202 + 101) for the two passes
+of an unguided field, sum(counts) for the Euler runs, 1 for the probe
+velocity and 4 * 8 * len(counts) for the local references, which is 1,491
+calls at the default counts 10, 20, 40, 80.  A reference that goes
+non-finite raises NumericalAbort at its own step (reference_integrate).
 Convergence and edit control share one VerifySetup, which integrates each
 distinct arm (one transport strength and schedule over the noise bank) once
 and hands its final states to both.
@@ -28,16 +30,21 @@ take (B, d) rows, each its single-state call bit for bit; they and
 w2_dirac_to_points are never inf if finite.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .core import (NumericalAbort, _overflow_safe, euler_step, integrate_final, make_rng,
                    make_time_grid)
-from .fields import make_velocity
-from .transport import make_enhanced
+from .fields import _T_FLOOR, make_velocity
+from .transport import check_phi, kinks, make_enhanced
 
 _QUAD_PANELS = 10_000
+# RK4 steps of the discretization check's reference over [1, 0] and of each
+# local reference over its probe step (verify_discretization_bound).
+_REF_STEPS = 200
+_LOCAL_STEPS = 8
 _EMPIRICAL_CAP = 2048
 
 
@@ -157,10 +164,10 @@ def w2_dirac_to_gaussian(p, mean, cov):
 def reference_integrate(velocity, z0, t0, t1, n_fine):
     """Classical fixed-step RK4 from t0 to t1; the test-side reference oracle.
 
-    Use at least 10x the production step count so the reference error is
-    negligible next to the Euler error under test.  The fields freeze below
-    fields._T_FLOOR, so a run that ends at t = 0 is only first order in the
-    step; one that stops short of the floor keeps fourth order.
+    Fourth order on a field that is smooth in t over [t0, t1].  The fields
+    freeze below fields._T_FLOOR and the transport weight has kinks and
+    jumps (transport.kinks), so a span across one of them loses that order;
+    verify_discretization_bound splits its references there instead.
 
     A step whose new state is non-finite raises NumericalAbort with the
     step's index in this run: term "velocity" at the time of its first
@@ -189,6 +196,45 @@ def reference_integrate(velocity, z0, t0, t1, n_fine):
     return z
 
 
+def gaussian_flow(mean, cov, z, t_from, t_to):
+    """The exact flow of N(mean, cov)'s marginal velocity field from time
+    t_from to t_to, for a (d,) state or (B, d) states.
+
+    With a = 1 - t, cov = Q diag(lam) Q^T and c(t) = a^2 lam + t^2, the field
+    gives dy/dt = ((t - a lam) / c) y for y = Q^T (z - a mean), that is
+    d log sqrt(c) / dt, so each coordinate of y scales by sqrt(c(t_to) /
+    c(t_from)).  Below fields._T_FLOOR the field is frozen at the floor, an
+    affine field: with w = Q^T (z - a_f mean) and k the gains at the floor,
+    dw/dt = k w - Q^T mean, whose step of length h is w + expm1(k h) / k *
+    (k w - Q^T mean).  Independent of fields' eigen kernel (np.linalg.eigh).
+    """
+    mean = np.asarray(mean, dtype=float)
+    lam, q = np.linalg.eigh(_as_cov(cov))
+    lam = np.clip(lam, 0.0, None)
+    z = np.asarray(z, dtype=float)
+
+    def c(t):
+        return (1.0 - t) ** 2 * lam + t * t
+
+    def smooth(z, s, t):
+        y = (z - (1.0 - s) * mean) @ q
+        return (1.0 - t) * mean + (np.sqrt(c(t) / c(s)) * y) @ q.T
+
+    def frozen(z, h):
+        a = 1.0 - _T_FLOOR
+        k = (_T_FLOOR - a * lam) / c(_T_FLOOR)
+        w = (z - a * mean) @ q
+        # expm1(k h) / k, which is h where k is 0.
+        gain = np.divide(np.expm1(k * h), k, out=np.full_like(k, h), where=k != 0.0)
+        return a * mean + (w + gain * (k * w - q.T @ mean)) @ q.T
+
+    s, t = float(t_from), float(t_to)
+    times = [s, _T_FLOOR, t] if min(s, t) < _T_FLOOR < max(s, t) else [s, t]
+    for a, b in zip(times, times[1:]):
+        z = frozen(z, b - a) if max(a, b) <= _T_FLOOR else smooth(z, a, b)
+    return z
+
+
 def schedule_integral(phi):
     """integral_0^1 S(s, phi)^2 ds by composite midpoint rule (1e4 panels).
 
@@ -196,7 +242,9 @@ def schedule_integral(phi):
     value is the same for both; closed form (3/8) * phi.
     """
     s = (np.arange(_QUAD_PANELS) + 0.5) / _QUAD_PANELS
-    ratio = np.minimum(s / phi, 1.0)
+    # min(s, phi) / phi is min(s / phi, 1) bit for bit, and stays finite
+    # for a subnormal phi.
+    ratio = np.minimum(s, phi) / phi
     vals = (0.5 * (1.0 + np.cos(ratio * np.pi))) ** 2
     return float(vals.mean())
 
@@ -281,6 +329,16 @@ def check_edit_control_arms(beta0_list):
         raise ValueError("need at least three positive beta0 values to fit a slope")
 
 
+def check_edit_control_phi(phi):
+    """Raise ValueError unless phi is an anneal width (transport.check_phi)
+    whose schedule_integral is positive: verify_edit_control_bound divides
+    by it, and on its midpoint panels every phi below 5e-5 gives 0."""
+    check_phi(phi)
+    if not schedule_integral(phi) > 0.0:
+        raise ValueError(f"phi = {phi} gives a schedule integral of 0 on {_QUAD_PANELS} "
+                         "midpoint panels")
+
+
 def check_probe_step(probe_t, step_counts):
     """Raise ValueError unless the coarsest probe step lies inside [0, 1].
 
@@ -294,6 +352,28 @@ def check_probe_step(probe_t, step_counts):
                          "[0.0, 1.0]")
 
 
+def _segment_steps(times, n):
+    """RK4 step counts for the segments between consecutive entries of
+    times: n in all over the span, each segment's share in proportion to
+    its length, and at least one step."""
+    span = abs(times[-1] - times[0])
+    return [max(1, round(n * abs(b - a) / span)) for a, b in zip(times, times[1:])]
+
+
+def _split_reference(velocity, z0, times, steps):
+    """The states at every entry of times, z0 at times[0]: uniform RK4
+    (reference_integrate) on each segment between consecutive entries, in
+    the given numbers of steps.  A segment reads the field at its stage
+    times clamped to one ulp inside its ends, so a field that jumps at an
+    end (a window edge) is read on the segment's own side."""
+    states = [np.asarray(z0, dtype=float)]
+    for a, b, n in zip(times, times[1:], steps):
+        lo, hi = math.nextafter(min(a, b), max(a, b)), math.nextafter(max(a, b), min(a, b))
+        states.append(reference_integrate(
+            lambda z, t, lo=lo, hi=hi: velocity(z, min(max(t, lo), hi)), states[-1], a, b, n))
+    return states
+
+
 def verify_discretization_bound(field, transport_cfg, z_init, z_target, step_counts,
                                 probe_t=0.6):
     """Check Euler error orders for the transport-guided ODE.
@@ -302,22 +382,26 @@ def verify_discretization_bound(field, transport_cfg, z_init, z_target, step_cou
     (slope within [1.8, 2.2]); global end-state error like dt (slope within
     [0.8, 1.2]).  The probe step starts from the reference trajectory state at
     probe_t, away from the schedule and clipping kinks, and must stay inside
-    [0, 1] (check_probe_step).  Both run from t = 1 to t = 0.  One RK4 pass
-    of 20 * max(step_counts) steps gives both references: its first steps
-    end at probe_t, the rest continue from there to t = 0.
+    [0, 1] (check_probe_step).  Both run from t = 1 to t = 0.
+
+    Every reference is uniform RK4 split at the kinks inside its span
+    (transport.kinks), with _segment_steps' counts, so it keeps fourth
+    order down to t = 0.  One pass of about _REF_STEPS steps from t = 1
+    through probe_t to t = 0 gives the probe state and the end state; a
+    second at half the counts per segment gives fitted_constants'
+    reference_error, the Richardson estimate ||z_n - z_(n/2)|| / 15 of the
+    end state's error.  Each local reference takes about _LOCAL_STEPS.
     """
     step_counts = sorted(int(n) for n in step_counts)
     check_step_counts(step_counts)
     check_probe_step(probe_t, step_counts)
     enhanced = make_enhanced(field, z_target, transport_cfg)
-    n_fine = 20 * max(step_counts)
-    # At least one step whenever probe_t != 1, so the probe state is never
-    # z_init at the wrong time; the check above leaves the tail >= 20 steps.
-    n_probe = max(round(n_fine * (1.0 - probe_t)), int(probe_t != 1.0))
-    probe_state = np.asarray(z_init, dtype=float)
-    if n_probe:
-        probe_state = reference_integrate(enhanced, probe_state, 1.0, probe_t, n_probe)
-    ref_final = reference_integrate(enhanced, probe_state, probe_t, 0.0, n_fine - n_probe)
+    times = [1.0, *kinks(transport_cfg, 1.0, 0.0, probe_t), 0.0]
+    half = _segment_steps(times, _REF_STEPS // 2)
+    states = _split_reference(enhanced, z_init, times, [2 * n for n in half])
+    probe_state, ref_final = states[times.index(probe_t)], states[-1]
+    half_final = _split_reference(enhanced, z_init, times, half)[-1]
+    reference_error = l2_distance(ref_final, half_final) / 15.0
 
     # The probe velocity is the same for every step count.
     probe_v = enhanced(probe_state, probe_t)
@@ -326,11 +410,13 @@ def verify_discretization_bound(field, transport_cfg, z_init, z_target, step_cou
     for n in step_counts:
         dt = 1.0 / n
         grid = make_time_grid(n, 1.0, 0.0)
-        final = integrate_final(enhanced, np.asarray(z_init, dtype=float), grid)
+        final = integrate_final(enhanced, states[0], grid)
         g_err = l2_distance(final, ref_final)
         # One Euler step from the reference state vs a fine reference substep.
         euler_sub = euler_step(probe_state, probe_v, -dt, probe_t, 0)
-        ref_sub = reference_integrate(enhanced, probe_state, probe_t, probe_t - dt, 50)
+        sub = [probe_t, *kinks(transport_cfg, probe_t, probe_t - dt), probe_t - dt]
+        ref_sub = _split_reference(enhanced, probe_state, sub,
+                                   _segment_steps(sub, _LOCAL_STEPS))[-1]
         l_err = l2_distance(euler_sub, ref_sub)
         dts.append(dt)
         local_errs.append(l_err)
@@ -352,7 +438,8 @@ def verify_discretization_bound(field, transport_cfg, z_init, z_target, step_cou
         bound_kind="discretization",
         measured=tuple(measured),
         fitted_constants={"local_slope": local_slope, "global_slope": global_slope,
-                          "lipschitz_scale": lipschitz_scale},
+                          "lipschitz_scale": lipschitz_scale,
+                          "reference_error": reference_error},
         slope=local_slope,
         passed=passed,
         tolerance_used=tol,
@@ -433,6 +520,7 @@ def verify_edit_control_bound(setup, beta0_list, phi):
     """
     beta0_list = [float(b) for b in beta0_list]
     check_edit_control_arms(beta0_list)
+    check_edit_control_phi(phi)
     positives = [b for b in beta0_list if b > 0.0]
     transport = replace(setup.transport, phi=float(phi))
     base_out = _run_outputs(setup, 0.0, transport)

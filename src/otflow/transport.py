@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import _overflow_safe
+from .fields import _T_FLOOR
 
 _ORIENTATIONS = ("elapsed", "remaining")
 
@@ -83,6 +84,25 @@ def cosine_schedule(s, phi):
 def _cosine(s, phi):
     # cosine_schedule without its checks.
     return 0.5 * (1.0 + math.cos(min(s / phi, 1.0) * math.pi))
+
+
+def kinks(cfg, t_from, t_to, *marks):
+    """The times strictly inside the span from t_from to t_to where a field
+    guided under cfg is not smooth in t, sorted from t_from toward t_to,
+    each once.
+
+    They are fields._T_FLOOR, below which the fields freeze, and the given
+    marks; and, when cfg.beta0 > 0, the window edges, where the weight
+    jumps, the schedule's end (t = 1 - phi for 'elapsed', t = phi for
+    'remaining') and t = 1 - delta, where the direction's denominator
+    max(1 - t, delta) stops moving.
+    """
+    times = [_T_FLOOR, *marks]
+    if cfg.beta0 > 0.0:
+        end = 1.0 - cfg.phi if cfg.orientation == "elapsed" else cfg.phi
+        times += [*cfg.window, end, 1.0 - cfg.delta]
+    lo, hi = sorted((t_from, t_to))
+    return sorted({t for t in times if lo < t < hi}, reverse=t_from > t_to)
 
 
 def transport_direction(z, z_target, t, delta):

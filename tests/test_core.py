@@ -52,6 +52,8 @@ def test_grid_reversed_round_trip():
     (10, -0.1, 1.0),
     (10, 0.0, 1.5),
     (10, 0.5, 0.5),
+    (28, 5e-324, 0.0),     # every step underflows to 0
+    (28, 0.0, 5e-324),
 ])
 def test_grid_validation(n_steps, t_start, t_end):
     with pytest.raises(ValueError):

@@ -35,8 +35,10 @@ from otflow import (
     verify_discretization_bound,
     verify_edit_control_bound,
 )
-from otflow.metrics import AssignmentPlan, VerifySetup, _as_cov, _row_l2
-from otflow.transport import make_enhanced
+from otflow.fields import _T_FLOOR
+from otflow.metrics import (_LOCAL_STEPS, _REF_STEPS, AssignmentPlan, VerifySetup, _as_cov,
+                            _row_l2, _segment_steps, _split_reference, gaussian_flow)
+from otflow.transport import kinks, make_enhanced
 
 
 def _rng(*key):
@@ -250,25 +252,8 @@ def test_reference_integrate_fourth_order():
     assert 12.0 < ratio < 20.0
 
 
-def _gaussian_flow(mean, cov, z, s, t):
-    # The exact flow of N(mean, cov)'s marginal velocity from time s to t.
-    # With a = 1 - t, cov = Q diag(lam) Q^T and c(t) = a^2 lam + t^2, the
-    # field gives dy/dt = ((t - a lam) / c) y for y = Q^T (z - a mean), that
-    # is d log sqrt(c) / dt, so each coordinate of y scales by sqrt(c(t)/c(s)).
-    lam, q = np.linalg.eigh(cov)
-    c = lambda u: (1.0 - u) ** 2 * lam + u * u  # noqa: E731
-    y = q.T @ (z - (1.0 - s) * mean)
-    return (1.0 - t) * mean + q @ (np.sqrt(c(t) / c(s)) * y)
-
-
-def test_reference_integrate_order_on_the_gaussian_flow():
-    """RK4 on an 8-D Gaussian's own field against its closed-form flow.
-
-    To t = 0.01 the field is smooth and the error falls by about 2^4 per
-    halved step (1.6e-10 at 100 steps to 3.6e-14 at 800).  To t = 0 the
-    field is frozen at t_floor below it, so the last step's stage at t = 0
-    reads v(z, t_floor): an error of order h, falling about 4x per 4x steps.
-    """
+def _gaussian_8d():
+    # An 8-D Gaussian, its own marginal field and a state at t = 1.
     rng = _rng(0)
     dim = 8
     spread = rng.standard_normal((dim, dim))
@@ -278,9 +263,24 @@ def test_reference_integrate_order_on_the_gaussian_flow():
 
     def field(z, t):
         return gaussian_marginal_velocity(mean, cov, z, t)
+    return mean, cov, z1, field
+
+
+def test_reference_integrate_order_on_the_gaussian_flow():
+    """RK4 on an 8-D Gaussian's own field against its closed-form flow.
+
+    To t = 0.01 the field is smooth and the error falls by about 2^4 per
+    halved step (1.6e-10 at 100 steps to 3.6e-14 at 800).  To t = 0 the
+    field is frozen at t_floor below it, and the one step that straddles
+    that kink sets the error: 2.7e-7, 6.1e-8 and 9.1e-9 at 100, 400 and 1600
+    steps, between first and second order (4x to 16x per 4x steps), where
+    fourth order would give 256x.  Split at t_floor, the reference keeps
+    fourth order (test_split_reference_is_fourth_order_down_to_t_0).
+    """
+    mean, cov, z1, field = _gaussian_8d()
 
     def errors(t_end, counts):
-        want = _gaussian_flow(mean, cov, z1, 1.0, t_end)
+        want = gaussian_flow(mean, cov, z1, 1.0, t_end)
         return [np.linalg.norm(reference_integrate(field, z1, 1.0, t_end, n) - want)
                 / np.linalg.norm(want) for n in counts]
 
@@ -288,7 +288,38 @@ def test_reference_integrate_order_on_the_gaussian_flow():
     assert smooth[-1] < 1e-12
     assert all(coarse / fine >= 12.0 for coarse, fine in zip(smooth, smooth[1:]))
     frozen = errors(0.0, (100, 400, 1600))
-    assert all(3.0 <= coarse / fine <= 5.0 for coarse, fine in zip(frozen, frozen[1:]))
+    assert all(3.0 <= coarse / fine <= 16.0 for coarse, fine in zip(frozen, frozen[1:]))
+
+
+def test_split_reference_is_fourth_order_down_to_t_0():
+    # Split at the kinks of an unguided field (t_floor alone), the
+    # discretization check's reference converges to the closed-form flow at
+    # fourth order all the way to t = 0.
+    mean, cov, z1, field = _gaussian_8d()
+    want = gaussian_flow(mean, cov, z1, 1.0, 0.0)
+    times = [1.0, *kinks(TransportConfig(beta0=0.0), 1.0, 0.0), 0.0]
+    assert times == [1.0, _T_FLOOR, 0.0]
+    errs = [np.linalg.norm(_split_reference(field, z1, times, _segment_steps(times, n))[-1] - want)
+            for n in (100, 200, 400)]
+    assert all(coarse / fine >= 12.0 for coarse, fine in zip(errs, errs[1:]))
+
+
+def test_gaussian_flow_composes_and_takes_rows():
+    # 1 -> 0.5 -> 0 equals 1 -> 0, through the frozen stretch below t_floor
+    # too; (B, d) rows are each their own (d,) flow; below t_floor the
+    # exponential step matches RK4 on the frozen field.
+    mean, cov, z1, field = _gaussian_8d()
+    whole = gaussian_flow(mean, cov, z1, 1.0, 0.0)
+    for mid in (0.5, 1e-4, 5e-5):
+        parts = gaussian_flow(mean, cov, gaussian_flow(mean, cov, z1, 1.0, mid), mid, 0.0)
+        assert np.linalg.norm(parts - whole) <= 1e-13 * np.linalg.norm(whole)
+    rows = np.stack([z1, -z1, 2.0 * z1])
+    batch = gaussian_flow(mean, cov, rows, 1.0, 0.3)
+    for row, got in zip(rows, batch):
+        assert np.allclose(got, gaussian_flow(mean, cov, row, 1.0, 0.3), rtol=1e-14, atol=0.0)
+    start = gaussian_flow(mean, cov, z1, 1.0, _T_FLOOR)
+    frozen = reference_integrate(field, start, _T_FLOOR, 0.0, 4)
+    assert np.linalg.norm(frozen - whole) <= 1e-13 * np.linalg.norm(whole)
 
 
 def test_reference_integrate_validation():
@@ -376,29 +407,42 @@ def test_verify_discretization_bound_rejects_probe_step_outside_span(probe_t):
 
 
 def _two_pass_discretization(field, transport, z_init, z_target, step_counts, probe_t):
-    # The reference as two separate RK4 passes from z_init, each of
-    # 20 * max(step_counts) steps: one to t = 0, one to probe_t.
+    # The reference as two separate passes from z_init through the same
+    # segments and step counts: one to t = 0, one stopping at probe_t.
     enhanced = make_enhanced(field, z_target, transport)
-    n_fine = 20 * max(step_counts)
-    ref_final = reference_integrate(enhanced, z_init, 1.0, 0.0, n_fine)
-    probe_state = reference_integrate(enhanced, z_init, 1.0, probe_t, n_fine)
+    times = [1.0, *kinks(transport, 1.0, 0.0, probe_t), 0.0]
+    steps = [2 * n for n in _segment_steps(times, _REF_STEPS // 2)]
+    ref_final = _split_reference(enhanced, z_init, times, steps)[-1]
+    stop = times.index(probe_t)
+    probe_state = _split_reference(enhanced, z_init, times[:stop + 1], steps[:stop])[-1]
     measured = []
     for n in step_counts:
         dt = 1.0 / n
         traj_end = integrate(enhanced, z_init, make_time_grid(n, 1.0, 0.0)).final_state
         euler_sub = probe_state - dt * enhanced(probe_state, probe_t)
-        ref_sub = reference_integrate(enhanced, probe_state, probe_t, probe_t - dt, 50)
+        sub = [probe_t, *kinks(transport, probe_t, probe_t - dt), probe_t - dt]
+        ref_sub = _split_reference(enhanced, probe_state, sub, _segment_steps(sub, _LOCAL_STEPS))[-1]
         measured.append(("local", dt, l2_distance(euler_sub, ref_sub)))
         measured.append(("global", dt, l2_distance(traj_end, ref_final)))
     return measured
 
 
+# Per probe_t, with counts 5, 10, 20 and the transport of _shared_setup
+# (kinks at 0.99 and 0.7, besides t_floor and probe_t): the reference's
+# segment steps at full and at half counts, and the local references' steps.
+# At probe_t = 1 the local spans hold the kink at 0.99, so they split
+# (1 + 8, 1 + 7 and 2 + 6 steps).
+_SCHEDULE = {0.6: ([2, 58, 20, 120, 2], [1, 29, 10, 60, 1], [8, 8, 8]),
+             1.0: ([2, 58, 140, 2], [1, 29, 70, 1], [9, 8, 8])}
+
+
 @pytest.mark.parametrize("probe_t", [0.6, 1.0])
 def test_verify_discretization_bound_integrates_the_reference_once(probe_t):
-    # One RK4 pass through probe_t serves both references: 4 * n_fine field
-    # calls, plus the Euler runs, one probe velocity shared by every step
-    # count and, per step count, the probe step's 50-step reference.  The
-    # result matches two separate passes.
+    # One pass through probe_t serves both references: 4 calls per step of
+    # its segments, 4 per step of the half-count pass that gives
+    # reference_error, plus the Euler runs, one probe velocity shared by
+    # every step count and, per step count, the probe step's local
+    # reference.  The result matches two separate passes.
     setup, z_init, z_target, reg, transport = _shared_setup(beta0_template=0.2)
     mu = np.array([1.0, -0.5])
     cov = np.array([[0.8, 0.2], [0.2, 0.5]])
@@ -411,12 +455,42 @@ def test_verify_discretization_bound_integrates_the_reference_once(probe_t):
     counts = [5, 10, 20]
     report = verify_discretization_bound(field, transport, z_init, z_target, counts,
                                          probe_t=probe_t)
-    n_fine = 20 * max(counts)
-    assert len(calls) == 4 * n_fine + sum(counts) + 1 + len(counts) * 4 * 50
+    full, half, local = _SCHEDULE[probe_t]
+    times = [1.0, *kinks(transport, 1.0, 0.0, probe_t), 0.0]
+    assert _segment_steps(times, _REF_STEPS // 2) == half and full == [2 * n for n in half]
+    assert len(calls) == 4 * (sum(full) + sum(half)) + sum(counts) + 1 + 4 * sum(local)
     expected = _two_pass_discretization(field, transport, z_init, z_target, counts, probe_t)
     assert [m[:2] for m in report.measured] == [m[:2] for m in expected]
     for (_, _, got), (_, _, want) in zip(report.measured, expected):
         assert abs(got - want) <= 1e-10 * abs(want)
+
+
+def test_discretization_reference_error_is_far_below_the_errors_it_measures():
+    # On criterion 07's setting (transport kinks at t = 0.99 and 0.7) the
+    # reference's stated error, ||z_n - z_(n/2)|| / 15, is below 1e-6 of the
+    # smallest global error it measures (1.4e-11 against 1.3e-2), and within
+    # a factor 3 of its distance to a 16x finer split pass.
+    setup, z_init, z_target, reg, transport = _shared_setup(beta0_template=0.2)
+    field = otflow.make_velocity(reg, Condition.dataset("data"), GuidanceScales(w=1.0))
+    report = verify_discretization_bound(field, transport, z_init, z_target, _COUNTS)
+    error = report.fitted_constants["reference_error"]
+    assert 0.0 < error < 1e-6 * min(e for series, _, e in report.measured if series == "global")
+    enhanced = make_enhanced(field, z_target, transport)
+    times = [1.0, *kinks(transport, 1.0, 0.0, 0.6), 0.0]
+    steps = [2 * n for n in _segment_steps(times, _REF_STEPS // 2)]
+    ref = _split_reference(enhanced, z_init, times, steps)[-1]
+    fine = _split_reference(enhanced, z_init, times, [16 * n for n in steps])[-1]
+    assert error / 3.0 <= l2_distance(ref, fine) <= 3.0 * error
+
+
+def test_edit_control_rejects_a_phi_whose_schedule_integral_is_0():
+    # Every phi below 5e-5 misses the midpoint panels; the bound divides by
+    # the integral, so the verifier refuses such a phi before any run.
+    setup, *_ = _shared_setup()
+    for phi in (4e-5, 1e-300, 5e-324):
+        with pytest.raises(ValueError, match="schedule integral of 0"):
+            verify_edit_control_bound(setup, [0.0, 0.1, 0.2, 0.4], phi)
+    assert setup._arms == {}
 
 
 def test_verify_arms_run_once_per_setup(monkeypatch):
@@ -507,13 +581,14 @@ def test_distance_input_validation(call, match):
 def test_verify_discretization_probe_abort_names_its_step():
     # The probe is one Euler step through core's kernel: a non-finite probe
     # velocity aborts at probe_t, step 0 of the probe's one-step grid.  The
-    # one probe call follows the 4 * n_fine reference calls; the step that
-    # uses it follows the 5-step Euler run.
+    # one probe call follows the 4 * (202 + 101) calls of the reference's
+    # two passes (_SCHEDULE); the step that uses it follows the 5-step
+    # Euler run.
     _, z_init, z_target, _, transport = _shared_setup(beta0_template=0.2)
     mu = np.array([1.0, -0.5])
     cov = np.array([[0.8, 0.2], [0.2, 0.5]])
     counts = [5, 10, 20]
-    probe_call = 4 * 20 * max(counts)
+    probe_call = 4 * (202 + 101)
     calls = []
 
     def field(z, t):
@@ -527,21 +602,24 @@ def test_verify_discretization_probe_abort_names_its_step():
     assert (err.value.t, err.value.step, err.value.term) == (0.6, 0, "velocity")
 
 
-# With counts 10-80 (n_fine = 1600, probe_t = 0.6) the check makes its field
-# calls in this order: 4 * 640 for the reference to probe_t, 4 * 960 for the
-# rest of it to t = 0, the probe, then per count its Euler run and a 50-step
-# local reference: 4 * 20 * max + sum(counts) + 1 + 4 * 50 * len(counts).
+# With counts 10-80 and probe_t = 0.6 the check makes its field calls in
+# this order (numbered from 1): the full pass's segments [1, 0.99], [0.99,
+# 0.7], [0.7, 0.6], [0.6, 1e-4] and [1e-4, 0] in 2, 58, 20, 120 and 2 RK4
+# steps (calls 1-8, 9-240, 241-320, 321-800, 801-808), the half pass in 1,
+# 29, 10, 60 and 1 (809-1212), the probe (1213), then per count its Euler
+# run and an 8-step local reference (1214-1223 and 1224-1255 for 10).
 _COUNTS = [10, 20, 40, 80]
 
 
 @pytest.mark.parametrize("poisoned, first, step", [
-    (100, 1, 24),                 # the reference from t = 1 to probe_t
-    (5000, 2561, 609),            # the reference from probe_t to t = 0
-    (6500, 6412, 22),             # the local reference after the 10-step run
-], ids=["head", "tail", "local"])
+    (100, 9, 22),                 # the full pass, segment [0.99, 0.7]
+    (700, 321, 94),               # the full pass, segment [0.6, 1e-4]
+    (900, 813, 21),               # the half pass, segment [0.99, 0.7]
+    (1250, 1224, 6),              # the local reference after the 10-step run
+], ids=["head", "tail", "half", "local"])
 def test_verify_discretization_reference_abort_names_its_step(poisoned, first, step):
     # A non-finite velocity inside an RK4 reference aborts that reference at
-    # its own step (counted from the reference's first call), at the time
+    # its own step (counted from the first call of its segment), at the time
     # of the poisoned stage, with term "velocity".  The step's later stages
     # still run; no other call follows.
     _, z_init, z_target, _, transport = _shared_setup(beta0_template=0.2)
@@ -614,3 +692,20 @@ def test_discretization_lipschitz_scale_is_the_median_ratio():
         local = np.array([(dt, err) for series, dt, err in rep.measured if series == "local"])
         want = float(np.median(local[:, 1] / local[:, 0] ** 2))
         assert rep.fitted_constants["lipschitz_scale"] == want
+
+
+def test_split_reference_reads_a_window_edge_on_each_segments_side():
+    # The weight jumps at the window's edges (inclusive at both), and every
+    # segment that ends at one evaluates a stage there; read inside the
+    # segment, the split pass keeps fourth order across both jumps, where a
+    # stage read at the edge itself gives an O(h) error (2x per halving).
+    setup, z_init, z_target, reg, transport = _shared_setup(beta0_template=0.2)
+    transport = replace(transport, window=(0.8, 0.3))
+    field = otflow.make_velocity(reg, Condition.dataset("data"), GuidanceScales(w=1.0))
+    enhanced = make_enhanced(field, z_target, transport)
+    times = [1.0, *kinks(transport, 1.0, 0.0), 0.0]
+    assert times == [1.0, 0.99, 0.8, 0.7, 0.3, _T_FLOOR, 0.0]
+    exact = _split_reference(enhanced, z_init, times, _segment_steps(times, 3200))[-1]
+    errs = [l2_distance(_split_reference(enhanced, z_init, times, _segment_steps(times, n))[-1],
+                        exact) for n in (50, 100, 200)]
+    assert all(coarse / fine >= 12.0 for coarse, fine in zip(errs, errs[1:]))

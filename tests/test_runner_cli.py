@@ -919,6 +919,27 @@ def test_cli_verify_rejects_run_values_at_load(tmp_path, capsys):
     assert not os.path.exists(tmp_path / "vn")
 
 
+@pytest.mark.parametrize("command, text, extra, message", [
+    ("verify", _VERIFY_PASS_CFG, "phi = 1e-300\n",
+     "verify.phi: phi = 1e-300 gives a schedule integral of 0 on 10000 midpoint panels"),
+    ("verify", _VERIFY_PASS_CFG, "phi = 5e-324\n",
+     "verify.phi: phi = 5e-324 gives a schedule integral of 0 on 10000 midpoint panels"),
+    ("verify", _VERIFY_PASS_CFG, "[grid]\nt_start = 5e-324\n",
+     "grid.t_start: t_start 5e-324 and t_end 0.0 give a zero or non-finite step over 28 steps"),
+    ("run", _GEN_CFG, "[grid]\nt_start = 5e-324\n",
+     "grid.t_start: t_start 5e-324 and t_end 0.0 give a zero or non-finite step over 28 steps"),
+], ids=["phi-1e-300", "phi-5e-324", "verify-t_start", "generate-t_start"])
+def test_cli_rejects_values_that_underflow_at_load(tmp_path, capsys, command, text, extra,
+                                                   message):
+    # A verify.phi whose schedule integral is 0 (edit control divides by it)
+    # and a grid whose steps underflow to 0 fail at load on their own line.
+    path = _write(tmp_path, "u.cfg", text + extra)
+    assert main([command, path, "--out-dir", str(tmp_path / "u")]) == EXIT_CONFIG
+    line = (text + extra).count("\n")
+    assert capsys.readouterr().err == f"config error: line {line}: {message}\n"
+    assert not os.path.exists(tmp_path / "u")
+
+
 def test_cli_verify_forces_algorithm(tmp_path, capsys):
     # a config whose algorithm is not verify still verifies under the
     # verify subcommand

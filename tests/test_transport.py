@@ -19,6 +19,8 @@ from otflow import (
     make_enhanced,
     transport_direction,
 )
+from otflow.fields import _T_FLOOR
+from otflow.transport import kinks
 
 PHIS = (0.1, 0.3, 0.7, 1.0)
 
@@ -126,6 +128,31 @@ def test_adaptive_weight_window_gating():
     assert adaptive_weight(0.95, cfg) == 0.0
     assert adaptive_weight(0.39, cfg) == 0.0
     assert adaptive_weight(0.7, cfg) > 0.0
+
+
+@pytest.mark.parametrize("cfg, marks, want", [
+    # Unguided: only t_floor and the marks, whatever the schedule says.
+    (TransportConfig(beta0=0.0, phi=0.3, window=(0.9, 0.2)), (0.6,), [0.6, _T_FLOOR]),
+    # Elapsed: the schedule ends at 1 - phi; 1 - delta; the default window
+    # has no edge inside the span.
+    (TransportConfig(beta0=0.2, phi=0.3, delta=0.01), (0.6,), [0.99, 0.7, 0.6, _T_FLOOR]),
+    # Remaining: the schedule ends at phi; a window strictly inside (0, 1).
+    (TransportConfig(beta0=0.2, phi=0.25, delta=0.5, orientation="remaining",
+                     window=(0.8, 0.1)), (0.6,), [0.8, 0.6, 0.5, 0.25, 0.1, _T_FLOOR]),
+    # A kink met twice is listed once: 1 - phi = 1 - delta = probe_t = 0.5.
+    (TransportConfig(beta0=0.2, phi=0.5, delta=0.5, window=(1.0, 0.5)), (0.5,), [0.5, _T_FLOOR]),
+    # phi = 1 ends the schedule at t = 0 and delta = 1 puts 1 - delta there:
+    # span ends are not inside.
+    (TransportConfig(beta0=0.2, phi=1.0, delta=1.0), (), [_T_FLOOR]),
+], ids=["unguided", "elapsed", "remaining-window", "duplicates", "span-ends"])
+def test_kinks_lists_each_kink_inside_the_span_once(cfg, marks, want):
+    got = kinks(cfg, 1.0, 0.0, *marks)
+    assert got == want
+    assert all(0.0 < t < 1.0 for t in got)
+    assert got == sorted(set(got), reverse=True)
+    assert kinks(cfg, 0.0, 1.0, *marks) == want[::-1]
+    # A part of the span holds only the kinks strictly inside it.
+    assert kinks(cfg, 0.6, 0.25, *marks) == [t for t in want if 0.25 < t < 0.6]
 
 
 def test_transport_config_validation():
