@@ -199,8 +199,11 @@ class LatentCodec:
         offset = _as_state(self.offset, "offset")
         if scale.shape != offset.shape:
             raise ValueError("scale and offset must have the same shape")
-        if np.any(scale == 0.0):
-            raise ValueError("codec scale entries must be nonzero")
+        # encode divides by scale, so 1 / scale must be finite too (a zero or
+        # subnormal entry gives inf).
+        with np.errstate(divide="ignore", over="ignore"):
+            if not np.all(np.isfinite(1.0 / scale)):
+                raise ValueError("codec scale entries must be nonzero with a finite reciprocal")
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "offset", offset)
 

@@ -22,9 +22,16 @@ For a Gaussian N(mu, Sigma) the conditional expectation is linear in z:
 
     v = (t I - (1-t) Sigma) C^{-1} (z - (1-t) mu) - mu,   C = (1-t)^2 Sigma + t^2 I.
 
-One kernel evaluates all Gaussians, stacked as Sigma = Q diag(lam) Q^T: it
-projects y = Q^T (z - (1-t) mu) once per component for both the log density of
-z_t and the velocity.
+One kernel evaluates all Gaussians, stacked as Sigma = Q diag(lam) Q^T.  With
+a = 1 - t and c = a^2 lam + t^2, each component's time-only terms form one
+(d + 1, 2d) right operand [[Q / sqrt(c), A], [0, -mu]], A = Q diag((t - a lam)
+/ c) Q^T, built once per t.  One product of the rows, centred on the
+component as [z - a mu, 1], with that operand gives y / sqrt(c), y = Q^T (z -
+a mu), for the log density of z_t, and the velocity A (z - a mu) - mu itself.
+Centring each component on its own mean, rather than folding -a mu Q into
+the bias row, keeps y free of cancellation when the means and states sit far
+from the origin, and keeps each component's column a function of that
+component's data only.
 
 A row's result depends neither on its batch nor on the rows or Gaussians
 evaluated beside it.  A plain (b, d) @ (d, n) matmul would not give that:
@@ -43,8 +50,8 @@ calls per contraction instead of the sixteen of 4-row blocks, and gives the
 same bits.  Larger blocks gain little more, and at 64 rows OpenBLAS takes
 another GEMM path for (64, 17) @ (17, 1024), which changes the rounding.
 The price is padding: a call of fewer rows pays for a whole block.  The
-Gaussian kernel's two projections are (b, m, 1, d) @ (m, d, d) and
-(m, d, d) @ (b, m, d, 1), one (d, d) product per row and component.  The
+Gaussian kernel blocks its rows by the same rule, _row_blocks, and makes one
+(_ROWS, d + 1) @ (d + 1, 2d) product per block and component.  The
 row-invariance tests in tests/test_fields.py, at every workload's shapes
 and at each block position beside random, NaN, inf and huge rows, fail
 should a numpy ever fold the stack into one GEMM.
@@ -82,8 +89,8 @@ _WEIGHT_FLOOR = 1e-300
 # The point kernel clamps its max-shifted logits here before exp (see
 # _point_pass); exp(-700) ~ 9.9e-305 is below _WEIGHT_FLOOR.
 _LOG_FLOOR = -700.0
-# Rows per block in the point kernel's contractions; why 16, see the module
-# docstring.
+# Rows per block in the point and Gaussian kernels' contractions; why 16, see
+# the module docstring.
 _ROWS = 16
 # Every field clamps t below here, keeping the t^2 posterior variance nonzero.
 _T_FLOOR = 1e-4
@@ -223,26 +230,40 @@ def empirical_marginal_velocity(points, z, t):
 
 def _gaussian_terms(stack, t):
     # The time-only terms of a Gaussian stack (means, eigenvalues,
-    # eigenvectors) at clamped t, with a = 1 - t and c = a^2 lam + t^2:
-    # a mu, the gains (t - a lam) / c, 1 / c and (1/2) sum log c.
-    means, eigvals = stack[0], stack[1]
+    # eigenvectors) at clamped t, with a = 1 - t and c = a^2 lam + t^2: the
+    # (m, d + 1) centres [a mu, 0], the (m, d + 1, 2d) right operands
+    # [[Q / sqrt(c), A], [0, -mu]] with A = Q diag((t - a lam) / c) Q^T (one
+    # stacked (m, d, d) product), and (1/2) sum log c.
+    means, eigvals, eigvecs = stack
+    m, d = means.shape
     a = 1.0 - t
     c_eig = a * a * eigvals + t * t
-    return a * means, (t - a * eigvals) / c_eig, 1.0 / c_eig, 0.5 * np.add.reduce(np.log(c_eig), axis=1)
+    centres = np.zeros((m, d + 1))
+    centres[:, :d] = a * means
+    ops = np.zeros((m, d + 1, 2 * d))
+    ops[:, :d, :d] = eigvecs / np.sqrt(c_eig)[:, None, :]
+    ops[:, :d, d:] = (eigvecs * ((t - a * eigvals) / c_eig)[:, None, :]) @ eigvecs.transpose(0, 2, 1)
+    ops[:, d, d:] = -means
+    return centres, ops, 0.5 * np.add.reduce(np.log(c_eig), axis=1)
 
 
 def _gaussian_velocity_eig(stack, terms, zb):
-    # m stacked components ((m, d) means and eigenvalues, (m, d, d)
-    # eigenvectors) at (b, d) states zb, given their _gaussian_terms at t.
-    # With y = Q^T (z - a mu):
-    #   log densities (b, m):  -(y . y / c + sum log c) / 2 + const
-    #   velocities (b, m, d):  Q diag((t - a lam) / c) y - mu
-    means, eigvecs = stack[0], stack[2]
-    a_mu, gains, inv_c, half_log_c = terms
-    y = ((zb[:, None, :] - a_mu)[:, :, None, :] @ eigvecs)[:, :, 0, :]
-    v = (eigvecs @ (y * gains)[..., None])[..., 0] - means
-    quad = np.einsum("bmj,bmj->bm", y * inv_c, y)
-    return -0.5 * quad - half_log_c, v
+    # m stacked components at (b, d) states zb, given their _gaussian_terms
+    # at t, which hold all that is read of the stack.  The rows go in
+    # zero-padded blocks (_row_blocks) with a last column of ones, centred on
+    # each component: one fixed-shape (_ROWS, d + 1) @ (d + 1, 2d) product
+    # [z - a mu, 1] @ [[Q / sqrt(c), A], [0, -mu]] per block and component
+    # gives y / sqrt(c), with y = Q^T (z - a mu), and the velocity directly.
+    #   log densities (b, m):  -(|y / sqrt(c)|^2 + sum log c) / 2 + const
+    #   velocities (b, m, d):  A (z - a mu) - mu, in C order
+    centres, ops, half_log_c = terms
+    b, d = zb.shape
+    blocks = _row_blocks(zb, d + 1)
+    blocks[:, :, d] = 1.0
+    out = ((blocks - centres[:, None, None]) @ ops[:, None]).reshape(len(ops), -1, 2 * d)[:, :b]
+    ys = out[:, :, :d]
+    log_r = -0.5 * np.einsum("mbj,mbj->bm", ys, ys) - half_log_c
+    return log_r, np.ascontiguousarray(out[:, :, d:].transpose(1, 0, 2))
 
 
 def _gaussian_stack(mean, cov, where=""):
@@ -336,11 +357,12 @@ class FieldRegistry:
     the datasets can share one registry.  Every field but that pooled null
     makes one pass per point set and one Gaussian kernel call, and combines
     them into the null mixture (see the module docstring).  The kernels' rows
-    depend on neither the batch nor the other entries (point contractions run
-    on fixed-shape, zero-padded blocks of _ROWS rows, Gaussian contractions as
-    per-row stacked matmuls, the cross-set offsets row by row), so an entry's
-    column of the null mixture equals gaussian_marginal_velocity or
-    empirical_marginal_velocity on the entry's own data bit for bit.
+    depend on neither the batch nor the other entries (point and Gaussian
+    contractions run on fixed-shape, zero-padded blocks of _ROWS rows, one
+    product per block and set or component, the cross-set offsets row by
+    row), so an entry's column of the null mixture equals
+    gaussian_marginal_velocity or empirical_marginal_velocity on the entry's
+    own data bit for bit.
     """
 
     def __init__(self):

@@ -37,7 +37,7 @@ import numpy as np
 
 from .core import (NumericalAbort, _overflow_safe, euler_step, integrate_final, make_rng,
                    make_time_grid)
-from .fields import _T_FLOOR, make_velocity
+from .fields import _T_FLOOR, _clamp_t, make_velocity
 from .transport import check_phi, kinks, make_enhanced
 
 _QUAD_PANELS = 10_000
@@ -235,6 +235,24 @@ def gaussian_flow(mean, cov, z, t_from, t_to):
     return z
 
 
+def gaussian_velocity_coefficients(mean, cov, t):
+    """The affine form of N(mean, cov)'s marginal velocity field at time t,
+    v(z) = A z + b, as (A, b).
+
+    With a = 1 - t and C = a^2 cov + t^2 I, A = (t I - a cov) C^{-1} and
+    b = -(a A mean + mean).  C commutes with t I - a cov, so A is solved as
+    C^{-1} (t I - a cov) by np.linalg.solve, independent of fields' kernel.
+    t is clamped to [fields._T_FLOOR, 1], as the field clamps it.
+    """
+    mean = np.asarray(mean, dtype=float)
+    cov = _as_cov(cov)
+    t = _clamp_t(t)
+    a = 1.0 - t
+    eye = np.eye(cov.shape[0])
+    gain = np.linalg.solve(a * a * cov + t * t * eye, t * eye - a * cov)
+    return gain, -(a * (gain @ mean) + mean)
+
+
 def schedule_integral(phi):
     """integral_0^1 S(s, phi)^2 ds by composite midpoint rule (1e4 panels).
 
@@ -301,8 +319,12 @@ class VerifySetup:
 
 
 def _fit_loglog_slope(x, y):
-    coeffs = np.polyfit(np.log(np.asarray(x, dtype=float)), np.log(np.asarray(y, dtype=float)), 1)
-    return float(coeffs[0])
+    # nan, without taking a log, when a value is not positive and finite (a
+    # zero error or displacement has no log).
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if not all(np.all((v > 0.0) & (v < np.inf)) for v in (x, y)):
+        return math.nan
+    return float(np.polyfit(np.log(x), np.log(y), 1)[0])
 
 
 def check_run_count(n_runs):

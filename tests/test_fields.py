@@ -777,6 +777,67 @@ def test_gaussian_entry_equals_its_null_column_at_workload_shapes(setting):
                 assert np.array_equal(got, want)
 
 
+# The Gaussian kernel contracts rows in the point kernel's zero-padded blocks
+# of fields._ROWS, so the same holds of it: a row's result depends neither on
+# its position in the block nor on the rows beside it.
+@pytest.mark.parametrize("neighbours", ["random", "nan", "inf", "huge"])
+@pytest.mark.parametrize("cond", ["null", "guided"])
+@pytest.mark.parametrize("with_points", [False, True])
+@pytest.mark.parametrize("d", [2, 8, 64])
+def test_gaussian_rows_do_not_depend_on_block_position_or_neighbours(d, with_points, cond,
+                                                                      neighbours):
+    t, b = 0.4, fields._ROWS
+    reg = _two_gaussian_registry(d, with_points)
+    condition = Condition.null() if cond == "null" else Condition.dataset("g2")
+    field = make_velocity(reg, condition, GuidanceScales(w=2.0))
+    zs = 0.8 * _rng(53, d).standard_normal((3 + b, d))
+    fill = {
+        "random": zs[3:],
+        "nan": np.full((b, d), np.nan),
+        "inf": np.where(np.arange(d) % 2, np.inf, -np.inf) * np.ones((b, 1)),
+        "huge": 1e300 * zs[3:],
+    }[neighbours]
+    with np.errstate(all="ignore"):
+        for row in zs[:3]:
+            alone = field(row, t)
+            for pos in range(b):
+                batch = fill.copy()
+                batch[pos] = row
+                assert np.array_equal(field(batch, t)[pos], alone)
+
+
+@pytest.mark.parametrize("s, tol", [(1e3, 3e-12), (1e6, 1e-9)])
+def test_gaussian_field_is_translation_equivariant(s, tol):
+    # Shifting every mean by s (on each coordinate) and every state by a s
+    # shifts the field by -s.  The kernel centres the rows on each component
+    # before its product, so the error stays near the rounding of s itself.
+    # Measured at d = 8 (verify_bounds' setting, 256 noised states, null and
+    # w = 2 guided, max over t): 1.0e-12 at s = 1e3 and 5.5e-10 at s = 1e6,
+    # the same as projecting z - a mu per component; folding -a mu Q into the
+    # product's bias row instead (no centring) gives 2.1e-9 at s = 1e6.
+    d = 8
+    means = np.zeros((2, d))
+    means[0, 0], means[1, :2] = -1.5, (1.5, 0.5)
+    means = means + 0.05 * _rng(70, d).standard_normal((2, d))
+    cov = np.full((d, d), 0.05) + 0.25 * np.eye(d)
+
+    def registry(shift):
+        return (FieldRegistry().add_gaussian("a", means[0] + shift, cov)
+                .add_gaussian("b", means[1] + shift, cov))
+
+    reg, moved = registry(0.0), registry(s)
+    rng = _rng(71, d)
+    x = np.concatenate([reg.sample_gaussian("a", rng, 128), reg.sample_gaussian("b", rng, 128)])
+    eps = rng.standard_normal((256, d))
+    for t in (0.9, 0.4, 1e-4):
+        zs = (1 - t) * x + t * eps
+        for cond in (Condition.null(), Condition.dataset("b")):
+            scales = GuidanceScales(w=2.0)
+            want = make_velocity(reg, cond, scales)(zs, t)
+            got = make_velocity(moved, cond, scales)(zs + (1 - t) * s, t) + s
+            assert np.abs(got - want).max() <= tol
+
+
 def test_conditional_linear_lands_exactly():
     z_ref = np.array([0.8, -1.3])
     z_start = np.array([3.0, 2.0])

@@ -37,7 +37,8 @@ from otflow import (
 )
 from otflow.fields import _T_FLOOR
 from otflow.metrics import (_LOCAL_STEPS, _REF_STEPS, AssignmentPlan, VerifySetup, _as_cov,
-                            _row_l2, _segment_steps, _split_reference, gaussian_flow)
+                            _row_l2, _segment_steps, _split_reference, gaussian_flow,
+                            gaussian_velocity_coefficients)
 from otflow.transport import kinks, make_enhanced
 
 
@@ -325,6 +326,23 @@ def test_gaussian_flow_composes_and_takes_rows():
     start = gaussian_flow(mean, cov, z1, 1.0, _T_FLOOR)
     frozen = reference_integrate(field, start, _T_FLOOR, 0.0, 4)
     assert np.linalg.norm(frozen - whole) <= 1e-13 * np.linalg.norm(whole)
+
+
+@pytest.mark.parametrize("d", [2, 8, 64])
+@pytest.mark.parametrize("t", [1e-4, 0.3, 0.99])
+def test_gaussian_velocity_coefficients_give_the_field(d, t):
+    # The field's kernel against A z + b, with A from np.linalg.solve: two
+    # derivations that share no code (worst seen 3.5e-15).
+    rng = _rng(90, d)
+    m = rng.standard_normal((d, d)) / np.sqrt(d)
+    mean, cov = rng.standard_normal(d), m @ m.T + 0.1 * np.eye(d)
+    x = rng.multivariate_normal(mean, cov, 64)
+    zs = (1 - t) * x + t * rng.standard_normal((64, d))
+    gain, offset = gaussian_velocity_coefficients(mean, cov, t)
+    want = zs @ gain.T + offset
+    got = gaussian_marginal_velocity(mean, cov, zs, t)
+    err = np.linalg.norm(got - want, axis=1)
+    assert np.all(err <= 1e-13 * np.linalg.norm(want, axis=1)), err.max()
 
 
 def test_reference_integrate_validation():

@@ -940,6 +940,36 @@ def test_cli_rejects_values_that_underflow_at_load(tmp_path, capsys, command, te
     assert not os.path.exists(tmp_path / "u")
 
 
+def test_cli_verify_fails_a_slope_fit_over_zero_displacements(tmp_path, capsys):
+    # Steps of about 3.6e-302 leave every guided arm on the unguided one, so
+    # every edit-control displacement is 0: the log-log fit has no data, and
+    # the bound fails with slope nan instead of taking log(0).
+    path = _write(tmp_path, "v.cfg", _VERIFY_PASS_CFG)
+    assert main(["verify", path, "--set", "grid.t_start=1e-300",
+                 "--out-dir", str(tmp_path / "v")]) == EXIT_VERIFY
+    assert "edit_control: FAIL (slope nan)" in capsys.readouterr().out
+    report = open(tmp_path / "v" / "vp_report.txt").read()
+    section = report.split("[report.edit_control]\n")[1]
+    assert section.startswith("passed = false\nslope = nan\n")
+
+
+@pytest.mark.parametrize("command, text", [("run", _EDIT_CFG), ("sweep", _INVERT_SWEEP_CFG),
+                                           ("run", _POINTS_CFG), ("sweep", _SWEEP_CFG)],
+                         ids=["invert_edit", "invert_sweep", "flowedit", "flowedit_sweep"])
+@pytest.mark.parametrize("scale", ["1e-320, 1e-320", "0, 1", "5e-324"])
+def test_cli_rejects_a_codec_scale_without_a_finite_reciprocal(tmp_path, capsys, command, text,
+                                                               scale):
+    # Encoding divides by codec.scale: a subnormal entry (1 / 1e-320 is inf)
+    # fails at load under its key, as a zero entry does, not mid-run.
+    path = _write(tmp_path, "c.cfg", text)
+    assert main([command, path, "--set", f"codec.scale={scale}",
+                 "--out-dir", str(tmp_path / "c")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: codec.scale: codec scale entries must be nonzero with a finite "
+        "reciprocal\n")
+    assert not os.path.exists(tmp_path / "c")
+
+
 def test_cli_verify_forces_algorithm(tmp_path, capsys):
     # a config whose algorithm is not verify still verifies under the
     # verify subcommand
