@@ -919,6 +919,9 @@ def test_cli_verify_rejects_run_values_at_load(tmp_path, capsys):
     assert not os.path.exists(tmp_path / "vn")
 
 
+_CODEC_SCALE = "codec.scale: codec scale entries must be nonzero with a finite reciprocal"
+
+
 @pytest.mark.parametrize("command, text, extra, message", [
     ("verify", _VERIFY_PASS_CFG, "phi = 1e-300\n",
      "verify.phi: phi = 1e-300 gives a schedule integral of 0 on 10000 midpoint panels"),
@@ -928,11 +931,17 @@ def test_cli_verify_rejects_run_values_at_load(tmp_path, capsys):
      "grid.t_start: t_start 5e-324 and t_end 0.0 give a zero or non-finite step over 28 steps"),
     ("run", _GEN_CFG, "[grid]\nt_start = 5e-324\n",
      "grid.t_start: t_start 5e-324 and t_end 0.0 give a zero or non-finite step over 28 steps"),
-], ids=["phi-1e-300", "phi-5e-324", "verify-t_start", "generate-t_start"])
+    ("run", _EDIT_CFG, "[codec]\nscale = 1e-320, 1e-320\n", _CODEC_SCALE),
+    ("sweep", _INVERT_SWEEP_CFG, "[codec]\nscale = 5e-324\n", _CODEC_SCALE),
+    ("run", _POINTS_CFG, "[codec]\nscale = 1e-320, 1e-320\n", _CODEC_SCALE),
+    ("sweep", _SWEEP_CFG, "[codec]\nscale = 5e-324\n", _CODEC_SCALE),
+], ids=["phi-1e-300", "phi-5e-324", "verify-t_start", "generate-t_start", "invert_edit-scale",
+        "invert_sweep-scale", "flowedit-scale", "flowedit_sweep-scale"])
 def test_cli_rejects_values_that_underflow_at_load(tmp_path, capsys, command, text, extra,
                                                    message):
-    # A verify.phi whose schedule integral is 0 (edit control divides by it)
-    # and a grid whose steps underflow to 0 fail at load on their own line.
+    # A verify.phi whose schedule integral is 0 (edit control divides by it),
+    # a grid whose steps underflow to 0 and a codec.scale whose reciprocal
+    # overflows (encoding divides by it) fail at load on their own line.
     path = _write(tmp_path, "u.cfg", text + extra)
     assert main([command, path, "--out-dir", str(tmp_path / "u")]) == EXIT_CONFIG
     line = (text + extra).count("\n")
@@ -951,23 +960,6 @@ def test_cli_verify_fails_a_slope_fit_over_zero_displacements(tmp_path, capsys):
     report = open(tmp_path / "v" / "vp_report.txt").read()
     section = report.split("[report.edit_control]\n")[1]
     assert section.startswith("passed = false\nslope = nan\n")
-
-
-@pytest.mark.parametrize("command, text", [("run", _EDIT_CFG), ("sweep", _INVERT_SWEEP_CFG),
-                                           ("run", _POINTS_CFG), ("sweep", _SWEEP_CFG)],
-                         ids=["invert_edit", "invert_sweep", "flowedit", "flowedit_sweep"])
-@pytest.mark.parametrize("scale", ["1e-320, 1e-320", "0, 1", "5e-324"])
-def test_cli_rejects_a_codec_scale_without_a_finite_reciprocal(tmp_path, capsys, command, text,
-                                                               scale):
-    # Encoding divides by codec.scale: a subnormal entry (1 / 1e-320 is inf)
-    # fails at load under its key, as a zero entry does, not mid-run.
-    path = _write(tmp_path, "c.cfg", text)
-    assert main([command, path, "--set", f"codec.scale={scale}",
-                 "--out-dir", str(tmp_path / "c")]) == EXIT_CONFIG
-    assert capsys.readouterr().err == (
-        "config error: codec.scale: codec scale entries must be nonzero with a finite "
-        "reciprocal\n")
-    assert not os.path.exists(tmp_path / "c")
 
 
 def test_cli_verify_forces_algorithm(tmp_path, capsys):
