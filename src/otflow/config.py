@@ -33,7 +33,8 @@ are a scalar or a d-vector (identity when omitted); sample_source names the
 dataset x0 is drawn from.  invert_edit reads the editor keys eta through
 condition, flowedit n_avg through target_condition (cfg.editor holds their
 InversionEditConfig or FlowEditConfig arguments), generate condition.  Every
-run reads experiment.seed; sweep rows derive their seeds from it.
+run reads experiment.seed; sweep rows derive their seeds from it.  Each of
+_SIZE_KEYS times the registry's dimension is at most _ELEMENT_CAP.
 `axis = path: v1, v2, ...` may repeat, over any key but _UNSWEPT and the
 matrix, floats and ints keys, for up to _SWEEP_CAP rows (cells x replicates);
 values split on commas, so `inputs.x0: 0.5, 1.0` is two cells of a 1-vector.
@@ -62,6 +63,10 @@ from .transport import TransportConfig, check_beta0
 
 _ALGORITHMS = ("invert_edit", "flowedit", "generate", "verify")
 _SWEEP_CAP = 100_000
+# The most elements (value x registry dimension) any of _SIZE_KEYS may ask
+# for; a larger value fails at load instead of in an allocation mid-run.
+_ELEMENT_CAP = 100_000_000
+_SIZE_KEYS = ("grid.n_steps", "inputs.count", "editor.n_avg", "verify.n_runs")
 
 # Each key outside [dataset.*], declared once: path -> (kind in _PARSERS,
 # default).  A None default makes a key required where a run reads it; the
@@ -539,6 +544,11 @@ def _build_config(resolved, lines, axis_lines, base_dir, registry=None):
         registry = _build_registry(res, base_dir)
     if not registry.names():
         raise ConfigError("at least one [dataset.<name>] section is required")
+    dim = registry.dim()
+    for path in _SIZE_KEYS:
+        if res.get(path) * dim > _ELEMENT_CAP:
+            res._fail(path, f"{res.get(path)} x dimension {dim} exceeds the cap of "
+                      f"{_ELEMENT_CAP} elements")
     n_steps = res.get("grid.n_steps")
     grid = res.build("grid", make_time_grid, n_steps, res.get("grid.t_start"),
                      res.get("grid.t_end"))
@@ -581,7 +591,6 @@ def _build_config(resolved, lines, axis_lines, base_dir, registry=None):
                           f"cap is {_SWEEP_CAP} rows")
 
     # Cross-checks that need several sections at once.
-    dim = registry.dim()
     for key in ("x0", "x_target"):
         vec = cfg.inputs[key]
         if vec is not None and vec.shape[0] != dim:

@@ -184,16 +184,70 @@ def reference_integrate(velocity, z0, t0, t1, n_fine):
         k2 = np.asarray(velocity(z + 0.5 * h * k1, t + 0.5 * h))
         k3 = np.asarray(velocity(z + 0.5 * h * k2, t + 0.5 * h))
         k4 = np.asarray(velocity(z + h * k3, t + h))
-        z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.isfinite(z).all():
-            for k, t_k in ((k1, t), (k2, t + 0.5 * h), (k3, t + 0.5 * h), (k4, t + h)):
-                if not np.isfinite(k).all():
-                    raise NumericalAbort(f"RK4 velocity non-finite at t={t_k}", t=t_k,
-                                         step=step, term="velocity")
-            raise NumericalAbort(f"RK4 step produced a non-finite state at t={t}", t=t,
-                                 step=step, term="state")
+        z = _rk4_step(z, h, (k1, k2, k3, k4), (t, t + 0.5 * h, t + 0.5 * h, t + h), step)
         t += h
     return z
+
+
+def _rk4_step(z, h, stages, times, step):
+    """z after one RK4 step of length h with stage velocities k1..k4 read at
+    times; the one step combination and abort rule of this module.  A
+    non-finite new state raises NumericalAbort at step: term "velocity" at
+    the time of the first non-finite stage, or "state" at times[0] when
+    every stage was finite."""
+    k1, k2, k3, k4 = stages
+    z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    if not np.isfinite(z).all():
+        for k, t_k in zip(stages, times):
+            if not np.isfinite(k).all():
+                raise NumericalAbort(f"RK4 velocity non-finite at t={t_k}", t=t_k,
+                                     step=step, term="velocity")
+        raise NumericalAbort(f"RK4 step produced a non-finite state at t={times[0]}",
+                             t=times[0], step=step, term="state")
+    return z
+
+
+def _paired_rk4(velocity, z, y, t0, t1, n):
+    """(z, y) after 2n RK4 steps of z and n of y from t0 to t1, in the 8n
+    field calls of z's pass alone.
+
+    y's step is exactly two of z's, so its stage times T, T + h, T + h,
+    T + 2h are those of the k1 and k4 calls of z's two steps, and y's stage
+    state rides in each of them as a second row.  On a row-invariant field
+    z's states are reference_integrate's bit for bit, and y's are too but
+    for its stage times, which are z's and can differ by an ulp from its
+    own pass's.  Each pass aborts as its own would (_rk4_step), its steps
+    counted from 0: z after each of its steps, y after z's second, so of
+    two failures in one call z's is raised.
+    """
+    h = (float(t1) - float(t0)) / (2 * n)
+    h_y = (float(t1) - float(t0)) / n
+    t = float(t0)
+
+    def y_stage(c):
+        # y's next RK4 stage state, given its stage velocities c so far.
+        return y if not c else y + (h_y if len(c) == 3 else 0.5 * h_y) * c[-1]
+
+    def pair(zs, ys, t):
+        # z's and y's stage velocities from one two-row call at t.
+        v = np.asarray(velocity(np.stack([zs, ys]), t))
+        return v[0], v[1]
+
+    for step in range(n):
+        c, c_times = [], []
+        for sub in (0, 1):
+            k1, c_1 = pair(z, y_stage(c), t)
+            c.append(c_1)
+            k2 = np.asarray(velocity(z + 0.5 * h * k1, t + 0.5 * h))
+            k3 = np.asarray(velocity(z + 0.5 * h * k2, t + 0.5 * h))
+            k4, c_4 = pair(z + h * k3, y_stage(c), t + h)
+            c.append(c_4)
+            c_times += [t, t + h]
+            z = _rk4_step(z, h, (k1, k2, k3, k4), (t, t + 0.5 * h, t + 0.5 * h, t + h),
+                          2 * step + sub)
+            t += h
+        y = _rk4_step(y, h_y, c, c_times, step)
+    return z, y
 
 
 def gaussian_flow(mean, cov, z, t_from, t_to):
@@ -382,18 +436,35 @@ def _segment_steps(times, n):
     return [max(1, round(n * abs(b - a) / span)) for a, b in zip(times, times[1:])]
 
 
+def _segments(velocity, times):
+    """(a, b, field) for each segment between consecutive entries of times,
+    field reading velocity at times clamped to one ulp inside [a, b], so a
+    field that jumps at an end (a window edge) is read on the segment's own
+    side."""
+    for a, b in zip(times, times[1:]):
+        lo, hi = math.nextafter(min(a, b), max(a, b)), math.nextafter(max(a, b), min(a, b))
+        yield a, b, lambda z, t, lo=lo, hi=hi: velocity(z, min(max(t, lo), hi))
+
+
 def _split_reference(velocity, z0, times, steps):
     """The states at every entry of times, z0 at times[0]: uniform RK4
     (reference_integrate) on each segment between consecutive entries, in
-    the given numbers of steps.  A segment reads the field at its stage
-    times clamped to one ulp inside its ends, so a field that jumps at an
-    end (a window edge) is read on the segment's own side."""
+    the given numbers of steps (_segments)."""
     states = [np.asarray(z0, dtype=float)]
-    for a, b, n in zip(times, times[1:], steps):
-        lo, hi = math.nextafter(min(a, b), max(a, b)), math.nextafter(max(a, b), min(a, b))
-        states.append(reference_integrate(
-            lambda z, t, lo=lo, hi=hi: velocity(z, min(max(t, lo), hi)), states[-1], a, b, n))
+    for (a, b, seg), n in zip(_segments(velocity, times), steps):
+        states.append(reference_integrate(seg, states[-1], a, b, n))
     return states
+
+
+def _paired_reference(velocity, z0, times, steps):
+    """_split_reference at twice the given steps, and the end state of
+    _split_reference at the given steps, from one walk of paired passes
+    (_paired_rk4): the second rides in the first's field calls."""
+    states, half = [np.asarray(z0, dtype=float)], np.asarray(z0, dtype=float)
+    for (a, b, seg), n in zip(_segments(velocity, times), steps):
+        z, half = _paired_rk4(seg, states[-1], half, a, b, n)
+        states.append(z)
+    return states, half
 
 
 def verify_discretization_bound(field, transport_cfg, z_init, z_target, step_counts,
@@ -419,10 +490,9 @@ def verify_discretization_bound(field, transport_cfg, z_init, z_target, step_cou
     check_probe_step(probe_t, step_counts)
     enhanced = make_enhanced(field, z_target, transport_cfg)
     times = [1.0, *kinks(transport_cfg, 1.0, 0.0, probe_t), 0.0]
-    half = _segment_steps(times, _REF_STEPS // 2)
-    states = _split_reference(enhanced, z_init, times, [2 * n for n in half])
+    states, half_final = _paired_reference(enhanced, z_init, times,
+                                           _segment_steps(times, _REF_STEPS // 2))
     probe_state, ref_final = states[times.index(probe_t)], states[-1]
-    half_final = _split_reference(enhanced, z_init, times, half)[-1]
     reference_error = l2_distance(ref_final, half_final) / 15.0
 
     # The probe velocity is the same for every step count.

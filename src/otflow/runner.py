@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import _GENERATE_NEEDS_TARGET, ConfigError, cell_beta0, derive_config, editor_config
-from .core import make_rng
+from .core import NumericalAbort, make_rng
 from .editors import transport_enhanced_flowedit, transport_guided_inversion_edit
 from .fields import make_velocity
 from .metrics import (_EMPIRICAL_CAP, VerifySetup, guided_final_states, verify_convergence_bound,
@@ -205,7 +205,13 @@ def _generate(cfg, seed, beta0):
     anchor = None if x_target is None else cfg.codec.encode(x_target)
     final = guided_final_states(cfg.registry, cfg.editor["condition"], cfg.scales, cfg.grid,
                                 replace(cfg.transport, beta0=beta0), anchor, noise)
-    cloud = cfg.codec.decode(final)
+    # final is finite (integrate_final raises otherwise), so a non-finite
+    # cloud is the codec's overflow, located here rather than warned of.
+    with np.errstate(over="ignore"):
+        cloud = cfg.codec.decode(final)
+    if not np.isfinite(cloud).all():
+        raise NumericalAbort(f"decoded samples are non-finite at t={cfg.grid.t_end}",
+                             t=cfg.grid.t_end, step=cfg.grid.n_steps, term="decode")
     metrics = {
         "reconstruction_l2": None,
         "displacement_l2": None,

@@ -37,8 +37,8 @@ from otflow import (
 )
 from otflow.fields import _T_FLOOR
 from otflow.metrics import (_LOCAL_STEPS, _REF_STEPS, AssignmentPlan, VerifySetup, _as_cov,
-                            _row_l2, _segment_steps, _split_reference, gaussian_flow,
-                            gaussian_velocity_coefficients)
+                            _paired_reference, _row_l2, _segment_steps, _split_reference,
+                            gaussian_flow, gaussian_velocity_coefficients)
 from otflow.transport import kinks, make_enhanced
 
 
@@ -462,10 +462,10 @@ _SCHEDULE = {0.6: ([2, 58, 20, 120, 2], [1, 29, 10, 60, 1], [8, 8, 8]),
 @pytest.mark.parametrize("probe_t", [0.6, 1.0])
 def test_verify_discretization_bound_integrates_the_reference_once(probe_t):
     # One pass through probe_t serves both references: 4 calls per step of
-    # its segments, 4 per step of the half-count pass that gives
-    # reference_error, plus the Euler runs, one probe velocity shared by
-    # every step count and, per step count, the probe step's local
-    # reference.  The result matches two separate passes.
+    # its segments, which also carry the half-count pass that gives
+    # reference_error as a second row, plus the Euler runs, one probe
+    # velocity shared by every step count and, per step count, the probe
+    # step's local reference.  The result matches two separate passes.
     setup, z_init, z_target, reg, transport = _shared_setup(beta0_template=0.2)
     mu = np.array([1.0, -0.5])
     cov = np.array([[0.8, 0.2], [0.2, 0.5]])
@@ -481,11 +481,36 @@ def test_verify_discretization_bound_integrates_the_reference_once(probe_t):
     full, half, local = _SCHEDULE[probe_t]
     times = [1.0, *kinks(transport, 1.0, 0.0, probe_t), 0.0]
     assert _segment_steps(times, _REF_STEPS // 2) == half and full == [2 * n for n in half]
-    assert len(calls) == 4 * (sum(full) + sum(half)) + sum(counts) + 1 + 4 * sum(local)
+    assert len(calls) == 4 * sum(full) + sum(counts) + 1 + 4 * sum(local)
     expected = _two_pass_discretization(field, transport, z_init, z_target, counts, probe_t)
     assert [m[:2] for m in report.measured] == [m[:2] for m in expected]
     for (_, _, got), (_, _, want) in zip(report.measured, expected):
         assert abs(got - want) <= 1e-10 * abs(want)
+
+
+@pytest.mark.parametrize("probe_t", [0.6, 1.0])
+def test_paired_reference_equals_two_separate_passes(probe_t):
+    # On criterion 07's setting (kinks at 0.99 and 0.7) and a two-Gaussian
+    # dataset field at w = 2, the paired walk's full pass is the split pass
+    # at twice the half counts, bit for bit at every kink, since every field
+    # is row-invariant.  Its half pass reads the field at the full pass's
+    # stage times, which can differ by an ulp from its own (at probe_t = 1),
+    # so its end state equals the half-count split pass to 1e-12 relative.
+    _, z_init, z_target, _, transport = _shared_setup(beta0_template=0.2)
+    reg = FieldRegistry()
+    reg.add_gaussian("a", np.array([1.0, -0.5]), np.array([[0.8, 0.2], [0.2, 0.5]]))
+    reg.add_gaussian("b", np.array([-1.5, 0.5]), np.array([[0.3, -0.1], [-0.1, 0.6]]))
+    field = otflow.make_velocity(reg, Condition.dataset("a"), GuidanceScales(w=2.0))
+    enhanced = make_enhanced(field, z_target, transport)
+    times = [1.0, *kinks(transport, 1.0, 0.0, probe_t), 0.0]
+    half = _segment_steps(times, _REF_STEPS // 2)
+    states, half_final = _paired_reference(enhanced, z_init, times, half)
+    full = _split_reference(enhanced, z_init, times, [2 * n for n in half])
+    assert len(states) == len(full) == len(times)
+    for got, want in zip(states, full):
+        assert np.array_equal(got, want)
+    want = _split_reference(enhanced, z_init, times, half)[-1]
+    assert l2_distance(half_final, want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_discretization_reference_error_is_far_below_the_errors_it_measures():
@@ -604,14 +629,14 @@ def test_distance_input_validation(call, match):
 def test_verify_discretization_probe_abort_names_its_step():
     # The probe is one Euler step through core's kernel: a non-finite probe
     # velocity aborts at probe_t, step 0 of the probe's one-step grid.  The
-    # one probe call follows the 4 * (202 + 101) calls of the reference's
-    # two passes (_SCHEDULE); the step that uses it follows the 5-step
-    # Euler run.
+    # one probe call follows the 4 * 202 calls of the reference's paired
+    # passes (_SCHEDULE); the step that uses it follows the 5-step Euler
+    # run.
     _, z_init, z_target, _, transport = _shared_setup(beta0_template=0.2)
     mu = np.array([1.0, -0.5])
     cov = np.array([[0.8, 0.2], [0.2, 0.5]])
     counts = [5, 10, 20]
-    probe_call = 4 * (202 + 101)
+    probe_call = 4 * 202
     calls = []
 
     def field(z, t):
@@ -629,22 +654,28 @@ def test_verify_discretization_probe_abort_names_its_step():
 # this order (numbered from 1): the full pass's segments [1, 0.99], [0.99,
 # 0.7], [0.7, 0.6], [0.6, 1e-4] and [1e-4, 0] in 2, 58, 20, 120 and 2 RK4
 # steps (calls 1-8, 9-240, 241-320, 321-800, 801-808), the half pass in 1,
-# 29, 10, 60 and 1 (809-1212), the probe (1213), then per count its Euler
-# run and an 8-step local reference (1214-1223 and 1224-1255 for 10).
+# 29, 10, 60 and 1 riding in them (8 calls per step), the probe (809), then
+# per count its Euler run and an 8-step local reference (810-819 and
+# 820-851 for 10).  In each 8 calls of a half step the 1st, 4th, 5th and
+# 8th carry the half pass's state as a second row.
 _COUNTS = [10, 20, 40, 80]
 
 
-@pytest.mark.parametrize("poisoned, first, step", [
-    (100, 9, 22),                 # the full pass, segment [0.99, 0.7]
-    (700, 321, 94),               # the full pass, segment [0.6, 1e-4]
-    (900, 813, 21),               # the half pass, segment [0.99, 0.7]
-    (1250, 1224, 6),              # the local reference after the 10-step run
+@pytest.mark.parametrize("poisoned, row, first, step, width", [
+    (100, ..., 9, 22, 4),         # the full pass, segment [0.99, 0.7]
+    (700, ..., 321, 94, 4),       # the full pass, segment [0.6, 1e-4]
+    (181, 1, 9, 21, 8),           # the half pass, segment [0.99, 0.7]
+    (846, ..., 820, 6, 4),        # the local reference after the 10-step run
 ], ids=["head", "tail", "half", "local"])
-def test_verify_discretization_reference_abort_names_its_step(poisoned, first, step):
+def test_verify_discretization_reference_abort_names_its_step(poisoned, row, first, step, width):
     # A non-finite velocity inside an RK4 reference aborts that reference at
-    # its own step (counted from the first call of its segment), at the time
-    # of the poisoned stage, with term "velocity".  The step's later stages
-    # still run; no other call follows.
+    # its own step (width calls each, counted from the first call of its
+    # segment), at the time of the poisoned stage, with term "velocity".
+    # The step's later stages still run; no other call follows.  The head
+    # and tail cases poison both rows of a paired call (the full pass's k4),
+    # and the full pass's abort is raised; the half case poisons only the
+    # second row of one (its k3, at the full pass's next k1), and the half
+    # pass's abort comes after the full pass's two steps that carry it.
     _, z_init, z_target, _, transport = _shared_setup(beta0_template=0.2)
     mu = np.array([1.0, -0.5])
     cov = np.array([[0.8, 0.2], [0.2, 0.5]])
@@ -653,13 +684,15 @@ def test_verify_discretization_reference_abort_names_its_step(poisoned, first, s
     def field(z, t):
         calls.append(t)
         v = gaussian_marginal_velocity(mu, cov, z, t)
-        return np.full_like(v, np.nan) if len(calls) == poisoned else v
+        if len(calls) == poisoned:
+            v[row] = np.nan
+        return v
 
     with pytest.raises(otflow.NumericalAbort) as err:
         verify_discretization_bound(field, transport, z_init, z_target, _COUNTS, probe_t=0.6)
     assert (err.value.t, err.value.step, err.value.term) == (calls[poisoned - 1], step, "velocity")
-    assert (poisoned - first) // 4 == step
-    assert len(calls) == first + 4 * step + 3
+    assert (poisoned - first) // width == step
+    assert len(calls) == first + width * step + width - 1
 
 
 def test_reference_integrate_abort_names_step_time_and_term():

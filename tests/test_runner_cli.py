@@ -18,7 +18,7 @@ from otflow import (ConfigError, NumericalAbort, derive_config, load_config_text
                     w2_dirac_to_points, w2_empirical_exact)
 from otflow.cli import (EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_PARTIAL,
                         EXIT_VERIFY, main)
-from otflow.config import _GENERATE_NEEDS_TARGET
+from otflow.config import _ELEMENT_CAP, _GENERATE_NEEDS_TARGET
 from otflow.core import make_rng
 from otflow.runner import (atomic_write_text, derive_seed, gen_data, points_csv,
                            run_experiment, run_sweep, run_verify, trajectory_csv)
@@ -687,6 +687,26 @@ def test_generate_w2_on_a_finite_cloud_whose_squares_overflow(tmp_path, capsys, 
     assert abs(w2 - rms) <= 1e-12 * rms
 
 
+def test_generate_aborts_on_a_cloud_that_decodes_non_finite(tmp_path, capsys):
+    # codec.scale = 1e308 decodes finite latents past the largest double.
+    # The run stops with a located abort in the decode term, not in the W2
+    # metric's covariance check, and a sweep row records it while the row
+    # at scale 1 keeps its metrics.
+    text = ("[experiment]\nalgorithm = generate\nname = g\nseed = 3\n"
+            "[dataset.g]\nmean = -1.5, 0.0\ncov = 0.16, 0; 0, 0.16\n"
+            "[editor]\ncondition = g\n[inputs]\ncount = 64\n")
+    cfg_path = _write(tmp_path, "g.cfg", text + "[codec]\nscale = 1e308, 1e308\n")
+    assert main(["run", cfg_path, "--out-dir", str(tmp_path / "out")]) == EXIT_NUMERIC
+    assert capsys.readouterr().err == ("numerical abort: decoded samples are non-finite at "
+                                       "t=0.0 (step=28, t=0.0, term=decode)\n")
+    sweep_path = _write(tmp_path, "s.cfg", text + "[sweep]\naxis = codec.scale: 1, 1e308\n")
+    assert main(["sweep", sweep_path, "--out-dir", str(tmp_path / "sweep")]) == EXIT_PARTIAL
+    records = list(csv.DictReader(open(tmp_path / "sweep" / "g_results.csv", encoding="utf-8")))
+    assert [r["error"] for r in records] == [
+        "", "NumericalAbort: decoded samples are non-finite at t=0.0"]
+    assert float(records[0]["w2_to_target"]) > 0.0
+
+
 def test_generate_on_points_w2_against_replicated_atoms(tmp_path):
     text = ("[experiment]\nalgorithm = generate\nname = g\n"
             "[dataset.p]\npoints = -1, 0; 1, 0.5; 0, 2\n"
@@ -947,6 +967,28 @@ def test_cli_rejects_values_that_underflow_at_load(tmp_path, capsys, command, te
     line = (text + extra).count("\n")
     assert capsys.readouterr().err == f"config error: line {line}: {message}\n"
     assert not os.path.exists(tmp_path / "u")
+
+
+_HUGE = "1000000000000000000"
+
+
+@pytest.mark.parametrize("command, text, key", [
+    ("run", _GEN_CFG + f"[grid]\nn_steps = {_HUGE}\n", "grid.n_steps"),
+    ("run", _GEN_CFG.replace("count = 64", f"count = {_HUGE}"), "inputs.count"),
+    ("run", _POINTS_CFG.replace("target_condition = b", f"target_condition = b\nn_avg = {_HUGE}"),
+     "editor.n_avg"),
+    ("verify", _VERIFY_PASS_CFG + f"n_runs = {_HUGE}\n", "verify.n_runs"),
+], ids=["n_steps", "count", "n_avg", "n_runs"])
+def test_cli_rejects_oversized_size_keys_at_load(tmp_path, capsys, command, text, key):
+    # A size key whose value times the registry's dimension exceeds the
+    # element cap fails at load on its own line, not with a MemoryError or
+    # numpy's "array is too big" in the run.
+    path = _write(tmp_path, "big.cfg", text)
+    assert main([command, path, "--out-dir", str(tmp_path / "big")]) == EXIT_CONFIG
+    line = text.splitlines().index(f"{key.split('.')[1]} = {_HUGE}") + 1
+    assert capsys.readouterr().err == (f"config error: line {line}: {key}: {_HUGE} x dimension 2 "
+                                       f"exceeds the cap of {_ELEMENT_CAP} elements\n")
+    assert not os.path.exists(tmp_path / "big")
 
 
 def test_cli_verify_fails_a_slope_fit_over_zero_displacements(tmp_path, capsys):
