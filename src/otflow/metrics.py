@@ -13,12 +13,13 @@ only its final state (core.integrate_final): the checks read nothing else.
 The discretization check's RK4 references are split at the kinks of the
 guided field (transport.kinks), so they stay fourth order down to t = 0.
 One pass from t = 1 through probe_t to t = 0 gives the probe state and the
-end state, and a second at half its steps states the end state's error.
-Its field calls are all single-state: 4 * (202 + 101) for the two passes
-of an unguided field, sum(counts) for the Euler runs, 1 for the probe
-velocity and 4 * 8 * len(counts) for the local references, which is 1,491
-calls at the default counts 10, 20, 40, 80.  A reference that goes
-non-finite raises NumericalAbort at its own step (reference_integrate).
+end state, and a second at half its steps, riding in the first's field
+calls as a second row, states the end state's error.  Its field calls are
+all on one or two states: 4 * 202 for the paired passes of an unguided
+field, sum(counts) for the Euler runs, 1 for the probe velocity and
+4 * 8 * len(counts) for the local references, which is 1,087 calls at the
+default counts 10, 20, 40, 80.  A reference that goes non-finite raises
+NumericalAbort at its own step (reference_integrate, _paired_rk4).
 Convergence and edit control share one VerifySetup, which integrates each
 distinct arm (one transport strength and schedule over the noise bank) once
 and hands its final states to both.
@@ -230,7 +231,7 @@ def _paired_rk4(velocity, z, y, t0, t1, n):
 
     def pair(zs, ys, t):
         # z's and y's stage velocities from one two-row call at t.
-        v = np.asarray(velocity(np.stack([zs, ys]), t))
+        v = np.asarray(velocity(np.array([zs, ys]), t))
         return v[0], v[1]
 
     for step in range(n):
@@ -483,7 +484,9 @@ def verify_discretization_bound(field, transport_cfg, z_init, z_target, step_cou
     through probe_t to t = 0 gives the probe state and the end state; a
     second at half the counts per segment gives fitted_constants'
     reference_error, the Richardson estimate ||z_n - z_(n/2)|| / 15 of the
-    end state's error.  Each local reference takes about _LOCAL_STEPS.
+    end state's error.  The second rides in the first's field calls
+    (_paired_reference), so the pair costs the first's 4 calls per step.
+    Each local reference takes about _LOCAL_STEPS.
     """
     step_counts = sorted(int(n) for n in step_counts)
     check_step_counts(step_counts)
