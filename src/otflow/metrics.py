@@ -225,10 +225,6 @@ def _paired_rk4(velocity, z, y, t0, t1, n):
     h_y = (float(t1) - float(t0)) / n
     t = float(t0)
 
-    def y_stage(c):
-        # y's next RK4 stage state, given its stage velocities c so far.
-        return y if not c else y + (h_y if len(c) == 3 else 0.5 * h_y) * c[-1]
-
     def pair(zs, ys, t):
         # z's and y's stage velocities from one two-row call at t.
         v = np.asarray(velocity(np.array([zs, ys]), t))
@@ -237,12 +233,13 @@ def _paired_rk4(velocity, z, y, t0, t1, n):
     for step in range(n):
         c, c_times = [], []
         for sub in (0, 1):
-            k1, c_1 = pair(z, y_stage(c), t)
-            c.append(c_1)
+            # y's stage states: y and y + (h_y / 2) c1 in z's first step,
+            # y + (h_y / 2) c2 and y + h_y c3 in its second.
+            k1, c_1 = pair(z, y if sub == 0 else y + 0.5 * h_y * c[1], t)
             k2 = np.asarray(velocity(z + 0.5 * h * k1, t + 0.5 * h))
             k3 = np.asarray(velocity(z + 0.5 * h * k2, t + 0.5 * h))
-            k4, c_4 = pair(z + h * k3, y_stage(c), t + h)
-            c.append(c_4)
+            k4, c_4 = pair(z + h * k3, y + (0.5 * h_y if sub == 0 else h_y) * c_1, t + h)
+            c += [c_1, c_4]
             c_times += [t, t + h]
             z = _rk4_step(z, h, (k1, k2, k3, k4), (t, t + 0.5 * h, t + 0.5 * h, t + h),
                           2 * step + sub)
