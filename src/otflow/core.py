@@ -13,10 +13,14 @@ along a monotone time grid, so a single integrator serves both directions.
 One step kernel, one record layout: every Euler loop in the package steps
 and checks its state through _euler_update (euler_step, or _step_rows for a
 batch whose failed rows stay NaN), aborting with the step's t, grid index
-and term.  integrate writes its Trajectory into the (n + 1, ...) arrays of
-_records; integrate_final runs the same loop (_euler_steps) and keeps only
-the last state, for callers that read nothing else (the verify arms, the
-discretization check's Euler runs, generate).
+and term.  The kernel first tests the whole new state for finiteness in one
+pass: a non-finite velocity entry always makes its state entry non-finite,
+so a sound step costs that one test, and the per-row masks, which name the
+failed rows and report a velocity term before a state term, are formed only
+when it fails.  integrate writes its Trajectory into the (n + 1, ...) arrays
+of _records; integrate_final runs the same loop (_euler_steps) and keeps
+only the last state, for callers that read nothing else (the verify arms,
+the discretization check's Euler runs, generate).
 """
 
 from dataclasses import dataclass, field
@@ -120,8 +124,15 @@ def make_time_grid(n_steps, t_start, t_end):
 
 def _euler_update(z, v, signed_step):
     """z + signed_step * v, and per-row masks over the last axis: velocity
-    non-finite, and velocity or new state non-finite."""
+    non-finite, and velocity or new state non-finite; both masks are None
+    when every entry of the new state is finite.
+
+    A non-finite velocity entry makes its state entry non-finite (the step
+    is finite and nonzero), so one test over the whole new state clears a
+    sound step, and the masks are formed only when it fails."""
     z_next = z + signed_step * v
+    if np.isfinite(z_next).all():
+        return z_next, None, None
     axis = -1 if np.ndim(v) else None
     bad_v = ~np.isfinite(v).all(axis=axis)
     return z_next, bad_v, bad_v | ~np.isfinite(z_next).all(axis=axis)
@@ -149,8 +160,8 @@ def euler_step(z, v, signed_step, t=None, step=None):
         raise ValueError(f"state shape {z.shape} != velocity shape {v.shape}")
     if not np.isfinite(signed_step) or signed_step == 0.0:
         raise ValueError(f"signed_step must be finite and nonzero, got {signed_step}")
-    z_next, bad_v, bad = _euler_update(z, v, signed_step)
-    if bad.any():
+    z_next, bad_v, _ = _euler_update(z, v, signed_step)
+    if bad_v is not None:
         raise _abort(bad_v.any(), t, step)
     return z_next
 
@@ -160,6 +171,8 @@ def _step_rows(z, v, dt, t, k, aborts, single):
     or new state is non-finite stays in the batch as NaN, and its first
     NumericalAbort goes to aborts[row] (a single-state loop raises it)."""
     z_next, bad_v, bad = _euler_update(z, v, dt)
+    if bad is None:
+        return z_next
     for i in np.flatnonzero(bad):
         if aborts[i] is None:
             aborts[i] = _abort(bad_v[i], t, k)

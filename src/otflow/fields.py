@@ -50,7 +50,7 @@ calls per contraction instead of the sixteen of 4-row blocks, and gives the
 same bits.  Larger blocks gain little more, and at 64 rows OpenBLAS takes
 another GEMM path for (64, 17) @ (17, 1024), which changes the rounding.
 The price is padding: a call of fewer rows pays for a whole block.  The
-Gaussian kernel blocks its rows by the same rule, _row_blocks, and makes one
+Gaussian kernel blocks its rows by the same rule and makes one
 (_ROWS, d + 1) @ (d + 1, 2d) product per block and component.  The
 row-invariance tests in tests/test_fields.py, at every workload's shapes
 and at each block position beside random, NaN, inf and huge rows, fail
@@ -59,15 +59,23 @@ should a numpy ever fold the stack into one GEMM.
 Conditions select which field an evaluation uses.  make_velocity, the one
 way to evaluate a registry, resolves them once at binding and returns the
 same closure for every binding, which clamps t at _T_FLOOR and calls one of
-two kernels.  The null condition of a registry of point sets only makes one
-pass over their pooled atoms, prepared at registration: it is
-empirical_marginal_velocity on the concatenated sets bit for bit, which the
-per-set mixture matches only to rounding (about 1e-13 relative).  Every other
-condition calls the null mixture, which has one component per registered
-entry and gives the null field and each entry's own field, its column, from
-one call.  A dataset condition blends its column with the null field by
-cfg_blend at classifier-free guidance weight w, so at w = 1 it is the column
-untouched.
+two kernels.  The closure keeps the Gaussian kernel's workspace
+(_KernelWork): the (m, rows, d + 1) centred blocks and their (m, rows, 2d)
+product for the last padded row count, built again only when that count or
+the stack's shape changes, so the 1024-row steps of an integration reuse two
+buffers instead of allocating them per call.  The kernel fills them in place
+with the same fixed-shape products, so every bit is as without them, and
+copies its results out: no returned array aliases the workspace.  A binding
+therefore holds state between calls, and must not be called from two threads
+at once; every sweep runs serially.  The null condition of a registry of
+point sets only makes one pass over their pooled atoms, prepared at
+registration: it is empirical_marginal_velocity on the concatenated sets bit
+for bit, which the per-set mixture matches only to rounding (about 1e-13
+relative).  Every other condition calls the null mixture, which has one
+component per registered entry and gives the null field and each entry's own
+field, its column, from one call.  A dataset condition blends its column
+with the null field by cfg_blend at classifier-free guidance weight w, so at
+w = 1 it is the column untouched.
 A Gaussian is weighed by its log density from the one Gaussian kernel call.
 A point set makes one softmax pass over its atoms, giving its max logit m,
 the sum s of exp(logit - m) and its field, and is weighed by
@@ -247,23 +255,51 @@ def _gaussian_terms(stack, t):
     return centres, ops, 0.5 * np.add.reduce(np.log(c_eig), axis=1)
 
 
-def _gaussian_velocity_eig(stack, terms, zb):
+class _KernelWork:
+    """The Gaussian kernel's buffers, kept across calls by one make_velocity
+    binding: the (m, rows, d + 1) centred blocks, whose last column is ones,
+    and their (m, rows, 2d) product with the operands, rows being the last
+    call's padded row count.  They are built again only when rows, m or d
+    changes.  The kernel copies its results out, so nothing it returns
+    aliases them, and a binding is not to be called from two threads at
+    once."""
+
+    __slots__ = ("blocks", "prod")
+
+    def __init__(self):
+        self.blocks = self.prod = None
+
+    def buffers(self, m, rows, d):
+        if self.blocks is None or self.blocks.shape != (m, rows, d + 1):
+            self.blocks = np.zeros((m, rows, d + 1))
+            self.blocks[:, :, d] = 1.0
+            self.prod = np.empty((m, rows, 2 * d))
+        return self.blocks, self.prod
+
+
+def _gaussian_velocity_eig(stack, terms, zb, work=None):
     # m stacked components at (b, d) states zb, given their _gaussian_terms
-    # at t, which hold all that is read of the stack.  The rows go in
-    # zero-padded blocks (_row_blocks) with a last column of ones, centred on
-    # each component: one fixed-shape (_ROWS, d + 1) @ (d + 1, 2d) product
+    # at t, which hold all that is read of the stack, in the buffers of work
+    # (a _KernelWork; a fresh one when None).  The rows go in blocks of
+    # _ROWS, zero-padded, with a last column of ones, centred on each
+    # component: one fixed-shape (_ROWS, d + 1) @ (d + 1, 2d) product
     # [z - a mu, 1] @ [[Q / sqrt(c), A], [0, -mu]] per block and component
     # gives y / sqrt(c), with y = Q^T (z - a mu), and the velocity directly.
     #   log densities (b, m):  -(|y / sqrt(c)|^2 + sum log c) / 2 + const
-    #   velocities (b, m, d):  A (z - a mu) - mu, in C order
+    #   velocities (b, m, d):  A (z - a mu) - mu, a fresh C-ordered copy
+    # The copy is explicit: at m = b = 1 the transposed slice is already
+    # contiguous, and np.ascontiguousarray would hand back a view of work.
     centres, ops, half_log_c = terms
     b, d = zb.shape
-    blocks = _row_blocks(zb, d + 1)
-    blocks[:, :, d] = 1.0
-    out = ((blocks - centres[:, None, None]) @ ops[:, None]).reshape(len(ops), -1, 2 * d)[:, :b]
-    ys = out[:, :, :d]
+    m = len(ops)
+    blocks, prod = (work or _KernelWork()).buffers(m, -(-b // _ROWS) * _ROWS, d)
+    np.subtract(zb, centres[:, None, :d], out=blocks[:, :b, :d])
+    blocks[:, b:, :d] = 0.0
+    np.matmul(blocks.reshape(m, -1, _ROWS, d + 1), ops[:, None],
+              out=prod.reshape(m, -1, _ROWS, 2 * d))
+    ys = prod[:, :b, :d]
     log_r = -0.5 * np.einsum("mbj,mbj->bm", ys, ys) - half_log_c
-    return log_r, np.ascontiguousarray(out[:, :, d:].transpose(1, 0, 2))
+    return log_r, prod[:, :b, d:].transpose(1, 0, 2).copy()
 
 
 def _gaussian_stack(mean, cov, where=""):
@@ -459,21 +495,21 @@ class FieldRegistry:
             return len(self._gaussians) + list(self._points).index(name)
         raise UnknownDatasetError(name)
 
-    def _mixture(self, zb, t, terms):
+    def _mixture(self, zb, t, terms, work=None):
         # The null field as a mixture with one component per registered
         # entry, beside each entry's own field, at (b, d) states zb and
         # clamped t, given the Gaussian stack's _gaussian_terms (None without
-        # Gaussians): one Gaussian kernel call and one _point_pass per point
-        # set (see the module docstring).  A point set's offset moves its
-        # logits to the first set's; beside Gaussians, subtracting
-        # ||z - a c_0||^2 / (2 t^2) + d log t then makes them full log
-        # densities, as the Gaussians' are (with the log-determinant, as
-        # component variances differ).  Returns the (b, d) null velocity and
-        # the (b, m + k, d) entry velocities: the m Gaussians', then the k
-        # point sets' in registration order.
+        # Gaussians): one Gaussian kernel call, in work's buffers, and one
+        # _point_pass per point set (see the module docstring).  A point
+        # set's offset moves its logits to the first set's; beside
+        # Gaussians, subtracting ||z - a c_0||^2 / (2 t^2) + d log t then
+        # makes them full log densities, as the Gaussians' are (with the
+        # log-determinant, as component variances differ).  Returns the
+        # (b, d) null velocity and the (b, m + k, d) entry velocities: the m
+        # Gaussians', then the k point sets' in registration order.
         m = len(self._gaussians)
         if m:
-            log_r, vels = _gaussian_velocity_eig(self._stacked, terms, zb)
+            log_r, vels = _gaussian_velocity_eig(self._stacked, terms, zb, work)
         if self._points:
             a = 1.0 - t
             c_0 = next(iter(self._points.values())).centre
@@ -509,11 +545,15 @@ def make_velocity(registry, condition, scales):
     the Gaussian stack's time-only terms (_gaussian_terms) for the last
     clamped t it saw, so calls at a repeated time, as RK4's stages make, skip
     them and make the same kernel call with the same terms, checks the
-    state's dimension (a ValueError), and calls one kernel.  The null
-    condition of a registry that holds only point sets makes one pass over
-    their pooled atoms (_point_pass).  Every other condition calls the null
-    mixture (FieldRegistry._mixture): the null condition returns its null
-    field, and a dataset condition blends the entry's column with it by
+    state's dimension (a ValueError), and calls one kernel.  It also keeps
+    the Gaussian kernel's buffers (_KernelWork) for the last padded row
+    count, so a loop of equal batches allocates none of them again; no
+    result aliases them, but one binding must not be called from two
+    threads at once (sweeps run serially).  The null condition of a
+    registry that holds only point sets makes one pass over their pooled
+    atoms (_point_pass).  Every other condition calls the null mixture
+    (FieldRegistry._mixture): the null condition returns its null field,
+    and a dataset condition blends the entry's column with it by
     cfg_blend's rule at scales.w, which binding checks once.  A name the
     registry does not hold raises UnknownDatasetError at binding, and the
     null condition of an empty registry a ValueError.  Binding relies on the
@@ -531,6 +571,7 @@ def make_velocity(registry, condition, scales):
     # the per-set mixture agrees with it only to rounding.
     pooled = registry._pooled if column is None and stack is None else None
     memo = (None, None)
+    work = _KernelWork()
 
     def velocity(z, t):
         nonlocal memo
@@ -544,7 +585,7 @@ def make_velocity(registry, condition, scales):
         zb = z.reshape(-1, dim)
         if pooled is not None:
             return _point_pass(pooled, zb, t)[2].reshape(z.shape)
-        v, vels = registry._mixture(zb, t, last[1])
+        v, vels = registry._mixture(zb, t, last[1], work)
         if column is not None:
             v = _blend(v, vels[:, column], w)
         return v.reshape(z.shape)

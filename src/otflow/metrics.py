@@ -41,7 +41,6 @@ from .core import (NumericalAbort, _overflow_safe, euler_step, integrate_final, 
 from .fields import _T_FLOOR, _clamp_t, make_velocity
 from .transport import check_phi, kinks, make_enhanced
 
-_QUAD_PANELS = 10_000
 # RK4 steps of the discretization check's reference over [1, 0] and of each
 # local reference over its probe step (verify_discretization_bound).
 _REF_STEPS = 200
@@ -306,17 +305,16 @@ def gaussian_velocity_coefficients(mean, cov, t):
 
 
 def schedule_integral(phi):
-    """integral_0^1 S(s, phi)^2 ds by composite midpoint rule (1e4 panels).
+    """integral_0^1 S(s, phi)^2 ds in closed form, (3/8) * phi, for phi in
+    (0, 1].
 
-    The two orientations are a change of variables s -> 1 - s apart, so the
-    value is the same for both; closed form (3/8) * phi.
+    S is 0 past s = phi, and substituting u = s / phi leaves phi times
+    integral_0^1 cos(pi u / 2)^4 du = 3/8.  The two orientations are a
+    change of variables s -> 1 - s apart, so the value is the same for both.
+    The closed form holds for any phi, where a quadrature on [0, 1] misses
+    a schedule narrower than its panels.
     """
-    s = (np.arange(_QUAD_PANELS) + 0.5) / _QUAD_PANELS
-    # min(s, phi) / phi is min(s / phi, 1) bit for bit, and stays finite
-    # for a subnormal phi.
-    ratio = np.minimum(s, phi) / phi
-    vals = (0.5 * (1.0 + np.cos(ratio * np.pi))) ** 2
-    return float(vals.mean())
+    return 0.375 * float(phi)
 
 
 @dataclass(frozen=True)
@@ -406,11 +404,10 @@ def check_edit_control_arms(beta0_list):
 def check_edit_control_phi(phi):
     """Raise ValueError unless phi is an anneal width (transport.check_phi)
     whose schedule_integral is positive: verify_edit_control_bound divides
-    by it, and on its midpoint panels every phi below 5e-5 gives 0."""
+    by it, and 0.375 * phi rounds to 0 at phi = 5e-324."""
     check_phi(phi)
     if not schedule_integral(phi) > 0.0:
-        raise ValueError(f"phi = {phi} gives a schedule integral of 0 on {_QUAD_PANELS} "
-                         "midpoint panels")
+        raise ValueError(f"phi = {phi} gives a schedule integral of 0")
 
 
 def check_probe_step(probe_t, step_counts):

@@ -159,7 +159,10 @@ def _clip(v, n, tau):
     # times tau / ||u||, not zeroed by tau / inf; a row with a non-finite
     # entry is left to tau / inf as before.
     rows, n = v.reshape(-1, v.shape[-1]), np.reshape(n, -1)
-    over = (n == np.inf) & np.isfinite(rows).all(axis=-1)
+    over = n == np.inf
+    if over.any():
+        # The per-row finiteness test is read only on rows whose norm is inf.
+        over &= np.isfinite(rows).all(axis=-1)
     if over.any():
         u = rows[over] / np.abs(rows[over]).max(axis=-1, keepdims=True)
         rows, n = rows.copy(), n.copy()

@@ -21,7 +21,7 @@ from otflow import (
     make_time_grid,
     rf_invert,
 )
-from otflow.core import integrate_final
+from otflow.core import _euler_update, _step_rows, integrate_final
 
 
 def test_grid_points_and_dt():
@@ -154,6 +154,54 @@ def test_integrate_state_abort_names_t_step_and_term():
         integrate(overflowing, np.array([1.7e308]), grid)
     assert str(err.value) == "euler_step produced a non-finite state"
     assert (err.value.t, err.value.step, err.value.term) == (0.25, 3, "state")
+
+
+# One failing row of each kind, (state, velocity, reported term): the Euler
+# kernel's whole-array test must hand each to its per-row masks.
+_EULER_FAULTS = {
+    "velocity-inf": ([1.0, 2.0], [np.inf, 1.0], "velocity"),
+    "velocity-nan": ([1.0, 2.0], [1.0, np.nan], "velocity"),
+    "state-overflow": ([1.5e308, 2.0], [1.5e308, 1.0], "state"),
+    "velocity-and-state": ([1.5e308, 2.0], [1.5e308, -np.inf], "velocity"),
+}
+
+
+@pytest.mark.parametrize("fault", list(_EULER_FAULTS))
+def test_euler_kernel_falls_back_to_row_masks_on_a_failed_step(fault):
+    # The kernel tests the whole new state once and forms its per-row masks
+    # only when that fails.  Every kind of failure is still caught and
+    # located, the velocity term reported before the state term, for a
+    # single state and in a batch, and the same rows go NaN as under the
+    # masks alone.
+    z_bad, v_bad, term = _EULER_FAULTS[fault]
+    with np.errstate(over="ignore"), pytest.raises(NumericalAbort) as err:
+        euler_step(np.array(z_bad), np.array(v_bad), 0.5, t=0.25, step=3)
+    assert (err.value.t, err.value.step, err.value.term) == (0.25, 3, term)
+    z = np.array([[0.5, -1.0], z_bad, [3.0, 4.0], [-2.0, 1e300]])
+    v = np.array([[1.0, 1.0], v_bad, [-2.0, 0.5], [7.0, -1e300]])
+    aborts = [None] * 4
+    with np.errstate(over="ignore"):
+        stepped = _step_rows(z, v, 0.5, 0.25, 3, aborts, single=False)
+        plain = z + 0.5 * v
+    failed = ~np.isfinite(v).all(axis=1) | ~np.isfinite(plain).all(axis=1)
+    assert np.array_equal(np.isnan(stepped).all(axis=1), failed)
+    assert np.flatnonzero(failed).tolist() == [1]
+    assert np.array_equal(stepped[~failed], plain[~failed])
+    assert [a is None for a in aborts] == [True, False, True, True]
+    assert (aborts[1].t, aborts[1].step, aborts[1].term) == (0.25, 3, term)
+    with np.errstate(over="ignore"), pytest.raises(NumericalAbort) as err:
+        _step_rows(z[1:2], v[1:2], 0.5, 0.25, 3, [None], single=True)
+    assert err.value.term == term
+
+
+def test_euler_kernel_clears_a_sound_step_without_row_masks():
+    # A finite new state needs no masks, and is z + step * v bit for bit.
+    z, v = np.random.default_rng(41).standard_normal((2, 1024, 8))
+    z_next, bad_v, bad = _euler_update(z, v, -1.0 / 28)
+    assert bad_v is None and bad is None
+    assert np.array_equal(z_next, z + (-1.0 / 28) * v)
+    assert np.array_equal(_step_rows(z, v, -1.0 / 28, 0.5, 0, [None] * 1024, single=False),
+                          z_next)
 
 
 def _curved_field(z, t):

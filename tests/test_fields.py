@@ -1054,6 +1054,82 @@ def test_bound_field_equals_evaluate_across_its_time_memo(kind, b):
             make_velocity(reg, Condition.dataset("nope"), GuidanceScales(w=w))(zs, 0.3)
 
 
+@pytest.mark.parametrize("b", [1, 1024])
+@pytest.mark.parametrize("cond", ["null", "dataset"])
+def test_bound_field_results_never_alias_its_kernel_workspace(cond, b):
+    # A binding keeps the Gaussian kernel's buffers across calls.  On a
+    # one-Gaussian registry at w = 1 the dataset condition returns the
+    # kernel's velocity column itself, which at b = 1 is a contiguous
+    # (1, 1, d) slice of the product buffer.  Neither a second call nor a
+    # write into a returned array may change an earlier result by a bit.
+    d = 8
+    rng = _rng(81, b)
+    A = rng.standard_normal((d, d)) / np.sqrt(d)
+    reg = FieldRegistry().add_gaussian("g", 0.3 * rng.standard_normal(d),
+                                       A @ A.T + 0.2 * np.eye(d))
+    condition = Condition.null() if cond == "null" else Condition.dataset("g")
+    field = make_velocity(reg, condition, GuidanceScales())
+    z1, z2 = rng.standard_normal((2, b, d))
+    first = field(z1, 0.4)
+    kept = first.copy()
+    second = field(z2, 0.4)
+    third = field(z2, 0.7)
+    assert np.array_equal(first, kept)
+    second[...] = np.nan
+    third[...] = np.inf
+    again = field(z1, 0.4)
+    assert np.array_equal(first, kept) and np.array_equal(again, kept)
+    first[...] = -1.0
+    assert np.array_equal(field(z1, 0.4), kept) and np.array_equal(again, kept)
+    assert np.array_equal(field(z2, 0.7), make_velocity(reg, condition, GuidanceScales())(z2, 0.7))
+
+
+@pytest.mark.parametrize("with_points", [False, True])
+def test_one_binding_across_batch_sizes_equals_fresh_bindings(with_points):
+    # One binding, so one kernel workspace, called at batch sizes that grow,
+    # shrink and repeat its padded row count.  Its 1024-row calls hold a NaN
+    # row and a 1e300 row where the smaller calls after them have padding.
+    # Each row equals a fresh binding's, bit for bit.
+    d = 8
+    reg = _two_gaussian_registry(d, with_points)
+    zs = 0.8 * _rng(82, d).standard_normal((1024 + 33, d))
+    zs[9], zs[24] = np.nan, 1e300
+    calls = [(1024, 0.4), (5, 0.4), (1024, 0.7), (17, 0.7), (1, 0.4), (33, 1e-5)]
+    for cond, w in ((Condition.null(), 1.0), (Condition.dataset("g1"), 1.0),
+                    (Condition.dataset("g2"), 2.0)):
+        scales = GuidanceScales(w=w)
+        field = make_velocity(reg, cond, scales)
+        with np.errstate(all="ignore"):
+            for b, t in calls:
+                zb = zs[:b] if b == 1024 else zs[1024:1024 + b]
+                got = field(zb, t)
+                assert got.shape == zb.shape
+                assert np.array_equal(got, make_velocity(reg, cond, scales)(zb, t), equal_nan=True)
+
+
+def test_repeated_1024_row_call_allocates_no_kernel_buffers():
+    # Tooling guard for the kernel workspace: once bound and called, a call
+    # at a repeated t allocates no (m, rows, d + 1) blocks or (m, rows, 2d)
+    # product.  tracemalloc counts numpy's buffers whatever the allocator;
+    # the peak must stay under m * rows * (3d + 1) doubles, where the
+    # kernel's temporaries alone come to more.
+    import tracemalloc
+
+    d, b = 8, 1024
+    reg = _two_gaussian_registry(d, False)
+    zs = _rng(83, d).standard_normal((b, d))
+    for cond, w in ((Condition.null(), 1.0), (Condition.dataset("g2"), 2.0)):
+        field = make_velocity(reg, cond, GuidanceScales(w=w))
+        field(zs, 0.4)
+        tracemalloc.start()
+        try:
+            field(zs, 0.4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * b * (3 * d + 1) * 8, peak
+
+
 def test_registry_t_floor_validation():
     with pytest.raises(ValueError):
         GuidanceScales(w=np.nan)

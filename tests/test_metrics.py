@@ -21,6 +21,7 @@ from otflow import (
     FieldRegistry,
     GuidanceScales,
     TransportConfig,
+    cosine_schedule,
     gaussian_marginal_velocity,
     integrate,
     make_time_grid,
@@ -352,11 +353,19 @@ def test_reference_integrate_validation():
         reference_integrate(lambda z, t: z, np.zeros(1), 0.0, 1.0, 2.5)
 
 
-@pytest.mark.parametrize("phi", [0.1, 0.3, 0.7, 1.0])
+@pytest.mark.parametrize("phi", [6e-5, 1e-4, 3e-4, 0.1, 0.3, 0.7, 1.0])
 def test_schedule_integral_closed_form(phi):
     # integral of S^2 over [0, 1] is (3/8) phi for phi <= 1: substituting
-    # u = s/phi gives phi * integral of (cos(pi u / 2))^4 in disguise.
+    # u = s/phi gives phi * integral of (cos(pi u / 2))^4 in disguise.  It
+    # holds for narrow schedules too, where a midpoint rule on 1e4 panels of
+    # [0, 1] reads 98% low at 6e-5: Simpson's rule on [0, phi], where S is
+    # nonzero, agrees to 1e-12 relative.
     assert abs(schedule_integral(phi) - 0.375 * phi) <= 1e-8
+    s = np.linspace(0.0, phi, 4001)
+    vals = np.array([cosine_schedule(x, phi) ** 2 for x in s])
+    simpson = (phi / 12000) * (vals[0] + vals[-1] + 4 * vals[1:-1:2].sum()
+                               + 2 * vals[2:-1:2].sum())
+    assert abs(schedule_integral(phi) - simpson) <= 1e-12 * phi
 
 
 def test_euler_local_error_halves_quadratically():
@@ -532,13 +541,14 @@ def test_discretization_reference_error_is_far_below_the_errors_it_measures():
 
 
 def test_edit_control_rejects_a_phi_whose_schedule_integral_is_0():
-    # Every phi below 5e-5 misses the midpoint panels; the bound divides by
-    # the integral, so the verifier refuses such a phi before any run.
+    # 0.375 * phi rounds to 0 at the least subnormal phi; the bound divides
+    # by the integral, so the verifier refuses such a phi before any run.
     setup, *_ = _shared_setup()
-    for phi in (4e-5, 1e-300, 5e-324):
-        with pytest.raises(ValueError, match="schedule integral of 0"):
-            verify_edit_control_bound(setup, [0.0, 0.1, 0.2, 0.4], phi)
+    with pytest.raises(ValueError, match="schedule integral of 0"):
+        verify_edit_control_bound(setup, [0.0, 0.1, 0.2, 0.4], 5e-324)
     assert setup._arms == {}
+    # The next subnormal up already gives a positive integral.
+    assert schedule_integral(1e-323) > 0.0
 
 
 def test_verify_arms_run_once_per_setup(monkeypatch):

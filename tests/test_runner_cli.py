@@ -943,10 +943,8 @@ _CODEC_SCALE = "codec.scale: codec scale entries must be nonzero with a finite r
 
 
 @pytest.mark.parametrize("command, text, extra, message", [
-    ("verify", _VERIFY_PASS_CFG, "phi = 1e-300\n",
-     "verify.phi: phi = 1e-300 gives a schedule integral of 0 on 10000 midpoint panels"),
     ("verify", _VERIFY_PASS_CFG, "phi = 5e-324\n",
-     "verify.phi: phi = 5e-324 gives a schedule integral of 0 on 10000 midpoint panels"),
+     "verify.phi: phi = 5e-324 gives a schedule integral of 0"),
     ("verify", _VERIFY_PASS_CFG, "[grid]\nt_start = 5e-324\n",
      "grid.t_start: t_start 5e-324 and t_end 0.0 give a zero or non-finite step over 28 steps"),
     ("run", _GEN_CFG, "[grid]\nt_start = 5e-324\n",
@@ -955,7 +953,7 @@ _CODEC_SCALE = "codec.scale: codec scale entries must be nonzero with a finite r
     ("sweep", _INVERT_SWEEP_CFG, "[codec]\nscale = 5e-324\n", _CODEC_SCALE),
     ("run", _POINTS_CFG, "[codec]\nscale = 1e-320, 1e-320\n", _CODEC_SCALE),
     ("sweep", _SWEEP_CFG, "[codec]\nscale = 5e-324\n", _CODEC_SCALE),
-], ids=["phi-1e-300", "phi-5e-324", "verify-t_start", "generate-t_start", "invert_edit-scale",
+], ids=["phi-5e-324", "verify-t_start", "generate-t_start", "invert_edit-scale",
         "invert_sweep-scale", "flowedit-scale", "flowedit_sweep-scale"])
 def test_cli_rejects_values_that_underflow_at_load(tmp_path, capsys, command, text, extra,
                                                    message):
