@@ -59,15 +59,10 @@ should a numpy ever fold the stack into one GEMM.
 Conditions select which field an evaluation uses.  make_velocity, the one
 way to evaluate a registry, resolves them once at binding and returns the
 same closure for every binding, which clamps t at _T_FLOOR and calls one of
-two kernels.  The closure keeps the Gaussian kernel's workspace
-(_KernelWork): the (m, rows, d + 1) centred blocks and their (m, rows, 2d)
-product for the last padded row count, built again only when that count or
-the stack's shape changes, so the 1024-row steps of an integration reuse two
-buffers instead of allocating them per call.  The kernel fills them in place
-with the same fixed-shape products, so every bit is as without them, and
-copies its results out: no returned array aliases the workspace.  A binding
-therefore holds state between calls, and must not be called from two threads
-at once; every sweep runs serially.  The null condition of a registry of
+two kernels.  A binding of a registry with Gaussians holds one
+_GaussianKernel, which keeps the last t's terms and its buffers between
+calls (see the class), so a binding must not be called from two threads at
+once; every sweep runs serially.  The null condition of a registry of
 point sets only makes one pass over their pooled atoms, prepared at
 registration: it is empirical_marginal_velocity on the concatenated sets bit
 for bit, which the per-set mixture matches only to rounding (about 1e-13
@@ -239,67 +234,77 @@ def empirical_marginal_velocity(points, z, t):
 def _gaussian_terms(stack, t):
     # The time-only terms of a Gaussian stack (means, eigenvalues,
     # eigenvectors) at clamped t, with a = 1 - t and c = a^2 lam + t^2: the
-    # (m, d + 1) centres [a mu, 0], the (m, d + 1, 2d) right operands
+    # (m, d) centres a mu, the (m, d + 1, 2d) right operands
     # [[Q / sqrt(c), A], [0, -mu]] with A = Q diag((t - a lam) / c) Q^T (one
     # stacked (m, d, d) product), and (1/2) sum log c.
     means, eigvals, eigvecs = stack
     m, d = means.shape
     a = 1.0 - t
     c_eig = a * a * eigvals + t * t
-    centres = np.zeros((m, d + 1))
-    centres[:, :d] = a * means
     ops = np.zeros((m, d + 1, 2 * d))
     ops[:, :d, :d] = eigvecs / np.sqrt(c_eig)[:, None, :]
     ops[:, :d, d:] = (eigvecs * ((t - a * eigvals) / c_eig)[:, None, :]) @ eigvecs.transpose(0, 2, 1)
     ops[:, d, d:] = -means
-    return centres, ops, 0.5 * np.add.reduce(np.log(c_eig), axis=1)
+    return a * means, ops, 0.5 * np.add.reduce(np.log(c_eig), axis=1)
 
 
-class _KernelWork:
-    """The Gaussian kernel's buffers, kept across calls by one make_velocity
-    binding: the (m, rows, d + 1) centred blocks, whose last column is ones,
-    and their (m, rows, 2d) product with the operands, rows being the last
-    call's padded row count.  They are built again only when rows, m or d
-    changes.  The kernel copies its results out, so nothing it returns
-    aliases them, and a binding is not to be called from two threads at
-    once."""
-
-    __slots__ = ("blocks", "prod")
-
-    def __init__(self):
-        self.blocks = self.prod = None
-
-    def buffers(self, m, rows, d):
-        if self.blocks is None or self.blocks.shape != (m, rows, d + 1):
-            self.blocks = np.zeros((m, rows, d + 1))
-            self.blocks[:, :, d] = 1.0
-            self.prod = np.empty((m, rows, 2 * d))
-        return self.blocks, self.prod
-
-
-def _gaussian_velocity_eig(stack, terms, zb, work=None):
+def _gaussian_velocity_eig(terms, zb, blocks, prod):
     # m stacked components at (b, d) states zb, given their _gaussian_terms
-    # at t, which hold all that is read of the stack, in the buffers of work
-    # (a _KernelWork; a fresh one when None).  The rows go in blocks of
-    # _ROWS, zero-padded, with a last column of ones, centred on each
+    # at t, in a _GaussianKernel's blocks and product.  The rows go in blocks
+    # of _ROWS, zero-padded, with a last column of ones, centred on each
     # component: one fixed-shape (_ROWS, d + 1) @ (d + 1, 2d) product
     # [z - a mu, 1] @ [[Q / sqrt(c), A], [0, -mu]] per block and component
     # gives y / sqrt(c), with y = Q^T (z - a mu), and the velocity directly.
     #   log densities (b, m):  -(|y / sqrt(c)|^2 + sum log c) / 2 + const
     #   velocities (b, m, d):  A (z - a mu) - mu, a fresh C-ordered copy
     # The copy is explicit: at m = b = 1 the transposed slice is already
-    # contiguous, and np.ascontiguousarray would hand back a view of work.
+    # contiguous, and np.ascontiguousarray would hand back a view of prod.
     centres, ops, half_log_c = terms
     b, d = zb.shape
     m = len(ops)
-    blocks, prod = (work or _KernelWork()).buffers(m, -(-b // _ROWS) * _ROWS, d)
-    np.subtract(zb, centres[:, None, :d], out=blocks[:, :b, :d])
+    np.subtract(zb, centres[:, None], out=blocks[:, :b, :d])
     blocks[:, b:, :d] = 0.0
     np.matmul(blocks.reshape(m, -1, _ROWS, d + 1), ops[:, None],
               out=prod.reshape(m, -1, _ROWS, 2 * d))
     ys = prod[:, :b, :d]
     log_r = -0.5 * np.einsum("mbj,mbj->bm", ys, ys) - half_log_c
     return log_r, prod[:, :b, d:].transpose(1, 0, 2).copy()
+
+
+class _GaussianKernel:
+    """The one Gaussian kernel of a stack of m components in d dimensions,
+    as a make_velocity binding holds it.  Called at (b, d) states zb and a
+    clamped t, it returns the (b, m) log densities and the (b, m, d)
+    velocities of _gaussian_velocity_eig.
+
+    It keeps the stack's _gaussian_terms for the last t it was called at,
+    so calls at a repeated time, as RK4's stages make, skip them.  It keeps
+    the (m, rows, d + 1) centred blocks, whose last column is ones, and
+    their (m, rows, 2d) product for the last padded row count, the only
+    shape that can change, so a loop of equal batches allocates neither
+    again.  The kernel fills them in place with the same fixed-shape
+    products, so every bit is as with fresh buffers, and copies its results
+    out: nothing it returns aliases them.  The object therefore holds state
+    between calls and must not be called from two threads at once; every
+    sweep runs serially."""
+
+    __slots__ = ("stack", "t", "terms", "blocks", "prod")
+
+    def __init__(self, stack):
+        self.stack = stack
+        self.t = self.terms = self.blocks = self.prod = None
+
+    def __call__(self, zb, t):
+        if t != self.t:
+            self.t, self.terms = t, _gaussian_terms(self.stack, t)
+        b, d = zb.shape
+        rows = -(-b // _ROWS) * _ROWS
+        if self.blocks is None or self.blocks.shape[1] != rows:
+            m = len(self.stack[0])
+            self.blocks = np.zeros((m, rows, d + 1))
+            self.blocks[:, :, d] = 1.0
+            self.prod = np.empty((m, rows, 2 * d))
+        return _gaussian_velocity_eig(self.terms, zb, self.blocks, self.prod)
 
 
 def _gaussian_stack(mean, cov, where=""):
@@ -331,8 +336,7 @@ def gaussian_marginal_velocity(mean, cov, z, t):
     z = np.asarray(z, dtype=float)
     if z.shape[-1] != cov.shape[0]:
         raise ValueError(f"state dim {z.shape[-1]} != gaussian dim {cov.shape[0]}")
-    terms = _gaussian_terms(one, _clamp_t(t))
-    _, v = _gaussian_velocity_eig(one, terms, z.reshape(-1, z.shape[-1]))
+    _, v = _GaussianKernel(one)(z.reshape(-1, z.shape[-1]), _clamp_t(t))
     return v[:, 0].reshape(z.shape)
 
 
@@ -495,21 +499,21 @@ class FieldRegistry:
             return len(self._gaussians) + list(self._points).index(name)
         raise UnknownDatasetError(name)
 
-    def _mixture(self, zb, t, terms, work=None):
+    def _mixture(self, zb, t, kernel):
         # The null field as a mixture with one component per registered
         # entry, beside each entry's own field, at (b, d) states zb and
-        # clamped t, given the Gaussian stack's _gaussian_terms (None without
-        # Gaussians): one Gaussian kernel call, in work's buffers, and one
-        # _point_pass per point set (see the module docstring).  A point
-        # set's offset moves its logits to the first set's; beside
-        # Gaussians, subtracting ||z - a c_0||^2 / (2 t^2) + d log t then
-        # makes them full log densities, as the Gaussians' are (with the
-        # log-determinant, as component variances differ).  Returns the
+        # clamped t, given the Gaussian stack's _GaussianKernel (None without
+        # Gaussians): one kernel call and one _point_pass per point set (see
+        # the module docstring).  A point set's offset moves its logits to
+        # the first set's; beside Gaussians, subtracting
+        # ||z - a c_0||^2 / (2 t^2) + d log t then makes them full log
+        # densities, as the Gaussians' are (with the log-determinant, as
+        # component variances differ).  Returns the
         # (b, d) null velocity and the (b, m + k, d) entry velocities: the m
         # Gaussians', then the k point sets' in registration order.
         m = len(self._gaussians)
         if m:
-            log_r, vels = _gaussian_velocity_eig(self._stacked, terms, zb, work)
+            log_r, vels = kernel(zb, t)
         if self._points:
             a = 1.0 - t
             c_0 = next(iter(self._points.values())).centre
@@ -541,24 +545,19 @@ def make_velocity(registry, condition, scales):
     """Bind (registry, condition, scales) into a (z, t) -> v callable, the
     one way to evaluate a registry.
 
-    Every binding returns the same closure: it clamps t at _T_FLOOR, keeps
-    the Gaussian stack's time-only terms (_gaussian_terms) for the last
-    clamped t it saw, so calls at a repeated time, as RK4's stages make, skip
-    them and make the same kernel call with the same terms, checks the
-    state's dimension (a ValueError), and calls one kernel.  It also keeps
-    the Gaussian kernel's buffers (_KernelWork) for the last padded row
-    count, so a loop of equal batches allocates none of them again; no
-    result aliases them, but one binding must not be called from two
-    threads at once (sweeps run serially).  The null condition of a
-    registry that holds only point sets makes one pass over their pooled
-    atoms (_point_pass).  Every other condition calls the null mixture
-    (FieldRegistry._mixture): the null condition returns its null field,
-    and a dataset condition blends the entry's column with it by
-    cfg_blend's rule at scales.w, which binding checks once.  A name the
-    registry does not hold raises UnknownDatasetError at binding, and the
-    null condition of an empty registry a ValueError.  Binding relies on the
-    registry's rule that every dataset is registered before any field is
-    used.
+    Every binding returns the same closure: it clamps t at _T_FLOOR, checks
+    the state's dimension (a ValueError), and calls one kernel.  A registry
+    with Gaussians gives each binding its own _GaussianKernel, which holds
+    state between calls, so one binding must not be called from two threads
+    at once (see the class).  The null condition of a registry that holds
+    only point sets makes one pass over their pooled atoms (_point_pass).
+    Every other condition calls the null mixture (FieldRegistry._mixture):
+    the null condition returns its null field, and a dataset condition
+    blends the entry's column with it by cfg_blend's rule at scales.w,
+    which binding checks once.  A name the registry does not hold raises
+    UnknownDatasetError at binding, and the null condition of an empty
+    registry a ValueError.  Binding relies on the registry's rule that
+    every dataset is registered before any field is used.
     """
     column = w = None
     if condition.kind == "dataset":
@@ -566,26 +565,21 @@ def make_velocity(registry, condition, scales):
         _check_weight(w)
     elif not registry._order:
         raise ValueError("registry has no datasets; cannot evaluate the null condition")
-    stack, dim = registry._stacked, registry.dim()
+    dim = registry.dim()
+    kernel = None if registry._stacked is None else _GaussianKernel(registry._stacked)
     # One pass over the pooled atoms is the pooled kernel bit for bit, where
     # the per-set mixture agrees with it only to rounding.
-    pooled = registry._pooled if column is None and stack is None else None
-    memo = (None, None)
-    work = _KernelWork()
+    pooled = registry._pooled if column is None and kernel is None else None
 
     def velocity(z, t):
-        nonlocal memo
         t = _clamp_t(t)
-        last = memo
-        if stack is not None and last[0] != t:
-            last = memo = (t, _gaussian_terms(stack, t))
         z = np.asarray(z, dtype=float)
         if z.shape[-1] != dim:
             raise ValueError(f"state dim {z.shape[-1]} != registry dim {dim}")
         zb = z.reshape(-1, dim)
         if pooled is not None:
             return _point_pass(pooled, zb, t)[2].reshape(z.shape)
-        v, vels = registry._mixture(zb, t, last[1], work)
+        v, vels = registry._mixture(zb, t, kernel)
         if column is not None:
             v = _blend(v, vels[:, column], w)
         return v.reshape(z.shape)

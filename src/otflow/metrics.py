@@ -595,9 +595,14 @@ def verify_edit_control_bound(setup, beta0_list, phi):
     """Check the quadratic edit-magnitude law against the schedule integral.
 
     Mean squared displacement between guided and unguided outputs (same seeds)
-    must scale like beta0^2 (log-log slope within [1.5, 2.5]), vanish exactly
-    at beta0 = 0, and sit below c * beta0^2 * integral(S^2) + eps for the
-    fitted nonnegative constants.
+    must scale like beta0^2 (log-log slope within [1.5, 2.5]) and vanish
+    exactly at beta0 = 0.  The report also gives the tightest nonnegative
+    constants under which every arm sits below
+    c * beta0^2 * integral(S^2) + eps: eps from the beta0 = 0 arm, c the
+    largest ratio (disp - eps) / (beta0^2 * integral).  That bound holds by
+    construction, with equality at the binding arm, so it is not tested
+    again: multiplying c back out rounds, and a re-test with any fixed slack
+    fails once the displacements are large enough for one ulp to exceed it.
 
     The arms come from setup's memo, so those that verify_convergence_bound
     already ran on the same setup (the beta0 = 0 arm, and any other when phi
@@ -619,15 +624,12 @@ def verify_edit_control_bound(setup, beta0_list, phi):
         outs = _run_outputs(setup, b, transport)
         disp[b] = float(np.mean(np.sum((outs - base_out) ** 2, axis=1)))
     slope = _fit_loglog_slope(positives, [disp[b] for b in positives])
-    # Tightest nonnegative constants: eps from the baseline arm, c from the
-    # worst ratio, so the bound holds with equality at the binding arm.
     eps_schedule = disp.get(0.0, 0.0)
     c_bound = max((disp[b] - eps_schedule) / (b * b * integral) for b in positives)
     c_bound = max(c_bound, 0.0)
-    bound_ok = all(disp[b] <= c_bound * b * b * integral + eps_schedule + 1e-12 for b in positives)
     zero_ok = disp.get(0.0, 0.0) == 0.0
     tol = {"slope": (1.5, 2.5), "zero_displacement": 0.0}
-    passed = tol["slope"][0] <= slope <= tol["slope"][1] and zero_ok and bound_ok
+    passed = tol["slope"][0] <= slope <= tol["slope"][1] and zero_ok
     return BoundReport(
         bound_kind="edit_control",
         measured=tuple(("mean_sq_displacement", b, disp[b]) for b in beta0_list),

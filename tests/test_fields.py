@@ -24,6 +24,7 @@ from otflow import (
     gaussian_marginal_velocity,
     make_time_grid,
     make_velocity,
+    reference_integrate,
 )
 from otflow.core import integrate
 
@@ -228,8 +229,8 @@ def _mixture(reg, z, t):
     # velocities, Gaussians then point sets.
     t = fields._clamp_t(t)
     z = np.asarray(z, dtype=float)
-    terms = fields._gaussian_terms(reg._stacked, t) if reg._gaussians else None
-    v, vels = reg._mixture(z.reshape(-1, z.shape[-1]), t, terms)
+    kernel = fields._GaussianKernel(reg._stacked) if reg._gaussians else None
+    v, vels = reg._mixture(z.reshape(-1, z.shape[-1]), t, kernel)
     return v.reshape(z.shape), vels
 
 
@@ -1105,6 +1106,53 @@ def test_one_binding_across_batch_sizes_equals_fresh_bindings(with_points):
                 got = field(zb, t)
                 assert got.shape == zb.shape
                 assert np.array_equal(got, make_velocity(reg, cond, scales)(zb, t), equal_nan=True)
+
+
+@pytest.mark.parametrize("n_fine, times", [(1, [1.0, 0.75, 0.5]),
+                                            (2, [1.0, 0.875, 0.75, 0.625, 0.5])])
+def test_rk4_steps_compute_the_gaussian_terms_once_per_time(n_fine, times, monkeypatch):
+    # A binding's kernel keeps the terms of the last t it was called at.  An
+    # RK4 step makes four field calls at three distinct times, its two
+    # midpoint stages sharing one, and the next step starts at the time the
+    # last one ended, so it adds two.
+    reg = _two_gaussian_registry(8, True)
+    terms, calls, seen = fields._gaussian_terms, [], []
+    monkeypatch.setattr(fields, "_gaussian_terms",
+                        lambda stack, t: seen.append(t) or terms(stack, t))
+    for cond, w in ((Condition.null(), 1.0), (Condition.dataset("g2"), 2.0)):
+        seen.clear()
+        calls.clear()
+        field = make_velocity(reg, cond, GuidanceScales(w=w))
+
+        def counted(z, t):
+            calls.append(t)
+            return field(z, t)
+
+        z0 = 0.8 * _rng(84).standard_normal((3, 8))
+        got = reference_integrate(counted, z0, 1.0, 0.5, n_fine)
+        assert len(calls) == 4 * n_fine and seen == times
+        fresh = reference_integrate(
+            lambda z, t: make_velocity(reg, cond, GuidanceScales(w=w))(z, t), z0, 1.0, 0.5, n_fine)
+        assert np.array_equal(got, fresh)
+
+
+@pytest.mark.parametrize("with_points", [False, True])
+def test_two_interleaved_bindings_equal_fresh_bindings(with_points):
+    # Each binding owns its kernel: two bindings of one registry, called in
+    # turn at different times and batch sizes, never see each other's terms
+    # or buffers.  Every result equals a fresh binding's, bit for bit.
+    d = 8
+    reg = _two_gaussian_registry(d, with_points)
+    zs = 0.8 * _rng(85, d).standard_normal((1024, d))
+    bound = [(Condition.null(), GuidanceScales()),
+             (Condition.dataset("g1"), GuidanceScales(w=2.0))]
+    fields_ = [make_velocity(reg, cond, scales) for cond, scales in bound]
+    schedule = [(1024, 0.4, 0.7), (5, 0.7, 0.4), (1, 0.4, 0.4), (1024, 0.7, 1e-5),
+                (1, 0.7, 1e-5), (5, 0.4, 0.4)]
+    for b, *ts in schedule:
+        for (cond, scales), field, t in zip(bound, fields_, ts):
+            got = field(zs[:b], t)
+            assert np.array_equal(got, make_velocity(reg, cond, scales)(zs[:b], t))
 
 
 def test_repeated_1024_row_call_allocates_no_kernel_buffers():

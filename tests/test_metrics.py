@@ -615,6 +615,32 @@ def test_verify_edit_control_bound_passes_and_validates():
         verify_edit_control_bound(setup, [0.0, 0.1, 0.2], 0.3)
 
 
+def test_edit_control_passes_at_displacements_past_one_ulp_of_slack():
+    # c_bound is the largest ratio over the arms, so every arm sits under
+    # the rebuilt bound up to the rounding of c_bound * beta0^2 * integral.
+    # Here the displacements pass 1e4, where one ulp is above 1e-12, and the
+    # binding arm (beta0 = 100) lands 3.6e-12 over it; the report must pass.
+    reg = FieldRegistry().add_gaussian("data", np.array([1.0, -0.5]),
+                                       np.array([[0.8, 0.2], [0.2, 0.5]]))
+    setup = VerifySetup(
+        registry=reg,
+        condition=Condition.dataset("data"),
+        scales=GuidanceScales(w=1.0),
+        grid=make_time_grid(28, 1.0, 0.0),
+        transport=TransportConfig(beta0=0.0, phi=0.3, delta=0.01, clip_tau=10.0),
+        z_target=np.array([0.5, 0.25]),
+        n_runs=64,
+        seed=1,
+    )
+    report = verify_edit_control_bound(setup, [0.0, 100.0, 200.0, 400.0, 800.0], 0.3)
+    disp = {b: v for _, b, v in report.measured}
+    consts = report.fitted_constants
+    rebuilt = consts["c_bound"] * 100.0 * 100.0 * consts["schedule_integral"]
+    assert disp[100.0] > rebuilt + consts["eps_schedule"] + 1e-12
+    assert 1.5 <= report.slope <= 2.5 and disp[0.0] == 0.0
+    assert report.passed
+
+
 def test_noise_bank_is_deterministic():
     setup, *_ = _shared_setup()
     assert np.array_equal(setup.noise_bank(2), setup.noise_bank(2))

@@ -37,3 +37,32 @@ def test_every_private_function_has_a_caller_in_the_package():
                              node.name, _references(node)[node.name]))
     assert defs
     assert [where for where, name, own in defs if refs[name] == own] == []
+
+
+def _private_functions(tree):
+    # Module-level functions and methods of module-level classes whose name
+    # has one leading underscore.
+    for node in tree.body:
+        members = node.body if isinstance(node, ast.ClassDef) else [node]
+        for sub in members:
+            if (isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and sub.name.startswith("_") and not sub.name.startswith("__")):
+                yield sub
+
+
+def test_every_private_function_reads_each_of_its_parameters():
+    # A parameter that a private function never reads is an argument every
+    # caller passes for nothing; public signatures are left alone.
+    unread, seen = [], 0
+    for path in sorted(_SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for fn in _private_functions(tree):
+            seen += 1
+            a = fn.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+            read = {sub.id for stmt in fn.body for sub in ast.walk(stmt)
+                    if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+            unread += [f"{path.name}:{fn.lineno} {fn.name}({p.arg})"
+                       for p in params if p.arg not in read]
+    assert seen
+    assert unread == []
