@@ -34,7 +34,8 @@ dataset x0 is drawn from.  invert_edit reads the editor keys eta through
 condition, flowedit n_avg through target_condition (cfg.editor holds their
 InversionEditConfig or FlowEditConfig arguments), generate condition.  Every
 run reads experiment.seed; sweep rows derive their seeds from it.  Each of
-_SIZE_KEYS times the registry's dimension is at most _ELEMENT_CAP.
+_SIZE_KEYS (verify.step_counts by its largest count) times the registry's
+dimension is at most _ELEMENT_CAP.
 `axis = path: v1, v2, ...` may repeat, over any key but _UNSWEPT and the
 matrix, floats and ints keys, for up to _SWEEP_CAP rows (cells x replicates);
 values split on commas, so `inputs.x0: 0.5, 1.0` is two cells of a 1-vector.
@@ -64,9 +65,11 @@ from .transport import TransportConfig, check_beta0
 _ALGORITHMS = ("invert_edit", "flowedit", "generate", "verify")
 _SWEEP_CAP = 100_000
 # The most elements (value x registry dimension) any of _SIZE_KEYS may ask
-# for; a larger value fails at load instead of in an allocation mid-run.
+# for, a list key by its largest value; a larger value fails at load instead
+# of in an allocation mid-run.
 _ELEMENT_CAP = 100_000_000
-_SIZE_KEYS = ("grid.n_steps", "inputs.count", "editor.n_avg", "verify.n_runs")
+_SIZE_KEYS = ("grid.n_steps", "inputs.count", "editor.n_avg", "verify.n_runs",
+              "verify.step_counts")
 
 # Each key outside [dataset.*], declared once: path -> (kind in _PARSERS,
 # default).  A None default makes a key required where a run reads it; the
@@ -129,15 +132,16 @@ _UNSWEPT = ("experiment.name", "experiment.seed", "experiment.output_dir",
             "experiment.plot", "experiment.preset", "sweep.replicates")
 # The editor config each editing algorithm builds from cfg.editor.
 _EDIT_CONFIGS = {"invert_edit": InversionEditConfig, "flowedit": FlowEditConfig}
-# Verifier -> the keys it reads whose values its runtime checks, each with
-# the function that check is.
+# Verifier -> the keys it reads whose values its runtime checks, in its
+# order, each with the function that check is and the keys whose values
+# that function also takes.
 _RUN_RULES = {
     "discretization": (("verify.step_counts", check_step_counts),),
     "convergence": (("verify.n_runs", check_run_count),
                     ("verify.beta0_list", check_convergence_arms)),
     "edit_control": (("verify.n_runs", check_run_count),
-                     ("verify.edit_beta0_list", check_edit_control_arms),
-                     ("verify.phi", check_edit_control_phi)),
+                     ("verify.phi", check_edit_control_phi),
+                     ("verify.edit_beta0_list", check_edit_control_arms, "verify.phi")),
 }
 
 
@@ -480,9 +484,9 @@ def _check_run_values(res, cfg):
         res.build("editor", editor_config, cfg)
     for run, rules in _RUN_RULES.items():
         if cfg.algorithm == "verify" and cfg.verify["kind"] in (run, "all"):
-            for path, rule in rules:
+            for path, rule, *given in rules:
                 try:
-                    rule(res.get(path))
+                    rule(res.get(path), *map(res.get, given))
                 except ValueError as exc:
                     res._fail(path, str(exc))
 
@@ -546,8 +550,10 @@ def _build_config(resolved, lines, axis_lines, base_dir, registry=None):
         raise ConfigError("at least one [dataset.<name>] section is required")
     dim = registry.dim()
     for path in _SIZE_KEYS:
-        if res.get(path) * dim > _ELEMENT_CAP:
-            res._fail(path, f"{res.get(path)} x dimension {dim} exceeds the cap of "
+        size = res.get(path)
+        size = max(size, default=0) if isinstance(size, list) else size
+        if size * dim > _ELEMENT_CAP:
+            res._fail(path, f"{size} x dimension {dim} exceeds the cap of "
                       f"{_ELEMENT_CAP} elements")
     n_steps = res.get("grid.n_steps")
     grid = res.build("grid", make_time_grid, n_steps, res.get("grid.t_start"),

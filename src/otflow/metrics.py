@@ -10,14 +10,14 @@ asserting absolute error values:
 
 Each trajectory the checks need is integrated once, and an Euler run keeps
 only its final state (core.integrate_final): the checks read nothing else.
-The discretization check's RK4 references are split at the kinks of the
-guided field (transport.kinks), so they stay fourth order down to t = 0.
-One pass from t = 1 through probe_t to t = 0 gives the probe state and the
-end state, and a second at half its steps, riding in the first's field
-calls as a second row, states the end state's error.  Its field calls are
-all on one or two states: 4 * 202 for the paired passes of an unguided
-field, sum(counts) for the Euler runs, 1 for the probe velocity and
-4 * 8 * len(counts) for the local references, which is 1,087 calls at the
+The discretization check's RK4 reference is split at the kinks of the
+guided field (transport.kinks), so it stays fourth order down to t = 0.
+One pass from t = 1 through probe_t and each probe step's end to t = 0
+gives the probe state, each local reference and the end state, and a
+second at half its steps, riding in the first's field calls as a second
+row, states the end state's error.  Its field calls are all on one or two
+states: 4 * 202 for the paired passes of an unguided field, sum(counts)
+for the Euler runs and 1 for the probe velocity, which is 959 calls at the
 default counts 10, 20, 40, 80.  A reference that goes non-finite raises
 NumericalAbort at its own step (reference_integrate, _paired_rk4).
 Convergence and edit control share one VerifySetup, which integrates each
@@ -41,10 +41,8 @@ from .core import (NumericalAbort, _overflow_safe, euler_step, integrate_final, 
 from .fields import _T_FLOOR, _clamp_t, make_velocity
 from .transport import check_phi, kinks, make_enhanced
 
-# RK4 steps of the discretization check's reference over [1, 0] and of each
-# local reference over its probe step (verify_discretization_bound).
+# RK4 steps of the discretization check's reference over [1, 0].
 _REF_STEPS = 200
-_LOCAL_STEPS = 8
 _EMPIRICAL_CAP = 2048
 
 
@@ -167,7 +165,7 @@ def reference_integrate(velocity, z0, t0, t1, n_fine):
     Fourth order on a field that is smooth in t over [t0, t1].  The fields
     freeze below fields._T_FLOOR and the transport weight has kinks and
     jumps (transport.kinks), so a span across one of them loses that order;
-    verify_discretization_bound splits its references there instead.
+    verify_discretization_bound splits its reference there instead.
 
     A step whose new state is non-finite raises NumericalAbort with the
     step's index in this run: term "velocity" at the time of its first
@@ -390,15 +388,28 @@ def check_step_counts(step_counts):
 
 
 def check_convergence_arms(beta0_list):
-    """Raise ValueError unless beta0_list holds the baseline arm, beta0 = 0."""
+    """Raise ValueError unless beta0_list holds the baseline arm, beta0 = 0,
+    and every beta0^2 is finite: verify_convergence_bound fits over them,
+    and np.linalg.lstsq fails on an infinite entry."""
     if 0.0 not in beta0_list:
         raise ValueError("beta0_list must include 0 (the baseline arm)")
+    for b in beta0_list:
+        if not b * b < math.inf:
+            raise ValueError(f"beta0 = {b} has a square of {b * b}, not finite")
 
 
-def check_edit_control_arms(beta0_list):
-    """Raise ValueError unless beta0_list holds three or more positive values."""
-    if sum(b > 0.0 for b in beta0_list) < 3:
+def check_edit_control_arms(beta0_list, phi):
+    """Raise ValueError unless beta0_list holds three or more positive values,
+    each with a positive beta0^2 * schedule_integral(phi):
+    verify_edit_control_bound divides by it, and it rounds to 0 at
+    beta0 = 1e-300."""
+    positives = [b for b in beta0_list if b > 0.0]
+    if len(positives) < 3:
         raise ValueError("need at least three positive beta0 values to fit a slope")
+    for b in positives:
+        if not b * b * schedule_integral(phi) > 0.0:
+            raise ValueError(f"beta0 = {b} gives beta0^2 * schedule integral of 0 at "
+                             f"phi = {phi}")
 
 
 def check_edit_control_phi(phi):
@@ -441,19 +452,11 @@ def _segments(velocity, times):
         yield a, b, lambda z, t, lo=lo, hi=hi: velocity(z, min(max(t, lo), hi))
 
 
-def _split_reference(velocity, z0, times, steps):
-    """The states at every entry of times, z0 at times[0]: uniform RK4
-    (reference_integrate) on each segment between consecutive entries, in
-    the given numbers of steps (_segments)."""
-    states = [np.asarray(z0, dtype=float)]
-    for (a, b, seg), n in zip(_segments(velocity, times), steps):
-        states.append(reference_integrate(seg, states[-1], a, b, n))
-    return states
-
-
 def _paired_reference(velocity, z0, times, steps):
-    """_split_reference at twice the given steps, and the end state of
-    _split_reference at the given steps, from one walk of paired passes
+    """The states at every entry of times, z0 at times[0], of uniform RK4
+    (reference_integrate) on each segment between consecutive entries
+    (_segments) in twice the given numbers of steps, and the end state of
+    such a walk in the given numbers, from one walk of paired passes
     (_paired_rk4): the second rides in the first's field calls."""
     states, half = [np.asarray(z0, dtype=float)], np.asarray(z0, dtype=float)
     for (a, b, seg), n in zip(_segments(velocity, times), steps):
@@ -472,21 +475,23 @@ def verify_discretization_bound(field, transport_cfg, z_init, z_target, step_cou
     probe_t, away from the schedule and clipping kinks, and must stay inside
     [0, 1] (check_probe_step).  Both run from t = 1 to t = 0.
 
-    Every reference is uniform RK4 split at the kinks inside its span
-    (transport.kinks), with _segment_steps' counts, so it keeps fourth
-    order down to t = 0.  One pass of about _REF_STEPS steps from t = 1
-    through probe_t to t = 0 gives the probe state and the end state; a
-    second at half the counts per segment gives fitted_constants'
+    The reference is one pass of uniform RK4 from t = 1 to t = 0 in about
+    _REF_STEPS steps, split at the kinks of the guided field
+    (transport.kinks), so it keeps fourth order down to t = 0, and at
+    probe_t and at every probe step's end, probe_t - dt.  Its state at
+    probe_t is the probe state, so its state at each end is an RK4
+    reference from the probe state over that probe step.  A
+    second pass at half the counts per segment gives fitted_constants'
     reference_error, the Richardson estimate ||z_n - z_(n/2)|| / 15 of the
     end state's error.  The second rides in the first's field calls
     (_paired_reference), so the pair costs the first's 4 calls per step.
-    Each local reference takes about _LOCAL_STEPS.
     """
     step_counts = sorted(int(n) for n in step_counts)
     check_step_counts(step_counts)
     check_probe_step(probe_t, step_counts)
     enhanced = make_enhanced(field, z_target, transport_cfg)
-    times = [1.0, *kinks(transport_cfg, 1.0, 0.0, probe_t), 0.0]
+    ends = [probe_t - 1.0 / n for n in step_counts]
+    times = [1.0, *kinks(transport_cfg, 1.0, 0.0, probe_t, *ends), 0.0]
     states, half_final = _paired_reference(enhanced, z_init, times,
                                            _segment_steps(times, _REF_STEPS // 2))
     probe_state, ref_final = states[times.index(probe_t)], states[-1]
@@ -496,17 +501,14 @@ def verify_discretization_bound(field, transport_cfg, z_init, z_target, step_cou
     probe_v = enhanced(probe_state, probe_t)
     measured = []
     local_errs, global_errs, dts = [], [], []
-    for n in step_counts:
+    for n, end in zip(step_counts, ends):
         dt = 1.0 / n
         grid = make_time_grid(n, 1.0, 0.0)
         final = integrate_final(enhanced, states[0], grid)
         g_err = l2_distance(final, ref_final)
-        # One Euler step from the reference state vs a fine reference substep.
+        # One Euler step from the reference state vs the reference at its end.
         euler_sub = euler_step(probe_state, probe_v, -dt, probe_t, 0)
-        sub = [probe_t, *kinks(transport_cfg, probe_t, probe_t - dt), probe_t - dt]
-        ref_sub = _split_reference(enhanced, probe_state, sub,
-                                   _segment_steps(sub, _LOCAL_STEPS))[-1]
-        l_err = l2_distance(euler_sub, ref_sub)
+        l_err = l2_distance(euler_sub, states[times.index(end)])
         dts.append(dt)
         local_errs.append(l_err)
         global_errs.append(g_err)
@@ -613,8 +615,8 @@ def verify_edit_control_bound(setup, beta0_list, phi):
     gate.
     """
     beta0_list = [float(b) for b in beta0_list]
-    check_edit_control_arms(beta0_list)
     check_edit_control_phi(phi)
+    check_edit_control_arms(beta0_list, phi)
     positives = [b for b in beta0_list if b > 0.0]
     transport = replace(setup.transport, phi=float(phi))
     base_out = _run_outputs(setup, 0.0, transport)

@@ -158,6 +158,12 @@ def test_empty_config_rejected():
      "verify.edit_beta0_list: .*three positive"),
     (_VERIFY + ["kind = discretization", "step_counts = 10, 20"],
      "verify.step_counts: .*three positive"),
+    (_VERIFY + ["kind = convergence", "beta0_list = 0, 0.1, 1e155"],
+     r"verify.beta0_list: beta0 = 1e\+155 has a square of inf"),
+    (_VERIFY + ["kind = edit_control", "edit_beta0_list = 0, 1e-170, 0.1, 0.2", "phi = 0.01"],
+     "verify.edit_beta0_list: beta0 = 1e-170 gives .* of 0 at phi = 0.01"),
+    (_VERIFY + ["kind = edit_control", "edit_beta0_list = 0, 1e-300, 0.1", "phi = 5e-324"],
+     "verify.phi: phi = 5e-324 gives a schedule integral of 0"),
 ])
 def test_validation_errors(mutation, match):
     with pytest.raises(ConfigError, match=match):

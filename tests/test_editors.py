@@ -235,6 +235,30 @@ def test_inversion_transport_strength_scales_deviation():
     assert all(w2 > w1 for w1, w2 in zip(work, work[1:]))
 
 
+def test_inversion_transport_work_sums_the_clipped_norms():
+    # Each row's transport_work is the sum over its trajectory columns of
+    # weight * min(transport_norm, clip_tau) * |dt|.  The clip binds on the
+    # first weighted steps (raw norms up to about 9x clip_tau) and not on the
+    # later ones, so the sum of the raw norms would differ.
+    reg = _gaussian_pair_registry()
+    grid = make_time_grid(28, 1.0, 0.0)
+    cfg = InversionEditConfig(eta=0.5, transport=_transport(0.2, clip_tau=10.0), grid=grid,
+                              condition_target=Condition.dataset("b"),
+                              scales=GuidanceScales(w=2.0))
+    x0 = np.array([[-1.3, 0.1], [-1.7, -0.2], [-1.5, 0.4]])
+    res = transport_guided_inversion_edit(cfg, reg, LatentCodec.identity(2), x0,
+                                          beta0=np.array([0.1, 0.2, 0.4]))
+    norms, weights = res.trajectory.transport_norms, res.trajectory.weights
+    on = weights[:-1] > 0.0
+    assert (on & (norms[:-1] > 10.0)).any() and (on & (norms[:-1] < 10.0)).any()
+    dts = np.abs(np.diff(grid.points))
+    for i, summary in enumerate(res.summary):
+        want = sum(w * min(n, 10.0) * dt for w, n, dt in zip(weights[:-1, i], norms[:-1, i], dts))
+        assert summary.transport_work == pytest.approx(want, rel=1e-12)
+        raw = sum(w * n * dt for w, n, dt in zip(weights[:-1, i], norms[:-1, i], dts))
+        assert raw > 1.01 * want
+
+
 def test_flowedit_transport_pulls_toward_source():
     # FlowEdit's transport direction points from the source latent to the
     # current state, so under the signed reverse step it contracts the edit

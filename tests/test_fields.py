@@ -234,6 +234,22 @@ def _mixture(reg, z, t):
     return v.reshape(z.shape), vels
 
 
+def test_mixture_flushes_a_weight_below_the_floor():
+    # FieldRegistry._mixture zeroes a component weight under _WEIGHT_FLOOR,
+    # the floor _point_pass flushes its atom weights at.  The closed-form
+    # kernels give no component a velocity far enough from the others' for
+    # such a weight to move a bit, so a stand-in kernel puts Gaussian b
+    # 695 below a in log density (a weight of about 1e-302) with a velocity
+    # of 1e300: unflushed, it would add about 1e-2 to the null velocity.
+    reg = (FieldRegistry().add_gaussian("a", np.zeros(2), np.eye(2))
+           .add_gaussian("b", np.ones(2), np.eye(2)))
+    vels = np.array([[[1.0, -2.0], [1e300, 0.0]]])
+    v, got = reg._mixture(np.zeros((1, 2)), 0.5,
+                          lambda zb, t: (np.array([[0.0, -695.0]]), vels))
+    assert 0.0 < np.exp(-695.0) < fields._WEIGHT_FLOOR
+    assert np.array_equal(v, [[1.0, -2.0]]) and got is vels
+
+
 def _entry_field(reg, name, z, t):
     # Entry name's field from the public kernel that needs no registry, run
     # on the entry's own data.

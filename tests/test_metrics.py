@@ -37,14 +37,24 @@ from otflow import (
     verify_edit_control_bound,
 )
 from otflow.fields import _T_FLOOR
-from otflow.metrics import (_LOCAL_STEPS, _REF_STEPS, AssignmentPlan, VerifySetup, _as_cov,
-                            _paired_reference, _row_l2, _segment_steps, _split_reference,
-                            gaussian_flow, gaussian_velocity_coefficients)
+from otflow.metrics import (_REF_STEPS, AssignmentPlan, VerifySetup, _as_cov, _paired_reference,
+                            _row_l2, _segment_steps, _segments, gaussian_flow,
+                            gaussian_velocity_coefficients)
 from otflow.transport import kinks, make_enhanced
 
 
 def _rng(*key):
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(list(key))))
+
+
+def _split_reference(velocity, z0, times, steps):
+    # The states at every entry of times, z0 at times[0]: reference_integrate
+    # on each segment between consecutive entries (_segments), in the given
+    # numbers of steps.
+    states = [np.asarray(z0, dtype=float)]
+    for (a, b, seg), n in zip(_segments(velocity, times), steps):
+        states.append(reference_integrate(seg, states[-1], a, b, n))
+    return states
 
 
 def test_import_does_not_load_scipy():
@@ -439,42 +449,44 @@ def test_verify_discretization_bound_rejects_probe_step_outside_span(probe_t):
 
 
 def _two_pass_discretization(field, transport, z_init, z_target, step_counts, probe_t):
-    # The reference as two separate passes from z_init through the same
-    # segments and step counts: one to t = 0, one stopping at probe_t.
+    # The reference as separate passes from z_init through the same segments
+    # and step counts: one to t = 0, one stopping at probe_t, and one from
+    # the probe state to each probe step's end.
     enhanced = make_enhanced(field, z_target, transport)
-    times = [1.0, *kinks(transport, 1.0, 0.0, probe_t), 0.0]
+    ends = [probe_t - 1.0 / n for n in step_counts]
+    times = [1.0, *kinks(transport, 1.0, 0.0, probe_t, *ends), 0.0]
     steps = [2 * n for n in _segment_steps(times, _REF_STEPS // 2)]
     ref_final = _split_reference(enhanced, z_init, times, steps)[-1]
     stop = times.index(probe_t)
     probe_state = _split_reference(enhanced, z_init, times[:stop + 1], steps[:stop])[-1]
     measured = []
-    for n in step_counts:
+    for n, end in zip(step_counts, ends):
         dt = 1.0 / n
         traj_end = integrate(enhanced, z_init, make_time_grid(n, 1.0, 0.0)).final_state
         euler_sub = probe_state - dt * enhanced(probe_state, probe_t)
-        sub = [probe_t, *kinks(transport, probe_t, probe_t - dt), probe_t - dt]
-        ref_sub = _split_reference(enhanced, probe_state, sub, _segment_steps(sub, _LOCAL_STEPS))[-1]
+        last = times.index(end)
+        ref_sub = _split_reference(enhanced, probe_state, times[stop:last + 1],
+                                   steps[stop:last])[-1]
         measured.append(("local", dt, l2_distance(euler_sub, ref_sub)))
         measured.append(("global", dt, l2_distance(traj_end, ref_final)))
     return measured
 
 
 # Per probe_t, with counts 5, 10, 20 and the transport of _shared_setup
-# (kinks at 0.99 and 0.7, besides t_floor and probe_t): the reference's
-# segment steps at full and at half counts, and the local references' steps.
-# At probe_t = 1 the local spans hold the kink at 0.99, so they split
-# (1 + 8, 1 + 7 and 2 + 6 steps).
-_SCHEDULE = {0.6: ([2, 58, 20, 120, 2], [1, 29, 10, 60, 1], [8, 8, 8]),
-             1.0: ([2, 58, 140, 2], [1, 29, 70, 1], [9, 8, 8])}
+# (kinks at 0.99 and 0.7, besides t_floor, probe_t and the probe steps'
+# ends probe_t - 1/n): the reference's segment steps at full and at half
+# counts.
+_SCHEDULE = {0.6: ([2, 58, 20, 10, 10, 20, 80, 2], [1, 29, 10, 5, 5, 10, 40, 1]),
+             1.0: ([2, 8, 10, 20, 20, 140, 2], [1, 4, 5, 10, 10, 70, 1])}
 
 
 @pytest.mark.parametrize("probe_t", [0.6, 1.0])
 def test_verify_discretization_bound_integrates_the_reference_once(probe_t):
-    # One pass through probe_t serves both references: 4 calls per step of
-    # its segments, which also carry the half-count pass that gives
-    # reference_error as a second row, plus the Euler runs, one probe
-    # velocity shared by every step count and, per step count, the probe
-    # step's local reference.  The result matches two separate passes.
+    # One pass through probe_t and each probe step's end serves every
+    # reference: 4 calls per step of its segments, which also carry the
+    # half-count pass that gives reference_error as a second row, plus the
+    # Euler runs and one probe velocity shared by every step count.  The
+    # result matches separate passes.
     setup, z_init, z_target, reg, transport = _shared_setup(beta0_template=0.2)
     mu = np.array([1.0, -0.5])
     cov = np.array([[0.8, 0.2], [0.2, 0.5]])
@@ -487,10 +499,10 @@ def test_verify_discretization_bound_integrates_the_reference_once(probe_t):
     counts = [5, 10, 20]
     report = verify_discretization_bound(field, transport, z_init, z_target, counts,
                                          probe_t=probe_t)
-    full, half, local = _SCHEDULE[probe_t]
-    times = [1.0, *kinks(transport, 1.0, 0.0, probe_t), 0.0]
+    full, half = _SCHEDULE[probe_t]
+    times = [1.0, *kinks(transport, 1.0, 0.0, probe_t, *[probe_t - 1.0 / n for n in counts]), 0.0]
     assert _segment_steps(times, _REF_STEPS // 2) == half and full == [2 * n for n in half]
-    assert len(calls) == 4 * sum(full) + sum(counts) + 1 + 4 * sum(local)
+    assert len(calls) == 4 * sum(full) + sum(counts) + 1
     expected = _two_pass_discretization(field, transport, z_init, z_target, counts, probe_t)
     assert [m[:2] for m in report.measured] == [m[:2] for m in expected]
     for (_, _, got), (_, _, want) in zip(report.measured, expected):
@@ -525,7 +537,7 @@ def test_paired_reference_equals_two_separate_passes(probe_t):
 def test_discretization_reference_error_is_far_below_the_errors_it_measures():
     # On criterion 07's setting (transport kinks at t = 0.99 and 0.7) the
     # reference's stated error, ||z_n - z_(n/2)|| / 15, is below 1e-6 of the
-    # smallest global error it measures (1.4e-11 against 1.3e-2), and within
+    # smallest global error it measures (1.3e-11 against 1.3e-2), and within
     # a factor 3 of its distance to a 16x finer split pass.
     setup, z_init, z_target, reg, transport = _shared_setup(beta0_template=0.2)
     field = otflow.make_velocity(reg, Condition.dataset("data"), GuidanceScales(w=1.0))
@@ -533,11 +545,41 @@ def test_discretization_reference_error_is_far_below_the_errors_it_measures():
     error = report.fitted_constants["reference_error"]
     assert 0.0 < error < 1e-6 * min(e for series, _, e in report.measured if series == "global")
     enhanced = make_enhanced(field, z_target, transport)
-    times = [1.0, *kinks(transport, 1.0, 0.0, 0.6), 0.0]
+    times = [1.0, *kinks(transport, 1.0, 0.0, 0.6, *[0.6 - 1.0 / n for n in _COUNTS]), 0.0]
     steps = [2 * n for n in _segment_steps(times, _REF_STEPS // 2)]
     ref = _split_reference(enhanced, z_init, times, steps)[-1]
     fine = _split_reference(enhanced, z_init, times, [16 * n for n in steps])[-1]
     assert error / 3.0 <= l2_distance(ref, fine) <= 3.0 * error
+
+
+def test_local_references_are_far_below_the_local_errors(monkeypatch):
+    # On criterion 07's setting, each probe step's local reference is the
+    # reference walk's state at its end, probe_t - dt.  Against a 512-step
+    # RK4 pass from the walk's probe state over the probe step, which holds
+    # no kink, it lies within 1e-6 of the local error it measures (1.3e-8
+    # at most).
+    from otflow import metrics
+
+    walks = []
+    real = metrics._paired_reference
+
+    def spy(velocity, z0, times, steps):
+        states, half_final = real(velocity, z0, times, steps)
+        walks.append((times, states))
+        return states, half_final
+
+    monkeypatch.setattr(metrics, "_paired_reference", spy)
+    _, z_init, z_target, reg, transport = _shared_setup(beta0_template=0.2)
+    field = otflow.make_velocity(reg, Condition.dataset("data"), GuidanceScales(w=1.0))
+    report = verify_discretization_bound(field, transport, z_init, z_target, _COUNTS)
+    [(times, states)] = walks
+    enhanced = make_enhanced(field, z_target, transport)
+    probe_state = states[times.index(0.6)]
+    local = [(dt, err) for series, dt, err in report.measured if series == "local"]
+    for n, (dt, err) in zip(_COUNTS, local):
+        assert dt == 1.0 / n and kinks(transport, 0.6, 0.6 - dt) == []
+        want = reference_integrate(enhanced, probe_state, 0.6, 0.6 - dt, 512)
+        assert l2_distance(states[times.index(0.6 - dt)], want) <= 1e-6 * err
 
 
 def test_edit_control_rejects_a_phi_whose_schedule_integral_is_0():
@@ -549,6 +591,22 @@ def test_edit_control_rejects_a_phi_whose_schedule_integral_is_0():
     assert setup._arms == {}
     # The next subnormal up already gives a positive integral.
     assert schedule_integral(1e-323) > 0.0
+
+
+@pytest.mark.parametrize("verify, arms, match", [
+    (verify_convergence_bound, [0.0, 0.1, 1e160], r"beta0 = 1e\+160 has a square of inf"),
+    (lambda setup, arms: verify_edit_control_bound(setup, arms, 0.3), [0.0, 1e-300, 0.1, 0.2],
+     "beta0 = 1e-300 gives beta0\\^2 \\* schedule integral of 0 at phi = 0.3"),
+], ids=["convergence", "edit_control"])
+def test_verifiers_reject_arms_their_fits_cannot_take(verify, arms, match):
+    # The convergence fit's design matrix holds beta0^2, which np.linalg.lstsq
+    # cannot take as inf; the edit-control bound divides by beta0^2 times the
+    # schedule integral, which must not round to 0.  Each verifier refuses
+    # such an arm before any run, by the rule config checks at load.
+    setup, *_ = _shared_setup()
+    with pytest.raises(ValueError, match=match):
+        verify(setup, arms)
+    assert setup._arms == {}
 
 
 def test_verify_arms_run_once_per_setup(monkeypatch):
@@ -688,27 +746,29 @@ def test_verify_discretization_probe_abort_names_its_step():
 
 # With counts 10-80 and probe_t = 0.6 the check makes its field calls in
 # this order (numbered from 1): the full pass's segments [1, 0.99], [0.99,
-# 0.7], [0.7, 0.6], [0.6, 1e-4] and [1e-4, 0] in 2, 58, 20, 120 and 2 RK4
-# steps (calls 1-8, 9-240, 241-320, 321-800, 801-808), the half pass in 1,
-# 29, 10, 60 and 1 riding in them (8 calls per step), the probe (809), then
-# per count its Euler run and an 8-step local reference (810-819 and
-# 820-851 for 10).  In each 8 calls of a half step the 1st, 4th, 5th and
+# 0.7], [0.7, 0.6], [0.6, 0.5875], [0.5875, 0.575], [0.575, 0.55], [0.55,
+# 0.5], [0.5, 1e-4] and [1e-4, 0] in 2, 58, 20, 2, 2, 6, 10, 100 and 2 RK4
+# steps (calls 1-8, 9-240, 241-320, 321-328, 329-336, 337-360, 361-400,
+# 401-800, 801-808), the half pass in half as many riding in them (8 calls
+# per step), the probe (809), then per count its Euler run (810-819 for
+# 10, up to 959).  In each 8 calls of a half step the 1st, 4th, 5th and
 # 8th carry the half pass's state as a second row.
 _COUNTS = [10, 20, 40, 80]
 
 
 @pytest.mark.parametrize("poisoned, row, first, step, width", [
     (100, ..., 9, 22, 4),         # the full pass, segment [0.99, 0.7]
-    (700, ..., 321, 94, 4),       # the full pass, segment [0.6, 1e-4]
+    (700, ..., 401, 74, 4),       # the full pass, segment [0.5, 1e-4]
     (181, 1, 9, 21, 8),           # the half pass, segment [0.99, 0.7]
-    (846, ..., 820, 6, 4),        # the local reference after the 10-step run
+    (348, ..., 337, 2, 4),        # the full pass, inside the probe steps
 ], ids=["head", "tail", "half", "local"])
 def test_verify_discretization_reference_abort_names_its_step(poisoned, row, first, step, width):
-    # A non-finite velocity inside an RK4 reference aborts that reference at
-    # its own step (width calls each, counted from the first call of its
+    # A non-finite velocity inside the RK4 reference aborts that pass at its
+    # own step (width calls each, counted from the first call of its
     # segment), at the time of the poisoned stage, with term "velocity".
-    # The step's later stages still run; no other call follows.  The head
-    # and tail cases poison both rows of a paired call (the full pass's k4),
+    # The step's later stages still run; no other call follows.  The head,
+    # tail and local cases poison both rows of a paired call (the full
+    # pass's k4),
     # and the full pass's abort is raised; the half case poisons only the
     # second row of one (its k3, at the full pass's next k1), and the half
     # pass's abort comes after the full pass's two steps that carry it.

@@ -976,17 +976,58 @@ _HUGE = "1000000000000000000"
     ("run", _POINTS_CFG.replace("target_condition = b", f"target_condition = b\nn_avg = {_HUGE}"),
      "editor.n_avg"),
     ("verify", _VERIFY_PASS_CFG + f"n_runs = {_HUGE}\n", "verify.n_runs"),
-], ids=["n_steps", "count", "n_avg", "n_runs"])
+    ("verify", _VERIFY_PASS_CFG + f"step_counts = 10, 20, {_HUGE}\n", "verify.step_counts"),
+], ids=["n_steps", "count", "n_avg", "n_runs", "step_counts"])
 def test_cli_rejects_oversized_size_keys_at_load(tmp_path, capsys, command, text, key):
-    # A size key whose value times the registry's dimension exceeds the
-    # element cap fails at load on its own line, not with a MemoryError or
-    # numpy's "array is too big" in the run.
+    # A size key whose value (a list key's largest) times the registry's
+    # dimension exceeds the element cap fails at load on its own line, not
+    # with a MemoryError or numpy's "array is too big" in the run.
     path = _write(tmp_path, "big.cfg", text)
     assert main([command, path, "--out-dir", str(tmp_path / "big")]) == EXIT_CONFIG
-    line = text.splitlines().index(f"{key.split('.')[1]} = {_HUGE}") + 1
+    line = next(i for i, row in enumerate(text.splitlines(), 1)
+                if row.startswith(f"{key.split('.')[1]} = ") and row.endswith(_HUGE))
     assert capsys.readouterr().err == (f"config error: line {line}: {key}: {_HUGE} x dimension 2 "
                                        f"exceeds the cap of {_ELEMENT_CAP} elements\n")
     assert not os.path.exists(tmp_path / "big")
+
+
+_ARMS_CFG = """\
+[experiment]
+algorithm = verify
+name = arms
+[dataset.g]
+mean = 0.5, -0.5
+cov = 1, 0; 0, 1
+[verify]
+condition = g
+n_runs = 16
+"""
+
+
+@pytest.mark.parametrize("extra, message", [
+    ("beta0_list = 0, 0.1, 1e160", "verify.beta0_list: beta0 = 1e+160 has a square of inf, "
+                                   "not finite"),
+    ("beta0_list = 0, 0.1, 1e300", "verify.beta0_list: beta0 = 1e+300 has a square of inf, "
+                                   "not finite"),
+    ("edit_beta0_list = 0, 5e-324, 0.1, 0.2",
+     "verify.edit_beta0_list: beta0 = 5e-324 gives beta0^2 * schedule integral of 0 at "
+     "phi = 0.3"),
+    ("edit_beta0_list = 0, 1e-300, 0.1, 0.2",
+     "verify.edit_beta0_list: beta0 = 1e-300 gives beta0^2 * schedule integral of 0 at "
+     "phi = 0.3"),
+], ids=["beta0-1e160", "beta0-1e300", "edit-5e-324", "edit-1e-300"])
+def test_cli_rejects_verify_arms_the_fits_cannot_take_at_load(tmp_path, capfd, extra, message):
+    # A convergence arm whose beta0^2 overflows (np.linalg.lstsq raised
+    # LinAlgError on the fit and LAPACK printed DLASCL lines) and a positive
+    # edit-control arm whose beta0^2 * schedule integral underflows to 0 (the
+    # bound divides by it) fail at load on their own line, and nothing else
+    # reaches stdout or stderr.
+    text = _ARMS_CFG + extra + "\n"
+    path = _write(tmp_path, "arms.cfg", text)
+    assert main(["verify", path, "--out-dir", str(tmp_path / "arms")]) == EXIT_CONFIG
+    out, err = capfd.readouterr()
+    assert (out, err) == ("", f"config error: line {text.count(chr(10))}: {message}\n")
+    assert not os.path.exists(tmp_path / "arms")
 
 
 def test_cli_verify_fails_a_slope_fit_over_zero_displacements(tmp_path, capsys):

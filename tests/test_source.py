@@ -39,6 +39,25 @@ def test_every_private_function_has_a_caller_in_the_package():
     assert [where for where, name, own in defs if refs[name] == own] == []
 
 
+def test_every_private_constant_is_read_in_the_package():
+    # A module-level private name bound by assignment (a constant, a table)
+    # must be read in the package outside the statement that binds it.
+    refs, defs = collections.Counter(), []
+    for path in sorted(_SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        refs += _references(tree)
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                own = _references(node)
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defs += [(f"{path.name}:{node.lineno} {sub.id}", sub.id, own[sub.id])
+                         for target in targets for sub in ast.walk(target)
+                         if isinstance(sub, ast.Name) and sub.id.startswith("_")
+                         and not sub.id.startswith("__")]
+    assert defs
+    assert [where for where, name, own in defs if refs[name] == own] == []
+
+
 def _private_functions(tree):
     # Module-level functions and methods of module-level classes whose name
     # has one leading underscore.
