@@ -23,6 +23,7 @@ only the last state, for callers that read nothing else (the verify arms,
 the discretization check's Euler runs, generate).
 """
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,11 +44,31 @@ class NumericalAbort(RuntimeError):
         self.term = term
 
 
+def _seed_sequence(*key):
+    """np.random.SeedSequence(list(key)), given its entropy as numpy builds
+    it from a list of nonnegative ints: each int's little-endian 32-bit
+    words, 0 being one word, in one uint32 array.  numpy still does all the
+    mixing; only its per-int conversion, done in Python, is skipped.  A
+    negative entry raises ValueError and a non-integer TypeError, as numpy
+    does."""
+    words = []
+    for k in key:
+        k = operator.index(k)
+        if k < 0:
+            raise ValueError("expected non-negative integer")
+        while True:
+            words.append(k & 0xFFFFFFFF)
+            k >>= 32
+            if not k:
+                break
+    return np.random.SeedSequence(np.array(words, dtype=np.uint32))
+
+
 def make_rng(*key):
-    """The package's one generator family, PCG64 under SeedSequence(key):
-    equal keys give identical streams across runs and platforms, and
-    make_rng(s) draws as SeedSequence(s) does."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(list(key))))
+    """The package's one generator family, PCG64 under SeedSequence(key)
+    (from _seed_sequence): equal keys give identical streams across runs
+    and platforms, and make_rng(s) draws as SeedSequence(s) does."""
+    return np.random.Generator(np.random.PCG64(_seed_sequence(*key)))
 
 
 def _overflow_safe(norm, v):

@@ -24,7 +24,9 @@ reverse loop over (B, d) rows, a single state being the B = 1 case.  It
 records into arrays preallocated by core._records, sums transport work and
 steps through core's one Euler kernel (core._step_rows, a failed row staying
 NaN; euler_step in baseline_flowedit), so a non-finite velocity or state
-aborts with the step's t, grid index and term.
+aborts with the step's t, grid index and term.  Both decode the final states
+through _decode_rows, so a finite state whose decoded output overflows
+aborts in the decode term at the grid's end.
 
 baseline_flowedit is the unmodified difference-velocity pipeline, kept as a
 separate loop so equivalence tests compare two implementations rather than
@@ -35,7 +37,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Trajectory, _records, _step_rows, euler_step, forward_noising, make_rng
+from .core import (NumericalAbort, Trajectory, _records, _step_rows, euler_step, forward_noising,
+                   make_rng)
 from .fields import Condition, cfg_blend, conditional_linear_velocity, make_velocity
 from .metrics import _row_l2, l2_distance
 from .transport import enhance_velocity
@@ -177,6 +180,25 @@ def _source_rows(codec, x0, beta0, transport):
     return x0.ndim == 1, xb, z0, beta0, [None] * n_rows
 
 
+def _decode_rows(codec, z, grid, aborts, single):
+    # codec.decode of a reverse loop's (B, d) final states z over grid, with
+    # no overflow warning.  A row without an abort is finite, so a row whose
+    # output is not is the codec's overflow: it fails as runner._generate's
+    # cloud does, with a NumericalAbort in the decode term at the grid's end
+    # (a single state raises it), and its output is NaN.
+    with np.errstate(over="ignore"):
+        output = codec.decode(z)
+    bad = ~np.isfinite(output).all(axis=1)
+    for i in np.flatnonzero(bad):
+        if aborts[i] is None:
+            aborts[i] = NumericalAbort(f"decoded output is non-finite at t={grid.t_end}",
+                                       t=grid.t_end, step=grid.n_steps, term="decode")
+            if single:
+                raise aborts[i]
+    output[bad] = np.nan
+    return output
+
+
 def _edit_loop(cfg, codec, source, z, step, meta):
     # Both editors' reverse loop over cfg.grid from the (B, d) state z:
     # step(k, t, z) gives the state to step from, its velocity v and the
@@ -197,7 +219,7 @@ def _edit_loop(cfg, codec, source, z, step, meta):
         z = _step_rows(z, v, dt, t, k, aborts, single)
         states[k + 1] = z
 
-    output = codec.decode(z)
+    output = _decode_rows(codec, z, cfg.grid, aborts, single)
     rows = zip(aborts, _row_l2(output - xb).tolist(), _row_l2(z - z0).tolist(), work.tolist())
     summary = tuple(None if abort is not None else EditSummary(*values)
                     for abort, *values in rows)
@@ -359,7 +381,7 @@ def baseline_flowedit(cfg, registry, codec, x0):
         velocities[j] = v
         states[j + 1] = z
 
-    output = codec.decode(z)
+    output = _decode_rows(codec, z[None], cfg.grid, [None], True)[0]
     summary = EditSummary(
         reconstruction_l2=l2_distance(output, x0),
         displacement_l2=l2_distance(z, z_src),

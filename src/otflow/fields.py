@@ -25,9 +25,11 @@ For a Gaussian N(mu, Sigma) the conditional expectation is linear in z:
 One kernel evaluates all Gaussians, stacked as Sigma = Q diag(lam) Q^T.  With
 a = 1 - t and c = a^2 lam + t^2, each component's time-only terms form one
 (d + 1, 2d) right operand [[Q / sqrt(c), A], [0, -mu]], A = Q diag((t - a lam)
-/ c) Q^T, built once per t.  One product of the rows, centred on the
-component as [z - a mu, 1], with that operand gives y / sqrt(c), y = Q^T (z -
-a mu), for the log density of z_t, and the velocity A (z - a mu) - mu itself.
+/ c) Q^T.  The operand is allocated once per binding, with its zero block and
+-mu row, and each new t writes its two t-dependent blocks into it in place.
+One product of the rows, centred on the component as [z - a mu, 1], with
+that operand gives y / sqrt(c), y = Q^T (z - a mu), for the log density of
+z_t, and the velocity A (z - a mu) - mu itself.
 Centring each component on its own mean, rather than folding -a mu Q into
 the bias row, keeps y free of cancellation when the means and states sit far
 from the origin, and keeps each component's column a function of that
@@ -231,20 +233,21 @@ def empirical_marginal_velocity(points, z, t):
     return v.reshape(z.shape)
 
 
-def _gaussian_terms(stack, t):
+def _gaussian_terms(stack, t, ops):
     # The time-only terms of a Gaussian stack (means, eigenvalues,
     # eigenvectors) at clamped t, with a = 1 - t and c = a^2 lam + t^2: the
     # (m, d) centres a mu, the (m, d + 1, 2d) right operands
     # [[Q / sqrt(c), A], [0, -mu]] with A = Q diag((t - a lam) / c) Q^T (one
-    # stacked (m, d, d) product), and (1/2) sum log c.
+    # stacked (m, d, d) product), and (1/2) sum log c.  ops is the kernel's
+    # operand, whose zero block and -mu row do not depend on t: the two
+    # t-dependent blocks are written into it in place.
     means, eigvals, eigvecs = stack
-    m, d = means.shape
+    d = means.shape[1]
     a = 1.0 - t
     c_eig = a * a * eigvals + t * t
-    ops = np.zeros((m, d + 1, 2 * d))
-    ops[:, :d, :d] = eigvecs / np.sqrt(c_eig)[:, None, :]
-    ops[:, :d, d:] = (eigvecs * ((t - a * eigvals) / c_eig)[:, None, :]) @ eigvecs.transpose(0, 2, 1)
-    ops[:, d, d:] = -means
+    np.divide(eigvecs, np.sqrt(c_eig)[:, None, :], out=ops[:, :d, :d])
+    np.matmul(eigvecs * ((t - a * eigvals) / c_eig)[:, None, :], eigvecs.transpose(0, 2, 1),
+              out=ops[:, :d, d:])
     return a * means, ops, 0.5 * np.add.reduce(np.log(c_eig), axis=1)
 
 
@@ -278,25 +281,31 @@ class _GaussianKernel:
     velocities of _gaussian_velocity_eig.
 
     It keeps the stack's _gaussian_terms for the last t it was called at,
-    so calls at a repeated time, as RK4's stages make, skip them.  It keeps
-    the (m, rows, d + 1) centred blocks, whose last column is ones, and
-    their (m, rows, 2d) product for the last padded row count, the only
-    shape that can change, so a loop of equal batches allocates neither
-    again.  The kernel fills them in place with the same fixed-shape
-    products, so every bit is as with fresh buffers, and copies its results
-    out: nothing it returns aliases them.  The object therefore holds state
-    between calls and must not be called from two threads at once; every
-    sweep runs serially."""
+    so calls at a repeated time, as RK4's stages make, skip them.  Its
+    (m, d + 1, 2d) operand is allocated once, with the zero block and the
+    -mu row that no t changes, and a fresh t writes only its two
+    t-dependent blocks into it.  It keeps the (m, rows, d + 1) centred
+    blocks, whose last column is ones, and their (m, rows, 2d) product for
+    the last padded row count, the only shape that can change, so a loop of
+    equal batches allocates neither again.  The kernel fills its buffers in
+    place with the same fixed-shape products, so every bit is as with fresh
+    buffers, and copies its results out: nothing it returns aliases them.
+    The object therefore holds state between calls and must not be called
+    from two threads at once; every sweep runs serially."""
 
-    __slots__ = ("stack", "t", "terms", "blocks", "prod")
+    __slots__ = ("stack", "t", "terms", "ops", "blocks", "prod")
 
     def __init__(self, stack):
         self.stack = stack
+        means = stack[0]
+        m, d = means.shape
+        self.ops = np.zeros((m, d + 1, 2 * d))
+        self.ops[:, d, d:] = -means
         self.t = self.terms = self.blocks = self.prod = None
 
     def __call__(self, zb, t):
         if t != self.t:
-            self.t, self.terms = t, _gaussian_terms(self.stack, t)
+            self.t, self.terms = t, _gaussian_terms(self.stack, t, self.ops)
         b, d = zb.shape
         rows = -(-b // _ROWS) * _ROWS
         if self.blocks is None or self.blocks.shape[1] != rows:

@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import _GENERATE_NEEDS_TARGET, ConfigError, cell_beta0, derive_config, editor_config
-from .core import NumericalAbort, make_rng
+from .core import NumericalAbort, _seed_sequence, make_rng
 from .editors import transport_enhanced_flowedit, transport_guided_inversion_edit
 from .fields import make_velocity
 from .metrics import (_EMPIRICAL_CAP, VerifySetup, guided_final_states, verify_convergence_bound,
@@ -83,8 +83,10 @@ def atomic_write_text(path, text):
 
 
 def derive_seed(base_seed, cell_index, replicate):
-    """64-bit seed for one sweep cell, independent of execution order."""
-    ss = np.random.SeedSequence([int(base_seed), int(cell_index), int(replicate)])
+    """64-bit seed for one sweep cell, independent of execution order: the
+    first uint64 word of SeedSequence([base_seed, cell_index, replicate]),
+    built by core._seed_sequence."""
+    ss = _seed_sequence(int(base_seed), int(cell_index), int(replicate))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 

@@ -100,10 +100,11 @@ def render_metric_chart(points, x_label, y_label):
         frame = _Frame(*_bounds([]))
     parts = _axes(frame, x_label, y_label)
     if pts:
-        poly = " ".join(f"{_fmt(frame.px(x))},{_fmt(frame.py(y))}" for x, y in pts)
+        pixels = [(_fmt(frame.px(x)), _fmt(frame.py(y))) for x, y in pts]
+        poly = " ".join(f"{px},{py}" for px, py in pixels)
         parts.append(f'<polyline points="{poly}" fill="none" stroke="{_PALETTE[0]}" stroke-width="1.5"/>')
-        for x, y in pts:
-            parts.append(f'<circle cx="{_fmt(frame.px(x))}" cy="{_fmt(frame.py(y))}" r="3" fill="{_PALETTE[0]}"/>')
+        for px, py in pixels:
+            parts.append(f'<circle cx="{px}" cy="{py}" r="3" fill="{_PALETTE[0]}"/>')
     return _document(parts)
 
 

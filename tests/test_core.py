@@ -279,6 +279,57 @@ def test_make_rng_of_one_key_draws_as_the_bare_seed():
         assert np.array_equal(make_rng(seed).standard_normal(16), bare.standard_normal(16))
 
 
+# Key entries at each word boundary of numpy's int-to-uint32 conversion: one
+# word, the largest one-word value, two words, the top bit of two words, the
+# largest two-word value, and four words.
+_KEY_ENTRIES = (0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1, 2 ** 96 + 1)
+
+
+def _list_seeded(key):
+    return np.random.SeedSequence(list(key))
+
+
+@pytest.mark.parametrize("key", [(e,) for e in _KEY_ENTRIES]
+                         + [(e, 1) for e in _KEY_ENTRIES] + [(3, e, 2) for e in _KEY_ENTRIES]
+                         + [_KEY_ENTRIES, (np.uint64(2 ** 64 - 1), np.int64(5)), ()])
+def test_make_rng_draws_as_the_list_seeded_sequence(key):
+    # make_rng hands SeedSequence the key as uint32 words; its streams must
+    # be those numpy builds from the list of ints itself.
+    from otflow.core import _seed_sequence, make_rng
+
+    assert np.array_equal(_seed_sequence(*key).generate_state(8),
+                          _list_seeded(key).generate_state(8))
+    listed = np.random.Generator(np.random.PCG64(_list_seeded(key)))
+    assert np.array_equal(make_rng(*key).standard_normal(16), listed.standard_normal(16))
+
+
+@pytest.mark.parametrize("entry", _KEY_ENTRIES)
+def test_derive_seed_is_the_list_seeded_sequence(entry):
+    from otflow.runner import derive_seed
+
+    for key in ((entry, 0, 0), (7, entry, 3), (0, 1, entry)):
+        want = int(_list_seeded(key).generate_state(1, dtype=np.uint64)[0])
+        assert derive_seed(*key) == want
+
+
+def test_seed_keys_reject_negative_and_non_integer_entries():
+    from otflow.core import make_rng
+    from otflow.runner import derive_seed
+
+    for key in ((-1,), (3, -1), (2 ** 64, -(2 ** 40))):
+        with pytest.raises(ValueError):
+            make_rng(*key)
+        with pytest.raises(ValueError):
+            _list_seeded(key)
+    with pytest.raises(ValueError):
+        derive_seed(0, -1, 0)
+    for key in ((1.5,), (2, 0.5)):
+        with pytest.raises(TypeError):
+            make_rng(*key)
+        with pytest.raises(TypeError):
+            _list_seeded(key)
+
+
 def test_codec_round_trip():
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(3)))
     scale = rng.uniform(0.5, 2.0, size=4)

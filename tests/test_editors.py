@@ -567,6 +567,66 @@ def test_inversion_batch_with_failing_rows_equals_single_calls():
                                   getattr(single.trajectory, column)), column
 
 
+def _decode_overflow_setting():
+    # Two unit-covariance Gaussians, the target's mean at (5, 5), and a codec
+    # of scale 1e307: an edited latent of norm past about 18 is finite but
+    # decodes past the largest double.
+    reg = FieldRegistry()
+    reg.add_gaussian("a", np.zeros(2), np.eye(2))
+    reg.add_gaussian("b", np.array([5.0, 5.0]), np.eye(2))
+    cfg = InversionEditConfig(eta=0.0, grid=make_time_grid(28, 1.0, 0.0),
+                              transport=TransportConfig(beta0=0.2),
+                              condition_target=Condition.dataset("b"), scales=GuidanceScales())
+    return cfg, reg, LatentCodec(np.full(2, 1e307), np.zeros(2))
+
+
+def test_inversion_batch_with_a_row_that_decodes_non_finite_equals_single_calls():
+    # Row 4's beta0 = 1e3 ends its latent near (-1.3e3, -1.3e3): finite at
+    # every step, so only its decoded output overflows.  It fails alone with
+    # its single call's abort, located in the decode term at the grid's end,
+    # and every other row equals its own single-state call bit for bit.
+    cfg, reg, codec = _decode_overflow_setting()
+    x0 = np.array([[0.0, 0.0], [1e307, -1e307], [-2e307, 5e306], [1.5e308, 1.5e308],
+                   [3e306, 0.0]])
+    beta0 = np.array([0.0, 0.2, 3.0, 0.5, 1e3])
+    batch = transport_guided_inversion_edit(cfg, reg, codec, x0, beta0=beta0)
+    traj = batch.trajectory
+    for i in range(5):
+        row_cfg = replace(cfg, transport=TransportConfig(beta0=float(beta0[i])))
+        if i == 4:
+            with pytest.raises(NumericalAbort) as err:
+                transport_guided_inversion_edit(row_cfg, reg, codec, x0[i])
+            abort = batch.aborts[i]
+            assert str(err.value) == str(abort) == "decoded output is non-finite at t=0.0"
+            assert (abort.t, abort.step, abort.term) == (0.0, 28, "decode")
+            assert (err.value.t, err.value.step, err.value.term) == (0.0, 28, "decode")
+            assert batch.summary[i] is None and np.all(np.isnan(batch.output[i]))
+            assert np.all(np.isfinite(traj.states[:, i])) and np.abs(traj.states[-1, i]).min() > 1e3
+            continue
+        single = transport_guided_inversion_edit(row_cfg, reg, codec, x0[i])
+        assert batch.aborts[i] is None and batch.summary[i] == single.summary
+        assert np.all(np.isfinite(single.output))
+        assert np.array_equal(batch.output[i], single.output)
+        for column in ("states", "velocities", "transport_norms", "weights"):
+            assert np.array_equal(getattr(traj, column)[:, i],
+                                  getattr(single.trajectory, column)), column
+
+
+@pytest.mark.parametrize("editor", [transport_enhanced_flowedit, baseline_flowedit])
+def test_flowedit_decode_overflow_names_its_term(editor):
+    # The coupled editor lands near the target's mean, (5, 5), which a codec
+    # of scale 1e308 decodes past the largest double: the guided editor and
+    # the baseline raise the same located abort, with no overflow warning.
+    reg = _decode_overflow_setting()[1]
+    grid = make_time_grid(28, 1.0, 0.0)
+    cfg = FlowEditConfig(transport=_transport(0.0), grid=grid, cond_src=Condition.dataset("a"),
+                         cond_tar=Condition.dataset("b"), scales=GuidanceScales(), seed=7)
+    with pytest.raises(NumericalAbort) as err:
+        editor(cfg, reg, LatentCodec(np.full(2, 1e308), np.zeros(2)), np.zeros(2))
+    assert str(err.value) == "decoded output is non-finite at t=0.0"
+    assert (err.value.t, err.value.step, err.value.term) == (0.0, 28, "decode")
+
+
 def _huge_state_setting(kind):
     # Two 3-D Gaussians, or a Gaussian beside a 3-atom point set, and both
     # editors guided toward b at w = 3.

@@ -1134,7 +1134,7 @@ def test_rk4_steps_compute_the_gaussian_terms_once_per_time(n_fine, times, monke
     reg = _two_gaussian_registry(8, True)
     terms, calls, seen = fields._gaussian_terms, [], []
     monkeypatch.setattr(fields, "_gaussian_terms",
-                        lambda stack, t: seen.append(t) or terms(stack, t))
+                        lambda stack, t, ops: seen.append(t) or terms(stack, t, ops))
     for cond, w in ((Condition.null(), 1.0), (Condition.dataset("g2"), 2.0)):
         seen.clear()
         calls.clear()
@@ -1192,6 +1192,30 @@ def test_repeated_1024_row_call_allocates_no_kernel_buffers():
         finally:
             tracemalloc.stop()
         assert peak < 2 * b * (3 * d + 1) * 8, peak
+
+
+def test_call_at_a_fresh_t_allocates_no_kernel_operand():
+    # Tooling guard for the kernel's operand: it is allocated once, at
+    # binding, and a fresh t writes its t-dependent blocks in place, so a
+    # one-row call at a new t allocates no (m, d + 1, 2d) array.  At d = 128
+    # the operand is 528 kB; the call's temporaries, the (m, d, d) scaled
+    # eigenvectors and numpy's ufunc buffers, come to about 330 kB.
+    import tracemalloc
+
+    d = 128
+    reg = _two_gaussian_registry(d, False)
+    operand = 2 * (d + 1) * 2 * d * 8
+    z = _rng(86, d).standard_normal((1, d))
+    for cond, w in ((Condition.null(), 1.0), (Condition.dataset("g2"), 2.0)):
+        field = make_velocity(reg, cond, GuidanceScales(w=w))
+        field(z, 0.4)
+        tracemalloc.start()
+        try:
+            field(z, 0.7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < operand, peak
 
 
 def test_registry_t_floor_validation():

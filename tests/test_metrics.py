@@ -699,6 +699,27 @@ def test_edit_control_passes_at_displacements_past_one_ulp_of_slack():
     assert report.passed
 
 
+def test_edit_control_zero_arm_is_compared_with_itself():
+    # By construction, not by measurement: verify_edit_control_bound takes
+    # its unguided outputs from the beta0 = 0 arm and measures that same arm
+    # against them, so eps_schedule is 0 and zero_displacement holds whatever
+    # the arm holds.  Here the memoized unguided arm is replaced by arbitrary
+    # states before the check runs; the zero entry still reads exactly 0.  An
+    # independent unguided arm (another noise bank, say) would make these
+    # figures measurements and must change this test on purpose.
+    setup, *_ = _shared_setup(n_runs=16)
+    junk = _rng(95).standard_normal((16, 2)) * 1e3
+    junk.flags.writeable = False
+    setup._arms[None] = junk
+    report = verify_edit_control_bound(setup, [0.0, 0.1, 0.2, 0.4], 0.3)
+    measured = {b: v for _, b, v in report.measured}
+    assert measured[0.0] == 0.0 and report.fitted_constants["eps_schedule"] == 0.0
+    assert report.tolerance_used["zero_displacement"] == 0.0
+    assert setup._arms[None] is junk
+    # The guided arms were measured against the junk, so they are huge.
+    assert min(measured[b] for b in (0.1, 0.2, 0.4)) > 1e4
+
+
 def test_noise_bank_is_deterministic():
     setup, *_ = _shared_setup()
     assert np.array_equal(setup.noise_bank(2), setup.noise_bank(2))

@@ -707,6 +707,47 @@ def test_generate_aborts_on_a_cloud_that_decodes_non_finite(tmp_path, capsys):
     assert float(records[0]["w2_to_target"]) > 0.0
 
 
+_DECODE_OVERFLOW_CFG = """\
+[experiment]
+algorithm = invert_edit
+name = d
+[dataset.a]
+mean = 0, 0
+cov = 1, 0; 0, 1
+[dataset.b]
+mean = 5, 5
+cov = 1, 0; 0, 1
+[inputs]
+x0 = 1.5e308, 1.5e308
+[codec]
+scale = 1e308, 1e308
+[editor]
+eta = 0
+condition = b
+[transport]
+beta0 = 0.2
+"""
+
+
+def test_edit_aborts_on_an_output_that_decodes_non_finite(tmp_path, capsys):
+    # The source encodes to (1.5, 1.5) and the edit lands near the target's
+    # mean, (5, 5), whose decoded output is past the largest double.  The run
+    # stops with a located abort in the decode term and writes no file; each
+    # sweep row, a batch of two, fails with the same abort.
+    cfg_path = _write(tmp_path, "d.cfg", _DECODE_OVERFLOW_CFG)
+    assert main(["run", cfg_path, "--out-dir", str(tmp_path / "out")]) == EXIT_NUMERIC
+    assert capsys.readouterr() == ("", "numerical abort: decoded output is non-finite at t=0.0 "
+                                       "(step=28, t=0.0, term=decode)\n")
+    assert os.listdir(tmp_path / "out") == []
+    sweep_path = _write(tmp_path, "s.cfg", _DECODE_OVERFLOW_CFG
+                        + "[sweep]\naxis = transport.beta0: 0, 0.2\n")
+    assert main(["sweep", sweep_path, "--out-dir", str(tmp_path / "sweep")]) == EXIT_PARTIAL
+    records = list(csv.DictReader(open(tmp_path / "sweep" / "d_results.csv", encoding="utf-8")))
+    assert [r["error"] for r in records] == [
+        "NumericalAbort: decoded output is non-finite at t=0.0"] * 2
+    assert all(r[key] == "" for r in records for key in runner._METRIC_COLUMNS)
+
+
 def test_generate_on_points_w2_against_replicated_atoms(tmp_path):
     text = ("[experiment]\nalgorithm = generate\nname = g\n"
             "[dataset.p]\npoints = -1, 0; 1, 0.5; 0, 2\n"
