@@ -3,7 +3,7 @@
 Subcommands:
   run <config>         execute one experiment, write trajectory/report files
   sweep <config>       run the [sweep] grid into a single results CSV
-  verify <config>      run the bound suite; exit 5 when any bound fails
+  verify <config>      run, with experiment.algorithm = verify (the bound suite)
   gen-data <config>    materialize configured datasets as CSV files
   plot <in> <out.svg>  render a trajectory CSV, results CSV, or point cloud
 
@@ -13,7 +13,7 @@ draws with runner.render_csv, as the runner draws its SVGs.
 
 Exit codes: 0 success, 2 config error, 3 numerical abort during a run
 (printed with the abort's step, t and term), 4 sweep finished with failed
-cells, 5 verification failure.
+cells, 5 a bound failed (under run and verify alike).
 """
 
 import argparse
@@ -71,15 +71,17 @@ def _load(args, *overrides):
                        overrides=list(args.overrides) + list(overrides) + seed)
 
 
-def _cmd_run(args):
-    cfg = _load(args)
-    artifacts = run_experiment(cfg, out_dir=args.out_dir)
+def _cmd_run(args, *overrides):
+    """Print each bound's pass/FAIL line, the files and the metrics."""
+    artifacts = run_experiment(_load(args, *overrides), out_dir=args.out_dir)
+    for rep in artifacts.reports:
+        print(f"{rep.bound_kind}: {'pass' if rep.passed else 'FAIL'} (slope {rep.slope:.3f})")
     for path in artifacts.files:
         print(f"wrote {path}")
     for key, value in artifacts.metrics.items():
         if value is not None:
             print(f"{key} = {value}")
-    return EXIT_OK
+    return EXIT_OK if all(rep.passed for rep in artifacts.reports) else EXIT_VERIFY
 
 
 def _cmd_sweep(args):
@@ -87,18 +89,6 @@ def _cmd_sweep(args):
     outcome = run_sweep(cfg, out_dir=args.out_dir)
     print(f"wrote {outcome.results_path} ({outcome.n_rows} rows, {outcome.n_failed} failed)")
     return EXIT_PARTIAL if outcome.n_failed else EXIT_OK
-
-
-def _cmd_verify(args):
-    cfg = _load(args, "experiment.algorithm=verify")
-    artifacts = run_experiment(cfg, out_dir=args.out_dir)
-    failed = [r for r in artifacts.reports if not r.passed]
-    for rep in artifacts.reports:
-        status = "pass" if rep.passed else "FAIL"
-        print(f"{rep.bound_kind}: {status} (slope {rep.slope:.3f})")
-    for path in artifacts.files:
-        print(f"wrote {path}")
-    return EXIT_VERIFY if failed else EXIT_OK
 
 
 def _cmd_gen_data(args):
@@ -121,7 +111,7 @@ def _cmd_plot(args):
 _COMMANDS = {
     "run": _cmd_run,
     "sweep": _cmd_sweep,
-    "verify": _cmd_verify,
+    "verify": lambda args: _cmd_run(args, "experiment.algorithm=verify"),
     "gen-data": _cmd_gen_data,
     "plot": _cmd_plot,
 }

@@ -282,15 +282,12 @@ class _Resolved:
     def has(self, path):
         return path in self.map
 
-    def get(self, path, default=None):
-        """The value at path, parsed as its declared kind; default, when
-        given, stands in for the declared default."""
+    def get(self, path):
+        """The value at path, or its declared default, parsed as its kind."""
         kind, declared = _spec(path)
-        text = self.map.get(path)
+        text = self.map.get(path, declared)
         if text is None:
-            text = declared if default is None else default
-            if text is None:
-                self._fail(path, "required key missing")
+            self._fail(path, "required key missing")
         try:
             return _PARSERS[kind](text)
         except ValueError as exc:
@@ -391,7 +388,7 @@ def _build_transport(res):
     )
 
 
-def _build_editor(res, algorithm, registry, n_steps):
+def _build_editor(res, algorithm, registry):
     ed = {}
     if algorithm == "invert_edit":
         ed["eta"] = res.get("editor.eta")
@@ -403,7 +400,8 @@ def _build_editor(res, algorithm, registry, n_steps):
         ed["condition_target"] = _condition(res, "editor.condition", registry)
     elif algorithm == "flowedit":
         ed["n_avg"] = res.get("editor.n_avg")
-        ed["n_max"] = res.get("editor.n_max", default=str(n_steps))
+        # Absent, None: FlowEditConfig's default, grid.n_steps.
+        ed["n_max"] = res.get("editor.n_max") if res.has("editor.n_max") else None
         ed["n_min"] = res.get("editor.n_min")
         ed["cond_src"] = _condition(res, "editor.source_condition", registry)
         ed["cond_tar"] = _condition(res, "editor.target_condition", registry)
@@ -581,7 +579,7 @@ def _build_config(resolved, lines, axis_lines, base_dir, registry=None):
         grid=grid,
         transport=transport,
         scales=scales,
-        editor=_build_editor(res, algorithm, registry, n_steps),
+        editor=_build_editor(res, algorithm, registry),
         inputs=_build_inputs(res, algorithm, registry),
         verify=_build_verify(res, registry),
         sweep_axes=_parse_axes(axis_lines),

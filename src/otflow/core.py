@@ -11,16 +11,18 @@ and inversion with a positive one; both fall out of z + (t_next - t_now) * v
 along a monotone time grid, so a single integrator serves both directions.
 
 One step kernel, one record layout: every Euler loop in the package steps
-and checks its state through _euler_update (euler_step, or _step_rows for a
-batch whose failed rows stay NaN), aborting with the step's t, grid index
-and term.  The kernel first tests the whole new state for finiteness in one
-pass: a non-finite velocity entry always makes its state entry non-finite,
-so a sound step costs that one test, and the per-row masks, which name the
-failed rows and report a velocity term before a state term, are formed only
-when it fails.  integrate writes its Trajectory into the (n + 1, ...) arrays
-of _records; integrate_final runs the same loop (_euler_steps) and keeps
-only the last state, for callers that read nothing else (the verify arms,
-the discretization check's Euler runs, generate).
+and checks its state through _euler_update, locating a failure by the step's
+t, grid index and term.  euler_step raises it (integrate, integrate_final);
+the row kernels _step_rows and _decode_rows only record it (_fail_rows): a
+failed row keeps its first NumericalAbort in the caller's aborts and goes NaN.
+The kernel first tests the whole new state for finiteness in one pass: a
+non-finite velocity entry always makes its state entry non-finite, so a
+sound step costs that one test, and the per-row masks, which name the failed
+rows and report a velocity term before a state term, are formed only when it
+fails.  integrate writes its Trajectory into the (n + 1, ...) arrays of
+_records; integrate_final runs the same loop (_euler_steps) and keeps only
+the last state, for callers that read nothing else (the verify arms, the
+discretization check's Euler runs, generate).
 """
 
 import operator
@@ -34,7 +36,8 @@ class NumericalAbort(RuntimeError):
 
     Carries where the run was aborted, each None where unknown: the
     integration time t, the index of the step on its grid, and the term that
-    went non-finite, "velocity" or "state" (the Euler-stepped state).
+    went non-finite: "velocity", "state" (the Euler-stepped state) or
+    "decode" (the decoded output).
     """
 
     def __init__(self, message, t=None, step=None, term=None):
@@ -187,20 +190,35 @@ def euler_step(z, v, signed_step, t=None, step=None):
     return z_next
 
 
-def _step_rows(z, v, dt, t, k, aborts, single):
+def _fail_rows(out, bad, aborts, abort):
+    """out with its rows flagged in bad set to NaN; a flagged row i without
+    an abort yet gets abort(i), so each row keeps its first, located one."""
+    for i in np.flatnonzero(bad):
+        if aborts[i] is None:
+            aborts[i] = abort(i)
+    out[bad] = np.nan
+    return out
+
+
+def _step_rows(z, v, dt, t, k, aborts):
     """Euler-step a (B, d) batch of independent rows.  A row whose velocity
-    or new state is non-finite stays in the batch as NaN, and its first
-    NumericalAbort goes to aborts[row] (a single-state loop raises it)."""
+    or new state is non-finite fails (_fail_rows), and stays in the batch."""
     z_next, bad_v, bad = _euler_update(z, v, dt)
     if bad is None:
         return z_next
-    for i in np.flatnonzero(bad):
-        if aborts[i] is None:
-            aborts[i] = _abort(bad_v[i], t, k)
-            if single:
-                raise aborts[i]
-    z_next[bad] = np.nan
-    return z_next
+    return _fail_rows(z_next, bad, aborts, lambda i: _abort(bad_v[i], t, k))
+
+
+def _decode_rows(codec, z, grid, aborts):
+    """codec.decode of a reverse loop's (B, d) final states z over grid, with
+    no overflow warning.  A row without an abort is finite, so a row whose
+    output is not is the codec's overflow, and fails (_fail_rows) in the
+    decode term at the grid's end, as generate's cloud does."""
+    with np.errstate(over="ignore"):
+        output = codec.decode(z)
+    t, step = grid.t_end, grid.n_steps
+    return _fail_rows(output, ~np.isfinite(output).all(axis=1), aborts, lambda i: NumericalAbort(
+        f"decoded output is non-finite at t={t}", t=t, step=step, term="decode"))
 
 
 def forward_noising(z0, t, eps):

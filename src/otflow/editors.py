@@ -21,23 +21,24 @@ transport_enhanced_flowedit      evolve a coupled edit trajectory directly
 Both editors hand a per-step velocity, with its transport weight and norm
 from transport.enhance_velocity (0 whenever the weight is zero), to one
 reverse loop over (B, d) rows, a single state being the B = 1 case.  It
-records into arrays preallocated by core._records, sums transport work and
-steps through core's one Euler kernel (core._step_rows, a failed row staying
-NaN; euler_step in baseline_flowedit), so a non-finite velocity or state
-aborts with the step's t, grid index and term.  Both decode the final states
-through _decode_rows, so a finite state whose decoded output overflows
-aborts in the decode term at the grid's end.
+records into arrays preallocated by core._records, sums transport work, and
+steps and decodes through core's row kernels _step_rows and _decode_rows,
+which only record: a row whose velocity, state or decoded output goes
+non-finite keeps its first NumericalAbort, located by t, step and term, and
+runs on as NaN.  A single-state call raises that abort after decoding; a
+batch returns each row's in EditResult.aborts.
 
 baseline_flowedit is the unmodified difference-velocity pipeline, kept as a
-separate loop so equivalence tests compare two implementations rather than
-one code path against itself.
+separate loop (stepping through euler_step, which raises at once) so
+equivalence tests compare two implementations rather than one code path
+against itself.
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (NumericalAbort, Trajectory, _records, _step_rows, euler_step, forward_noising,
+from .core import (Trajectory, _decode_rows, _records, _step_rows, euler_step, forward_noising,
                    make_rng)
 from .fields import Condition, cfg_blend, conditional_linear_velocity, make_velocity
 from .metrics import _row_l2, l2_distance
@@ -180,31 +181,13 @@ def _source_rows(codec, x0, beta0, transport):
     return x0.ndim == 1, xb, z0, beta0, [None] * n_rows
 
 
-def _decode_rows(codec, z, grid, aborts, single):
-    # codec.decode of a reverse loop's (B, d) final states z over grid, with
-    # no overflow warning.  A row without an abort is finite, so a row whose
-    # output is not is the codec's overflow: it fails as runner._generate's
-    # cloud does, with a NumericalAbort in the decode term at the grid's end
-    # (a single state raises it), and its output is NaN.
-    with np.errstate(over="ignore"):
-        output = codec.decode(z)
-    bad = ~np.isfinite(output).all(axis=1)
-    for i in np.flatnonzero(bad):
-        if aborts[i] is None:
-            aborts[i] = NumericalAbort(f"decoded output is non-finite at t={grid.t_end}",
-                                       t=grid.t_end, step=grid.n_steps, term="decode")
-            if single:
-                raise aborts[i]
-    output[bad] = np.nan
-    return output
-
-
 def _edit_loop(cfg, codec, source, z, step, meta):
     # Both editors' reverse loop over cfg.grid from the (B, d) state z:
     # step(k, t, z) gives the state to step from, its velocity v and the
     # transport weight and raw_norm; a row's work sums weight * min(raw_norm,
     # clip_tau) * |dt|.  All rows are summarised against their sources at
-    # once, a failed row getting None; a single state returns its row alone.
+    # once, a failed row getting None; a single state returns its row alone,
+    # or raises its abort.
     single, xb, z0, _, aborts = source
     pts = cfg.grid.points
     states, velocities, norms, weights = records = _records(cfg.grid.n_steps, z.shape, z.shape[:1])
@@ -216,14 +199,16 @@ def _edit_loop(cfg, codec, source, z, step, meta):
         z, v, weight, raw_norm = step(k, t, z)
         velocities[k], norms[k], weights[k] = v, raw_norm, weight
         work += weight * np.minimum(raw_norm, cfg.transport.clip_tau) * abs(dt)
-        z = _step_rows(z, v, dt, t, k, aborts, single)
+        z = _step_rows(z, v, dt, t, k, aborts)
         states[k + 1] = z
 
-    output = _decode_rows(codec, z, cfg.grid, aborts, single)
+    output = _decode_rows(codec, z, cfg.grid, aborts)
     rows = zip(aborts, _row_l2(output - xb).tolist(), _row_l2(z - z0).tolist(), work.tolist())
     summary = tuple(None if abort is not None else EditSummary(*values)
                     for abort, *values in rows)
     if single:
+        if aborts[0] is not None:
+            raise aborts[0]
         trajectory = Trajectory(pts.copy(), *(column[:, 0] for column in records), meta)
         return EditResult(output=output[0], trajectory=trajectory, summary=summary[0])
     return EditResult(output=output, trajectory=Trajectory(pts.copy(), *records, meta),
@@ -245,10 +230,10 @@ def transport_guided_inversion_edit(cfg, registry, codec, x0, x_target=None, bet
 
     Every kernel the loop calls is batch-invariant, so each row's output,
     trajectory and summary equal its own single-state call bit for bit.
-    Velocity and state are checked per row at every step of both phases:
-    a single state raises NumericalAbort; in a batch the row stays, its
-    abort goes to aborts, its output is NaN, its summary None and its
-    recorded states and velocities NaN after the failing step.
+    Velocity and state are checked per row at every step of both phases: a
+    failed row stays in the batch, its abort goes to aborts, its output is
+    NaN, its summary None and its recorded states and velocities NaN after
+    the failing step; a single state raises its abort after the loop.
 
     The returned trajectory covers the reverse (editing) phase; the forward
     inversion feeds it.  For a batch its states and velocities are
@@ -256,7 +241,7 @@ def transport_guided_inversion_edit(cfg, registry, codec, x0, x_target=None, bet
     is a tuple with one EditSummary per row.
     """
     source = _source_rows(codec, x0, beta0, cfg.transport)
-    single, xb, z0, beta0, aborts = source
+    _, xb, z0, beta0, aborts = source
     z_target = z0 if x_target is None else codec.encode(np.broadcast_to(x_target, xb.shape))
 
     null_field = make_velocity(registry, Condition.null(), cfg.scales)
@@ -264,7 +249,7 @@ def transport_guided_inversion_edit(cfg, registry, codec, x0, x_target=None, bet
     z = z0
     for k in range(cfg.grid.n_steps):
         t = float(inv[k])
-        z = _step_rows(z, null_field(z, t), float(inv[k + 1] - inv[k]), t, k, aborts, single)
+        z = _step_rows(z, null_field(z, t), float(inv[k + 1] - inv[k]), t, k, aborts)
 
     target_field = make_velocity(registry, cfg.condition_target, cfg.scales)
     t_hi, t_lo = cfg.eta_window
@@ -305,10 +290,10 @@ def transport_enhanced_flowedit(cfg, registry, codec, x0, beta0=None, seeds=None
     step draws every row's (n_avg, d) block from that row's own generator,
     in row order, and makes one field call per branch on all B * n_avg
     coupled states.  The kernels are batch-invariant, so each row's output,
-    trajectory and summary equal its own single-state call bit for bit.  A
-    single state raises NumericalAbort at its failing step; in a batch the
-    row stays as NaN, its abort goes to aborts and its summary is None, as
-    in transport_guided_inversion_edit, whose record shapes a batch shares.
+    trajectory and summary equal its own single-state call bit for bit.  In
+    a batch a failed row stays as NaN, its abort goes to aborts and its
+    summary is None, as in transport_guided_inversion_edit, whose record
+    shapes a batch shares; a single state raises its abort after the loop.
     """
     source = _source_rows(codec, x0, beta0, cfg.transport)
     single, xb, z_src, beta0, _ = source
@@ -381,7 +366,10 @@ def baseline_flowedit(cfg, registry, codec, x0):
         velocities[j] = v
         states[j + 1] = z
 
-    output = _decode_rows(codec, z[None], cfg.grid, [None], True)[0]
+    aborts = [None]
+    output = _decode_rows(codec, z[None], cfg.grid, aborts)[0]
+    if aborts[0] is not None:
+        raise aborts[0]
     summary = EditSummary(
         reconstruction_l2=l2_distance(output, x0),
         displacement_l2=l2_distance(z, z_src),

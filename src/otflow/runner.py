@@ -85,8 +85,8 @@ def atomic_write_text(path, text):
 def derive_seed(base_seed, cell_index, replicate):
     """64-bit seed for one sweep cell, independent of execution order: the
     first uint64 word of SeedSequence([base_seed, cell_index, replicate]),
-    built by core._seed_sequence."""
-    ss = _seed_sequence(int(base_seed), int(cell_index), int(replicate))
+    built by core._seed_sequence, which takes nonnegative integers only."""
+    ss = _seed_sequence(base_seed, cell_index, replicate)
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
@@ -271,14 +271,14 @@ def run_verify(cfg):
     return reports
 
 
-def _report_lines(cfg, metrics=None, reports=None):
+def _report_lines(cfg, metrics, reports):
     lines = ["[run]", f"name = {cfg.name}", f"algorithm = {cfg.algorithm}", f"seed = {cfg.seed}", ""]
     if metrics is not None:
         lines.append("[result]")
         for key in _METRIC_COLUMNS:
             lines.append(f"{key} = {_fmt(metrics[key])}")
         lines.append("")
-    for rep in reports or []:
+    for rep in reports:
         lines.append(f"[report.{rep.bound_kind}]")
         lines.append(f"passed = {_fmt(rep.passed)}")
         lines.append(f"slope = {_fmt(rep.slope)}")

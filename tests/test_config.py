@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from otflow import ConfigError, derive_config, load_config, load_config_text, serialize_config
-from otflow.config import _KEYS
+from otflow.config import _KEYS, editor_config
 from otflow.presets import get_preset, preset_names
 
 _BASE = [
@@ -328,7 +328,7 @@ def test_experiment_name_must_be_one_path_component(name):
 def test_every_preset_key_is_declared():
     # _merge copies preset paths without checking them, so a mistyped key
     # would be ignored and then break a reload of serialize_config output.
-    from otflow.config import _KEYS
+    from otflow.config import _KEYS, editor_config
 
     for name in preset_names():
         assert set(get_preset(name)) <= set(_KEYS), name
@@ -368,7 +368,9 @@ def test_flowedit_editor_validation():
         "[editor]", "source_condition = a", "target_condition = b",
     ]
     cfg = _load(base)
-    assert cfg.editor["n_max"] == 28  # defaults to the step count
+    # An absent n_max is left to FlowEditConfig, which defaults it to the
+    # step count.
+    assert cfg.editor["n_max"] is None and editor_config(cfg).n_max == 28
     assert cfg.editor["cond_src"].name == "a"
     with pytest.raises(ConfigError, match="n_min"):
         _load(base + ["n_min = 10", "n_max = 5"])
@@ -488,7 +490,7 @@ def test_sweep_axis_over_vector_key_loads():
 
 
 def test_sweep_axis_is_not_a_set_key():
-    from otflow.config import _KEYS
+    from otflow.config import _KEYS, editor_config
 
     assert "sweep.axis" not in _KEYS
     with pytest.raises(ConfigError, match="unknown key 'sweep.axis'"):

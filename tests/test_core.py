@@ -170,9 +170,9 @@ _EULER_FAULTS = {
 def test_euler_kernel_falls_back_to_row_masks_on_a_failed_step(fault):
     # The kernel tests the whole new state once and forms its per-row masks
     # only when that fails.  Every kind of failure is still caught and
-    # located, the velocity term reported before the state term, for a
-    # single state and in a batch, and the same rows go NaN as under the
-    # masks alone.
+    # located, the velocity term reported before the state term: euler_step
+    # raises it, and the row kernel records it in a batch and for one row,
+    # where the same rows go NaN as under the masks alone.
     z_bad, v_bad, term = _EULER_FAULTS[fault]
     with np.errstate(over="ignore"), pytest.raises(NumericalAbort) as err:
         euler_step(np.array(z_bad), np.array(v_bad), 0.5, t=0.25, step=3)
@@ -181,7 +181,7 @@ def test_euler_kernel_falls_back_to_row_masks_on_a_failed_step(fault):
     v = np.array([[1.0, 1.0], v_bad, [-2.0, 0.5], [7.0, -1e300]])
     aborts = [None] * 4
     with np.errstate(over="ignore"):
-        stepped = _step_rows(z, v, 0.5, 0.25, 3, aborts, single=False)
+        stepped = _step_rows(z, v, 0.5, 0.25, 3, aborts)
         plain = z + 0.5 * v
     failed = ~np.isfinite(v).all(axis=1) | ~np.isfinite(plain).all(axis=1)
     assert np.array_equal(np.isnan(stepped).all(axis=1), failed)
@@ -189,9 +189,10 @@ def test_euler_kernel_falls_back_to_row_masks_on_a_failed_step(fault):
     assert np.array_equal(stepped[~failed], plain[~failed])
     assert [a is None for a in aborts] == [True, False, True, True]
     assert (aborts[1].t, aborts[1].step, aborts[1].term) == (0.25, 3, term)
-    with np.errstate(over="ignore"), pytest.raises(NumericalAbort) as err:
-        _step_rows(z[1:2], v[1:2], 0.5, 0.25, 3, [None], single=True)
-    assert err.value.term == term
+    one = [None]
+    with np.errstate(over="ignore"):
+        assert np.all(np.isnan(_step_rows(z[1:2], v[1:2], 0.5, 0.25, 3, one)))
+    assert (one[0].t, one[0].step, one[0].term) == (0.25, 3, term)
 
 
 def test_euler_kernel_clears_a_sound_step_without_row_masks():
@@ -200,8 +201,7 @@ def test_euler_kernel_clears_a_sound_step_without_row_masks():
     z_next, bad_v, bad = _euler_update(z, v, -1.0 / 28)
     assert bad_v is None and bad is None
     assert np.array_equal(z_next, z + (-1.0 / 28) * v)
-    assert np.array_equal(_step_rows(z, v, -1.0 / 28, 0.5, 0, [None] * 1024, single=False),
-                          z_next)
+    assert np.array_equal(_step_rows(z, v, -1.0 / 28, 0.5, 0, [None] * 1024), z_next)
 
 
 def _curved_field(z, t):
@@ -310,6 +310,22 @@ def test_derive_seed_is_the_list_seeded_sequence(entry):
     for key in ((entry, 0, 0), (7, entry, 3), (0, 1, entry)):
         want = int(_list_seeded(key).generate_state(1, dtype=np.uint64)[0])
         assert derive_seed(*key) == want
+
+
+def test_derive_seed_takes_integer_entries_only():
+    # A sweep seed is keyed by integers, as make_rng's are: a float or a
+    # string entry is a TypeError, not truncated to another key's seed, a
+    # negative one a ValueError, and numpy integers key as Python ints.
+    from otflow.runner import derive_seed
+
+    for key in ((1.9, 0, 0), ("1", 0, 0), (0, 2.0, 0), (0, 0, "0")):
+        with pytest.raises(TypeError):
+            derive_seed(*key)
+    for key in ((-1, 0, 0), (0, 0, -1)):
+        with pytest.raises(ValueError):
+            derive_seed(*key)
+    assert derive_seed(np.int64(7), np.int64(3), np.uint8(1)) == derive_seed(7, 3, 1)
+    assert derive_seed(np.uint64(2 ** 63), 0, np.int32(2)) == derive_seed(2 ** 63, 0, 2)
 
 
 def test_seed_keys_reject_negative_and_non_integer_entries():

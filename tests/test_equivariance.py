@@ -1,4 +1,5 @@
-"""Orthogonal equivariance of the fields, the integrator and the inversion editor.
+"""Orthogonal equivariance of the fields, the integrator, the inversion editor
+and the verifiers' runs.
 
 Every closed-form field here is a function of distances and inner products,
 and the transport term's direction, norm and row-wise clip are too, so
@@ -27,11 +28,16 @@ from otflow import (
     transport_guided_inversion_edit,
 )
 from otflow.core import integrate_final
+from otflow.metrics import guided_final_states, verify_discretization_bound
 
 _REL = 1e-12
 _DIMS = (2, 8, 16)
 _CONDITIONS = (Condition.null(), Condition.dataset("g1"), Condition.dataset("g2"),
                Condition.dataset("p"))
+# The verifiers' transport settings: unguided, guided with the clip
+# inactive, and guided with the clip active.
+_GUIDED = (TransportConfig(beta0=0.0, phi=0.6), TransportConfig(beta0=0.3, phi=0.6),
+           TransportConfig(beta0=0.3, phi=0.6, clip_tau=0.05))
 
 
 def _rng(*key):
@@ -129,3 +135,52 @@ def test_inversion_edit_is_rotation_equivariant(d, clip_tau):
     plain = transport_guided_inversion_edit(replace(cfg), reg, codec, x0, x_target)
     assert np.array_equal(edit.output[beta0 == 0.0], plain.output[beta0 == 0.0])
     assert not np.array_equal(edit.output[beta0 > 0.0], plain.output[beta0 > 0.0])
+
+
+@pytest.mark.parametrize("d", _DIMS)
+def test_discretization_errors_are_rotation_invariant(d):
+    # The check's local and global errors are norms of differences of nearly
+    # equal states, so each is bounded against the largest input norm, not
+    # against itself: rounding in the states is relative to their size.
+    reg, rot, q, rng = _registries(d)
+    z_init, z_target = rng.standard_normal(d), rng.standard_normal(d) + 1.0
+    scale = max(1.0, np.linalg.norm(z_init), np.linalg.norm(z_target))
+    scales = GuidanceScales(w=2.0)
+    for condition in _CONDITIONS:
+        for transport in _GUIDED:
+            report, rotated = (
+                verify_discretization_bound(make_velocity(r, condition, scales), transport,
+                                            z_init @ m, z_target @ m, [10, 20, 40, 80])
+                for r, m in ((reg, np.eye(d)), (rot, q.T)))
+            assert [m[:2] for m in rotated.measured] == [m[:2] for m in report.measured]
+            errors = np.array([[m[2] for m in r.measured] for r in (report, rotated)])
+            assert errors.min() > 0.0
+            gap = np.abs(errors[1] - errors[0]).max() / scale
+            assert gap <= _REL, (condition, transport, gap)
+
+
+@pytest.mark.parametrize("d", _DIMS)
+def test_guided_arms_are_rotation_equivariant(d):
+    # The convergence and edit-control arms: a 64-row noise bank denoised
+    # under each transport setting.  Rotating the registry, the bank and the
+    # target rotates every arm's final states, and leaves each arm's mean
+    # squared error to the target and its mean squared displacement from the
+    # unguided arm, both bounded against the largest squared state norm.
+    reg, rot, q, rng = _registries(d)
+    noise, z_target = rng.standard_normal((64, d)), rng.standard_normal(d) + 1.0
+    grid, scales = make_time_grid(28, 1.0, 0.0), GuidanceScales(w=2.0)
+    for condition in _CONDITIONS:
+        arms = [[guided_final_states(r, condition, scales, grid, transport, z_target @ m,
+                                     noise @ m)
+                 for r, m in ((reg, np.eye(d)), (rot, q.T))] for transport in _GUIDED]
+        (base, rotated_base), *_ = arms
+        for transport, (out, rotated) in zip(_GUIDED, arms):
+            assert _gap(rotated, out @ q.T) <= _REL, (condition, transport)
+            size = max(np.linalg.norm(out, axis=1).max(), np.linalg.norm(z_target)) ** 2
+            mse = [np.mean(np.sum((o - z_target @ m) ** 2, axis=1))
+                   for o, m in ((out, np.eye(d)), (rotated, q.T))]
+            disp = [np.mean(np.sum((o - b) ** 2, axis=1))
+                    for o, b in ((out, base), (rotated, rotated_base))]
+            assert abs(mse[1] - mse[0]) <= _REL * size, (condition, transport)
+            assert abs(disp[1] - disp[0]) <= _REL * size, (condition, transport)
+            assert (disp[0] > 0.0) == (transport.beta0 > 0.0)

@@ -1084,6 +1084,73 @@ def test_cli_verify_fails_a_slope_fit_over_zero_displacements(tmp_path, capsys):
     assert section.startswith("passed = false\nslope = nan\n")
 
 
+def test_cli_run_exits_5_on_a_failed_bound_as_verify_does(tmp_path, capsys):
+    # run and verify are one command: on a verify config, run prints the
+    # same report lines and files and exits 5 when a bound fails.
+    path = _write(tmp_path, "vf.cfg", _VERIFY_FAIL_CFG)
+    out_dir = str(tmp_path / "vf")
+    assert main(["run", path, "--out-dir", out_dir]) == EXIT_VERIFY
+    out = capsys.readouterr().out
+    assert out.startswith("convergence: FAIL (slope 29.510)\n")
+    assert main(["verify", path, "--out-dir", out_dir]) == EXIT_VERIFY
+    assert capsys.readouterr().out == out
+
+
+def _report_section(path, kind):
+    # The key = value lines of one [report.<kind>] section of a report file.
+    section = open(path, encoding="utf-8").read().split(f"[report.{kind}]\n")[1]
+    return dict(line.split(" = ") for line in section.split("\n\n")[0].splitlines())
+
+
+@pytest.mark.parametrize("sets, slope, local, global_", [
+    (["transport.beta0=2", "verify.probe_t=1"], "2.453", (2.2, None), (0.8, 1.2)),
+    (["verify.step_counts=2, 3, 4"], "2.016", (1.8, 2.2), (None, 0.8)),
+    (["transport.beta0=2", "transport.clip_tau=10", "verify.step_counts=2, 3, 4"], "2.014",
+     (1.8, 2.2), (1.2, None)),
+], ids=["local-above", "global-below", "global-above"])
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_cli_fails_each_discretization_slope_band_alone(tmp_path, capsys, command, sets, slope,
+                                                        local, global_):
+    # Configs the CLI reaches: a probe step from t = 1 (local slope above
+    # its band, [1.8, 2.2]), and step counts too coarse for the asymptotic
+    # regime (global slope below or above its band, [0.8, 1.2]).  Each time
+    # the other band holds, so that band alone fails the bound: exit 5.
+    path = _write(tmp_path, "vd.cfg", _VERIFY_PASS_CFG + "kind = discretization\n")
+    args = [command, path, "--out-dir", str(tmp_path / "vd")]
+    for item in sets:
+        args += ["--set", item]
+    assert main(args) == EXIT_VERIFY
+    assert capsys.readouterr().out.startswith(f"discretization: FAIL (slope {slope})\n")
+    report = _report_section(tmp_path / "vd" / "vp_report.txt", "discretization")
+    assert report["passed"] == "false"
+    for key, (lo, hi) in (("local_slope", local), ("global_slope", global_)):
+        value = float(report[key])
+        assert (lo is None or lo <= value) and (hi is None or value <= hi), (key, value)
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_cli_fails_a_negative_transport_curvature_alone(tmp_path, capsys, monkeypatch, command):
+    # No config was found whose fitted c_transport is below 0 by more than
+    # rounding, so the arms are stubbed: each arm's squared error to the
+    # target is 1 - beta0^2, a fit with eps_rf equal to the beta0 = 0 error
+    # (that condition holds) and c_transport = -1, which alone fails.
+    from otflow import metrics
+
+    def arms(setup, beta0, transport=None):
+        unit = np.eye(len(setup.z_target))[0]
+        return np.tile(setup.z_target + np.sqrt(1.0 - beta0 * beta0) * unit, (setup.n_runs, 1))
+
+    monkeypatch.setattr(metrics, "_run_outputs", arms)
+    path = _write(tmp_path, "vc.cfg", _VERIFY_PASS_CFG + "kind = convergence\n")
+    assert main([command, path, "--out-dir", str(tmp_path / "vc")]) == EXIT_VERIFY
+    assert capsys.readouterr().out.startswith("convergence: FAIL (slope -1.000)\n")
+    report = _report_section(tmp_path / "vc" / "vp_report.txt", "convergence")
+    assert report["passed"] == "false"
+    eps_rf, baseline = float(report["eps_rf"]), float(report["baseline_mse"])
+    assert abs(eps_rf - baseline) <= float(report["tolerance.eps_rf_rel"]) * baseline
+    assert float(report["c_transport"]) < 0.0
+
+
 def test_cli_verify_forces_algorithm(tmp_path, capsys):
     # a config whose algorithm is not verify still verifies under the
     # verify subcommand

@@ -85,3 +85,58 @@ def test_every_private_function_reads_each_of_its_parameters():
                        for p in params if p.arg not in read]
     assert seen
     assert unread == []
+
+
+def _calls(tree):
+    # (called name, call) for each call in tree of a plain or attribute name.
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name):
+                yield func.id, node
+            elif isinstance(func, ast.Attribute):
+                yield func.attr, node
+
+
+def _leaves_out(call, index, name):
+    # Whether call leaves out the parameter name, positional index index
+    # (None for keyword-only): it is passed neither by position nor by
+    # keyword, and no *args or **kwargs could carry it.
+    if any(k.arg is None or k.arg == name for k in call.keywords):
+        return False
+    if index is None:
+        return True
+    return len(call.args) <= index and not any(isinstance(a, ast.Starred) for a in call.args)
+
+
+def test_every_default_of_a_private_function_is_used_in_the_package():
+    # A default that every call in the package overrides is a second,
+    # unused statement of the value: at least one call of each private
+    # function or method, matched by name as the has-a-caller guard matches,
+    # must leave each defaulted parameter out.
+    trees = [ast.parse(path.read_text(encoding="utf-8"), str(path))
+             for path in sorted(_SRC.glob("*.py"))]
+    calls = collections.defaultdict(list)
+    for tree in trees:
+        for name, call in _calls(tree):
+            calls[name].append(call)
+    dead, seen = [], 0
+    for path, tree in zip(sorted(_SRC.glob("*.py")), trees):
+        methods = {id(sub) for node in tree.body if isinstance(node, ast.ClassDef)
+                   for sub in node.body}
+        for fn in _private_functions(tree):
+            a = fn.args
+            positional = a.posonlyargs + a.args
+            # A method's call by attribute binds self, so its arguments
+            # start at the second parameter.
+            offset = 1 if id(fn) in methods else 0
+            defaulted = [(p.arg, i - offset) for i, p in enumerate(positional)
+                         if i >= len(positional) - len(a.defaults)]
+            defaulted += [(p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                          if d is not None]
+            for name, index in defaulted:
+                seen += 1
+                if not any(_leaves_out(call, index, name) for call in calls[fn.name]):
+                    dead.append(f"{path.name}:{fn.lineno} {fn.name}({name})")
+    assert seen
+    assert dead == []
