@@ -36,8 +36,8 @@ class NumericalAbort(RuntimeError):
 
     Carries where the run was aborted, each None where unknown: the
     integration time t, the index of the step on its grid, and the term that
-    went non-finite: "velocity", "state" (the Euler-stepped state) or
-    "decode" (the decoded output).
+    went non-finite: "velocity", "state" (the Euler-stepped state), "decode"
+    (the decoded output), or a verify arm's "mse" or "displacement".
     """
 
     def __init__(self, message, t=None, step=None, term=None):

@@ -65,10 +65,13 @@ two kernels.  A binding of a registry with Gaussians holds one
 _GaussianKernel, which keeps the last t's terms and its buffers between
 calls (see the class), so a binding must not be called from two threads at
 once; every sweep runs serially.  The null condition of a registry of
-point sets only makes one pass over their pooled atoms, prepared at
-registration: it is empirical_marginal_velocity on the concatenated sets bit
-for bit, which the per-set mixture matches only to rounding (about 1e-13
-relative).  Every other condition calls the null mixture, which has one
+point sets only makes one pass over their pooled atoms: it is
+empirical_marginal_velocity on the concatenated sets bit for bit, which the
+per-set mixture matches only to rounding (about 1e-13 relative).  The pooled
+set is built at the first such binding, not at registration, and kept on the
+registry for later ones, so a registry whose bindings never read it (every
+dataset condition, every registry with Gaussians) never holds a copy of its
+atoms.  Every other condition calls the null mixture, which has one
 component per registered entry and gives the null field and each entry's own
 field, its column, from one call.  A dataset condition blends its column
 with the null field by cfg_blend at classifier-free guidance weight w, so at
@@ -397,13 +400,19 @@ class FieldRegistry:
     """Named datasets (point sets and Gaussians) backing oracle fields.
 
     Register everything up front; entries are treated as immutable afterwards.
-    Everything a field evaluation or a draw needs is computed at registration
-    (each point set is prepared for the centred kernel, and so is the pooled
-    set of all their atoms, which only the null condition of a registry
-    without Gaussians reads; Gaussians are stacked for the one Gaussian
-    kernel, and each Gaussian's sampling factor taken from one SVD of its
-    cov), so evaluations and draws never mutate it and sweep cells that keep
-    the datasets can share one registry.  Every field but that pooled null
+    What a field evaluation or a draw needs is computed at registration
+    (each point set is prepared for the centred kernel, Gaussians are
+    stacked for the one Gaussian kernel, and each Gaussian's sampling factor
+    is taken from one SVD of its cov), so evaluations and draws never mutate
+    it and sweep cells that keep the datasets can share one registry.  The
+    one exception is the pooled set of all point sets' atoms, which only the
+    null condition of a registry without Gaussians reads: make_velocity
+    builds it at the first such binding and keeps it here, and add_points
+    drops it.  That memo is the only thing a binding writes.  Two null
+    bindings made at once from two threads would each build an equal set,
+    one of which is kept, so the race costs memory, never bits; sweeps bind
+    serially anyway.  Registering k sets of n atoms therefore costs O(kn)
+    time and memory.  Every field but that pooled null
     makes one pass per point set and one Gaussian kernel call, and combines
     them into the null mixture (see the module docstring).  The kernels' rows
     depend on neither the batch nor the other entries (point and Gaussian
@@ -432,7 +441,7 @@ class FieldRegistry:
         self._check_new(name, points.shape[1])
         self._points[name] = _PointSet(points)
         self._order.append(name)
-        self._pooled = _PointSet(np.concatenate([p.points for p in self._points.values()]))
+        self._pooled = None
         return self
 
     def add_gaussian(self, name, mean, cov):
@@ -500,6 +509,14 @@ class FieldRegistry:
         z = np.array([rng.standard_normal(cov.shape[0]) for rng in rngs])
         return mean + (z[:, None] @ self._gaussians[name][3])[:, 0]
 
+    def _pooled_set(self):
+        # The _PointSet of every point set's atoms, concatenated in
+        # registration order: built on the first call after the last
+        # add_points and kept for the calls after it.
+        if self._pooled is None:
+            self._pooled = _PointSet(np.concatenate([p.points for p in self._points.values()]))
+        return self._pooled
+
     def _column(self, name):
         # The entry's column in _mixture's entry velocities.
         if name in self._gaussians:
@@ -559,11 +576,13 @@ def make_velocity(registry, condition, scales):
     with Gaussians gives each binding its own _GaussianKernel, which holds
     state between calls, so one binding must not be called from two threads
     at once (see the class).  The null condition of a registry that holds
-    only point sets makes one pass over their pooled atoms (_point_pass).
-    Every other condition calls the null mixture (FieldRegistry._mixture):
-    the null condition returns its null field, and a dataset condition
-    blends the entry's column with it by cfg_blend's rule at scales.w,
-    which binding checks once.  A name the registry does not hold raises
+    only point sets makes one pass over their pooled atoms (_point_pass);
+    the first such binding builds that pooled set and leaves it on the
+    registry for the next ones, the one write a binding makes (see
+    FieldRegistry).  Every other condition calls the null mixture
+    (FieldRegistry._mixture): the null condition returns its null field, and
+    a dataset condition blends the entry's column with it by cfg_blend's
+    rule at scales.w, which binding checks once.  A name the registry does not hold raises
     UnknownDatasetError at binding, and the null condition of an empty
     registry a ValueError.  Binding relies on the registry's rule that
     every dataset is registered before any field is used.
@@ -578,7 +597,7 @@ def make_velocity(registry, condition, scales):
     kernel = None if registry._stacked is None else _GaussianKernel(registry._stacked)
     # One pass over the pooled atoms is the pooled kernel bit for bit, where
     # the per-set mixture agrees with it only to rounding.
-    pooled = registry._pooled if column is None and kernel is None else None
+    pooled = registry._pooled_set() if column is None and kernel is None else None
 
     def velocity(z, t):
         t = _clamp_t(t)

@@ -561,18 +561,31 @@ def _run_outputs(setup, beta0, transport=None):
     return setup._arms[key]
 
 
+def _arm_mean_sq(setup, outs, ref, beta0, term):
+    # Mean over the arm's rows of ||outs - ref||^2.  The states are finite
+    # (integrate_final raises otherwise), so a non-finite mean is the squares
+    # overflowing: a located abort at the arm's end, in term.
+    with np.errstate(over="ignore"):
+        value = float(np.mean(np.sum((outs - ref) ** 2, axis=1)))
+    if not math.isfinite(value):
+        t = setup.grid.t_end
+        raise NumericalAbort(f"the beta0={beta0} arm's {term} is non-finite at t={t}",
+                             t=t, step=setup.grid.n_steps, term=term)
+    return value
+
+
 def verify_convergence_bound(setup, beta0_list):
     """Fit E||z_out - z_target||^2 ~ eps_rf + c * beta0^2 over transport strengths.
 
     Passes when the fitted intercept matches the directly measured beta0 = 0
-    error within 10% and the fitted curvature is nonnegative.
+    error within 10% and the fitted curvature is nonnegative.  An arm whose
+    squared error overflows raises NumericalAbort in term "mse".
     """
     beta0_list = [float(b) for b in beta0_list]
     check_convergence_arms(beta0_list)
     mses = []
     for b in beta0_list:
-        outs = _run_outputs(setup, b)
-        mses.append(float(np.mean(np.sum((outs - setup.z_target) ** 2, axis=1))))
+        mses.append(_arm_mean_sq(setup, _run_outputs(setup, b), setup.z_target, b, "mse"))
     design = np.stack([np.ones(len(beta0_list)), np.asarray(beta0_list) ** 2], axis=1)
     coef, *_ = np.linalg.lstsq(design, np.asarray(mses), rcond=None)
     eps_rf, c_transport = float(coef[0]), float(coef[1])
@@ -605,6 +618,8 @@ def verify_edit_control_bound(setup, beta0_list, phi):
     construction, with equality at the binding arm, so it is not tested
     again: multiplying c back out rounds, and a re-test with any fixed slack
     fails once the displacements are large enough for one ulp to exceed it.
+    An arm whose squared displacement overflows raises NumericalAbort in
+    term "displacement".
 
     The arms come from setup's memo, so those that verify_convergence_bound
     already ran on the same setup (the beta0 = 0 arm, and any other when phi
@@ -623,8 +638,7 @@ def verify_edit_control_bound(setup, beta0_list, phi):
     integral = schedule_integral(phi)
     disp = {}
     for b in beta0_list:
-        outs = _run_outputs(setup, b, transport)
-        disp[b] = float(np.mean(np.sum((outs - base_out) ** 2, axis=1)))
+        disp[b] = _arm_mean_sq(setup, _run_outputs(setup, b, transport), base_out, b, "displacement")
     slope = _fit_loglog_slope(positives, [disp[b] for b in positives])
     eps_schedule = disp.get(0.0, 0.0)
     c_bound = max((disp[b] - eps_schedule) / (b * b * integral) for b in positives)

@@ -935,6 +935,54 @@ def test_null_condition_pools_point_datasets_bit_exactly():
     assert np.array_equal(got, want)
 
 
+def test_pooled_point_set_is_built_at_the_first_null_binding():
+    # Registration and dataset-condition bindings build no pooled set; the
+    # first null binding builds it and later null bindings share it.
+    a = _rng(3).standard_normal((5, 3))
+    b = _rng(4).standard_normal((7, 3))
+    reg = FieldRegistry().add_points("a", a).add_points("b", b)
+    assert reg._pooled is None
+    z = _rng(5).standard_normal((4, 3))
+    make_velocity(reg, Condition.dataset("b"), GuidanceScales(w=2.0))(z, 0.3)
+    assert reg._pooled is None
+    first = make_velocity(reg, Condition.null(), GuidanceScales())
+    pooled = reg._pooled
+    assert pooled is not None
+    make_velocity(reg, Condition.null(), GuidanceScales())
+    assert reg._pooled is pooled
+    assert np.array_equal(first(z, 0.3), empirical_marginal_velocity(np.concatenate([a, b]), z, 0.3))
+
+
+def test_add_points_drops_the_pooled_set_and_the_next_null_binding_pools_every_set():
+    sets = [_rng(6 + i).standard_normal((3 + 2 * i, 2)) for i in range(3)]
+    reg = FieldRegistry().add_points("a", sets[0]).add_points("b", sets[1])
+    make_velocity(reg, Condition.null(), GuidanceScales())
+    reg.add_points("c", sets[2])
+    assert reg._pooled is None
+    z = _rng(9).standard_normal((17, 2))
+    got = make_velocity(reg, Condition.null(), GuidanceScales())(z, 0.55)
+    assert np.array_equal(got, empirical_marginal_velocity(np.concatenate(sets), z, 0.55))
+
+
+def test_registering_point_sets_holds_no_pooled_copy():
+    # 8 sets of 10,000 x 16: the traced peak of registering them stays near
+    # the prepared sets' own bases, with no pooled copy of their atoms, which
+    # would at least double it.
+    import tracemalloc
+
+    sets = [_rng(10, i).standard_normal((10_000, 16)) for i in range(8)]
+    reg = FieldRegistry()
+    tracemalloc.start()
+    try:
+        for i, points in enumerate(sets):
+            reg.add_points(f"s{i}", points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bases = sum(reg._points[f"s{i}"].basis.nbytes for i in range(8))
+    assert peak < 1.25 * bases, (peak, bases)
+
+
 def test_null_condition_single_gaussian_shortcut():
     mu = np.array([1.0, -0.5])
     cov = np.array([[0.8, 0.2], [0.2, 0.5]])

@@ -720,6 +720,28 @@ def test_edit_control_zero_arm_is_compared_with_itself():
     assert min(measured[b] for b in (0.1, 0.2, 0.4)) > 1e4
 
 
+def _overflowing_arms(setup, beta0, transport=None):
+    # Stand-in arms with finite states: the target, moved by beta0 along the
+    # first axis, and by 1e155 from beta0 = 0.4 on, whose square overflows.
+    shift = 1e155 if beta0 >= 0.4 else beta0
+    return np.tile(setup.z_target + shift * np.eye(len(setup.z_target))[0], (setup.n_runs, 1))
+
+
+@pytest.mark.parametrize("verify, term", [
+    (lambda setup: verify_convergence_bound(setup, [0.0, 0.1, 0.2, 0.4]), "mse"),
+    (lambda setup: verify_edit_control_bound(setup, [0.0, 0.1, 0.2, 0.4, 0.8], 0.3), "displacement"),
+], ids=["convergence", "edit_control"])
+def test_verify_arm_that_overflows_aborts_at_its_end(monkeypatch, verify, term):
+    # RuntimeWarnings are errors under the suite's settings, so an unguarded
+    # square would stop on its overflow warning before any located abort.
+    monkeypatch.setattr(otflow.metrics, "_run_outputs", _overflowing_arms)
+    setup, *_ = _shared_setup(n_runs=16)
+    with pytest.raises(otflow.NumericalAbort) as err:
+        verify(setup)
+    assert str(err.value) == f"the beta0=0.4 arm's {term} is non-finite at t=0.0"
+    assert (err.value.t, err.value.step, err.value.term) == (0.0, 28, term)
+
+
 def test_noise_bank_is_deterministic():
     setup, *_ = _shared_setup()
     assert np.array_equal(setup.noise_bank(2), setup.noise_bank(2))

@@ -1151,6 +1151,25 @@ def test_cli_fails_a_negative_transport_curvature_alone(tmp_path, capsys, monkey
     assert float(report["c_transport"]) < 0.0
 
 
+@pytest.mark.parametrize("kind, term", [("convergence", "mse"), ("edit_control", "displacement")])
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_cli_aborts_on_a_verify_arm_that_overflows(tmp_path, capsys, monkeypatch, command, kind, term):
+    # Finite stand-in arms: the target, moved by 1e155 along the first axis
+    # from beta0 = 0.4 on, so that arm's squared error and displacement
+    # overflow.  The run stops with a located abort at the arms' end.
+    from otflow import metrics
+
+    def arms(setup, beta0, transport=None):
+        shift = 1e155 if beta0 >= 0.4 else beta0
+        return np.tile(setup.z_target + shift * np.eye(len(setup.z_target))[0], (setup.n_runs, 1))
+
+    monkeypatch.setattr(metrics, "_run_outputs", arms)
+    path = _write(tmp_path, "vo.cfg", _VERIFY_PASS_CFG + f"kind = {kind}\n")
+    assert main([command, path, "--out-dir", str(tmp_path / "vo")]) == EXIT_NUMERIC
+    assert capsys.readouterr().err == (f"numerical abort: the beta0=0.4 arm's {term} is non-finite "
+                                       f"at t=0.0 (step=28, t=0.0, term={term})\n")
+
+
 def test_cli_verify_forces_algorithm(tmp_path, capsys):
     # a config whose algorithm is not verify still verifies under the
     # verify subcommand
