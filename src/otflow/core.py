@@ -19,10 +19,19 @@ The kernel first tests the whole new state for finiteness in one pass: a
 non-finite velocity entry always makes its state entry non-finite, so a
 sound step costs that one test, and the per-row masks, which name the failed
 rows and report a velocity term before a state term, are formed only when it
-fails.  integrate writes its Trajectory into the (n + 1, ...) arrays of
-_records; integrate_final runs the same loop (_euler_steps) and keeps only
-the last state, for callers that read nothing else (the verify arms, the
-discretization check's Euler runs, generate).
+fails.
+
+One Euler loop, _euler_steps, drives every integration in this module.  It
+walks one run or several that share a velocity through the union of their
+grids' times: the runs due at a time share one velocity call on their
+stacked rows, and each steps by euler_step with its own step and index.
+integrate writes its one run's Trajectory into the (n + 1, ...) arrays of
+_records; integrate_final walks the same one run and keeps only the last
+state, for callers that read nothing else (the verify arms, generate); and
+integrate_finals walks several runs at once (the discretization check's
+Euler runs), which is exact because every field row and transport row of
+the package is batch-invariant, so a run's bits do not depend on the rows
+beside it.
 """
 
 import operator
@@ -318,15 +327,49 @@ def _records(n_steps, shape, row_shape=()):
     return states, np.zeros_like(states), norms, np.zeros_like(norms)
 
 
-def _euler_steps(velocity, z, grid):
-    """The one Euler loop of integrate and integrate_final: yields each step's
-    grid index k, the velocity applied at grid.points[k] and the new state."""
-    pts = grid.points
-    for k in range(grid.n_steps):
-        t = float(pts[k])
-        v = np.asarray(velocity(z, t), dtype=float)
-        z = euler_step(z, v, float(pts[k + 1] - pts[k]), t, k)
-        yield k, v, z
+def _stacked_velocity(velocity, states, t):
+    """velocity at t of several runs' states as one call on their stacked
+    rows, split back into one array per state, each of its state's shape."""
+    rows = [z.reshape(-1, z.shape[-1]) for z in states]
+    v = np.asarray(velocity(np.concatenate(rows), t), dtype=float)
+    parts = np.split(v, np.cumsum([len(r) for r in rows[:-1]]))
+    return [part.reshape(z.shape) for part, z in zip(parts, states)]
+
+
+def _euler_steps(velocity, zs, grids, aborts=None):
+    """The one Euler loop: walks run i from state zs[i] over grids[i], the
+    grids all running one way, through the union of their times.  At each
+    time the runs whose next grid point it is share one velocity call (a
+    lone run's on its own state, several on their stacked rows), and each
+    steps through euler_step with its own step and grid index.  Yields
+    (i, k, v, z): run i's step k, the velocity applied at grids[i].points[k]
+    and the new state.  A failed step raises its NumericalAbort or, given
+    the list aborts, is kept at aborts[i], and run i leaves the walk."""
+    if len({grid.direction for grid in grids}) > 1:
+        raise ValueError("runs walked together must share a direction")
+    due_at = {}
+    for i, grid in enumerate(grids):
+        for k, t in enumerate(grid.points[:-1].tolist()):
+            due_at.setdefault(t, []).append((i, k))
+    zs = list(zs)
+    for t in sorted(due_at, reverse=grids[0].direction == "reverse"):
+        due = [(i, k) for i, k in due_at[t] if aborts is None or aborts[i] is None]
+        if not due:
+            continue
+        if len(due) == 1:
+            vs = [np.asarray(velocity(zs[due[0][0]], t), dtype=float)]
+        else:
+            vs = _stacked_velocity(velocity, [zs[i] for i, _ in due], t)
+        for (i, k), v in zip(due, vs):
+            pts = grids[i].points
+            try:
+                zs[i] = euler_step(zs[i], v, float(pts[k + 1] - pts[k]), t, k)
+            except NumericalAbort as abort:
+                if aborts is None:
+                    raise
+                aborts[i] = abort
+                continue
+            yield i, k, v, zs[i]
 
 
 def integrate(velocity, z0, grid):
@@ -343,7 +386,7 @@ def integrate(velocity, z0, grid):
     z = _as_state(z0)
     states, velocities, norms, weights = _records(grid.n_steps, z.shape)
     states[0] = z
-    for k, v, z in _euler_steps(velocity, z, grid):
+    for _, k, v, z in _euler_steps(velocity, [z], [grid]):
         velocities[k] = v
         states[k + 1] = z
     return Trajectory(grid.points.copy(), states, velocities, norms, weights)
@@ -352,11 +395,27 @@ def integrate(velocity, z0, grid):
 def integrate_final(velocity, z0, grid):
     """The state after the last step of integrate(velocity, z0, grid), bit
     for bit, with nothing recorded; a non-finite step raises the same
-    NumericalAbort."""
+    NumericalAbort.  It is the one-run walk of the Euler loop that
+    integrate and integrate_finals share (_euler_steps)."""
     z = _as_state(z0)
-    for _, _, z in _euler_steps(velocity, z, grid):
+    for *_, z in _euler_steps(velocity, [z], [grid]):
         pass
     return z
+
+
+def integrate_finals(velocity, z0s, grids):
+    """[integrate_final(velocity, z0s[i], grids[i]) for each run i] in one
+    walk of the Euler loop (_euler_steps), where runs whose grids share a
+    time share its velocity call as stacked rows.  Bit for bit those
+    separate runs when velocity's rows are batch-invariant, as every field
+    and transport correction in the package is.  A run whose step fails
+    leaves the walk, and its entry is the NumericalAbort integrate_final
+    would raise, in place of a state; the other runs go on."""
+    zs = [_as_state(z0) for z0 in z0s]
+    aborts = [None] * len(zs)
+    for i, _, _, z in _euler_steps(velocity, zs, grids, aborts):
+        zs[i] = z
+    return [z if abort is None else abort for z, abort in zip(zs, aborts)]
 
 
 def rf_invert(velocity, z0, grid):

@@ -257,30 +257,33 @@ def _gaussian_terms(stack, t, ops):
 def _gaussian_velocity_eig(terms, zb, blocks, prod):
     # m stacked components at (b, d) states zb, given their _gaussian_terms
     # at t, in a _GaussianKernel's blocks and product.  The rows go in blocks
-    # of _ROWS, zero-padded, with a last column of ones, centred on each
-    # component: one fixed-shape (_ROWS, d + 1) @ (d + 1, 2d) product
-    # [z - a mu, 1] @ [[Q / sqrt(c), A], [0, -mu]] per block and component
-    # gives y / sqrt(c), with y = Q^T (z - a mu), and the velocity directly.
+    # of _ROWS, with a last column of ones, centred on each component (the
+    # kernel keeps the padding rows zero): one fixed-shape (_ROWS, d + 1) @
+    # (d + 1, 2d) product [z - a mu, 1] @ [[Q / sqrt(c), A], [0, -mu]] per
+    # block and component gives y / sqrt(c), with y = Q^T (z - a mu), and the
+    # velocity directly.
     #   log densities (b, m):  -(|y / sqrt(c)|^2 + sum log c) / 2 + const
-    #   velocities (b, m, d):  A (z - a mu) - mu, a fresh C-ordered copy
-    # The copy is explicit: at m = b = 1 the transposed slice is already
-    # contiguous, and np.ascontiguousarray would hand back a view of prod.
+    #   velocities (m, b, d):  A (z - a mu) - mu, a fresh C-ordered copy,
+    #     so each component's (b, d) rows are contiguous
+    # The copy is explicit: at b = 1 the slice is already contiguous, and
+    # np.ascontiguousarray would hand back a view of prod.
     centres, ops, half_log_c = terms
     b, d = zb.shape
     m = len(ops)
     np.subtract(zb, centres[:, None], out=blocks[:, :b, :d])
-    blocks[:, b:, :d] = 0.0
     np.matmul(blocks.reshape(m, -1, _ROWS, d + 1), ops[:, None],
               out=prod.reshape(m, -1, _ROWS, 2 * d))
     ys = prod[:, :b, :d]
-    log_r = -0.5 * np.einsum("mbj,mbj->bm", ys, ys) - half_log_c
-    return log_r, prod[:, :b, d:].transpose(1, 0, 2).copy()
+    log_r = np.einsum("mbj,mbj->bm", ys, ys)
+    log_r *= -0.5
+    log_r -= half_log_c
+    return log_r, prod[:, :b, d:].copy()
 
 
 class _GaussianKernel:
     """The one Gaussian kernel of a stack of m components in d dimensions,
     as a make_velocity binding holds it.  Called at (b, d) states zb and a
-    clamped t, it returns the (b, m) log densities and the (b, m, d)
+    clamped t, it returns the (b, m) log densities and the (m, b, d)
     velocities of _gaussian_velocity_eig.
 
     It keeps the stack's _gaussian_terms for the last t it was called at,
@@ -290,13 +293,17 @@ class _GaussianKernel:
     t-dependent blocks into it.  It keeps the (m, rows, d + 1) centred
     blocks, whose last column is ones, and their (m, rows, 2d) product for
     the last padded row count, the only shape that can change, so a loop of
-    equal batches allocates neither again.  The kernel fills its buffers in
+    equal batches allocates neither again.  The padding rows of the blocks,
+    those past a call's b live rows, must be zero: the blocks are allocated
+    zeroed, and a call zeroes only the rows from b up to the live row count
+    of the call before it, the rows that call wrote, so a loop of equal
+    batches zeroes none.  The kernel fills its buffers in
     place with the same fixed-shape products, so every bit is as with fresh
     buffers, and copies its results out: nothing it returns aliases them.
     The object therefore holds state between calls and must not be called
     from two threads at once; every sweep runs serially."""
 
-    __slots__ = ("stack", "t", "terms", "ops", "blocks", "prod")
+    __slots__ = ("stack", "t", "terms", "ops", "blocks", "prod", "live")
 
     def __init__(self, stack):
         self.stack = stack
@@ -305,6 +312,7 @@ class _GaussianKernel:
         self.ops = np.zeros((m, d + 1, 2 * d))
         self.ops[:, d, d:] = -means
         self.t = self.terms = self.blocks = self.prod = None
+        self.live = 0
 
     def __call__(self, zb, t):
         if t != self.t:
@@ -316,6 +324,9 @@ class _GaussianKernel:
             self.blocks = np.zeros((m, rows, d + 1))
             self.blocks[:, :, d] = 1.0
             self.prod = np.empty((m, rows, 2 * d))
+        elif b < self.live:
+            self.blocks[:, b:self.live, :d] = 0.0
+        self.live = b
         return _gaussian_velocity_eig(self.terms, zb, self.blocks, self.prod)
 
 
@@ -349,7 +360,7 @@ def gaussian_marginal_velocity(mean, cov, z, t):
     if z.shape[-1] != cov.shape[0]:
         raise ValueError(f"state dim {z.shape[-1]} != gaussian dim {cov.shape[0]}")
     _, v = _GaussianKernel(one)(z.reshape(-1, z.shape[-1]), _clamp_t(t))
-    return v[:, 0].reshape(z.shape)
+    return v[0].reshape(z.shape)
 
 
 def conditional_linear_velocity(z_ref, z, t):
@@ -376,7 +387,10 @@ def _blend(v_uncond, v_cond, w):
         return v_uncond
     if w == 1.0:
         return v_cond
-    return v_uncond + w * (v_cond - v_uncond)
+    out = v_cond - v_uncond
+    out *= w
+    out += v_uncond
+    return out
 
 
 def cfg_blend(v_uncond, v_cond, w):
@@ -535,7 +549,7 @@ class FieldRegistry:
         # ||z - a c_0||^2 / (2 t^2) + d log t then makes them full log
         # densities, as the Gaussians' are (with the log-determinant, as
         # component variances differ).  Returns the
-        # (b, d) null velocity and the (b, m + k, d) entry velocities: the m
+        # (b, d) null velocity and the (m + k, b, d) entry velocities: the m
         # Gaussians', then the k point sets' in registration order.
         m = len(self._gaussians)
         if m:
@@ -555,16 +569,16 @@ class FieldRegistry:
                     axis=1, keepdims=True) / (2.0 * t * t)
                 logs.append(top + offset - frame)
                 sums.append(s)
-                all_v.append(v[:, None])
+                all_v.append(v[None])
             log_r = logs[0] if len(logs) == 1 else np.concatenate(logs, axis=1)
-            vels = all_v[0] if len(all_v) == 1 else np.concatenate(all_v, axis=1)
+            vels = all_v[0] if len(all_v) == 1 else np.concatenate(all_v)
         log_r -= np.maximum.reduce(log_r, axis=1, keepdims=True)
-        r = np.exp(log_r)
+        r = np.exp(log_r, out=log_r)
         if self._points:
             r[:, m:] *= np.concatenate(sums, axis=1)
         r[r < _WEIGHT_FLOOR] = 0.0
         r /= np.add.reduce(r, axis=1, keepdims=True)
-        return np.einsum("bn,bnd->bd", r, vels), vels
+        return np.einsum("bn,nbd->bd", r, vels), vels
 
 
 def make_velocity(registry, condition, scales):
@@ -609,7 +623,7 @@ def make_velocity(registry, condition, scales):
             return _point_pass(pooled, zb, t)[2].reshape(z.shape)
         v, vels = registry._mixture(zb, t, kernel)
         if column is not None:
-            v = _blend(v, vels[:, column], w)
+            v = _blend(v, vels[column], w)
         return v.reshape(z.shape)
 
     return velocity

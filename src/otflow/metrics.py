@@ -9,20 +9,24 @@ asserting absolute error values:
                   bounded by c * beta0^2 * integral(S^2) + eps_schedule
 
 Each trajectory the checks need is integrated once, and an Euler run keeps
-only its final state (core.integrate_final): the checks read nothing else.
+only its final state (core.integrate_final, core.integrate_finals): the
+checks read nothing else.
 The discretization check's RK4 reference is split at the kinks of the
 guided field (transport.kinks), so it stays fourth order down to t = 0.
 One pass from t = 1 through probe_t and each probe step's end to t = 0
 gives the probe state, each local reference and the end state, and a
 second at half its steps, riding in the first's field calls as a second
-row, states the end state's error.  Its field calls are all on one or two
-states: 4 * 202 for the paired passes of an unguided field, sum(counts)
-for the Euler runs and 1 for the probe velocity, which is 959 calls at the
-default counts 10, 20, 40, 80.  A reference that goes non-finite raises
-NumericalAbort at its own step (reference_integrate, _paired_rk4).
-Convergence and edit control share one VerifySetup, which integrates each
-distinct arm (one transport strength and schedule over the noise bank) once
-and hands its final states to both.
+row, states the end state's error.  The Euler runs at every count are
+walked together (core.integrate_finals), one field call at each distinct
+time of their grids on the stacked states of the runs due then.  So the
+check makes 4 * 202 calls for the paired passes of an unguided field, 1 for
+the probe velocity and 80 for the Euler runs, whose grids nest, at the
+default counts 10, 20, 40, 80: 889 calls, each on one to four states.  A
+reference that goes non-finite raises NumericalAbort at its own step
+(reference_integrate, _paired_rk4).  Convergence and edit control share one
+VerifySetup, which binds the condition's field and draws the noise bank
+once, integrates each distinct arm (one transport strength and schedule
+over the noise bank) once and hands its final states to both.
 
 Wasserstein-2 comes in two dual forms kept deliberately separate: the closed
 Gaussian (Bures) expression and an exact-assignment empirical distance, so
@@ -36,8 +40,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import (NumericalAbort, _overflow_safe, euler_step, integrate_final, make_rng,
-                   make_time_grid)
+from .core import (NumericalAbort, _overflow_safe, euler_step, integrate_final, integrate_finals,
+                   make_rng, make_time_grid)
 from .fields import _T_FLOOR, _clamp_t, make_velocity
 from .transport import check_phi, kinks, make_enhanced
 
@@ -344,8 +348,11 @@ class VerifySetup:
     config.  The setup integrates each distinct arm once and keeps its final
     states, so verifiers run on the same setup share their arms.
     Every zero-strength arm is the same run, the unguided one, whatever its
-    schedule.  The memo belongs to this instance: a copy made with
-    dataclasses.replace starts empty.
+    schedule.  The arms also share one binding of the condition's field
+    (make_velocity), so one Gaussian kernel and its n_runs-row buffers, and
+    one draw of the noise bank, both made at the first arm and kept.  The
+    memo, the binding and the bank belong to this instance: a copy made with
+    dataclasses.replace starts without them.
     """
 
     registry: object
@@ -357,13 +364,25 @@ class VerifySetup:
     n_runs: int = 64
     seed: int = 0
     _arms: dict = field(default=None, repr=False, compare=False)
+    _bound: tuple = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         check_run_count(self.n_runs)
         object.__setattr__(self, "_arms", {})
+        object.__setattr__(self, "_bound", None)
 
     def noise_bank(self, dim):
         return make_rng(self.seed).standard_normal((self.n_runs, dim))
+
+    def _binding(self):
+        # (the condition's field, the read-only noise bank), made on the
+        # first call and kept for the setup's later arms.
+        if self._bound is None:
+            noise = self.noise_bank(self.z_target.shape[0])
+            noise.flags.writeable = False
+            velocity = make_velocity(self.registry, self.condition, self.scales)
+            object.__setattr__(self, "_bound", (velocity, noise))
+        return self._bound
 
 
 def _fit_loglog_slope(x, y):
@@ -485,6 +504,15 @@ def verify_discretization_bound(field, transport_cfg, z_init, z_target, step_cou
     reference_error, the Richardson estimate ||z_n - z_(n/2)|| / 15 of the
     end state's error.  The second rides in the first's field calls
     (_paired_reference), so the pair costs the first's 4 calls per step.
+
+    The Euler runs, one per step count, are walked together
+    (core.integrate_finals): one field call at each distinct time of their
+    grids, bit for bit the separate runs.  On the verify workload's default
+    counts 10, 20, 40, 80 the check thus makes 808 + 1 + 80 field calls:
+    the reference, the probe velocity and the walk.  The counts are then
+    checked in order, and the first abort found is raised: a count's run
+    abort, then that count's probe step abort, as separate runs in that
+    order would raise.
     """
     step_counts = sorted(int(n) for n in step_counts)
     check_step_counts(step_counts)
@@ -499,12 +527,14 @@ def verify_discretization_bound(field, transport_cfg, z_init, z_target, step_cou
 
     # The probe velocity is the same for every step count.
     probe_v = enhanced(probe_state, probe_t)
+    finals = integrate_finals(enhanced, [states[0]] * len(step_counts),
+                              [make_time_grid(n, 1.0, 0.0) for n in step_counts])
     measured = []
     local_errs, global_errs, dts = [], [], []
-    for n, end in zip(step_counts, ends):
+    for n, end, final in zip(step_counts, ends, finals):
+        if isinstance(final, NumericalAbort):
+            raise final
         dt = 1.0 / n
-        grid = make_time_grid(n, 1.0, 0.0)
-        final = integrate_final(enhanced, states[0], grid)
         g_err = l2_distance(final, ref_final)
         # One Euler step from the reference state vs the reference at its end.
         euler_sub = euler_step(probe_state, probe_v, -dt, probe_t, 0)
@@ -548,14 +578,16 @@ def guided_final_states(registry, condition, scales, grid, transport, z_target, 
 def _run_outputs(setup, beta0, transport=None):
     """Final states of setup's noise bank under transport (default: the
     setup's template) at strength beta0, integrated on the first request
-    and read-only, since every later caller gets the same array."""
+    and read-only, since every later caller gets the same array.  Each arm
+    wraps the setup's one binding with its own transport correction, as
+    guided_final_states does with a fresh one."""
     cfg = replace(setup.transport if transport is None else transport, beta0=float(beta0))
     # A zero weight leaves the base velocity untouched, so phi and the rest
     # of the schedule cannot change a zero-strength arm.
     key = None if cfg.beta0 == 0.0 else cfg
     if key not in setup._arms:
-        final = guided_final_states(setup.registry, setup.condition, setup.scales, setup.grid,
-                                    cfg, setup.z_target, setup.noise_bank(setup.z_target.shape[0]))
+        velocity, noise = setup._binding()
+        final = integrate_final(make_enhanced(velocity, setup.z_target, cfg), noise, setup.grid)
         final.flags.writeable = False
         setup._arms[key] = final
     return setup._arms[key]

@@ -12,16 +12,22 @@ import numpy as np
 import pytest
 
 from otflow import (
+    Condition,
+    FieldRegistry,
+    GuidanceScales,
     LatentCodec,
     NumericalAbort,
+    TransportConfig,
     denoise,
     euler_step,
     forward_noising,
     integrate,
     make_time_grid,
+    make_velocity,
     rf_invert,
 )
-from otflow.core import _euler_update, _step_rows, integrate_final
+from otflow.core import _euler_update, _step_rows, integrate_final, integrate_finals
+from otflow.transport import make_enhanced
 
 
 def test_grid_points_and_dt():
@@ -411,3 +417,113 @@ def test_trajectory_rejects_misshaped_column(column):
     traj = integrate(lambda z, t: -z, np.zeros(2), make_time_grid(3, 1.0, 0.0))
     with pytest.raises(ValueError, match=rf"^{column} must have shape \(4,\) or \(4,\)$"):
         replace(traj, **{column: np.zeros(3)})
+
+
+def _workload_registries():
+    # The verify workload's two 8-D Gaussians (means unjittered), and a
+    # 64-point set in 8-D beside a Gaussian.
+    d = 8
+    cov = np.full((d, d), 0.05) + 0.25 * np.eye(d)
+    mean_a, mean_b = np.zeros(d), np.zeros(d)
+    mean_a[0], mean_b[:2] = -1.5, (1.5, 0.5)
+    gaussians = FieldRegistry().add_gaussian("a", mean_a, cov).add_gaussian("b", mean_b, cov)
+    rng = np.random.default_rng(44)
+    points = FieldRegistry().add_gaussian("a", mean_a, cov).add_points(
+        "b", mean_b + 0.5 * rng.standard_normal((64, d)))
+    return {"gaussians": gaussians, "points": points}
+
+
+def _walk_times(grids):
+    return {t for grid in grids for t in grid.points[:-1].tolist()}
+
+
+@pytest.mark.parametrize("registry", ["gaussians", "points"])
+@pytest.mark.parametrize("clip_tau", [0.05, 10.0])
+@pytest.mark.parametrize("beta0", [0.0, 0.3])
+@pytest.mark.parametrize("counts", [(10, 20, 40, 80), (3, 7, 10)], ids=["nested", "not-nested"])
+def test_integrate_finals_equals_each_runs_integrate_final(counts, beta0, clip_tau, registry):
+    # Runs walked together share a velocity call at each time their grids
+    # share, on their stacked rows, so the call count is the number of
+    # distinct times; every field and transport row is batch-invariant, so
+    # each run's final state is its own integrate_final bit for bit.  At
+    # clip_tau 0.05 the clip is active at every guided step.
+    reg = _workload_registries()[registry]
+    field = make_velocity(reg, Condition.dataset("b"), GuidanceScales(w=2.0))
+    rng = np.random.default_rng(45)
+    z_init, z_target = rng.standard_normal(8), rng.standard_normal(8)
+    enhanced = make_enhanced(field, z_target, TransportConfig(beta0=beta0, clip_tau=clip_tau))
+    grids = [make_time_grid(n, 1.0, 0.0) for n in counts]
+    rows = []
+
+    def counted(z, t):
+        rows.append(np.shape(z))
+        return enhanced(z, t)
+
+    finals = integrate_finals(counted, [z_init] * len(grids), grids)
+    assert len(rows) == len(_walk_times(grids))
+    assert rows[0] == (len(counts), 8)
+    if counts == (10, 20, 40, 80):
+        assert len(rows) == 80 and sum(r[0] if len(r) == 2 else 1 for r in rows) == 150
+    for final, grid in zip(finals, grids):
+        assert np.array_equal(final, integrate_final(enhanced, z_init, grid))
+
+
+def test_integrate_finals_stacks_batches_of_any_size():
+    # Runs of (3, 4), (1, 4) and (4,) states over forward grids: each gets
+    # its own rows of every shared call back, in its own shape.
+    grids = [make_time_grid(n, 0.1, 0.9) for n in (4, 8, 2)]
+    rng = np.random.default_rng(46)
+    z0s = [rng.standard_normal(s) for s in ((3, 4), (1, 4), (4,))]
+    finals = integrate_finals(_curved_field, z0s, grids)
+    for final, z0, grid in zip(finals, z0s, grids):
+        assert final.shape == z0.shape
+        assert np.array_equal(final, integrate_final(_curved_field, z0, grid))
+
+
+def test_integrate_finals_rejects_grids_of_two_directions():
+    with pytest.raises(ValueError, match="share a direction"):
+        integrate_finals(_curved_field, [np.ones(2)] * 2,
+                         [make_time_grid(4, 1.0, 0.0), make_time_grid(4, 0.0, 1.0)])
+
+
+def _poisoned_at(poison):
+    # A row-wise field on (x, id) states: id, the run's tag, never moves,
+    # and at time t the velocity of run id is NaN (poison[id] = (t,
+    # "velocity")) or -1.7e308 (t, "state"), which steps a 20-step run's
+    # state of 1.75e308 past the largest double.
+    def field(z, t):
+        v = np.stack([np.sin(z[..., 0]) * (0.5 + t) + np.cos(t), np.zeros(z.shape[:-1])], axis=-1)
+        rows = v.reshape(-1, 2)
+        for i, tag in enumerate(np.reshape(z, (-1, 2))[:, 1]):
+            at, term = poison.get(int(tag), (None, None))
+            if t == at:
+                rows[i, 0] = np.nan if term == "velocity" else -1.7e308
+        return v
+    return field
+
+
+@pytest.mark.parametrize("poison", [
+    {3: (0.5, "velocity")},  # at a time run 0 shares
+    {3: (0.5, "velocity"), 0: (make_time_grid(10, 1.0, 0.0).points[8], "velocity")},
+    {1: (0.75, "state"), 2: (0.5, "velocity")},
+], ids=["one", "earlier-run-later", "state-term"])
+def test_integrate_finals_keeps_each_runs_abort(poison):
+    # A failed run leaves the walk with the abort its integrate_final
+    # raises (message, t, step, term); the other runs go on, bit for bit.
+    grids = [make_time_grid(n, 1.0, 0.0) for n in (10, 20, 40, 80)]
+    z0s = [np.array([1.75e308 if poison.get(i, (0, ""))[1] == "state" else 0.3, i])
+           for i in range(4)]
+    field = _poisoned_at(poison)
+    with np.errstate(over="ignore"):
+        finals = integrate_finals(field, z0s, grids)
+        for i, (final, z0, grid) in enumerate(zip(finals, z0s, grids)):
+            if i not in poison:
+                assert np.array_equal(final, integrate_final(field, z0, grid))
+                continue
+            with pytest.raises(NumericalAbort) as err:
+                integrate_final(field, z0, grid)
+            want = err.value
+            assert isinstance(final, NumericalAbort)
+            assert ((str(final), final.t, final.step, final.term)
+                    == (str(want), want.t, want.step, want.term))
+            assert (final.t, final.term) == poison[i]

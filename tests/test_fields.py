@@ -225,7 +225,7 @@ def _assert_relative(got, want, tol=1e-12):
 
 def _mixture(reg, z, t):
     # The registry's null mixture at state(s) z and time t, as make_velocity
-    # calls it: the null velocity, shaped like z, and the (b, m + k, d) entry
+    # calls it: the null velocity, shaped like z, and the (m + k, b, d) entry
     # velocities, Gaussians then point sets.
     t = fields._clamp_t(t)
     z = np.asarray(z, dtype=float)
@@ -243,7 +243,7 @@ def test_mixture_flushes_a_weight_below_the_floor():
     # of 1e300: unflushed, it would add about 1e-2 to the null velocity.
     reg = (FieldRegistry().add_gaussian("a", np.zeros(2), np.eye(2))
            .add_gaussian("b", np.ones(2), np.eye(2)))
-    vels = np.array([[[1.0, -2.0], [1e300, 0.0]]])
+    vels = np.array([[[1.0, -2.0]], [[1e300, 0.0]]])
     v, got = reg._mixture(np.zeros((1, 2)), 0.5,
                           lambda zb, t: (np.array([[0.0, -695.0]]), vels))
     assert 0.0 < np.exp(-695.0) < fields._WEIGHT_FLOOR
@@ -789,7 +789,7 @@ def test_gaussian_entry_equals_its_null_column_at_workload_shapes(setting):
             vels = _mixture(reg, zs[:b], t)[1]
             for name in reg.names():
                 want = _entry_field(reg, name, zs[:b], t)
-                assert np.array_equal(vels[:, reg._column(name)], want)
+                assert np.array_equal(vels[reg._column(name)], want)
                 got = make_velocity(reg, Condition.dataset(name), GuidanceScales())(zs[:b], t)
                 assert np.array_equal(got, want)
 
@@ -1294,3 +1294,21 @@ def test_registry_gaussian_of_unknown_name():
             reg.gaussian(name)
         with pytest.raises(UnknownDatasetError):
             reg.sample_gaussian(name, _rng(0))
+
+
+def test_gaussian_kernel_zeroes_the_padding_rows_an_earlier_call_wrote():
+    # The padding rows of the kernel's blocks stay zero: a call of fewer
+    # rows in the same padded shape zeroes the live rows of the call before
+    # it, so inf rows there reach no later product (inf * 0 in its matmul
+    # would warn, an error here), and every result equals a fresh kernel's.
+    d = 8
+    reg = _two_gaussian_registry(d, False)
+    kernel = fields._GaussianKernel(reg._stacked)
+    zs = 0.8 * _rng(86, d).standard_normal((16, d))
+    zs[9:12] = np.inf
+    for b in (12, 3, 10, 16, 1):
+        with np.errstate(all="ignore" if b > 9 else "raise"):
+            got = kernel(zs[:b], 0.4)
+            want = fields._GaussianKernel(reg._stacked)(zs[:b], 0.4)
+        assert all(np.array_equal(g, w, equal_nan=True) for g, w in zip(got, want))
+        assert not kernel.blocks[:, b:, :d].any() and (kernel.blocks[:, :, d] == 1.0).all()

@@ -484,9 +484,10 @@ _SCHEDULE = {0.6: ([2, 58, 20, 10, 10, 20, 80, 2], [1, 29, 10, 5, 5, 10, 40, 1])
 def test_verify_discretization_bound_integrates_the_reference_once(probe_t):
     # One pass through probe_t and each probe step's end serves every
     # reference: 4 calls per step of its segments, which also carry the
-    # half-count pass that gives reference_error as a second row, plus the
-    # Euler runs and one probe velocity shared by every step count.  The
-    # result matches separate passes.
+    # half-count pass that gives reference_error as a second row, plus one
+    # probe velocity shared by every step count and one call per distinct
+    # time of the Euler runs, walked together (their grids nest, so the
+    # finest grid's times).  The result matches separate passes.
     setup, z_init, z_target, reg, transport = _shared_setup(beta0_template=0.2)
     mu = np.array([1.0, -0.5])
     cov = np.array([[0.8, 0.2], [0.2, 0.5]])
@@ -502,7 +503,9 @@ def test_verify_discretization_bound_integrates_the_reference_once(probe_t):
     full, half = _SCHEDULE[probe_t]
     times = [1.0, *kinks(transport, 1.0, 0.0, probe_t, *[probe_t - 1.0 / n for n in counts]), 0.0]
     assert _segment_steps(times, _REF_STEPS // 2) == half and full == [2 * n for n in half]
-    assert len(calls) == 4 * sum(full) + sum(counts) + 1
+    walk = {t for n in counts for t in make_time_grid(n, 1.0, 0.0).points[:-1].tolist()}
+    assert len(walk) == counts[-1]
+    assert len(calls) == 4 * sum(full) + 1 + len(walk)
     expected = _two_pass_discretization(field, transport, z_init, z_target, counts, probe_t)
     assert [m[:2] for m in report.measured] == [m[:2] for m in expected]
     for (_, _, got), (_, _, want) in zip(report.measured, expected):
@@ -767,8 +770,9 @@ def test_verify_discretization_probe_abort_names_its_step():
     # The probe is one Euler step through core's kernel: a non-finite probe
     # velocity aborts at probe_t, step 0 of the probe's one-step grid.  The
     # one probe call follows the 4 * 202 calls of the reference's paired
-    # passes (_SCHEDULE); the step that uses it follows the 5-step Euler
-    # run.
+    # passes (_SCHEDULE); the step that uses it follows the walk of the
+    # Euler runs, one call at each of the 20-step grid's times, in which the
+    # 5-step and 10-step grids nest.
     _, z_init, z_target, _, transport = _shared_setup(beta0_template=0.2)
     mu = np.array([1.0, -0.5])
     cov = np.array([[0.8, 0.2], [0.2, 0.5]])
@@ -783,7 +787,7 @@ def test_verify_discretization_probe_abort_names_its_step():
 
     with pytest.raises(otflow.NumericalAbort) as err:
         verify_discretization_bound(field, transport, z_init, z_target, counts, probe_t=0.6)
-    assert calls[probe_call] == 0.6 and len(calls) == probe_call + 1 + counts[0]
+    assert calls[probe_call] == 0.6 and len(calls) == probe_call + 1 + counts[-1]
     assert (err.value.t, err.value.step, err.value.term) == (0.6, 0, "velocity")
 
 
@@ -793,10 +797,70 @@ def test_verify_discretization_probe_abort_names_its_step():
 # 0.5], [0.5, 1e-4] and [1e-4, 0] in 2, 58, 20, 2, 2, 6, 10, 100 and 2 RK4
 # steps (calls 1-8, 9-240, 241-320, 321-328, 329-336, 337-360, 361-400,
 # 401-800, 801-808), the half pass in half as many riding in them (8 calls
-# per step), the probe (809), then per count its Euler run (810-819 for
-# 10, up to 959).  In each 8 calls of a half step the 1st, 4th, 5th and
+# per step), the probe (809), then the Euler runs, walked together, one
+# call at each of the 80-step grid's times, in which the coarser grids
+# nest (810-889).  In each 8 calls of a half step the 1st, 4th, 5th and
 # 8th carry the half pass's state as a second row.
 _COUNTS = [10, 20, 40, 80]
+
+
+# The Euler runs' first call comes after the 808 reference calls and the
+# probe call at counts 10-80 (see above).
+_WALK_START = 4 * 202 + 1
+_GRID = {n: make_time_grid(n, 1.0, 0.0).points for n in _COUNTS}
+
+
+@pytest.mark.parametrize("poison, probe", [
+    ({80: 0.5}, False),
+    ({80: 0.5, 10: _GRID[10][8]}, False),  # run 80 at a time run 10 shares, run 10 later
+    ({20: 0.5}, True),
+    ({10: 0.5}, True),
+    ({40: _GRID[40][1], 20: _GRID[20][19]}, False),
+], ids=["one-run", "earlier-run-later", "probe-first", "run-first", "last-steps"])
+def test_discretization_raises_the_abort_of_the_separate_runs(poison, probe):
+    # The Euler runs are walked together, but the check raises what running
+    # them one by one, in count order, would: per count, its run's abort,
+    # then its probe step's.  poison maps a step count to the time at which
+    # its run's field row is NaN; probe makes the probe velocity NaN.
+    _, z_init, z_target, _, transport = _shared_setup(beta0_template=0.2)
+    mu = np.array([1.0, -0.5])
+    cov = np.array([[0.8, 0.2], [0.2, 0.5]])
+    grids = {n: _GRID[n][:-1].tolist() for n in _COUNTS}
+    calls = []
+
+    def walked(z, t):
+        # The due runs' rows stack in count order; a run leaves the walk
+        # after its poisoned step.
+        calls.append(t)
+        v = gaussian_marginal_velocity(mu, cov, z, t)
+        if len(calls) == _WALK_START:
+            return np.full_like(v, np.nan) if probe else v
+        if len(calls) > _WALK_START:
+            due = [n for n in _COUNTS if t in grids[n] and not poison.get(n, -1.0) > t]
+            for row, n in enumerate(due):
+                if poison.get(n) == t:
+                    v.reshape(-1, 2)[row] = np.nan
+        return v
+
+    with pytest.raises(otflow.NumericalAbort) as err:
+        verify_discretization_bound(walked, transport, z_init, z_target, _COUNTS, probe_t=0.6)
+    assert all(t in grids[n] for n, t in poison.items())
+
+    def separate():
+        # The first abort of the separate runs, in count order.
+        for n in _COUNTS:
+            def one(z, t):
+                v = gaussian_marginal_velocity(mu, cov, z, t)
+                return np.full_like(v, np.nan) if poison.get(n) == t else v
+            otflow.core.integrate_final(make_enhanced(one, z_target, transport), z_init,
+                                        make_time_grid(n, 1.0, 0.0))
+            if probe:
+                otflow.euler_step(z_init, np.full(2, np.nan), -1.0 / n, 0.6, 0)
+
+    with pytest.raises(otflow.NumericalAbort) as want:
+        separate()
+    got, want = err.value, want.value
+    assert (str(got), got.t, got.step, got.term) == (str(want), want.t, want.step, want.term)
 
 
 @pytest.mark.parametrize("poisoned, row, first, step, width", [

@@ -18,7 +18,7 @@ from otflow import (ConfigError, NumericalAbort, derive_config, load_config_text
                     w2_dirac_to_points, w2_empirical_exact)
 from otflow.cli import (EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_PARTIAL,
                         EXIT_VERIFY, main)
-from otflow.config import _ELEMENT_CAP, _GENERATE_NEEDS_TARGET
+from otflow.config import _ELEMENT_CAP, _GENERATE_NEEDS_TARGET, load_config
 from otflow.core import make_rng
 from otflow.runner import (atomic_write_text, derive_seed, gen_data, points_csv,
                            run_experiment, run_sweep, run_verify, trajectory_csv)
@@ -330,6 +330,56 @@ def test_run_verify_integrates_each_arm_once(monkeypatch):
         replace(setups[0]), vsec["beta0_list"]).measured
     assert edit.measured == metrics.verify_edit_control_bound(
         replace(setups[0]), vsec["edit_beta0_list"], vsec["phi"]).measured
+
+
+def _benchmark_workloads():
+    # benchmarks/workloads.py, which writes each benchmark workload's inputs.
+    import importlib.util
+
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "benchmarks", "workloads.py")
+    spec = importlib.util.spec_from_file_location("otflow_bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_verify_workload_work_counts(tmp_path, monkeypatch):
+    # The verify_bounds benchmark workload at seed 1, shrunk to 16 noise
+    # runs, pins the work verify does, so a change in it shows without a
+    # timer.  Field calls: 808 for the paired RK4 reference, 1 probe, 80
+    # for the four Euler runs walked together (their grids nest) and 28 for
+    # each of the five arms.  Each call at a new time builds the Gaussian
+    # terms, 628 in all, and the rows evaluated (3603) are those the runs
+    # would evaluate one by one.
+    from otflow import fields, metrics
+
+    workload = _benchmark_workloads().build("verify_bounds", 1, str(tmp_path), 1)
+    cfg = load_config(workload.config_path, overrides=[
+        "verify.n_runs=16", f"experiment.seed={workload.base_seed}"])
+    calls, rows, terms = [], [], []
+    bind, build = fields.make_velocity, fields._gaussian_terms
+
+    def counting_bind(*args):
+        field = bind(*args)
+
+        def counted(z, t):
+            calls.append(t)
+            rows.append(z.shape[0] if np.ndim(z) == 2 else 1)
+            return field(z, t)
+        return counted
+
+    def counting_build(stack, t, ops):
+        terms.append(t)
+        return build(stack, t, ops)
+
+    monkeypatch.setattr(runner, "make_velocity", counting_bind)
+    monkeypatch.setattr(metrics, "make_velocity", counting_bind)
+    monkeypatch.setattr(fields, "_gaussian_terms", counting_build)
+    reports = run_verify(cfg)
+    assert [r.passed for r in reports] == [True] * 3
+    assert len(calls) == 808 + 1 + 80 + 5 * 28 == 1029
+    assert len(terms) == 628 and sum(rows) == 3603
 
 
 def test_run_experiment_verify_artifacts(tmp_path):
@@ -1343,3 +1393,74 @@ def test_cli_plot_edge_inputs(tmp_path, capsys, text, flags, code, svg):
         assert not out.exists()
     else:
         assert out.read_text(encoding="utf-8") == svg
+
+
+# ROADMAP item 13's edge table: a 2-D registry of a 4-point set and a
+# Gaussian, with every algorithm's keys set at tiny sizes.
+_EDGE_CFG = """\
+[experiment]
+name = edge
+algorithm = invert_edit
+[grid]
+n_steps = 6
+[dataset.a]
+points = -2, 0; -1.5, 0.5; -1, -0.5; -1.5, -0.5
+[dataset.b]
+mean = 1.5, 0.5
+cov = 0.25, 0; 0, 0.25
+[inputs]
+x0 = -1.5, 0.2
+x_target = 1.0, 0.5
+count = 8
+[editor]
+condition = b
+source_condition = a
+target_condition = b
+[transport]
+beta0 = 0.2
+[verify]
+condition = b
+n_runs = 16
+"""
+_EDGE_VALUES = ("0", "-1", "1e308", "-1e308", "nan", "inf", "5e-324", "1e300", "1e-300")
+
+
+def _edge_cases():
+    # (key, value text) for each numeric _KEYS entry and dataset.b.mean, at
+    # each edge value, and 1e18 for the int keys: a vector gets the value in
+    # both entries, a list key its default with the last entry replaced.
+    from otflow.config import _KEYS
+
+    keys = [(path, kind, default) for path, (kind, default) in _KEYS.items()
+            if kind in ("int", "float", "vector", "floats", "ints")]
+    for path, kind, default in keys + [("dataset.b.mean", "vector", None)]:
+        for value in _EDGE_VALUES + (("1e18",) if kind in ("int", "ints") else ()):
+            if kind in ("floats", "ints"):
+                yield path, ", ".join(default.split(", ")[:-1] + [value])
+            else:
+                yield path, f"{value}, {value}" if kind == "vector" else value
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("algorithm", ["invert_edit", "flowedit", "generate", "verify"])
+def test_every_edge_value_exits_with_a_documented_code(algorithm, tmp_path, capsys):
+    # Every case returns one of the CLI's exit codes and none raises.
+    # Warnings are ignored here: as errors, some cases still stop at a
+    # warning first (ROADMAP item 13).
+    path = tmp_path / "edge.cfg"
+    path.write_text(_EDGE_CFG)
+    cases = list(_edge_cases())
+    assert len(cases) == 297
+    codes = (EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_PARTIAL, EXIT_VERIFY)
+    wrong = []
+    for key, value in cases:
+        argv = ["run", str(path), "--out-dir", str(tmp_path / "out"),
+                "--set", f"experiment.algorithm={algorithm}", "--set", f"{key}={value}"]
+        try:
+            code = main(argv)
+        except Exception as exc:  # noqa: BLE001 - a raise is what the table reports
+            code = repr(exc)
+        if code not in codes:
+            wrong.append((key, value, code))
+    capsys.readouterr()
+    assert wrong == []
