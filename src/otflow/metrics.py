@@ -11,22 +11,26 @@ asserting absolute error values:
 Each trajectory the checks need is integrated once, and an Euler run keeps
 only its final state (core.integrate_final, core.integrate_finals): the
 checks read nothing else.
-The discretization check's RK4 reference is split at the kinks of the
-guided field (transport.kinks), so it stays fourth order down to t = 0.
-One pass from t = 1 through probe_t and each probe step's end to t = 0
-gives the probe state, each local reference and the end state, and a
-second at half its steps, riding in the first's field calls as a second
-row, states the end state's error.  The Euler runs at every count are
-walked together (core.integrate_finals), one field call at each distinct
-time of their grids on the stacked states of the runs due then.  So the
-check makes 4 * 202 calls for the paired passes of an unguided field, 1 for
-the probe velocity and 80 for the Euler runs, whose grids nest, at the
-default counts 10, 20, 40, 80: 889 calls, each on one to four states.  A
-reference that goes non-finite raises NumericalAbort at its own step
-(reference_integrate, _paired_rk4).  Convergence and edit control share one
-VerifySetup, which binds the condition's field and draws the noise bank
-once, integrates each distinct arm (one transport strength and schedule
-over the noise bank) once and hands its final states to both.
+The discretization check's Euler runs at every count are walked together
+(core.integrate_finals), one field call at each distinct time of their
+grids on the stacked states of the runs due then.  Its RK4 reference is
+split at the kinks of the guided field (transport.kinks).  Those cannot
+include the clip's switch, where ||d|| crosses clip_tau, since it depends
+on the state, so a span across it loses fourth order.  One pass from t = 1
+through probe_t and each probe step's end to t = 0 gives the probe state,
+each local reference and the end state, and a second at half its steps,
+riding in the first's field calls as a second row, states their errors.
+The reference is walked at _REF_BASE steps first and kept when its stated
+error is at most _REF_RHO of every error it measures; otherwise it is walked
+again at _REF_STEPS.  So at the default counts 10, 20, 40, 80 the check
+makes 80 calls for the Euler runs, whose grids nest, 4 * 54 for the paired
+passes of an unguided field and 1 for the probe velocity: 297 calls, each
+on one to four states, and 4 * 202 + 1 more when the first walk is not
+kept.  A reference that goes non-finite raises NumericalAbort at its own
+step (reference_integrate, _paired_rk4).  Convergence and edit control
+share one VerifySetup, which binds the condition's field and draws the
+noise bank once, integrates each distinct arm (one transport strength and
+schedule over the noise bank) once and hands its final states to both.
 
 Wasserstein-2 comes in two dual forms kept deliberately separate: the closed
 Gaussian (Bures) expression and an exact-assignment empirical distance, so
@@ -45,8 +49,12 @@ from .core import (NumericalAbort, _overflow_safe, euler_step, integrate_final, 
 from .fields import _T_FLOOR, _clamp_t, make_velocity
 from .transport import check_phi, kinks, make_enhanced
 
-# RK4 steps of the discretization check's reference over [1, 0].
+# RK4 steps of the discretization check's reference over [1, 0]: a first
+# walk of _REF_BASE, kept when its stated error is at most _REF_RHO of the
+# smallest error it measures, else a walk of _REF_STEPS.
+_REF_BASE = 50
 _REF_STEPS = 200
+_REF_RHO = 1e-3
 _EMPIRICAL_CAP = 2048
 
 
@@ -474,14 +482,43 @@ def _segments(velocity, times):
 def _paired_reference(velocity, z0, times, steps):
     """The states at every entry of times, z0 at times[0], of uniform RK4
     (reference_integrate) on each segment between consecutive entries
-    (_segments) in twice the given numbers of steps, and the end state of
-    such a walk in the given numbers, from one walk of paired passes
-    (_paired_rk4): the second rides in the first's field calls."""
-    states, half = [np.asarray(z0, dtype=float)], np.asarray(z0, dtype=float)
+    (_segments) in twice the given numbers of steps, and those of such a
+    walk in the given numbers, from one walk of paired passes (_paired_rk4):
+    the second rides in the first's field calls."""
+    states, halves = [np.asarray(z0, dtype=float)], [np.asarray(z0, dtype=float)]
     for (a, b, seg), n in zip(_segments(velocity, times), steps):
-        z, half = _paired_rk4(seg, states[-1], half, a, b, n)
+        z, y = _paired_rk4(seg, states[-1], halves[-1], a, b, n)
         states.append(z)
-    return states, half
+        halves.append(y)
+    return states, halves
+
+
+def _discretization_errors(enhanced, z_init, times, probe_t, step_counts, finals, ref_steps):
+    """(local errors, global errors, estimates) of the discretization check,
+    its reference walked from z_init at t = 1 in about ref_steps RK4 steps
+    (_paired_reference) and each count's Euler run ended at finals.  The
+    estimates are the Richardson ones, ||z_n - z_(n/2)|| / 15, of the
+    reference's states at probe_t, each probe step's end and t = 0, in that
+    order.  A reference abort is raised first; then, count by count, the
+    run's abort (its entry of finals) and that of its probe step."""
+    states, halves = _paired_reference(enhanced, z_init, times,
+                                       _segment_steps(times, ref_steps // 2))
+    probe_state = states[times.index(probe_t)]
+    # The probe velocity is the same for every step count.
+    probe_v = enhanced(probe_state, probe_t)
+    local_errs, global_errs, read = [], [], [probe_t]
+    for n, final in zip(step_counts, finals):
+        if isinstance(final, NumericalAbort):
+            raise final
+        dt = 1.0 / n
+        global_errs.append(l2_distance(final, states[-1]))
+        # One Euler step from the reference state vs the reference at its end.
+        euler_sub = euler_step(probe_state, probe_v, -dt, probe_t, 0)
+        local_errs.append(l2_distance(euler_sub, states[times.index(probe_t - dt)]))
+        read.append(probe_t - dt)
+    estimates = [l2_distance(states[i], halves[i]) / 15.0
+                 for i in [times.index(t) for t in read] + [len(times) - 1]]
+    return local_errs, global_errs, estimates
 
 
 def verify_discretization_bound(field, transport_cfg, z_init, z_target, step_counts,
@@ -494,25 +531,37 @@ def verify_discretization_bound(field, transport_cfg, z_init, z_target, step_cou
     probe_t, away from the schedule and clipping kinks, and must stay inside
     [0, 1] (check_probe_step).  Both run from t = 1 to t = 0.
 
-    The reference is one pass of uniform RK4 from t = 1 to t = 0 in about
-    _REF_STEPS steps, split at the kinks of the guided field
-    (transport.kinks), so it keeps fourth order down to t = 0, and at
-    probe_t and at every probe step's end, probe_t - dt.  Its state at
-    probe_t is the probe state, so its state at each end is an RK4
-    reference from the probe state over that probe step.  A
-    second pass at half the counts per segment gives fitted_constants'
-    reference_error, the Richardson estimate ||z_n - z_(n/2)|| / 15 of the
-    end state's error.  The second rides in the first's field calls
-    (_paired_reference), so the pair costs the first's 4 calls per step.
-
-    The Euler runs, one per step count, are walked together
+    The Euler runs, one per step count, are walked first and together
     (core.integrate_finals): one field call at each distinct time of their
-    grids, bit for bit the separate runs.  On the verify workload's default
-    counts 10, 20, 40, 80 the check thus makes 808 + 1 + 80 field calls:
-    the reference, the probe velocity and the walk.  The counts are then
-    checked in order, and the first abort found is raised: a count's run
-    abort, then that count's probe step abort, as separate runs in that
-    order would raise.
+    grids, bit for bit the separate runs.
+
+    The reference is one pass of uniform RK4 from t = 1 to t = 0, split at
+    the kinks of the guided field (transport.kinks), and at probe_t and at
+    every probe step's end, probe_t - dt.  Its state at probe_t is the probe
+    state, so its state at each end is an RK4 reference from the probe state
+    over that probe step.  A second pass at half the counts per segment
+    rides in the first's field calls (_paired_reference), so the pair costs
+    the first's 4 calls per step, and gives the Richardson estimate
+    ||z_n - z_(n/2)|| / 15 of the error of each state the check reads.  It
+    is fourth order on a field smooth between the kinks; across the clip's
+    switch, where ||d|| crosses clip_tau and which kinks cannot list, the
+    estimate falls more slowly with the steps.
+
+    The reference is walked at _REF_BASE steps first.  That walk is kept
+    when it, the probe velocity, every Euler run and every probe step end
+    finite, the smallest measured error is positive, and its largest
+    estimate, at probe_t, each probe step's end and t = 0, is at most
+    _REF_RHO of that error; fitted_constants' reference_error is then that
+    largest estimate.  Otherwise the reference is walked again at
+    _REF_STEPS, and the report and any abort are those of that walk alone,
+    with reference_error the end state's estimate.  reference_steps gives
+    the walk used.  On the verify workload's default counts 10, 20, 40, 80
+    the check thus makes 80 + 216 + 1 field calls (the Euler runs, the
+    reference and the probe velocity) when the first walk is kept, and 808
+    + 1 more when it is not.  The counts are checked in order, and the
+    first abort found is raised: the reference's, then a count's run abort,
+    then that count's probe step abort, as separate runs in that order
+    would raise.
     """
     step_counts = sorted(int(n) for n in step_counts)
     check_step_counts(step_counts)
@@ -520,31 +569,26 @@ def verify_discretization_bound(field, transport_cfg, z_init, z_target, step_cou
     enhanced = make_enhanced(field, z_target, transport_cfg)
     ends = [probe_t - 1.0 / n for n in step_counts]
     times = [1.0, *kinks(transport_cfg, 1.0, 0.0, probe_t, *ends), 0.0]
-    states, half_final = _paired_reference(enhanced, z_init, times,
-                                           _segment_steps(times, _REF_STEPS // 2))
-    probe_state, ref_final = states[times.index(probe_t)], states[-1]
-    reference_error = l2_distance(ref_final, half_final) / 15.0
-
-    # The probe velocity is the same for every step count.
-    probe_v = enhanced(probe_state, probe_t)
-    finals = integrate_finals(enhanced, [states[0]] * len(step_counts),
+    z_init = np.asarray(z_init, dtype=float)
+    finals = integrate_finals(enhanced, [z_init] * len(step_counts),
                               [make_time_grid(n, 1.0, 0.0) for n in step_counts])
+    walk = (enhanced, z_init, times, probe_t, step_counts, finals)
+    try:
+        local_errs, global_errs, estimates = _discretization_errors(*walk, _REF_BASE)
+        smallest = min(local_errs + global_errs)
+        kept = 0.0 < smallest and max(estimates) <= _REF_RHO * smallest
+    except NumericalAbort:
+        kept = False
+    if not kept:
+        local_errs, global_errs, estimates = _discretization_errors(*walk, _REF_STEPS)
+    # The estimate the rule tested, or the end state's alone at _REF_STEPS.
+    reference_error = max(estimates) if kept else estimates[-1]
+
+    dts = [1.0 / n for n in step_counts]
     measured = []
-    local_errs, global_errs, dts = [], [], []
-    for n, end, final in zip(step_counts, ends, finals):
-        if isinstance(final, NumericalAbort):
-            raise final
-        dt = 1.0 / n
-        g_err = l2_distance(final, ref_final)
-        # One Euler step from the reference state vs the reference at its end.
-        euler_sub = euler_step(probe_state, probe_v, -dt, probe_t, 0)
-        l_err = l2_distance(euler_sub, states[times.index(end)])
-        dts.append(dt)
-        local_errs.append(l_err)
-        global_errs.append(g_err)
+    for dt, l_err, g_err in zip(dts, local_errs, global_errs):
         measured.append(("local", dt, l_err))
         measured.append(("global", dt, g_err))
-
     local_slope = _fit_loglog_slope(dts, local_errs)
     global_slope = _fit_loglog_slope(dts, global_errs)
     # The median as np.median gives it (the middle value, or the mean of the
@@ -560,7 +604,8 @@ def verify_discretization_bound(field, transport_cfg, z_init, z_target, step_cou
         measured=tuple(measured),
         fitted_constants={"local_slope": local_slope, "global_slope": global_slope,
                           "lipschitz_scale": lipschitz_scale,
-                          "reference_error": reference_error},
+                          "reference_error": reference_error,
+                          "reference_steps": _REF_BASE if kept else _REF_STEPS},
         slope=local_slope,
         passed=passed,
         tolerance_used=tol,

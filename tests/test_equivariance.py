@@ -19,12 +19,14 @@ import pytest
 from otflow import (
     Condition,
     FieldRegistry,
+    FlowEditConfig,
     GuidanceScales,
     InversionEditConfig,
     LatentCodec,
     TransportConfig,
     make_time_grid,
     make_velocity,
+    transport_enhanced_flowedit,
     transport_guided_inversion_edit,
 )
 from otflow.core import integrate_final
@@ -184,3 +186,52 @@ def test_guided_arms_are_rotation_equivariant(d):
             assert abs(mse[1] - mse[0]) <= _REL * size, (condition, transport)
             assert abs(disp[1] - disp[0]) <= _REL * size, (condition, transport)
             assert (disp[0] > 0.0) == (transport.beta0 > 0.0)
+
+
+def _moved(reg, c):
+    # reg's datasets moved by c, in their order: Gaussian means and points
+    # as x + c, covariances as they are.
+    moved = FieldRegistry()
+    for name in reg.names():
+        if reg.kind(name) == "points":
+            moved.add_points(name, reg.points(name) + c)
+        else:
+            mean, cov = reg.gaussian(name)
+            moved.add_gaussian(name, mean + c, cov)
+    return moved
+
+
+@pytest.mark.parametrize("d", _DIMS)
+@pytest.mark.parametrize("target", ["g2", "p"])
+@pytest.mark.parametrize("clip_tau", [0.05, 1e6], ids=["clip-active", "clip-inactive"])
+@pytest.mark.parametrize("beta0", [0.0, 0.3])
+def test_flowedit_is_translation_equivariant(d, target, clip_tau, beta0):
+    # Moving every dataset and source by c, with t = 0 the data end, moves a
+    # state at time t by (1 - t) c and every field velocity, CFG blend
+    # included, by -c.  FlowEdit's difference velocity and its transport
+    # direction (z - z_src) / max(1 - t, delta) are differences, so they do
+    # not move; each Euler step then carries the data-space state's shift c,
+    # and the conversion to a coupled state at n_min gives (1 - t) c.  So
+    # the output moves by c and the summary stays, to rounding relative to
+    # the largest state norm.
+    reg, _, _, rng = _registries(d)
+    c = 0.7 * rng.standard_normal(d) + 0.5
+    cfg = FlowEditConfig(transport=TransportConfig(beta0=beta0, phi=0.6, clip_tau=clip_tau),
+                         grid=make_time_grid(28, 1.0, 0.0), cond_src=Condition.dataset("g1"),
+                         cond_tar=Condition.dataset(target),
+                         scales=GuidanceScales(w_src=1.5, w_tar=2.5), seed=7, n_avg=2, n_min=3)
+    codec = LatentCodec.identity(d)
+    x0 = 0.8 * rng.standard_normal((16, d)) - 1.0
+    edit = transport_enhanced_flowedit(cfg, reg, codec, x0)
+    moved = transport_enhanced_flowedit(cfg, _moved(reg, c), codec, x0 + c)
+    if beta0 > 0.0:
+        norms = edit.trajectory.transport_norms
+        assert (norms > clip_tau).any() if clip_tau < 1.0 else norms.max() < clip_tau
+    assert edit.aborts == moved.aborts == (None,) * 16
+    size = max(np.linalg.norm(edit.trajectory.states, axis=-1).max(),
+               np.linalg.norm(moved.trajectory.states, axis=-1).max())
+    assert np.linalg.norm(moved.output - c - edit.output, axis=-1).max() <= _REL * size
+    for field in ("reconstruction_l2", "displacement_l2", "transport_work"):
+        got = np.array([getattr(s, field) for s in moved.summary])
+        want = np.array([getattr(s, field) for s in edit.summary])
+        assert np.abs(got - want).max() <= _REL * max(size, np.abs(want).max()), field

@@ -37,8 +37,8 @@ from otflow import (
     verify_edit_control_bound,
 )
 from otflow.fields import _T_FLOOR
-from otflow.metrics import (_REF_STEPS, AssignmentPlan, VerifySetup, _as_cov, _paired_reference,
-                            _row_l2, _segment_steps, _segments, gaussian_flow,
+from otflow.metrics import (_REF_BASE, _REF_STEPS, AssignmentPlan, VerifySetup, _as_cov,
+                            _paired_reference, _row_l2, _segment_steps, _segments, gaussian_flow,
                             gaussian_velocity_coefficients)
 from otflow.transport import kinks, make_enhanced
 
@@ -448,14 +448,16 @@ def test_verify_discretization_bound_rejects_probe_step_outside_span(probe_t):
                                     probe_t=probe_t)
 
 
-def _two_pass_discretization(field, transport, z_init, z_target, step_counts, probe_t):
-    # The reference as separate passes from z_init through the same segments
-    # and step counts: one to t = 0, one stopping at probe_t, and one from
-    # the probe state to each probe step's end.
+def _two_pass_discretization(field, transport, z_init, z_target, step_counts, probe_t,
+                             ref_steps):
+    # The reference of about ref_steps RK4 steps as separate passes from
+    # z_init through the same segments and step counts: one to t = 0, one
+    # stopping at probe_t, and one from the probe state to each probe step's
+    # end.
     enhanced = make_enhanced(field, z_target, transport)
     ends = [probe_t - 1.0 / n for n in step_counts]
     times = [1.0, *kinks(transport, 1.0, 0.0, probe_t, *ends), 0.0]
-    steps = [2 * n for n in _segment_steps(times, _REF_STEPS // 2)]
+    steps = [2 * n for n in _segment_steps(times, ref_steps // 2)]
     ref_final = _split_reference(enhanced, z_init, times, steps)[-1]
     stop = times.index(probe_t)
     probe_state = _split_reference(enhanced, z_init, times[:stop + 1], steps[:stop])[-1]
@@ -474,20 +476,21 @@ def _two_pass_discretization(field, transport, z_init, z_target, step_counts, pr
 
 # Per probe_t, with counts 5, 10, 20 and the transport of _shared_setup
 # (kinks at 0.99 and 0.7, besides t_floor, probe_t and the probe steps'
-# ends probe_t - 1/n): the reference's segment steps at full and at half
-# counts.
-_SCHEDULE = {0.6: ([2, 58, 20, 10, 10, 20, 80, 2], [1, 29, 10, 5, 5, 10, 40, 1]),
-             1.0: ([2, 8, 10, 20, 20, 140, 2], [1, 4, 5, 10, 10, 70, 1])}
+# ends probe_t - 1/n): the base reference's (_REF_BASE) segment steps at
+# full and at half counts.
+_SCHEDULE = {0.6: ([2, 14, 4, 2, 2, 6, 20, 2], [1, 7, 2, 1, 1, 3, 10, 1]),
+             1.0: ([2, 2, 2, 4, 6, 34, 2], [1, 1, 1, 2, 3, 17, 1])}
 
 
 @pytest.mark.parametrize("probe_t", [0.6, 1.0])
 def test_verify_discretization_bound_integrates_the_reference_once(probe_t):
-    # One pass through probe_t and each probe step's end serves every
+    # One call per distinct time of the Euler runs, walked together (their
+    # grids nest, so the finest grid's times), then one reference pass
+    # through probe_t and each probe step's end, which serves every
     # reference: 4 calls per step of its segments, which also carry the
     # half-count pass that gives reference_error as a second row, plus one
-    # probe velocity shared by every step count and one call per distinct
-    # time of the Euler runs, walked together (their grids nest, so the
-    # finest grid's times).  The result matches separate passes.
+    # probe velocity shared by every step count.  Here the base walk is
+    # kept, so no other pass follows.  The result matches separate passes.
     setup, z_init, z_target, reg, transport = _shared_setup(beta0_template=0.2)
     mu = np.array([1.0, -0.5])
     cov = np.array([[0.8, 0.2], [0.2, 0.5]])
@@ -502,11 +505,13 @@ def test_verify_discretization_bound_integrates_the_reference_once(probe_t):
                                          probe_t=probe_t)
     full, half = _SCHEDULE[probe_t]
     times = [1.0, *kinks(transport, 1.0, 0.0, probe_t, *[probe_t - 1.0 / n for n in counts]), 0.0]
-    assert _segment_steps(times, _REF_STEPS // 2) == half and full == [2 * n for n in half]
+    assert _segment_steps(times, _REF_BASE // 2) == half and full == [2 * n for n in half]
     walk = {t for n in counts for t in make_time_grid(n, 1.0, 0.0).points[:-1].tolist()}
     assert len(walk) == counts[-1]
-    assert len(calls) == 4 * sum(full) + 1 + len(walk)
-    expected = _two_pass_discretization(field, transport, z_init, z_target, counts, probe_t)
+    assert report.fitted_constants["reference_steps"] == _REF_BASE
+    assert len(calls) == len(walk) + 4 * sum(full) + 1
+    expected = _two_pass_discretization(field, transport, z_init, z_target, counts, probe_t,
+                                        _REF_BASE)
     assert [m[:2] for m in report.measured] == [m[:2] for m in expected]
     for (_, _, got), (_, _, want) in zip(report.measured, expected):
         assert abs(got - want) <= 1e-10 * abs(want)
@@ -515,11 +520,12 @@ def test_verify_discretization_bound_integrates_the_reference_once(probe_t):
 @pytest.mark.parametrize("probe_t", [0.6, 1.0])
 def test_paired_reference_equals_two_separate_passes(probe_t):
     # On criterion 07's setting (kinks at 0.99 and 0.7) and a two-Gaussian
-    # dataset field at w = 2, the paired walk's full pass is the split pass
+    # dataset field at w = 2, the base walk's full pass is the split pass
     # at twice the half counts, bit for bit at every kink, since every field
     # is row-invariant.  Its half pass reads the field at the full pass's
     # stage times, which can differ by an ulp from its own (at probe_t = 1),
-    # so its end state equals the half-count split pass to 1e-12 relative.
+    # so its state at every kink equals the half-count split pass's to
+    # 1e-12 relative.
     _, z_init, z_target, _, transport = _shared_setup(beta0_template=0.2)
     reg = FieldRegistry()
     reg.add_gaussian("a", np.array([1.0, -0.5]), np.array([[0.8, 0.2], [0.2, 0.5]]))
@@ -527,21 +533,23 @@ def test_paired_reference_equals_two_separate_passes(probe_t):
     field = otflow.make_velocity(reg, Condition.dataset("a"), GuidanceScales(w=2.0))
     enhanced = make_enhanced(field, z_target, transport)
     times = [1.0, *kinks(transport, 1.0, 0.0, probe_t), 0.0]
-    half = _segment_steps(times, _REF_STEPS // 2)
-    states, half_final = _paired_reference(enhanced, z_init, times, half)
+    half = _segment_steps(times, _REF_BASE // 2)
+    states, halves = _paired_reference(enhanced, z_init, times, half)
     full = _split_reference(enhanced, z_init, times, [2 * n for n in half])
-    assert len(states) == len(full) == len(times)
+    assert len(states) == len(halves) == len(full) == len(times)
     for got, want in zip(states, full):
         assert np.array_equal(got, want)
-    want = _split_reference(enhanced, z_init, times, half)[-1]
-    assert l2_distance(half_final, want) <= 1e-12 * np.linalg.norm(want)
+    for got, want in zip(halves, _split_reference(enhanced, z_init, times, half)):
+        assert l2_distance(got, want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_discretization_reference_error_is_far_below_the_errors_it_measures():
     # On criterion 07's setting (transport kinks at t = 0.99 and 0.7) the
-    # reference's stated error, ||z_n - z_(n/2)|| / 15, is below 1e-6 of the
-    # smallest global error it measures (1.3e-11 against 1.3e-2), and within
-    # a factor 3 of its distance to a 16x finer split pass.
+    # reference's stated error, the largest ||z_n - z_(n/2)|| / 15 over the
+    # states the check reads, is below 1e-6 of the smallest global error it
+    # measures (4.7e-9 against 1.3e-2 at the base walk that is kept), and
+    # within a factor 3 of the end state's distance to a 16x finer split
+    # pass at the count it reports.
     setup, z_init, z_target, reg, transport = _shared_setup(beta0_template=0.2)
     field = otflow.make_velocity(reg, Condition.dataset("data"), GuidanceScales(w=1.0))
     report = verify_discretization_bound(field, transport, z_init, z_target, _COUNTS)
@@ -549,7 +557,8 @@ def test_discretization_reference_error_is_far_below_the_errors_it_measures():
     assert 0.0 < error < 1e-6 * min(e for series, _, e in report.measured if series == "global")
     enhanced = make_enhanced(field, z_target, transport)
     times = [1.0, *kinks(transport, 1.0, 0.0, 0.6, *[0.6 - 1.0 / n for n in _COUNTS]), 0.0]
-    steps = [2 * n for n in _segment_steps(times, _REF_STEPS // 2)]
+    ref_steps = report.fitted_constants["reference_steps"]
+    steps = [2 * n for n in _segment_steps(times, ref_steps // 2)]
     ref = _split_reference(enhanced, z_init, times, steps)[-1]
     fine = _split_reference(enhanced, z_init, times, [16 * n for n in steps])[-1]
     assert error / 3.0 <= l2_distance(ref, fine) <= 3.0 * error
@@ -559,17 +568,17 @@ def test_local_references_are_far_below_the_local_errors(monkeypatch):
     # On criterion 07's setting, each probe step's local reference is the
     # reference walk's state at its end, probe_t - dt.  Against a 512-step
     # RK4 pass from the walk's probe state over the probe step, which holds
-    # no kink, it lies within 1e-6 of the local error it measures (1.3e-8
-    # at most).
+    # no kink, it lies within 1e-6 of the local error it measures (1.6e-7
+    # at most, on the 50-step walk that the check keeps here).
     from otflow import metrics
 
     walks = []
     real = metrics._paired_reference
 
     def spy(velocity, z0, times, steps):
-        states, half_final = real(velocity, z0, times, steps)
+        states, halves = real(velocity, z0, times, steps)
         walks.append((times, states))
-        return states, half_final
+        return states, halves
 
     monkeypatch.setattr(metrics, "_paired_reference", spy)
     _, z_init, z_target, reg, transport = _shared_setup(beta0_template=0.2)
@@ -769,44 +778,49 @@ def test_distance_input_validation(call, match):
 def test_verify_discretization_probe_abort_names_its_step():
     # The probe is one Euler step through core's kernel: a non-finite probe
     # velocity aborts at probe_t, step 0 of the probe's one-step grid.  The
-    # one probe call follows the 4 * 202 calls of the reference's paired
-    # passes (_SCHEDULE); the step that uses it follows the walk of the
-    # Euler runs, one call at each of the 20-step grid's times, in which the
-    # 5-step and 10-step grids nest.
+    # probe calls follow the walk of the Euler runs, one call at each of the
+    # 20-step grid's times, in which the 5-step and 10-step grids nest, and
+    # each reference walk: the base walk's 4 * 52 calls (_SCHEDULE), which
+    # its failed probe step rejects, then the 4 * 202 of the 200-step walk,
+    # whose probe step raises.
     _, z_init, z_target, _, transport = _shared_setup(beta0_template=0.2)
     mu = np.array([1.0, -0.5])
     cov = np.array([[0.8, 0.2], [0.2, 0.5]])
     counts = [5, 10, 20]
-    probe_call = 4 * 202
+    probe_calls = [counts[-1] + 4 * 52 + 1, counts[-1] + 4 * 52 + 1 + 4 * 202 + 1]
     calls = []
 
     def field(z, t):
         calls.append(t)
         v = gaussian_marginal_velocity(mu, cov, z, t)
-        return np.full_like(v, np.nan) if len(calls) == probe_call + 1 else v
+        return np.full_like(v, np.nan) if len(calls) in probe_calls else v
 
     with pytest.raises(otflow.NumericalAbort) as err:
         verify_discretization_bound(field, transport, z_init, z_target, counts, probe_t=0.6)
-    assert calls[probe_call] == 0.6 and len(calls) == probe_call + 1 + counts[-1]
+    assert [calls[n - 1] for n in probe_calls] == [0.6, 0.6] and len(calls) == probe_calls[-1]
     assert (err.value.t, err.value.step, err.value.term) == (0.6, 0, "velocity")
 
 
 # With counts 10-80 and probe_t = 0.6 the check makes its field calls in
-# this order (numbered from 1): the full pass's segments [1, 0.99], [0.99,
-# 0.7], [0.7, 0.6], [0.6, 0.5875], [0.5875, 0.575], [0.575, 0.55], [0.55,
-# 0.5], [0.5, 1e-4] and [1e-4, 0] in 2, 58, 20, 2, 2, 6, 10, 100 and 2 RK4
+# this order (numbered from 1): the Euler runs, walked together, one call at
+# each of the 80-step grid's times, in which the coarser grids nest (1-80);
+# the base walk's full pass on the segments [1, 0.99], [0.99, 0.7], [0.7,
+# 0.6], [0.6, 0.5875], [0.5875, 0.575], [0.575, 0.55], [0.55, 0.5], [0.5,
+# 1e-4] and [1e-4, 0] in 2, 14, 4, 2, 2, 2, 2, 24 and 2 RK4 steps (calls
+# 81-88, 89-144, 145-160, 161-168, 169-176, 177-184, 185-192, 193-288,
+# 289-296), the half pass in half as many riding in them (8 calls per
+# step); the probe (297).  When the base walk is not kept, the 200-step
+# walk follows on the same segments in 2, 58, 20, 2, 2, 6, 10, 100 and 2
 # steps (calls 1-8, 9-240, 241-320, 321-328, 329-336, 337-360, 361-400,
-# 401-800, 801-808), the half pass in half as many riding in them (8 calls
-# per step), the probe (809), then the Euler runs, walked together, one
-# call at each of the 80-step grid's times, in which the coarser grids
-# nest (810-889).  In each 8 calls of a half step the 1st, 4th, 5th and
-# 8th carry the half pass's state as a second row.
+# 401-800 and 801-808 after the first 297), then its probe (1106).  In
+# each 8 calls of a half step the 1st, 4th, 5th and 8th carry the half
+# pass's state as a second row.
 _COUNTS = [10, 20, 40, 80]
 
 
-# The Euler runs' first call comes after the 808 reference calls and the
-# probe call at counts 10-80 (see above).
-_WALK_START = 4 * 202 + 1
+# The calls before the 200-step walk at counts 10-80 (see above): the Euler
+# runs, the base walk and its probe.
+_BEFORE_FALLBACK = 80 + 4 * 54 + 1
 _GRID = {n: make_time_grid(n, 1.0, 0.0).points for n in _COUNTS}
 
 
@@ -817,29 +831,40 @@ _GRID = {n: make_time_grid(n, 1.0, 0.0).points for n in _COUNTS}
     ({10: 0.5}, True),
     ({40: _GRID[40][1], 20: _GRID[20][19]}, False),
 ], ids=["one-run", "earlier-run-later", "probe-first", "run-first", "last-steps"])
-def test_discretization_raises_the_abort_of_the_separate_runs(poison, probe):
+def test_discretization_raises_the_abort_of_the_separate_runs(poison, probe, monkeypatch):
     # The Euler runs are walked together, but the check raises what running
     # them one by one, in count order, would: per count, its run's abort,
     # then its probe step's.  poison maps a step count to the time at which
-    # its run's field row is NaN; probe makes the probe velocity NaN.
+    # its run's field row is NaN; probe makes every probe velocity NaN, the
+    # calls at probe_t after the walk (a reference walk reads no mark, as
+    # _segments keeps its times one ulp inside each segment).  Either
+    # rejects the base walk, so the 200-step walk's abort is raised.
+    from otflow import metrics
+
     _, z_init, z_target, _, transport = _shared_setup(beta0_template=0.2)
     mu = np.array([1.0, -0.5])
     cov = np.array([[0.8, 0.2], [0.2, 0.5]])
     grids = {n: _GRID[n][:-1].tolist() for n in _COUNTS}
-    calls = []
+    calls, walking, real_walk = [], [True], metrics.integrate_finals
+
+    def walk(*args):
+        finals = real_walk(*args)
+        walking[0] = False
+        return finals
+
+    monkeypatch.setattr(metrics, "integrate_finals", walk)
 
     def walked(z, t):
         # The due runs' rows stack in count order; a run leaves the walk
         # after its poisoned step.
         calls.append(t)
         v = gaussian_marginal_velocity(mu, cov, z, t)
-        if len(calls) == _WALK_START:
-            return np.full_like(v, np.nan) if probe else v
-        if len(calls) > _WALK_START:
-            due = [n for n in _COUNTS if t in grids[n] and not poison.get(n, -1.0) > t]
-            for row, n in enumerate(due):
-                if poison.get(n) == t:
-                    v.reshape(-1, 2)[row] = np.nan
+        if not walking[0]:
+            return np.full_like(v, np.nan) if probe and t == 0.6 else v
+        due = [n for n in _COUNTS if t in grids[n] and not poison.get(n, -1.0) > t]
+        for row, n in enumerate(due):
+            if poison.get(n) == t:
+                v.reshape(-1, 2)[row] = np.nan
         return v
 
     with pytest.raises(otflow.NumericalAbort) as err:
@@ -870,15 +895,51 @@ def test_discretization_raises_the_abort_of_the_separate_runs(poison, probe):
     (348, ..., 337, 2, 4),        # the full pass, inside the probe steps
 ], ids=["head", "tail", "half", "local"])
 def test_verify_discretization_reference_abort_names_its_step(poisoned, row, first, step, width):
-    # A non-finite velocity inside the RK4 reference aborts that pass at its
-    # own step (width calls each, counted from the first call of its
-    # segment), at the time of the poisoned stage, with term "velocity".
+    # A non-finite velocity inside the 200-step RK4 reference aborts that
+    # pass at its own step (width calls each, counted from the first call of
+    # its segment), at the time of the poisoned stage, with term "velocity".
     # The step's later stages still run; no other call follows.  The head,
     # tail and local cases poison both rows of a paired call (the full
     # pass's k4),
     # and the full pass's abort is raised; the half case poisons only the
     # second row of one (its k3, at the full pass's next k1), and the half
     # pass's abort comes after the full pass's two steps that carry it.
+    # poisoned, first and the call count are numbered within that walk,
+    # which follows the first _BEFORE_FALLBACK calls; a NaN base probe
+    # velocity, the last of those, rejects the base walk.
+    _, z_init, z_target, _, transport = _shared_setup(beta0_template=0.2)
+    mu = np.array([1.0, -0.5])
+    cov = np.array([[0.8, 0.2], [0.2, 0.5]])
+    calls = []
+
+    def field(z, t):
+        calls.append(t)
+        v = gaussian_marginal_velocity(mu, cov, z, t)
+        if len(calls) == _BEFORE_FALLBACK:
+            v[...] = np.nan
+        if len(calls) == _BEFORE_FALLBACK + poisoned:
+            v[row] = np.nan
+        return v
+
+    with pytest.raises(otflow.NumericalAbort) as err:
+        verify_discretization_bound(field, transport, z_init, z_target, _COUNTS, probe_t=0.6)
+    assert calls[_BEFORE_FALLBACK - 1] == 0.6
+    walk = calls[_BEFORE_FALLBACK:]
+    assert (err.value.t, err.value.step, err.value.term) == (walk[poisoned - 1], step, "velocity")
+    assert (poisoned - first) // width == step
+    assert len(walk) == first + width * step + width - 1
+
+
+@pytest.mark.parametrize("poisoned, row", [(81, ...), (250, ...), (96, 1)],
+                         ids=["head", "tail", "half"])
+def test_a_failed_base_walk_leaves_the_200_step_report(poisoned, row, monkeypatch):
+    # A NaN in the base walk alone (calls 81-296 at counts 10-80, numbered
+    # above) rejects it, and the report is that of the 200-step walk on the
+    # same field unpoisoned: the report of a rule that keeps no base walk
+    # (_REF_RHO = 0), bit for bit.  The half case poisons only the half
+    # pass's row of a paired call.
+    from otflow import metrics
+
     _, z_init, z_target, _, transport = _shared_setup(beta0_template=0.2)
     mu = np.array([1.0, -0.5])
     cov = np.array([[0.8, 0.2], [0.2, 0.5]])
@@ -891,11 +952,11 @@ def test_verify_discretization_reference_abort_names_its_step(poisoned, row, fir
             v[row] = np.nan
         return v
 
-    with pytest.raises(otflow.NumericalAbort) as err:
-        verify_discretization_bound(field, transport, z_init, z_target, _COUNTS, probe_t=0.6)
-    assert (err.value.t, err.value.step, err.value.term) == (calls[poisoned - 1], step, "velocity")
-    assert (poisoned - first) // width == step
-    assert len(calls) == first + width * step + width - 1
+    report = verify_discretization_bound(field, transport, z_init, z_target, _COUNTS)
+    assert report.fitted_constants["reference_steps"] == _REF_STEPS
+    monkeypatch.setattr(metrics, "_REF_RHO", 0.0)
+    unpoisoned = lambda z, t: gaussian_marginal_velocity(mu, cov, z, t)
+    assert report == verify_discretization_bound(unpoisoned, transport, z_init, z_target, _COUNTS)
 
 
 def test_reference_integrate_abort_names_step_time_and_term():

@@ -347,11 +347,12 @@ def _benchmark_workloads():
 def test_verify_workload_work_counts(tmp_path, monkeypatch):
     # The verify_bounds benchmark workload at seed 1, shrunk to 16 noise
     # runs, pins the work verify does, so a change in it shows without a
-    # timer.  Field calls: 808 for the paired RK4 reference, 1 probe, 80
-    # for the four Euler runs walked together (their grids nest) and 28 for
-    # each of the five arms.  Each call at a new time builds the Gaussian
-    # terms, 628 in all, and the rows evaluated (3603) are those the runs
-    # would evaluate one by one.
+    # timer.  Field calls: 216 for the paired RK4 reference, whose base walk
+    # of 50 steps is kept (its stated error is at most 1e-3 of every error
+    # it measures), 1 probe, 80 for the four Euler runs walked together
+    # (their grids nest) and 28 for each of the five arms.  Each call at a
+    # new time builds the Gaussian terms, 332 in all, and the rows evaluated
+    # (2715) are those the runs would evaluate one by one.
     from otflow import fields, metrics
 
     workload = _benchmark_workloads().build("verify_bounds", 1, str(tmp_path), 1)
@@ -378,8 +379,11 @@ def test_verify_workload_work_counts(tmp_path, monkeypatch):
     monkeypatch.setattr(fields, "_gaussian_terms", counting_build)
     reports = run_verify(cfg)
     assert [r.passed for r in reports] == [True] * 3
-    assert len(calls) == 808 + 1 + 80 + 5 * 28 == 1029
-    assert len(terms) == 628 and sum(rows) == 3603
+    assert len(calls) == 216 + 1 + 80 + 5 * 28 == 437
+    assert len(terms) == 332 and sum(rows) == 2715
+    fitted = reports[0].fitted_constants
+    assert fitted["reference_steps"] == 50
+    assert fitted["reference_error"] <= 1e-3 * min(e for _, _, e in reports[0].measured)
 
 
 def test_run_experiment_verify_artifacts(tmp_path):
@@ -1464,3 +1468,60 @@ def test_every_edge_value_exits_with_a_documented_code(algorithm, tmp_path, caps
             wrong.append((key, value, code))
     capsys.readouterr()
     assert wrong == []
+
+
+def test_edge_base_config_keeps_the_200_step_reference(monkeypatch):
+    # On the edge table's base config the clip switches while the guided
+    # state falls below clip_tau, a kink transport.kinks cannot list, so the
+    # base walk's stated error is too large a share of the errors it
+    # measures and the check walks 200 RK4 steps.  Its measured values and
+    # slopes are then those of a 200-step split reference built as separate
+    # reference_integrate passes per segment (tests/test_metrics.py's
+    # _split_reference), bit for bit, and reference_error is the end state's
+    # estimate alone.
+    from otflow import metrics
+    from otflow.core import euler_step, integrate_final, make_time_grid
+    from otflow.transport import kinks, make_enhanced
+
+    cfg = load_config_text(_EDGE_CFG, overrides=["experiment.algorithm=verify",
+                                                 "verify.kind=discretization"])
+    args = []
+    real = runner.verify_discretization_bound
+    monkeypatch.setattr(runner, "verify_discretization_bound",
+                        lambda *a, **kw: args.append((a, kw)) or real(*a, **kw))
+    [report] = run_verify(cfg)
+    [((field, transport, z_init, z_target, counts), kw)] = args
+    probe_t = kw["probe_t"]
+    assert report.fitted_constants["reference_steps"] == metrics._REF_STEPS == 200
+
+    def split(z0, times, steps):
+        states = [z0]
+        for (a, b, seg), n in zip(metrics._segments(enhanced, times), steps):
+            states.append(metrics.reference_integrate(seg, states[-1], a, b, n))
+        return states
+
+    enhanced = make_enhanced(field, z_target, transport)
+    times = [1.0, *kinks(transport, 1.0, 0.0, probe_t, *[probe_t - 1.0 / n for n in counts]), 0.0]
+    half = metrics._segment_steps(times, 100)
+    states = split(z_init, times, [2 * n for n in half])
+    probe_state = states[times.index(probe_t)]
+    probe_v = enhanced(probe_state, probe_t)
+    measured, dts = [], [1.0 / n for n in sorted(counts)]
+    for n, dt in zip(sorted(counts), dts):
+        euler = euler_step(probe_state, probe_v, -dt, probe_t, 0)
+        final = integrate_final(enhanced, z_init, make_time_grid(n, 1.0, 0.0))
+        measured += [("local", dt, metrics.l2_distance(euler, states[times.index(probe_t - dt)])),
+                     ("global", dt, metrics.l2_distance(final, states[-1]))]
+    assert report.measured == tuple(measured)
+    for series in ("local", "global"):
+        errs = [e for s, _, e in measured if s == series]
+        slope = float(np.polyfit(np.log(dts), np.log(errs), 1)[0])
+        assert report.fitted_constants[f"{series}_slope"] == slope
+    # The half pass rides in the full pass's calls, at its stage times, so
+    # its end state is the half-count split pass's only to rounding (1.9e-15
+    # apart here).
+    _, halves = metrics._paired_reference(enhanced, z_init, times, half)
+    end_half = split(z_init, times, half)[-1]
+    assert metrics.l2_distance(halves[-1], end_half) <= 1e-12 * np.linalg.norm(end_half)
+    assert report.fitted_constants["reference_error"] == \
+        metrics.l2_distance(states[-1], halves[-1]) / 15.0
