@@ -22,11 +22,14 @@ each local reference and the end state, and a second at half its steps,
 riding in the first's field calls as a second row, states their errors.
 The reference is walked at _REF_BASE steps first and kept when its stated
 error is at most _REF_RHO of every error it measures; otherwise it is walked
-again at _REF_STEPS.  So at the default counts 10, 20, 40, 80 the check
-makes 80 calls for the Euler runs, whose grids nest, 4 * 54 for the paired
-passes of an unguided field and 1 for the probe velocity: 297 calls, each
-on one to four states, and 4 * 202 + 1 more when the first walk is not
-kept.  A reference that goes non-finite raises NumericalAbort at its own
+again at _REF_STEPS.  The first walk is cut short once the rule fails: it
+does not start when an Euler run aborted, and it stops past the last probe
+step's end when an estimate there already fails the rule.  So at the
+default counts 10, 20, 40, 80 the check makes 80 calls for the Euler runs,
+whose grids nest, 4 * 54 for the paired passes of an unguided field and 1
+for the probe velocity: 297 calls, each on one to four states; when the
+first walk is not kept, 4 * 202 + 1 more follow what was walked of it.
+A reference that goes non-finite raises NumericalAbort at its own
 step (reference_integrate, _paired_rk4).  Convergence and edit control
 share one VerifySetup, which binds the condition's field and draws the
 noise bank once, integrates each distinct arm (one transport strength and
@@ -39,6 +42,7 @@ take (B, d) rows, each its single-state call bit for bit; they and
 w2_dirac_to_points are never inf if finite.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -333,6 +337,15 @@ class BoundReport:
 
     measured holds (series, control, observed) triples; passed is a pure
     function of measured and the thresholds recorded in tolerance_used.
+
+    A discretization report's reference_steps is the size of the RK4
+    reference it kept (verify_discretization_bound), and its
+    reference_error is that reference's Richardson estimate, read at
+    different states by the two sizes: at _REF_BASE steps the largest over
+    probe_t, each probe step's end and t = 0, at _REF_STEPS the end state's
+    alone.  So the two sizes' reference_error values do not measure the
+    same thing, and the one at _REF_STEPS can understate the error at the
+    probe marks.
     """
 
     bound_kind: str
@@ -480,44 +493,65 @@ def _segments(velocity, times):
 
 
 def _paired_reference(velocity, z0, times, steps):
-    """The states at every entry of times, z0 at times[0], of uniform RK4
-    (reference_integrate) on each segment between consecutive entries
-    (_segments) in twice the given numbers of steps, and those of such a
-    walk in the given numbers, from one walk of paired passes (_paired_rk4):
-    the second rides in the first's field calls."""
-    states, halves = [np.asarray(z0, dtype=float)], [np.asarray(z0, dtype=float)]
+    """Yield (z, y) at every entry of times, both z0 at times[0]: z the state
+    of uniform RK4 (reference_integrate) on each segment between consecutive
+    entries (_segments) in twice the given numbers of steps, y that of such
+    a walk in the given numbers, from one walk of paired passes
+    (_paired_rk4): the second rides in the first's field calls.  Each
+    segment is walked when its end is asked for."""
+    z = y = np.asarray(z0, dtype=float)
+    yield z, y
     for (a, b, seg), n in zip(_segments(velocity, times), steps):
-        z, y = _paired_rk4(seg, states[-1], halves[-1], a, b, n)
-        states.append(z)
-        halves.append(y)
-    return states, halves
+        z, y = _paired_rk4(seg, z, y, a, b, n)
+        yield z, y
 
 
-def _discretization_errors(enhanced, z_init, times, probe_t, step_counts, finals, ref_steps):
+def _discretization_errors(enhanced, z_init, times, probe_t, step_counts, finals, ref_steps,
+                           rho):
     """(local errors, global errors, estimates) of the discretization check,
     its reference walked from z_init at t = 1 in about ref_steps RK4 steps
     (_paired_reference) and each count's Euler run ended at finals.  The
     estimates are the Richardson ones, ||z_n - z_(n/2)|| / 15, of the
     reference's states at probe_t, each probe step's end and t = 0, in that
-    order.  A reference abort is raised first; then, count by count, the
-    run's abort (its entry of finals) and that of its probe step."""
-    states, halves = _paired_reference(enhanced, z_init, times,
-                                       _segment_steps(times, ref_steps // 2))
-    probe_state = states[times.index(probe_t)]
+    order.  With rho None, a reference abort is raised first; then, count
+    by count, the run's abort (its entry of finals) and that of its probe
+    step.
+
+    Given rho, it applies the base walk's rule instead and returns None
+    unless every run ended finite, the smallest error is positive and the
+    largest estimate is at most rho times it.  It stops walking once the
+    answer is None: before the walk when a run aborted, and past the last
+    probe step's end when an estimate up to there already exceeds rho times
+    the smallest local error, which is at least the smallest error.  Its
+    aborts are then raised as they come.
+    """
+    if rho is not None and any(isinstance(f, NumericalAbort) for f in finals):
+        return None
+    ends = [probe_t - 1.0 / n for n in step_counts]
+    walk = _paired_reference(enhanced, z_init, times, _segment_steps(times, ref_steps // 2))
+    # Without rho the walk reaches t = 0 before anything else, so its abort
+    # comes first; with rho it pauses past the last probe step's end.
+    pause = len(times) if rho is None else times.index(min(ends)) + 1
+    pairs = list(itertools.islice(walk, pause))
+    probe_state = pairs[times.index(probe_t)][0]
     # The probe velocity is the same for every step count.
     probe_v = enhanced(probe_state, probe_t)
-    local_errs, global_errs, read = [], [], [probe_t]
-    for n, final in zip(step_counts, finals):
+    local_errs = []
+    for n, end, final in zip(step_counts, ends, finals):
         if isinstance(final, NumericalAbort):
             raise final
-        dt = 1.0 / n
-        global_errs.append(l2_distance(final, states[-1]))
         # One Euler step from the reference state vs the reference at its end.
-        euler_sub = euler_step(probe_state, probe_v, -dt, probe_t, 0)
-        local_errs.append(l2_distance(euler_sub, states[times.index(probe_t - dt)]))
-        read.append(probe_t - dt)
-    estimates = [l2_distance(states[i], halves[i]) / 15.0
-                 for i in [times.index(t) for t in read] + [len(times) - 1]]
+        euler_sub = euler_step(probe_state, probe_v, -1.0 / n, probe_t, 0)
+        local_errs.append(l2_distance(euler_sub, pairs[times.index(end)][0]))
+    estimates = [l2_distance(*pairs[times.index(t)]) / 15.0 for t in [probe_t, *ends]]
+    if rho is not None and not max(estimates) <= rho * min(local_errs):
+        return None
+    pairs += walk
+    global_errs = [l2_distance(final, pairs[-1][0]) for final in finals]
+    estimates.append(l2_distance(*pairs[-1]) / 15.0)
+    smallest = min(local_errs + global_errs)
+    if rho is not None and not (0.0 < smallest and max(estimates) <= rho * smallest):
+        return None
     return local_errs, global_errs, estimates
 
 
@@ -555,10 +589,14 @@ def verify_discretization_bound(field, transport_cfg, z_init, z_target, step_cou
     largest estimate.  Otherwise the reference is walked again at
     _REF_STEPS, and the report and any abort are those of that walk alone,
     with reference_error the end state's estimate.  reference_steps gives
-    the walk used.  On the verify workload's default counts 10, 20, 40, 80
-    the check thus makes 80 + 216 + 1 field calls (the Euler runs, the
-    reference and the probe velocity) when the first walk is kept, and 808
-    + 1 more when it is not.  The counts are checked in order, and the
+    the walk used.  The first walk stops once the rule fails
+    (_discretization_errors): it is not walked when an Euler run aborted,
+    and not past the last probe step's end when an estimate up to there
+    already exceeds _REF_RHO of the smallest local error.  On the verify
+    workload's default counts 10, 20, 40, 80 the check thus makes 80 + 216
+    + 1 field calls (the Euler runs, the reference and the probe velocity)
+    when the first walk is kept, and 808 + 1 more, after what was walked of
+    the first, when it is not.  The counts are checked in order, and the
     first abort found is raised: the reference's, then a count's run abort,
     then that count's probe step abort, as separate runs in that order
     would raise.
@@ -574,13 +612,13 @@ def verify_discretization_bound(field, transport_cfg, z_init, z_target, step_cou
                               [make_time_grid(n, 1.0, 0.0) for n in step_counts])
     walk = (enhanced, z_init, times, probe_t, step_counts, finals)
     try:
-        local_errs, global_errs, estimates = _discretization_errors(*walk, _REF_BASE)
-        smallest = min(local_errs + global_errs)
-        kept = 0.0 < smallest and max(estimates) <= _REF_RHO * smallest
+        errors = _discretization_errors(*walk, _REF_BASE, rho=_REF_RHO)
     except NumericalAbort:
-        kept = False
+        errors = None
+    kept = errors is not None
     if not kept:
-        local_errs, global_errs, estimates = _discretization_errors(*walk, _REF_STEPS)
+        errors = _discretization_errors(*walk, _REF_STEPS, rho=None)
+    local_errs, global_errs, estimates = errors
     # The estimate the rule tested, or the end state's alone at _REF_STEPS.
     reference_error = max(estimates) if kept else estimates[-1]
 

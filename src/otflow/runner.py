@@ -70,6 +70,8 @@ def _fmt(x):
         return ""
     if isinstance(x, bool):
         return "true" if x else "false"
+    if isinstance(x, int):
+        return str(x)
     return str(float(x))
 
 

@@ -23,7 +23,6 @@ from otflow import (
     TransportConfig,
     cosine_schedule,
     gaussian_marginal_velocity,
-    integrate,
     make_time_grid,
     l2_distance,
     reference_integrate,
@@ -38,23 +37,14 @@ from otflow import (
 )
 from otflow.fields import _T_FLOOR
 from otflow.metrics import (_REF_BASE, _REF_STEPS, AssignmentPlan, VerifySetup, _as_cov,
-                            _paired_reference, _row_l2, _segment_steps, _segments, gaussian_flow,
+                            _paired_reference, _row_l2, _segment_steps, gaussian_flow,
                             gaussian_velocity_coefficients)
 from otflow.transport import kinks, make_enhanced
+from reference_passes import split_reference, two_pass_discretization
 
 
 def _rng(*key):
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(list(key))))
-
-
-def _split_reference(velocity, z0, times, steps):
-    # The states at every entry of times, z0 at times[0]: reference_integrate
-    # on each segment between consecutive entries (_segments), in the given
-    # numbers of steps.
-    states = [np.asarray(z0, dtype=float)]
-    for (a, b, seg), n in zip(_segments(velocity, times), steps):
-        states.append(reference_integrate(seg, states[-1], a, b, n))
-    return states
 
 
 def test_import_does_not_load_scipy():
@@ -316,7 +306,7 @@ def test_split_reference_is_fourth_order_down_to_t_0():
     want = gaussian_flow(mean, cov, z1, 1.0, 0.0)
     times = [1.0, *kinks(TransportConfig(beta0=0.0), 1.0, 0.0), 0.0]
     assert times == [1.0, _T_FLOOR, 0.0]
-    errs = [np.linalg.norm(_split_reference(field, z1, times, _segment_steps(times, n))[-1] - want)
+    errs = [np.linalg.norm(split_reference(field, z1, times, _segment_steps(times, n))[-1] - want)
             for n in (100, 200, 400)]
     assert all(coarse / fine >= 12.0 for coarse, fine in zip(errs, errs[1:]))
 
@@ -448,32 +438,6 @@ def test_verify_discretization_bound_rejects_probe_step_outside_span(probe_t):
                                     probe_t=probe_t)
 
 
-def _two_pass_discretization(field, transport, z_init, z_target, step_counts, probe_t,
-                             ref_steps):
-    # The reference of about ref_steps RK4 steps as separate passes from
-    # z_init through the same segments and step counts: one to t = 0, one
-    # stopping at probe_t, and one from the probe state to each probe step's
-    # end.
-    enhanced = make_enhanced(field, z_target, transport)
-    ends = [probe_t - 1.0 / n for n in step_counts]
-    times = [1.0, *kinks(transport, 1.0, 0.0, probe_t, *ends), 0.0]
-    steps = [2 * n for n in _segment_steps(times, ref_steps // 2)]
-    ref_final = _split_reference(enhanced, z_init, times, steps)[-1]
-    stop = times.index(probe_t)
-    probe_state = _split_reference(enhanced, z_init, times[:stop + 1], steps[:stop])[-1]
-    measured = []
-    for n, end in zip(step_counts, ends):
-        dt = 1.0 / n
-        traj_end = integrate(enhanced, z_init, make_time_grid(n, 1.0, 0.0)).final_state
-        euler_sub = probe_state - dt * enhanced(probe_state, probe_t)
-        last = times.index(end)
-        ref_sub = _split_reference(enhanced, probe_state, times[stop:last + 1],
-                                   steps[stop:last])[-1]
-        measured.append(("local", dt, l2_distance(euler_sub, ref_sub)))
-        measured.append(("global", dt, l2_distance(traj_end, ref_final)))
-    return measured
-
-
 # Per probe_t, with counts 5, 10, 20 and the transport of _shared_setup
 # (kinks at 0.99 and 0.7, besides t_floor, probe_t and the probe steps'
 # ends probe_t - 1/n): the base reference's (_REF_BASE) segment steps at
@@ -510,7 +474,7 @@ def test_verify_discretization_bound_integrates_the_reference_once(probe_t):
     assert len(walk) == counts[-1]
     assert report.fitted_constants["reference_steps"] == _REF_BASE
     assert len(calls) == len(walk) + 4 * sum(full) + 1
-    expected = _two_pass_discretization(field, transport, z_init, z_target, counts, probe_t,
+    expected = two_pass_discretization(field, transport, z_init, z_target, counts, probe_t,
                                         _REF_BASE)
     assert [m[:2] for m in report.measured] == [m[:2] for m in expected]
     for (_, _, got), (_, _, want) in zip(report.measured, expected):
@@ -534,12 +498,12 @@ def test_paired_reference_equals_two_separate_passes(probe_t):
     enhanced = make_enhanced(field, z_target, transport)
     times = [1.0, *kinks(transport, 1.0, 0.0, probe_t), 0.0]
     half = _segment_steps(times, _REF_BASE // 2)
-    states, halves = _paired_reference(enhanced, z_init, times, half)
-    full = _split_reference(enhanced, z_init, times, [2 * n for n in half])
+    states, halves = zip(*_paired_reference(enhanced, z_init, times, half))
+    full = split_reference(enhanced, z_init, times, [2 * n for n in half])
     assert len(states) == len(halves) == len(full) == len(times)
     for got, want in zip(states, full):
         assert np.array_equal(got, want)
-    for got, want in zip(halves, _split_reference(enhanced, z_init, times, half)):
+    for got, want in zip(halves, split_reference(enhanced, z_init, times, half)):
         assert l2_distance(got, want) <= 1e-12 * np.linalg.norm(want)
 
 
@@ -559,8 +523,8 @@ def test_discretization_reference_error_is_far_below_the_errors_it_measures():
     times = [1.0, *kinks(transport, 1.0, 0.0, 0.6, *[0.6 - 1.0 / n for n in _COUNTS]), 0.0]
     ref_steps = report.fitted_constants["reference_steps"]
     steps = [2 * n for n in _segment_steps(times, ref_steps // 2)]
-    ref = _split_reference(enhanced, z_init, times, steps)[-1]
-    fine = _split_reference(enhanced, z_init, times, [16 * n for n in steps])[-1]
+    ref = split_reference(enhanced, z_init, times, steps)[-1]
+    fine = split_reference(enhanced, z_init, times, [16 * n for n in steps])[-1]
     assert error / 3.0 <= l2_distance(ref, fine) <= 3.0 * error
 
 
@@ -576,9 +540,11 @@ def test_local_references_are_far_below_the_local_errors(monkeypatch):
     real = metrics._paired_reference
 
     def spy(velocity, z0, times, steps):
-        states, halves = real(velocity, z0, times, steps)
+        states = []
         walks.append((times, states))
-        return states, halves
+        for z, y in real(velocity, z0, times, steps):
+            states.append(z)
+            yield z, y
 
     monkeypatch.setattr(metrics, "_paired_reference", spy)
     _, z_init, z_target, reg, transport = _shared_setup(beta0_template=0.2)
@@ -780,14 +746,15 @@ def test_verify_discretization_probe_abort_names_its_step():
     # velocity aborts at probe_t, step 0 of the probe's one-step grid.  The
     # probe calls follow the walk of the Euler runs, one call at each of the
     # 20-step grid's times, in which the 5-step and 10-step grids nest, and
-    # each reference walk: the base walk's 4 * 52 calls (_SCHEDULE), which
-    # its failed probe step rejects, then the 4 * 202 of the 200-step walk,
-    # whose probe step raises.
+    # each reference walk: the base walk's first 4 * 30 calls (_SCHEDULE),
+    # down to the last probe step's end at 0.4, where its failed probe step
+    # rejects it, then the 4 * 202 of the 200-step walk, whose probe step
+    # raises.
     _, z_init, z_target, _, transport = _shared_setup(beta0_template=0.2)
     mu = np.array([1.0, -0.5])
     cov = np.array([[0.8, 0.2], [0.2, 0.5]])
     counts = [5, 10, 20]
-    probe_calls = [counts[-1] + 4 * 52 + 1, counts[-1] + 4 * 52 + 1 + 4 * 202 + 1]
+    probe_calls = [counts[-1] + 4 * 30 + 1, counts[-1] + 4 * 30 + 1 + 4 * 202 + 1]
     calls = []
 
     def field(z, t):
@@ -806,21 +773,24 @@ def test_verify_discretization_probe_abort_names_its_step():
 # each of the 80-step grid's times, in which the coarser grids nest (1-80);
 # the base walk's full pass on the segments [1, 0.99], [0.99, 0.7], [0.7,
 # 0.6], [0.6, 0.5875], [0.5875, 0.575], [0.575, 0.55], [0.55, 0.5], [0.5,
-# 1e-4] and [1e-4, 0] in 2, 14, 4, 2, 2, 2, 2, 24 and 2 RK4 steps (calls
-# 81-88, 89-144, 145-160, 161-168, 169-176, 177-184, 185-192, 193-288,
-# 289-296), the half pass in half as many riding in them (8 calls per
-# step); the probe (297).  When the base walk is not kept, the 200-step
+# 1e-4] and [1e-4, 0] in 2, 14, 4, 2, 2, 2, 2, 24 and 2 RK4 steps, the half
+# pass in half as many riding in them (8 calls per step), with the probe
+# where the walk pauses past the last probe step's end, 0.5: calls 81-88,
+# 89-144, 145-160, 161-168, 169-176, 177-184, 185-192, the probe (193),
+# then 194-289 and 290-297.  When the base walk is not kept, the 200-step
 # walk follows on the same segments in 2, 58, 20, 2, 2, 6, 10, 100 and 2
 # steps (calls 1-8, 9-240, 241-320, 321-328, 329-336, 337-360, 361-400,
-# 401-800 and 801-808 after the first 297), then its probe (1106).  In
-# each 8 calls of a half step the 1st, 4th, 5th and 8th carry the half
-# pass's state as a second row.
+# 401-800 and 801-808 after the first 193 when the pause rejected the base
+# walk, or 297 when its end did), then its probe (1002 or 1106).  In each
+# 8 calls of a half step the 1st, 4th, 5th and 8th carry the half pass's
+# state as a second row.
 _COUNTS = [10, 20, 40, 80]
 
 
-# The calls before the 200-step walk at counts 10-80 (see above): the Euler
-# runs, the base walk and its probe.
-_BEFORE_FALLBACK = 80 + 4 * 54 + 1
+# The calls before the 200-step walk at counts 10-80 (see above) when the
+# base walk is rejected at its pause: the Euler runs, the base walk down to
+# 0.5 and its probe.
+_BEFORE_FALLBACK = 80 + 4 * 28 + 1
 _GRID = {n: make_time_grid(n, 1.0, 0.0).points for n in _COUNTS}
 
 
@@ -837,19 +807,20 @@ def test_discretization_raises_the_abort_of_the_separate_runs(poison, probe, mon
     # then its probe step's.  poison maps a step count to the time at which
     # its run's field row is NaN; probe makes every probe velocity NaN, the
     # calls at probe_t after the walk (a reference walk reads no mark, as
-    # _segments keeps its times one ulp inside each segment).  Either
-    # rejects the base walk, so the 200-step walk's abort is raised.
+    # _segments keeps its times one ulp inside each segment).  A run abort
+    # rejects the base walk before it is walked, so only the 200-step walk
+    # and its probe follow the runs, and the abort is raised after them.
     from otflow import metrics
 
     _, z_init, z_target, _, transport = _shared_setup(beta0_template=0.2)
     mu = np.array([1.0, -0.5])
     cov = np.array([[0.8, 0.2], [0.2, 0.5]])
     grids = {n: _GRID[n][:-1].tolist() for n in _COUNTS}
-    calls, walking, real_walk = [], [True], metrics.integrate_finals
+    calls, walk_calls, real_walk = [], [], metrics.integrate_finals
 
     def walk(*args):
         finals = real_walk(*args)
-        walking[0] = False
+        walk_calls.append(len(calls))
         return finals
 
     monkeypatch.setattr(metrics, "integrate_finals", walk)
@@ -859,7 +830,7 @@ def test_discretization_raises_the_abort_of_the_separate_runs(poison, probe, mon
         # after its poisoned step.
         calls.append(t)
         v = gaussian_marginal_velocity(mu, cov, z, t)
-        if not walking[0]:
+        if walk_calls:
             return np.full_like(v, np.nan) if probe and t == 0.6 else v
         due = [n for n in _COUNTS if t in grids[n] and not poison.get(n, -1.0) > t]
         for row, n in enumerate(due):
@@ -870,6 +841,8 @@ def test_discretization_raises_the_abort_of_the_separate_runs(poison, probe, mon
     with pytest.raises(otflow.NumericalAbort) as err:
         verify_discretization_bound(walked, transport, z_init, z_target, _COUNTS, probe_t=0.6)
     assert all(t in grids[n] for n, t in poison.items())
+    # A run abort rejects the base walk before it starts.
+    assert len(calls) - walk_calls[0] == 4 * 202 + 1
 
     def separate():
         # The first abort of the separate runs, in count order.
@@ -933,11 +906,11 @@ def test_verify_discretization_reference_abort_names_its_step(poisoned, row, fir
 @pytest.mark.parametrize("poisoned, row", [(81, ...), (250, ...), (96, 1)],
                          ids=["head", "tail", "half"])
 def test_a_failed_base_walk_leaves_the_200_step_report(poisoned, row, monkeypatch):
-    # A NaN in the base walk alone (calls 81-296 at counts 10-80, numbered
-    # above) rejects it, and the report is that of the 200-step walk on the
-    # same field unpoisoned: the report of a rule that keeps no base walk
-    # (_REF_RHO = 0), bit for bit.  The half case poisons only the half
-    # pass's row of a paired call.
+    # A NaN in the base walk alone (calls 81-192 and 194-297 at counts
+    # 10-80, numbered above) rejects it, and the report is that of the
+    # 200-step walk on the same field unpoisoned: the report of a rule that
+    # keeps no base walk (_REF_RHO = 0), bit for bit.  The half case poisons
+    # only the half pass's row of a paired call.
     from otflow import metrics
 
     _, z_init, z_target, _, transport = _shared_setup(beta0_template=0.2)
@@ -957,6 +930,29 @@ def test_a_failed_base_walk_leaves_the_200_step_report(poisoned, row, monkeypatc
     monkeypatch.setattr(metrics, "_REF_RHO", 0.0)
     unpoisoned = lambda z, t: gaussian_marginal_velocity(mu, cov, z, t)
     assert report == verify_discretization_bound(unpoisoned, transport, z_init, z_target, _COUNTS)
+
+
+def test_a_base_walk_that_fails_at_its_pause_stops_there(monkeypatch):
+    # A rule that no estimate meets (_REF_RHO = 0) fails at the base walk's
+    # pause past the last probe step's end, 0.5, so the walk stops there:
+    # the Euler runs, the base walk down to 0.5 and its probe (the first
+    # _BEFORE_FALLBACK calls, numbered above), then the 200-step walk and
+    # its probe, whose report is given.
+    from otflow import metrics
+
+    _, z_init, z_target, _, transport = _shared_setup(beta0_template=0.2)
+    mu = np.array([1.0, -0.5])
+    cov = np.array([[0.8, 0.2], [0.2, 0.5]])
+    calls = []
+
+    def field(z, t):
+        calls.append(t)
+        return gaussian_marginal_velocity(mu, cov, z, t)
+
+    monkeypatch.setattr(metrics, "_REF_RHO", 0.0)
+    report = verify_discretization_bound(field, transport, z_init, z_target, _COUNTS)
+    assert report.fitted_constants["reference_steps"] == _REF_STEPS
+    assert calls[_BEFORE_FALLBACK - 1] == 0.6 and len(calls) == _BEFORE_FALLBACK + 4 * 202 + 1
 
 
 def test_reference_integrate_abort_names_step_time_and_term():
@@ -1025,7 +1021,7 @@ def test_split_reference_reads_a_window_edge_on_each_segments_side():
     enhanced = make_enhanced(field, z_target, transport)
     times = [1.0, *kinks(transport, 1.0, 0.0), 0.0]
     assert times == [1.0, 0.99, 0.8, 0.7, 0.3, _T_FLOOR, 0.0]
-    exact = _split_reference(enhanced, z_init, times, _segment_steps(times, 3200))[-1]
-    errs = [l2_distance(_split_reference(enhanced, z_init, times, _segment_steps(times, n))[-1],
+    exact = split_reference(enhanced, z_init, times, _segment_steps(times, 3200))[-1]
+    errs = [l2_distance(split_reference(enhanced, z_init, times, _segment_steps(times, n))[-1],
                         exact) for n in (50, 100, 200)]
     assert all(coarse / fine >= 12.0 for coarse, fine in zip(errs, errs[1:]))

@@ -23,6 +23,7 @@ from otflow.core import make_rng
 from otflow.runner import (atomic_write_text, derive_seed, gen_data, points_csv,
                            run_experiment, run_sweep, run_verify, trajectory_csv)
 from otflow.svgplot import render_metric_chart, render_trajectories
+from reference_passes import split_reference, two_pass_discretization
 
 _EDIT_CFG = """\
 [experiment]
@@ -1474,54 +1475,41 @@ def test_edge_base_config_keeps_the_200_step_reference(monkeypatch):
     # On the edge table's base config the clip switches while the guided
     # state falls below clip_tau, a kink transport.kinks cannot list, so the
     # base walk's stated error is too large a share of the errors it
-    # measures and the check walks 200 RK4 steps.  Its measured values and
-    # slopes are then those of a 200-step split reference built as separate
-    # reference_integrate passes per segment (tests/test_metrics.py's
-    # _split_reference), bit for bit, and reference_error is the end state's
-    # estimate alone.
+    # measures, already at its pause past the last probe step's end, and
+    # the check walks 200 RK4 steps after 80 + 4 * 28 + 1 calls.  Its
+    # measured values and slopes are then those of a 200-step reference
+    # built as separate passes (reference_passes), bit for bit, and
+    # reference_error is the end state's estimate alone.
     from otflow import metrics
-    from otflow.core import euler_step, integrate_final, make_time_grid
     from otflow.transport import kinks, make_enhanced
 
     cfg = load_config_text(_EDGE_CFG, overrides=["experiment.algorithm=verify",
                                                  "verify.kind=discretization"])
-    args = []
+    args, calls = [], []
     real = runner.verify_discretization_bound
-    monkeypatch.setattr(runner, "verify_discretization_bound",
-                        lambda *a, **kw: args.append((a, kw)) or real(*a, **kw))
+
+    def spy(field, *rest, **kw):
+        args.append((field, *rest, kw))
+        return real(lambda z, t: calls.append(t) or field(z, t), *rest, **kw)
+
+    monkeypatch.setattr(runner, "verify_discretization_bound", spy)
     [report] = run_verify(cfg)
-    [((field, transport, z_init, z_target, counts), kw)] = args
-    probe_t = kw["probe_t"]
+    [(field, transport, z_init, z_target, counts, kw)] = args
+    counts, probe_t = sorted(counts), kw["probe_t"]
     assert report.fitted_constants["reference_steps"] == metrics._REF_STEPS == 200
-
-    def split(z0, times, steps):
-        states = [z0]
-        for (a, b, seg), n in zip(metrics._segments(enhanced, times), steps):
-            states.append(metrics.reference_integrate(seg, states[-1], a, b, n))
-        return states
-
-    enhanced = make_enhanced(field, z_target, transport)
-    times = [1.0, *kinks(transport, 1.0, 0.0, probe_t, *[probe_t - 1.0 / n for n in counts]), 0.0]
-    half = metrics._segment_steps(times, 100)
-    states = split(z_init, times, [2 * n for n in half])
-    probe_state = states[times.index(probe_t)]
-    probe_v = enhanced(probe_state, probe_t)
-    measured, dts = [], [1.0 / n for n in sorted(counts)]
-    for n, dt in zip(sorted(counts), dts):
-        euler = euler_step(probe_state, probe_v, -dt, probe_t, 0)
-        final = integrate_final(enhanced, z_init, make_time_grid(n, 1.0, 0.0))
-        measured += [("local", dt, metrics.l2_distance(euler, states[times.index(probe_t - dt)])),
-                     ("global", dt, metrics.l2_distance(final, states[-1]))]
+    assert len(calls) == 80 + 4 * 28 + 1 + 4 * 202 + 1
+    measured = two_pass_discretization(field, transport, z_init, z_target, counts, probe_t, 200)
     assert report.measured == tuple(measured)
     for series in ("local", "global"):
-        errs = [e for s, _, e in measured if s == series]
-        slope = float(np.polyfit(np.log(dts), np.log(errs), 1)[0])
-        assert report.fitted_constants[f"{series}_slope"] == slope
+        dts, errs = zip(*[(dt, e) for s, dt, e in measured if s == series])
+        assert report.fitted_constants[f"{series}_slope"] == metrics._fit_loglog_slope(dts, errs)
     # The half pass rides in the full pass's calls, at its stage times, so
     # its end state is the half-count split pass's only to rounding (1.9e-15
     # apart here).
-    _, halves = metrics._paired_reference(enhanced, z_init, times, half)
-    end_half = split(z_init, times, half)[-1]
-    assert metrics.l2_distance(halves[-1], end_half) <= 1e-12 * np.linalg.norm(end_half)
-    assert report.fitted_constants["reference_error"] == \
-        metrics.l2_distance(states[-1], halves[-1]) / 15.0
+    enhanced = make_enhanced(field, z_target, transport)
+    times = [1.0, *kinks(transport, 1.0, 0.0, probe_t, *[probe_t - 1.0 / n for n in counts]), 0.0]
+    half = metrics._segment_steps(times, 100)
+    *_, (end, end_half) = metrics._paired_reference(enhanced, z_init, times, half)
+    want = split_reference(enhanced, z_init, times, half)[-1]
+    assert metrics.l2_distance(end_half, want) <= 1e-12 * np.linalg.norm(want)
+    assert report.fitted_constants["reference_error"] == metrics.l2_distance(end, end_half) / 15.0
