@@ -62,9 +62,10 @@ Conditions select which field an evaluation uses.  make_velocity, the one
 way to evaluate a registry, resolves them once at binding and returns the
 same closure for every binding, which clamps t at _T_FLOOR and calls one of
 two kernels.  A binding of a registry with Gaussians holds one
-_GaussianKernel, which keeps the last t's terms and its buffers between
-calls (see the class), so a binding must not be called from two threads at
-once; every sweep runs serially.  The null condition of a registry of
+_GaussianKernel, which keeps the last t's terms, a table of the terms of
+the times it comes back to, and its buffers between calls (see the class),
+so a binding must not be called from two threads at once; every sweep runs
+serially.  The null condition of a registry of
 point sets only makes one pass over their pooled atoms: it is
 empirical_marginal_velocity on the concatenated sets bit for bit, which the
 per-set mixture matches only to rounding (about 1e-13 relative).  The pooled
@@ -263,10 +264,8 @@ def _gaussian_velocity_eig(terms, zb, blocks, prod):
     # block and component gives y / sqrt(c), with y = Q^T (z - a mu), and the
     # velocity directly.
     #   log densities (b, m):  -(|y / sqrt(c)|^2 + sum log c) / 2 + const
-    #   velocities (m, b, d):  A (z - a mu) - mu, a fresh C-ordered copy,
-    #     so each component's (b, d) rows are contiguous
-    # The copy is explicit: at b = 1 the slice is already contiguous, and
-    # np.ascontiguousarray would hand back a view of prod.
+    #   velocities (m, b, d):  A (z - a mu) - mu, a view of prod's last d
+    #     columns, valid until the kernel's next call
     centres, ops, half_log_c = terms
     b, d = zb.shape
     m = len(ops)
@@ -277,33 +276,40 @@ def _gaussian_velocity_eig(terms, zb, blocks, prod):
     log_r = np.einsum("mbj,mbj->bm", ys, ys)
     log_r *= -0.5
     log_r -= half_log_c
-    return log_r, prod[:, :b, d:].copy()
+    return log_r, prod[:, :b, d:]
 
 
 class _GaussianKernel:
     """The one Gaussian kernel of a stack of m components in d dimensions,
     as a make_velocity binding holds it.  Called at (b, d) states zb and a
     clamped t, it returns the (b, m) log densities and the (m, b, d)
-    velocities of _gaussian_velocity_eig.
+    velocities of _gaussian_velocity_eig, the velocities a view of its
+    product buffer that its next call overwrites.
 
     It keeps the stack's _gaussian_terms for the last t it was called at,
     so calls at a repeated time, as RK4's stages make, skip them.  Its
     (m, d + 1, 2d) operand is allocated once, with the zero block and the
     -mu row that no t changes, and a fresh t writes only its two
-    t-dependent blocks into it.  It keeps the (m, rows, d + 1) centred
+    t-dependent blocks into it.  A time it comes back to after calls at
+    other times, as the verify arms walk one grid after another, is built
+    once more into an operand of its own and kept in a table, so later
+    returns build nothing; seen records the times met so far.  A time met in
+    one run of consecutive calls only, as every time of one RK4 walk or one
+    Euler run, holds no table entry.  It keeps the (m, rows, d + 1) centred
     blocks, whose last column is ones, and their (m, rows, 2d) product for
     the last padded row count, the only shape that can change, so a loop of
     equal batches allocates neither again.  The padding rows of the blocks,
     those past a call's b live rows, must be zero: the blocks are allocated
     zeroed, and a call zeroes only the rows from b up to the live row count
     of the call before it, the rows that call wrote, so a loop of equal
-    batches zeroes none.  The kernel fills its buffers in
-    place with the same fixed-shape products, so every bit is as with fresh
-    buffers, and copies its results out: nothing it returns aliases them.
-    The object therefore holds state between calls and must not be called
-    from two threads at once; every sweep runs serially."""
+    batches zeroes none.  The kernel fills its buffers in place with the
+    same fixed-shape products, so every bit is as with fresh buffers.  Its
+    callers read the velocity view before they call again, and
+    make_velocity's closure copies the one slice it would hand out (see
+    there).  The object therefore holds state between calls and must not be
+    called from two threads at once; every sweep runs serially."""
 
-    __slots__ = ("stack", "t", "terms", "ops", "blocks", "prod", "live")
+    __slots__ = ("stack", "t", "terms", "ops", "blocks", "prod", "live", "seen", "table")
 
     def __init__(self, stack):
         self.stack = stack
@@ -313,10 +319,17 @@ class _GaussianKernel:
         self.ops[:, d, d:] = -means
         self.t = self.terms = self.blocks = self.prod = None
         self.live = 0
+        self.seen, self.table = set(), {}
 
     def __call__(self, zb, t):
         if t != self.t:
-            self.t, self.terms = t, _gaussian_terms(self.stack, t, self.ops)
+            terms = self.table.get(t)
+            if terms is None and t in self.seen:
+                terms = self.table[t] = _gaussian_terms(self.stack, t, self.ops.copy())
+            elif terms is None:
+                self.seen.add(t)
+                terms = _gaussian_terms(self.stack, t, self.ops)
+            self.t, self.terms = t, terms
         b, d = zb.shape
         rows = -(-b // _ROWS) * _ROWS
         if self.blocks is None or self.blocks.shape[1] != rows:
@@ -588,18 +601,22 @@ def make_velocity(registry, condition, scales):
     Every binding returns the same closure: it clamps t at _T_FLOOR, checks
     the state's dimension (a ValueError), and calls one kernel.  A registry
     with Gaussians gives each binding its own _GaussianKernel, which holds
-    state between calls, so one binding must not be called from two threads
-    at once (see the class).  The null condition of a registry that holds
-    only point sets makes one pass over their pooled atoms (_point_pass);
-    the first such binding builds that pooled set and leaves it on the
-    registry for the next ones, the one write a binding makes (see
-    FieldRegistry).  Every other condition calls the null mixture
+    state between calls (the last t's terms, those of the times the binding
+    comes back to, and its buffers), so one binding must not be called from
+    two threads at once (see the class).  The kernel hands back its
+    velocities as a view of its product buffer; the closure copies the one
+    slice it would return as it stands, a dataset column at w = 1, so no
+    result aliases the binding's workspace.  The null condition of a
+    registry that holds only point sets makes one pass over their pooled
+    atoms (_point_pass); the first such binding builds that pooled set and
+    leaves it on the registry for the next ones, the one write a binding
+    makes (see FieldRegistry).  Every other condition calls the null mixture
     (FieldRegistry._mixture): the null condition returns its null field, and
     a dataset condition blends the entry's column with it by cfg_blend's
-    rule at scales.w, which binding checks once.  A name the registry does not hold raises
-    UnknownDatasetError at binding, and the null condition of an empty
-    registry a ValueError.  Binding relies on the registry's rule that
-    every dataset is registered before any field is used.
+    rule at scales.w, which binding checks once.  A name the registry does
+    not hold raises UnknownDatasetError at binding, and the null condition
+    of an empty registry a ValueError.  Binding relies on the registry's
+    rule that every dataset is registered before any field is used.
     """
     column = w = None
     if condition.kind == "dataset":
@@ -623,7 +640,10 @@ def make_velocity(registry, condition, scales):
             return _point_pass(pooled, zb, t)[2].reshape(z.shape)
         v, vels = registry._mixture(zb, t, kernel)
         if column is not None:
-            v = _blend(v, vels[column], w)
+            # At w = 1 the blend is the column itself, which on a registry of
+            # Gaussians only is a view of the kernel's product buffer: copied,
+            # so no result aliases the binding's workspace.
+            v = vels[column].copy() if w == 1.0 else _blend(v, vels[column], w)
         return v.reshape(z.shape)
 
     return velocity

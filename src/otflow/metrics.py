@@ -34,6 +34,12 @@ step (reference_integrate, _paired_rk4).  Convergence and edit control
 share one VerifySetup, which binds the condition's field and draws the
 noise bank once, integrates each distinct arm (one transport strength and
 schedule over the noise bank) once and hands its final states to both.
+Every arm starts with the same field call, on the bank at the grid's first
+time, which the setup makes once, so on a grid of n steps k distinct arms
+make 1 + k * (n - 1) field calls: 136 for the default five arms at 28
+steps.  Their one binding builds each grid time's Gaussian terms on the
+first arm and once more, into its table, on the second (2n - 1 builds), and
+the later arms build none.
 
 Wasserstein-2 comes in two dual forms kept deliberately separate: the closed
 Gaussian (Bures) expression and an exact-assignment empirical distance, so
@@ -340,12 +346,9 @@ class BoundReport:
 
     A discretization report's reference_steps is the size of the RK4
     reference it kept (verify_discretization_bound), and its
-    reference_error is that reference's Richardson estimate, read at
-    different states by the two sizes: at _REF_BASE steps the largest over
-    probe_t, each probe step's end and t = 0, at _REF_STEPS the end state's
-    alone.  So the two sizes' reference_error values do not measure the
-    same thing, and the one at _REF_STEPS can understate the error at the
-    probe marks.
+    reference_error is that reference's largest Richardson estimate over
+    the states the check reads: probe_t, each probe step's end and t = 0,
+    at either size.
     """
 
     bound_kind: str
@@ -370,10 +373,13 @@ class VerifySetup:
     states, so verifiers run on the same setup share their arms.
     Every zero-strength arm is the same run, the unguided one, whatever its
     schedule.  The arms also share one binding of the condition's field
-    (make_velocity), so one Gaussian kernel and its n_runs-row buffers, and
-    one draw of the noise bank, both made at the first arm and kept.  The
-    memo, the binding and the bank belong to this instance: a copy made with
-    dataclasses.replace starts without them.
+    (make_velocity), so one Gaussian kernel, its n_runs-row buffers and its
+    table of the grid's terms, and one draw of the noise bank, both made at
+    the first arm and kept.  Every arm's first call is the field on the
+    noise bank at the grid's first time, so that call is made once, beside
+    the binding, and each arm adds its own transport term to its read-only
+    result.  The memo, the binding and the bank belong to this instance: a
+    copy made with dataclasses.replace starts without them.
     """
 
     registry: object
@@ -396,13 +402,22 @@ class VerifySetup:
         return make_rng(self.seed).standard_normal((self.n_runs, dim))
 
     def _binding(self):
-        # (the condition's field, the read-only noise bank), made on the
-        # first call and kept for the setup's later arms.
+        # (the arms' field, the read-only noise bank), made on the first call
+        # and kept for the setup's later arms.  The field is the condition's
+        # binding, but at the grid's first time on the bank itself, the first
+        # call of every arm's Euler walk, it returns the one read-only
+        # velocity made here.
         if self._bound is None:
             noise = self.noise_bank(self.z_target.shape[0])
             noise.flags.writeable = False
             velocity = make_velocity(self.registry, self.condition, self.scales)
-            object.__setattr__(self, "_bound", (velocity, noise))
+            t_first = float(self.grid.points[0])
+            first = velocity(noise, t_first)
+            first.flags.writeable = False
+
+            def field(z, t):
+                return first if z is noise and t == t_first else velocity(z, t)
+            object.__setattr__(self, "_bound", (field, noise))
         return self._bound
 
 
@@ -585,12 +600,12 @@ def verify_discretization_bound(field, transport_cfg, z_init, z_target, step_cou
     when it, the probe velocity, every Euler run and every probe step end
     finite, the smallest measured error is positive, and its largest
     estimate, at probe_t, each probe step's end and t = 0, is at most
-    _REF_RHO of that error; fitted_constants' reference_error is then that
-    largest estimate.  Otherwise the reference is walked again at
-    _REF_STEPS, and the report and any abort are those of that walk alone,
-    with reference_error the end state's estimate.  reference_steps gives
-    the walk used.  The first walk stops once the rule fails
-    (_discretization_errors): it is not walked when an Euler run aborted,
+    _REF_RHO of that error.  Otherwise the reference is walked again at
+    _REF_STEPS, and the report and any abort are those of that walk alone.
+    fitted_constants' reference_error is the largest estimate of the walk
+    used, and reference_steps gives its size.  The first walk stops once
+    the rule fails (_discretization_errors): it is not walked when an Euler
+    run aborted,
     and not past the last probe step's end when an estimate up to there
     already exceeds _REF_RHO of the smallest local error.  On the verify
     workload's default counts 10, 20, 40, 80 the check thus makes 80 + 216
@@ -619,8 +634,6 @@ def verify_discretization_bound(field, transport_cfg, z_init, z_target, step_cou
     if not kept:
         errors = _discretization_errors(*walk, _REF_STEPS, rho=None)
     local_errs, global_errs, estimates = errors
-    # The estimate the rule tested, or the end state's alone at _REF_STEPS.
-    reference_error = max(estimates) if kept else estimates[-1]
 
     dts = [1.0 / n for n in step_counts]
     measured = []
@@ -642,7 +655,7 @@ def verify_discretization_bound(field, transport_cfg, z_init, z_target, step_cou
         measured=tuple(measured),
         fitted_constants={"local_slope": local_slope, "global_slope": global_slope,
                           "lipschitz_scale": lipschitz_scale,
-                          "reference_error": reference_error,
+                          "reference_error": max(estimates),
                           "reference_steps": _REF_BASE if kept else _REF_STEPS},
         slope=local_slope,
         passed=passed,

@@ -154,10 +154,13 @@ def _row_norms(v):
 
 def _clip(v, n, tau):
     # clip_norm given v's row norms n, without its checks; a (d,) state is
-    # clipped as a one-row batch.  A finite row whose norm is inf even
-    # rescaled is clipped as u = v / max|v|, its direction at a finite norm,
-    # times tau / ||u||, not zeroed by tau / inf; a row with a non-finite
-    # entry is left to tau / inf as before.
+    # clipped as a one-row batch.  Each row is multiplied by one scale,
+    # tau / n where n > tau and exactly 1.0 elsewhere, so an unclipped row
+    # keeps its bits (NaN, inf and -0.0 entries included) and warns of
+    # nothing.  A finite row whose norm is inf even rescaled is clipped as
+    # u = v / max|v|, its direction at a finite norm, times tau / ||u||, not
+    # zeroed by tau / inf; a row with a non-finite entry is left to tau / inf
+    # as before.
     rows, n = v.reshape(-1, v.shape[-1]), np.reshape(n, -1)
     over = n == np.inf
     if over.any():
@@ -167,8 +170,8 @@ def _clip(v, n, tau):
         u = rows[over] / np.abs(rows[over]).max(axis=-1, keepdims=True)
         rows, n = rows.copy(), n.copy()
         rows[over], n[over] = u * (tau / np.linalg.norm(u, axis=-1, keepdims=True)), tau
-    n = n[:, None]
-    return np.where(n > tau, rows * (tau / np.maximum(n, 1e-300)), rows).reshape(v.shape)
+    scale = np.where(n > tau, tau / np.maximum(n, 1e-300), 1.0)
+    return (rows * scale[:, None]).reshape(v.shape)
 
 
 def enhance_velocity(v_base, z, z_target, t, cfg, beta0=None):
@@ -183,7 +186,9 @@ def enhance_velocity(v_base, z, z_target, t, cfg, beta0=None):
     with clip_tau.  A row whose weight is zero keeps its v_base row
     untouched, with raw_norm 0.  When S(s) is zero (t outside the window,
     schedule annealed away) the result is (v_base, 0.0, 0.0) with v_base
-    itself.
+    itself.  One nonzero weight shared by every row, as make_enhanced and
+    the verify arms give, adds the term to every row with no per-row
+    select, and its raw_norm is the direction's norms as they are.
     """
     s_factor = adaptive_weight(t, cfg, 1.0)
     if s_factor == 0.0:
@@ -191,6 +196,8 @@ def enhance_velocity(v_base, z, z_target, t, cfg, beta0=None):
     d = transport_direction(z, z_target, t, cfg.delta)
     raw_norm = _row_norms(d)
     w = s_factor * np.asarray(cfg.beta0 if beta0 is None else beta0, dtype=float)
+    if np.ndim(w) == 0 and w != 0.0:
+        return v_base + w * _clip(d, raw_norm, cfg.clip_tau), w, raw_norm
     on = w != 0.0
     v = np.where(on[..., None], v_base + w[..., None] * _clip(d, raw_norm, cfg.clip_tau), v_base)
     return v, w, np.where(on, raw_norm, 0.0)

@@ -235,3 +235,122 @@ def test_flowedit_is_translation_equivariant(d, target, clip_tau, beta0):
         got = np.array([getattr(s, field) for s in moved.summary])
         want = np.array([getattr(s, field) for s in edit.summary])
         assert np.abs(got - want).max() <= _REL * max(size, np.abs(want).max()), field
+
+
+@pytest.mark.parametrize("d", _DIMS)
+def test_integrate_final_is_translation_equivariant(d):
+    # At beta0 = 0 the run is the field alone.  Moving every dataset by c
+    # moves each field velocity by -c at a state moved by (1 - t) c, and an
+    # Euler step from t to t + dt keeps that: (1 - t) c + dt (-c) is
+    # (1 - t - dt) c.  The noise end does not move, so 28 reverse steps from
+    # one noise bank to t = 0 end moved by c, to rounding relative to the
+    # largest state norm.  Every grid time the fields read is at least 1/28,
+    # above t_floor, so the floor's freeze plays no part.
+    reg, _, _, rng = _registries(d)
+    c = 0.7 * rng.standard_normal(d) + 0.5
+    grid = make_time_grid(28, 1.0, 0.0)
+    z = rng.standard_normal((32, d))
+    moved_reg = _moved(reg, c)
+    for condition in _CONDITIONS:
+        scales = GuidanceScales(w=2.5)
+        unguided = TransportConfig(beta0=0.0, phi=0.6)
+        final = guided_final_states(reg, condition, scales, grid, unguided, z[0], z)
+        moved = integrate_final(make_velocity(moved_reg, condition, scales), z, grid)
+        size = max(np.linalg.norm(final, axis=1).max(), np.linalg.norm(moved, axis=1).max())
+        assert np.linalg.norm(moved - c - final, axis=-1).max() <= _REL * size, condition
+
+
+@pytest.mark.parametrize("d", _DIMS)
+@pytest.mark.parametrize("target", ["g2", "p"])
+@pytest.mark.parametrize("eta", [0.0, 0.6])
+def test_inversion_edit_is_translation_equivariant_up_to_the_floor(d, target, eta, monkeypatch):
+    # At beta0 = 0 every step but one commutes with moving the datasets and
+    # sources by c: the fields and the CFG blend move by -c at a state moved
+    # by (1 - t) c, the controller (z - z0) / t moves by -c too, and Euler
+    # keeps the shift.  The one exception is the inversion's first call, at
+    # t = 0, which the fields read at t_floor: there the moved state is
+    # moved by c, not (1 - t_floor) c, so the moved field returns
+    # v(x0 + t_floor c, t_floor) - c.  So the moved edit equals, to rounding,
+    # the edit whose first inversion call reads x0 + t_floor c; and its gap
+    # to the plain edit is that misplacement carried through the pipeline.
+    # That gap was measured, not derived: at most 0.55 t_floor ||c|| over
+    # these settings (d = 2, point-set target, eta = 0), so it is bounded
+    # here by t_floor ||c||.
+    from otflow import editors
+    from otflow.fields import _T_FLOOR
+
+    reg, _, _, rng = _registries(d)
+    c = 0.7 * rng.standard_normal(d) + 0.5
+    cfg = InversionEditConfig(eta=eta, eta_window=(1.0, 0.3), grid=make_time_grid(28, 1.0, 0.0),
+                              transport=TransportConfig(beta0=0.0, phi=0.6),
+                              condition_target=Condition.dataset(target),
+                              scales=GuidanceScales(w=2.5))
+    codec = LatentCodec.identity(d)
+    x0 = 0.8 * rng.standard_normal((32, d)) - 1.0
+    edit = transport_guided_inversion_edit(cfg, reg, codec, x0)
+    moved = transport_guided_inversion_edit(cfg, _moved(reg, c), codec, x0 + c)
+    bind = editors.make_velocity
+
+    def first_read_moved(registry, condition, scales):
+        field = bind(registry, condition, scales)
+        if condition.kind != "null":
+            return field
+        return lambda z, t: field(z + _T_FLOOR * c if t == 0.0 else z, t)
+
+    monkeypatch.setattr(editors, "make_velocity", first_read_moved)
+    replay = transport_guided_inversion_edit(cfg, reg, codec, x0)
+    assert edit.aborts == moved.aborts == replay.aborts == (None,) * 32
+    size = max(np.linalg.norm(edit.trajectory.states, axis=-1).max(),
+               np.linalg.norm(moved.trajectory.states, axis=-1).max())
+    assert np.linalg.norm(moved.output - c - replay.output, axis=-1).max() <= _REL * size
+    gap = np.linalg.norm(moved.output - c - edit.output, axis=-1).max()
+    assert gap <= _T_FLOOR * np.linalg.norm(c)
+
+
+class _RotatedDraws:
+    # A generator whose standard normal draws are rotated by q along their
+    # last axis; a standard normal law is rotation-invariant.
+    def __init__(self, rng, q):
+        self.rng, self.q = rng, q
+
+    def standard_normal(self, shape):
+        return self.rng.standard_normal(shape) @ self.q.T
+
+
+@pytest.mark.parametrize("d", _DIMS)
+@pytest.mark.parametrize("target", ["g2", "p"])
+@pytest.mark.parametrize("clip_tau", [0.05, 1e6], ids=["clip-active", "clip-inactive"])
+@pytest.mark.parametrize("beta0", [0.0, 0.4])
+def test_flowedit_is_rotation_equivariant_when_its_draws_rotate(d, target, clip_tau, beta0,
+                                                                 monkeypatch):
+    # FlowEdit draws its noise from each row's seeded generator.  With every
+    # draw rotated by Q (RngSeed.generator wrapped), rotating the registry
+    # and the sources rotates every noised state, both branch velocities,
+    # the transport direction and its row-wise clip, so the output rotates
+    # by Q and the summary stays, to rounding relative to the largest state
+    # norm.
+    from otflow import editors
+
+    reg, rot, q, rng = _registries(d)
+    cfg = FlowEditConfig(transport=TransportConfig(beta0=beta0, phi=0.6, clip_tau=clip_tau),
+                         grid=make_time_grid(28, 1.0, 0.0), cond_src=Condition.dataset("g1"),
+                         cond_tar=Condition.dataset(target),
+                         scales=GuidanceScales(w_src=1.5, w_tar=2.5), seed=7, n_avg=2, n_min=3)
+    codec = LatentCodec(np.full(d, 1.5), np.zeros(d))
+    x0 = 0.8 * rng.standard_normal((16, d)) - 1.0
+    edit = transport_enhanced_flowedit(cfg, reg, codec, x0)
+    generator = editors.RngSeed.generator
+    monkeypatch.setattr(editors.RngSeed, "generator",
+                        lambda seed: _RotatedDraws(generator(seed), q))
+    rotated = transport_enhanced_flowedit(cfg, rot, codec, x0 @ q.T)
+    if beta0 > 0.0:
+        norms = edit.trajectory.transport_norms
+        assert (norms > clip_tau).any() if clip_tau < 1.0 else norms.max() < clip_tau
+    assert edit.aborts == rotated.aborts == (None,) * 16
+    size = np.linalg.norm(edit.trajectory.states, axis=-1).max()
+    assert _gap(rotated.output, edit.output @ q.T) <= _REL
+    assert _gap(rotated.trajectory.states[-1], edit.trajectory.states[-1] @ q.T) <= _REL
+    for field in ("reconstruction_l2", "displacement_l2", "transport_work"):
+        got = np.array([getattr(s, field) for s in rotated.summary])
+        want = np.array([getattr(s, field) for s in edit.summary])
+        assert np.abs(got - want).max() <= _REL * max(size, np.abs(want).max()), field

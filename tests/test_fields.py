@@ -1200,6 +1200,59 @@ def test_rk4_steps_compute_the_gaussian_terms_once_per_time(n_fine, times, monke
         assert np.array_equal(got, fresh)
 
 
+def _kernel_of(field):
+    # The _GaussianKernel a make_velocity binding holds.
+    import inspect
+
+    return inspect.getclosurevars(field).nonlocals["kernel"]
+
+
+@pytest.mark.parametrize("with_points", [False, True])
+def test_binding_that_revisits_times_equals_fresh_bindings(with_points, monkeypatch):
+    # The verify arms' pattern: one binding walks one grid's times again and
+    # again, on batches of 1024 and 5 rows, with other times between.  A
+    # time is built once when first met and once more, into the kernel's
+    # table, when met again; later returns build nothing.  Every result
+    # equals a fresh binding's, bit for bit.
+    d = 8
+    reg = _two_gaussian_registry(d, with_points)
+    zs = 0.8 * _rng(87, d).standard_normal((1024, d))
+    grid = np.linspace(1.0, 0.0, 8)[:-1].tolist()
+    terms, built = fields._gaussian_terms, []
+    monkeypatch.setattr(fields, "_gaussian_terms",
+                        lambda stack, t, ops: built.append(t) or terms(stack, t, ops))
+    for cond, w in ((Condition.null(), 1.0), (Condition.dataset("g1"), 1.0),
+                    (Condition.dataset("g2"), 2.5)):
+        scales = GuidanceScales(w=w)
+        field = make_velocity(reg, cond, scales)
+        kernel, mine = _kernel_of(field), []
+        for walk, b in enumerate((1024, 5, 1024, 1024)):
+            for t in grid + ([0.55] if walk == 1 else []):
+                for _ in range(2):
+                    start = len(built)
+                    got = field(zs[:b], t)
+                    mine += built[start:]
+                    assert np.array_equal(got, make_velocity(reg, cond, scales)(zs[:b], t))
+        assert sorted(kernel.table) == sorted(grid)
+        assert sorted(mine) == sorted(grid + grid + [0.55])
+
+
+@pytest.mark.parametrize("with_points", [False, True])
+def test_binding_that_never_revisits_a_time_holds_no_table_entries(with_points):
+    # An RK4 walk and an Euler run meet each time in one run of consecutive
+    # calls (the RK4 midpoint stages share a time, and a step starts where
+    # the last one ended), so the binding keeps the last time's terms alone.
+    reg = _two_gaussian_registry(8, with_points)
+    z0 = 0.8 * _rng(88).standard_normal((3, 8))
+    for cond, w in ((Condition.null(), 1.0), (Condition.dataset("g2"), 2.0)):
+        rk4, euler = (make_velocity(reg, cond, GuidanceScales(w=w)) for _ in range(2))
+        reference_integrate(rk4, z0, 1.0, 0.0, 20)
+        integrate(euler, z0, make_time_grid(28, 1.0, 0.0))
+        for field, times in ((rk4, 41), (euler, 28)):
+            kernel = _kernel_of(field)
+            assert kernel.table == {} and len(kernel.seen) == times
+
+
 @pytest.mark.parametrize("with_points", [False, True])
 def test_two_interleaved_bindings_equal_fresh_bindings(with_points):
     # Each binding owns its kernel: two bindings of one registry, called in

@@ -38,7 +38,7 @@ from otflow import (
 from otflow.fields import _T_FLOOR
 from otflow.metrics import (_REF_BASE, _REF_STEPS, AssignmentPlan, VerifySetup, _as_cov,
                             _paired_reference, _row_l2, _segment_steps, gaussian_flow,
-                            gaussian_velocity_coefficients)
+                            gaussian_velocity_coefficients, guided_final_states)
 from otflow.transport import kinks, make_enhanced
 from reference_passes import split_reference, two_pass_discretization
 
@@ -615,6 +615,34 @@ def test_verify_arms_run_once_per_setup(monkeypatch):
     fresh = replace(setup)
     assert fresh._arms == {}
     assert edit_phi == verify_edit_control_bound(fresh, [0.0, 0.1, 0.2, 0.4], 0.6)
+
+
+@pytest.mark.parametrize("w", [1.0, 2.5])
+def test_verify_arms_share_their_first_call_bit_for_bit(w, monkeypatch):
+    # Every arm's first call is the field on the noise bank at the grid's
+    # first time, so the setup makes it once and each arm adds its own
+    # transport term to it.  Each arm equals guided_final_states on a fresh
+    # binding, bit for bit, and the shared binding is read at that time once.
+    from otflow import metrics
+
+    setup, *_ = _shared_setup(n_runs=16)
+    setup = replace(setup, scales=GuidanceScales(w=w))
+    noise = setup.noise_bank(setup.z_target.shape[0])
+    strengths = (0.0, 0.1, 0.4, 0.8)
+    want = [guided_final_states(setup.registry, setup.condition, setup.scales, setup.grid,
+                                replace(setup.transport, beta0=b), setup.z_target, noise)
+            for b in strengths]
+    calls, bind = [], metrics.make_velocity
+
+    def counting_bind(*args):
+        field = bind(*args)
+        return lambda z, t: calls.append(t) or field(z, t)
+
+    monkeypatch.setattr(metrics, "make_velocity", counting_bind)
+    for b, final in zip(strengths, want):
+        assert np.array_equal(metrics._run_outputs(setup, b), final)
+    assert len(calls) == 1 + len(strengths) * (setup.grid.n_steps - 1)
+    assert calls.count(setup.grid.t_start) == 1
 
 
 def test_covariance_symmetry_check():

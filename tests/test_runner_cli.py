@@ -5,6 +5,7 @@ files, sweeps must not depend on the --workers flag, and every exit code in
 the CLI contract must be reachable.
 """
 
+import collections
 import csv
 import io
 import os
@@ -351,14 +352,70 @@ def test_verify_workload_work_counts(tmp_path, monkeypatch):
     # timer.  Field calls: 216 for the paired RK4 reference, whose base walk
     # of 50 steps is kept (its stated error is at most 1e-3 of every error
     # it measures), 1 probe, 80 for the four Euler runs walked together
-    # (their grids nest) and 28 for each of the five arms.  Each call at a
-    # new time builds the Gaussian terms, 332 in all, and the rows evaluated
-    # (2715) are those the runs would evaluate one by one.
+    # (their grids nest), and for the five arms one shared first call on the
+    # noise bank at t = 1 and 27 each.  The discretization check's binding
+    # builds the Gaussian terms at each call at a new time (192).  The arms'
+    # binding builds each grid time once on its first arm and once more,
+    # into its table, on the second (28 + 27), and the later arms build
+    # none: 247 builds in all, none of the arms' grid times built more than
+    # twice.  The rows evaluated (2651) are those the runs would evaluate
+    # one by one, less the four repeated first calls' 4 * 16.
     from otflow import fields, metrics
 
     workload = _benchmark_workloads().build("verify_bounds", 1, str(tmp_path), 1)
     cfg = load_config(workload.config_path, overrides=[
         "verify.n_runs=16", f"experiment.seed={workload.base_seed}"])
+    calls, rows, terms, bindings = [], [], [], []
+    bind, build = fields.make_velocity, fields._gaussian_terms
+
+    def counting_bind(*args):
+        field = bind(*args)
+        bindings.append(field)
+
+        def counted(z, t):
+            calls.append((len(bindings), t))
+            rows.append(z.shape[0] if np.ndim(z) == 2 else 1)
+            return field(z, t)
+        return counted
+
+    def counting_build(stack, t, ops):
+        # The binding that is calling: the one of the last counted call.
+        terms.append(calls[-1])
+        return build(stack, t, ops)
+
+    monkeypatch.setattr(runner, "make_velocity", counting_bind)
+    monkeypatch.setattr(metrics, "make_velocity", counting_bind)
+    monkeypatch.setattr(fields, "_gaussian_terms", counting_build)
+    reports = run_verify(cfg)
+    assert [r.passed for r in reports] == [True] * 3
+    assert len(bindings) == 2
+    assert len(calls) == 216 + 1 + 80 + 1 + 5 * 27 == 433
+    assert len(terms) == 192 + 28 + 27 == 247 and sum(rows) == 2651
+    arm_builds = collections.Counter(t for binding, t in terms if binding == 2)
+    assert sorted(arm_builds) == sorted(cfg.grid.points[:-1].tolist())
+    assert max(arm_builds.values()) == 2
+    fitted = reports[0].fitted_constants
+    assert fitted["reference_steps"] == 50
+    assert fitted["reference_error"] <= 1e-3 * min(e for _, _, e in reports[0].measured)
+
+
+def test_invert_sweep_work_counts(tmp_path, monkeypatch):
+    # The invert_sweep benchmark workload at seed 1, shrunk to 2 beta0
+    # values x 2 replicates, pins the work a sweep does, so a change in it
+    # shows without a timer.  Its 4 cells differ only in beta0 and seed, so
+    # they form one group, run as one 4-row invert_edit with per-row beta0:
+    # 28 null-field calls inverting the sources and 28 target-field calls
+    # denoising them, each on the 4 rows.  Each binding meets every time of
+    # its grid once, so it builds the Gaussian terms at each call.
+    from otflow import editors, fields
+
+    workload = _benchmark_workloads().build("invert_sweep", 1, str(tmp_path), 1)
+    text = open(workload.config_path).read()
+    lines = [line for line in text.splitlines() if not line.startswith(("axis", "replicates"))]
+    path = tmp_path / "tiny.cfg"
+    path.write_text("\n".join(lines) + "\naxis = transport.beta0: 0, 0.2\nreplicates = 2\n")
+    cfg = load_config(str(path), overrides=[f"experiment.seed={workload.base_seed}",
+                                            "experiment.plot=false"])
     calls, rows, terms = [], [], []
     bind, build = fields.make_velocity, fields._gaussian_terms
 
@@ -375,16 +432,12 @@ def test_verify_workload_work_counts(tmp_path, monkeypatch):
         terms.append(t)
         return build(stack, t, ops)
 
-    monkeypatch.setattr(runner, "make_velocity", counting_bind)
-    monkeypatch.setattr(metrics, "make_velocity", counting_bind)
+    monkeypatch.setattr(editors, "make_velocity", counting_bind)
     monkeypatch.setattr(fields, "_gaussian_terms", counting_build)
-    reports = run_verify(cfg)
-    assert [r.passed for r in reports] == [True] * 3
-    assert len(calls) == 216 + 1 + 80 + 5 * 28 == 437
-    assert len(terms) == 332 and sum(rows) == 2715
-    fitted = reports[0].fitted_constants
-    assert fitted["reference_steps"] == 50
-    assert fitted["reference_error"] <= 1e-3 * min(e for _, _, e in reports[0].measured)
+    out = run_sweep(cfg, out_dir=str(tmp_path / "out"))
+    assert out.n_rows == 4 and out.n_failed == 0
+    assert len(calls) == 28 + 28 == 56 and rows == [4] * 56
+    assert len(terms) == 56
 
 
 def test_run_experiment_verify_artifacts(tmp_path):
@@ -1479,7 +1532,8 @@ def test_edge_base_config_keeps_the_200_step_reference(monkeypatch):
     # the check walks 200 RK4 steps after 80 + 4 * 28 + 1 calls.  Its
     # measured values and slopes are then those of a 200-step reference
     # built as separate passes (reference_passes), bit for bit, and
-    # reference_error is the end state's estimate alone.
+    # reference_error is the largest estimate over the states the check
+    # reads (probe_t, each probe step's end and t = 0), as at 50 steps.
     from otflow import metrics
     from otflow.transport import kinks, make_enhanced
 
@@ -1507,9 +1561,13 @@ def test_edge_base_config_keeps_the_200_step_reference(monkeypatch):
     # its end state is the half-count split pass's only to rounding (1.9e-15
     # apart here).
     enhanced = make_enhanced(field, z_target, transport)
-    times = [1.0, *kinks(transport, 1.0, 0.0, probe_t, *[probe_t - 1.0 / n for n in counts]), 0.0]
+    ends = [probe_t - 1.0 / n for n in counts]
+    times = [1.0, *kinks(transport, 1.0, 0.0, probe_t, *ends), 0.0]
     half = metrics._segment_steps(times, 100)
-    *_, (end, end_half) = metrics._paired_reference(enhanced, z_init, times, half)
+    pairs = list(metrics._paired_reference(enhanced, z_init, times, half))
+    end, end_half = pairs[-1]
     want = split_reference(enhanced, z_init, times, half)[-1]
     assert metrics.l2_distance(end_half, want) <= 1e-12 * np.linalg.norm(want)
-    assert report.fitted_constants["reference_error"] == metrics.l2_distance(end, end_half) / 15.0
+    estimates = [metrics.l2_distance(*pairs[times.index(t)]) / 15.0 for t in [probe_t, *ends, 0.0]]
+    assert report.fitted_constants["reference_error"] == max(estimates)
+    assert max(estimates) >= metrics.l2_distance(end, end_half) / 15.0

@@ -20,7 +20,7 @@ from otflow import (
     transport_direction,
 )
 from otflow.fields import _T_FLOOR
-from otflow.transport import kinks
+from otflow.transport import _row_norms, kinks
 
 PHIS = (0.1, 0.3, 0.7, 1.0)
 
@@ -368,3 +368,115 @@ def test_enhance_velocity_clips_an_overflowing_direction():
             row_out, row_weight, row_norm = enhance_velocity(vs[i], zs[i], np.zeros(2), t, cfg)
             assert np.array_equal(out_b[i], row_out)
             assert weight_b == row_weight and norm_b[i] == row_norm
+
+
+def _clip_where(v, n, tau):
+    # The clip as a full product of every row with tau / n and a masked
+    # select: the form the one-scale clip must equal bit for bit.
+    rows, n = v.reshape(-1, v.shape[-1]), np.reshape(n, -1)
+    over = n == np.inf
+    if over.any():
+        over &= np.isfinite(rows).all(axis=-1)
+    if over.any():
+        u = rows[over] / np.abs(rows[over]).max(axis=-1, keepdims=True)
+        rows, n = rows.copy(), n.copy()
+        rows[over], n[over] = u * (tau / np.linalg.norm(u, axis=-1, keepdims=True)), tau
+    n = n[:, None]
+    return np.where(n > tau, rows * (tau / np.maximum(n, 1e-300)), rows).reshape(v.shape)
+
+
+def _enhance_where(v_base, z, z_target, t, cfg, beta0=None):
+    # enhance_velocity with its two per-row selects at every weight, on
+    # _clip_where.
+    s_factor = adaptive_weight(t, cfg, 1.0)
+    if s_factor == 0.0:
+        return v_base, 0.0, 0.0
+    d = transport_direction(z, z_target, t, cfg.delta)
+    raw_norm = _row_norms(d)
+    w = s_factor * np.asarray(cfg.beta0 if beta0 is None else beta0, dtype=float)
+    on = w != 0.0
+    v = np.where(on[..., None], v_base + w[..., None] * _clip_where(d, raw_norm, cfg.clip_tau),
+                 v_base)
+    return v, w, np.where(on, raw_norm, 0.0)
+
+
+def _hard_rows(tau, d=4):
+    # Rows below, at and above tau; zero, -0.0, NaN and +-inf entries; and
+    # finite rows from 1e154 to 1e200, whose squared norms overflow.
+    rng = np.random.Generator(np.random.PCG64(61))
+    unit = rng.standard_normal((6, d))
+    unit /= np.linalg.norm(unit, axis=1, keepdims=True)
+    rows = [0.5 * tau * unit[0], tau * np.eye(d)[0], 2.0 * tau * unit[1], 1e3 * tau * unit[2],
+            np.zeros(d), np.full(d, -0.0), np.array([-0.0, 0.0, -0.0, 1e-320][:d]),
+            np.array([np.nan, 1.0, 0.0, -0.0][:d]), np.array([np.inf, 1.0, -0.0, 2.0][:d]),
+            np.array([-np.inf, np.inf, 0.0, 1.0][:d]), np.full(d, np.nan)]
+    rows += [s * unit[3 + i % 3] for i, s in enumerate((1e154, 3e160, 1e180, 1e200, -1e200))]
+    rows += [np.array([1e200, -1e200, 1e154, -0.0][:d]), np.array([1e308, 1e308, 0.0, -0.0][:d])]
+    return np.array(rows)
+
+
+def _bits(x):
+    # The raw bits of a float array, so -0.0 and NaN payloads compare too.
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+def _warned(call):
+    # call()'s result and the set of (category, message) it warned of.
+    import warnings
+
+    with warnings.catch_warnings(record=True) as caught, np.errstate(all="warn"):
+        warnings.simplefilter("always")
+        out = call()
+    return out, {(w.category, str(w.message)) for w in caught}
+
+
+@pytest.mark.parametrize("tau", [1e-300, 1.0, 1e308])
+def test_clip_equals_the_where_form_bit_for_bit(tau):
+    # The one-scale clip multiplies an unclipped row by exactly 1.0 and a
+    # clipped row by the same tau / n the where-form used, so every entry,
+    # sign bit and NaN included, is the where-form's, and it warns of
+    # nothing the where-form does not.
+    from otflow.transport import _clip
+
+    rows = _hard_rows(tau)
+    rng = np.random.Generator(np.random.PCG64(62))
+    mags = 10.0 ** rng.uniform(-310, 308, (300, 1))
+    fuzz = mags * rng.standard_normal((300, 4))
+    fuzz[rng.random((300, 4)) < 0.05] = np.nan
+    fuzz[rng.random((300, 4)) < 0.05] = -np.inf
+    fuzz[rng.random((300, 4)) < 0.05] = -0.0
+    for v in (rows, fuzz, rows[2], rows[5], rows[9]):
+        n, _ = _warned(lambda: _row_norms(v))
+        got, got_warn = _warned(lambda: _clip(v, n, tau))
+        want, want_warn = _warned(lambda: _clip_where(v, n, tau))
+        assert got.shape == want.shape == v.shape
+        assert np.array_equal(_bits(got), _bits(want))
+        assert got_warn <= want_warn
+
+
+@pytest.mark.parametrize("tau", [1e-300, 1.0, 1e308])
+@pytest.mark.parametrize("beta0", ["scalar", "zero", "per-row"])
+def test_enhance_velocity_equals_the_where_form_bit_for_bit(tau, beta0):
+    # A scalar nonzero weight skips both selects; a zero scalar and per-row
+    # strengths holding zeros keep them.  Each gives the where-form's
+    # velocity, weight and raw norm bit for bit, and warns of nothing it
+    # does not.  At t = 0 under 'remaining' the weight is beta0 and the
+    # direction is z_target - z over 1.0, so each hard row is the
+    # direction as it stands.
+    rows = _hard_rows(tau)
+    cfg = TransportConfig(beta0=0.7, phi=0.5, clip_tau=tau, orientation="remaining")
+    z = np.zeros_like(rows)
+    v_base = np.random.Generator(np.random.PCG64(63)).standard_normal(rows.shape)
+    strength = {"scalar": None, "zero": 0.0,
+                "per-row": np.where(np.arange(len(rows)) % 3 == 0, 0.0, 1.3)}[beta0]
+    if beta0 == "zero":
+        cfg = TransportConfig(beta0=0.0, phi=0.5, clip_tau=tau, orientation="remaining")
+        strength = None
+    # The batch, then one state (d,) at the template's strength.
+    for zs, targets, vs, b in ((z, rows, v_base, strength), (z[2], rows[2], v_base[2], None)):
+        got, got_warn = _warned(lambda: enhance_velocity(vs, zs, targets, 0.0, cfg, b))
+        want, want_warn = _warned(lambda: _enhance_where(vs, zs, targets, 0.0, cfg, b))
+        for g, w in zip(got, want):
+            assert np.shape(g) == np.shape(w)
+            assert np.array_equal(_bits(g), _bits(w))
+        assert got_warn <= want_warn
