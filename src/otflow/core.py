@@ -22,16 +22,17 @@ rows and report a velocity term before a state term, are formed only when it
 fails.
 
 One Euler loop, _euler_steps, drives every integration in this module.  It
-walks one run or several that share a velocity through the union of their
-grids' times: the runs due at a time share one velocity call on their
-stacked rows, and each steps by euler_step with its own step and index.
-integrate writes its one run's Trajectory into the (n + 1, ...) arrays of
-_records; integrate_final walks the same one run and keeps only the last
-state, for callers that read nothing else (the verify arms, generate); and
-integrate_finals walks several runs at once (the discretization check's
-Euler runs), which is exact because every field row and transport row of
-the package is batch-invariant, so a run's bits do not depend on the rows
-beside it.
+walks one run or several, each under its own velocity, through the union of
+their grids' times: the runs due at a time under one velocity share its call
+on their stacked rows, runs under different velocities call theirs in turn,
+and each steps by euler_step with its own step and index.  integrate writes
+its one run's Trajectory into the (n + 1, ...) arrays of _records;
+integrate_final walks the same one run and keeps only the last state, for
+callers that read nothing else (generate); and integrate_finals walks
+several runs at once (the discretization check's Euler runs, under one
+velocity, and the verify arms, under one each), which is exact because
+every field row and transport row of the package is batch-invariant, so a
+run's bits do not depend on the rows beside it.
 """
 
 import operator
@@ -336,40 +337,51 @@ def _stacked_velocity(velocity, states, t):
     return [part.reshape(z.shape) for part, z in zip(parts, states)]
 
 
-def _euler_steps(velocity, zs, grids, aborts=None):
-    """The one Euler loop: walks run i from state zs[i] over grids[i], the
-    grids all running one way, through the union of their times.  At each
-    time the runs whose next grid point it is share one velocity call (a
-    lone run's on its own state, several on their stacked rows), and each
-    steps through euler_step with its own step and grid index.  Yields
-    (i, k, v, z): run i's step k, the velocity applied at grids[i].points[k]
-    and the new state.  A failed step raises its NumericalAbort or, given
-    the list aborts, is kept at aborts[i], and run i leaves the walk."""
-    if len({grid.direction for grid in grids}) > 1:
+def _euler_steps(velocities, zs, grids, aborts=None):
+    """The one Euler loop: walks run i from state zs[i] under velocities[i]
+    over grids[i], the grids all running one way, through the union of their
+    times, holding only each run's next step, not a record per step.  At
+    each time the runs whose next grid point it is share one call per
+    velocity (a lone run's on its own state, several on their stacked rows),
+    the velocities in run order, and each run steps through euler_step with
+    its own step and grid index.  Yields (i, k, v, z): run i's step k, the
+    velocity applied at grids[i].points[k] and the new state.  A failed step
+    raises its NumericalAbort or, given the list aborts, is kept at
+    aborts[i], and run i leaves the walk."""
+    directions = {grid.direction for grid in grids}
+    if len(directions) > 1:
         raise ValueError("runs walked together must share a direction")
-    due_at = {}
-    for i, grid in enumerate(grids):
-        for k, t in enumerate(grid.points[:-1].tolist()):
-            due_at.setdefault(t, []).append((i, k))
-    zs = list(zs)
-    for t in sorted(due_at, reverse=grids[0].direction == "reverse"):
-        due = [(i, k) for i, k in due_at[t] if aborts is None or aborts[i] is None]
-        if not due:
-            continue
-        if len(due) == 1:
-            vs = [np.asarray(velocity(zs[due[0][0]], t), dtype=float)]
-        else:
-            vs = _stacked_velocity(velocity, [zs[i] for i, _ in due], t)
-        for (i, k), v in zip(due, vs):
-            pts = grids[i].points
-            try:
-                zs[i] = euler_step(zs[i], v, float(pts[k + 1] - pts[k]), t, k)
-            except NumericalAbort as abort:
-                if aborts is None:
-                    raise
-                aborts[i] = abort
-                continue
-            yield i, k, v, zs[i]
+    first = max if "reverse" in directions else min
+    zs, ks = list(zs), [0] * len(grids)
+    while True:
+        # ks[i] is run i's next step; the walk's next time is the first of
+        # the live runs' next grid points.
+        live = [i for i, grid in enumerate(grids)
+                if ks[i] < grid.n_steps and (aborts is None or aborts[i] is None)]
+        if not live:
+            return
+        t = first(float(grids[i].points[ks[i]]) for i in live)
+        groups = {}
+        for i in live:
+            if grids[i].points[ks[i]] == t:
+                groups.setdefault(id(velocities[i]), []).append((i, ks[i]))
+                ks[i] += 1
+        for group in groups.values():
+            velocity = velocities[group[0][0]]
+            if len(group) == 1:
+                vs = [np.asarray(velocity(zs[group[0][0]], t), dtype=float)]
+            else:
+                vs = _stacked_velocity(velocity, [zs[i] for i, _ in group], t)
+            for (i, k), v in zip(group, vs):
+                pts = grids[i].points
+                try:
+                    zs[i] = euler_step(zs[i], v, float(pts[k + 1] - pts[k]), t, k)
+                except NumericalAbort as abort:
+                    if aborts is None:
+                        raise
+                    aborts[i] = abort
+                    continue
+                yield i, k, v, zs[i]
 
 
 def integrate(velocity, z0, grid):
@@ -386,7 +398,7 @@ def integrate(velocity, z0, grid):
     z = _as_state(z0)
     states, velocities, norms, weights = _records(grid.n_steps, z.shape)
     states[0] = z
-    for _, k, v, z in _euler_steps(velocity, [z], [grid]):
+    for _, k, v, z in _euler_steps([velocity], [z], [grid]):
         velocities[k] = v
         states[k + 1] = z
     return Trajectory(grid.points.copy(), states, velocities, norms, weights)
@@ -398,22 +410,24 @@ def integrate_final(velocity, z0, grid):
     NumericalAbort.  It is the one-run walk of the Euler loop that
     integrate and integrate_finals share (_euler_steps)."""
     z = _as_state(z0)
-    for *_, z in _euler_steps(velocity, [z], [grid]):
+    for *_, z in _euler_steps([velocity], [z], [grid]):
         pass
     return z
 
 
-def integrate_finals(velocity, z0s, grids):
-    """[integrate_final(velocity, z0s[i], grids[i]) for each run i] in one
-    walk of the Euler loop (_euler_steps), where runs whose grids share a
-    time share its velocity call as stacked rows.  Bit for bit those
-    separate runs when velocity's rows are batch-invariant, as every field
-    and transport correction in the package is.  A run whose step fails
-    leaves the walk, and its entry is the NumericalAbort integrate_final
-    would raise, in place of a state; the other runs go on."""
+def integrate_finals(velocities, z0s, grids):
+    """[integrate_final(velocities[i], z0s[i], grids[i]) for each run i] in
+    one walk of the Euler loop (_euler_steps): runs due at the same time
+    under the same velocity share its call as stacked rows, and runs under
+    different velocities call theirs one after another at that time.  Bit
+    for bit those separate runs when each velocity's rows are
+    batch-invariant, as every field and transport correction in the package
+    is.  A run whose step fails leaves the walk, and its entry is the
+    NumericalAbort integrate_final would raise, in place of a state; the
+    other runs go on."""
     zs = [_as_state(z0) for z0 in z0s]
     aborts = [None] * len(zs)
-    for i, _, _, z in _euler_steps(velocity, zs, grids, aborts):
+    for i, _, _, z in _euler_steps(velocities, zs, grids, aborts):
         zs[i] = z
     return [z if abort is None else abort for z, abort in zip(zs, aborts)]
 

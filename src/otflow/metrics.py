@@ -34,12 +34,11 @@ step (reference_integrate, _paired_rk4).  Convergence and edit control
 share one VerifySetup, which binds the condition's field and draws the
 noise bank once, integrates each distinct arm (one transport strength and
 schedule over the noise bank) once and hands its final states to both.
-Every arm starts with the same field call, on the bank at the grid's first
-time, which the setup makes once, so on a grid of n steps k distinct arms
-make 1 + k * (n - 1) field calls: 136 for the default five arms at 28
-steps.  Their one binding builds each grid time's Gaussian terms on the
-first arm and once more, into its table, on the second (2n - 1 builds), and
-the later arms build none.
+Each verifier walks its arms that are not yet integrated together
+(core.integrate_finals), each under its own velocity, so at every grid time
+the arms call the one binding in turn and its Gaussian kernel builds that
+time's terms once for all of them: on a grid of n steps, k arms walked
+together make k * n field calls and n term builds.
 
 Wasserstein-2 comes in two dual forms kept deliberately separate: the closed
 Gaussian (Bures) expression and an exact-assignment empirical distance, so
@@ -372,14 +371,14 @@ class VerifySetup:
     config.  The setup integrates each distinct arm once and keeps its final
     states, so verifiers run on the same setup share their arms.
     Every zero-strength arm is the same run, the unguided one, whatever its
-    schedule.  The arms also share one binding of the condition's field
-    (make_velocity), so one Gaussian kernel, its n_runs-row buffers and its
-    table of the grid's terms, and one draw of the noise bank, both made at
-    the first arm and kept.  Every arm's first call is the field on the
-    noise bank at the grid's first time, so that call is made once, beside
-    the binding, and each arm adds its own transport term to its read-only
-    result.  The memo, the binding and the bank belong to this instance: a
-    copy made with dataclasses.replace starts without them.
+    schedule.  A verifier hands over its whole list of arms, and those not
+    yet integrated are walked together, time by time (_run_outputs).  The
+    arms share one binding of the condition's field (make_velocity), so one
+    Gaussian kernel, which at each grid time builds its terms once for every
+    arm, and its n_runs-row buffers, and one read-only draw of the noise
+    bank, both made when the setup is.  The memo, the binding and the bank
+    belong to this instance: a copy made with dataclasses.replace makes its
+    own.
     """
 
     registry: object
@@ -395,30 +394,15 @@ class VerifySetup:
 
     def __post_init__(self):
         check_run_count(self.n_runs)
+        # (the condition's field, the read-only noise bank), for every arm.
+        noise = self.noise_bank(self.z_target.shape[0])
+        noise.flags.writeable = False
+        velocity = make_velocity(self.registry, self.condition, self.scales)
         object.__setattr__(self, "_arms", {})
-        object.__setattr__(self, "_bound", None)
+        object.__setattr__(self, "_bound", (velocity, noise))
 
     def noise_bank(self, dim):
         return make_rng(self.seed).standard_normal((self.n_runs, dim))
-
-    def _binding(self):
-        # (the arms' field, the read-only noise bank), made on the first call
-        # and kept for the setup's later arms.  The field is the condition's
-        # binding, but at the grid's first time on the bank itself, the first
-        # call of every arm's Euler walk, it returns the one read-only
-        # velocity made here.
-        if self._bound is None:
-            noise = self.noise_bank(self.z_target.shape[0])
-            noise.flags.writeable = False
-            velocity = make_velocity(self.registry, self.condition, self.scales)
-            t_first = float(self.grid.points[0])
-            first = velocity(noise, t_first)
-            first.flags.writeable = False
-
-            def field(z, t):
-                return first if z is noise and t == t_first else velocity(z, t)
-            object.__setattr__(self, "_bound", (field, noise))
-        return self._bound
 
 
 def _fit_loglog_slope(x, y):
@@ -623,7 +607,7 @@ def verify_discretization_bound(field, transport_cfg, z_init, z_target, step_cou
     ends = [probe_t - 1.0 / n for n in step_counts]
     times = [1.0, *kinks(transport_cfg, 1.0, 0.0, probe_t, *ends), 0.0]
     z_init = np.asarray(z_init, dtype=float)
-    finals = integrate_finals(enhanced, [z_init] * len(step_counts),
+    finals = integrate_finals([enhanced] * len(step_counts), [z_init] * len(step_counts),
                               [make_time_grid(n, 1.0, 0.0) for n in step_counts])
     walk = (enhanced, z_init, times, probe_t, step_counts, finals)
     try:
@@ -671,28 +655,36 @@ def guided_final_states(registry, condition, scales, grid, transport, z_target, 
     return integrate_final(enhanced, noise, grid)
 
 
-def _run_outputs(setup, beta0, transport=None):
-    """Final states of setup's noise bank under transport (default: the
-    setup's template) at strength beta0, integrated on the first request
-    and read-only, since every later caller gets the same array.  Each arm
-    wraps the setup's one binding with its own transport correction, as
-    guided_final_states does with a fresh one."""
-    cfg = replace(setup.transport if transport is None else transport, beta0=float(beta0))
+def _run_outputs(setup, arms):
+    """Final states of setup's noise bank under each arm's transport config,
+    in arms' order.  The arms not yet integrated are walked together
+    (core.integrate_finals), each wrapping the setup's one binding with its
+    own transport correction, as guided_final_states does with a fresh one,
+    and every arm is bit for bit that run.  An arm that ran is kept
+    read-only, since every later caller gets the same array; one whose walk
+    aborted is given as its NumericalAbort and not kept."""
     # A zero weight leaves the base velocity untouched, so phi and the rest
     # of the schedule cannot change a zero-strength arm.
-    key = None if cfg.beta0 == 0.0 else cfg
-    if key not in setup._arms:
-        velocity, noise = setup._binding()
-        final = integrate_final(make_enhanced(velocity, setup.z_target, cfg), noise, setup.grid)
-        final.flags.writeable = False
-        setup._arms[key] = final
-    return setup._arms[key]
+    keys = [None if cfg.beta0 == 0.0 else cfg for cfg in arms]
+    todo = {key: cfg for key, cfg in zip(keys, arms) if key not in setup._arms}
+    velocity, noise = setup._bound
+    velocities = [make_enhanced(velocity, setup.z_target, cfg) for cfg in todo.values()]
+    finals = dict(zip(todo, integrate_finals(velocities, [noise] * len(todo),
+                                             [setup.grid] * len(todo))))
+    for key, final in finals.items():
+        if not isinstance(final, NumericalAbort):
+            final.flags.writeable = False
+            setup._arms[key] = final
+    return [setup._arms.get(key, finals.get(key)) for key in keys]
 
 
 def _arm_mean_sq(setup, outs, ref, beta0, term):
-    # Mean over the arm's rows of ||outs - ref||^2.  The states are finite
-    # (integrate_final raises otherwise), so a non-finite mean is the squares
-    # overflowing: a located abort at the arm's end, in term.
+    # Mean over the arm's rows of ||outs - ref||^2, or the arm's abort
+    # raised when its walk aborted.  The states are finite otherwise, so a
+    # non-finite mean is the squares overflowing: a located abort at the
+    # arm's end, in term.
+    if isinstance(outs, NumericalAbort):
+        raise outs
     with np.errstate(over="ignore"):
         value = float(np.mean(np.sum((outs - ref) ** 2, axis=1)))
     if not math.isfinite(value):
@@ -711,9 +703,8 @@ def verify_convergence_bound(setup, beta0_list):
     """
     beta0_list = [float(b) for b in beta0_list]
     check_convergence_arms(beta0_list)
-    mses = []
-    for b in beta0_list:
-        mses.append(_arm_mean_sq(setup, _run_outputs(setup, b), setup.z_target, b, "mse"))
+    outs = _run_outputs(setup, [replace(setup.transport, beta0=b) for b in beta0_list])
+    mses = [_arm_mean_sq(setup, out, setup.z_target, b, "mse") for b, out in zip(beta0_list, outs)]
     design = np.stack([np.ones(len(beta0_list)), np.asarray(beta0_list) ** 2], axis=1)
     coef, *_ = np.linalg.lstsq(design, np.asarray(mses), rcond=None)
     eps_rf, c_transport = float(coef[0]), float(coef[1])
@@ -762,11 +753,14 @@ def verify_edit_control_bound(setup, beta0_list, phi):
     check_edit_control_arms(beta0_list, phi)
     positives = [b for b in beta0_list if b > 0.0]
     transport = replace(setup.transport, phi=float(phi))
-    base_out = _run_outputs(setup, 0.0, transport)
+    arms = [replace(transport, beta0=b) for b in [0.0, *beta0_list]]
+    base_out, *outs = _run_outputs(setup, arms)
+    if isinstance(base_out, NumericalAbort):
+        raise base_out
     integral = schedule_integral(phi)
     disp = {}
-    for b in beta0_list:
-        disp[b] = _arm_mean_sq(setup, _run_outputs(setup, b, transport), base_out, b, "displacement")
+    for b, out in zip(beta0_list, outs):
+        disp[b] = _arm_mean_sq(setup, out, base_out, b, "displacement")
     slope = _fit_loglog_slope(positives, [disp[b] for b in positives])
     eps_schedule = disp.get(0.0, 0.0)
     c_bound = max((disp[b] - eps_schedule) / (b * b * integral) for b in positives)

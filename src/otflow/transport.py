@@ -186,9 +186,8 @@ def enhance_velocity(v_base, z, z_target, t, cfg, beta0=None):
     with clip_tau.  A row whose weight is zero keeps its v_base row
     untouched, with raw_norm 0.  When S(s) is zero (t outside the window,
     schedule annealed away) the result is (v_base, 0.0, 0.0) with v_base
-    itself.  One nonzero weight shared by every row, as make_enhanced and
-    the verify arms give, adds the term to every row with no per-row
-    select, and its raw_norm is the direction's norms as they are.
+    itself.  The term is added to every row, and the rows of zero weight
+    are selected back out only when there are any.
     """
     s_factor = adaptive_weight(t, cfg, 1.0)
     if s_factor == 0.0:
@@ -196,11 +195,11 @@ def enhance_velocity(v_base, z, z_target, t, cfg, beta0=None):
     d = transport_direction(z, z_target, t, cfg.delta)
     raw_norm = _row_norms(d)
     w = s_factor * np.asarray(cfg.beta0 if beta0 is None else beta0, dtype=float)
-    if np.ndim(w) == 0 and w != 0.0:
-        return v_base + w * _clip(d, raw_norm, cfg.clip_tau), w, raw_norm
-    on = w != 0.0
-    v = np.where(on[..., None], v_base + w[..., None] * _clip(d, raw_norm, cfg.clip_tau), v_base)
-    return v, w, np.where(on, raw_norm, 0.0)
+    v = v_base + w[..., None] * _clip(d, raw_norm, cfg.clip_tau)
+    off = w == 0.0
+    if off.any():
+        v, raw_norm = np.where(off[..., None], v_base, v), np.where(off, 0.0, raw_norm)
+    return v, w, raw_norm
 
 
 def make_enhanced(field, z_target, cfg):

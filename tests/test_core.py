@@ -442,11 +442,11 @@ def _walk_times(grids):
 @pytest.mark.parametrize("beta0", [0.0, 0.3])
 @pytest.mark.parametrize("counts", [(10, 20, 40, 80), (3, 7, 10)], ids=["nested", "not-nested"])
 def test_integrate_finals_equals_each_runs_integrate_final(counts, beta0, clip_tau, registry):
-    # Runs walked together share a velocity call at each time their grids
-    # share, on their stacked rows, so the call count is the number of
-    # distinct times; every field and transport row is batch-invariant, so
-    # each run's final state is its own integrate_final bit for bit.  At
-    # clip_tau 0.05 the clip is active at every guided step.
+    # Runs walked together under one velocity share its call at each time
+    # their grids share, on their stacked rows, so the call count is the
+    # number of distinct times; every field and transport row is
+    # batch-invariant, so each run's final state is its own integrate_final
+    # bit for bit.  At clip_tau 0.05 the clip is active at every guided step.
     reg = _workload_registries()[registry]
     field = make_velocity(reg, Condition.dataset("b"), GuidanceScales(w=2.0))
     rng = np.random.default_rng(45)
@@ -459,7 +459,7 @@ def test_integrate_finals_equals_each_runs_integrate_final(counts, beta0, clip_t
         rows.append(np.shape(z))
         return enhanced(z, t)
 
-    finals = integrate_finals(counted, [z_init] * len(grids), grids)
+    finals = integrate_finals([counted] * len(grids), [z_init] * len(grids), grids)
     assert len(rows) == len(_walk_times(grids))
     assert rows[0] == (len(counts), 8)
     if counts == (10, 20, 40, 80):
@@ -474,7 +474,7 @@ def test_integrate_finals_stacks_batches_of_any_size():
     grids = [make_time_grid(n, 0.1, 0.9) for n in (4, 8, 2)]
     rng = np.random.default_rng(46)
     z0s = [rng.standard_normal(s) for s in ((3, 4), (1, 4), (4,))]
-    finals = integrate_finals(_curved_field, z0s, grids)
+    finals = integrate_finals([_curved_field] * 3, z0s, grids)
     for final, z0, grid in zip(finals, z0s, grids):
         assert final.shape == z0.shape
         assert np.array_equal(final, integrate_final(_curved_field, z0, grid))
@@ -482,8 +482,50 @@ def test_integrate_finals_stacks_batches_of_any_size():
 
 def test_integrate_finals_rejects_grids_of_two_directions():
     with pytest.raises(ValueError, match="share a direction"):
-        integrate_finals(_curved_field, [np.ones(2)] * 2,
+        integrate_finals([_curved_field] * 2, [np.ones(2)] * 2,
                          [make_time_grid(4, 1.0, 0.0), make_time_grid(4, 0.0, 1.0)])
+
+
+@pytest.mark.parametrize("counts", [(28, 28, 28), (10, 20, 40)], ids=["one-grid", "nested"])
+def test_integrate_finals_calls_different_velocities_in_turn(counts):
+    # Runs under different velocities, here one binding under three transport
+    # strengths, make one call each at every time of their grids, one run
+    # after another, before any call at the next time; each run's final
+    # state is its own integrate_final bit for bit.
+    reg = _workload_registries()["gaussians"]
+    field = make_velocity(reg, Condition.dataset("b"), GuidanceScales(w=2.0))
+    rng = np.random.default_rng(47)
+    z0, z_target = rng.standard_normal((5, 8)), rng.standard_normal(8)
+    calls = []
+    velocities = []
+    for i, beta0 in enumerate((0.0, 0.3, 0.6)):
+        enhanced = make_enhanced(field, z_target, TransportConfig(beta0=beta0, clip_tau=1.0))
+        velocities.append(lambda z, t, i=i, v=enhanced: calls.append((t, i)) or v(z, t))
+    grids = [make_time_grid(n, 1.0, 0.0) for n in counts]
+    finals = integrate_finals(velocities, [z0] * 3, grids)
+    want = [(t, i) for t in sorted(_walk_times(grids), reverse=True)
+            for i, grid in enumerate(grids) if t in grid.points[:-1].tolist()]
+    assert calls == want
+    for final, velocity, grid in zip(finals, velocities, grids):
+        assert np.array_equal(final, integrate_final(velocity, z0, grid))
+
+
+def test_integrate_final_holds_no_record_per_step():
+    # integrate_final keeps only the state: the walk holds each run's next
+    # step, so a 10^5-step run's traced peak stays under 1 MB, where a
+    # record per step would take about 25 MB.
+    import tracemalloc
+
+    grid = make_time_grid(10 ** 5, 1.0, 0.0)
+    v = np.ones(2)
+    tracemalloc.start()
+    try:
+        final = integrate_final(lambda z, t: v, np.zeros(2), grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.allclose(final, -1.0)
+    assert peak < 2 ** 20, peak
 
 
 def _poisoned_at(poison):
@@ -515,7 +557,7 @@ def test_integrate_finals_keeps_each_runs_abort(poison):
            for i in range(4)]
     field = _poisoned_at(poison)
     with np.errstate(over="ignore"):
-        finals = integrate_finals(field, z0s, grids)
+        finals = integrate_finals([field] * 4, z0s, grids)
         for i, (final, z0, grid) in enumerate(zip(finals, z0s, grids)):
             if i not in poison:
                 assert np.array_equal(final, integrate_final(field, z0, grid))

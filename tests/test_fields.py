@@ -1200,20 +1200,12 @@ def test_rk4_steps_compute_the_gaussian_terms_once_per_time(n_fine, times, monke
         assert np.array_equal(got, fresh)
 
 
-def _kernel_of(field):
-    # The _GaussianKernel a make_velocity binding holds.
-    import inspect
-
-    return inspect.getclosurevars(field).nonlocals["kernel"]
-
-
 @pytest.mark.parametrize("with_points", [False, True])
 def test_binding_that_revisits_times_equals_fresh_bindings(with_points, monkeypatch):
-    # The verify arms' pattern: one binding walks one grid's times again and
-    # again, on batches of 1024 and 5 rows, with other times between.  A
-    # time is built once when first met and once more, into the kernel's
-    # table, when met again; later returns build nothing.  Every result
-    # equals a fresh binding's, bit for bit.
+    # One binding walks one grid's times again and again, on batches of 1024
+    # and 5 rows, with other times between.  It keeps the last time's terms
+    # alone, so it builds them at every change of time and never on a
+    # repeat.  Every result equals a fresh binding's, bit for bit.
     d = 8
     reg = _two_gaussian_registry(d, with_points)
     zs = 0.8 * _rng(87, d).standard_normal((1024, d))
@@ -1225,32 +1217,38 @@ def test_binding_that_revisits_times_equals_fresh_bindings(with_points, monkeypa
                     (Condition.dataset("g2"), 2.5)):
         scales = GuidanceScales(w=w)
         field = make_velocity(reg, cond, scales)
-        kernel, mine = _kernel_of(field), []
+        walked, mine = [], []
         for walk, b in enumerate((1024, 5, 1024, 1024)):
             for t in grid + ([0.55] if walk == 1 else []):
                 for _ in range(2):
                     start = len(built)
                     got = field(zs[:b], t)
+                    walked.append(t)
                     mine += built[start:]
                     assert np.array_equal(got, make_velocity(reg, cond, scales)(zs[:b], t))
-        assert sorted(kernel.table) == sorted(grid)
-        assert sorted(mine) == sorted(grid + grid + [0.55])
+        assert mine == walked[::2]
 
 
-@pytest.mark.parametrize("with_points", [False, True])
-def test_binding_that_never_revisits_a_time_holds_no_table_entries(with_points):
-    # An RK4 walk and an Euler run meet each time in one run of consecutive
-    # calls (the RK4 midpoint stages share a time, and a step starts where
-    # the last one ended), so the binding keeps the last time's terms alone.
-    reg = _two_gaussian_registry(8, with_points)
-    z0 = 0.8 * _rng(88).standard_normal((3, 8))
-    for cond, w in ((Condition.null(), 1.0), (Condition.dataset("g2"), 2.0)):
-        rk4, euler = (make_velocity(reg, cond, GuidanceScales(w=w)) for _ in range(2))
-        reference_integrate(rk4, z0, 1.0, 0.0, 20)
-        integrate(euler, z0, make_time_grid(28, 1.0, 0.0))
-        for field, times in ((rk4, 41), (euler, 28)):
-            kernel = _kernel_of(field)
-            assert kernel.table == {} and len(kernel.seen) == times
+def test_binding_retains_nothing_per_time():
+    # A binding keeps the terms of the last time it was called at and
+    # nothing of the times before, so 2 * 10^4 calls at distinct times leave
+    # it holding no more than a handful of calls at one time.
+    import tracemalloc
+
+    reg = _two_gaussian_registry(2, False)
+    field = make_velocity(reg, Condition.dataset("g2"), GuidanceScales(w=2.0))
+    z = 0.8 * _rng(89, 2).standard_normal((1, 2))
+    times = np.linspace(0.01, 0.99, 2 * 10 ** 4).tolist()
+    field(z, times[0])
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for t in times:
+            field(z, t)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 256 * 2 ** 10, retained
 
 
 @pytest.mark.parametrize("with_points", [False, True])

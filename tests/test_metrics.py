@@ -589,26 +589,27 @@ def test_verifiers_reject_arms_their_fits_cannot_take(verify, arms, match):
 
 def test_verify_arms_run_once_per_setup(monkeypatch):
     # Convergence and edit control on one setup integrate each distinct
-    # (beta0, schedule) arm once: every beta0 = 0 arm is the unguided run,
-    # and edit control at the template's phi reuses convergence's arms.  The
-    # memo holds only (n_runs, d) arrays that own their data, and a report
-    # at another phi equals that of a fresh setup, bit for bit.
+    # (beta0, schedule) arm once, each verifier walking its new arms
+    # together: every beta0 = 0 arm is the unguided run, and edit control at
+    # the template's phi reuses convergence's arms.  The memo holds only
+    # (n_runs, d) arrays that own their data, and a report at another phi
+    # equals that of a fresh setup, bit for bit.
     from otflow import metrics
 
-    rows = []
-    real = metrics.integrate_final
+    walks = []
+    real = metrics.integrate_finals
 
-    def counting(velocity, z0, grid):
-        rows.append(np.shape(z0)[0])
-        return real(velocity, z0, grid)
+    def counting(velocities, z0s, grids):
+        walks.append([np.shape(z0)[0] for z0 in z0s])
+        return real(velocities, z0s, grids)
 
-    monkeypatch.setattr(metrics, "integrate_final", counting)
+    monkeypatch.setattr(metrics, "integrate_finals", counting)
     setup, *_ = _shared_setup(n_runs=16)
     verify_convergence_bound(setup, [0.0, 0.1, 0.2, 0.4])
     verify_edit_control_bound(setup, [0.0, 0.1, 0.2, 0.4, 0.8], 0.3)
-    assert rows == [16] * 5
+    assert walks == [[16] * 4, [16]]
     edit_phi = verify_edit_control_bound(setup, [0.0, 0.1, 0.2, 0.4], 0.6)
-    assert rows == [16] * 8
+    assert walks == [[16] * 4, [16], [16] * 3]
     for arm in setup._arms.values():
         assert arm.shape == (16, 2) and arm.base is None and not arm.flags.writeable
 
@@ -618,31 +619,68 @@ def test_verify_arms_run_once_per_setup(monkeypatch):
 
 
 @pytest.mark.parametrize("w", [1.0, 2.5])
-def test_verify_arms_share_their_first_call_bit_for_bit(w, monkeypatch):
-    # Every arm's first call is the field on the noise bank at the grid's
-    # first time, so the setup makes it once and each arm adds its own
-    # transport term to it.  Each arm equals guided_final_states on a fresh
-    # binding, bit for bit, and the shared binding is read at that time once.
-    from otflow import metrics
+def test_verify_arms_walked_together_equal_fresh_runs_bit_for_bit(w, monkeypatch):
+    # The arms of one walk call the setup's one binding in turn at each grid
+    # time, so its kernel builds each time's terms once for all of them.
+    # Each arm equals guided_final_states on a fresh binding, bit for bit.
+    from otflow import fields, metrics
 
-    setup, *_ = _shared_setup(n_runs=16)
-    setup = replace(setup, scales=GuidanceScales(w=w))
-    noise = setup.noise_bank(setup.z_target.shape[0])
     strengths = (0.0, 0.1, 0.4, 0.8)
-    want = [guided_final_states(setup.registry, setup.condition, setup.scales, setup.grid,
-                                replace(setup.transport, beta0=b), setup.z_target, noise)
-            for b in strengths]
-    calls, bind = [], metrics.make_velocity
+    calls, built = [], []
+    bind, build = metrics.make_velocity, fields._gaussian_terms
 
     def counting_bind(*args):
         field = bind(*args)
         return lambda z, t: calls.append(t) or field(z, t)
 
     monkeypatch.setattr(metrics, "make_velocity", counting_bind)
-    for b, final in zip(strengths, want):
-        assert np.array_equal(metrics._run_outputs(setup, b), final)
-    assert len(calls) == 1 + len(strengths) * (setup.grid.n_steps - 1)
-    assert calls.count(setup.grid.t_start) == 1
+    monkeypatch.setattr(fields, "_gaussian_terms",
+                        lambda stack, t, ops: built.append(t) or build(stack, t, ops))
+    setup, *_ = _shared_setup(n_runs=16)
+    setup = replace(setup, scales=GuidanceScales(w=w))
+    outs = metrics._run_outputs(setup, [replace(setup.transport, beta0=b) for b in strengths])
+    times = setup.grid.points[:-1].tolist()
+    assert calls == [t for t in times for _ in strengths] and built == times
+    monkeypatch.undo()
+    noise = setup.noise_bank(setup.z_target.shape[0])
+    for b, out in zip(strengths, outs):
+        want = guided_final_states(setup.registry, setup.condition, setup.scales, setup.grid,
+                                   replace(setup.transport, beta0=b), setup.z_target, noise)
+        assert np.array_equal(out, want)
+
+
+def test_verify_raises_an_earlier_arms_mse_before_a_later_arms_walk_abort(monkeypatch):
+    # The arms are walked together, but each verifier raises in arm order:
+    # an arm's walk abort, then its mean square.  Here the beta0 = 0.2 arm's
+    # states are moved by 1e155, so its mse overflows, and the beta0 = 0.4
+    # arm's walk aborts; the verifier raises the earlier arm's mse abort.
+    # The aborted arm is not kept, the others are.
+    from otflow import metrics
+
+    real = metrics.integrate_finals
+    walk_abort = otflow.NumericalAbort("velocity non-finite at t=0.5", t=0.5, step=14,
+                                       term="velocity")
+
+    def walk(velocities, z0s, grids):
+        finals = real(velocities, z0s, grids)
+        finals[2] = finals[2] + 1e155
+        finals[3] = walk_abort
+        return finals
+
+    monkeypatch.setattr(metrics, "integrate_finals", walk)
+    setup, *_ = _shared_setup(n_runs=16)
+    with pytest.raises(otflow.NumericalAbort) as err:
+        verify_convergence_bound(setup, [0.0, 0.1, 0.2, 0.4])
+    assert str(err.value) == "the beta0=0.2 arm's mse is non-finite at t=0.0"
+    assert (err.value.t, err.value.step, err.value.term) == (0.0, 28, "mse")
+    assert sorted(cfg.beta0 for cfg in setup._arms if cfg is not None) == [0.1, 0.2]
+    assert None in setup._arms
+    # Without the earlier overflow the later arm's walk abort is raised.
+    monkeypatch.setattr(metrics, "integrate_finals",
+                        lambda *walked: [walk_abort for _ in real(*walked)])
+    with pytest.raises(otflow.NumericalAbort) as err:
+        verify_convergence_bound(setup, [0.0, 0.1, 0.4])
+    assert err.value is walk_abort
 
 
 def test_covariance_symmetry_check():
@@ -726,11 +764,12 @@ def test_edit_control_zero_arm_is_compared_with_itself():
     assert min(measured[b] for b in (0.1, 0.2, 0.4)) > 1e4
 
 
-def _overflowing_arms(setup, beta0, transport=None):
+def _overflowing_arms(setup, arms):
     # Stand-in arms with finite states: the target, moved by beta0 along the
     # first axis, and by 1e155 from beta0 = 0.4 on, whose square overflows.
-    shift = 1e155 if beta0 >= 0.4 else beta0
-    return np.tile(setup.z_target + shift * np.eye(len(setup.z_target))[0], (setup.n_runs, 1))
+    unit = np.eye(len(setup.z_target))[0]
+    return [np.tile(setup.z_target + (1e155 if cfg.beta0 >= 0.4 else cfg.beta0) * unit,
+                    (setup.n_runs, 1)) for cfg in arms]
 
 
 @pytest.mark.parametrize("verify, term", [

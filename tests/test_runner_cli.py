@@ -5,7 +5,6 @@ files, sweeps must not depend on the --workers flag, and every exit code in
 the CLI contract must be reachable.
 """
 
-import collections
 import csv
 import io
 import os
@@ -304,29 +303,31 @@ def test_run_verify_kind_dispatch():
 
 def test_run_verify_integrates_each_arm_once(monkeypatch):
     # The default lists hold five distinct arms (beta0 0, 0.1, 0.2, 0.4, 0.8
-    # at the template's phi): each is one n_runs-row integration, and the
+    # at the template's phi): each is one n_runs-row run, convergence's four
+    # walked together and edit control's one new arm after them, and the
     # reports equal those of a fresh VerifySetup per verifier, bit for bit.
     from dataclasses import replace
 
     from otflow import metrics
 
     cfg = _cfg(_VERIFY_PASS_CFG + "n_runs = 16\n")
-    setups, batches = [], []
-    real_setup, real_integrate = runner.VerifySetup, metrics.integrate_final
+    setups, walks = [], []
+    real_setup, real_walk = runner.VerifySetup, metrics.integrate_finals
 
     def recording_setup(**kw):
         setups.append(real_setup(**kw))
         return setups[-1]
 
-    def counting_integrate(velocity, z0, grid):
-        if np.ndim(z0) == 2:
-            batches.append(z0.shape[0])
-        return real_integrate(velocity, z0, grid)
+    def counting_walk(velocities, z0s, grids):
+        # The discretization check's walk, of one-state runs, is left out.
+        if np.ndim(z0s[0]) == 2:
+            walks.append([np.shape(z0)[0] for z0 in z0s])
+        return real_walk(velocities, z0s, grids)
 
     monkeypatch.setattr(runner, "VerifySetup", recording_setup)
-    monkeypatch.setattr(metrics, "integrate_final", counting_integrate)
+    monkeypatch.setattr(metrics, "integrate_finals", counting_walk)
     _, conv, edit = run_verify(cfg)
-    assert batches == [16] * 5 and len(setups) == 1
+    assert walks == [[16] * 4, [16]] and len(setups) == 1
     vsec = cfg.verify
     assert conv.measured == metrics.verify_convergence_bound(
         replace(setups[0]), vsec["beta0_list"]).measured
@@ -352,14 +353,14 @@ def test_verify_workload_work_counts(tmp_path, monkeypatch):
     # timer.  Field calls: 216 for the paired RK4 reference, whose base walk
     # of 50 steps is kept (its stated error is at most 1e-3 of every error
     # it measures), 1 probe, 80 for the four Euler runs walked together
-    # (their grids nest), and for the five arms one shared first call on the
-    # noise bank at t = 1 and 27 each.  The discretization check's binding
-    # builds the Gaussian terms at each call at a new time (192).  The arms'
-    # binding builds each grid time once on its first arm and once more,
-    # into its table, on the second (28 + 27), and the later arms build
-    # none: 247 builds in all, none of the arms' grid times built more than
-    # twice.  The rows evaluated (2651) are those the runs would evaluate
-    # one by one, less the four repeated first calls' 4 * 16.
+    # (their grids nest), and 28 for each of the five arms.  The
+    # discretization check's binding builds the Gaussian terms at each call
+    # at a new time (192).  The arms are walked in two groups, convergence's
+    # four arms and then edit control's one new arm, and the arms' binding
+    # builds each grid time's terms once per group walk, which calls it at
+    # one time for every arm of the group before the next: 192 + 2 * 28 =
+    # 248 builds.  The rows evaluated (2715) are those the runs would
+    # evaluate one by one.
     from otflow import fields, metrics
 
     workload = _benchmark_workloads().build("verify_bounds", 1, str(tmp_path), 1)
@@ -389,11 +390,10 @@ def test_verify_workload_work_counts(tmp_path, monkeypatch):
     reports = run_verify(cfg)
     assert [r.passed for r in reports] == [True] * 3
     assert len(bindings) == 2
-    assert len(calls) == 216 + 1 + 80 + 1 + 5 * 27 == 433
-    assert len(terms) == 192 + 28 + 27 == 247 and sum(rows) == 2651
-    arm_builds = collections.Counter(t for binding, t in terms if binding == 2)
-    assert sorted(arm_builds) == sorted(cfg.grid.points[:-1].tolist())
-    assert max(arm_builds.values()) == 2
+    assert len(calls) == 216 + 1 + 80 + 5 * 28 == 437
+    assert len(terms) == 192 + 2 * 28 == 248 and sum(rows) == 2715
+    arm_builds = [t for binding, t in terms if binding == 2]
+    assert arm_builds == cfg.grid.points[:-1].tolist() * 2
     fitted = reports[0].fitted_constants
     assert fitted["reference_steps"] == 50
     assert fitted["reference_error"] <= 1e-3 * min(e for _, _, e in reports[0].measured)
@@ -438,6 +438,48 @@ def test_invert_sweep_work_counts(tmp_path, monkeypatch):
     assert out.n_rows == 4 and out.n_failed == 0
     assert len(calls) == 28 + 28 == 56 and rows == [4] * 56
     assert len(terms) == 56
+
+
+def test_flowedit_points_work_counts(tmp_path, monkeypatch):
+    # The flowedit_points benchmark workload at seed 1, shrunk to 2 beta0
+    # values x 2 replicates, pins the work a point-set sweep does, so a
+    # change in it shows without a timer.  Its 4 cells form one group, run
+    # as one 4-row FlowEdit with per-row beta0 and seeds.  Of its 28 steps
+    # the first 28 - n_max = 4 step nothing; the 24 active ones each make a
+    # target-branch and a source-branch call on the 4 * n_avg = 16 coupled
+    # states.  Each call is a dataset condition of a registry of two point
+    # sets, so it weighs both sets: two _point_pass calls on its rows.
+    from otflow import editors, fields
+
+    workload = _benchmark_workloads().build("flowedit_points", 1, str(tmp_path), 1)
+    text = open(workload.config_path).read()
+    lines = [line for line in text.splitlines() if not line.startswith(("axis", "replicates"))]
+    path = tmp_path / "tiny.cfg"
+    path.write_text("\n".join(lines) + "\naxis = transport.beta0: 0, 0.3\nreplicates = 2\n")
+    cfg = load_config(str(path), overrides=[f"experiment.seed={workload.base_seed}",
+                                            "experiment.plot=false"])
+    calls, rows, passes = [], [], []
+    bind, point_pass = fields.make_velocity, fields._point_pass
+
+    def counting_bind(*args):
+        field = bind(*args)
+
+        def counted(z, t):
+            calls.append(t)
+            rows.append(z.shape[0] if np.ndim(z) == 2 else 1)
+            return field(z, t)
+        return counted
+
+    def counting_pass(pset, zb, t):
+        passes.append(zb.shape[0])
+        return point_pass(pset, zb, t)
+
+    monkeypatch.setattr(editors, "make_velocity", counting_bind)
+    monkeypatch.setattr(fields, "_point_pass", counting_pass)
+    out = run_sweep(cfg, out_dir=str(tmp_path / "out"))
+    assert out.n_rows == 4 and out.n_failed == 0
+    assert len(calls) == 2 * 24 == 48 and rows == [16] * 48
+    assert passes == [16] * 2 * 48
 
 
 def test_run_experiment_verify_artifacts(tmp_path):
@@ -1244,9 +1286,10 @@ def test_cli_fails_a_negative_transport_curvature_alone(tmp_path, capsys, monkey
     # (that condition holds) and c_transport = -1, which alone fails.
     from otflow import metrics
 
-    def arms(setup, beta0, transport=None):
+    def arms(setup, cfgs):
         unit = np.eye(len(setup.z_target))[0]
-        return np.tile(setup.z_target + np.sqrt(1.0 - beta0 * beta0) * unit, (setup.n_runs, 1))
+        return [np.tile(setup.z_target + np.sqrt(1.0 - cfg.beta0 ** 2) * unit, (setup.n_runs, 1))
+                for cfg in cfgs]
 
     monkeypatch.setattr(metrics, "_run_outputs", arms)
     path = _write(tmp_path, "vc.cfg", _VERIFY_PASS_CFG + "kind = convergence\n")
@@ -1267,9 +1310,10 @@ def test_cli_aborts_on_a_verify_arm_that_overflows(tmp_path, capsys, monkeypatch
     # overflow.  The run stops with a located abort at the arms' end.
     from otflow import metrics
 
-    def arms(setup, beta0, transport=None):
-        shift = 1e155 if beta0 >= 0.4 else beta0
-        return np.tile(setup.z_target + shift * np.eye(len(setup.z_target))[0], (setup.n_runs, 1))
+    def arms(setup, cfgs):
+        unit = np.eye(len(setup.z_target))[0]
+        return [np.tile(setup.z_target + (1e155 if cfg.beta0 >= 0.4 else cfg.beta0) * unit,
+                        (setup.n_runs, 1)) for cfg in cfgs]
 
     monkeypatch.setattr(metrics, "_run_outputs", arms)
     path = _write(tmp_path, "vo.cfg", _VERIFY_PASS_CFG + f"kind = {kind}\n")
@@ -1487,6 +1531,8 @@ def _edge_cases():
     # (key, value text) for each numeric _KEYS entry and dataset.b.mean, at
     # each edge value, and 1e18 for the int keys: a vector gets the value in
     # both entries, a list key its default with the last entry replaced.
+    # The dataset matrices take each value on the diagonal of dataset.b.cov,
+    # off it, and as dataset.a.points' first atom in both coordinates.
     from otflow.config import _KEYS
 
     keys = [(path, kind, default) for path, (kind, default) in _KEYS.items()
@@ -1497,6 +1543,10 @@ def _edge_cases():
                 yield path, ", ".join(default.split(", ")[:-1] + [value])
             else:
                 yield path, f"{value}, {value}" if kind == "vector" else value
+    for value in _EDGE_VALUES:
+        yield "dataset.b.cov", f"{value}, 0; 0, {value}"
+        yield "dataset.b.cov", f"0.25, {value}; {value}, 0.25"
+        yield "dataset.a.points", f"{value}, {value}; -1.5, 0.5; -1, -0.5; -1.5, -0.5"
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -1508,7 +1558,7 @@ def test_every_edge_value_exits_with_a_documented_code(algorithm, tmp_path, caps
     path = tmp_path / "edge.cfg"
     path.write_text(_EDGE_CFG)
     cases = list(_edge_cases())
-    assert len(cases) == 297
+    assert len(cases) == 324
     codes = (EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_PARTIAL, EXIT_VERIFY)
     wrong = []
     for key, value in cases:
